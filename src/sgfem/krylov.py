@@ -33,8 +33,11 @@ class SolveReport:
     ``residuals[k]`` is the relative residual after iteration k+1;
     ``kappa`` estimates cond(M⁻¹A) from the Lanczos tridiagonal (1 when
     fewer than 2 iterations ran); ``matvecs`` counts operator
-    applications including residual refreshes; ``rho_history`` holds the
-    squared M⁻¹-norm of the residual per iteration.
+    applications including residual refreshes.  ``rho_history[k]`` is
+    r·M⁻¹r of the residual entering iteration k+1, so entry 0 is b·M⁻¹b
+    and the list has one entry per iteration.  The residual of the
+    returned iterate is never preconditioned, so its r·M⁻¹r is not
+    recorded: a caller that needs it applies M⁻¹ once more.
     """
 
     iterations: int = 0

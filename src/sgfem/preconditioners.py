@@ -96,6 +96,11 @@ class BlockGaussSeidel(Preconditioner):
 
     Equals the inverse of (L+D) D⁻¹ (D+U) with D the assembled diagonal
     blocks and L/U the truncated strictly lower/upper block parts.
+
+    The sweeps run in push form: once block k is solved, one truncated
+    product with the single column block k subtracts its coupling from
+    every row still to be solved (later rows going forward, earlier rows
+    going back), so each K_i y_(k) is computed once per half sweep.
     """
 
     def __init__(self, op, trunc):
@@ -103,19 +108,20 @@ class BlockGaussSeidel(Preconditioner):
         self._solv = [op.assemble_diag_block(j)[1] for j in range(op.M + 1)]
 
     def apply(self, r):
-        op, trunc = self.op, self.trunc
-        R = self._blocks(r)
-        rhs_fwd = R.copy()  # r_(j) minus the lower-block products
-        Y = np.zeros_like(R)
-        for j in range(op.M + 1):
-            if j > 0:
-                rhs_fwd[j] -= op.tmatvec([j], range(j), trunc, Y[:j])[0]
-            Y[j] = self._solv[j].solve(rhs_fwd[j])
-        V = Y.copy()
-        for j in range(op.M - 1, -1, -1):
-            corr = op.tmatvec([j], range(j + 1, op.M + 1), trunc,
-                              V[j + 1:])[0]
-            V[j] = self._solv[j].solve(rhs_fwd[j] - corr)
+        op, trunc, last = self.op, self.trunc, self.op.M
+        rhs = self._blocks(r).copy()  # r minus the pushed products
+        V = np.empty_like(rhs)
+        for k in range(last + 1):
+            V[k] = self._solv[k].solve(rhs[k])
+            if k < last:
+                rhs[k + 1:] -= op.tmatvec(range(k + 1, last + 1),
+                                          range(k, k + 1), trunc,
+                                          V[k:k + 1])
+        # the last forward solve is also the first backward one
+        for k in range(last, 0, -1):
+            rhs[:k] -= op.tmatvec(range(k), range(k, k + 1), trunc,
+                                  V[k:k + 1])
+            V[k - 1] = self._solv[k - 1].solve(rhs[k - 1])
         return V.ravel()
 
 
@@ -179,13 +185,13 @@ class HierarchicalSweep(Preconditioner):
         op, trunc, lm = self.op, self.trunc, self.op.levels
         g = self._blocks(r).copy()
         for level in range(lm.P, 0, -1):
-            blk = list(lm.blocks(level))
+            blk = lm.blocks(level)
             z = self._solver.solve(level, g[blk])
             g[:blk[0]] -= op.tmatvec(range(blk[0]), blk, trunc, z)
         v = np.zeros_like(g)
         v[0] = op.assemble_diag_block(0)[1].solve(g[0])
         for level in range(1, lm.P + 1):
-            blk = list(lm.blocks(level))
+            blk = lm.blocks(level)
             corr = op.tmatvec(blk, range(blk[0]), trunc, v[:blk[0]])
             v[blk] = self._solver.solve(level, g[blk] - corr)
         return v.ravel()
@@ -198,14 +204,14 @@ class HierarchicalSweep(Preconditioner):
         rhs_fwd = R.copy()
         U = np.zeros_like(R)
         for level in range(lm.P + 1):
-            blk = list(lm.blocks(level))
+            blk = lm.blocks(level)
             if level > 0:
                 rhs_fwd[blk] -= op.tmatvec(blk, range(blk[0]), trunc,
                                            U[:blk[0]])
             U[blk] = self._solver.solve(level, rhs_fwd[blk])
         V = U.copy()
         for level in range(lm.P - 1, -1, -1):
-            blk = list(lm.blocks(level))
+            blk = lm.blocks(level)
             above = range(blk[-1] + 1, op.M + 1)
             corr = op.tmatvec(blk, above, trunc, V[blk[-1] + 1:])
             V[blk] = self._solver.solve(level, rhs_fwd[blk] - corr)

@@ -1,13 +1,19 @@
 """Block operator checks against the dense brute-force oracle."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import build_operator
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgfem.galerkin as galerkin
 from sgfem.chaos import build_c_tensor
 from sgfem.galerkin import (
+    GalerkinOperator,
     adaptive_truncation,
     full_truncation,
     level_structure,
@@ -87,6 +93,12 @@ class TestTruncationSets:
         with pytest.raises(ValueError):
             TruncationSet(np.array([1, 2]), "bad")
 
+    def test_key_is_index_runs_computed_once(self):
+        t = TruncationSet(np.array([0, 1, 2, 5, 7, 8]), "runs")
+        assert t.key() == ((0, 3), (5, 6), (7, 9))
+        assert t.key() is t.key()
+        assert standard_truncation(4, 2).key() == ((0, 15),)
+
 
 class TestTmatvecOracle:
     @pytest.mark.parametrize("N,P,n", SMALL)
@@ -141,6 +153,134 @@ class TestTmatvecOracle:
         with pytest.raises(ValueError):
             op.tmatvec([0], [0, 1], full_truncation(op.tensor),
                        np.ones(op.n_dof))
+
+    @pytest.mark.parametrize("rows,cols", [([1, 1], [0]), ([0], [2, 0, 2]),
+                                           ([-1], [0]), ([0], [3])])
+    def test_rejects_repeated_or_out_of_range_blocks(self, rows, cols):
+        op, _, _, _ = build_operator(1, 2, 2)  # blocks 0..2
+        v = np.ones(len(cols) * op.n_dof)
+        with pytest.raises(ValueError, match="distinct and in"):
+            op.tmatvec(rows, cols, full_truncation(op.tensor), v)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_operator(N, P, n):
+    return build_operator(N, P, n)[0]
+
+
+def truncated_oracle(op, trunc):
+    """Dense global matrix with every K_i outside the set zeroed."""
+    keep = set(trunc.indices.tolist())
+    kept = [K if i in keep else K * 0.0 for i, K in enumerate(op.k_mats)]
+    return GalerkinOperator(op.tensor, kept).assemble_global_dense()
+
+
+@st.composite
+def tmatvec_cases(draw):
+    N, P, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
+        draw(st.integers(1, 4))
+    op = cached_operator(N, P, n)
+    blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
+                      unique=True)
+    rows, cols = draw(blocks), draw(blocks)
+    if draw(st.booleans()):
+        trunc = standard_truncation(N, draw(st.integers(0, 2 * P)))
+    else:
+        norms = np.array([np.linalg.norm(K.data) for K in op.k_mats])
+        tau = draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0]))
+        trunc = adaptive_truncation(tau, norms, op.tensor)
+    seed = draw(st.integers(0, 2**16))
+    return op, rows, cols, trunc, seed
+
+
+class TestTmatvecProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(tmatvec_cases())
+    def test_matches_dense_oracle(self, case):
+        op, rows, cols, trunc, seed = case
+        A = truncated_oracle(op, trunc)
+        nd = op.n_dof
+        v = np.random.default_rng(seed).standard_normal((len(cols), nd))
+        x = np.zeros(op.n_global)
+        for pos, k in enumerate(cols):
+            x[k * nd:(k + 1) * nd] = v[pos]
+        want = (A @ x).reshape(op.M + 1, nd)[rows]
+        got = op.tmatvec(rows, cols, trunc, v)
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+        # flat input gives the same numbers in flat layout
+        np.testing.assert_array_equal(
+            op.tmatvec(rows, cols, trunc, v.ravel()), got.ravel())
+
+    def test_chunked_product_matches_single_chunk(self, monkeypatch):
+        op, _, _, _ = build_operator(2, 2, 3)
+        v = np.random.default_rng(12).standard_normal(op.n_global)
+        want = op.matvec(v)
+        monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 8 * op.n_dof)
+        small = GalerkinOperator(op.tensor, op.k_mats)
+        assert len(small._plan(range(op.M + 1), range(op.M + 1),
+                               small._full).chunks) > 1
+        np.testing.assert_allclose(small.matvec(v), want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
+
+
+class TestPlanCache:
+    def test_bounded_over_many_truncation_sets(self, monkeypatch):
+        monkeypatch.setattr(galerkin, "_PLAN_CACHE_SIZE", 64)
+        op, _, _, _ = build_operator(2, 2, 2)
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal(op.n_global)
+        blocks = range(op.M + 1)
+        for _ in range(200):
+            extra = np.flatnonzero(rng.random(op.Mprime) < 0.5) + 1
+            trunc = TruncationSet(np.concatenate([[0], extra]), "random")
+            got = op.tmatvec(blocks, blocks, trunc, v)
+            assert len(op._plan_cache) <= 64
+        # the cached plan of the last set still gives the oracle's numbers
+        np.testing.assert_allclose(got, truncated_oracle(op, trunc) @ v,
+                                   atol=1e-12)
+
+    def test_default_bound(self):
+        op, _, _, _ = build_operator(2, 2, 2)
+        v = np.ones(op.n_global)
+        blocks = range(op.M + 1)
+        bits = 1 << np.arange(op.Mprime)
+        for mask in range(galerkin._PLAN_CACHE_SIZE + 50):
+            extra = np.flatnonzero(mask & bits) + 1
+            op.tmatvec(blocks, blocks, TruncationSet(
+                np.concatenate([[0], extra]), f"mask={mask}"), v)
+        assert len(op._plan_cache) == galerkin._PLAN_CACHE_SIZE
+
+
+class TestSharedPattern:
+    def test_rejects_different_pattern(self):
+        op, _, _, _ = build_operator(2, 1, 3)
+        mats = list(op.k_mats)
+        pruned = mats[2].copy()
+        pruned.eliminate_zeros()  # Dirichlet zeros leave the pattern
+        assert pruned.nnz < mats[2].nnz
+        mats[2] = pruned
+        with pytest.raises(ValueError, match="matrix 2 does not share"):
+            GalerkinOperator(op.tensor, mats)
+
+    def test_rejects_permuted_column_indices(self):
+        op, _, _, _ = build_operator(2, 1, 3)
+        mats = list(op.k_mats)
+        K = mats[1]
+        lo, hi = K.indptr[5], K.indptr[6]
+        idx = K.indices.copy()
+        idx[lo:hi] = idx[lo:hi][::-1]
+        mats[1] = sp.csr_matrix((K.data.copy(), idx, K.indptr.copy()),
+                                shape=K.shape)
+        with pytest.raises(ValueError, match="CSR sparsity pattern"):
+            GalerkinOperator(op.tensor, mats)
+
+    def test_rejects_non_csr(self):
+        op, _, _, _ = build_operator(1, 1, 2)
+        mats = list(op.k_mats)
+        mats[1] = mats[1].tocsc()
+        with pytest.raises(ValueError, match="CSR format"):
+            GalerkinOperator(op.tensor, mats)
 
 
 class TestCounters:

@@ -102,6 +102,26 @@ class TestMonotonicity:
         errs = np.array(errs)
         assert np.all(np.diff(errs) <= 1e-10 * errs[:-1])
 
+    @pytest.mark.parametrize("solver", [pcg, flexible_cg])
+    def test_rho_history_is_entering_residual(self, solver):
+        # entry k belongs to the iterate after k iterations, the accepted
+        # iterate has none, and the list has one entry per iteration
+        A, _ = spd(12, 5, spread=80.0)
+        Minv = np.diag(1.0 / np.diag(A))
+        b = np.random.default_rng(6).standard_normal(12)
+        x, rep = solver(lambda v: A @ v, lambda v: Minv @ v, b, tol=1e-10)
+        rho = rep.rho_history
+        assert rep.converged
+        assert len(rho) == rep.iterations
+        assert rho[0] == pytest.approx(b @ Minv @ b, rel=1e-14)
+        for k in range(1, rep.iterations):
+            xk, _ = solver(lambda v: A @ v, lambda v: Minv @ v, b,
+                           tol=1e-16, maxit=k)
+            r = b - A @ xk
+            assert rho[k] == pytest.approx(r @ Minv @ r, rel=1e-6), k
+        r = b - A @ x
+        assert r @ Minv @ r < 1e-3 * rho[-1]
+
     def test_rho_overall_decay(self):
         A, _ = spd(25, 7, spread=500.0)
         Minv = np.diag(1.0 / np.diag(A))

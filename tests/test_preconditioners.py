@@ -43,6 +43,24 @@ def dense_split_parts(op, trunc):
     return L, D, U
 
 
+def pull_form_gs(op, trunc, r):
+    """Reference symmetric block Gauss-Seidel in pull form: each row
+    gathers its own truncated products from the blocks already solved."""
+    solv = [op.assemble_diag_block(j)[1] for j in range(op.M + 1)]
+    R = r.reshape(op.M + 1, op.n_dof)
+    rhs_fwd = R.copy()
+    Y = np.zeros_like(R)
+    for j in range(op.M + 1):
+        if j > 0:
+            rhs_fwd[j] -= op.tmatvec([j], range(j), trunc, Y[:j])[0]
+        Y[j] = solv[j].solve(rhs_fwd[j])
+    V = Y.copy()
+    for j in range(op.M - 1, -1, -1):
+        corr = op.tmatvec([j], range(j + 1, op.M + 1), trunc, V[j + 1:])[0]
+        V[j] = solv[j].solve(rhs_fwd[j] - corr)
+    return V.ravel()
+
+
 class TestMeanBased:
     def test_single_block_exact(self):
         op, b, _, _ = build_operator(2, 0, 3)
@@ -118,6 +136,20 @@ class TestGaussSeidel:
         r = np.random.default_rng(6).standard_normal(op.n_global)
         np.testing.assert_allclose(gs.apply(r), np.linalg.solve(M, r),
                                    atol=1e-11)
+
+    @pytest.mark.parametrize("lt", [None, 1, 2])
+    def test_push_form_matches_pull_form(self, lt):
+        op, _, _, _ = build_operator(3, 3, 4)
+        trunc = (full_truncation(op.tensor) if lt is None
+                 else standard_truncation(3, lt))
+        gs = make_preconditioner(op, "gs", trunc)
+        rng = np.random.default_rng(30)
+        for _ in range(3):
+            r = rng.standard_normal(op.n_global)
+            want = pull_form_gs(op, trunc, r)
+            got = gs.apply(r)
+            assert np.linalg.norm(got - want) <= \
+                1e-13 * np.linalg.norm(want)
 
     def test_mean_truncation_reduces_to_block_diagonal_solves(self):
         op, _, _, _ = build_operator(2, 2, 3)
