@@ -160,8 +160,13 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
     Each multivariate entry factorizes over dimensions:
     c_ijk = Π_d E[He_{i_d} He_{j_d} He_{k_d}].
     """
+    if N < 1:
+        raise ValueError(f"stochastic dimension N must be at least 1, got {N}")
+    if P < 0:
+        raise ValueError(f"polynomial degree P must be non-negative, got {P}")
     if Pprime < P:
-        raise ValueError("expansion degree P' must be at least P")
+        raise ValueError(f"expansion degree P' must be at least P, got "
+                         f"P' = {Pprime} < P = {P}")
     iset = multi_index_set(N, Pprime)
     jkset = multi_index_set(N, P)
     T = _table_1d(Pprime, P)

@@ -158,10 +158,10 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     coeffs = gpc_coefficients(kl, tensor.iset, mesh)
     kfam = assemble_stiffness_family(mesh, coeffs.values)
     f = assemble_load(mesh, 1.0)
-    k0, f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)
-    kd = [k0] + [apply_dirichlet(K, f, mesh, diagonal=0.0)[0]
-                 for K in kfam[1:]]
-    op = GalerkinOperator(tensor, kd)
+    f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
+    for K in kfam[1:]:  # treated in place: one family alive, not two
+        apply_dirichlet(K, f, mesh, diagonal=0.0)
+    op = GalerkinOperator(tensor, kfam)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b

@@ -9,6 +9,7 @@ treatment rely on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,15 @@ class Mesh:
     @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @functools.cached_property
+    def _dirichlet_slots(self):
+        """(indptr, indices, slots, diagonal slots) of the stiffness
+        pattern: the data slots ``apply_dirichlet`` zeroes and the
+        boundary diagonal ones.  Computed once per mesh, so a stiffness
+        family on it is treated without recomputing them per matrix."""
+        indices, indptr, _ = _pattern(self)
+        return (indptr, indices) + _boundary_slots(indptr, indices, self)
 
     def interpolate(self, nodal: np.ndarray) -> np.ndarray:
         """Evaluate a nodal field at all quadrature points, shape (n^2, 4)."""
@@ -156,6 +166,16 @@ def assemble_load(mesh: Mesh, f: float) -> np.ndarray:
     return load
 
 
+def _boundary_slots(indptr: np.ndarray, indices: np.ndarray, mesh: Mesh):
+    """Data slots of a CSR pattern in a boundary row or column, and the
+    boundary diagonal slots."""
+    on_bdry = np.zeros(mesh.n_nodes, dtype=bool)
+    on_bdry[mesh.boundary] = True
+    row_of = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
+    kill = on_bdry[row_of] | on_bdry[indices]
+    return np.flatnonzero(kill), np.flatnonzero(kill & (row_of == indices))
+
+
 def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, mesh: Mesh,
                     diagonal: float = 1.0) -> tuple[sp.csr_matrix, np.ndarray]:
     """Homogeneous Dirichlet conditions on the outer boundary, size kept.
@@ -164,17 +184,21 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, mesh: Mesh,
     boundary diagonal is set to ``diagonal`` (1 for a solvable matrix, 0
     when the matrix only ever appears inside coefficient sums).  Zeroed
     entries stay stored, so the sparsity pattern survives unchanged.
+
+    K is treated in place: its data array is overwritten and K itself is
+    returned, so a stiffness family is treated without a second copy of
+    it.  A caller that still needs the untreated matrix passes a copy.
+    f is left as it is; the returned load is a copy with the boundary
+    entries zeroed.  A K on the mesh's stiffness pattern reuses the slots
+    cached on the mesh; any other pattern gets its slots computed.
     """
-    K = K.copy()
-    nn = mesh.n_nodes
-    on_bdry = np.zeros(nn, dtype=bool)
-    on_bdry[mesh.boundary] = True
-    row_of = np.repeat(np.arange(nn), np.diff(K.indptr))
-    kill = on_bdry[row_of] | on_bdry[K.indices]
-    K.data[kill] = 0.0
+    indptr, indices, slots, diag = mesh._dirichlet_slots
+    if not (np.array_equal(K.indptr, indptr)
+            and np.array_equal(K.indices, indices)):
+        slots, diag = _boundary_slots(K.indptr, K.indices, mesh)
+    K.data[slots] = 0.0
     if diagonal != 0.0:
-        diag_slot = kill & (row_of == K.indices)
-        K.data[diag_slot] = diagonal
+        K.data[diag] = diagonal
     f = np.asarray(f, dtype=float).copy()
     f[mesh.boundary] = 0.0
     return K, f

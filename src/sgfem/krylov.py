@@ -78,6 +78,10 @@ def lanczos_condition_estimate(alphas, betas) -> float:
 
 
 def _run_cg(apply_A, apply_M, b, tol, maxit, flexible):
+    if not tol > 0:  # also rejects NaN
+        raise ValueError(f"tol must be positive, got {tol}")
+    if maxit < 0:
+        raise ValueError(f"maxit must be non-negative, got {maxit}")
     t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
     report = SolveReport()
@@ -142,14 +146,17 @@ def flexible_cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 1000
     """Flexible preconditioned CG from a zero initial guess.
 
     Converges when ‖b − Ax‖/‖b‖ ≤ tol; a non-converged or broken-down run
-    returns the last iterate with the flags set, never raises.
+    returns the last iterate with the flags set and does not raise.  A tol
+    that is not positive (NaN included) or a negative maxit raises
+    ValueError before any work.
     """
     return _run_cg(apply_A, apply_M, b, tol, maxit, flexible=True)
 
 
 def pcg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 1000
         ) -> tuple[np.ndarray, SolveReport]:
-    """Standard preconditioned CG (fixed-preconditioner oracle)."""
+    """Standard preconditioned CG (fixed-preconditioner oracle); arguments
+    and checks as in ``flexible_cg``."""
     return _run_cg(apply_A, apply_M, b, tol, maxit, flexible=False)
 
 

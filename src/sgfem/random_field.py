@@ -3,8 +3,12 @@
 The Gaussian exponent g is a truncated Karhunen-Loeve expansion
 g = g_0 + Σ_d g_d(x) ξ_d with independent standard Gaussian ξ_d and mode
 fields g_d already scaled by the square roots of the covariance
-eigenvalues.  Its chaos coefficients against the unnormalized Hermite
-basis have the closed form
+eigenvalues.  The exponential L1 kernel and the lumped Q1 weights are
+both tensor products over the two axes, so ``discrete_kl`` builds the
+modes from one 1-D eigensolve on the grid coordinates; ``kl_eigenpairs``
+solves the dense weighted problem for any covariance matrix and serves
+as the oracle.  The chaos coefficients of k against the unnormalized
+Hermite basis have the closed form
 
     k_i(x) = [Π_d g_d(x)^{i_d} / i_d!] · exp(g_0 + ½ Σ_d g_d(x)²),
 
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sgfem.chaos import MultiIndexSet
-from sgfem.fem import Mesh, assemble_load
+from sgfem.fem import Mesh
 from sgfem.linalg import sym_eig
 
 
@@ -123,107 +127,55 @@ class KLExpansion:
         return len(self.lambdas)
 
 
-def _sign_fix(v: np.ndarray) -> np.ndarray:
-    return -v if v[np.argmax(np.abs(v))] < 0 else v
-
-
-def _separability(M: np.ndarray) -> float:
-    """sigma_2 / sigma_1: zero iff the grid field factors as u(y) v(x)."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[1] / s[0]) if s[0] > 0 else 0.0
-
-
-def _profile_frequency(p: np.ndarray) -> int:
-    """Sign changes of a 1D profile, ignoring near-zero entries."""
-    q = p[np.abs(p) > 1e-8 * np.abs(p).max()]
-    return int(np.count_nonzero(np.signbit(q[1:]) != np.signbit(q[:-1])))
-
-
-def _separable_rotation(A: np.ndarray, B: np.ndarray) -> float:
-    """Angle minimizing sigma_2(cos t A + sin t B) over [0, pi)."""
-
-    def s2(t):
-        return np.linalg.svd(np.cos(t) * A + np.sin(t) * B,
-                             compute_uv=False)[1]
-
-    grid = np.linspace(0.0, np.pi, 721, endpoint=False)
-    t0 = grid[int(np.argmin([s2(t) for t in grid]))]
-    a, b = t0 - np.pi / 720, t0 + np.pi / 720
-    golden = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - golden * (b - a), a + golden * (b - a)
-    for _ in range(60):
-        if s2(c) < s2(d):
-            b, d = d, c
-            c = b - golden * (b - a)
-        else:
-            a, c = c, d
-            d = a + golden * (b - a)
-    return 0.5 * (a + b)
-
-
-def _canonical_grid_modes(phi: np.ndarray, lam: np.ndarray,
-                          shape: tuple) -> np.ndarray:
-    """Deterministic eigenbasis inside degenerate eigenvalue pairs.
-
-    A product kernel sampled on a tensor grid has eigenvectors that
-    factor as u(y) v(x), but within an eigenvalue pair the dense solver
-    returns an arbitrary rotation of them.  Rotate each pair back to the
-    separable representatives, order the two by increasing frequency in
-    x (then y) and fix signs.  Pairs with no rank-1 rotation and larger
-    groups are left exactly as the solver produced them.
-    """
-    phi = phi.copy()
-    m = len(lam)
-    start = 0
-    for i in range(1, m + 1):
-        if i < m and abs(lam[i] - lam[start]) <= 1e-8 * abs(lam[start]):
-            continue
-        if i - start == 2:
-            A = phi[start].reshape(shape)
-            B = phi[i - 1].reshape(shape)
-            t = _separable_rotation(A, B)
-            Ma = np.cos(t) * A + np.sin(t) * B
-            Mb = -np.sin(t) * A + np.cos(t) * B
-            if max(_separability(Ma), _separability(Mb)) <= 1e-8:
-                keyed = []
-                for M in (Ma, Mb):
-                    u, _, vt = np.linalg.svd(M)
-                    keyed.append((_profile_frequency(vt[0]),
-                                  _profile_frequency(u[:, 0]), M.ravel()))
-                keyed.sort(key=lambda p: (p[0], p[1]))
-                phi[start] = _sign_fix(keyed[0][2])
-                phi[i - 1] = _sign_fix(keyed[1][2])
-        start = i
-    return phi
-
-
 def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
                 g0: float = 0.0) -> KLExpansion:
-    """KL expansion of the exponent field on a mesh.
+    """KL expansion of the exponent field on a mesh, from 1-D eigenpairs.
 
-    The lumped mass weights are the nodal integrals ∫ φ_l dx (positive on
-    a Q1 mesh), and the covariance matrix is sampled node-wise.  Repeated
-    eigenvalues (the mixed-direction pairs of a separable kernel on the
-    square) get the canonical separable eigenbasis, so the expansion does
-    not depend on how the dense eigensolver happens to span them; a pair
-    split by the truncation is resolved before it is cut.
+    The lumped mass weights are the nodal integrals ∫ φ_l dx, which on the
+    uniform Q1 grid are the products w1[iy]·w1[ix] of the 1-D trapezoid
+    weights.  The L1 kernel factors as σ² c(x₁−y₁) c(x₂−y₂), so the
+    weighted covariance matrix is σ² A1 ⊗ A1 with A1 = W1^{1/2} C1 W1^{1/2}
+    on the n+1 grid coordinates, and its eigenpairs are the products of
+    the 1-D ones: λ = σ²·(μ_a μ_b), φ = φ_a(y) φ_b(x).  One (n+1)×(n+1)
+    eigensolve suffices; no (n+1)²×(n+1)² matrix is formed.
+
+    Modes are taken by descending λ; a mixed-direction pair (a, b), (b, a)
+    ties exactly, and the mode of lower x-index comes first.  Each 1-D
+    factor is signed positive at coordinate 0, so every mode is positive
+    at node 0 (x = y = 0).  ``energy_fraction`` is Σ λ_kept over the
+    trace σ²·(Σμ)² of the full weighted matrix.
     """
-    weights = assemble_load(mesh, 1.0)
-    C = spec.matrix(mesh.nodes)
-    lam, phi, energy = kl_eigenpairs(C, weights, n_modes)
-    # pull a few extra eigenpairs so a degeneracy crossing the cut is
-    # rotated together with its partner, then truncate
-    m_ext = min(len(weights), n_modes + 4)
-    if m_ext > n_modes:
-        try:
-            lam_e, phi_e, _ = kl_eigenpairs(C, weights, m_ext)
-        except ValueError:
-            lam_e, phi_e = lam, phi
-    else:
-        lam_e, phi_e = lam, phi
     side = mesh.n + 1
-    phi = _canonical_grid_modes(phi_e, lam_e, (side, side))[:n_modes]
-    return KLExpansion(g0, lam, np.sqrt(lam)[:, None] * phi, energy)
+    if not 1 <= n_modes <= side * side:
+        raise ValueError(f"n_modes = {n_modes} KL modes requested; the mesh "
+                         f"has {side * side} nodes, so 1 to {side * side} "
+                         "are possible")
+    x = mesh.nodes[:side, 0]
+    w1 = np.full(side, mesh.h)
+    w1[[0, -1]] = 0.5 * mesh.h
+    s1 = np.sqrt(w1)
+    C1 = np.exp(-np.abs(x[:, None] - x[None, :]) / spec.L)
+    mu, vecs = sym_eig(C1 * np.outer(s1, s1))
+    vecs *= np.where(vecs[0] < 0, -1.0, 1.0)
+    phi1 = vecs / s1[:, None]  # columns orthonormal in the W1 inner product
+
+    # λ[a, b] for y-index a, x-index b; σ² multiplies last so that
+    # (a, b) and (b, a) round to the same value
+    lam_all = spec.sigma**2 * (mu[:, None] * mu[None, :])
+    iy, ix = np.divmod(np.arange(side * side), side)
+    order = np.lexsort((iy, ix, -lam_all.ravel()))[:n_modes]
+    lam = lam_all.ravel()[order]
+    floor = 1e-12 * lam[0]
+    if not lam[-1] > floor:
+        raise ValueError(f"only {int(np.sum(lam_all > floor))} eigenvalues "
+                         f"are positive to tolerance, {n_modes} modes "
+                         "requested")
+    # the 1-D factors multiply first, so a mirrored pair of modes are
+    # exact transposes of each other on the grid
+    grid = phi1.T[iy[order]][:, :, None] * phi1.T[ix[order]][:, None, :]
+    modes = np.sqrt(lam)[:, None] * grid.reshape(n_modes, side * side)
+    energy = float(lam.sum() / (spec.sigma**2 * mu.sum() ** 2))
+    return KLExpansion(g0, lam, modes, energy)
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,15 @@ class TestCijkTensor:
         with pytest.raises(ValueError):
             build_c_tensor(2, 3, 2)
 
+    def test_rejects_zero_dimensions_naming_n(self):
+        with pytest.raises(ValueError, match="dimension N"):
+            build_c_tensor(0, 2, 4)
+
+    def test_rejects_negative_degree_naming_p(self):
+        # P' = 2P < P here too; the message must blame P, not P'
+        with pytest.raises(ValueError, match="degree P must"):
+            build_c_tensor(2, -1, -2)
+
 
 class TestGMatrix:
     def test_mean_block_low_degree(self):

@@ -169,6 +169,23 @@ class TestSolveCase:
         assert res["it"] == 2
 
 
+class TestBuildProblemArguments:
+    """Bad problem sizes fail fast with a message naming the argument."""
+
+    def test_zero_dimensions(self):
+        with pytest.raises(ValueError, match="n_modes = 0"):
+            build_problem(0, 2, 4, 50.0)
+
+    def test_negative_degree(self):
+        with pytest.raises(ValueError, match="degree P must"):
+            build_problem(2, -1, 4, 50.0)
+
+    def test_more_modes_than_nodes(self):
+        # n = 4 has 25 nodes; the check runs before the tensor of N = 26
+        with pytest.raises(ValueError, match="25 nodes"):
+            build_problem(26, 4, 4, 50.0)
+
+
 class TestTables:
 
     def test_logn_shape_and_ndof(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sgfem.fem import (
     apply_dirichlet,
@@ -185,6 +186,43 @@ class TestDirichlet:
         Kt, ft = apply_dirichlet(K, np.zeros(m.n_nodes), m)
         u = np.linalg.solve(Kt.toarray(), ft)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
+
+
+class TestDirichletInPlace:
+    """apply_dirichlet treats K in place and reuses its slots per pattern."""
+
+    @staticmethod
+    def _reference(K, mesh, diagonal):
+        # dense route: zero boundary rows and columns, set the diagonal
+        D = K.toarray()
+        D[mesh.boundary, :] = 0.0
+        D[:, mesh.boundary] = 0.0
+        D[mesh.boundary, mesh.boundary] = diagonal
+        return D
+
+    def test_treats_k_in_place_and_copies_f(self):
+        m = build_mesh(3)
+        K = assemble_stiffness(m, 1.0)
+        f = assemble_load(m, 1.0)
+        f_before = f.copy()
+        expect = self._reference(K, m, 1.0)
+        Kt, ft = apply_dirichlet(K, f, m)
+        assert Kt is K
+        np.testing.assert_array_equal(K.toarray(), expect)
+        np.testing.assert_array_equal(f, f_before)
+        assert ft is not f and np.all(ft[m.boundary] == 0.0)
+
+    def test_alternating_meshes_and_patterns(self):
+        # slots are cached per mesh for its stiffness pattern; other
+        # patterns (here a full one) get their own, interleaved freely
+        rng = np.random.default_rng(7)
+        meshes = [build_mesh(3), build_mesh(4), build_mesh(3)]
+        for m, d in zip(meshes * 2, (1.0, 0.0, 0.0, 1.0, 1.0, 0.0)):
+            for K in (assemble_stiffness(m, 1.0 + rng.random((m.n**2, 4))),
+                      sp.csr_matrix(1.0 + rng.random((m.n_nodes,) * 2))):
+                expect = self._reference(K, m, d)
+                apply_dirichlet(K, np.zeros(m.n_nodes), m, diagonal=d)
+                np.testing.assert_array_equal(K.toarray(), expect)
 
 
 class TestRefinement:

@@ -70,6 +70,34 @@ class TestBasics:
         np.testing.assert_allclose(A @ x, b, atol=1e-7)
 
 
+class TestArgumentChecks:
+    """Invalid tolerances and iteration limits fail before any work."""
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+    def test_non_positive_tol_rejected(self, solver, tol):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return v
+
+        with pytest.raises(ValueError, match="tol"):
+            solver(apply_A, lambda v: v, np.ones(3), tol=tol, maxit=50)
+        assert not calls
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    def test_negative_maxit_rejected(self, solver):
+        with pytest.raises(ValueError, match="maxit"):
+            solver(lambda v: v, lambda v: v, np.ones(3), maxit=-1)
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    def test_zero_maxit_returns_the_start(self, solver):
+        x, rep = solver(lambda v: v, lambda v: v, np.ones(3), maxit=0)
+        assert rep.iterations == 0 and not rep.converged
+        np.testing.assert_array_equal(x, np.zeros(3))
+
+
 class TestFlexibleMatchesStandard:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_identical_iteration_counts_fixed_preconditioner(self, seed):

@@ -1,11 +1,15 @@
 """Random-field checks: moment matching (Monte Carlo oracle), discrete KL
-(trace identity, hand eigensolve, analytic tensorized eigenvalues), and the
+(trace identity, hand eigensolve, analytic tensorized eigenvalues, the
+separable construction against the dense weighted eigensolve), and the
 chaos coefficient closed form (Gauss-Hermite projection oracle)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.optimize import brentq
 
@@ -228,6 +232,90 @@ class TestCanonicalEigenbasis:
         s = np.linalg.svd(kl4.modes[3].reshape(9, 9), compute_uv=False)
         assert s[1] <= 1e-10 * s[0]
         np.testing.assert_array_equal(kl4.modes, kl5.modes[:4])
+
+
+def _cluster_projector(phi, W):
+    """W-orthogonal projector Σ_j φ_j φ_jᵀ W onto the span of the rows."""
+    return phi.T @ (phi * W)
+
+
+class TestSeparableKl:
+    """The 1-D product construction against the dense weighted eigensolve.
+
+    The dense solver may return any rotation inside an eigenvalue pair, so
+    modes are compared through the W-orthogonal projector of each cluster
+    of (numerically) equal eigenvalues.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 12), L=st.floats(0.2, 2.0),
+           sigma=st.floats(1e-3, 2.0),
+           N=st.integers(1, 8))
+    def test_matches_dense_oracle(self, n, L, sigma, N):
+        mesh = build_mesh(n)
+        N = min(N, mesh.n_nodes)
+        spec = ExponentialCovariance(sigma, L)
+        kl = discrete_kl(mesh, spec, N)
+        W = assemble_load(mesh, 1.0)
+        # a few extra oracle pairs so a cluster cut by the truncation is
+        # still spanned in full
+        m = min(mesh.n_nodes, N + 4)
+        C = spec.matrix(mesh.nodes)
+        lam, phi, _ = kl_eigenpairs(C, W, m)
+        np.testing.assert_allclose(kl.lambdas, lam[:N], rtol=1e-12, atol=0)
+        assert kl.energy_fraction == pytest.approx(kl_eigenpairs(C, W, N)[2],
+                                                   rel=1e-12)
+        sep = kl.modes / np.sqrt(kl.lambdas)[:, None]
+        for d in range(N):
+            near = np.abs(lam - kl.lambdas[d]) <= 1e-6 * kl.lambdas[d]
+            P_dense = _cluster_projector(phi[near], W)
+            np.testing.assert_allclose(P_dense @ sep[d], sep[d], atol=1e-8)
+            mine = np.abs(kl.lambdas - kl.lambdas[d]) <= 1e-6 * kl.lambdas[d]
+            if mine.sum() == near.sum():  # the whole cluster is kept
+                np.testing.assert_allclose(_cluster_projector(sep[mine], W),
+                                           P_dense, atol=1e-8)
+
+    def test_positive_at_corner_node(self):
+        for n, N in ((1, 4), (4, 10), (10, 8), (17, 12)):
+            kl = discrete_kl(build_mesh(n), ExponentialCovariance(0.9, 0.4), N)
+            assert np.all(kl.modes[:, 0] > 0), (n, N)
+
+    @pytest.mark.parametrize("n", [5, 8, 13])
+    @pytest.mark.parametrize("sigma", [0.3, 1.1])
+    def test_mirrored_pairs_tie_exactly(self, n, sigma):
+        # eigenvalues equal to rounding are bitwise equal, and the modes of
+        # such a pair are exact transposes of each other on the grid
+        kl = discrete_kl(build_mesh(n), ExponentialCovariance(sigma, 0.4), 20)
+        lam, side = kl.lambdas, n + 1
+        pairs = np.flatnonzero(np.abs(np.diff(lam)) <= 1e-12 * lam[1:])
+        assert len(pairs) >= 6
+        for d in pairs:
+            assert lam[d] == lam[d + 1]
+            np.testing.assert_array_equal(
+                kl.modes[d].reshape(side, side),
+                kl.modes[d + 1].reshape(side, side).T)
+
+    def test_memory_scales_with_the_grid_side(self):
+        # the dense path would allocate ~430 MB at n = 64
+        mesh = build_mesh(64)
+        spec = ExponentialCovariance(1.0, 0.5)
+        tracemalloc.start()
+        try:
+            kl = discrete_kl(mesh, spec, 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kl.modes.shape == (8, 65 * 65)
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("N", [0, -1, 26])
+    def test_mode_count_out_of_range_fails_fast(self, N):
+        with pytest.raises(ValueError, match="n_modes"):
+            discrete_kl(build_mesh(4), ExponentialCovariance(1.0, 0.5), N)
+
+    def test_zero_variance_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            discrete_kl(build_mesh(3), ExponentialCovariance(0.0, 0.5), 2)
 
 
 class TestGpcCoefficients:
