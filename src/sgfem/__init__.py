@@ -4,141 +4,44 @@ Solves the diffusion equation with a lognormal random coefficient by a
 Galerkin projection onto a Hermite polynomial chaos basis, and provides
 hierarchical, Gauss-Seidel, Kronecker and mean-based preconditioners for
 the resulting coupled linear system.
+
+The package exports the three solve entry points (``build_problem``,
+``make_preconditioner``, ``flexible_cg``) and the pipeline steps that
+``build_problem`` chains, so the system can be rebuilt by hand.  Every
+other name lives in its submodule.
 """
 
-from .chaos import (
-    CijkTensor,
-    MultiIndexSet,
-    build_c_tensor,
-    hermite_eval_1d,
-    multi_index_set,
-    triple_product_1d,
-    write_c_tensor,
-)
-from .experiments import (
-    ExperimentConfig,
-    Report,
-    build_problem,
-    emit_c_pattern,
-    emit_norm_decay,
-    export_case,
-    load_config,
-    report_csv,
-    report_markdown,
-    run_table,
-    solve_case,
-)
+from .chaos import build_c_tensor
+from .experiments import build_problem
 from .fem import (
-    Mesh,
     apply_dirichlet,
     assemble_load,
-    assemble_stiffness,
     assemble_stiffness_family,
     build_mesh,
-    write_mesh_csv,
 )
 from .galerkin import (
     GalerkinOperator,
-    LevelMap,
-    TruncationSet,
     adaptive_truncation,
-    full_truncation,
-    level_structure,
     standard_truncation,
-    tmatvec,
 )
-from .krylov import (
-    SolveReport,
-    flexible_cg,
-    lanczos_condition_estimate,
-    pcg,
-    write_residual_trace,
-)
-from .linalg import (
-    as_csr,
-    factorize,
-    read_matrix_market,
-    solve,
-    spmv,
-    sym_eig,
-    write_matrix_market,
-)
-from .preconditioners import KINDS, make_preconditioner, probe_matrix
+from .krylov import flexible_cg
+from .preconditioners import make_preconditioner
 from .random_field import (
-    CoefficientFields,
     ExponentialCovariance,
-    KLExpansion,
-    covariance,
     discrete_kl,
     field_parameters,
     gpc_coefficients,
-    kl_eigenpairs,
-    lognormal_from_moments,
-    sample_field,
-    write_kl_csv,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CijkTensor",
-    "MultiIndexSet",
-    "build_c_tensor",
-    "hermite_eval_1d",
-    "multi_index_set",
-    "triple_product_1d",
-    "write_c_tensor",
-    "ExperimentConfig",
-    "Report",
-    "build_problem",
-    "emit_c_pattern",
-    "emit_norm_decay",
-    "export_case",
-    "load_config",
-    "report_csv",
-    "report_markdown",
-    "run_table",
-    "solve_case",
-    "Mesh",
-    "apply_dirichlet",
-    "assemble_load",
-    "assemble_stiffness",
-    "assemble_stiffness_family",
-    "build_mesh",
-    "write_mesh_csv",
-    "GalerkinOperator",
-    "LevelMap",
-    "TruncationSet",
-    "adaptive_truncation",
-    "full_truncation",
-    "level_structure",
-    "standard_truncation",
-    "tmatvec",
-    "SolveReport",
-    "flexible_cg",
-    "lanczos_condition_estimate",
-    "pcg",
-    "write_residual_trace",
-    "as_csr",
-    "factorize",
-    "read_matrix_market",
-    "solve",
-    "spmv",
-    "sym_eig",
-    "write_matrix_market",
-    "KINDS",
-    "make_preconditioner",
-    "probe_matrix",
-    "CoefficientFields",
-    "ExponentialCovariance",
-    "KLExpansion",
-    "covariance",
-    "discrete_kl",
-    "field_parameters",
-    "gpc_coefficients",
-    "kl_eigenpairs",
-    "lognormal_from_moments",
-    "sample_field",
-    "write_kl_csv",
+    # the solve entry points
+    "build_problem", "make_preconditioner", "flexible_cg",
+    # the pipeline build_problem chains
+    "build_mesh", "field_parameters", "ExponentialCovariance", "discrete_kl",
+    "build_c_tensor", "gpc_coefficients", "assemble_stiffness_family",
+    "assemble_load", "apply_dirichlet", "GalerkinOperator",
+    "standard_truncation", "adaptive_truncation",
     "__version__",
 ]

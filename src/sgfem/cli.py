@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .experiments import (
     DEFAULT_COV,
     TABLE_KINDS,
+    ExperimentConfig,
     Report,
     build_problem,
     emit_c_pattern,
@@ -44,10 +46,10 @@ def _add_config_flags(p):
 
 
 def _config_from(args):
-    overrides = {k: getattr(args, k, None)
-                 for k in ("N", "P", "n", "tol", "maxit", "sigma_mode",
-                           "norm")}
-    return load_config(getattr(args, "config", None), **overrides)
+    """The config file with every flag that names a config field on top."""
+    names = {f.name for f in fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in names}
+    return load_config(args.config, **overrides)
 
 
 def _emit(report, out, markdown=False):

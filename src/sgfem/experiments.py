@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .random_field import (
     field_parameters,
     gpc_coefficients,
 )
-
-TABLE_KINDS = ("logN", "logP", "logCoV", "logh", "trunc-std", "trunc-adapt")
 
 # column labels used in report headers, keyed by preconditioner kind
 LABELS = {"mb": "mb", "kron": "K", "hs": "hS", "ahs": "ahS", "gs": "GS",
@@ -80,6 +78,19 @@ class ExperimentConfig:
         for kind in self.preconds:
             if kind not in KINDS:
                 raise ValueError(f"unknown preconditioner {kind!r}")
+        # each entry of a list field; the comparisons fail on NaN
+        for name, low in (("N", 1), ("P", 0), ("n", 1), ("maxit", 0),
+                          ("cov_list", 0), ("lt_list", 0), ("tau_list", 0),
+                          ("mesh_list", 1)):
+            value = getattr(self, name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if not all(v >= low for v in entries):
+                raise ValueError(f"config field {name} must be >= {low}, "
+                                 f"got {value!r}")
+        for name in ("tol", "mu_log", "L"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"config field {name} must be > 0, got "
+                                 f"{getattr(self, name)!r}")
 
     @property
     def pprime(self) -> int:
@@ -167,6 +178,16 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     return op, b
 
 
+def _problem(config, **vary):
+    """build_problem at the config's settings and the default CoV, with
+    ``vary`` (build_problem arguments) on top."""
+    args = dict(N=config.N, P=config.P, n=config.n, cov_pct=DEFAULT_COV,
+                mu_log=config.mu_log, L=config.L,
+                sigma_mode=config.sigma_mode)
+    args.update(vary)
+    return build_problem(**args)
+
+
 def matrix_norm(K, which="frob"):
     """Frobenius norm, or the two-norm estimated by power iteration with
     a fixed starting vector.  The iteration runs on K'K so indefinite
@@ -245,109 +266,70 @@ def _pair_columns(kinds):
     return cols
 
 
+# The plain sweeps, by table name: (row column, build_problem argument it
+# sets, config -> swept values, swept value -> cell, rows carry ndof).
+_SWEEPS = {
+    "logN": ("N", "N", lambda c: range(1, c.N + 1), None, True),
+    "logP": ("P", "P", lambda c: range(1, c.P + 1), None, True),
+    "logCoV": ("cov", "cov_pct", lambda c: c.cov_list, None, False),
+    "logh": ("h", "n", lambda c: c.mesh_list, "1/{}".format, True),
+}
+
+# The truncation sweeps, one row per (CoV, swept value): (row column,
+# config field of the swept values, (config, op) -> value -> truncation).
+_TRUNC_SWEEPS = {
+    "trunc-std": ("lt", "lt_list", lambda c, op: functools.partial(
+        standard_truncation, c.N)),
+    "trunc-adapt": ("tau", "tau_list", lambda c, op: functools.partial(
+        adaptive_truncation, k_norms=stiffness_norms(op, c.norm),
+        tensor=op.tensor)),
+}
+
+TABLE_KINDS = tuple(_SWEEPS) + tuple(_TRUNC_SWEEPS)
+
+
 def run_table(config: ExperimentConfig, which: str) -> Report:
     """Sweep one variable, holding the rest at the defaults, and solve
     each system once per preconditioner."""
-    if which == "logN":
-        return _table_logN(config)
-    if which == "logP":
-        return _table_logP(config)
-    if which == "logCoV":
-        return _table_logCoV(config)
-    if which == "logh":
-        return _table_logh(config)
-    if which == "trunc-std":
-        return _table_trunc_std(config)
-    if which == "trunc-adapt":
-        return _table_trunc_adapt(config)
+    if which in _SWEEPS:
+        return _sweep_table(config, which, *_SWEEPS[which])
+    if which in _TRUNC_SWEEPS:
+        return _trunc_table(config, which, *_TRUNC_SWEEPS[which])
     raise ValueError(f"unknown table {which!r}; expected one of "
                      f"{TABLE_KINDS}")
 
 
-def _table_logN(config):
+def _sweep_table(config, which, column, arg, values, cell, ndof):
     rows = []
-    for N in range(1, config.N + 1):
-        op, b = build_problem(N, config.P, config.n, DEFAULT_COV,
-                              config.mu_log, config.L, config.sigma_mode)
-        row = {"N": N, "ndof": op.n_global}
+    for value in values(config):
+        op, b = _problem(config, **{arg: value})
+        row = {column: value if cell is None else cell(value)}
+        if ndof:
+            row["ndof"] = op.n_global
         row.update(_solve_row(op, b, config.preconds, config))
         rows.append(row)
-    cols = ["N", "ndof"] + _pair_columns(config.preconds) + ["nonconverged"]
-    return Report("logN", tuple(cols), tuple(rows))
+    cols = ([column] + (["ndof"] if ndof else [])
+            + _pair_columns(config.preconds) + ["nonconverged"])
+    return Report(which, tuple(cols), tuple(rows))
 
 
-def _table_logP(config):
-    rows = []
-    for P in range(1, config.P + 1):
-        op, b = build_problem(config.N, P, config.n, DEFAULT_COV,
-                              config.mu_log, config.L, config.sigma_mode)
-        row = {"P": P, "ndof": op.n_global}
-        row.update(_solve_row(op, b, config.preconds, config))
-        rows.append(row)
-    cols = ["P", "ndof"] + _pair_columns(config.preconds) + ["nonconverged"]
-    return Report("logP", tuple(cols), tuple(rows))
-
-
-def _table_logCoV(config):
-    rows = []
-    for cov in config.cov_list:
-        op, b = build_problem(config.N, config.P, config.n, cov,
-                              config.mu_log, config.L, config.sigma_mode)
-        row = {"cov": cov}
-        row.update(_solve_row(op, b, config.preconds, config))
-        rows.append(row)
-    cols = ["cov"] + _pair_columns(config.preconds) + ["nonconverged"]
-    return Report("logCoV", tuple(cols), tuple(rows))
-
-
-def _table_logh(config):
-    rows = []
-    for n in config.mesh_list:
-        op, b = build_problem(config.N, config.P, n, DEFAULT_COV,
-                              config.mu_log, config.L, config.sigma_mode)
-        row = {"h": f"1/{n}", "ndof": op.n_global}
-        row.update(_solve_row(op, b, config.preconds, config))
-        rows.append(row)
-    cols = ["h", "ndof"] + _pair_columns(config.preconds) + ["nonconverged"]
-    return Report("logh", tuple(cols), tuple(rows))
-
-
-def _table_trunc_std(config):
+def _trunc_table(config, which, column, field, truncation):
     rows = []
     kinds = tuple(k for k in TRUNC_KINDS if k in config.preconds) or \
         TRUNC_KINDS
     for cov in config.cov_list:
-        op, b = build_problem(config.N, config.P, config.n, cov,
-                              config.mu_log, config.L, config.sigma_mode)
-        for lt in config.lt_list:
-            trunc = standard_truncation(config.N, lt)
-            nnz, n_mv = count_pattern(op.tensor, trunc.indices)
-            row = {"cov": cov, "lt": lt, "n_mats": len(trunc), "nnz": n_mv}
-            row.update(_solve_row(op, b, kinds, config, trunc))
-            rows.append(row)
-    cols = (["cov", "lt", "n_mats", "nnz"] + _pair_columns(kinds)
-            + ["nonconverged"])
-    return Report("trunc-std", tuple(cols), tuple(rows))
-
-
-def _table_trunc_adapt(config):
-    rows = []
-    kinds = tuple(k for k in TRUNC_KINDS if k in config.preconds) or \
-        TRUNC_KINDS
-    for cov in config.cov_list:
-        op, b = build_problem(config.N, config.P, config.n, cov,
-                              config.mu_log, config.L, config.sigma_mode)
-        norms = stiffness_norms(op, config.norm)
-        for tau in config.tau_list:
-            trunc = adaptive_truncation(tau, norms, op.tensor)
-            nnz, n_mv = count_pattern(op.tensor, trunc.indices)
-            row = {"cov": cov, "tau": tau, "n_mats": len(trunc),
+        op, b = _problem(config, cov_pct=cov)
+        make = truncation(config, op)
+        for value in getattr(config, field):
+            trunc = make(value)
+            _, n_mv = count_pattern(op.tensor, trunc.indices)
+            row = {"cov": cov, column: value, "n_mats": len(trunc),
                    "nnz": n_mv}
             row.update(_solve_row(op, b, kinds, config, trunc))
             rows.append(row)
-    cols = (["cov", "tau", "n_mats", "nnz"] + _pair_columns(kinds)
+    cols = (["cov", column, "n_mats", "nnz"] + _pair_columns(kinds)
             + ["nonconverged"])
-    return Report("trunc-adapt", tuple(cols), tuple(rows))
+    return Report(which, tuple(cols), tuple(rows))
 
 
 def emit_norm_decay(config: ExperimentConfig):
@@ -356,9 +338,7 @@ def emit_norm_decay(config: ExperimentConfig):
 
     Returns (norms_report, weighted_report).
     """
-    op, _ = build_problem(config.N, config.P, config.n,
-                          config.cov_list[0], config.mu_log, config.L,
-                          config.sigma_mode)
+    op, _ = _problem(config, cov_pct=config.cov_list[0])
     norms = stiffness_norms(op, config.norm)
     norm_rows = tuple({"i": i, "norm": float(v)}
                       for i, v in enumerate(norms))
@@ -383,8 +363,7 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
     Returns a manifest dict mapping artifact names to file paths (the
     "global" entry holds a refusal message when the cap is exceeded).
     """
-    op, b = build_problem(config.N, config.P, config.n, cov,
-                          config.mu_log, config.L, config.sigma_mode)
+    op, b = _problem(config, cov_pct=cov)
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)
@@ -412,16 +391,12 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
     return manifest
 
 
-_LIST_FIELDS = {"cov_list": float, "lt_list": int, "tau_list": float,
-                "mesh_list": int, "preconds": str}
-_SCALAR_FIELDS = {"N": int, "P": int, "n": int, "mu_log": float,
-                  "L": float, "tol": float, "maxit": int,
-                  "sigma_mode": str, "norm": str}
-
-
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines into typed config fields.  '#' starts a
-    comment; blank lines are skipped."""
+    comment; blank lines are skipped.  Each value converts to the type of
+    the field's default; a list field splits on commas and converts each
+    entry to the type of the default's entries."""
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -432,14 +407,15 @@ def parse_config_text(text: str) -> dict:
                              f"{raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _LIST_FIELDS:
-            conv = _LIST_FIELDS[key]
+        if key not in defaults:
+            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        default = defaults[key]
+        if isinstance(default, tuple):
+            conv = type(default[0])
             out[key] = tuple(conv(v.strip())
                              for v in value.split(",") if v.strip())
-        elif key in _SCALAR_FIELDS:
-            out[key] = _SCALAR_FIELDS[key](value)
         else:
-            raise ValueError(f"line {lineno}: unknown config key {key!r}")
+            out[key] = type(default)(value)
     return out
 
 
@@ -456,7 +432,3 @@ def load_config(path=None, **overrides) -> ExperimentConfig:
         raise ValueError(f"unknown config fields {sorted(unknown)}")
     return ExperimentConfig(**values)
 
-
-def with_overrides(config: ExperimentConfig, **overrides):
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    return replace(config, **changes) if changes else config

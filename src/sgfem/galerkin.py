@@ -58,10 +58,6 @@ class LevelMap:
         """Global block indices belonging to one level."""
         return range(self.offsets[level], self.offsets[level + 1])
 
-    def up_to(self, level: int) -> range:
-        """All block indices of degree ≤ level."""
-        return range(self.offsets[level + 1])
-
 
 def level_structure(N: int, P: int) -> LevelMap:
     """Level map for the graded index set of dimension N, degree P."""
@@ -121,8 +117,8 @@ def adaptive_truncation(tau: float, k_norms: np.ndarray,
 
     Index 0 is kept unconditionally.
     """
-    if tau < 0:
-        raise ValueError("threshold must be non-negative")
+    if not tau >= 0:  # NaN too
+        raise ValueError(f"threshold must be non-negative, got {tau!r}")
     k_norms = np.asarray(k_norms, dtype=float)
     if len(k_norms) != len(tensor.iset):
         raise ValueError("one norm per coefficient matrix required")
@@ -425,9 +421,3 @@ class GalerkinOperator:
             A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = \
                 self.block(j, k).toarray()
         return A
-
-
-def tmatvec(op: GalerkinOperator, row_blocks, col_blocks,
-            trunc: TruncationSet, v: np.ndarray) -> np.ndarray:
-    """Module-level alias of :meth:`GalerkinOperator.tmatvec`."""
-    return op.tmatvec(row_blocks, col_blocks, trunc, v)

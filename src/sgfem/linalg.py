@@ -39,19 +39,6 @@ def as_csr(A) -> sp.csr_matrix:
     return B
 
 
-def spmv(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``A @ x``.
-
-    Summation within each row runs left to right over the stored column
-    indices, so repeated calls are bitwise reproducible.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != A.shape[1]:
-        raise ValueError(f"dimension mismatch: matrix has {A.shape[1]} columns, "
-                         f"vector has length {x.shape[-1]}")
-    return A @ x
-
-
 @dataclass
 class Factorization:
     """Cached factorization of a square matrix.
@@ -119,11 +106,6 @@ def factorize(A: Matrix, kind: str = "auto") -> Factorization:
     if diag.min() <= 1e-14 * max(diag.max(), 1.0):
         raise FactorizationError("matrix is singular to tolerance")
     return Factorization("lu", A.shape[0], (lu, piv))
-
-
-def solve(F: Factorization, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` using a previously computed factorization."""
-    return F.solve(b)
 
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

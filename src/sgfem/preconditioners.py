@@ -13,9 +13,11 @@ vector:
         solves (forward products against untouched levels vanish because
         the initial guess is zero)
 
-Off-diagonal block products inside gs/hs/ahs/ahgs run through the
-operator's truncated product and honor the configured TruncationSet;
-diagonal and level blocks are always assembled with the full sum.
+hs and ahs are one class, ``SchurSweep``, and differ only in the level
+solve; ahgs is ``LevelGaussSeidel``.  Off-diagonal block products inside
+gs/hs/ahs/ahgs run through the operator's truncated product and honor
+the configured TruncationSet; diagonal and level blocks are always
+assembled with the full sum.
 """
 
 from __future__ import annotations
@@ -26,23 +28,16 @@ from sgfem.galerkin import GalerkinOperator, TruncationSet, full_truncation
 from sgfem.krylov import pcg
 from sgfem.linalg import factorize
 
-KINDS = ("mb", "kron", "gs", "hs", "ahs", "ahgs")
-
 
 class Preconditioner:
     """Fixed linear map v = M⁻¹ r for one configuration."""
 
-    def __init__(self, kind: str, op: GalerkinOperator,
-                 trunc: TruncationSet):
-        self.kind = kind
+    def __init__(self, op: GalerkinOperator, trunc: TruncationSet):
         self.op = op
         self.trunc = trunc
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self.apply(r)
 
     def _blocks(self, r: np.ndarray) -> np.ndarray:
         return np.asarray(r, dtype=float).reshape(self.op.M + 1,
@@ -53,7 +48,7 @@ class MeanBased(Preconditioner):
     """v_(j) = (G_0)_jj⁻¹ K_0⁻¹ r_(j)."""
 
     def __init__(self, op, trunc):
-        super().__init__("mb", op, trunc)
+        super().__init__(op, trunc)
         self._f0 = factorize(op.k_mats[0])
         jj, _, vv = op.tensor.slice_coords(0)  # G_0 is diagonal
         g0 = np.zeros(op.M + 1)
@@ -74,7 +69,7 @@ class Kronecker(Preconditioner):
     """
 
     def __init__(self, op, trunc):
-        super().__init__("kron", op, trunc)
+        super().__init__(op, trunc)
         self._f0 = factorize(op.k_mats[0])
         d0 = op.k_mats[0].data
         weights = (op._kdata @ d0) / float(d0 @ d0)
@@ -104,7 +99,7 @@ class BlockGaussSeidel(Preconditioner):
     """
 
     def __init__(self, op, trunc):
-        super().__init__("gs", op, trunc)
+        super().__init__(op, trunc)
         self._solv = [op.assemble_diag_block(j)[1] for j in range(op.M + 1)]
 
     def apply(self, r):
@@ -133,9 +128,8 @@ class _LevelSolver:
     blocks); ``exact=False`` solves only the diagonal blocks of the level.
     """
 
-    def __init__(self, op: GalerkinOperator, exact: bool,
-                 inner: str = "direct", inner_tol: float = 1e-8,
-                 inner_maxit: int = 500):
+    def __init__(self, op: GalerkinOperator, exact: bool, inner: str,
+                 inner_tol: float, inner_maxit: int):
         self.op = op
         self.exact = exact
         self.inner = inner
@@ -173,14 +167,14 @@ class _LevelSolver:
         return self._level[level].solve(R.ravel()).reshape(R.shape)
 
 
-class HierarchicalSweep(Preconditioner):
-    """Shared control flow of hs/ahs (Schur sweep) and ahgs (level GS)."""
+class SchurSweep(Preconditioner):
+    """hs/ahs: hierarchical Schur complement sweep over degree levels."""
 
-    def __init__(self, kind, op, trunc, solver: _LevelSolver):
-        super().__init__(kind, op, trunc)
+    def __init__(self, op, trunc, solver: _LevelSolver):
+        super().__init__(op, trunc)
         self._solver = solver
 
-    def _schur_apply(self, r):
+    def apply(self, r):
         """Downward pre-correction, coarse solve, upward post-correction."""
         op, trunc, lm = self.op, self.trunc, self.op.levels
         g = self._blocks(r).copy()
@@ -196,9 +190,17 @@ class HierarchicalSweep(Preconditioner):
             v[blk] = self._solver.solve(level, g[blk] - corr)
         return v.ravel()
 
-    def _level_gs_apply(self, r):
-        """Symmetric Gauss-Seidel over levels 0..P then P..0; with the
-        zero start the forward sweep never touches higher levels."""
+
+class LevelGaussSeidel(Preconditioner):
+    """ahgs: symmetric Gauss-Seidel over degree levels 0..P then P..0."""
+
+    def __init__(self, op, trunc, solver: _LevelSolver):
+        super().__init__(op, trunc)
+        self._solver = solver
+
+    def apply(self, r):
+        """With the zero start the forward sweep never touches higher
+        levels."""
         op, trunc, lm = self.op, self.trunc, self.op.levels
         R = self._blocks(r)
         rhs_fwd = R.copy()
@@ -217,10 +219,19 @@ class HierarchicalSweep(Preconditioner):
             V[blk] = self._solver.solve(level, rhs_fwd[blk] - corr)
         return V.ravel()
 
-    def apply(self, r):
-        if self.kind == "ahgs":
-            return self._level_gs_apply(r)
-        return self._schur_apply(r)
+
+# kind -> (class, level solves: None for the blockwise kinds, True for
+# exact level solves, False for the level's diagonal block solves)
+_KIND_TABLE = {
+    "mb": (MeanBased, None),
+    "kron": (Kronecker, None),
+    "gs": (BlockGaussSeidel, None),
+    "hs": (SchurSweep, True),
+    "ahs": (SchurSweep, False),
+    "ahgs": (LevelGaussSeidel, False),
+}
+
+KINDS = tuple(_KIND_TABLE)
 
 
 def make_preconditioner(op: GalerkinOperator, kind: str,
@@ -232,31 +243,26 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     ``trunc`` restricts the off-diagonal products of gs/hs/ahs/ahgs
     (default: no truncation).  ``inner="cg"`` replaces the exact level
     solves of hs by inner CG runs, which makes the map non-linear across
-    applications; pair it with the flexible outer solver.
+    applications; pair it with the flexible outer solver.  The arguments
+    are checked before any work.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "
                          f"expected one of {KINDS}")
+    if inner not in ("direct", "cg"):
+        raise ValueError(f"unknown inner solve {inner!r}, expected "
+                         f"'direct' or 'cg'")
+    if inner == "cg" and kind != "hs":
+        raise ValueError(f"inner='cg' replaces the exact level solves of "
+                         f"hs; kind {kind!r} has none")
+    if not inner_tol > 0:
+        raise ValueError(f"inner_tol must be > 0, got {inner_tol!r}")
+    if not inner_maxit >= 0:
+        raise ValueError(f"inner_maxit must be >= 0, got {inner_maxit!r}")
     if trunc is None:
         trunc = full_truncation(op.tensor)
-    if kind == "mb":
-        return MeanBased(op, trunc)
-    if kind == "kron":
-        return Kronecker(op, trunc)
-    if kind == "gs":
-        return BlockGaussSeidel(op, trunc)
-    exact = kind == "hs"
-    solver = _LevelSolver(op, exact=exact, inner=inner,
-                          inner_tol=inner_tol, inner_maxit=inner_maxit)
-    return HierarchicalSweep(kind, op, trunc, solver)
-
-
-def probe_matrix(apply, n: int) -> np.ndarray:
-    """Dense matrix of a linear map, column by column (oracle helper)."""
-    P = np.empty((n, n))
-    e = np.zeros(n)
-    for j in range(n):
-        e[j] = 1.0
-        P[:, j] = apply(e)
-        e[j] = 0.0
-    return P
+    cls, exact = _KIND_TABLE[kind]
+    if exact is None:
+        return cls(op, trunc)
+    return cls(op, trunc, _LevelSolver(op, exact, inner, inner_tol,
+                                       inner_maxit))

@@ -51,11 +51,6 @@ def field_parameters(mu_log: float, cov: float, mode: str = "moment"
     return g0, sigma_g
 
 
-def lognormal_from_moments(mu_log: float, cov: float) -> tuple[float, float]:
-    """(g_0, σ_g) such that exp(g_0 + σ_g ξ) has mean mu_log and CoV cov."""
-    return field_parameters(mu_log, cov, mode="moment")
-
-
 @dataclass(frozen=True)
 class ExponentialCovariance:
     """Separable exponential kernel σ² exp(−‖x−y‖₁ / L)."""
@@ -77,10 +72,6 @@ class ExponentialCovariance:
         """Covariance matrix over a point set, shape (n, n)."""
         d = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
         return self.sigma**2 * np.exp(-d / self.L)
-
-
-def covariance(x, y, spec: ExponentialCovariance) -> float:
-    return spec(x, y)
 
 
 def kl_eigenpairs(C: np.ndarray, weights: np.ndarray, n_modes: int

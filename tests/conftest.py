@@ -1,4 +1,5 @@
-"""Shared helpers: build small end-to-end problem instances."""
+"""Shared helpers: build small end-to-end problem instances and probe
+linear maps."""
 
 import numpy as np
 
@@ -13,8 +14,8 @@ from sgfem.galerkin import GalerkinOperator
 from sgfem.random_field import (
     ExponentialCovariance,
     discrete_kl,
+    field_parameters,
     gpc_coefficients,
-    lognormal_from_moments,
 )
 
 
@@ -23,7 +24,7 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     boundary treatment -> block operator.  Returns (op, b, mesh, kl) with b
     the global right-hand side (unit load in the mean block only)."""
     mesh = build_mesh(n)
-    g0, sg = lognormal_from_moments(mu_log, cov)
+    g0, sg = field_parameters(mu_log, cov)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
     tensor = build_c_tensor(N, P, 2 * P)
     fields = gpc_coefficients(kl, tensor.iset, mesh)
@@ -36,3 +37,14 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b, mesh, kl
+
+
+def probe_matrix(apply, n: int) -> np.ndarray:
+    """Dense matrix of a linear map, column by column (oracle helper)."""
+    P = np.empty((n, n))
+    e = np.zeros(n)
+    for j in range(n):
+        e[j] = 1.0
+        P[:, j] = apply(e)
+        e[j] = 0.0
+    return P

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import build_operator
+from conftest import build_operator, probe_matrix
 from test_preconditioners import dense_split_parts
 
 from sgfem.chaos import build_c_tensor, hermite_eval_1d, multi_index_set
@@ -20,12 +20,12 @@ from sgfem.experiments import build_problem, emit_c_pattern, solve_case
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
-from sgfem.preconditioners import KINDS, make_preconditioner, probe_matrix
+from sgfem.preconditioners import KINDS, make_preconditioner
 from sgfem.random_field import (
     ExponentialCovariance,
     discrete_kl,
+    field_parameters,
     gpc_coefficients,
-    lognormal_from_moments,
 )
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -375,7 +375,7 @@ def test_criterion_12_lognormal_expansion_decay():
     """Truncation error of the chaos expansion of exp(g) decreases
     monotonically with the expansion degree."""
     mesh = build_mesh(4)
-    g0, sg = lognormal_from_moments(1.0, 1.0)
+    g0, sg = field_parameters(1.0, 1.0)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, 0.5), 2, g0=g0)
     G = np.array([mesh.interpolate(m) for m in kl.modes])
     rng = np.random.default_rng(7)

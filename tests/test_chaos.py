@@ -7,7 +7,6 @@ import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
 from sgfem.chaos import (
-    CijkTensor,
     build_c_tensor,
     g_matrix,
     hermite_eval_1d,

@@ -47,6 +47,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="preconditioner"):
             ExperimentConfig(preconds=("mb", "ilu"))
 
+    @pytest.mark.parametrize("field, bad", [
+        ("N", 0), ("P", -1), ("n", 0), ("tol", 0.0), ("tol", float("nan")),
+        ("maxit", -3), ("mu_log", 0.0), ("mu_log", -2.0), ("L", -1.0),
+        ("cov_list", (25.0, -5.0)), ("lt_list", (0, -1)),
+        ("tau_list", (1.0, -0.5)), ("tau_list", (float("nan"),)),
+        ("mesh_list", (3, 0)),
+    ])
+    def test_rejects_bad_field_naming_it(self, field, bad):
+        with pytest.raises(ValueError, match=f"config field {field} must"):
+            ExperimentConfig(**{field: bad})
+
+    def test_bad_sweep_entry_fails_before_any_solve(self, tmp_path):
+        # the bad lt used to raise only after the rows before it solved
+        p = tmp_path / "exp.cfg"
+        p.write_text("N = 2\nP = 2\nn = 4\nlt_list = 0, 1, -1\n")
+        with pytest.raises(ValueError, match="lt_list"):
+            load_config(p)
+
     def test_parse_config_text(self):
         text = """
         # sweep setup
@@ -346,6 +364,12 @@ class TestCli:
         assert row["precond"] == "ahgs"
         assert row["converged"] == "True"
         assert int(row["it"]) > 0
+
+    def test_solve_nan_tau_rejected(self, capsys):
+        with pytest.raises(ValueError, match="threshold"):
+            main(["solve", "--precond", "gs", "--tau", "nan", "--mesh", "3",
+                  "--N", "1", "--P", "1"])
+        capsys.readouterr()
 
     def test_solve_unknown_precond_rejected(self, capsys):
         with pytest.raises(SystemExit):

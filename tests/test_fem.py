@@ -12,7 +12,7 @@ from sgfem.fem import (
     build_mesh,
     write_mesh_csv,
 )
-from sgfem.linalg import FactorizationError, factorize
+from sgfem.linalg import factorize
 
 # exact Q1 Laplacian element matrix on a square (any size)
 Q1_LAPLACE = np.array([

@@ -1,7 +1,6 @@
 """Block operator checks against the dense brute-force oracle."""
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from sgfem.galerkin import (
     full_truncation,
     level_structure,
     standard_truncation,
-    tmatvec,
     TruncationSet,
 )
 from sgfem.linalg import factorize
@@ -67,6 +65,12 @@ class TestTruncationSets:
         assert len(adaptive_truncation(0.0, norms, t)) == len(t.iset)
         far = adaptive_truncation(1e300, norms, t)
         assert list(far.indices) == [0]
+
+    @pytest.mark.parametrize("tau", [-1.0, float("nan")])
+    def test_adaptive_rejects_negative_or_nan_threshold(self, tau):
+        t = build_c_tensor(2, 2, 4)
+        with pytest.raises(ValueError, match="threshold"):
+            adaptive_truncation(tau, np.ones(len(t.iset)), t)
 
     def test_adaptive_threshold_mechanism(self):
         t = build_c_tensor(2, 1, 2)
@@ -139,14 +143,6 @@ class TestTmatvecOracle:
         op, _, _, _ = build_operator(2, 1, 3)
         v = np.random.default_rng(9).standard_normal(op.n_global)
         assert np.array_equal(op.matvec(v), op.matvec(v))
-
-    def test_module_level_alias(self):
-        op, _, _, _ = build_operator(1, 1, 2)
-        v = np.ones(op.n_global)
-        blocks = range(op.M + 1)
-        full = full_truncation(op.tensor)
-        np.testing.assert_array_equal(tmatvec(op, blocks, blocks, full, v),
-                                      op.matvec(v))
 
     def test_dimension_mismatch(self):
         op, _, _, _ = build_operator(1, 1, 2)

@@ -1,0 +1,109 @@
+"""Repository hygiene: no unused imports, and a package surface that the
+README documents and that suffices to rebuild ``build_problem`` by hand."""
+
+import ast
+import os
+import re
+
+import numpy as np
+import pytest
+
+import sgfem as sg
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOURCES = sorted(
+    os.path.join(d, name)
+    for d in (os.path.join(ROOT, "src", "sgfem"), os.path.join(ROOT, "tests"))
+    for name in os.listdir(d) if name.endswith(".py"))
+
+
+def unused_imports(source: str) -> list:
+    """Names a module imports and never uses; a name listed in
+    ``__all__`` counts as used."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_check_finds_one():
+    assert unused_imports("import os\nimport sys\nprint(sys)\n") == \
+        ["os (line 1)"]
+    assert unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES,
+                         ids=[os.path.relpath(p, ROOT) for p in SOURCES])
+def test_no_unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == []
+
+
+def readme_exports() -> list:
+    """Backticked names of the README's export list: the bullets after
+    the line saying what `sgfem` exports."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if "`sgfem` exports exactly these names" in line)
+    block = []
+    for line in lines[start + 1:]:
+        if block and not line.strip():
+            break
+        block.append(line)
+    return re.findall(r"`(\w+)`", "\n".join(block))
+
+
+def test_readme_lists_the_exports():
+    names = readme_exports()
+    assert len(names) == len(set(names))
+    assert sorted(names) == sorted(n for n in sg.__all__
+                                   if n != "__version__")
+
+
+def test_exports_rebuild_build_problem():
+    N, P, n, cov_pct = 2, 2, 4, 100.0
+    mesh = sg.build_mesh(n)
+    g0, sigma = sg.field_parameters(1.0, cov_pct / 100.0)
+    kl = sg.discrete_kl(mesh, sg.ExponentialCovariance(sigma, 0.5), N,
+                        g0=g0)
+    tensor = sg.build_c_tensor(N, P, 2 * P)
+    coeffs = sg.gpc_coefficients(kl, tensor.iset, mesh)
+    kfam = sg.assemble_stiffness_family(mesh, coeffs.values)
+    f = sg.assemble_load(mesh, 1.0)
+    f0 = sg.apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
+    for K in kfam[1:]:
+        sg.apply_dirichlet(K, f, mesh, diagonal=0.0)
+    op = sg.GalerkinOperator(tensor, kfam)
+    b = np.zeros(op.n_global)
+    b[:op.n_dof] = f0
+
+    ref, ref_b = sg.build_problem(N, P, n, cov_pct)
+    assert np.array_equal(b, ref_b)
+    assert np.array_equal(op._kdata, ref._kdata)
+    for name in ("i", "j", "k", "val"):
+        assert np.array_equal(getattr(op.tensor, name),
+                              getattr(ref.tensor, name))
+    v = np.random.default_rng(5).standard_normal(op.n_global)
+    assert np.array_equal(op.matvec(v), ref.matvec(v))
+    # both truncations build from the exported names as well
+    for trunc in (sg.standard_truncation(N, 1),
+                  sg.adaptive_truncation(
+                      1.0, [np.linalg.norm(K.data) for K in kfam], tensor)):
+        _, rep = sg.flexible_cg(
+            op.matvec, sg.make_preconditioner(op, "ahgs", trunc).apply, b)
+        assert rep.converged

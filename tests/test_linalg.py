@@ -1,4 +1,5 @@
-"""Kernel-level checks: spmv, factorizations, symmetric eig, matrix IO."""
+"""Kernel-level checks: CSR conversion, factorizations, symmetric eig,
+matrix IO."""
 
 import numpy as np
 import pytest
@@ -10,48 +11,24 @@ from sgfem.linalg import (
     as_csr,
     factorize,
     read_matrix_market,
-    solve,
-    spmv,
     sym_eig,
     write_matrix_market,
 )
 
 
-class TestSpmv:
-    def test_identity(self):
-        A = as_csr(sp.eye(7))
-        x = np.arange(7.0)
-        np.testing.assert_array_equal(spmv(A, x), x)
-
-    def test_zero_matrix(self):
-        A = as_csr(sp.csr_matrix((4, 4)))
-        np.testing.assert_array_equal(spmv(A, np.ones(4)), np.zeros(4))
-
+class TestAsCsr:
     def test_matches_dense_product(self):
         rng = np.random.default_rng(7)
         D = rng.standard_normal((5, 5))
         D[rng.random((5, 5)) < 0.4] = 0.0
         x = rng.standard_normal(5)
-        np.testing.assert_allclose(spmv(as_csr(D), x), D @ x, atol=1e-14)
-
-    def test_dimension_mismatch(self):
-        A = as_csr(np.ones((3, 3)))
-        with pytest.raises(ValueError):
-            spmv(A, np.ones(4))
-
-    def test_bitwise_reproducible(self):
-        rng = np.random.default_rng(11)
-        A = as_csr(rng.standard_normal((40, 40)))
-        x = rng.standard_normal(40)
-        y1 = spmv(A, x)
-        y2 = spmv(A, x)
-        assert np.array_equal(y1, y2)
+        np.testing.assert_allclose(as_csr(D) @ x, D @ x, atol=1e-14)
 
 
 class TestFactorize:
     def test_diagonal_solve(self):
         F = factorize(np.diag([4.0, 4.0, 4.0]))
-        np.testing.assert_allclose(solve(F, np.array([8.0, 4.0, 0.0])),
+        np.testing.assert_allclose(F.solve(np.array([8.0, 4.0, 0.0])),
                                    [2.0, 1.0, 0.0], atol=1e-14)
 
     def test_spd_matches_inverse(self):
@@ -61,7 +38,7 @@ class TestFactorize:
         b = rng.standard_normal(6)
         F = factorize(A)
         assert F.kind == "cholesky"
-        np.testing.assert_allclose(solve(F, b), np.linalg.inv(A) @ b, atol=1e-10)
+        np.testing.assert_allclose(F.solve(b), np.linalg.inv(A) @ b, atol=1e-10)
 
     def test_nonsymmetric_falls_back_to_lu(self):
         rng = np.random.default_rng(5)
@@ -69,13 +46,13 @@ class TestFactorize:
         b = rng.standard_normal(5)
         F = factorize(A)
         assert F.kind == "lu"
-        np.testing.assert_allclose(A @ solve(F, b), b, atol=1e-10)
+        np.testing.assert_allclose(A @ F.solve(b), b, atol=1e-10)
 
     def test_indefinite_auto_falls_back(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])  # symmetric, not PD
         F = factorize(A)
         assert F.kind == "lu"
-        np.testing.assert_allclose(solve(F, np.array([1.0, 2.0])), [2.0, 1.0])
+        np.testing.assert_allclose(F.solve(np.array([1.0, 2.0])), [2.0, 1.0])
 
     def test_cholesky_rejects_indefinite(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -95,7 +72,7 @@ class TestFactorize:
         b = rng.standard_normal(8)
         F = factorize(As)
         assert F.kind == "splu"
-        np.testing.assert_allclose(solve(F, b), np.linalg.solve(A, b), atol=1e-10)
+        np.testing.assert_allclose(F.solve(b), np.linalg.solve(A, b), atol=1e-10)
 
     def test_sparse_singular_raises(self):
         A = as_csr(np.diag([1.0, 0.0, 2.0]))
@@ -107,7 +84,7 @@ class TestFactorize:
         B = rng.standard_normal((5, 5))
         A = B @ B.T + 5 * np.eye(5)
         Bmat = rng.standard_normal((5, 3))
-        X = solve(factorize(A), Bmat)
+        X = factorize(A).solve(Bmat)
         np.testing.assert_allclose(A @ X, Bmat, atol=1e-10)
 
 

@@ -3,11 +3,11 @@ coincidence identities, linearity and symmetry probes."""
 
 import numpy as np
 import pytest
-from conftest import build_operator
+from conftest import build_operator, probe_matrix
 
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg
-from sgfem.preconditioners import make_preconditioner, probe_matrix
+from sgfem.preconditioners import make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
@@ -265,6 +265,36 @@ class TestFactory:
         op, _, _, _ = build_operator(1, 1, 1)
         with pytest.raises(ValueError):
             make_preconditioner(op, "ilu")
+
+    def test_unknown_inner_solve(self):
+        op, _, _, _ = build_operator(1, 1, 1)
+        with pytest.raises(ValueError, match="inner solve 'gmres'"):
+            make_preconditioner(op, "hs", inner="gmres")
+
+    @pytest.mark.parametrize("kind", ["mb", "kron", "gs", "ahs", "ahgs"])
+    def test_inner_cg_only_for_hs(self, kind):
+        op, _, _, _ = build_operator(1, 1, 1)
+        with pytest.raises(ValueError, match=f"kind '{kind}'"):
+            make_preconditioner(op, kind, inner="cg")
+
+    @pytest.mark.parametrize("inner_tol", [0.0, -1.0, float("nan")])
+    def test_bad_inner_tol(self, inner_tol):
+        op, _, _, _ = build_operator(1, 1, 1)
+        with pytest.raises(ValueError, match="inner_tol"):
+            make_preconditioner(op, "hs", inner="cg", inner_tol=inner_tol)
+
+    def test_negative_inner_maxit(self):
+        op, _, _, _ = build_operator(1, 1, 1)
+        with pytest.raises(ValueError, match="inner_maxit"):
+            make_preconditioner(op, "hs", inner="cg", inner_maxit=-1)
+
+    def test_arguments_checked_before_any_work(self):
+        op, _, _, _ = build_operator(1, 1, 1)
+        with pytest.raises(ValueError, match="inner_tol"):
+            make_preconditioner(op, "hs", inner="cg", inner_tol=-1)
+        # no block was assembled or factorized, no product was run
+        assert op._diag_cache == {} and op._level_cache == {}
+        assert op.counters == {"summations": 0, "products": 0}
 
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)

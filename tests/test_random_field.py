@@ -16,15 +16,12 @@ from scipy.optimize import brentq
 from sgfem.chaos import hermite_eval_1d, multi_index_set
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.random_field import (
-    CoefficientFields,
     ExponentialCovariance,
     KLExpansion,
-    covariance,
     discrete_kl,
     field_parameters,
     gpc_coefficients,
     kl_eigenpairs,
-    lognormal_from_moments,
     sample_field,
     write_kl_csv,
 )
@@ -32,18 +29,18 @@ from sgfem.random_field import (
 
 class TestFieldParameters:
     def test_unit_mean_unit_cov(self):
-        g0, sg = lognormal_from_moments(1.0, 1.0)
+        g0, sg = field_parameters(1.0, 1.0)
         assert sg == pytest.approx(math.sqrt(math.log(2)), abs=1e-12)
         assert g0 == pytest.approx(-math.log(2) / 2, abs=1e-12)
 
     def test_vanishing_cov_limit(self):
-        g0, sg = lognormal_from_moments(math.exp(0.5), 1e-12)
+        g0, sg = field_parameters(math.exp(0.5), 1e-12)
         assert sg == pytest.approx(0.0, abs=1e-10)
         assert g0 == pytest.approx(0.5, abs=1e-10)
 
     def test_monte_carlo_round_trip(self):
         rng = np.random.default_rng(0)
-        g0, sg = lognormal_from_moments(2.0, 0.6)
+        g0, sg = field_parameters(2.0, 0.6)
         k = np.exp(g0 + sg * rng.standard_normal(1_000_000))
         assert k.mean() == pytest.approx(2.0, rel=0.01)
         assert k.std() / k.mean() == pytest.approx(0.6, rel=0.01)
@@ -55,7 +52,7 @@ class TestFieldParameters:
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            lognormal_from_moments(-1.0, 0.5)
+            field_parameters(-1.0, 0.5)
         with pytest.raises(ValueError):
             field_parameters(1.0, 0.5, mode="bogus")
 
@@ -63,19 +60,19 @@ class TestFieldParameters:
 class TestCovariance:
     def test_variance_on_diagonal(self):
         spec = ExponentialCovariance(0.7, 0.5)
-        assert covariance([0.3, 0.4], [0.3, 0.4], spec) == pytest.approx(0.49)
+        assert spec([0.3, 0.4], [0.3, 0.4]) == pytest.approx(0.49)
 
     def test_one_correlation_length(self):
         spec = ExponentialCovariance(1.0, 0.5)
-        assert covariance([0.0, 0.0], [0.25, 0.25], spec) == \
+        assert spec([0.0, 0.0], [0.25, 0.25]) == \
             pytest.approx(math.exp(-1))
 
     def test_separability(self):
         spec = ExponentialCovariance(1.3, 0.4)
         x, y = [0.1, 0.8], [0.5, 0.3]
-        c1 = covariance([x[0], 0.0], [y[0], 0.0], spec)
-        c2 = covariance([0.0, x[1]], [0.0, y[1]], spec)
-        assert covariance(x, y, spec) == pytest.approx(c1 * c2 / spec.sigma**2)
+        c1 = spec([x[0], 0.0], [y[0], 0.0])
+        c2 = spec([0.0, x[1]], [0.0, y[1]])
+        assert spec(x, y) == pytest.approx(c1 * c2 / spec.sigma**2)
 
     def test_matrix_symmetric(self):
         pts = np.random.default_rng(3).random((7, 2))
@@ -322,7 +319,7 @@ class TestGpcCoefficients:
     @staticmethod
     def _setup(n=4, N=2, cov=1.0):
         mesh = build_mesh(n)
-        g0, sg = lognormal_from_moments(1.0, cov)
+        g0, sg = field_parameters(1.0, cov)
         kl = discrete_kl(mesh, ExponentialCovariance(sg, 0.5), N, g0=g0)
         return mesh, kl
 
