@@ -17,7 +17,7 @@ from .experiments import (
     TABLE_KINDS,
     ExperimentConfig,
     Report,
-    build_problem,
+    _problem,
     emit_c_pattern,
     emit_norm_decay,
     export_case,
@@ -46,10 +46,18 @@ def _add_config_flags(p):
 
 
 def _config_from(args):
-    """The config file with every flag that names a config field on top."""
+    """The config file with every flag that names a config field on top.
+
+    A value the config rejects is a usage error: it ends the program the
+    way argparse does, with one ``sg: error:`` line and exit status 2.
+    """
     names = {f.name for f in fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in names}
-    return load_config(args.config, **overrides)
+    try:
+        return load_config(args.config, **overrides)
+    except ValueError as exc:
+        print(f"sg: error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _emit(report, out, markdown=False):
@@ -152,8 +160,7 @@ def _cmd_export(args):
 def _cmd_solve(args):
     config = _config_from(args)
     n = args.mesh if args.mesh is not None else config.n
-    op, b = build_problem(config.N, config.P, n, args.cov, config.mu_log,
-                          config.L, config.sigma_mode)
+    op, b = _problem(config, n=n, cov_pct=args.cov)
     if args.lt is not None:
         trunc = standard_truncation(config.N, args.lt)
     elif args.tau is not None:

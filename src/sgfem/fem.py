@@ -202,13 +202,3 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, mesh: Mesh,
     f = np.asarray(f, dtype=float).copy()
     f[mesh.boundary] = 0.0
     return K, f
-
-
-def write_mesh_csv(path, mesh: Mesh) -> None:
-    """Node table as CSV: id, x, y, boundary flag."""
-    on_bdry = np.zeros(mesh.n_nodes, dtype=int)
-    on_bdry[mesh.boundary] = 1
-    with open(path, "w") as fh:
-        fh.write("node,x,y,boundary\n")
-        for i, (x, y) in enumerate(mesh.nodes):
-            fh.write(f"{i},{x:.17g},{y:.17g},{on_bdry[i]}\n")

@@ -14,9 +14,9 @@ and kept in a bounded cache.
 
 Diagonal blocks K^{(j,j)} and level blocks D_ℓ are assembled sparsely
 with the FULL coefficient sum (truncation only ever applies to
-off-diagonal products inside preconditioners) and factorized once.  A
-dense assembly of the whole matrix is provided as a brute-force oracle
-for small instances.
+off-diagonal products inside preconditioners) and factorized once; of a
+level matrix only the factorization is kept.  A dense assembly of the
+whole matrix is provided as a brute-force oracle for small instances.
 """
 
 from __future__ import annotations
@@ -170,6 +170,13 @@ class _Plan:
     single_column: bool
     products: int
     summations: int
+
+
+def _factorize_symmetric(A: sp.csr_matrix) -> Factorization:
+    """Factorize a bitwise symmetric CSR matrix.  Its CSR arrays are the
+    CSC arrays of Aᵀ = A, so SuperLU gets them without a conversion copy."""
+    return factorize(sp.csc_matrix((A.data, A.indices, A.indptr),
+                                   shape=A.shape))
 
 
 class GalerkinOperator:
@@ -396,17 +403,77 @@ class GalerkinOperator:
             K = self.block(j, j)
             if K is None:
                 raise ValueError(f"diagonal block {j} is empty")
-            self._diag_cache[j] = (K, factorize(K))
+            self._diag_cache[j] = (K, _factorize_symmetric(K))
         return self._diag_cache[j]
+
+    def level_matrix(self, level: int) -> sp.csr_matrix:
+        """Level matrix D_ℓ spanning the level's blocks, assembled afresh.
+
+        One sparse (block pair × i) coupling matrix of c_ijk times the
+        stacked K_i data gives the values of every block at once.  They are
+        scattered into the layout ``sp.bmat`` gives the block grid: rows by
+        block, then by node, and each row runs over the blocks present in
+        ascending order, so its column indices come out sorted.
+        """
+        t, nd = self.tensor, self.n_dof
+        blocks = self.levels.blocks(level)
+        lo, s = blocks.start, len(blocks)
+        sel = np.flatnonzero((t.j >= lo) & (t.j < lo + s)
+                             & (t.k >= lo) & (t.k < lo + s))
+        pair = (t.j[sel] - lo) * s + (t.k[sel] - lo)
+        order = np.lexsort((t.i[sel], pair))
+        pairs, pos = np.unique(pair[order], return_inverse=True)
+        coupling = sp.csr_matrix(
+            (t.val[sel][order], t.i[sel][order],
+             np.concatenate([[0], np.cumsum(np.bincount(pos))])),
+            shape=(len(pairs), len(t.iset)))
+        values = coupling @ self._kdata  # one row per block pair
+        row_len = np.diff(self._indptr)
+        entry_row = np.repeat(np.arange(nd), row_len)
+        present = np.bincount(pairs // s, minlength=s)
+        first = np.concatenate([[0], np.cumsum(present)])
+        col_block = (pairs % s) * nd
+        indptr = np.zeros(s * nd + 1, dtype=np.int64)
+        np.cumsum(np.outer(present, row_len), out=indptr[1:])
+        nnz = int(indptr[-1])
+        idx_dtype = (np.int32 if max(nnz, s * nd) <= np.iinfo(np.int32).max
+                     else np.int64)
+        data = np.empty(nnz)
+        indices = np.empty(nnz, dtype=idx_dtype)
+        gathers: dict = {}
+        for r in range(s):
+            q = int(present[r])
+            if q not in gathers:
+                # the q blocks' values (block-major) in D's order: by
+                # node row, then block, then entry within the row
+                key = entry_row[None, :] * q + np.arange(q)[:, None]
+                gathers[q] = np.argsort(key.ravel(), kind="stable")
+            g = gathers[q]
+            a, b = first[r], first[r + 1]
+            seg = slice(indptr[r * nd], indptr[(r + 1) * nd])
+            data[seg] = values[a:b].ravel()[g]
+            indices[seg] = (self._indices[None, :]
+                            + col_block[a:b, None]).ravel()[g]
+        return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)),
+                             shape=(s * nd, s * nd))
 
     def assemble_level_block(self, level: int
                              ) -> tuple[sp.csr_matrix, Factorization]:
-        """Full level matrix D_ℓ spanning the level's blocks, factorized."""
+        """Level matrix D_ℓ, assembled afresh, and its factorization.
+
+        Only the factorization is cached: a caller that keeps D_ℓ keeps it
+        on its own account.
+        """
+        D = self.level_matrix(level)
         if level not in self._level_cache:
-            blocks = list(self.levels.blocks(level))
-            grid = [[self.block(j, k) for k in blocks] for j in blocks]
-            D = sp.bmat(grid, format="csr")
-            self._level_cache[level] = (D, factorize(D))
+            self._level_cache[level] = _factorize_symmetric(D)
+        return D, self._level_cache[level]
+
+    def level_factorization(self, level: int) -> Factorization:
+        """The cached factorization of D_ℓ; D_ℓ is assembled only when the
+        factorization is not cached yet."""
+        if level not in self._level_cache:
+            return self.assemble_level_block(level)[1]
         return self._level_cache[level]
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:

@@ -44,8 +44,9 @@ class Factorization:
     """Cached factorization of a square matrix.
 
     ``kind`` is ``"cholesky"`` (dense SPD), ``"lu"`` (dense, partial
-    pivoting) or ``"splu"`` (sparse LU).  ``solve`` reproduces ``A^{-1} b``
-    with relative residual below 1e-12 for well-conditioned matrices.
+    pivoting) or ``"splu"`` (sparse LU with diagonal pivots, for SPD
+    input).  ``solve`` reproduces ``A^{-1} b`` with relative residual below
+    1e-12 for well-conditioned matrices.
     """
 
     kind: str
@@ -75,13 +76,20 @@ def factorize(A: Matrix, kind: str = "auto") -> Factorization:
     ``kind="lu"`` uses partial pivoting and raises on a pivot that is
     singular to tolerance.  ``kind="auto"`` tries Cholesky when symmetry is
     detected and silently falls back to LU.
+
+    The sparse path expects a symmetric positive definite matrix, as every
+    sparse matrix of the solver is: SuperLU runs in symmetric mode, with a
+    minimum degree ordering of Aᵀ+A applied to rows and columns alike and
+    the diagonal taken as pivot.  Other sparse formats are converted to
+    CSC first.  ``kind`` applies to dense input only.
     """
     if sp.issparse(A):
         A = sp.csc_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
         try:
-            f = splu(A)
+            f = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # SuperLU signals exact singularity
             raise FactorizationError(str(exc)) from exc
         diag_u = f.U.diagonal()

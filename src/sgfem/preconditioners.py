@@ -123,9 +123,12 @@ class BlockGaussSeidel(Preconditioner):
 class _LevelSolver:
     """Level solves for the hierarchical sweeps.
 
-    ``exact=True`` factorizes each whole level matrix D_ℓ (optionally
-    replaced by an inner CG run preconditioned with the level's diagonal
-    blocks); ``exact=False`` solves only the diagonal blocks of the level.
+    ``exact=True`` solves with the whole level matrix D_ℓ: through its
+    factorization, or with ``inner="cg"`` by an inner CG run on D_ℓ
+    preconditioned with the level's diagonal blocks, which factorizes no
+    level matrix.  ``exact=False`` solves only the diagonal blocks of the
+    level.  ``counters`` sums the inner CG iterations and counts the inner
+    solves that stopped unconverged at ``inner_maxit``.
     """
 
     def __init__(self, op: GalerkinOperator, exact: bool, inner: str,
@@ -135,8 +138,9 @@ class _LevelSolver:
         self.inner = inner
         self.inner_tol = inner_tol
         self.inner_maxit = inner_maxit
+        self.counters = {"inner_iterations": 0, "inner_unconverged": 0}
         self._diag = {}
-        self._level = {}
+        self._level_mats = {}  # D_ℓ by level, for inner CG
 
     def _diag_solvers(self, level):
         if level not in self._diag:
@@ -155,24 +159,32 @@ class _LevelSolver:
         if not self.exact:
             return self._solve_diag(level, R)
         if self.inner == "cg":
-            D, _ = self.op.assemble_level_block(level)
+            if level not in self._level_mats:
+                self._level_mats[level] = self.op.level_matrix(level)
+            D = self._level_mats[level]
             x, rep = pcg(lambda v: D @ v,
                          lambda v: self._solve_diag(
                              level, v.reshape(R.shape)).ravel(),
                          R.ravel(), tol=self.inner_tol,
                          maxit=self.inner_maxit)
+            self.counters["inner_iterations"] += rep.iterations
+            self.counters["inner_unconverged"] += not rep.converged
             return x.reshape(R.shape)
-        if level not in self._level:
-            self._level[level] = self.op.assemble_level_block(level)[1]
-        return self._level[level].solve(R.ravel()).reshape(R.shape)
+        F = self.op.level_factorization(level)
+        return F.solve(R.ravel()).reshape(R.shape)
 
 
 class SchurSweep(Preconditioner):
-    """hs/ahs: hierarchical Schur complement sweep over degree levels."""
+    """hs/ahs: hierarchical Schur complement sweep over degree levels.
+
+    ``counters`` is the level solver's: the inner CG iterations and
+    unconverged inner solves of hs with ``inner="cg"``, zero otherwise.
+    """
 
     def __init__(self, op, trunc, solver: _LevelSolver):
         super().__init__(op, trunc)
         self._solver = solver
+        self.counters = solver.counters
 
     def apply(self, r):
         """Downward pre-correction, coarse solve, upward post-correction."""

@@ -200,21 +200,3 @@ def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh
                 prod *= powers[p, d] / math.factorial(p)
         values[pos] = prod
     return CoefficientFields(basis, values)
-
-
-def sample_field(kl: KLExpansion, xi) -> np.ndarray:
-    """Nodal values of exp(g(x, ξ)) for one realization ξ."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (kl.N,):
-        raise ValueError(f"xi must have length {kl.N}")
-    return np.exp(kl.g0 + xi @ kl.modes)
-
-
-def write_kl_csv(path, mesh: Mesh, kl: KLExpansion) -> None:
-    """KL mode fields as CSV: node, x, y, g_1..g_N."""
-    with open(path, "w") as fh:
-        header = ",".join(f"g{d + 1}" for d in range(kl.N))
-        fh.write(f"node,x,y,{header}\n")
-        for i, (x, y) in enumerate(mesh.nodes):
-            gs = ",".join(f"{kl.modes[d, i]:.17g}" for d in range(kl.N))
-            fh.write(f"{i},{x:.17g},{y:.17g},{gs}\n")

@@ -371,6 +371,30 @@ class TestCli:
                   "--N", "1", "--P", "1"])
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["tables", "logN", "--N", "0"],
+         "config field N must be >= 1, got 0"),
+        (["solve", "--precond", "gs", "--tol", "0"],
+         "config field tol must be > 0, got 0.0"),
+    ])
+    def test_bad_config_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"sg: error: {message}\n"
+        assert captured.out == ""
+
+    def test_unreadable_config_line_is_a_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("N 2\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "logN", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sg: error: line 1:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_solve_unknown_precond_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["solve", "--precond", "ilu", "--mesh", "3"])

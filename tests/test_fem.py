@@ -10,7 +10,6 @@ from sgfem.fem import (
     assemble_stiffness,
     assemble_stiffness_family,
     build_mesh,
-    write_mesh_csv,
 )
 from sgfem.linalg import factorize
 
@@ -236,15 +235,3 @@ class TestRefinement:
             u = np.linalg.solve(Kt.toarray(), ft)
             energies.append(ft @ u)
         assert energies[0] < energies[1] < energies[2]
-
-
-class TestMeshCsv:
-    def test_export(self, tmp_path):
-        m = build_mesh(2)
-        p = tmp_path / "mesh.csv"
-        write_mesh_csv(p, m)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "node,x,y,boundary"
-        assert len(lines) == 1 + m.n_nodes
-        row4 = lines[5].split(",")
-        assert int(row4[0]) == 4 and int(row4[3]) == 0  # center node

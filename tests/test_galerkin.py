@@ -351,6 +351,59 @@ class TestAssembledBlocks:
             assert np.array_equal(D, D.T)
 
 
+def bmat_level_oracle(op, level):
+    """D_ℓ through sp.bmat over the level's block() grid (independent
+    route, the layout the direct assembly reproduces)."""
+    blocks = list(op.levels.blocks(level))
+    return sp.bmat([[op.block(j, k) for k in blocks] for j in blocks],
+                   format="csr")
+
+
+def bitwise_symmetric(A):
+    T = A.T.tocsr()
+    T.sort_indices()
+    return (np.array_equal(T.indptr, A.indptr)
+            and np.array_equal(T.indices, A.indices)
+            and np.array_equal(T.data, A.data))
+
+
+class TestFactorizationContract:
+    """Diagonal and level blocks: the direct level assembly against the
+    sp.bmat oracle, the bitwise symmetry that lets their CSR arrays go to
+    SuperLU as CSC, and the Factorization residual contract."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
+           cov=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
+    def test_blocks_assemble_and_solve(self, N, P, n, cov, seed):
+        op, _, _, _ = build_operator(N, P, n, cov=cov)
+        rng = np.random.default_rng(seed)
+        for level in range(P + 1):
+            D, F = op.assemble_level_block(level)
+            want = bmat_level_oracle(op, level)
+            assert np.array_equal(D.indptr, want.indptr)
+            assert np.array_equal(D.indices, want.indices)
+            assert (np.abs(D.data - want.data).max()
+                    <= 1e-15 * np.abs(want.data).max())
+            assert bitwise_symmetric(D)
+            b = rng.standard_normal(D.shape[0])
+            x = F.solve(b)
+            assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
+        for j in range(op.M + 1):
+            K, F = op.assemble_diag_block(j)
+            assert bitwise_symmetric(K)
+            b = rng.standard_normal(op.n_dof)
+            x = F.solve(b)
+            assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+
+    def test_level_factorization_cached_without_matrix(self):
+        op, _, _, _ = build_operator(2, 2, 3)
+        _, F = op.assemble_level_block(2)
+        assert op._level_cache == {2: F}
+        assert op.assemble_level_block(2)[1] is F
+        assert op.level_factorization(2) is F
+
+
 class TestGlobalDense:
     def test_cap_refusal(self):
         op, _, _, _ = build_operator(2, 2, 3)

