@@ -32,6 +32,23 @@ from .galerkin import adaptive_truncation, standard_truncation
 from .preconditioners import KINDS
 
 
+def _checked(convert, rule: str, ok):
+    """argparse type: ``convert`` the text, then reject a value that fails
+    ``ok`` as a usage error naming ``rule``."""
+    def check(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    check.__name__ = convert.__name__  # argparse: "invalid int value"
+    return check
+
+
+_POSITIVE_INT = _checked(int, ">= 1", lambda v: v >= 1)
+_NONNEG_INT = _checked(int, ">= 0", lambda v: v >= 0)
+_NONNEG_FLOAT = _checked(float, ">= 0", lambda v: v >= 0)  # NaN fails
+
+
 def _add_config_flags(p):
     p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--N", type=int, help="stochastic dimension")
@@ -85,9 +102,9 @@ def build_parser():
 
     p = sub.add_parser("cpattern",
                        help="nonzero counts of the truncated tensor")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--P", type=int, required=True)
-    p.add_argument("--lt", type=int, required=True,
+    p.add_argument("--N", type=_POSITIVE_INT, required=True)
+    p.add_argument("--P", type=_NONNEG_INT, required=True)
+    p.add_argument("--lt", type=_NONNEG_INT, required=True,
                    help="truncation degree")
     p.add_argument("--out", help="CSV output path (default stdout)")
 
@@ -100,7 +117,7 @@ def build_parser():
     p = sub.add_parser("export", help="write one instance to files")
     _add_config_flags(p)
     p.add_argument("--dest", required=True, help="output directory")
-    p.add_argument("--cov", type=float, default=DEFAULT_COV,
+    p.add_argument("--cov", type=_NONNEG_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
     p.add_argument("--cap", type=int, default=5000,
                    help="size cap for the dense global matrix")
@@ -108,13 +125,14 @@ def build_parser():
     p = sub.add_parser("solve", help="one preconditioned solve")
     p.add_argument("--precond", required=True, choices=KINDS)
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--lt", type=int,
+    group.add_argument("--lt", type=_NONNEG_INT,
                        help="standard truncation degree")
-    group.add_argument("--tau", type=float,
+    group.add_argument("--tau", type=_NONNEG_FLOAT,
                        help="adaptive truncation threshold")
-    p.add_argument("--cov", type=float, default=DEFAULT_COV,
+    p.add_argument("--cov", type=_NONNEG_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
-    p.add_argument("--mesh", type=int, help="mesh subdivisions per side")
+    p.add_argument("--mesh", type=_POSITIVE_INT,
+                   help="mesh subdivisions per side")
     _add_config_flags(p)
     p.add_argument("--out", help="CSV output path (default stdout)")
     return ap

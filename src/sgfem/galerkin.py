@@ -14,9 +14,9 @@ and kept in a bounded cache.
 
 Diagonal blocks K^{(j,j)} and level blocks D_ℓ are assembled sparsely
 with the FULL coefficient sum (truncation only ever applies to
-off-diagonal products inside preconditioners) and factorized once; of a
-level matrix only the factorization is kept.  A dense assembly of the
-whole matrix is provided as a brute-force oracle for small instances.
+off-diagonal products inside preconditioners) and factorized once; only
+the factorizations are kept.  A dense assembly of the whole matrix is
+provided as a brute-force oracle for small instances.
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ class GalerkinOperator:
     ``summations`` counts the c_ijk terms added (the cost measure of the
     truncated product), ``products`` the sparse matrix-vector products
     actually run.  Within one call each K_i v_(k) is computed once for
-    all row blocks; the block Gauss-Seidel sweep pushes each solved block
+    all row blocks; the block Gauss-Seidel sweep pushes each solved group
     through a single call, so its products are shared across all the rows
     they update as well.
     """
@@ -397,13 +397,14 @@ class GalerkinOperator:
         return sp.csr_matrix((data, ref.indices, ref.indptr),
                              shape=(self.n_dof, self.n_dof))
 
-    def assemble_diag_block(self, j: int) -> tuple[sp.csr_matrix, Factorization]:
-        """K^{(j,j)} = Σ_i c_ijj K_i (never truncated), factorized, cached."""
+    def assemble_diag_block(self, j: int) -> Factorization:
+        """Factorization of K^{(j,j)} = Σ_i c_ijj K_i (never truncated),
+        cached; the block itself is not kept."""
         if j not in self._diag_cache:
             K = self.block(j, j)
             if K is None:
                 raise ValueError(f"diagonal block {j} is empty")
-            self._diag_cache[j] = (K, _factorize_symmetric(K))
+            self._diag_cache[j] = _factorize_symmetric(K)
         return self._diag_cache[j]
 
     def level_matrix(self, level: int) -> sp.csr_matrix:
@@ -457,23 +458,12 @@ class GalerkinOperator:
         return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)),
                              shape=(s * nd, s * nd))
 
-    def assemble_level_block(self, level: int
-                             ) -> tuple[sp.csr_matrix, Factorization]:
-        """Level matrix D_ℓ, assembled afresh, and its factorization.
-
-        Only the factorization is cached: a caller that keeps D_ℓ keeps it
-        on its own account.
-        """
-        D = self.level_matrix(level)
+    def assemble_level_block(self, level: int) -> Factorization:
+        """Factorization of the level matrix D_ℓ, cached; D_ℓ is assembled
+        only while the factorization is not cached, and not kept."""
         if level not in self._level_cache:
-            self._level_cache[level] = _factorize_symmetric(D)
-        return D, self._level_cache[level]
-
-    def level_factorization(self, level: int) -> Factorization:
-        """The cached factorization of D_ℓ; D_ℓ is assembled only when the
-        factorization is not cached yet."""
-        if level not in self._level_cache:
-            return self.assemble_level_block(level)[1]
+            self._level_cache[level] = _factorize_symmetric(
+                self.level_matrix(level))
         return self._level_cache[level]
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:

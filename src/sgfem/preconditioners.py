@@ -5,19 +5,24 @@ vector:
 
   mb    mean-based, diag(G_0) ⊗ K_0
   kron  Kronecker product G ⊗ K_0 with trace-fitted G
-  gs    symmetric block Gauss-Seidel over all M+1 blocks
-  hs    hierarchical Schur complement sweep over degree levels with exact
-        level solves
-  ahs   hs with every level solve replaced by its diagonal block solves
-  ahgs  symmetric Gauss-Seidel over degree levels with diagonal block
-        solves (forward products against untouched levels vanish because
-        the initial guess is zero)
 
-hs and ahs are one class, ``SchurSweep``, and differ only in the level
-solve; ahgs is ``LevelGaussSeidel``.  Off-diagonal block products inside
-gs/hs/ahs/ahgs run through the operator's truncated product and honor
-the configured TruncationSet; diagonal and level blocks are always
-assembled with the full sum.
+and four symmetric block Gauss-Seidel sweeps, one class
+(``BlockGaussSeidel``) that differs by kind only in how the blocks are
+grouped, in which order the groups are swept and how a group is solved:
+
+  kind  groups          order       group solve
+  gs    single blocks   ascending   diagonal block
+  ahgs  degree levels   ascending   the level's diagonal blocks
+  ahs   degree levels   descending  the level's diagonal blocks
+  hs    degree levels   descending  exact D_ℓ (LU, or inner CG with
+                                    ``inner="cg"``)
+
+hs is the hierarchical Schur complement preconditioner: the descending
+sweep is its downward pre-correction and upward post-correction.  A group
+of one block, such as level 0, is solved by its diagonal factorization.
+Off-diagonal block products inside the sweeps run through the operator's
+truncated product and honor the configured TruncationSet; diagonal and
+level blocks are always assembled with the full sum.
 """
 
 from __future__ import annotations
@@ -86,49 +91,23 @@ class Kronecker(Preconditioner):
         return V.ravel()
 
 
-class BlockGaussSeidel(Preconditioner):
-    """Symmetric block Gauss-Seidel sweep j = 0..M then M..0.
-
-    Equals the inverse of (L+D) D⁻¹ (D+U) with D the assembled diagonal
-    blocks and L/U the truncated strictly lower/upper block parts.
-
-    The sweeps run in push form: once block k is solved, one truncated
-    product with the single column block k subtracts its coupling from
-    every row still to be solved (later rows going forward, earlier rows
-    going back), so each K_i y_(k) is computed once per half sweep.
-    """
-
-    def __init__(self, op, trunc):
-        super().__init__(op, trunc)
-        self._solv = [op.assemble_diag_block(j)[1] for j in range(op.M + 1)]
-
-    def apply(self, r):
-        op, trunc, last = self.op, self.trunc, self.op.M
-        rhs = self._blocks(r).copy()  # r minus the pushed products
-        V = np.empty_like(rhs)
-        for k in range(last + 1):
-            V[k] = self._solv[k].solve(rhs[k])
-            if k < last:
-                rhs[k + 1:] -= op.tmatvec(range(k + 1, last + 1),
-                                          range(k, k + 1), trunc,
-                                          V[k:k + 1])
-        # the last forward solve is also the first backward one
-        for k in range(last, 0, -1):
-            rhs[:k] -= op.tmatvec(range(k), range(k, k + 1), trunc,
-                                  V[k:k + 1])
-            V[k - 1] = self._solv[k - 1].solve(rhs[k - 1])
-        return V.ravel()
+def _span(lo: int, hi: int):
+    """Blocks [lo, hi) as a slice for indexing and a range for tmatvec, or
+    None when empty."""
+    return (slice(lo, hi), range(lo, hi)) if lo < hi else None
 
 
-class _LevelSolver:
-    """Level solves for the hierarchical sweeps.
+class _GroupSolve:
+    """Group solves of the block Gauss-Seidel sweep.
 
-    ``exact=True`` solves with the whole level matrix D_ℓ: through its
-    factorization, or with ``inner="cg"`` by an inner CG run on D_ℓ
-    preconditioned with the level's diagonal blocks, which factorizes no
-    level matrix.  ``exact=False`` solves only the diagonal blocks of the
-    level.  ``counters`` sums the inner CG iterations and counts the inner
-    solves that stopped unconverged at ``inner_maxit``.
+    A group of one block, and any group unless ``exact``, is solved with
+    the factorizations of its diagonal blocks; they are built at first use
+    and kept in one list.  ``exact`` solves a degree level with its whole
+    level matrix D_ℓ: through the factorization, or with ``inner="cg"`` by
+    an inner CG run on D_ℓ preconditioned with the level's diagonal
+    blocks, which factorizes no level matrix.  ``counters`` sums the inner
+    CG iterations and counts the inner solves that stopped unconverged at
+    ``inner_maxit``.
     """
 
     def __init__(self, op: GalerkinOperator, exact: bool, inner: str,
@@ -139,108 +118,105 @@ class _LevelSolver:
         self.inner_tol = inner_tol
         self.inner_maxit = inner_maxit
         self.counters = {"inner_iterations": 0, "inner_unconverged": 0}
-        self._diag = {}
+        self._diag = [None] * (op.M + 1)
         self._level_mats = {}  # D_ℓ by level, for inner CG
 
-    def _diag_solvers(self, level):
-        if level not in self._diag:
-            self._diag[level] = [self.op.assemble_diag_block(j)[1]
-                                 for j in self.op.levels.blocks(level)]
-        return self._diag[level]
-
-    def _solve_diag(self, level, R):
-        out = np.empty_like(R)
-        for row, f in enumerate(self._diag_solvers(level)):
+    def _solve_diag(self, blocks: slice, R, out):
+        for row, j in enumerate(range(blocks.start, blocks.stop)):
+            f = self._diag[j]
+            if f is None:
+                f = self._diag[j] = self.op.assemble_diag_block(j)
             out[row] = f.solve(R[row])
         return out
 
-    def solve(self, level: int, R: np.ndarray) -> np.ndarray:
-        """Solve D_ℓ X = R with R given blockwise, shape (size_ℓ, n_dof)."""
-        if not self.exact:
-            return self._solve_diag(level, R)
-        if self.inner == "cg":
+    def __call__(self, level, blocks: slice, R: np.ndarray, out: np.ndarray):
+        """Solve the group ``blocks``, degree level ``level`` when the
+        groups are levels, for R given blockwise; the result goes to
+        ``out``."""
+        if not self.exact or blocks.stop - blocks.start == 1:
+            self._solve_diag(blocks, R, out)
+        elif self.inner == "cg":
             if level not in self._level_mats:
                 self._level_mats[level] = self.op.level_matrix(level)
             D = self._level_mats[level]
             x, rep = pcg(lambda v: D @ v,
                          lambda v: self._solve_diag(
-                             level, v.reshape(R.shape)).ravel(),
+                             blocks, v.reshape(R.shape),
+                             np.empty_like(R)).ravel(),
                          R.ravel(), tol=self.inner_tol,
                          maxit=self.inner_maxit)
             self.counters["inner_iterations"] += rep.iterations
             self.counters["inner_unconverged"] += not rep.converged
-            return x.reshape(R.shape)
-        F = self.op.level_factorization(level)
-        return F.solve(R.ravel()).reshape(R.shape)
+            out[:] = x.reshape(R.shape)
+        else:
+            F = self.op.assemble_level_block(level)
+            out[:] = F.solve(R.ravel()).reshape(R.shape)
 
 
-class SchurSweep(Preconditioner):
-    """hs/ahs: hierarchical Schur complement sweep over degree levels.
+class BlockGaussSeidel(Preconditioner):
+    """Symmetric block Gauss-Seidel over groups of consecutive blocks:
+    gs, hs, ahs and ahgs, with the groups, order and group solve of the
+    kind table.
 
-    ``counters`` is the level solver's: the inner CG iterations and
-    unconverged inner solves of hs with ``inner="cg"``, zero otherwise.
+    Equals the inverse of (D + L_π) D⁻¹ (D + U_π) with D the group
+    matrices (whole level matrices for hs, the diagonal blocks otherwise)
+    and L_π/U_π the truncated couplings of a row to the groups before/after
+    its own in the sweep order π.
+
+    The sweep runs forward through the groups, then back, in push form:
+    once a group is solved, one truncated product with its column blocks
+    subtracts its coupling from every row still to be solved, so each
+    K_i y_(k) is computed once per half sweep.  In either order those rows
+    are one contiguous range, computed once here.  ``counters`` is the
+    group solve's.
     """
 
-    def __init__(self, op, trunc, solver: _LevelSolver):
+    def __init__(self, op, trunc, by_level: bool, descending: bool,
+                 solve: _GroupSolve):
         super().__init__(op, trunc)
-        self._solver = solver
-        self.counters = solver.counters
+        self._solve = solve
+        self.counters = solve.counters
+        end = op.M + 1
+        bounds = op.levels.offsets if by_level else range(end + 1)
+        groups = []
+        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            after, before = _span(hi, end), _span(0, lo)
+            if descending:
+                after, before = before, after
+            # (level, blocks, column blocks, rows to push to going
+            # forward, rows to push to going back)
+            groups.append((g if by_level else None, slice(lo, hi),
+                           range(lo, hi), after, before))
+        self._groups = groups[::-1] if descending else groups
 
     def apply(self, r):
-        """Downward pre-correction, coarse solve, upward post-correction."""
-        op, trunc, lm = self.op, self.trunc, self.op.levels
-        g = self._blocks(r).copy()
-        for level in range(lm.P, 0, -1):
-            blk = lm.blocks(level)
-            z = self._solver.solve(level, g[blk])
-            g[:blk[0]] -= op.tmatvec(range(blk[0]), blk, trunc, z)
-        v = np.zeros_like(g)
-        v[0] = op.assemble_diag_block(0)[1].solve(g[0])
-        for level in range(1, lm.P + 1):
-            blk = lm.blocks(level)
-            corr = op.tmatvec(blk, range(blk[0]), trunc, v[:blk[0]])
-            v[blk] = self._solver.solve(level, g[blk] - corr)
-        return v.ravel()
-
-
-class LevelGaussSeidel(Preconditioner):
-    """ahgs: symmetric Gauss-Seidel over degree levels 0..P then P..0."""
-
-    def __init__(self, op, trunc, solver: _LevelSolver):
-        super().__init__(op, trunc)
-        self._solver = solver
-
-    def apply(self, r):
-        """With the zero start the forward sweep never touches higher
-        levels."""
-        op, trunc, lm = self.op, self.trunc, self.op.levels
-        R = self._blocks(r)
-        rhs_fwd = R.copy()
-        U = np.zeros_like(R)
-        for level in range(lm.P + 1):
-            blk = lm.blocks(level)
-            if level > 0:
-                rhs_fwd[blk] -= op.tmatvec(blk, range(blk[0]), trunc,
-                                           U[:blk[0]])
-            U[blk] = self._solver.solve(level, rhs_fwd[blk])
-        V = U.copy()
-        for level in range(lm.P - 1, -1, -1):
-            blk = lm.blocks(level)
-            above = range(blk[-1] + 1, op.M + 1)
-            corr = op.tmatvec(blk, above, trunc, V[blk[-1] + 1:])
-            V[blk] = self._solver.solve(level, rhs_fwd[blk] - corr)
+        op, trunc, solve, groups = (self.op, self.trunc, self._solve,
+                                    self._groups)
+        rhs = self._blocks(r).copy()  # r minus the pushed products
+        V = np.empty_like(rhs)
+        for level, blk, cols, forward, _ in groups:
+            solve(level, blk, rhs[blk], V[blk])
+            if forward is not None:
+                rows, row_blocks = forward
+                rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
+        # the last forward solve is also the first backward one
+        for t in range(len(groups) - 1, 0, -1):
+            _, blk, cols, _, (rows, row_blocks) = groups[t]
+            rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
+            level, blk = groups[t - 1][:2]
+            solve(level, blk, rhs[blk], V[blk])
         return V.ravel()
 
 
-# kind -> (class, level solves: None for the blockwise kinds, True for
-# exact level solves, False for the level's diagonal block solves)
+# kind -> (class, sweep); a sweep is (groups, order, group solve) as in
+# the kind table above
 _KIND_TABLE = {
     "mb": (MeanBased, None),
     "kron": (Kronecker, None),
-    "gs": (BlockGaussSeidel, None),
-    "hs": (SchurSweep, True),
-    "ahs": (SchurSweep, False),
-    "ahgs": (LevelGaussSeidel, False),
+    "gs": (BlockGaussSeidel, ("blocks", "ascending", "diagonal")),
+    "hs": (BlockGaussSeidel, ("levels", "descending", "exact")),
+    "ahs": (BlockGaussSeidel, ("levels", "descending", "diagonal")),
+    "ahgs": (BlockGaussSeidel, ("levels", "ascending", "diagonal")),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -273,8 +249,10 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
         raise ValueError(f"inner_maxit must be >= 0, got {inner_maxit!r}")
     if trunc is None:
         trunc = full_truncation(op.tensor)
-    cls, exact = _KIND_TABLE[kind]
-    if exact is None:
+    cls, sweep = _KIND_TABLE[kind]
+    if sweep is None:
         return cls(op, trunc)
-    return cls(op, trunc, _LevelSolver(op, exact, inner, inner_tol,
-                                       inner_maxit))
+    groups, order, group_solve = sweep
+    return cls(op, trunc, groups == "levels", order == "descending",
+               _GroupSolve(op, group_solve == "exact", inner, inner_tol,
+                           inner_maxit))

@@ -366,10 +366,41 @@ class TestCli:
         assert int(row["it"]) > 0
 
     def test_solve_nan_tau_rejected(self, capsys):
-        with pytest.raises(ValueError, match="threshold"):
+        with pytest.raises(SystemExit) as exc:
             main(["solve", "--precond", "gs", "--tau", "nan", "--mesh", "3",
                   "--N", "1", "--P", "1"])
-        capsys.readouterr()
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == \
+            "sg solve: error: argument --tau: must be >= 0, got nan"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["cpattern", "--N", "0", "--P", "1", "--lt", "0"],
+         "sg cpattern: error: argument --N: must be >= 1, got 0"),
+        (["cpattern", "--N", "1", "--P", "-1", "--lt", "0"],
+         "sg cpattern: error: argument --P: must be >= 0, got -1"),
+        (["cpattern", "--N", "1", "--P", "1", "--lt", "-2"],
+         "sg cpattern: error: argument --lt: must be >= 0, got -2"),
+        (["cpattern", "--N", "x", "--P", "1", "--lt", "0"],
+         "sg cpattern: error: argument --N: invalid int value: 'x'"),
+        (["solve", "--precond", "gs", "--lt", "-1"],
+         "sg solve: error: argument --lt: must be >= 0, got -1"),
+        (["solve", "--precond", "gs", "--tau", "-1"],
+         "sg solve: error: argument --tau: must be >= 0, got -1"),
+        (["solve", "--precond", "gs", "--mesh", "0"],
+         "sg solve: error: argument --mesh: must be >= 1, got 0"),
+        (["solve", "--precond", "gs", "--cov", "-5"],
+         "sg solve: error: argument --cov: must be >= 0, got -5"),
+        (["export", "--dest", "out", "--cov", "nan"],
+         "sg export: error: argument --cov: must be >= 0, got nan"),
+    ])
+    def test_bad_argument_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == message
+        assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv,message", [
         (["tables", "logN", "--N", "0"],

@@ -19,7 +19,7 @@ from sgfem.galerkin import (
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import factorize
+from sgfem.linalg import Factorization, factorize
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
@@ -305,7 +305,7 @@ class TestCounters:
 class TestAssembledBlocks:
     def test_mean_diagonal_block_is_mean_matrix(self):
         op, _, _, _ = build_operator(2, 2, 3)
-        K, _ = op.assemble_diag_block(0)
+        K = op.block(0, 0)
         np.testing.assert_array_equal(K.data, op.k_mats[0].data)
 
     @pytest.mark.parametrize("N,P,n", SMALL)
@@ -314,7 +314,7 @@ class TestAssembledBlocks:
         A = op.assemble_global_dense()
         nd = op.n_dof
         for j in range(op.M + 1):
-            K, F = op.assemble_diag_block(j)
+            K, F = op.block(j, j), op.assemble_diag_block(j)
             want = A[j * nd:(j + 1) * nd, j * nd:(j + 1) * nd]
             np.testing.assert_allclose(K.toarray(), want, atol=1e-13)
             # factorization solves the block
@@ -327,7 +327,7 @@ class TestAssembledBlocks:
         A = op.assemble_global_dense()
         nd = op.n_dof
         for l in range(1, P + 1):
-            D, F = op.assemble_level_block(l)
+            D, F = op.level_matrix(l), op.assemble_level_block(l)
             blk = list(op.levels.blocks(l))
             lo, hi = blk[0] * nd, (blk[-1] + 1) * nd
             want = A[lo:hi, lo:hi]
@@ -338,16 +338,15 @@ class TestAssembledBlocks:
     def test_single_block_level_equals_diag_block(self):
         op, _, _, _ = build_operator(1, 2, 2)
         for l in range(1, 3):
-            D, _ = op.assemble_level_block(l)
+            D = op.level_matrix(l)
             j = list(op.levels.blocks(l))[0]
-            K, _ = op.assemble_diag_block(j)
+            K = op.block(j, j)
             np.testing.assert_array_equal(D.toarray(), K.toarray())
 
     def test_blocks_symmetric(self):
         op, _, _, _ = build_operator(2, 2, 3)
         for j in range(op.M + 1):
-            K, _ = op.assemble_diag_block(j)
-            D = K.toarray()
+            D = op.block(j, j).toarray()
             assert np.array_equal(D, D.T)
 
 
@@ -379,7 +378,7 @@ class TestFactorizationContract:
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
         for level in range(P + 1):
-            D, F = op.assemble_level_block(level)
+            D, F = op.level_matrix(level), op.assemble_level_block(level)
             want = bmat_level_oracle(op, level)
             assert np.array_equal(D.indptr, want.indptr)
             assert np.array_equal(D.indices, want.indices)
@@ -390,18 +389,30 @@ class TestFactorizationContract:
             x = F.solve(b)
             assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
         for j in range(op.M + 1):
-            K, F = op.assemble_diag_block(j)
+            K, F = op.block(j, j), op.assemble_diag_block(j)
             assert bitwise_symmetric(K)
             b = rng.standard_normal(op.n_dof)
             x = F.solve(b)
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
 
-    def test_level_factorization_cached_without_matrix(self):
+    def test_level_factorization_cached_without_matrix(self, monkeypatch):
         op, _, _, _ = build_operator(2, 2, 3)
-        _, F = op.assemble_level_block(2)
+        F = op.assemble_level_block(2)
+        assert isinstance(F, Factorization)
         assert op._level_cache == {2: F}
-        assert op.assemble_level_block(2)[1] is F
-        assert op.level_factorization(2) is F
+
+        def no_assembly(level):
+            raise AssertionError("cached level assembled again")
+
+        monkeypatch.setattr(op, "level_matrix", no_assembly)
+        assert op.assemble_level_block(2) is F
+
+    def test_diag_factorization_cached_without_matrix(self):
+        op, _, _, _ = build_operator(2, 2, 3)
+        F = op.assemble_diag_block(3)
+        assert isinstance(F, Factorization)
+        assert op._diag_cache == {3: F}
+        assert op.assemble_diag_block(3) is F
 
 
 class TestGlobalDense:

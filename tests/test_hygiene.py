@@ -1,5 +1,6 @@
-"""Repository hygiene: no unused imports, and a package surface that the
-README documents and that suffices to rebuild ``build_problem`` by hand."""
+"""Repository hygiene: no unused imports, no private definition that the
+package never uses, and a package surface that the README documents and
+that suffices to rebuild ``build_problem`` by hand."""
 
 import ast
 import os
@@ -11,9 +12,10 @@ import pytest
 import sgfem as sg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "sgfem")
 SOURCES = sorted(
     os.path.join(d, name)
-    for d in (os.path.join(ROOT, "src", "sgfem"), os.path.join(ROOT, "tests"))
+    for d in (PACKAGE, os.path.join(ROOT, "tests"))
     for name in os.listdir(d) if name.endswith(".py"))
 
 
@@ -51,6 +53,46 @@ def test_unused_import_check_finds_one():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """Module-level private functions and classes that no module of
+    ``sources`` (module name -> source text) refers to, by name, by
+    attribute or in an import."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted(name for name in defined
+                  if name.rsplit(".", 1)[1] not in used)
+
+
+def test_unreferenced_private_check_finds_one():
+    assert unreferenced_private_definitions(
+        {"a": "def _f(): pass\nclass _C: pass\nx = _C\n"}) == ["a._f"]
+    assert unreferenced_private_definitions(
+        {"a": "def _f(): pass\n", "b": "from a import _f\n",
+         "c": "class _G: pass\n", "d": "import c\nc._G()\n"}) == []
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name[:-3]] = fh.read()
+    assert unreferenced_private_definitions(sources) == []
 
 
 def readme_exports() -> list:

@@ -1,9 +1,12 @@
 """Preconditioner oracles: dense splitting/Kronecker/stage compositions,
-coincidence identities, linearity and symmetry probes."""
+pull-form references of the sweeps, coincidence identities, linearity and
+symmetry probes."""
 
 import numpy as np
 import pytest
 from conftest import build_operator, probe_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
 from sgfem.galerkin import full_truncation, standard_truncation
@@ -36,7 +39,7 @@ def dense_split_parts(op, trunc):
     for j in range(m1):
         for k in range(m1):
             if j == k:
-                blk = op.assemble_diag_block(j)[0].toarray()
+                blk = op.block(j, j).toarray()
                 tgt = D
             else:
                 blk = truncated_dense_block(op, j, k, trunc.indices)
@@ -48,7 +51,7 @@ def dense_split_parts(op, trunc):
 def pull_form_gs(op, trunc, r):
     """Reference symmetric block Gauss-Seidel in pull form: each row
     gathers its own truncated products from the blocks already solved."""
-    solv = [op.assemble_diag_block(j)[1] for j in range(op.M + 1)]
+    solv = [op.assemble_diag_block(j) for j in range(op.M + 1)]
     R = r.reshape(op.M + 1, op.n_dof)
     rhs_fwd = R.copy()
     Y = np.zeros_like(R)
@@ -60,6 +63,95 @@ def pull_form_gs(op, trunc, r):
     for j in range(op.M - 1, -1, -1):
         corr = op.tmatvec([j], range(j + 1, op.M + 1), trunc, V[j + 1:])[0]
         V[j] = solv[j].solve(rhs_fwd[j] - corr)
+    return V.ravel()
+
+
+# kind -> (groups are degree levels, descending order, exact level
+# matrices): the symmetric block Gauss-Seidel sweeps, written out
+# independently of the library's table
+SWEEPS = {
+    "gs": (False, False, False),
+    "ahgs": (True, False, False),
+    "ahs": (True, True, False),
+    "hs": (True, True, True),
+}
+
+
+def dense_sweep_inverse(op, kind, trunc):
+    """[(D + L_π) D⁻¹ (D + U_π)]⁻¹ as a dense matrix: D holds the full
+    level matrices for hs and the full diagonal blocks otherwise, L_π/U_π
+    the truncated couplings of a row to a group before/after its own in
+    the sweep order π.  Couplings inside a group that D leaves out are
+    dropped."""
+    by_level, descending, exact = SWEEPS[kind]
+    nd, m1 = op.n_dof, op.M + 1
+    group = (np.repeat(np.arange(op.levels.P + 1), op.levels.sizes)
+             if by_level else np.arange(m1))
+    rank = -group if descending else group  # position in the sweep
+    A = op.assemble_global_dense()
+    D, L, U = (np.zeros_like(A) for _ in range(3))
+    for j in range(m1):
+        for k in range(m1):
+            rows = slice(j * nd, (j + 1) * nd)
+            cols = slice(k * nd, (k + 1) * nd)
+            if j == k or (exact and group[j] == group[k]):
+                D[rows, cols] = A[rows, cols]
+            elif rank[k] != rank[j]:
+                tgt = L if rank[k] < rank[j] else U
+                tgt[rows, cols] = truncated_dense_block(op, j, k,
+                                                        trunc.indices)
+    return np.linalg.inv((D + L) @ np.linalg.solve(D, D + U))
+
+
+def level_solve(op, level, exact, R):
+    """Solve one level for R given blockwise: with the factorization of
+    its level matrix when exact, else block by block."""
+    if exact:
+        F = op.assemble_level_block(level)
+        return F.solve(R.ravel()).reshape(R.shape)
+    return np.vstack([op.assemble_diag_block(j).solve(row)
+                      for j, row in zip(op.levels.blocks(level), R)])
+
+
+def pull_form_schur(op, trunc, exact, r):
+    """Reference hs (exact) and ahs as the Schur complement sweep:
+    downward pre-correction, coarse solve, then an upward post-correction
+    in which each level gathers its products from the levels below."""
+    lm = op.levels
+    g = r.reshape(op.M + 1, op.n_dof).copy()
+    for level in range(lm.P, 0, -1):
+        blk = lm.blocks(level)
+        z = level_solve(op, level, exact, g[blk])
+        g[:blk[0]] -= op.tmatvec(range(blk[0]), blk, trunc, z)
+    v = np.zeros_like(g)
+    v[0] = op.assemble_diag_block(0).solve(g[0])
+    for level in range(1, lm.P + 1):
+        blk = lm.blocks(level)
+        corr = op.tmatvec(blk, range(blk[0]), trunc, v[:blk[0]])
+        v[blk] = level_solve(op, level, exact, g[blk] - corr)
+    return v.ravel()
+
+
+def pull_form_level_gs(op, trunc, r):
+    """Reference ahgs in pull form: symmetric Gauss-Seidel over levels
+    0..P then P..0, each level gathering its products from the levels
+    already solved."""
+    lm = op.levels
+    R = r.reshape(op.M + 1, op.n_dof)
+    rhs_fwd = R.copy()
+    U = np.zeros_like(R)
+    for level in range(lm.P + 1):
+        blk = lm.blocks(level)
+        if level > 0:
+            rhs_fwd[blk] -= op.tmatvec(blk, range(blk[0]), trunc,
+                                       U[:blk[0]])
+        U[blk] = level_solve(op, level, False, rhs_fwd[blk])
+    V = U.copy()
+    for level in range(lm.P - 1, -1, -1):
+        blk = lm.blocks(level)
+        above = range(blk[-1] + 1, op.M + 1)
+        corr = op.tmatvec(blk, above, trunc, V[blk[-1] + 1:])
+        V[blk] = level_solve(op, level, False, rhs_fwd[blk] - corr)
     return V.ravel()
 
 
@@ -158,7 +250,7 @@ class TestGaussSeidel:
         gs = make_preconditioner(op, "gs", standard_truncation(2, 0))
         r = np.random.default_rng(9).standard_normal(op.n_global)
         R = r.reshape(op.M + 1, op.n_dof)
-        want = np.vstack([op.assemble_diag_block(j)[1].solve(R[j])
+        want = np.vstack([op.assemble_diag_block(j).solve(R[j])
                           for j in range(op.M + 1)]).ravel()
         np.testing.assert_allclose(gs.apply(r), want, atol=1e-12)
 
@@ -259,6 +351,65 @@ class TestHierarchicalSchur:
         assert rep.converged
         res = np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b)
         assert res <= 1e-8
+
+
+class TestSweeps:
+    """gs, hs, ahs and ahgs against the dense splitting they invert and
+    against the pull-form references."""
+
+    @pytest.mark.parametrize("lt", [None, 1])
+    @pytest.mark.parametrize("N,P,n", SMALL)
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_dense_oracle(self, kind, N, P, n, lt):
+        op, _, _, _ = build_operator(N, P, n)
+        trunc = (full_truncation(op.tensor) if lt is None
+                 else standard_truncation(N, lt))
+        got = probe_matrix(make_preconditioner(op, kind, trunc).apply,
+                           op.n_global)
+        want = dense_sweep_inverse(op, kind, trunc)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("lt", [None, 1, 2])
+    @pytest.mark.parametrize("kind", ["hs", "ahs", "ahgs"])
+    def test_push_form_matches_pull_form(self, kind, lt):
+        op, _, _, _ = build_operator(3, 3, 4)
+        trunc = (full_truncation(op.tensor) if lt is None
+                 else standard_truncation(3, lt))
+        pre = make_preconditioner(op, kind, trunc)
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            r = rng.standard_normal(op.n_global)
+            if kind == "ahgs":
+                want = pull_form_level_gs(op, trunc, r)
+            else:
+                want = pull_form_schur(op, trunc, kind == "hs", r)
+            got = pre.apply(r)
+            assert np.linalg.norm(got - want) <= \
+                1e-13 * np.linalg.norm(want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(1, 3), n=st.integers(1, 4),
+           cov=st.floats(0.1, 1.5), lt=st.none() | st.integers(0, 2))
+    def test_dense_oracle_and_spd_property(self, N, P, n, cov, lt):
+        op, _, _, _ = build_operator(N, P, n, cov=cov)
+        trunc = (full_truncation(op.tensor) if lt is None
+                 else standard_truncation(N, lt))
+        for kind in SWEEPS:
+            got = probe_matrix(make_preconditioner(op, kind, trunc).apply,
+                               op.n_global)
+            want = dense_sweep_inverse(op, kind, trunc)
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, kind
+            assert np.abs(got - got.T).max() <= 1e-10 * scale, kind
+            assert np.linalg.eigvalsh(got + got.T).min() > 0, kind
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_every_sweep_has_counters(self, kind):
+        op, b, _, _ = build_operator(2, 2, 3)
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        assert pre.counters == {"inner_iterations": 0,
+                                "inner_unconverged": 0}
 
 
 class TestCoincidences:
