@@ -21,6 +21,7 @@ provided as a brute-force oracle for small instances.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from sgfem.chaos import CijkTensor
-from sgfem.linalg import Factorization, factorize
+from sgfem.linalg import Factorization, check_band_fits, factorize
 
 _CHUNK_BYTES = 1 << 20      # stacked product buffer per chunk
 _PLAN_CACHE_SIZE = 1024     # plans kept per operator, least recent evicted
@@ -172,13 +173,6 @@ class _Plan:
     summations: int
 
 
-def _factorize_symmetric(A: sp.csr_matrix) -> Factorization:
-    """Factorize a bitwise symmetric CSR matrix.  Its CSR arrays are the
-    CSC arrays of Aᵀ = A, so SuperLU gets them without a conversion copy."""
-    return factorize(sp.csc_matrix((A.data, A.indices, A.indptr),
-                                   shape=A.shape))
-
-
 class GalerkinOperator:
     """Blockwise operator built from shared-pattern stiffness matrices.
 
@@ -280,8 +274,9 @@ class GalerkinOperator:
         pos_r[list(rows)] = np.arange(len(rows))
         pos_c = np.full(self.M + 1, -1, dtype=np.int64)
         pos_c[list(cols)] = np.arange(n_cols)
+        # indices past the tensor (a degree above 2P) carry no c_ijk
         keep = np.zeros(len(t.iset), dtype=bool)
-        keep[trunc.indices] = True
+        keep[trunc.indices[trunc.indices < len(t.iset)]] = True
         sel = np.flatnonzero(keep[t.i] & (pos_r[t.j] >= 0)
                              & (pos_c[t.k] >= 0))
         rr, vv = pos_r[t.j[sel]], t.val[sel]
@@ -404,7 +399,7 @@ class GalerkinOperator:
             K = self.block(j, j)
             if K is None:
                 raise ValueError(f"diagonal block {j} is empty")
-            self._diag_cache[j] = _factorize_symmetric(K)
+            self._diag_cache[j] = factorize(K)
         return self._diag_cache[j]
 
     def level_matrix(self, level: int) -> sp.csr_matrix:
@@ -460,10 +455,33 @@ class GalerkinOperator:
 
     def assemble_level_block(self, level: int) -> Factorization:
         """Factorization of the level matrix D_ℓ, cached; D_ℓ is assembled
-        only while the factorization is not cached, and not kept."""
+        only while the factorization is not cached, and not kept.
+
+        The factor is a banded Cholesky of D_ℓ in node-interleaved order,
+        row node·s + block for the level's s blocks, which makes its band
+        s·b + s − 1 for K_0's band b instead of about nd·s; it still
+        solves in D_ℓ's block-major order.  The band's bytes follow
+        exactly from K_0's pattern, and they are checked against physical
+        memory before D_ℓ is assembled.
+        """
         if level not in self._level_cache:
-            self._level_cache[level] = _factorize_symmetric(
-                self.level_matrix(level))
+            nd, s = self.n_dof, self.levels.sizes[level]
+            node = np.repeat(np.arange(nd), np.diff(self._indptr))
+            band = s * int((node - self._indices).max()) + s - 1
+            check_band_fits(
+                s * nd, band,
+                f"; level {level}'s exact solve needs it, while "
+                f"make_preconditioner(..., inner='cg') solves the "
+                f"level iteratively and factorizes no level matrix")
+            D = self.level_matrix(level).tocoo(copy=False)
+            # interleaved position a·s + r of block-major row r·nd + a
+            pos = np.arange(nd * s, dtype=D.row.dtype)
+            pos = pos.reshape(nd, s).T.ravel()
+            D = sp.coo_matrix((D.data, (pos[D.row], pos[D.col])),
+                              shape=D.shape)
+            self._level_cache[level] = dataclasses.replace(
+                factorize(D),
+                order=np.arange(nd * s).reshape(s, nd).T.ravel())
         return self._level_cache[level]
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:

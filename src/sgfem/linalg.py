@@ -3,7 +3,7 @@
 Dense matrices are C-ordered ``numpy.ndarray``s and sparse matrices are
 ``scipy.sparse.csr_matrix`` in canonical form (sorted, deduplicated column
 indices per row).  The heavy lifting (factorizations, eigensolves) is
-delegated to LAPACK/SuperLU through numpy/scipy; this module pins down the
+delegated to LAPACK through numpy/scipy; this module pins down the
 conventions the solver relies on: deterministic results for identical
 inputs, descending eigenvalue order with a fixed eigenvector sign, and
 residual guarantees on the factorization round trip.
@@ -11,6 +11,7 @@ residual guarantees on the factorization round trip.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -18,7 +19,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
@@ -28,7 +29,8 @@ class NotSymmetricError(ValueError):
 
 
 class FactorizationError(ValueError):
-    """Raised on a non-positive Cholesky pivot or a singular LU pivot."""
+    """Raised on a non-positive Cholesky pivot or a pivot singular to
+    tolerance."""
 
 
 def as_csr(A) -> sp.csr_matrix:
@@ -39,33 +41,87 @@ def as_csr(A) -> sp.csr_matrix:
     return B
 
 
+def physical_memory() -> int:
+    """Bytes of physical memory of the host, from ``os.sysconf``."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_band_fits(n: int, band: int, hint: str = "") -> None:
+    """Raise :class:`MemoryError`, with ``hint`` appended to the message,
+    when the lower band storage of an ``n``-row matrix with ``band``
+    sub-diagonals, n × (band + 1) doubles, exceeds physical memory."""
+    need = 8 * n * (band + 1)
+    have = physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"band factor of {n} rows and {band} sub-diagonals needs "
+            f"{need} bytes ({need / 2**30:.2f} GiB), more than the "
+            f"{have} bytes ({have / 2**30:.2f} GiB) of physical "
+            f"memory{hint}")
+
+
 @dataclass
 class Factorization:
     """Cached factorization of a square matrix.
 
     ``kind`` is ``"cholesky"`` (dense SPD), ``"lu"`` (dense, partial
-    pivoting) or ``"splu"`` (sparse LU with diagonal pivots, for SPD
-    input).  ``solve`` reproduces ``A^{-1} b`` with relative residual below
-    1e-12 for well-conditioned matrices.
+    pivoting) or ``"band"`` (sparse SPD: banded Cholesky, the factor in
+    LAPACK's lower band storage).  ``order``, when set, lists for each
+    row of the factor the row of the system it solves, so a factor of a
+    reordered matrix solves in the original order.  ``solve`` reproduces
+    ``A^{-1} b`` with relative residual below 1e-12 for well-conditioned
+    matrices.
     """
 
     kind: str
     n: int
     _state: tuple = field(repr=False)
+    order: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
+        if self.order is not None:
+            b = b[self.order]
         if self.kind == "cholesky":
-            return sla.cho_solve(self._state, b)
-        if self.kind == "lu":
-            lu, piv = self._state
-            return sla.lu_solve((lu, piv), b)
-        return self._state[0].solve(b)
+            x = sla.cho_solve(self._state, b)
+        elif self.kind == "lu":
+            x = sla.lu_solve(self._state, b)
+        else:
+            x, _ = dpbtrs(self._state[0], b, lower=1)
+        if self.order is None:
+            return x
+        out = np.empty_like(x)
+        out[self.order] = x
+        return out
 
 
 def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
     scale = max(np.abs(A).max(), 1.0)
     return np.abs(A - A.T).max() <= tol * scale
+
+
+def _band_cholesky(A) -> Factorization:
+    """Banded Cholesky of a sparse SPD matrix in its given order.  The
+    lower triangle's entries go straight into LAPACK's lower band storage
+    (``ab[i - j, j] = a_ij``), whose width is the largest ``i - j`` of a
+    stored entry; the factor overwrites it in place."""
+    A = A.tocoo(copy=False)  # CSR: a row array beside the shared arrays
+    n = A.shape[0]
+    low = A.row >= A.col
+    rows, cols = A.row[low], A.col[low]
+    offset = rows - cols
+    band = int(offset.max(initial=0))
+    check_band_fits(n, band)
+    ab = np.zeros((band + 1, n), order="F")
+    ab[offset, cols] = A.data[low]
+    ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info > 0:
+        raise FactorizationError(f"non-positive pivot in row {info - 1}: "
+                                 f"matrix is not positive definite")
+    pivots = ab[0] ** 2
+    if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
+        raise FactorizationError("matrix is singular to tolerance")
+    return Factorization("band", n, (ab,))
 
 
 def factorize(A: Matrix, kind: str = "auto") -> Factorization:
@@ -78,24 +134,17 @@ def factorize(A: Matrix, kind: str = "auto") -> Factorization:
     detected and silently falls back to LU.
 
     The sparse path expects a symmetric positive definite matrix, as every
-    sparse matrix of the solver is: SuperLU runs in symmetric mode, with a
-    minimum degree ordering of Aᵀ+A applied to rows and columns alike and
-    the diagonal taken as pivot.  Other sparse formats are converted to
-    CSC first.  ``kind`` applies to dense input only.
+    sparse matrix of the solver is, with no duplicate entries: a banded
+    Cholesky in the matrix's own order, which reads the lower triangle
+    only.  It raises :class:`FactorizationError` on a non-positive pivot
+    or when a pivot L_ii² falls to 1e-14 of the largest, and
+    :class:`MemoryError` before it allocates a band larger than physical
+    memory.  ``kind`` applies to dense input only.
     """
     if sp.issparse(A):
-        A = sp.csc_matrix(A)
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        try:
-            f = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True))
-        except RuntimeError as exc:  # SuperLU signals exact singularity
-            raise FactorizationError(str(exc)) from exc
-        diag_u = f.U.diagonal()
-        if np.min(np.abs(diag_u)) <= 1e-14 * max(np.max(np.abs(diag_u)), 1.0):
-            raise FactorizationError("matrix is singular to tolerance")
-        return Factorization("splu", A.shape[0], (f,))
+        return _band_cholesky(A)
 
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -14,8 +14,8 @@ grouped, in which order the groups are swept and how a group is solved:
   gs    single blocks   ascending   diagonal block
   ahgs  degree levels   ascending   the level's diagonal blocks
   ahs   degree levels   descending  the level's diagonal blocks
-  hs    degree levels   descending  exact D_ℓ (LU, or inner CG with
-                                    ``inner="cg"``)
+  hs    degree levels   descending  exact D_ℓ (banded Cholesky, or
+                                    inner CG with ``inner="cg"``)
 
 hs is the hierarchical Schur complement preconditioner: the descending
 sweep is its downward pre-correction and upward post-correction.  A group

@@ -365,6 +365,16 @@ class TestCli:
         assert row["converged"] == "True"
         assert int(row["it"]) > 0
 
+    def test_solve_lt_past_coefficient_degree(self, capsys):
+        rows = {}
+        for lt in ("2", "3"):
+            assert main(["solve", "--precond", "gs", "--lt", lt,
+                         "--mesh", "2", "--N", "1", "--P", "1"]) == 0
+            head, line = capsys.readouterr().out.strip().split("\n")
+            rows[lt] = dict(zip(head.split(","), line.split(",")))
+            assert rows[lt].pop("lt") == lt
+        assert rows["3"] == rows["2"]
+
     def test_solve_nan_tau_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--precond", "gs", "--tau", "nan", "--mesh", "3",

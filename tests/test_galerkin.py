@@ -1,6 +1,7 @@
 """Block operator checks against the dense brute-force oracle."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
+import sgfem.linalg as linalg
+from sgfem import build_problem
 from sgfem.chaos import build_c_tensor
 from sgfem.galerkin import (
     GalerkinOperator,
@@ -368,8 +371,9 @@ def bitwise_symmetric(A):
 
 class TestFactorizationContract:
     """Diagonal and level blocks: the direct level assembly against the
-    sp.bmat oracle, the bitwise symmetry that lets their CSR arrays go to
-    SuperLU as CSC, and the Factorization residual contract."""
+    sp.bmat oracle, the bitwise symmetry that makes a factor of the lower
+    triangle a factor of the block, and the Factorization residual
+    contract."""
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
@@ -394,6 +398,84 @@ class TestFactorizationContract:
             b = rng.standard_normal(op.n_dof)
             x = F.solve(b)
             assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
+           cov=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
+    def test_band_factors_of_blocks(self, N, P, n, cov, seed):
+        """Pivots against a dense Cholesky of the same ordering (node-
+        interleaved for a level), and the residual for several
+        right-hand sides at once."""
+        op, _, _, _ = build_operator(N, P, n, cov=cov)
+        rng = np.random.default_rng(seed)
+        nd = op.n_dof
+        cases = [(op.block(j, j), op.assemble_diag_block(j), None)
+                 for j in range(op.M + 1)]
+        for level in range(P + 1):
+            s = op.levels.sizes[level]
+            order = np.arange(s * nd).reshape(s, nd).T.ravel()
+            cases.append((op.level_matrix(level),
+                          op.assemble_level_block(level), order))
+        for A, F, order in cases:
+            assert F.kind == "band"
+            dense = A.toarray()
+            if order is not None:
+                np.testing.assert_array_equal(F.order, order)
+                dense = dense[np.ix_(order, order)]
+            L = np.linalg.cholesky(dense)
+            np.testing.assert_allclose(F._state[0][0] ** 2, np.diag(L) ** 2,
+                                       rtol=1e-12)
+            B = rng.standard_normal((A.shape[0], 3))
+            X = F.solve(B)
+            assert np.all(np.linalg.norm(B - A @ X, axis=0)
+                          <= 1e-12 * np.linalg.norm(B, axis=0))
+
+    def test_level_band_exact_from_k0_pattern(self):
+        op, _, _, _ = build_operator(2, 3, 4)
+        n = 4
+        for level in range(4):
+            s = op.levels.sizes[level]
+            ab = op.assemble_level_block(level)._state[0]
+            # a Q1 node couples to rows up to n + 2 below it
+            assert ab.shape == (s * (n + 2) + s - 1 + 1, s * op.n_dof)
+
+    def test_oversized_level_band_refused_before_assembly(self,
+                                                          monkeypatch):
+        op, _, _, _ = build_operator(2, 3, 4)
+        # level 3 at N = 2: s = 4 blocks, band 4·(n + 2) + 3 at n = 4
+        s, nd, band = 4, op.n_dof, 4 * 6 + 3
+        need = 8 * s * nd * (band + 1)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+
+        def no_assembly(level):
+            raise AssertionError("level matrix assembled")
+
+        monkeypatch.setattr(op, "level_matrix", no_assembly)
+        with pytest.raises(MemoryError) as exc:
+            op.assemble_level_block(3)
+        assert f"needs {need} bytes" in str(exc.value)
+        assert "inner='cg'" in str(exc.value)
+        assert op._level_cache == {}
+        monkeypatch.undo()
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        assert op.assemble_level_block(3)._state[0].nbytes == need
+
+    def test_level_factor_keeps_only_the_band(self):
+        """Memory regression guard: the bytes a level factorization keeps
+        are its band storage, within 5 %, so a retained second copy of a
+        factor (or of D_ℓ) fails."""
+        op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            F = op.assemble_level_block(4)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        band = F._state[0].nbytes
+        # 35 blocks of 121 nodes, band 35·(n + 2) + 34
+        assert band == 8 * 35 * 121 * (35 * 12 + 34 + 1)
+        assert abs(kept - band) <= 0.05 * band
 
     def test_level_factorization_cached_without_matrix(self, monkeypatch):
         op, _, _, _ = build_operator(2, 2, 3)

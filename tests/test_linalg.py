@@ -4,11 +4,15 @@ matrix IO."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sgfem.linalg as linalg
 from sgfem.linalg import (
     FactorizationError,
     NotSymmetricError,
     as_csr,
+    check_band_fits,
     factorize,
     read_matrix_market,
     sym_eig,
@@ -71,7 +75,7 @@ class TestFactorize:
         As = as_csr(A)
         b = rng.standard_normal(8)
         F = factorize(As)
-        assert F.kind == "splu"
+        assert F.kind == "band"
         np.testing.assert_allclose(F.solve(b), np.linalg.solve(A, b), atol=1e-10)
 
     def test_sparse_singular_raises(self):
@@ -86,6 +90,99 @@ class TestFactorize:
         Bmat = rng.standard_normal((5, 3))
         X = factorize(A).solve(Bmat)
         np.testing.assert_allclose(A @ X, Bmat, atol=1e-10)
+
+
+def random_sparse_spd(n, density, seed):
+    """Sparse symmetric, strictly diagonally dominant with a positive
+    diagonal, hence SPD; canonical CSR."""
+    rng = np.random.default_rng(seed)
+    S = sp.random(n, n, density=density, random_state=rng,
+                  data_rvs=rng.standard_normal)
+    S = sp.tril(S, k=-1)
+    S = S + S.T
+    dom = np.asarray(abs(S).sum(axis=1)).ravel()
+    return as_csr(S + sp.diags(dom + rng.uniform(0.1, 2.0, n)))
+
+
+def band_pivots(F):
+    """The Cholesky pivots L_ii², read from the band factor."""
+    return F._state[0][0] ** 2
+
+
+class TestBandCholesky:
+    """The sparse path: banded Cholesky in the matrix's own order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 0.3),
+           m=st.integers(2, 5), seed=st.integers(0, 2**16))
+    def test_solves_and_pivots(self, n, density, m, seed):
+        A = random_sparse_spd(n, density, seed)
+        F = factorize(A)
+        assert F.kind == "band" and F.n == n
+        rng = np.random.default_rng(seed + 1)
+        b = rng.standard_normal(n)
+        x = F.solve(b)
+        assert x.shape == (n,)
+        assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
+        B = rng.standard_normal((n, m))
+        X = F.solve(B)
+        assert X.shape == (n, m)
+        assert np.all(np.linalg.norm(B - A @ X, axis=0)
+                      <= 1e-12 * np.linalg.norm(B, axis=0))
+        L = np.linalg.cholesky(A.toarray())
+        np.testing.assert_allclose(band_pivots(F), np.diag(L) ** 2,
+                                   rtol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 30), density=st.floats(0.0, 0.3),
+           seed=st.integers(0, 2**16))
+    def test_indefinite_raises(self, n, density, seed):
+        A = random_sparse_spd(n, density, seed)
+        lam = np.linalg.eigvalsh(A.toarray())
+        # shift one eigenvalue past zero, by a margin far above roundoff
+        shift = lam[0] + 0.5 * max(lam[1] - lam[0], 1e-3 * lam[-1])
+        with pytest.raises(FactorizationError):
+            factorize(as_csr(A - shift * sp.eye(n)))
+
+    def test_singular_to_tolerance_raises(self):
+        # Neumann 1-D Laplacian: rows sum to zero, the last pivot is 0 in
+        # exact arithmetic and roundoff-sized in floating point
+        n = 12
+        A = sp.diags([-np.ones(n - 1), np.r_[1.0, 2 * np.ones(n - 2), 1.0],
+                      -np.ones(n - 1)], [-1, 0, 1])
+        with pytest.raises(FactorizationError):
+            factorize(as_csr(A))
+        with pytest.raises(FactorizationError, match="singular"):
+            factorize(as_csr(np.diag([1.0, 1e-15, 2.0])))
+
+    def test_band_from_lower_triangle(self):
+        A = as_csr(sp.diags([np.full(4, -1.0), np.full(6, 4.0),
+                             np.full(4, -1.0)], [-2, 0, 2], shape=(6, 6)))
+        F = factorize(A)
+        assert F._state[0].shape == (3, 6)  # the diagonal and two below
+
+    def test_order_solves_in_the_original_rows(self):
+        A = random_sparse_spd(9, 0.3, 4)
+        perm = np.random.default_rng(0).permutation(9)
+        F = factorize(as_csr(A[perm][:, perm]))
+        F.order = perm
+        b = np.arange(9.0)
+        np.testing.assert_allclose(A @ F.solve(b), b, atol=1e-12)
+
+    def test_band_bytes_checked_before_allocation(self, monkeypatch):
+        A = random_sparse_spd(20, 0.2, 1)
+        band = factorize(A)._state[0].shape[0] - 1
+        need = 8 * 20 * (band + 1)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        check_band_fits(20, band)  # fits exactly
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+
+        def no_band(*args, **kwargs):
+            raise AssertionError("band allocated")
+
+        monkeypatch.setattr(linalg.np, "zeros", no_band)
+        with pytest.raises(MemoryError, match=f"needs {need} bytes"):
+            factorize(A)
 
 
 class TestSymEig:

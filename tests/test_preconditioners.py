@@ -404,6 +404,18 @@ class TestSweeps:
             assert np.linalg.eigvalsh(got + got.T).min() > 0, kind
 
     @pytest.mark.parametrize("kind", SWEEPS)
+    def test_truncation_past_coefficient_degree_is_full(self, kind):
+        # at P = 1 the coefficients reach degree 2; indices of degree 3
+        # lie past the tensor and carry no c_ijk
+        op, _, _, _ = build_operator(2, 1, 3)
+        r = np.random.default_rng(8).standard_normal(op.n_global)
+        got = make_preconditioner(op, kind,
+                                  standard_truncation(2, 3)).apply(r)
+        want = make_preconditioner(op, kind,
+                                   standard_truncation(2, 2)).apply(r)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", SWEEPS)
     def test_every_sweep_has_counters(self, kind):
         op, b, _, _ = build_operator(2, 2, 3)
         pre = make_preconditioner(op, kind)
@@ -453,6 +465,19 @@ class TestLinearMapProperties:
         P_mat = probe_matrix(pre.apply, op.n_global)
         scale = np.abs(P_mat).max()
         assert np.abs(P_mat - P_mat.T).max() <= 1e-10 * scale
+
+
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
+           cov=st.floats(0.1, 1.5))
+    def test_mb_and_kron_spd_property(self, N, P, n, cov):
+        op, _, _, _ = build_operator(N, P, n, cov=cov)
+        for kind in ("mb", "kron"):
+            got = probe_matrix(make_preconditioner(op, kind).apply,
+                               op.n_global)
+            scale = np.abs(got).max()
+            assert np.abs(got - got.T).max() <= 1e-10 * scale, kind
+            assert np.linalg.eigvalsh(got + got.T).min() > 0, kind
 
 
 class TestFactory:
