@@ -186,7 +186,11 @@ def _cmd_solve(args):
         trunc = adaptive_truncation(args.tau, norms, op.tensor)
     else:
         trunc = None
-    res = solve_case(op, b, args.precond, trunc, config.tol, config.maxit)
+    try:
+        res = solve_case(op, b, args.precond, trunc, config.tol, config.maxit)
+    except MemoryError as exc:  # an exact solve refused at setup
+        print(f"sg solve: error: {exc}", file=sys.stderr)
+        return 1
     row = {"precond": args.precond, "cov": args.cov, "n": n,
            "ndof": op.n_global,
            "lt": args.lt if args.lt is not None else "",

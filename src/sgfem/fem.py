@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from sgfem.linalg import csr_on
+
 # reference square [-1,1]^2, counterclockwise corners
 _CORNERS = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 _GPTS = np.array([[s, t] for t in (-1 / np.sqrt(3), 1 / np.sqrt(3))
@@ -128,21 +130,25 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
     ``coeffs`` has shape (n_fields, n_elements, 4): values of each field at
     the element quadrature points.  All returned CSR matrices share the
     same indices/indptr arrays (one sparsity pattern), so later value
-    surgery and blockwise sums stay aligned.
+    surgery and blockwise sums stay aligned.  Their data arrays are the
+    rows of one C-contiguous (n_fields, nnz) array, which
+    :class:`~sgfem.galerkin.GalerkinOperator` adopts as its stacked data
+    instead of copying the family.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != (len(mesh.elements), 4):
         raise ValueError("coeffs must have shape (n_fields, n_elements, 4)")
     indices, indptr, slots = _pattern(mesh)
     nnz = len(indices)
+    stack = np.empty((len(coeffs), nnz))
     out = []
-    for c in coeffs:
+    for data, c in zip(stack, coeffs):
         # element matrices: Ke[e] = sum_q c[e,q] * gradprod[q];
         # flattening matches _pattern (row corner slow, column corner fast)
         ke = np.einsum("eq,qlm->elm", c, _GRADPROD)
-        data = np.bincount(slots, weights=ke.reshape(-1), minlength=nnz)
-        out.append(sp.csr_matrix((data, indices, indptr),
-                                 shape=(mesh.n_nodes, mesh.n_nodes)))
+        data[:] = np.bincount(slots, weights=ke.reshape(-1), minlength=nnz)
+        out.append(csr_on(data, indices, indptr,
+                          (mesh.n_nodes, mesh.n_nodes)))
     return out
 
 

@@ -12,16 +12,16 @@ every K_i v_(k) at once.  Which products a call needs and how they mix
 form a plan, built once per (row blocks, column blocks, truncation set)
 and kept in a bounded cache.
 
-Diagonal blocks K^{(j,j)} and level blocks D_ℓ are assembled sparsely
-with the FULL coefficient sum (truncation only ever applies to
-off-diagonal products inside preconditioners) and factorized once; only
-the factorizations are kept.  A dense assembly of the whole matrix is
-provided as a brute-force oracle for small instances.
+Diagonal blocks K^{(j,j)} are assembled sparsely, and level blocks D_ℓ
+straight into band storage, with the FULL coefficient sum (truncation
+only ever applies to off-diagonal products inside preconditioners), and
+factorized once; only the factorizations are kept.  A dense assembly of
+the whole matrix is provided as a brute-force oracle for small
+instances.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -36,7 +36,13 @@ import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from sgfem.chaos import CijkTensor
-from sgfem.linalg import Factorization, check_band_fits, factorize
+from sgfem.linalg import (
+    Factorization,
+    check_band_fits,
+    csr_on,
+    factorize,
+    factorize_band,
+)
 
 _CHUNK_BYTES = 1 << 20      # stacked product buffer per chunk
 _PLAN_CACHE_SIZE = 1024     # plans kept per operator, least recent evicted
@@ -173,13 +179,33 @@ class _Plan:
     summations: int
 
 
+def _rows_of_one_array(arrays) -> np.ndarray | None:
+    """The C-contiguous float array whose rows, in order, are ``arrays``
+    (views of it, not copies), or None when there is none."""
+    base = arrays[0].base
+    # the very rows: same address, shape, strides and type
+    if (isinstance(base, np.ndarray) and base.dtype == np.float64
+            and base.flags.c_contiguous and len(base) == len(arrays)
+            and all(a.__array_interface__ == row.__array_interface__
+                    for a, row in zip(arrays, base))):
+        return base
+    return None
+
+
 class GalerkinOperator:
     """Blockwise operator built from shared-pattern stiffness matrices.
 
     ``k_mats[i]`` is the stiffness matrix of the i-th chaos coefficient of
     the diffusion field; all must share one CSR sparsity pattern, which
     the constructor checks.  Products run on that pattern with the
-    stacked data arrays ``_kdata``.
+    stacked data arrays ``_kdata``, one row per matrix.  ``k_mats`` and
+    ``_kdata`` are one storage: every ``k_mats[i].data`` is the row
+    ``_kdata[i]``, so an in-place edit of a K_i is an edit of the
+    operator.  Matrices whose data already are the rows of one float
+    array, in order, as :func:`~sgfem.fem.assemble_stiffness_family`
+    returns them, are adopted with that array and not copied.  Other
+    matrices are left as they are: their data are stacked once and
+    ``k_mats`` holds new CSR matrices on the stacked rows.
 
     A call of :meth:`tmatvec` follows a plan cached per (row blocks,
     column blocks, truncation set): the needed pairs (i, k), grouped by i
@@ -216,6 +242,11 @@ class GalerkinOperator:
                     f"pattern (indptr/indices) of matrix 0; store explicit "
                     f"zeros to keep one pattern")
         self.tensor = tensor
+        kdata = _rows_of_one_array([K.data for K in k_mats])
+        if kdata is None:
+            kdata = np.array([K.data for K in k_mats], dtype=float)
+            k_mats = [csr_on(row, first.indices, first.indptr,
+                             first.shape) for row in kdata]
         self.k_mats = list(k_mats)
         self.levels = level_structure(tensor.jkset.N, tensor.jkset.degree)
         self.n_dof = first.shape[0]
@@ -223,8 +254,7 @@ class GalerkinOperator:
         self.Mprime = len(tensor.iset) - 1
         self.counters = {"summations": 0, "products": 0}
         # stacked data arrays enable blockwise sums as single mat-vecs
-        self._kdata = np.vstack([K.data for K in k_mats]).astype(
-            float, copy=False)
+        self._kdata = kdata
         self._krows = list(self._kdata)
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
@@ -402,16 +432,12 @@ class GalerkinOperator:
             self._diag_cache[j] = factorize(K)
         return self._diag_cache[j]
 
-    def level_matrix(self, level: int) -> sp.csr_matrix:
-        """Level matrix D_ℓ spanning the level's blocks, assembled afresh.
-
-        One sparse (block pair × i) coupling matrix of c_ijk times the
-        stacked K_i data gives the values of every block at once.  They are
-        scattered into the layout ``sp.bmat`` gives the block grid: rows by
-        block, then by node, and each row runs over the blocks present in
-        ascending order, so its column indices come out sorted.
-        """
-        t, nd = self.tensor, self.n_dof
+    def _level_coupling(self, level: int):
+        """The level's s blocks and its block pairs: the pair ids
+        (block row)·s + (block column), ascending, and the sparse
+        (pair × i) coupling matrix of c_ijk, whose product with the
+        stacked K_i data gives each pair's values as one row."""
+        t = self.tensor
         blocks = self.levels.blocks(level)
         lo, s = blocks.start, len(blocks)
         sel = np.flatnonzero((t.j >= lo) & (t.j < lo + s)
@@ -423,6 +449,19 @@ class GalerkinOperator:
             (t.val[sel][order], t.i[sel][order],
              np.concatenate([[0], np.cumsum(np.bincount(pos))])),
             shape=(len(pairs), len(t.iset)))
+        return s, pairs, coupling
+
+    def level_matrix(self, level: int) -> sp.csr_matrix:
+        """Level matrix D_ℓ spanning the level's blocks, assembled afresh.
+
+        The values of every block pair come at once from the level's
+        coupling matrix.  They are scattered into the layout ``sp.bmat``
+        gives the block grid: rows by block, then by node, and each row
+        runs over the blocks present in ascending order, so its column
+        indices come out sorted.
+        """
+        nd = self.n_dof
+        s, pairs, coupling = self._level_coupling(level)
         values = coupling @ self._kdata  # one row per block pair
         row_len = np.diff(self._indptr)
         entry_row = np.repeat(np.arange(nd), row_len)
@@ -453,35 +492,72 @@ class GalerkinOperator:
         return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)),
                              shape=(s * nd, s * nd))
 
+    def check_level_band(self, level: int) -> int:
+        """Sub-diagonals of D_ℓ's node-interleaved band, s·b + s − 1 for
+        the level's s blocks and K_0's band b, computed from K_0's
+        pattern alone.  Raises :class:`MemoryError` when the band's
+        bytes exceed physical memory, before anything is assembled."""
+        nd, s = self.n_dof, self.levels.sizes[level]
+        node = np.repeat(np.arange(nd), np.diff(self._indptr))
+        band = s * int((node - self._indices).max()) + s - 1
+        check_band_fits(
+            s * nd, band,
+            f"; level {level}'s exact solve needs it, while "
+            f"make_preconditioner(..., inner='cg') solves the "
+            f"level iteratively and factorizes no level matrix")
+        return band
+
+    def _level_band(self, level: int, band: int) -> np.ndarray:
+        """D_ℓ in node-interleaved lower band storage, row node·s + block,
+        with ``band`` sub-diagonals, filled straight from the block
+        pairs' values.
+
+        The pairs' values are computed in chunks of about
+        ``_CHUNK_BYTES``.  Entry (a, b) of K's pattern in pair (r, c) is
+        entry (a·s + r, b·s + c) of D_ℓ; it lies in the lower triangle
+        when a > b, or when a = b and r ≥ c, so only pairs with r ≥ c
+        write the diagonal node entries.
+        """
+        nd = self.n_dof
+        s, pairs, coupling = self._level_coupling(level)
+        cols = self._indices.astype(np.int64)
+        node = np.repeat(np.arange(nd), np.diff(self._indptr))
+        low, diag = node > cols, node == cols
+        # the band's transpose, C-ordered: entry (a, b) of pair (r, c)
+        # goes to row b·s + c, column (a − b)·s + r − c, which is
+        # position base + c·band + r of its flat array
+        abT = np.zeros((s * nd, band + 1))
+        flat = abT.reshape(-1)
+        base = cols * (s * (band + 1)) + (node - cols) * s
+        base_low, base_diag = base[low], base[diag]
+        r, c = pairs // s, pairs % s
+        shift = (c * band + r)[:, None]
+        step = max(_CHUNK_BYTES // (8 * len(cols)), 1)
+        for a in range(0, len(pairs), step):
+            part = slice(a, a + step)
+            values = coupling[part] @ self._kdata
+            flat[base_low + shift[part]] = values[:, low]
+            on = r[part] >= c[part]
+            flat[base_diag + shift[part][on]] = values[on][:, diag]
+        return abT.T
+
     def assemble_level_block(self, level: int) -> Factorization:
-        """Factorization of the level matrix D_ℓ, cached; D_ℓ is assembled
-        only while the factorization is not cached, and not kept.
+        """Factorization of the level matrix D_ℓ, cached; D_ℓ is never
+        assembled as a matrix.
 
         The factor is a banded Cholesky of D_ℓ in node-interleaved order,
         row node·s + block for the level's s blocks, which makes its band
         s·b + s − 1 for K_0's band b instead of about nd·s; it still
-        solves in D_ℓ's block-major order.  The band's bytes follow
-        exactly from K_0's pattern, and they are checked against physical
-        memory before D_ℓ is assembled.
+        solves in D_ℓ's block-major order.  The band is filled in place
+        from the block pairs' values and factorized in place, after its
+        bytes have been checked against physical memory.
         """
         if level not in self._level_cache:
             nd, s = self.n_dof, self.levels.sizes[level]
-            node = np.repeat(np.arange(nd), np.diff(self._indptr))
-            band = s * int((node - self._indices).max()) + s - 1
-            check_band_fits(
-                s * nd, band,
-                f"; level {level}'s exact solve needs it, while "
-                f"make_preconditioner(..., inner='cg') solves the "
-                f"level iteratively and factorizes no level matrix")
-            D = self.level_matrix(level).tocoo(copy=False)
-            # interleaved position a·s + r of block-major row r·nd + a
-            pos = np.arange(nd * s, dtype=D.row.dtype)
-            pos = pos.reshape(nd, s).T.ravel()
-            D = sp.coo_matrix((D.data, (pos[D.row], pos[D.col])),
-                              shape=D.shape)
-            self._level_cache[level] = dataclasses.replace(
-                factorize(D),
-                order=np.arange(nd * s).reshape(s, nd).T.ravel())
+            band = self.check_level_band(level)
+            F = factorize_band(self._level_band(level, band))
+            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
+            self._level_cache[level] = F
         return self._level_cache[level]
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:

@@ -41,6 +41,16 @@ def as_csr(A) -> sp.csr_matrix:
     return B
 
 
+def csr_on(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+           shape: tuple) -> sp.csr_matrix:
+    """A CSR matrix whose data array is ``data`` itself.  The constructor
+    alone would copy a ``data`` that views part of a larger array, such
+    as one row of a stack of matrices' data."""
+    K = sp.csr_matrix((data, indices, indptr), shape=shape)
+    K.data = data
+    return K
+
+
 def physical_memory() -> int:
     """Bytes of physical memory of the host, from ``os.sysconf``."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -100,11 +110,10 @@ def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
     return np.abs(A - A.T).max() <= tol * scale
 
 
-def _band_cholesky(A) -> Factorization:
-    """Banded Cholesky of a sparse SPD matrix in its given order.  The
-    lower triangle's entries go straight into LAPACK's lower band storage
-    (``ab[i - j, j] = a_ij``), whose width is the largest ``i - j`` of a
-    stored entry; the factor overwrites it in place."""
+def _band_fill(A) -> np.ndarray:
+    """Lower band storage of a sparse symmetric matrix in its given order:
+    the lower triangle's entries go straight into ``ab[i - j, j] = a_ij``,
+    whose width is the largest ``i - j`` of a stored entry."""
     A = A.tocoo(copy=False)  # CSR: a row array beside the shared arrays
     n = A.shape[0]
     low = A.row >= A.col
@@ -114,6 +123,17 @@ def _band_cholesky(A) -> Factorization:
     check_band_fits(n, band)
     ab = np.zeros((band + 1, n), order="F")
     ab[offset, cols] = A.data[low]
+    return ab
+
+
+def factorize_band(ab: np.ndarray) -> Factorization:
+    """Banded Cholesky of an SPD matrix given in LAPACK's lower band
+    storage, a Fortran-ordered (band + 1, n) array: the factor overwrites
+    ``ab`` in place and is all the result keeps.
+
+    Raises :class:`FactorizationError` on a non-positive pivot or when a
+    pivot L_ii² falls to 1e-14 of the largest.
+    """
     ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise FactorizationError(f"non-positive pivot in row {info - 1}: "
@@ -121,7 +141,7 @@ def _band_cholesky(A) -> Factorization:
     pivots = ab[0] ** 2
     if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise FactorizationError("matrix is singular to tolerance")
-    return Factorization("band", n, (ab,))
+    return Factorization("band", ab.shape[1], (ab,))
 
 
 def factorize(A: Matrix, kind: str = "auto") -> Factorization:
@@ -144,7 +164,7 @@ def factorize(A: Matrix, kind: str = "auto") -> Factorization:
     if sp.issparse(A):
         if A.shape[0] != A.shape[1]:
             raise ValueError("matrix must be square")
-        return _band_cholesky(A)
+        return factorize_band(_band_fill(A))
 
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:

@@ -105,9 +105,10 @@ class _GroupSolve:
     and kept in one list.  ``exact`` solves a degree level with its whole
     level matrix D_ℓ: through the factorization, or with ``inner="cg"`` by
     an inner CG run on D_ℓ preconditioned with the level's diagonal
-    blocks, which factorizes no level matrix.  ``counters`` sums the inner
-    CG iterations and counts the inner solves that stopped unconverged at
-    ``inner_maxit``.
+    blocks, which factorizes no level matrix.  The level factorizations
+    are built at first use too, but their band bytes are checked against
+    physical memory here.  ``counters`` sums the inner CG iterations and
+    counts the inner solves that stopped unconverged at ``inner_maxit``.
     """
 
     def __init__(self, op: GalerkinOperator, exact: bool, inner: str,
@@ -118,6 +119,10 @@ class _GroupSolve:
         self.inner_tol = inner_tol
         self.inner_maxit = inner_maxit
         self.counters = {"inner_iterations": 0, "inner_unconverged": 0}
+        if exact and inner == "direct":
+            # refuse a level band past physical memory before any work
+            for level in range(len(op.levels.sizes)):
+                op.check_level_band(level)
         self._diag = [None] * (op.M + 1)
         self._level_mats = {}  # D_ℓ by level, for inner CG
 
@@ -232,7 +237,9 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     (default: no truncation).  ``inner="cg"`` replaces the exact level
     solves of hs by inner CG runs, which makes the map non-linear across
     applications; pair it with the flexible outer solver.  The arguments
-    are checked before any work.
+    are checked before any work, and so, for hs with exact level solves,
+    is every level band's size: one past physical memory raises
+    :class:`MemoryError`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "

@@ -1,5 +1,7 @@
-"""Shared helpers: build small end-to-end problem instances and probe
-linear maps."""
+"""Shared helpers: build small end-to-end problem instances, probe
+linear maps and trace the memory of a call."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -48,3 +50,17 @@ def probe_matrix(apply, n: int) -> np.ndarray:
         P[:, j] = apply(e)
         e[j] = 0.0
     return P
+
+
+def traced_memory(fn):
+    """(kept, peak) bytes that ``fn()`` allocates, under tracemalloc: kept
+    is what is still allocated when it returns, its result included, and
+    peak the most that was allocated at once."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()  # held, so that kept counts it
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return kept - before, peak - before

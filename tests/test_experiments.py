@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import sgfem.linalg as linalg
 from sgfem.chaos import build_c_tensor
 from sgfem.cli import main
 from sgfem.experiments import (
@@ -435,6 +436,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("sg: error: line 1:")
         assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_solve_oversized_level_band_is_one_error_line(self, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
+        rc = main(["solve", "--precond", "hs", "--mesh", "4", "--N", "2",
+                   "--P", "3"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sg solve: error: band factor of ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_solve_unknown_precond_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,12 +1,11 @@
 """Block operator checks against the dense brute-force oracle."""
 
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import build_operator
+from conftest import build_operator, traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +13,7 @@ import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor
+from sgfem.fem import assemble_stiffness_family, build_mesh
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -282,7 +282,85 @@ class TestSharedPattern:
             GalerkinOperator(op.tensor, mats)
 
 
+def dense_from_matrices(tensor, mats) -> np.ndarray:
+    """Global matrix Σ c_ijk K_i summed entry by entry from the tensor and
+    the matrices themselves, with no operator involved."""
+    nd, M1 = mats[0].shape[0], len(tensor.jkset)
+    A = np.zeros((M1 * nd, M1 * nd))
+    dense = [K.toarray() for K in mats]
+    for i, j, k, v in zip(tensor.i, tensor.j, tensor.k, tensor.val):
+        A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] += v * dense[i]
+    return A
+
+
+def assert_one_storage(op):
+    for K, row in zip(op.k_mats, op._kdata, strict=True):
+        assert K.data.__array_interface__ == row.__array_interface__
+
+
+class TestFamilyStorage:
+    def test_family_adopted_without_a_copy(self):
+        """Memory regression guard: an operator built on a stiffness
+        family as assembled holds its data arrays as they are, so the
+        build allocates well under 5 % of the family's bytes."""
+        mesh = build_mesh(10)
+        tensor = build_c_tensor(4, 4, 8)
+        coeffs = 1.0 + np.random.default_rng(3).random(
+            (len(tensor.iset), len(mesh.elements), 4))
+        kfam = assemble_stiffness_family(mesh, coeffs)
+        family = sum(K.data.nbytes for K in kfam)
+        _, peak = traced_memory(lambda: GalerkinOperator(tensor, kfam))
+        assert family > 3e6
+        assert peak < 0.05 * family
+        op = GalerkinOperator(tensor, kfam)
+        assert_one_storage(op)
+        assert all(K is mine for K, mine in zip(kfam, op.k_mats))
+        # one storage: an in-place edit of a K_i is an edit of the operator
+        kfam[3].data[0] = 7.0
+        assert op._kdata[3, 0] == 7.0
+
+    def test_separately_allocated_matrices_stacked_once(self):
+        op, _, _, _ = build_operator(2, 2, 3)
+        mats = [K.copy() for K in op.k_mats]
+        own = GalerkinOperator(op.tensor, mats)
+        assert_one_storage(own)
+        # the caller's matrices are left as they are
+        assert not any(np.shares_memory(K.data, own._kdata) for K in mats)
+        A = dense_from_matrices(op.tensor, mats)
+        v = np.random.default_rng(4).standard_normal(own.n_global)
+        want = A @ v
+        np.testing.assert_allclose(own.matvec(v), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(own.assemble_global_dense(), A,
+                                   rtol=0, atol=1e-13 * np.abs(A).max())
+
+
 class TestCounters:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_more_indices_never_lower_counters(self, data):
+        """Adding indices to a truncation set, some past the tensor, never
+        lowers the products or summations of one tmatvec."""
+        N, P, n = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+                   data.draw(st.integers(1, 4)))
+        op = cached_operator(N, P, n)
+        blocks = st.lists(st.integers(0, op.M), min_size=1,
+                          max_size=op.M + 1, unique=True)
+        rows, cols = data.draw(blocks), data.draw(blocks)
+        indices = st.sets(st.integers(1, op.Mprime + 3))
+        base, extra = data.draw(indices), data.draw(indices)
+        v = np.ones(len(cols) * op.n_dof)
+
+        def counts(idx):
+            trunc = TruncationSet(np.array(sorted(idx | {0})), "drawn")
+            before = dict(op.counters)
+            op.tmatvec(rows, cols, trunc, v)
+            return [op.counters[c] - before[c]
+                    for c in ("products", "summations")]
+
+        fewer, more = counts(base), counts(base | extra)
+        assert fewer[0] <= more[0] and fewer[1] <= more[1]
+
     def test_summation_counter_tracks_retained_entries(self):
         # count of c_ijk terms per full-block product, by truncation degree
         op, _, _, _ = build_operator(4, 4, 2)
@@ -439,6 +517,23 @@ class TestFactorizationContract:
             # a Q1 node couples to rows up to n + 2 below it
             assert ab.shape == (s * (n + 2) + s - 1 + 1, s * op.n_dof)
 
+    def test_level_band_bitwise_equal_to_assembled_path(self):
+        """The band filled from the block pairs' values factorizes to the
+        same bits as the reference path: assemble D_ℓ, permute it to
+        node-interleaved order and factorize its coordinates."""
+        op, _, _, _ = build_operator(3, 3, 4)
+        nd = op.n_dof
+        for level in range(4):
+            s = op.levels.sizes[level]
+            D = op.level_matrix(level).tocoo()
+            pos = np.arange(nd * s).reshape(nd, s).T.ravel()
+            ref = factorize(sp.coo_matrix((D.data, (pos[D.row],
+                                                    pos[D.col])),
+                                          shape=D.shape))
+            got = op.assemble_level_block(level)._state[0]
+            assert got.shape == ref._state[0].shape
+            np.testing.assert_array_equal(got, ref._state[0])
+
     def test_oversized_level_band_refused_before_assembly(self,
                                                           monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
@@ -447,15 +542,20 @@ class TestFactorizationContract:
         need = 8 * s * nd * (band + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
-        def no_assembly(level):
-            raise AssertionError("level matrix assembled")
+        def no_fill(level, band):
+            raise AssertionError("level band allocated")
 
-        monkeypatch.setattr(op, "level_matrix", no_assembly)
+        monkeypatch.setattr(op, "_level_band", no_fill)
         with pytest.raises(MemoryError) as exc:
             op.assemble_level_block(3)
         assert f"needs {need} bytes" in str(exc.value)
         assert "inner='cg'" in str(exc.value)
         assert op._level_cache == {}
+        # with the band fitting, the patched fill is reached: the refusal
+        # above came before it
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="band allocated"):
+            op.assemble_level_block(3)
         monkeypatch.undo()
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         assert op.assemble_level_block(3)._state[0].nbytes == need
@@ -463,19 +563,15 @@ class TestFactorizationContract:
     def test_level_factor_keeps_only_the_band(self):
         """Memory regression guard: the bytes a level factorization keeps
         are its band storage, within 5 %, so a retained second copy of a
-        factor (or of D_ℓ) fails."""
+        factor (or of D_ℓ) fails; and the band is filled in place, so
+        the peak stays within 25 % of it."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            F = op.assemble_level_block(4)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        band = F._state[0].nbytes
+        kept, peak = traced_memory(lambda: op.assemble_level_block(4))
+        band = op.assemble_level_block(4)._state[0].nbytes
         # 35 blocks of 121 nodes, band 35·(n + 2) + 34
         assert band == 8 * 35 * 121 * (35 * 12 + 34 + 1)
         assert abs(kept - band) <= 0.05 * band
+        assert peak <= 1.25 * band
 
     def test_level_factorization_cached_without_matrix(self, monkeypatch):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -483,10 +579,10 @@ class TestFactorizationContract:
         assert isinstance(F, Factorization)
         assert op._level_cache == {2: F}
 
-        def no_assembly(level):
-            raise AssertionError("cached level assembled again")
+        def no_fill(level, band):
+            raise AssertionError("cached level filled again")
 
-        monkeypatch.setattr(op, "level_matrix", no_assembly)
+        monkeypatch.setattr(op, "_level_band", no_fill)
         assert op.assemble_level_block(2) is F
 
     def test_diag_factorization_cached_without_matrix(self):

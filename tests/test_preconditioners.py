@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
+import sgfem.linalg as linalg
 from sgfem.galerkin import full_truncation, standard_truncation
-from sgfem.krylov import flexible_cg
+from sgfem.krylov import flexible_cg, pcg
 from sgfem.linalg import factorize
 from sgfem.preconditioners import make_preconditioner
 
@@ -480,6 +481,25 @@ class TestLinearMapProperties:
             assert np.linalg.eigvalsh(got + got.T).min() > 0, kind
 
 
+class TestFcgPcgAgreement:
+    @settings(max_examples=15, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(1, 3), n=st.integers(1, 4),
+           cov=st.floats(0.1, 1.5))
+    def test_same_iterations_and_iterates(self, N, P, n, cov):
+        """With a fixed preconditioner flexible CG is standard CG: the
+        same count and iterates that agree to rounding."""
+        op, b, _, _ = build_operator(N, P, n, cov=cov)
+        for kind in ("mb", "kron", "gs", "hs", "ahs", "ahgs"):
+            for trunc in (None, standard_truncation(N, 1)):
+                pre = make_preconditioner(op, kind, trunc)
+                xf, rf = flexible_cg(op.matvec, pre.apply, b, tol=1e-8)
+                xp, rp = pcg(op.matvec, pre.apply, b, tol=1e-8)
+                assert rf.converged and rp.converged, kind
+                assert rf.iterations == rp.iterations, kind
+                assert np.linalg.norm(xf - xp) <= \
+                    1e-10 * np.linalg.norm(xp), kind
+
+
 class TestFactory:
     def test_unknown_kind(self):
         op, _, _, _ = build_operator(1, 1, 1)
@@ -515,6 +535,27 @@ class TestFactory:
         # no block was assembled or factorized, no product was run
         assert op._diag_cache == {} and op._level_cache == {}
         assert op.counters == {"summations": 0, "products": 0}
+
+    def test_oversized_level_band_refused_at_setup(self, monkeypatch):
+        op, _, _, _ = build_operator(2, 3, 4)
+        # level 3 at N = 2: s = 4 blocks, band 4·(n + 2) + 3 at n = 4
+        need = 8 * 4 * op.n_dof * (4 * 6 + 3 + 1)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+
+        def no_work(*args):
+            raise AssertionError("block assembled before the refusal")
+
+        for name in ("block", "level_matrix", "_level_coupling",
+                     "_level_band"):
+            monkeypatch.setattr(op, name, no_work)
+        with pytest.raises(MemoryError, match=f"needs {need} bytes"):
+            make_preconditioner(op, "hs")
+        assert op._diag_cache == {} and op._level_cache == {}
+        # only the exact level solves need the band, and only past memory
+        make_preconditioner(op, "hs", inner="cg")
+        make_preconditioner(op, "ahs")
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        make_preconditioner(op, "hs")
 
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)

@@ -4,10 +4,10 @@ separable construction against the dense weighted eigensolve), and the
 chaos coefficient closed form (Gauss-Hermite projection oracle)."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
@@ -294,13 +294,8 @@ class TestSeparableKl:
         # the dense path would allocate ~430 MB at n = 64
         mesh = build_mesh(64)
         spec = ExponentialCovariance(1.0, 0.5)
-        tracemalloc.start()
-        try:
-            kl = discrete_kl(mesh, spec, 8)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert kl.modes.shape == (8, 65 * 65)
+        _, peak = traced_memory(lambda: discrete_kl(mesh, spec, 8))
+        assert discrete_kl(mesh, spec, 8).modes.shape == (8, 65 * 65)
         assert peak < 5e6
 
     @pytest.mark.parametrize("N", [0, -1, 26])
