@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_CHUNK_BYTES = 1 << 20  # coupling matrices G_α built at once
+
 
 def _compositions(total: int, parts: int):
     """Yield tuples of `parts` non-negative ints summing to `total`,
@@ -170,27 +172,28 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
     iset = multi_index_set(N, Pprime)
     jkset = multi_index_set(N, P)
     T = _table_1d(Pprime, P)
-    jk = jkset.as_array()  # (M+1, N)
+    ia, jk = iset.as_array(), jkset.as_array()  # (M'+1, N), (M+1, N)
     m1 = len(jkset)
+    # per dimension, the (j, k) tables of every 1-D degree of i
+    Td = [T[:, jk[:, d, None], jk[None, :, d]] for d in range(N)]
 
+    # G_α for a bounded run of α at a time; np.nonzero gives (α, j, k)
+    # order and the factors multiply as 1.0·t_0·t_1·… in each entry
+    step = max(_CHUNK_BYTES // (8 * m1 * m1), 1)
     iis, jjs, kks, vals = [], [], [], []
-    counts = np.zeros(len(iset), dtype=np.int64)
-    for a, idx in enumerate(iset.indices):
-        G = np.ones((m1, m1))
+    for lo in range(0, len(iset), step):
+        G = np.ones((min(step, len(iset) - lo), m1, m1))
         for d in range(N):
-            cols = jk[:, d]
-            G *= T[idx[d]][np.ix_(cols, cols)]
-        jj, kk = np.nonzero(G)  # row-major: sorted by (j, k)
-        counts[a] = len(jj)
-        iis.append(np.full(len(jj), a, dtype=np.int64))
+            G *= Td[d][ia[lo:lo + step, d]]
+        aa, jj, kk = np.nonzero(G)
+        iis.append(aa + lo)
         jjs.append(jj)
         kks.append(kk)
-        vals.append(G[jj, kk])
-
+        vals.append(G[aa, jj, kk])
+    i = np.concatenate(iis)
     i_ptr = np.zeros(len(iset) + 1, dtype=np.int64)
-    np.cumsum(counts, out=i_ptr[1:])
-    return CijkTensor(iset, jkset,
-                      np.concatenate(iis), np.concatenate(jjs),
+    np.cumsum(np.bincount(i, minlength=len(iset)), out=i_ptr[1:])
+    return CijkTensor(iset, jkset, i, np.concatenate(jjs),
                       np.concatenate(kks), np.concatenate(vals), i_ptr)
 
 

@@ -189,7 +189,10 @@ def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, mesh: Mesh,
     Boundary rows and columns are zeroed in place of elimination and the
     boundary diagonal is set to ``diagonal`` (1 for a solvable matrix, 0
     when the matrix only ever appears inside coefficient sums).  Zeroed
-    entries stay stored, so the sparsity pattern survives unchanged.
+    entries stay stored, so the sparsity pattern survives unchanged and a
+    treated family still shares one pattern;
+    :class:`~sgfem.galerkin.GalerkinOperator` drops the slots that are
+    zero in every K_i.
 
     K is treated in place: its data array is overwritten and K itself is
     returned, so a stiffness family is treated without a second copy of

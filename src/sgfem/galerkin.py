@@ -179,17 +179,64 @@ class _Plan:
     summations: int
 
 
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are one array in memory: the same address,
+    shape, strides and type, even as two view objects."""
+    return a.__array_interface__ == b.__array_interface__
+
+
 def _rows_of_one_array(arrays) -> np.ndarray | None:
     """The C-contiguous float array whose rows, in order, are ``arrays``
     (views of it, not copies), or None when there is none."""
     base = arrays[0].base
-    # the very rows: same address, shape, strides and type
     if (isinstance(base, np.ndarray) and base.dtype == np.float64
             and base.flags.c_contiguous and len(base) == len(arrays)
-            and all(a.__array_interface__ == row.__array_interface__
-                    for a, row in zip(arrays, base))):
+            and all(_same_array(a, row) for a, row in zip(arrays, base))):
         return base
     return None
+
+
+def _structural_slots(rows) -> np.ndarray:
+    """Positions of the data slots that are nonzero in some row, scanned
+    one row at a time."""
+    keep = np.zeros(len(rows[0]), dtype=bool)
+    for row in rows:
+        keep |= row != 0
+    return np.flatnonzero(keep)
+
+
+def _compact_family(k_mats: list) -> tuple[np.ndarray, list]:
+    """Stacked data of shared-pattern CSR matrices on the slots nonzero in
+    some matrix, and the matrices on those rows.
+
+    Matrices whose data are the rows of one float array are compacted in
+    that array: each row's kept values move to the front of the buffer,
+    rows in ascending order, so a row is read before any write reaches
+    it; the caller's matrices are rebound to the compact pattern and
+    rows, and the buffer's unused tail stays allocated.  Other matrices
+    are left as they are, and only their kept slots are stacked.
+    """
+    first, data = k_mats[0], [K.data for K in k_mats]
+    stack = _rows_of_one_array(data)
+    kept = _structural_slots(data)
+    if stack is not None and len(kept) == stack.shape[1]:
+        return stack, k_mats
+    indices = first.indices[kept]
+    indptr = np.searchsorted(kept, first.indptr).astype(first.indptr.dtype)
+    n, m = len(k_mats), len(kept)
+    if stack is None:
+        kdata = np.empty((n, m))
+        for row, K in zip(kdata, k_mats):
+            row[:] = K.data[kept]
+        return kdata, [csr_on(row, indices, indptr, first.shape)
+                       for row in kdata]
+    flat = stack.reshape(-1)
+    for i in range(n):
+        flat[i * m:(i + 1) * m] = stack[i, kept]
+    kdata = flat[:n * m].reshape(n, m)
+    for K, row in zip(k_mats, kdata):
+        K.indices, K.indptr, K.data = indices, indptr, row
+    return kdata, k_mats
 
 
 class GalerkinOperator:
@@ -197,15 +244,21 @@ class GalerkinOperator:
 
     ``k_mats[i]`` is the stiffness matrix of the i-th chaos coefficient of
     the diffusion field; all must share one CSR sparsity pattern, which
-    the constructor checks.  Products run on that pattern with the
-    stacked data arrays ``_kdata``, one row per matrix.  ``k_mats`` and
-    ``_kdata`` are one storage: every ``k_mats[i].data`` is the row
-    ``_kdata[i]``, so an in-place edit of a K_i is an edit of the
-    operator.  Matrices whose data already are the rows of one float
-    array, in order, as :func:`~sgfem.fem.assemble_stiffness_family`
-    returns them, are adopted with that array and not copied.  Other
-    matrices are left as they are: their data are stacked once and
-    ``k_mats`` holds new CSR matrices on the stacked rows.
+    the constructor checks.  The constructor then drops, once, every slot
+    of that pattern that is zero in all K_i, such as the Dirichlet
+    placeholders :func:`~sgfem.fem.apply_dirichlet` leaves stored; a slot
+    nonzero in some K_i stays in all of them.  Products, blocks and
+    factorizations run on the compact pattern with the stacked data
+    arrays ``_kdata``, one row per matrix.  ``k_mats`` and ``_kdata`` are
+    one storage: every ``k_mats[i].data`` is the row ``_kdata[i]``, so an
+    in-place edit of a K_i is an edit of the operator.  Matrices whose
+    data already are the rows of one float array, in order, as
+    :func:`~sgfem.fem.assemble_stiffness_family` returns them, are
+    adopted with that array and not copied: the array is compacted in
+    place and the caller's matrices are rebound to the compact pattern,
+    equal as matrices.  Other matrices are left as they are: their kept
+    slots are stacked once and ``k_mats`` holds new CSR matrices on the
+    stacked rows.
 
     A call of :meth:`tmatvec` follows a plan cached per (row blocks,
     column blocks, truncation set): the needed pairs (i, k), grouped by i
@@ -235,19 +288,17 @@ class GalerkinOperator:
                                  f"format")
             if K.shape != first.shape:
                 raise ValueError("stiffness matrices must share one shape")
-            if not (np.array_equal(K.indptr, first.indptr)
-                    and np.array_equal(K.indices, first.indices)):
+            if not ((_same_array(K.indptr, first.indptr)
+                     and _same_array(K.indices, first.indices))
+                    or (np.array_equal(K.indptr, first.indptr)
+                        and np.array_equal(K.indices, first.indices))):
                 raise ValueError(
                     f"stiffness matrix {i} does not share the CSR sparsity "
                     f"pattern (indptr/indices) of matrix 0; store explicit "
                     f"zeros to keep one pattern")
         self.tensor = tensor
-        kdata = _rows_of_one_array([K.data for K in k_mats])
-        if kdata is None:
-            kdata = np.array([K.data for K in k_mats], dtype=float)
-            k_mats = [csr_on(row, first.indices, first.indptr,
-                             first.shape) for row in kdata]
-        self.k_mats = list(k_mats)
+        kdata, self.k_mats = _compact_family(list(k_mats))
+        first = self.k_mats[0]
         self.levels = level_structure(tensor.jkset.N, tensor.jkset.degree)
         self.n_dof = first.shape[0]
         self.M = len(tensor.jkset) - 1

@@ -4,6 +4,7 @@ linear maps and trace the memory of a call."""
 import tracemalloc
 
 import numpy as np
+from hypothesis import settings
 
 from sgfem.chaos import build_c_tensor
 from sgfem.fem import (
@@ -20,11 +21,17 @@ from sgfem.random_field import (
     gpc_coefficients,
 )
 
+# a failing property prints its @reproduce_failure blob, so a failure
+# replayed from a local example database reproduces anywhere
+settings.register_profile("sgfem", print_blob=True)
+settings.load_profile("sgfem")
 
-def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
-    """Full pipeline at small scale: mesh -> KL -> coefficients -> K_i ->
-    boundary treatment -> block operator.  Returns (op, b, mesh, kl) with b
-    the global right-hand side (unit load in the mean block only)."""
+
+def build_family(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
+    """Small-scale pipeline up to the operator: mesh -> KL -> coefficients
+    -> K_i -> boundary treatment.  Returns (tensor, kfam, f0, mesh, kl):
+    the treated stiffness family as assembled, on the rows of one array,
+    and the treated load."""
     mesh = build_mesh(n)
     g0, sg = field_parameters(mu_log, cov)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
@@ -32,10 +39,18 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     fields = gpc_coefficients(kl, tensor.iset, mesh)
     kfam = assemble_stiffness_family(mesh, fields.values)
     f = assemble_load(mesh, 1.0)
-    k0, f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)
-    kd = [k0] + [apply_dirichlet(K, f, mesh, diagonal=0.0)[0]
-                 for K in kfam[1:]]
-    op = GalerkinOperator(tensor, kd)
+    f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
+    for K in kfam[1:]:
+        apply_dirichlet(K, f, mesh, diagonal=0.0)
+    return tensor, kfam, f0, mesh, kl
+
+
+def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
+    """Full pipeline at small scale: :func:`build_family`, then the block
+    operator.  Returns (op, b, mesh, kl) with b the global right-hand side
+    (unit load in the mean block only)."""
+    tensor, kfam, f0, mesh, kl = build_family(N, P, n, cov, mu_log, L)
+    op = GalerkinOperator(tensor, kfam)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b, mesh, kl

@@ -1,12 +1,18 @@
 """Chaos basis checks against Gauss-Hermite quadrature oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import traced_memory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 
+import sgfem.chaos as chaos
 from sgfem.chaos import (
+    CijkTensor,
     build_c_tensor,
     g_matrix,
     hermite_eval_1d,
@@ -118,7 +124,51 @@ def multivariate_quadrature_cijk(idx_i, idx_j, idx_k, n_nodes=10):
     return total
 
 
+def looped_c_tensor(N, P, Pprime) -> CijkTensor:
+    """The tensor built one expansion index at a time (oracle)."""
+    iset, jkset = multi_index_set(N, Pprime), multi_index_set(N, P)
+    T = chaos._table_1d(Pprime, P)
+    jk = jkset.as_array()
+    m1 = len(jkset)
+    iis, jjs, kks, vals = [], [], [], []
+    counts = np.zeros(len(iset), dtype=np.int64)
+    for a, idx in enumerate(iset.indices):
+        G = np.ones((m1, m1))
+        for d in range(N):
+            cols = jk[:, d]
+            G *= T[idx[d]][np.ix_(cols, cols)]
+        jj, kk = np.nonzero(G)
+        counts[a] = len(jj)
+        iis.append(np.full(len(jj), a, dtype=np.int64))
+        jjs.append(jj)
+        kks.append(kk)
+        vals.append(G[jj, kk])
+    i_ptr = np.zeros(len(iset) + 1, dtype=np.int64)
+    np.cumsum(counts, out=i_ptr[1:])
+    return CijkTensor(iset, jkset, np.concatenate(iis), np.concatenate(jjs),
+                      np.concatenate(kks), np.concatenate(vals), i_ptr)
+
+
 class TestCijkTensor:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_looped_build_bit_for_bit(self, data):
+        N, P = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        Pprime = data.draw(st.integers(P, 2 * P + 1))
+        chunk = data.draw(st.sampled_from([8, 1000, chaos._CHUNK_BYTES]))
+        with mock.patch.object(chaos, "_CHUNK_BYTES", chunk):
+            got = build_c_tensor(N, P, Pprime)
+        want = looped_c_tensor(N, P, Pprime)
+        for name in ("i", "j", "k", "val", "i_ptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_build_holds_coupling_matrices_in_chunks(self):
+        """At N = P = 4, P' = 8 all 495 coupling matrices G_α at once
+        would take 19 MB."""
+        _, peak = traced_memory(lambda: build_c_tensor(4, 4, 8))
+        assert peak < 8e6
+
     def test_origin_entry(self):
         t = build_c_tensor(2, 2, 4)
         assert t.i[0] == t.j[0] == t.k[0] == 0

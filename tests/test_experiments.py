@@ -285,10 +285,16 @@ class TestExport:
         dest = tmp_path / "case"
         manifest = export_case(config, dest, cov=50.0, cap=10000)
         op, b = build_problem(2, 2, 4, 50.0)
-        # every coefficient matrix round-trips exactly
+        # every coefficient matrix round-trips exactly, with the stored
+        # entries of op.k_mats[i]: the slots nonzero in some K_i, 65 of
+        # the mesh pattern's 169, so explicit zeros only where another
+        # K_i is nonzero (the boundary diagonal of K_i, i > 0)
+        assert op.k_mats[0].nnz == 65
         for i, K in enumerate(op.k_mats):
             back = read_matrix_market(manifest[f"k_{i:04d}"])
-            assert (back != K).nnz == 0
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(back, name),
+                                      getattr(K, name)), (i, name)
         load = read_matrix_market(manifest["load"]).toarray().ravel()
         np.testing.assert_array_equal(load, b)
         # the exported dense global matrix acts like the operator
