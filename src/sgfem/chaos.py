@@ -174,17 +174,19 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
     T = _table_1d(Pprime, P)
     ia, jk = iset.as_array(), jkset.as_array()  # (M'+1, N), (M+1, N)
     m1 = len(jkset)
-    # per dimension, the (j, k) tables of every 1-D degree of i
-    Td = [T[:, jk[:, d, None], jk[None, :, d]] for d in range(N)]
+    T2 = T.reshape(Pprime + 1, (P + 1) ** 2)  # rows a, columns (b, c)
 
-    # G_α for a bounded run of α at a time; np.nonzero gives (α, j, k)
-    # order and the factors multiply as 1.0·t_0·t_1·… in each entry
+    # G_α for a bounded run of α at a time, each factor gathered from the
+    # rows of T2 by the (j, k) table's (b, c) positions; np.nonzero gives
+    # (α, j, k) order and the factors multiply as 1.0·t_0·t_1·… in each
+    # entry
     step = max(_CHUNK_BYTES // (8 * m1 * m1), 1)
     iis, jjs, kks, vals = [], [], [], []
     for lo in range(0, len(iset), step):
         G = np.ones((min(step, len(iset) - lo), m1, m1))
         for d in range(N):
-            G *= Td[d][ia[lo:lo + step, d]]
+            bc = jk[:, d, None] * (P + 1) + jk[None, :, d]
+            G *= np.take(T2[ia[lo:lo + step, d]], bc, axis=1)
         aa, jj, kk = np.nonzero(G)
         iis.append(aa + lo)
         jjs.append(jj)

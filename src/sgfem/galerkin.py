@@ -219,8 +219,6 @@ def _compact_family(k_mats: list) -> tuple[np.ndarray, list]:
     first, data = k_mats[0], [K.data for K in k_mats]
     stack = _rows_of_one_array(data)
     kept = _structural_slots(data)
-    if stack is not None and len(kept) == stack.shape[1]:
-        return stack, k_mats
     indices = first.indices[kept]
     indptr = np.searchsorted(kept, first.indptr).astype(first.indptr.dtype)
     n, m = len(k_mats), len(kept)
@@ -256,7 +254,11 @@ class GalerkinOperator:
     :func:`~sgfem.fem.assemble_stiffness_family` returns them, are
     adopted with that array and not copied: the array is compacted in
     place and the caller's matrices are rebound to the compact pattern,
-    equal as matrices.  Other matrices are left as they are: their kept
+    equal as matrices.  Building the operator thus invalidates every
+    earlier view of an adopted family's data, indices or indptr arrays,
+    and every object derived from them without a copy (such as
+    ``K.T``, which shares them): those read shifted values against the
+    old pattern, with no error.  Other matrices are left as they are: their kept
     slots are stacked once and ``k_mats`` holds new CSR matrices on the
     stacked rows.
 
@@ -288,10 +290,8 @@ class GalerkinOperator:
                                  f"format")
             if K.shape != first.shape:
                 raise ValueError("stiffness matrices must share one shape")
-            if not ((_same_array(K.indptr, first.indptr)
-                     and _same_array(K.indices, first.indices))
-                    or (np.array_equal(K.indptr, first.indptr)
-                        and np.array_equal(K.indices, first.indices))):
+            if not (np.array_equal(K.indptr, first.indptr)
+                    and np.array_equal(K.indices, first.indices)):
                 raise ValueError(
                     f"stiffness matrix {i} does not share the CSR sparsity "
                     f"pattern (indptr/indices) of matrix 0; store explicit "

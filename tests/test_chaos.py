@@ -163,10 +163,12 @@ class TestCijkTensor:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
-    def test_build_holds_coupling_matrices_in_chunks(self):
-        """At N = P = 4, P' = 8 all 495 coupling matrices G_α at once
-        would take 19 MB."""
-        _, peak = traced_memory(lambda: build_c_tensor(4, 4, 8))
+    @pytest.mark.parametrize("N,P,Pprime", [(4, 4, 8), (5, 5, 5)])
+    def test_build_holds_coupling_matrices_in_chunks(self, N, P, Pprime):
+        """All coupling matrices G_α at once would take 19 MB at
+        (4, 4, 8) and 128 MB at (5, 5, 5); per-dimension (j, k) tables
+        for every 1-D degree would take 15 MB at (5, 5, 5)."""
+        _, peak = traced_memory(lambda: build_c_tensor(N, P, Pprime))
         assert peak < 8e6
 
     def test_origin_entry(self):
