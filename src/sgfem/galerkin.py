@@ -502,61 +502,14 @@ class GalerkinOperator:
             shape=(len(pairs), len(t.iset)))
         return s, pairs, coupling
 
-    def level_matrix(self, level: int) -> sp.csr_matrix:
-        """Level matrix D_ℓ spanning the level's blocks, assembled afresh.
-
-        The values of every block pair come at once from the level's
-        coupling matrix.  They are scattered into the layout ``sp.bmat``
-        gives the block grid: rows by block, then by node, and each row
-        runs over the blocks present in ascending order, so its column
-        indices come out sorted.
-        """
-        nd = self.n_dof
-        s, pairs, coupling = self._level_coupling(level)
-        values = coupling @ self._kdata  # one row per block pair
-        row_len = np.diff(self._indptr)
-        entry_row = np.repeat(np.arange(nd), row_len)
-        present = np.bincount(pairs // s, minlength=s)
-        first = np.concatenate([[0], np.cumsum(present)])
-        col_block = (pairs % s) * nd
-        indptr = np.zeros(s * nd + 1, dtype=np.int64)
-        np.cumsum(np.outer(present, row_len), out=indptr[1:])
-        nnz = int(indptr[-1])
-        idx_dtype = (np.int32 if max(nnz, s * nd) <= np.iinfo(np.int32).max
-                     else np.int64)
-        data = np.empty(nnz)
-        indices = np.empty(nnz, dtype=idx_dtype)
-        gathers: dict = {}
-        for r in range(s):
-            q = int(present[r])
-            if q not in gathers:
-                # the q blocks' values (block-major) in D's order: by
-                # node row, then block, then entry within the row
-                key = entry_row[None, :] * q + np.arange(q)[:, None]
-                gathers[q] = np.argsort(key.ravel(), kind="stable")
-            g = gathers[q]
-            a, b = first[r], first[r + 1]
-            seg = slice(indptr[r * nd], indptr[(r + 1) * nd])
-            data[seg] = values[a:b].ravel()[g]
-            indices[seg] = (self._indices[None, :]
-                            + col_block[a:b, None]).ravel()[g]
-        return sp.csr_matrix((data, indices, indptr.astype(idx_dtype)),
-                             shape=(s * nd, s * nd))
-
-    def check_level_band(self, level: int) -> int:
+    def level_band(self, level: int) -> int:
         """Sub-diagonals of D_ℓ's node-interleaved band, s·b + s − 1 for
         the level's s blocks and K_0's band b, computed from K_0's
-        pattern alone.  Raises :class:`MemoryError` when the band's
-        bytes exceed physical memory, before anything is assembled."""
-        nd, s = self.n_dof, self.levels.sizes[level]
-        node = np.repeat(np.arange(nd), np.diff(self._indptr))
-        band = s * int((node - self._indices).max()) + s - 1
-        check_band_fits(
-            s * nd, band,
-            f"; level {level}'s exact solve needs it, while "
-            f"make_preconditioner(..., inner='cg') solves the "
-            f"level iteratively and factorizes no level matrix")
-        return band
+        pattern alone; a level of one block has its diagonal block's
+        band b."""
+        s = self.levels.sizes[level]
+        node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
+        return s * int((node - self._indices).max()) + s - 1
 
     def _level_band(self, level: int, band: int) -> np.ndarray:
         """D_ℓ in node-interleaved lower band storage, row node·s + block,
@@ -605,7 +558,11 @@ class GalerkinOperator:
         """
         if level not in self._level_cache:
             nd, s = self.n_dof, self.levels.sizes[level]
-            band = self.check_level_band(level)
+            band = self.level_band(level)
+            check_band_fits(
+                s * nd, band,
+                f"; level {level}'s exact solve needs it, while ahs and "
+                f"ahgs factorize only the level's diagonal blocks")
             F = factorize_band(self._level_band(level, band))
             F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
             self._level_cache[level] = F

@@ -12,7 +12,6 @@ residual guarantees on the factorization round trip.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -56,31 +55,39 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_band_fits(n: int, band: int, hint: str = "") -> None:
+def check_band_fits(n, band, hint: str = "") -> None:
     """Raise :class:`MemoryError`, with ``hint`` appended to the message,
     when the lower band storage of an ``n``-row matrix with ``band``
-    sub-diagonals, n × (band + 1) doubles, exceeds physical memory."""
-    need = 8 * n * (band + 1)
+    sub-diagonals, n × (band + 1) doubles, exceeds physical memory.
+
+    ``n`` and ``band`` may also be equal-length sequences, one entry per
+    factor kept at once; their bytes are then checked as one sum, and
+    the message names the largest factor."""
+    rows, bands = np.atleast_1d(n), np.atleast_1d(band)
+    sizes = 8 * rows.astype(np.int64) * (bands + 1)
+    need, big = int(sizes.sum()), int(np.argmax(sizes))
     have = physical_memory()
     if need > have:
+        others = (f" and the {len(sizes) - 1} other band factors kept with "
+                  f"it need" if len(sizes) > 1 else " needs")
         raise MemoryError(
-            f"band factor of {n} rows and {band} sub-diagonals needs "
-            f"{need} bytes ({need / 2**30:.2f} GiB), more than the "
-            f"{have} bytes ({have / 2**30:.2f} GiB) of physical "
-            f"memory{hint}")
+            f"band factor of {rows[big]} rows and {bands[big]} "
+            f"sub-diagonals{others} {need} bytes ({need / 2**30:.2f} GiB), "
+            f"more than the {have} bytes ({have / 2**30:.2f} GiB) of "
+            f"physical memory{hint}")
 
 
 @dataclass
 class Factorization:
-    """Cached factorization of a square matrix.
+    """Cached Cholesky factorization of a symmetric positive definite
+    matrix.
 
-    ``kind`` is ``"cholesky"`` (dense SPD), ``"lu"`` (dense, partial
-    pivoting) or ``"band"`` (sparse SPD: banded Cholesky, the factor in
-    LAPACK's lower band storage).  ``order``, when set, lists for each
-    row of the factor the row of the system it solves, so a factor of a
-    reordered matrix solves in the original order.  ``solve`` reproduces
-    ``A^{-1} b`` with relative residual below 1e-12 for well-conditioned
-    matrices.
+    ``kind`` is ``"cholesky"`` (dense) or ``"band"`` (sparse: banded
+    Cholesky, the factor in LAPACK's lower band storage).  ``order``,
+    when set, lists for each row of the factor the row of the system it
+    solves, so a factor of a reordered matrix solves in the original
+    order.  ``solve`` reproduces ``A^{-1} b`` with relative residual
+    below 1e-12 for well-conditioned matrices.
     """
 
     kind: str
@@ -94,8 +101,6 @@ class Factorization:
             b = b[self.order]
         if self.kind == "cholesky":
             x = sla.cho_solve(self._state, b)
-        elif self.kind == "lu":
-            x = sla.lu_solve(self._state, b)
         else:
             x, _ = dpbtrs(self._state[0], b, lower=1)
         if self.order is None:
@@ -144,22 +149,16 @@ def factorize_band(ab: np.ndarray) -> Factorization:
     return Factorization("band", ab.shape[1], (ab,))
 
 
-def factorize(A: Matrix, kind: str = "auto") -> Factorization:
-    """Factorize a square matrix for repeated solves.
+def factorize(A: Matrix) -> Factorization:
+    """Cholesky factorization of a symmetric positive definite matrix for
+    repeated solves; both paths read the lower triangle only.
 
-    ``kind="cholesky"`` demands a symmetric positive definite matrix and
-    raises :class:`FactorizationError` on a non-positive pivot.
-    ``kind="lu"`` uses partial pivoting and raises on a pivot that is
-    singular to tolerance.  ``kind="auto"`` tries Cholesky when symmetry is
-    detected and silently falls back to LU.
-
-    The sparse path expects a symmetric positive definite matrix, as every
-    sparse matrix of the solver is, with no duplicate entries: a banded
-    Cholesky in the matrix's own order, which reads the lower triangle
-    only.  It raises :class:`FactorizationError` on a non-positive pivot
-    or when a pivot L_ii² falls to 1e-14 of the largest, and
-    :class:`MemoryError` before it allocates a band larger than physical
-    memory.  ``kind`` applies to dense input only.
+    A sparse matrix, which must hold no duplicate entries, gets a banded
+    Cholesky in its own order.  It raises :class:`FactorizationError` on
+    a non-positive pivot or when a pivot L_ii² falls to 1e-14 of the
+    largest, and :class:`MemoryError` before it allocates a band larger
+    than physical memory.  A dense matrix gets LAPACK's dense Cholesky
+    and raises :class:`FactorizationError` on a non-positive pivot.
     """
     if sp.issparse(A):
         if A.shape[0] != A.shape[1]:
@@ -169,20 +168,11 @@ def factorize(A: Matrix, kind: str = "auto") -> Factorization:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if kind == "cholesky" or (kind == "auto" and _is_symmetric(A)):
-        try:
-            c, low = sla.cho_factor(A, lower=True)
-            return Factorization("cholesky", A.shape[0], (c, low))
-        except sla.LinAlgError as exc:
-            if kind == "cholesky":
-                raise FactorizationError(f"non-positive pivot: {exc}") from exc
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(A)
-    diag = np.abs(np.diag(lu))
-    if diag.min() <= 1e-14 * max(diag.max(), 1.0):
-        raise FactorizationError("matrix is singular to tolerance")
-    return Factorization("lu", A.shape[0], (lu, piv))
+    try:
+        c, low = sla.cho_factor(A, lower=True)
+    except sla.LinAlgError as exc:
+        raise FactorizationError(f"non-positive pivot: {exc}") from exc
+    return Factorization("cholesky", A.shape[0], (c, low))
 
 
 def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

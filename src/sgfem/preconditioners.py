@@ -14,8 +14,7 @@ grouped, in which order the groups are swept and how a group is solved:
   gs    single blocks   ascending   diagonal block
   ahgs  degree levels   ascending   the level's diagonal blocks
   ahs   degree levels   descending  the level's diagonal blocks
-  hs    degree levels   descending  exact D_ℓ (banded Cholesky, or
-                                    inner CG with ``inner="cg"``)
+  hs    degree levels   descending  exact D_ℓ (banded Cholesky)
 
 hs is the hierarchical Schur complement preconditioner: the descending
 sweep is its downward pre-correction and upward post-correction.  A group
@@ -30,8 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from sgfem.galerkin import GalerkinOperator, TruncationSet, full_truncation
-from sgfem.krylov import pcg
-from sgfem.linalg import factorize
+from sgfem.linalg import check_band_fits, factorize
 
 
 class Preconditioner:
@@ -101,61 +99,43 @@ class _GroupSolve:
     """Group solves of the block Gauss-Seidel sweep.
 
     A group of one block, and any group unless ``exact``, is solved with
-    the factorizations of its diagonal blocks; they are built at first use
-    and kept in one list.  ``exact`` solves a degree level with its whole
-    level matrix D_ℓ: through the factorization, or with ``inner="cg"`` by
-    an inner CG run on D_ℓ preconditioned with the level's diagonal
-    blocks, which factorizes no level matrix.  The level factorizations
-    are built at first use too, but their band bytes are checked against
-    physical memory here.  ``counters`` sums the inner CG iterations and
-    counts the inner solves that stopped unconverged at ``inner_maxit``.
+    the factorizations of its diagonal blocks; ``exact`` solves a degree
+    level with the factorization of its whole level matrix D_ℓ.  Both
+    are built at first use and kept, so the band bytes of every factor
+    the sweep will hold are summed here and checked against physical
+    memory together, before any work.
     """
 
-    def __init__(self, op: GalerkinOperator, exact: bool, inner: str,
-                 inner_tol: float, inner_maxit: int):
+    def __init__(self, op: GalerkinOperator, exact: bool):
         self.op = op
         self.exact = exact
-        self.inner = inner
-        self.inner_tol = inner_tol
-        self.inner_maxit = inner_maxit
-        self.counters = {"inner_iterations": 0, "inner_unconverged": 0}
-        if exact and inner == "direct":
-            # refuse a level band past physical memory before any work
-            for level in range(len(op.levels.sizes)):
-                op.check_level_band(level)
+        # a diagonal block has the band of a level of one block
+        nd, diag_band, rows, bands = op.n_dof, op.level_band(0), [], []
+        for level, s in enumerate(op.levels.sizes):
+            if exact and s > 1:
+                rows.append(s * nd)
+                bands.append(op.level_band(level))
+            else:
+                rows += [nd] * s
+                bands += [diag_band] * s
+        check_band_fits(rows, bands, (
+            "; hs's exact level solves need them, while ahs and ahgs "
+            "factorize only the levels' diagonal blocks") if exact else "")
         self._diag = [None] * (op.M + 1)
-        self._level_mats = {}  # D_ℓ by level, for inner CG
-
-    def _solve_diag(self, blocks: slice, R, out):
-        for row, j in enumerate(range(blocks.start, blocks.stop)):
-            f = self._diag[j]
-            if f is None:
-                f = self._diag[j] = self.op.assemble_diag_block(j)
-            out[row] = f.solve(R[row])
-        return out
 
     def __call__(self, level, blocks: slice, R: np.ndarray, out: np.ndarray):
         """Solve the group ``blocks``, degree level ``level`` when the
         groups are levels, for R given blockwise; the result goes to
         ``out``."""
-        if not self.exact or blocks.stop - blocks.start == 1:
-            self._solve_diag(blocks, R, out)
-        elif self.inner == "cg":
-            if level not in self._level_mats:
-                self._level_mats[level] = self.op.level_matrix(level)
-            D = self._level_mats[level]
-            x, rep = pcg(lambda v: D @ v,
-                         lambda v: self._solve_diag(
-                             blocks, v.reshape(R.shape),
-                             np.empty_like(R)).ravel(),
-                         R.ravel(), tol=self.inner_tol,
-                         maxit=self.inner_maxit)
-            self.counters["inner_iterations"] += rep.iterations
-            self.counters["inner_unconverged"] += not rep.converged
-            out[:] = x.reshape(R.shape)
-        else:
+        if self.exact and blocks.stop - blocks.start > 1:
             F = self.op.assemble_level_block(level)
             out[:] = F.solve(R.ravel()).reshape(R.shape)
+        else:
+            for row, j in enumerate(range(blocks.start, blocks.stop)):
+                f = self._diag[j]
+                if f is None:
+                    f = self._diag[j] = self.op.assemble_diag_block(j)
+                out[row] = f.solve(R[row])
 
 
 class BlockGaussSeidel(Preconditioner):
@@ -172,15 +152,13 @@ class BlockGaussSeidel(Preconditioner):
     once a group is solved, one truncated product with its column blocks
     subtracts its coupling from every row still to be solved, so each
     K_i y_(k) is computed once per half sweep.  In either order those rows
-    are one contiguous range, computed once here.  ``counters`` is the
-    group solve's.
+    are one contiguous range, computed once here.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
                  solve: _GroupSolve):
         super().__init__(op, trunc)
         self._solve = solve
-        self.counters = solve.counters
         end = op.M + 1
         bounds = op.levels.offsets if by_level else range(end + 1)
         groups = []
@@ -228,32 +206,18 @@ KINDS = tuple(_KIND_TABLE)
 
 
 def make_preconditioner(op: GalerkinOperator, kind: str,
-                        trunc: TruncationSet | None = None,
-                        inner: str = "direct", inner_tol: float = 1e-8,
-                        inner_maxit: int = 500) -> Preconditioner:
+                        trunc: TruncationSet | None = None) -> Preconditioner:
     """Build one of the six preconditioners.
 
     ``trunc`` restricts the off-diagonal products of gs/hs/ahs/ahgs
-    (default: no truncation).  ``inner="cg"`` replaces the exact level
-    solves of hs by inner CG runs, which makes the map non-linear across
-    applications; pair it with the flexible outer solver.  The arguments
-    are checked before any work, and so, for hs with exact level solves,
-    is every level band's size: one past physical memory raises
+    (default: no truncation).  The kind is checked before any work, and
+    so, for a sweep, is the sum of the band bytes of every factorization
+    it will keep: a sum past physical memory raises
     :class:`MemoryError`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "
                          f"expected one of {KINDS}")
-    if inner not in ("direct", "cg"):
-        raise ValueError(f"unknown inner solve {inner!r}, expected "
-                         f"'direct' or 'cg'")
-    if inner == "cg" and kind != "hs":
-        raise ValueError(f"inner='cg' replaces the exact level solves of "
-                         f"hs; kind {kind!r} has none")
-    if not inner_tol > 0:
-        raise ValueError(f"inner_tol must be > 0, got {inner_tol!r}")
-    if not inner_maxit >= 0:
-        raise ValueError(f"inner_maxit must be >= 0, got {inner_maxit!r}")
     if trunc is None:
         trunc = full_truncation(op.tensor)
     cls, sweep = _KIND_TABLE[kind]
@@ -261,5 +225,4 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
         return cls(op, trunc)
     groups, order, group_solve = sweep
     return cls(op, trunc, groups == "levels", order == "descending",
-               _GroupSolve(op, group_solve == "exact", inner, inner_tol,
-                           inner_maxit))
+               _GroupSolve(op, group_solve == "exact"))

@@ -56,13 +56,17 @@ def test_no_unused_imports(path):
 
 
 def unreferenced_private_definitions(sources: dict) -> list:
-    """Module-level private functions and classes that no module of
-    ``sources`` (module name -> source text) refers to, by name, by
-    attribute or in an import."""
+    """Private functions and classes at module level, and private
+    methods of module-level classes, that no module of ``sources``
+    (module name -> source text) refers to, by name, by attribute or in
+    an import."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
-        defined += [f"{module}.{node.name}" for node in tree.body
+        scopes = [(module, node) for node in tree.body]
+        scopes += [(f"{module}.{cls.name}", node) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for node in cls.body]
+        defined += [f"{scope}.{node.name}" for scope, node in scopes
                     if isinstance(node, (ast.FunctionDef,
                                          ast.AsyncFunctionDef, ast.ClassDef))
                     and node.name.startswith("_")
@@ -84,6 +88,10 @@ def test_unreferenced_private_check_finds_one():
     assert unreferenced_private_definitions(
         {"a": "def _f(): pass\n", "b": "from a import _f\n",
          "c": "class _G: pass\n", "d": "import c\nc._G()\n"}) == []
+    assert unreferenced_private_definitions(
+        {"a": "class C:\n    def __init__(self): self._n()\n"
+              "    def _m(self): pass\n    def _n(self): pass\n"}) == \
+        ["a.C._m"]
 
 
 def test_no_unreferenced_private_definitions():

@@ -44,29 +44,20 @@ class TestFactorize:
         assert F.kind == "cholesky"
         np.testing.assert_allclose(F.solve(b), np.linalg.inv(A) @ b, atol=1e-10)
 
-    def test_nonsymmetric_falls_back_to_lu(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        b = rng.standard_normal(5)
-        F = factorize(A)
-        assert F.kind == "lu"
-        np.testing.assert_allclose(A @ F.solve(b), b, atol=1e-10)
-
-    def test_indefinite_auto_falls_back(self):
+    def test_indefinite_raises_without_fallback(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])  # symmetric, not PD
-        F = factorize(A)
-        assert F.kind == "lu"
-        np.testing.assert_allclose(F.solve(np.array([1.0, 2.0])), [2.0, 1.0])
+        with pytest.raises(FactorizationError, match="non-positive pivot"):
+            factorize(A)
 
     def test_cholesky_rejects_indefinite(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(FactorizationError):
-            factorize(A, kind="cholesky")
+            factorize(A)
 
     def test_singular_raises(self):
         A = np.ones((3, 3))
         with pytest.raises(FactorizationError):
-            factorize(A, kind="lu")
+            factorize(A)
 
     def test_sparse_solve(self):
         rng = np.random.default_rng(9)
@@ -183,6 +174,20 @@ class TestBandCholesky:
         monkeypatch.setattr(linalg.np, "zeros", no_band)
         with pytest.raises(MemoryError, match=f"needs {need} bytes"):
             factorize(A)
+
+    def test_bands_kept_together_checked_as_one_sum(self, monkeypatch):
+        rows, bands = [10, 30, 20], [4, 2, 9]
+        need = 8 * (10 * 5 + 30 * 3 + 20 * 10)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        check_band_fits(rows, bands)  # fits exactly
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError) as exc:
+            check_band_fits(rows, bands, "; hint")
+        # the message names the largest factor
+        assert str(exc.value).startswith(
+            f"band factor of 20 rows and 9 sub-diagonals and the 2 other "
+            f"band factors kept with it need {need} bytes")
+        assert str(exc.value).endswith("; hint")
 
 
 class TestSymEig:

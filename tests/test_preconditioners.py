@@ -8,11 +8,9 @@ from conftest import build_operator, probe_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
-from sgfem.linalg import factorize
 from sgfem.preconditioners import make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -296,63 +294,6 @@ class TestHierarchicalSchur:
         P_ahs = probe_matrix(ahs.apply, op.n_global)
         np.testing.assert_allclose(P_hs, P_ahs, atol=1e-12)
 
-    def test_inner_cg_matches_direct_solves(self):
-        op, b, _, _ = build_operator(2, 2, 3)
-        direct = make_preconditioner(op, "hs")
-        inner = make_preconditioner(op, "hs", inner="cg", inner_tol=1e-12)
-        np.testing.assert_allclose(inner.apply(b), direct.apply(b),
-                                   rtol=1e-6, atol=1e-12)
-
-    def test_inner_maxit_reports_unconverged_solves(self):
-        op, _, _, _ = build_operator(2, 2, 4)
-        r = np.random.default_rng(3).standard_normal(op.n_global)
-        pre = make_preconditioner(op, "hs", inner="cg", inner_maxit=1)
-        exact = make_preconditioner(op, "hs").apply(r)
-        v = pre.apply(r)
-        assert np.linalg.norm(v - exact) > 1e-3 * np.linalg.norm(exact)
-        # two solves on each of the levels 1 and 2, one iteration each
-        assert pre.counters == {"inner_iterations": 4,
-                                "inner_unconverged": 4}
-
-    def test_tight_inner_tol_reports_no_unconverged_solves(self):
-        op, _, _, _ = build_operator(2, 2, 4)
-        r = np.random.default_rng(3).standard_normal(op.n_global)
-        pre = make_preconditioner(op, "hs", inner="cg", inner_tol=1e-12)
-        exact = make_preconditioner(op, "hs").apply(r)
-        np.testing.assert_allclose(pre.apply(r), exact, rtol=1e-9,
-                                   atol=1e-12 * np.abs(exact).max())
-        assert pre.counters["inner_unconverged"] == 0
-        assert pre.counters["inner_iterations"] > 4
-
-    def test_inner_cg_factorizes_no_level_matrix(self, monkeypatch):
-        op, b, _, _ = build_operator(2, 2, 4)
-        sizes = []
-
-        def recording(A):
-            sizes.append(A.shape[0])
-            return factorize(A)
-
-        monkeypatch.setattr(galerkin, "factorize", recording)
-        pre = make_preconditioner(op, "hs", inner="cg")
-        pre.apply(b)
-        assert op._level_cache == {}
-        assert sizes and set(sizes) == {op.n_dof}  # diagonal blocks only
-
-    def test_exact_hs_counts_no_inner_iterations(self):
-        op, b, _, _ = build_operator(2, 2, 3)
-        pre = make_preconditioner(op, "hs")
-        pre.apply(b)
-        assert pre.counters == {"inner_iterations": 0,
-                                "inner_unconverged": 0}
-
-    def test_inner_cg_converges_with_flexible_outer(self):
-        op, b, _, _ = build_operator(2, 2, 3)
-        pre = make_preconditioner(op, "hs", inner="cg", inner_tol=1e-2)
-        x, rep = flexible_cg(op.matvec, pre.apply, b, tol=1e-8)
-        assert rep.converged
-        res = np.linalg.norm(b - op.matvec(x)) / np.linalg.norm(b)
-        assert res <= 1e-8
-
 
 class TestSweeps:
     """gs, hs, ahs and ahgs against the dense splitting they invert and
@@ -415,14 +356,6 @@ class TestSweeps:
         want = make_preconditioner(op, kind,
                                    standard_truncation(2, 2)).apply(r)
         np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("kind", SWEEPS)
-    def test_every_sweep_has_counters(self, kind):
-        op, b, _, _ = build_operator(2, 2, 3)
-        pre = make_preconditioner(op, kind)
-        pre.apply(b)
-        assert pre.counters == {"inner_iterations": 0,
-                                "inner_unconverged": 0}
 
 
 class TestCoincidences:
@@ -519,56 +452,63 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_preconditioner(op, "ilu")
 
-    def test_unknown_inner_solve(self):
-        op, _, _, _ = build_operator(1, 1, 1)
-        with pytest.raises(ValueError, match="inner solve 'gmres'"):
-            make_preconditioner(op, "hs", inner="gmres")
-
-    @pytest.mark.parametrize("kind", ["mb", "kron", "gs", "ahs", "ahgs"])
-    def test_inner_cg_only_for_hs(self, kind):
-        op, _, _, _ = build_operator(1, 1, 1)
-        with pytest.raises(ValueError, match=f"kind '{kind}'"):
-            make_preconditioner(op, kind, inner="cg")
-
-    @pytest.mark.parametrize("inner_tol", [0.0, -1.0, float("nan")])
-    def test_bad_inner_tol(self, inner_tol):
-        op, _, _, _ = build_operator(1, 1, 1)
-        with pytest.raises(ValueError, match="inner_tol"):
-            make_preconditioner(op, "hs", inner="cg", inner_tol=inner_tol)
-
-    def test_negative_inner_maxit(self):
-        op, _, _, _ = build_operator(1, 1, 1)
-        with pytest.raises(ValueError, match="inner_maxit"):
-            make_preconditioner(op, "hs", inner="cg", inner_maxit=-1)
-
     def test_arguments_checked_before_any_work(self):
         op, _, _, _ = build_operator(1, 1, 1)
-        with pytest.raises(ValueError, match="inner_tol"):
-            make_preconditioner(op, "hs", inner="cg", inner_tol=-1)
+        with pytest.raises(ValueError, match="unknown preconditioner kind"):
+            make_preconditioner(op, "ilu")
         # no block was assembled or factorized, no product was run
         assert op._diag_cache == {} and op._level_cache == {}
         assert op.counters == {"summations": 0, "products": 0}
 
     def test_oversized_level_band_refused_at_setup(self, monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
-        # level 3 at N = 2: s = 4 blocks, band 4·(n + 2) + 3 at n = 4
-        need = 8 * 4 * op.n_dof * (4 * 6 + 3 + 1)
+        # level ℓ at N = 2: s = ℓ + 1 blocks, band s·(n + 2) + s − 1 at
+        # n = 4, so 7·s² band rows of n_dof doubles; hs keeps the levels
+        # 1 to 3 and level 0's diagonal block
+        nd = op.n_dof
+        need = 8 * nd * 7 * (1 + 4 + 9 + 16)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_work(*args):
             raise AssertionError("block assembled before the refusal")
 
-        for name in ("block", "level_matrix", "_level_coupling",
-                     "_level_band"):
+        for name in ("block", "_level_coupling", "_level_band"):
             monkeypatch.setattr(op, name, no_work)
-        with pytest.raises(MemoryError, match=f"needs {need} bytes"):
+        with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "hs")
+        assert str(exc.value).startswith(
+            f"band factor of {4 * nd} rows and 27 sub-diagonals and the 3 "
+            f"other band factors kept with it need {need} bytes")
+        assert "ahs and ahgs" in str(exc.value)
         assert op._diag_cache == {} and op._level_cache == {}
-        # only the exact level solves need the band, and only past memory
-        make_preconditioner(op, "hs", inner="cg")
+        # only the exact level solves need the level bands, and only
+        # past memory
         make_preconditioner(op, "ahs")
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         make_preconditioner(op, "hs")
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_sum_of_kept_bands_refused_at_setup(self, kind, monkeypatch):
+        """Every factor a sweep keeps fits in memory alone, but not all
+        of them at once: the sweep is refused at setup, before any work.
+        The sum checked is the bytes its factors hold after an apply."""
+        op, b, _, _ = build_operator(2, 3, 4)
+        make_preconditioner(op, kind).apply(b)
+        factors = [*op._diag_cache.values(), *op._level_cache.values()]
+        sizes = [F._state[0].nbytes for F in factors]
+        need = sum(sizes)
+        assert len(sizes) > 1 and max(sizes) <= need - 1
+
+        op, b, _, _ = build_operator(2, 3, 4)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError, match=f"need {need} bytes"):
+            make_preconditioner(op, kind)
+        assert op._diag_cache == {} and op._level_cache == {}
+        assert op.counters == {"summations": 0, "products": 0}
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        make_preconditioner(op, kind).apply(b)
+        assert sum(F._state[0].nbytes for F in [
+            *op._diag_cache.values(), *op._level_cache.values()]) == need
 
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)
