@@ -15,9 +15,9 @@ and kept in a bounded cache.
 Diagonal blocks K^{(j,j)} are assembled sparsely, and level blocks D_ℓ
 straight into band storage, with the FULL coefficient sum (truncation
 only ever applies to off-diagonal products inside preconditioners), and
-factorized once; only the factorizations are kept.  A dense assembly of
-the whole matrix is provided as a brute-force oracle for small
-instances.
+factorized on each request; the operator keeps no factorization, the
+caller owns what it gets.  A dense assembly of the whole matrix is
+provided as a brute-force oracle for small instances.
 """
 
 from __future__ import annotations
@@ -209,25 +209,24 @@ def _compact_family(k_mats: list) -> tuple[np.ndarray, list]:
     """Stacked data of shared-pattern CSR matrices on the slots nonzero in
     some matrix, and the matrices on those rows.
 
-    Matrices whose data are the rows of one float array are compacted in
-    that array: each row's kept values move to the front of the buffer,
-    rows in ascending order, so a row is read before any write reaches
-    it; the caller's matrices are rebound to the compact pattern and
-    rows, and the buffer's unused tail stays allocated.  Other matrices
-    are left as they are, and only their kept slots are stacked.
+    Matrices whose data are not the rows of one float array are left as
+    they are: their data are stacked into one new array, with new CSR
+    matrices on its rows.  The array is then compacted in place: each
+    row's kept values move to the front of the buffer, rows in ascending
+    order, so a row is read before any write reaches it; the matrices
+    are rebound to the compact pattern and rows, and the buffer's unused
+    tail stays allocated.
     """
     first, data = k_mats[0], [K.data for K in k_mats]
     stack = _rows_of_one_array(data)
-    kept = _structural_slots(data)
+    if stack is None:
+        stack = np.array(data, dtype=np.float64)
+        k_mats = [csr_on(row, first.indices, first.indptr, first.shape)
+                  for row in stack]
+    kept = _structural_slots(stack)
     indices = first.indices[kept]
     indptr = np.searchsorted(kept, first.indptr).astype(first.indptr.dtype)
     n, m = len(k_mats), len(kept)
-    if stack is None:
-        kdata = np.empty((n, m))
-        for row, K in zip(kdata, k_mats):
-            row[:] = K.data[kept]
-        return kdata, [csr_on(row, indices, indptr, first.shape)
-                       for row in kdata]
     flat = stack.reshape(-1)
     for i in range(n):
         flat[i * m:(i + 1) * m] = stack[i, kept]
@@ -258,9 +257,9 @@ class GalerkinOperator:
     earlier view of an adopted family's data, indices or indptr arrays,
     and every object derived from them without a copy (such as
     ``K.T``, which shares them): those read shifted values against the
-    old pattern, with no error.  Other matrices are left as they are: their kept
-    slots are stacked once and ``k_mats`` holds new CSR matrices on the
-    stacked rows.
+    old pattern, with no error.  Other matrices are left as they are:
+    their data are stacked once into a new array, which is compacted the
+    same way, and ``k_mats`` holds new CSR matrices on its rows.
 
     A call of :meth:`tmatvec` follows a plan cached per (row blocks,
     column blocks, truncation set): the needed pairs (i, k), grouped by i
@@ -314,8 +313,6 @@ class GalerkinOperator:
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
         self._pair_cache: dict | None = None
-        self._diag_cache: dict = {}
-        self._level_cache: dict = {}
 
     @property
     def n_global(self) -> int:
@@ -474,14 +471,12 @@ class GalerkinOperator:
                              shape=(self.n_dof, self.n_dof))
 
     def assemble_diag_block(self, j: int) -> Factorization:
-        """Factorization of K^{(j,j)} = Σ_i c_ijj K_i (never truncated),
-        cached; the block itself is not kept."""
-        if j not in self._diag_cache:
-            K = self.block(j, j)
-            if K is None:
-                raise ValueError(f"diagonal block {j} is empty")
-            self._diag_cache[j] = factorize(K)
-        return self._diag_cache[j]
+        """A new factorization of K^{(j,j)} = Σ_i c_ijj K_i (never
+        truncated); the block itself is not kept."""
+        K = self.block(j, j)
+        if K is None:
+            raise ValueError(f"diagonal block {j} is empty")
+        return factorize(K)
 
     def _level_coupling(self, level: int):
         """The level's s blocks and its block pairs: the pair ids
@@ -546,7 +541,7 @@ class GalerkinOperator:
         return abT.T
 
     def assemble_level_block(self, level: int) -> Factorization:
-        """Factorization of the level matrix D_ℓ, cached; D_ℓ is never
+        """A new factorization of the level matrix D_ℓ; D_ℓ is never
         assembled as a matrix.
 
         The factor is a banded Cholesky of D_ℓ in node-interleaved order,
@@ -556,17 +551,15 @@ class GalerkinOperator:
         from the block pairs' values and factorized in place, after its
         bytes have been checked against physical memory.
         """
-        if level not in self._level_cache:
-            nd, s = self.n_dof, self.levels.sizes[level]
-            band = self.level_band(level)
-            check_band_fits(
-                s * nd, band,
-                f"; level {level}'s exact solve needs it, while ahs and "
-                f"ahgs factorize only the level's diagonal blocks")
-            F = factorize_band(self._level_band(level, band))
-            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
-            self._level_cache[level] = F
-        return self._level_cache[level]
+        nd, s = self.n_dof, self.levels.sizes[level]
+        band = self.level_band(level)
+        check_band_fits(
+            s * nd, band,
+            f"; level {level}'s exact solve needs it, while ahs and "
+            f"ahgs factorize only the level's diagonal blocks")
+        F = factorize_band(self._level_band(level, band))
+        F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
+        return F
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
         """Explicit global matrix for brute-force verification only."""

@@ -79,8 +79,7 @@ def check_band_fits(n, band, hint: str = "") -> None:
 
 @dataclass
 class Factorization:
-    """Cached Cholesky factorization of a symmetric positive definite
-    matrix.
+    """Cholesky factorization of a symmetric positive definite matrix.
 
     ``kind`` is ``"cholesky"`` (dense) or ``"band"`` (sparse: banded
     Cholesky, the factor in LAPACK's lower band storage).  ``order``,

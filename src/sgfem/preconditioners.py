@@ -21,7 +21,9 @@ sweep is its downward pre-correction and upward post-correction.  A group
 of one block, such as level 0, is solved by its diagonal factorization.
 Off-diagonal block products inside the sweeps run through the operator's
 truncated product and honor the configured TruncationSet; diagonal and
-level blocks are always assembled with the full sum.
+level blocks are always assembled with the full sum.  Each preconditioner
+owns the factorizations it builds: sweeps on one operator share none,
+and a dropped preconditioner frees them.
 """
 
 from __future__ import annotations
@@ -95,49 +97,6 @@ def _span(lo: int, hi: int):
     return (slice(lo, hi), range(lo, hi)) if lo < hi else None
 
 
-class _GroupSolve:
-    """Group solves of the block Gauss-Seidel sweep.
-
-    A group of one block, and any group unless ``exact``, is solved with
-    the factorizations of its diagonal blocks; ``exact`` solves a degree
-    level with the factorization of its whole level matrix D_ℓ.  Both
-    are built at first use and kept, so the band bytes of every factor
-    the sweep will hold are summed here and checked against physical
-    memory together, before any work.
-    """
-
-    def __init__(self, op: GalerkinOperator, exact: bool):
-        self.op = op
-        self.exact = exact
-        # a diagonal block has the band of a level of one block
-        nd, diag_band, rows, bands = op.n_dof, op.level_band(0), [], []
-        for level, s in enumerate(op.levels.sizes):
-            if exact and s > 1:
-                rows.append(s * nd)
-                bands.append(op.level_band(level))
-            else:
-                rows += [nd] * s
-                bands += [diag_band] * s
-        check_band_fits(rows, bands, (
-            "; hs's exact level solves need them, while ahs and ahgs "
-            "factorize only the levels' diagonal blocks") if exact else "")
-        self._diag = [None] * (op.M + 1)
-
-    def __call__(self, level, blocks: slice, R: np.ndarray, out: np.ndarray):
-        """Solve the group ``blocks``, degree level ``level`` when the
-        groups are levels, for R given blockwise; the result goes to
-        ``out``."""
-        if self.exact and blocks.stop - blocks.start > 1:
-            F = self.op.assemble_level_block(level)
-            out[:] = F.solve(R.ravel()).reshape(R.shape)
-        else:
-            for row, j in enumerate(range(blocks.start, blocks.stop)):
-                f = self._diag[j]
-                if f is None:
-                    f = self._diag[j] = self.op.assemble_diag_block(j)
-                out[row] = f.solve(R[row])
-
-
 class BlockGaussSeidel(Preconditioner):
     """Symmetric block Gauss-Seidel over groups of consecutive blocks:
     gs, hs, ahs and ahgs, with the groups, order and group solve of the
@@ -153,12 +112,33 @@ class BlockGaussSeidel(Preconditioner):
     subtracts its coupling from every row still to be solved, so each
     K_i y_(k) is computed once per half sweep.  In either order those rows
     are one contiguous range, computed once here.
+
+    A group of one block, and any group unless ``exact``, is solved with
+    the factorizations of its diagonal blocks; ``exact`` solves a degree
+    level with the factorization of its whole level matrix D_ℓ.  A
+    group's factors are built at its first solve and kept in
+    ``_factors``, their only owner, so the band bytes of every factor
+    the sweep will hold are summed here and checked against physical
+    memory together, before any work.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
-                 solve: _GroupSolve):
+                 exact: bool):
         super().__init__(op, trunc)
-        self._solve = solve
+        # a diagonal block has the band of a level of one block
+        nd, diag_band, rows, bands = op.n_dof, op.level_band(0), [], []
+        for level, s in enumerate(op.levels.sizes):
+            if exact and s > 1:
+                rows.append(s * nd)
+                bands.append(op.level_band(level))
+            else:
+                rows += [nd] * s
+                bands += [diag_band] * s
+        check_band_fits(rows, bands, (
+            "; hs's exact level solves need them, while ahs and ahgs "
+            "factorize only the levels' diagonal blocks") if exact else "")
+        self._exact = exact
+        self._factors: dict = {}  # group -> its factors
         end = op.M + 1
         bounds = op.levels.offsets if by_level else range(end + 1)
         groups = []
@@ -166,19 +146,32 @@ class BlockGaussSeidel(Preconditioner):
             after, before = _span(hi, end), _span(0, lo)
             if descending:
                 after, before = before, after
-            # (level, blocks, column blocks, rows to push to going
-            # forward, rows to push to going back)
-            groups.append((g if by_level else None, slice(lo, hi),
-                           range(lo, hi), after, before))
+            # (group, which is its level for levels; blocks, column blocks,
+            # rows to push to going forward, rows to push to going back)
+            groups.append((g, slice(lo, hi), range(lo, hi), after, before))
         self._groups = groups[::-1] if descending else groups
+
+    def _solve(self, g, blocks: range, R: np.ndarray, out: np.ndarray):
+        """Solve group ``g`` over ``blocks`` for R given blockwise; the
+        result goes to ``out``.  Each of the group's factors solves an
+        equal run of its rows: the whole level, or one block."""
+        factors = self._factors.get(g)
+        if factors is None:
+            factors = self._factors[g] = (
+                [self.op.assemble_level_block(g)]
+                if self._exact and len(blocks) > 1 else
+                [self.op.assemble_diag_block(j) for j in blocks])
+        for f, x, y in zip(factors, R.reshape(len(factors), -1),
+                           out.reshape(len(factors), -1)):
+            y[:] = f.solve(x)
 
     def apply(self, r):
         op, trunc, solve, groups = (self.op, self.trunc, self._solve,
                                     self._groups)
         rhs = self._blocks(r).copy()  # r minus the pushed products
         V = np.empty_like(rhs)
-        for level, blk, cols, forward, _ in groups:
-            solve(level, blk, rhs[blk], V[blk])
+        for g, blk, cols, forward, _ in groups:
+            solve(g, cols, rhs[blk], V[blk])
             if forward is not None:
                 rows, row_blocks = forward
                 rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
@@ -186,8 +179,8 @@ class BlockGaussSeidel(Preconditioner):
         for t in range(len(groups) - 1, 0, -1):
             _, blk, cols, _, (rows, row_blocks) = groups[t]
             rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
-            level, blk = groups[t - 1][:2]
-            solve(level, blk, rhs[blk], V[blk])
+            g, blk, cols = groups[t - 1][:3]
+            solve(g, cols, rhs[blk], V[blk])
         return V.ravel()
 
 
@@ -212,8 +205,8 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     ``trunc`` restricts the off-diagonal products of gs/hs/ahs/ahgs
     (default: no truncation).  The kind is checked before any work, and
     so, for a sweep, is the sum of the band bytes of every factorization
-    it will keep: a sum past physical memory raises
-    :class:`MemoryError`.
+    it will build at its first apply and keep: a sum past physical
+    memory raises :class:`MemoryError`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "
@@ -225,4 +218,4 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
         return cls(op, trunc)
     groups, order, group_solve = sweep
     return cls(op, trunc, groups == "levels", order == "descending",
-               _GroupSolve(op, group_solve == "exact"))
+               group_solve == "exact")

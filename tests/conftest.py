@@ -1,5 +1,6 @@
 """Shared helpers: build small end-to-end problem instances, probe
-linear maps and trace the memory of a call."""
+linear maps, find the factorizations an object holds and trace the
+memory of a call."""
 
 import tracemalloc
 
@@ -14,6 +15,7 @@ from sgfem.fem import (
     build_mesh,
 )
 from sgfem.galerkin import GalerkinOperator
+from sgfem.linalg import Factorization
 from sgfem.random_field import (
     ExponentialCovariance,
     discrete_kl,
@@ -65,6 +67,27 @@ def probe_matrix(apply, n: int) -> np.ndarray:
         P[:, j] = apply(e)
         e[j] = 0.0
     return P
+
+
+def held_factors(obj) -> list:
+    """Every Factorization reachable from ``obj``, once each, through
+    the attributes of sgfem objects and the items of dicts, lists and
+    tuples."""
+    seen, found, todo = set(), [], [obj]
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Factorization):
+            found.append(x)
+        elif isinstance(x, dict):
+            todo += x.values()
+        elif isinstance(x, (list, tuple)):
+            todo += x
+        elif type(x).__module__.startswith("sgfem."):
+            todo += vars(x).values()
+    return found
 
 
 def traced_memory(fn):

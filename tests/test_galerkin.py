@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import build_family, build_operator, traced_memory
+from conftest import build_family, build_operator, held_factors, \
+    traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -723,7 +724,6 @@ class TestFactorizationContract:
             op.assemble_level_block(3)
         assert f"needs {need} bytes" in str(exc.value)
         assert "ahs and ahgs" in str(exc.value)
-        assert op._level_cache == {}
         # with the band fitting, the patched fill is reached: the refusal
         # above came before it
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
@@ -746,24 +746,31 @@ class TestFactorizationContract:
         assert abs(kept - band) <= 0.05 * band
         assert peak <= 1.25 * band
 
-    def test_level_factorization_cached_without_matrix(self, monkeypatch):
-        op, _, _, _ = build_operator(2, 2, 3)
-        F = op.assemble_level_block(2)
-        assert isinstance(F, Factorization)
-        assert op._level_cache == {2: F}
+    @pytest.mark.parametrize("builder,kind,calls", [
+        ("assemble_level_block", "hs", [1, 2]),
+        ("assemble_diag_block", "gs", list(range(6)))], ids=["level", "diag"])
+    def test_factorization_fresh_per_call_built_once_per_sweep(
+            self, builder, kind, calls, monkeypatch):
+        """The operator builds a new factorization on every call and
+        keeps none; over two applies a sweep calls the builder once per
+        factor it holds."""
+        op, b, _, _ = build_operator(2, 2, 3)
+        build = getattr(op, builder)
+        F, G = build(calls[-1]), build(calls[-1])
+        assert isinstance(F, Factorization) and F is not G
+        assert np.array_equal(F._state[0], G._state[0])
+        assert held_factors(op) == []
+        seen = []
 
-        def no_fill(level, band):
-            raise AssertionError("cached level filled again")
+        def counted(arg):
+            seen.append(arg)
+            return build(arg)
 
-        monkeypatch.setattr(op, "_level_band", no_fill)
-        assert op.assemble_level_block(2) is F
-
-    def test_diag_factorization_cached_without_matrix(self):
-        op, _, _, _ = build_operator(2, 2, 3)
-        F = op.assemble_diag_block(3)
-        assert isinstance(F, Factorization)
-        assert op._diag_cache == {3: F}
-        assert op.assemble_diag_block(3) is F
+        monkeypatch.setattr(op, builder, counted)
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        pre.apply(b)
+        assert sorted(seen) == calls
 
 
 class TestGlobalDense:

@@ -1,6 +1,7 @@
 """Repository hygiene: no unused imports, no private definition that the
-package never uses, and a package surface that the README documents and
-that suffices to rebuild ``build_problem`` by hand."""
+package never uses, no private attribute that it writes and never reads,
+and a package surface that the README documents and that suffices to
+rebuild ``build_problem`` by hand."""
 
 import ast
 import os
@@ -95,12 +96,46 @@ def test_unreferenced_private_check_finds_one():
 
 
 def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_definitions(package_sources()) == []
+
+
+def write_only_private_attributes(sources: dict) -> list:
+    """Private attributes (``x._name``) that a module of ``sources``
+    (module name -> source text) assigns and that no module reads."""
+    stored, loaded = {}, set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (not isinstance(node, ast.Attribute)
+                    or not node.attr.startswith("_")
+                    or node.attr.startswith("__")):
+                continue
+            if isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, f"{module} line {node.lineno}")
+            elif isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in stored.items()
+                  if name not in loaded)
+
+
+def test_write_only_private_attribute_check_finds_one():
+    assert write_only_private_attributes(
+        {"a": "class C:\n    def __init__(self):\n"
+              "        self._a = {}\n        self._b = 1\n",
+         "b": "def f(c):\n    return c._b\n"}) == ["_a (a line 3)"]
+
+
+def package_sources() -> dict:
+    """Module name -> source text of every module of the package."""
     sources = {}
     for name in sorted(os.listdir(PACKAGE)):
         if name.endswith(".py"):
             with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
                 sources[name[:-3]] = fh.read()
-    assert unreferenced_private_definitions(sources) == []
+    return sources
+
+
+def test_no_write_only_private_attributes():
+    assert write_only_private_attributes(package_sources()) == []
 
 
 def readme_exports() -> list:

@@ -2,16 +2,19 @@
 pull-form references of the sweeps, coincidence identities, linearity and
 symmetry probes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from conftest import build_operator, probe_matrix
+from conftest import build_operator, held_factors, probe_matrix
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
-from sgfem.preconditioners import make_preconditioner
+from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
@@ -452,12 +455,17 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_preconditioner(op, "ilu")
 
-    def test_arguments_checked_before_any_work(self):
+    def test_arguments_checked_before_any_work(self, monkeypatch):
         op, _, _, _ = build_operator(1, 1, 1)
+
+        def no_work(*args):
+            raise AssertionError("block assembled before the refusal")
+
+        for name in ("block", "assemble_diag_block", "assemble_level_block"):
+            monkeypatch.setattr(op, name, no_work)
         with pytest.raises(ValueError, match="unknown preconditioner kind"):
             make_preconditioner(op, "ilu")
         # no block was assembled or factorized, no product was run
-        assert op._diag_cache == {} and op._level_cache == {}
         assert op.counters == {"summations": 0, "products": 0}
 
     def test_oversized_level_band_refused_at_setup(self, monkeypatch):
@@ -480,7 +488,6 @@ class TestFactory:
             f"band factor of {4 * nd} rows and 27 sub-diagonals and the 3 "
             f"other band factors kept with it need {need} bytes")
         assert "ahs and ahgs" in str(exc.value)
-        assert op._diag_cache == {} and op._level_cache == {}
         # only the exact level solves need the level bands, and only
         # past memory
         make_preconditioner(op, "ahs")
@@ -493,9 +500,9 @@ class TestFactory:
         of them at once: the sweep is refused at setup, before any work.
         The sum checked is the bytes its factors hold after an apply."""
         op, b, _, _ = build_operator(2, 3, 4)
-        make_preconditioner(op, kind).apply(b)
-        factors = [*op._diag_cache.values(), *op._level_cache.values()]
-        sizes = [F._state[0].nbytes for F in factors]
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        sizes = [F._state[0].nbytes for F in held_factors(pre)]
         need = sum(sizes)
         assert len(sizes) > 1 and max(sizes) <= need - 1
 
@@ -503,12 +510,44 @@ class TestFactory:
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"need {need} bytes"):
             make_preconditioner(op, kind)
-        assert op._diag_cache == {} and op._level_cache == {}
         assert op.counters == {"summations": 0, "products": 0}
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
-        make_preconditioner(op, kind).apply(b)
-        assert sum(F._state[0].nbytes for F in [
-            *op._diag_cache.values(), *op._level_cache.values()]) == need
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        assert sum(F._state[0].nbytes for F in held_factors(pre)) == need
+
+    def test_sweep_checked_for_its_own_factors_only(self, monkeypatch):
+        """A sweep built after another on one operator is checked for,
+        and holds, its own factors: gs after hs, with memory for gs's
+        diagonal factors alone, is accepted, and what it reaches, its
+        operator included, holds exactly those."""
+        op, b, _, _ = build_operator(2, 3, 4)
+        hs = make_preconditioner(op, "hs")
+        hs.apply(b)
+        need = 8 * (op.M + 1) * op.n_dof * (op.level_band(0) + 1)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        gs = make_preconditioner(op, "gs")
+        gs.apply(b)
+        assert sum(F._state[0].nbytes for F in held_factors(gs)) == need
+        assert held_factors(hs)
+
+    def test_operator_holds_no_factorization(self):
+        op, b, _, _ = build_operator(2, 2, 3)
+        kept = [make_preconditioner(op, kind) for kind in KINDS]
+        for pre in kept:
+            pre.apply(b)
+        assert all(held_factors(pre) for pre in kept)
+        assert held_factors(op) == []
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_dropped_preconditioner_frees_its_factors(self, kind):
+        op, b, _, _ = build_operator(2, 2, 3)
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        refs = [weakref.ref(F) for F in held_factors(pre)]
+        del pre
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
 
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)
