@@ -749,7 +749,7 @@ class TestFactorizationContract:
     @pytest.mark.parametrize("builder,kind,calls", [
         ("assemble_level_block", "hs", [1, 2]),
         ("assemble_diag_block", "gs", list(range(6)))], ids=["level", "diag"])
-    def test_factorization_fresh_per_call_built_once_per_sweep(
+    def test_fresh_factor_built_once_per_sweep(
             self, builder, kind, calls, monkeypatch):
         """The operator builds a new factorization on every call and
         keeps none; over two applies a sweep calls the builder once per
