@@ -180,7 +180,7 @@ def _cmd_solve(args):
     n = args.mesh if args.mesh is not None else config.n
     op, b = _problem(config, n=n, cov_pct=args.cov)
     if args.lt is not None:
-        trunc = standard_truncation(config.N, args.lt)
+        trunc = standard_truncation(config.N, min(args.lt, 2 * config.P))
     elif args.tau is not None:
         norms = stiffness_norms(op, config.norm)
         trunc = adaptive_truncation(args.tau, norms, op.tensor)

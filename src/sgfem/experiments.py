@@ -238,9 +238,10 @@ def count_pattern(tensor, indices):
 
 
 def emit_c_pattern(N, P, lt):
-    """Counts for a standard truncation of the coefficient tensor."""
+    """Counts for a standard truncation of the coefficient tensor; a
+    degree past 2P, the tensor's, counts as 2P."""
     tensor = _cached_tensor(N, P, 2 * P)
-    trunc = standard_truncation(N, lt)
+    trunc = standard_truncation(N, min(lt, 2 * P))
     return count_pattern(tensor, trunc.indices)
 
 
@@ -277,9 +278,10 @@ _SWEEPS = {
 
 # The truncation sweeps, one row per (CoV, swept value): (row column,
 # config field of the swept values, (config, op) -> value -> truncation).
+# A standard degree past 2P, the tensor's, keeps what 2P keeps.
 _TRUNC_SWEEPS = {
-    "trunc-std": ("lt", "lt_list", lambda c, op: functools.partial(
-        standard_truncation, c.N)),
+    "trunc-std": ("lt", "lt_list", lambda c, op: lambda lt:
+                  standard_truncation(c.N, min(lt, 2 * c.P))),
     "trunc-adapt": ("tau", "tau_list", lambda c, op: functools.partial(
         adaptive_truncation, k_norms=stiffness_norms(op, c.norm),
         tensor=op.tensor)),

@@ -12,12 +12,13 @@ every K_i v_(k) at once.  Which products a call needs and how they mix
 form a plan, built once per (row blocks, column blocks, truncation set)
 and kept in a bounded cache.
 
-Diagonal blocks K^{(j,j)} are assembled sparsely, and level blocks D_ℓ
-straight into band storage, with the FULL coefficient sum (truncation
-only ever applies to off-diagonal products inside preconditioners), and
-factorized on each request; the operator keeps no factorization, the
-caller owns what it gets.  A dense assembly of the whole matrix is
-provided as a brute-force oracle for small instances.
+Every block factor, of a diagonal block K^{(j,j)} or a level matrix D_ℓ,
+is that of a run of consecutive blocks (a diagonal block is a run of
+one), filled straight into band storage with the FULL coefficient sum
+(truncation only ever applies to off-diagonal products inside
+preconditioners) and factorized anew on each request; the caller owns
+it.  ``block(j, k)`` and a dense assembly of the whole matrix are
+brute-force oracles for small instances.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from sgfem.linalg import (
     Factorization,
     check_band_fits,
     csr_on,
-    factorize,
     factorize_band,
 )
 
@@ -308,6 +308,9 @@ class GalerkinOperator:
         self._krows = list(self._kdata)
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
+        # K_0's band: the largest row-minus-column offset of the pattern
+        node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
+        self._band = int((node - self._indices).max(initial=0))
         self._full = full_truncation(tensor)
         self._plan_cache: OrderedDict = OrderedDict()
         self._buffer: np.ndarray | None = None
@@ -472,53 +475,50 @@ class GalerkinOperator:
 
     def assemble_diag_block(self, j: int) -> Factorization:
         """A new factorization of K^{(j,j)} = Σ_i c_ijj K_i (never
-        truncated); the block itself is not kept."""
-        K = self.block(j, j)
-        if K is None:
-            raise ValueError(f"diagonal block {j} is empty")
-        return factorize(K)
+        truncated), a run of one block."""
+        return self._factor_run(range(j, j + 1))
 
-    def _level_coupling(self, level: int):
-        """The level's s blocks and its block pairs: the pair ids
-        (block row)·s + (block column), ascending, and the sparse
-        (pair × i) coupling matrix of c_ijk, whose product with the
-        stacked K_i data gives each pair's values as one row."""
-        t = self.tensor
-        blocks = self.levels.blocks(level)
-        lo, s = blocks.start, len(blocks)
+    def assemble_level_block(self, level: int) -> Factorization:
+        """A new factorization of the level matrix D_ℓ, the run of the
+        level's blocks."""
+        return self._factor_run(self.levels.blocks(level), (
+            f"; level {level}'s exact solve needs it, while ahs and ahgs "
+            f"factorize only the level's diagonal blocks"))
+
+    def run_band(self, s: int) -> int:
+        """Sub-diagonals of the node-interleaved band of a run of s
+        blocks, s·b + s − 1 for K_0's band b; b for one block."""
+        return s * self._band + s - 1
+
+    def _run_coupling(self, blocks: range):
+        """The run's block pairs: the pair ids (block row)·s + (block
+        column), ascending, and the (pair × i) coupling matrix of c_ijk
+        as CSR arrays (indptr, i, c_ijk), whose product with the stacked
+        K_i data gives each pair's values as one row."""
+        t, lo, s = self.tensor, blocks.start, len(blocks)
         sel = np.flatnonzero((t.j >= lo) & (t.j < lo + s)
                              & (t.k >= lo) & (t.k < lo + s))
         pair = (t.j[sel] - lo) * s + (t.k[sel] - lo)
-        order = np.lexsort((t.i[sel], pair))
-        pairs, pos = np.unique(pair[order], return_inverse=True)
-        coupling = sp.csr_matrix(
-            (t.val[sel][order], t.i[sel][order],
-             np.concatenate([[0], np.cumsum(np.bincount(pos))])),
-            shape=(len(pairs), len(t.iset)))
-        return s, pairs, coupling
+        # stable, so each pair keeps the tensor's ascending i
+        sel = sel[np.argsort(pair, kind="stable")]
+        pairs, counts = np.unique(pair, return_counts=True)
+        return (pairs, np.concatenate([[0], np.cumsum(counts)]),
+                t.i[sel].astype(np.int64), t.val[sel])
 
-    def level_band(self, level: int) -> int:
-        """Sub-diagonals of D_ℓ's node-interleaved band, s·b + s − 1 for
-        the level's s blocks and K_0's band b, computed from K_0's
-        pattern alone; a level of one block has its diagonal block's
-        band b."""
-        s = self.levels.sizes[level]
-        node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
-        return s * int((node - self._indices).max()) + s - 1
-
-    def _level_band(self, level: int, band: int) -> np.ndarray:
-        """D_ℓ in node-interleaved lower band storage, row node·s + block,
-        with ``band`` sub-diagonals, filled straight from the block
-        pairs' values.
+    def _fill_band(self, blocks: range) -> np.ndarray:
+        """The matrix of a run of s consecutive blocks in node-interleaved
+        lower band storage, row node·s + block, with run_band(s)
+        sub-diagonals, filled straight from the block pairs' values.
 
         The pairs' values are computed in chunks of about
         ``_CHUNK_BYTES``.  Entry (a, b) of K's pattern in pair (r, c) is
-        entry (a·s + r, b·s + c) of D_ℓ; it lies in the lower triangle
-        when a > b, or when a = b and r ≥ c, so only pairs with r ≥ c
-        write the diagonal node entries.
+        entry (a·s + r, b·s + c) of the run's matrix; it lies in the
+        lower triangle when a > b, or when a = b and r ≥ c, so only
+        pairs with r ≥ c write the diagonal node entries.
         """
-        nd = self.n_dof
-        s, pairs, coupling = self._level_coupling(level)
+        nd, s = self.n_dof, len(blocks)
+        band = self.run_band(s)
+        pairs, indptr, ii, vv = self._run_coupling(blocks)
         cols = self._indices.astype(np.int64)
         node = np.repeat(np.arange(nd), np.diff(self._indptr))
         low, diag = node > cols, node == cols
@@ -533,32 +533,32 @@ class GalerkinOperator:
         shift = (c * band + r)[:, None]
         step = max(_CHUNK_BYTES // (8 * len(cols)), 1)
         for a in range(0, len(pairs), step):
-            part = slice(a, a + step)
-            values = coupling[part] @ self._kdata
+            part, ptr = slice(a, a + step), indptr[a:a + step + 1]
+            values = np.zeros((len(ptr) - 1, len(cols)))
+            csr_matvecs(len(ptr) - 1, len(self._kdata), len(cols),
+                        ptr - ptr[0], ii[ptr[0]:ptr[-1]], vv[ptr[0]:ptr[-1]],
+                        self._kdata.ravel(), values.ravel())
             flat[base_low + shift[part]] = values[:, low]
             on = r[part] >= c[part]
             flat[base_diag + shift[part][on]] = values[on][:, diag]
         return abT.T
 
-    def assemble_level_block(self, level: int) -> Factorization:
-        """A new factorization of the level matrix D_ℓ; D_ℓ is never
-        assembled as a matrix.
+    def _factor_run(self, blocks: range, hint: str = "") -> Factorization:
+        """A new factorization of the matrix of the consecutive
+        ``blocks`` with the full coefficient sum, never assembled.
 
-        The factor is a banded Cholesky of D_ℓ in node-interleaved order,
-        row node·s + block for the level's s blocks, which makes its band
-        s·b + s − 1 for K_0's band b instead of about nd·s; it still
-        solves in D_ℓ's block-major order.  The band is filled in place
-        from the block pairs' values and factorized in place, after its
-        bytes have been checked against physical memory.
+        A banded Cholesky in node-interleaved order, row node·s + block
+        for the run's s blocks, so the band is s·b + s − 1 for K_0's band
+        b instead of about nd·s; for s > 1, ``order`` solves in
+        block-major order.  The band's bytes are checked against physical
+        memory (``hint`` ends the refusal), then it is filled and
+        factorized in place.
         """
-        nd, s = self.n_dof, self.levels.sizes[level]
-        band = self.level_band(level)
-        check_band_fits(
-            s * nd, band,
-            f"; level {level}'s exact solve needs it, while ahs and "
-            f"ahgs factorize only the level's diagonal blocks")
-        F = factorize_band(self._level_band(level, band))
-        F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
+        nd, s = self.n_dof, len(blocks)
+        check_band_fits(s * nd, self.run_band(s), hint)
+        F = factorize_band(self._fill_band(blocks))
+        if s > 1:
+            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
         return F
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:

@@ -85,7 +85,8 @@ class Factorization:
     Cholesky, the factor in LAPACK's lower band storage).  ``order``,
     when set, lists for each row of the factor the row of the system it
     solves, so a factor of a reordered matrix solves in the original
-    order.  ``solve`` reproduces ``A^{-1} b`` with relative residual
+    order; it is None for a factor in the matrix's own order, such as a
+    single block's.  ``solve`` reproduces ``A^{-1} b`` with relative residual
     below 1e-12 for well-conditioned matrices.
     """
 

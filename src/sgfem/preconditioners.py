@@ -18,12 +18,13 @@ grouped, in which order the groups are swept and how a group is solved:
 
 hs is the hierarchical Schur complement preconditioner: the descending
 sweep is its downward pre-correction and upward post-correction.  A group
-of one block, such as level 0, is solved by its diagonal factorization.
-Off-diagonal block products inside the sweeps run through the operator's
-truncated product and honor the configured TruncationSet; diagonal and
-level blocks are always assembled with the full sum.  Each preconditioner
-owns the factorizations it builds: sweeps on one operator share none,
-and a dropped preconditioner frees them.
+is solved by factors of runs of its blocks: whole levels for hs, single
+blocks otherwise, so a level of one block is a diagonal block in every
+kind.  Off-diagonal block products inside the sweeps run through the
+operator's truncated product and honor the configured TruncationSet;
+the factors always take the full sum.  Each preconditioner owns the
+factorizations it builds: sweeps on one operator share none, and a
+dropped preconditioner frees them.
 """
 
 from __future__ import annotations
@@ -113,54 +114,47 @@ class BlockGaussSeidel(Preconditioner):
     K_i y_(k) is computed once per half sweep.  In either order those rows
     are one contiguous range, computed once here.
 
-    A group of one block, and any group unless ``exact``, is solved with
-    the factorizations of its diagonal blocks; ``exact`` solves a degree
-    level with the factorization of its whole level matrix D_ℓ.  A
-    group's factors are built at its first solve and kept in
-    ``_factors``, their only owner, so the band bytes of every factor
-    the sweep will hold are summed here and checked against physical
-    memory together, before any work.
+    Each group is solved by factors of runs of its blocks, decided once
+    here: the whole level, whose matrix is D_ℓ, when ``exact``, else one
+    run per block, its diagonal block.  A group's factors are built at
+    its first solve and kept in ``_factors``, their only owner, so the
+    band bytes of every factor the sweep will hold are summed here and
+    checked against physical memory together, before any work.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
                  exact: bool):
         super().__init__(op, trunc)
-        # a diagonal block has the band of a level of one block
-        nd, diag_band, rows, bands = op.n_dof, op.level_band(0), [], []
-        for level, s in enumerate(op.levels.sizes):
-            if exact and s > 1:
-                rows.append(s * nd)
-                bands.append(op.level_band(level))
-            else:
-                rows += [nd] * s
-                bands += [diag_band] * s
-        check_band_fits(rows, bands, (
-            "; hs's exact level solves need them, while ahs and ahgs "
-            "factorize only the levels' diagonal blocks") if exact else "")
-        self._exact = exact
-        self._factors: dict = {}  # group -> its factors
         end = op.M + 1
         bounds = op.levels.offsets if by_level else range(end + 1)
         groups = []
         for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            runs = ([range(lo, hi)] if exact else
+                    [range(j, j + 1) for j in range(lo, hi)])
             after, before = _span(hi, end), _span(0, lo)
             if descending:
                 after, before = before, after
-            # (group, which is its level for levels; blocks, column blocks,
+            # (group, which is its level for levels; blocks, its runs,
             # rows to push to going forward, rows to push to going back)
-            groups.append((g, slice(lo, hi), range(lo, hi), after, before))
+            groups.append((g, slice(lo, hi), range(lo, hi), runs, after,
+                           before))
+        runs = [len(run) for group in groups for run in group[3]]
+        check_band_fits([s * op.n_dof for s in runs],
+                        [op.run_band(s) for s in runs], (
+            "; hs's exact level solves need them, while ahs and ahgs "
+            "factorize only the levels' diagonal blocks") if exact else "")
+        self._factors: dict = {}  # group -> its factors, one per run
         self._groups = groups[::-1] if descending else groups
 
-    def _solve(self, g, blocks: range, R: np.ndarray, out: np.ndarray):
-        """Solve group ``g`` over ``blocks`` for R given blockwise; the
-        result goes to ``out``.  Each of the group's factors solves an
-        equal run of its rows: the whole level, or one block."""
+    def _solve(self, g, runs: list, R: np.ndarray, out: np.ndarray):
+        """Solve group ``g`` for R given blockwise; the result goes to
+        ``out``.  Each of the group's factors solves its run, an equal
+        share of the rows: a diagonal block or the whole level."""
         factors = self._factors.get(g)
         if factors is None:
-            factors = self._factors[g] = (
-                [self.op.assemble_level_block(g)]
-                if self._exact and len(blocks) > 1 else
-                [self.op.assemble_diag_block(j) for j in blocks])
+            factors = self._factors[g] = [
+                self.op.assemble_diag_block(run.start) if len(run) == 1
+                else self.op.assemble_level_block(g) for run in runs]
         for f, x, y in zip(factors, R.reshape(len(factors), -1),
                            out.reshape(len(factors), -1)):
             y[:] = f.solve(x)
@@ -170,17 +164,17 @@ class BlockGaussSeidel(Preconditioner):
                                     self._groups)
         rhs = self._blocks(r).copy()  # r minus the pushed products
         V = np.empty_like(rhs)
-        for g, blk, cols, forward, _ in groups:
-            solve(g, cols, rhs[blk], V[blk])
+        for g, blk, cols, runs, forward, _ in groups:
+            solve(g, runs, rhs[blk], V[blk])
             if forward is not None:
                 rows, row_blocks = forward
                 rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
         # the last forward solve is also the first backward one
         for t in range(len(groups) - 1, 0, -1):
-            _, blk, cols, _, (rows, row_blocks) = groups[t]
+            _, blk, cols, _, _, (rows, row_blocks) = groups[t]
             rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
-            g, blk, cols = groups[t - 1][:3]
-            solve(g, cols, rhs[blk], V[blk])
+            g, blk, _, runs = groups[t - 1][:4]
+            solve(g, runs, rhs[blk], V[blk])
         return V.ravel()
 
 

@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import traced_memory
 
 import sgfem.linalg as linalg
 from sgfem.chaos import build_c_tensor
@@ -111,6 +112,17 @@ class TestCounts:
         assert emit_c_pattern(4, 4, 3) == (1990, 2610)
         assert emit_c_pattern(4, 4, 0) == (70, 70)
         assert emit_c_pattern(1, 1, 0) == (2, 2)
+
+    def test_degree_past_tensor_counts_as_2p(self):
+        """The tensor has coefficients of degree up to 2P only: a larger
+        truncation degree counts as 2P, and a huge one builds no index
+        set (comb(4 + lt, lt) indices at N = 4)."""
+        want = emit_c_pattern(1, 1, 2)
+        assert [emit_c_pattern(1, 1, lt) for lt in (3, 5)] == [want] * 2
+        want = emit_c_pattern(4, 1, 2)
+        assert emit_c_pattern(4, 1, 10**9) == want
+        _, peak = traced_memory(lambda: emit_c_pattern(4, 1, 10**9))
+        assert peak < 1 << 20
 
     def test_full_truncation_counts_everything(self):
         tensor = build_c_tensor(2, 2, 4)
@@ -237,6 +249,17 @@ class TestTables:
         for row in rep.rows:
             _, n_mv = emit_c_pattern(config.N, config.P, row["lt"])
             assert row["nnz"] == n_mv
+
+    def test_trunc_std_degree_past_tensor_repeats_2p_row(self):
+        config = ExperimentConfig(**{**TINY, "preconds": ("gs",),
+                                     "cov_list": (50.0,),
+                                     "lt_list": (4, 5, 9)})
+        rows = run_table(config, "trunc-std").rows
+        # the degree asked for is printed; the rest is the 2P = 4 row,
+        # whose truncation keeps all comb(2 + 4, 4) coefficients
+        assert [row.pop("lt") for row in rows] == [4, 5, 9]
+        assert rows[0]["n_mats"] == 15
+        assert rows[1] == rows[0] and rows[2] == rows[0]
 
     def test_trunc_adapt_monotone_in_tau(self):
         config = ExperimentConfig(**{**TINY, "preconds": ("gs",)})
@@ -373,14 +396,17 @@ class TestCli:
         assert int(row["it"]) > 0
 
     def test_solve_lt_past_coefficient_degree(self, capsys):
+        # lt + 1 indices at N = 1 would not fit in int64 for the last lt:
+        # a degree past 2P counts as 2P and builds no index set
+        huge = str(10**19)
         rows = {}
-        for lt in ("2", "3"):
+        for lt in ("2", "3", huge):
             assert main(["solve", "--precond", "gs", "--lt", lt,
                          "--mesh", "2", "--N", "1", "--P", "1"]) == 0
             head, line = capsys.readouterr().out.strip().split("\n")
             rows[lt] = dict(zip(head.split(","), line.split(",")))
             assert rows[lt].pop("lt") == lt
-        assert rows["3"] == rows["2"]
+        assert rows["3"] == rows["2"] == rows[huge]
 
     def test_solve_nan_tau_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

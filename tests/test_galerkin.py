@@ -563,20 +563,22 @@ class TestAssembledBlocks:
             lo, hi = blk[0] * nd, (blk[-1] + 1) * nd
             want = A[lo:hi, lo:hi]
             order = interleaved_order(len(blk), nd)
-            ab = op._level_band(l, op.level_band(l))
+            ab = op._fill_band(op.levels.blocks(l))
             np.testing.assert_allclose(band_lower(ab),
                                        np.tril(want[np.ix_(order, order)]),
                                        atol=1e-13)
             rhs = np.linspace(-1, 1, hi - lo)
             np.testing.assert_allclose(want @ F.solve(rhs), rhs, atol=1e-9)
 
-    def test_single_block_level_equals_diag_block(self):
-        op, _, _, _ = build_operator(1, 2, 2)
-        for l in range(1, 3):
-            j = list(op.levels.blocks(l))[0]
-            np.testing.assert_array_equal(
-                op._level_band(l, op.level_band(l)),
-                _band_fill(op.block(j, j)))
+    @pytest.mark.parametrize("N,P,n", SMALL + [(1, 2, 2), (4, 4, 10)])
+    def test_diag_band_fill_matches_block_oracle(self, N, P, n):
+        """Every diagonal block's band, filled as a run of one block,
+        against the band of the block assembled by ``block(j, j)``.  Not
+        bitwise: the two sum the c_ijj K_i in different orders."""
+        op, _, _, _ = build_operator(N, P, n)
+        for j in range(op.M + 1):
+            assert_same_band_values(op._fill_band(range(j, j + 1)),
+                                    _band_fill(op.block(j, j)))
 
     def test_blocks_symmetric(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -617,14 +619,18 @@ def band_lower(ab):
     return L
 
 
-def assert_band_matches_oracle(op, level):
-    """The unfactorized level band against the oracle's: the same zero
-    pattern, values within 1e-15 of the largest."""
-    got, want = op._level_band(level, op.level_band(level)), \
-        oracle_band(op, level)
+def assert_same_band_values(got, want):
+    """Two unfactorized bands: the same zero pattern, values within
+    1e-15 of the largest."""
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def assert_band_matches_oracle(op, level):
+    """The unfactorized level band against the oracle's."""
+    assert_same_band_values(op._fill_band(op.levels.blocks(level)),
+                            oracle_band(op, level))
 
 
 def bitwise_symmetric(A):
@@ -666,21 +672,25 @@ class TestFactorizationContract:
            cov=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
     def test_band_factors_of_blocks(self, N, P, n, cov, seed):
         """Pivots against a dense Cholesky of the same ordering (node-
-        interleaved for a level), and the residual for several
-        right-hand sides at once."""
+        interleaved for a level of more than one block, which alone has
+        an ``order``), and the residual for several right-hand sides at
+        once."""
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
         nd = op.n_dof
         cases = [(op.block(j, j), op.assemble_diag_block(j), None)
                  for j in range(op.M + 1)]
         for level in range(P + 1):
-            order = interleaved_order(op.levels.sizes[level], nd)
+            s = op.levels.sizes[level]
+            order = interleaved_order(s, nd) if s > 1 else None
             cases.append((bmat_level_oracle(op, level),
                           op.assemble_level_block(level), order))
         for A, F, order in cases:
             assert F.kind == "band"
             dense = A.toarray()
-            if order is not None:
+            if order is None:
+                assert F.order is None
+            else:
                 np.testing.assert_array_equal(F.order, order)
                 dense = dense[np.ix_(order, order)]
             L = np.linalg.cholesky(dense)
@@ -698,7 +708,8 @@ class TestFactorizationContract:
             s = op.levels.sizes[level]
             ab = op.assemble_level_block(level)._state[0]
             # a Q1 node couples to rows up to n + 2 below it
-            assert ab.shape == (s * (n + 2) + s - 1 + 1, s * op.n_dof)
+            assert op.run_band(s) == s * (n + 2) + s - 1
+            assert ab.shape == (op.run_band(s) + 1, s * op.n_dof)
 
     def test_level_band_fill_matches_permuted_oracle(self):
         """The band filled from the block pairs' values against the
@@ -716,10 +727,10 @@ class TestFactorizationContract:
         need = 8 * s * nd * (band + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
-        def no_fill(level, band):
+        def no_fill(blocks):
             raise AssertionError("level band allocated")
 
-        monkeypatch.setattr(op, "_level_band", no_fill)
+        monkeypatch.setattr(op, "_fill_band", no_fill)
         with pytest.raises(MemoryError) as exc:
             op.assemble_level_block(3)
         assert f"needs {need} bytes" in str(exc.value)

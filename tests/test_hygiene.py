@@ -1,9 +1,11 @@
 """Repository hygiene: no unused imports, no private definition that the
 package never uses, no private attribute that it writes and never reads,
-and a package surface that the README documents and that suffices to
-rebuild ``build_problem`` by hand."""
+no bench tracing hook aimed at a missing target, and a package surface
+that the README documents and that suffices to rebuild ``build_problem``
+by hand."""
 
 import ast
+import importlib
 import os
 import re
 
@@ -136,6 +138,53 @@ def package_sources() -> dict:
 
 def test_no_write_only_private_attributes():
     assert write_only_private_attributes(package_sources()) == []
+
+
+def tracing_hooks() -> dict:
+    """The hook tables of ``perfbench/tracing.py`` (name -> tuple of
+    hooks), read from its source without running it."""
+    with open(os.path.join(ROOT, "perfbench", "tracing.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FUNCTION_HOOKS", "METHOD_HOOKS")}
+
+
+def unresolved_hooks(functions, methods) -> list:
+    """Hook targets that are not callables: ``functions`` holds
+    (module, function, span) and ``methods`` (module, class, method,
+    span)."""
+    targets = [(module, (name,)) for module, name, _ in functions]
+    targets += [(module, (cls, name)) for module, cls, name, _ in methods]
+    missing = []
+    for module, path in targets:
+        obj = importlib.import_module(module)
+        for name in path:
+            obj = getattr(obj, name, None)
+        if not callable(obj):
+            missing.append(".".join((module,) + path))
+    return missing
+
+
+def test_unresolved_hook_check_finds_one():
+    assert unresolved_hooks(
+        [("sgfem.linalg", "factorize", "a"), ("sgfem.linalg", "nope", "b")],
+        [("sgfem.galerkin", "GalerkinOperator", "matvec", "c"),
+         ("sgfem.galerkin", "Nope", "matvec", "d")]) == \
+        ["sgfem.linalg.nope", "sgfem.galerkin.Nope.matvec"]
+
+
+def test_tracing_hooks_resolve():
+    """Every function and method the bench tracer patches exists, so a
+    rename in the package cannot silently break a traced bench run."""
+    hooks = tracing_hooks()
+    assert sorted(hooks) == ["FUNCTION_HOOKS", "METHOD_HOOKS"]
+    assert all(hooks.values())
+    assert unresolved_hooks(hooks["FUNCTION_HOOKS"],
+                            hooks["METHOD_HOOKS"]) == []
 
 
 def readme_exports() -> list:

@@ -480,7 +480,7 @@ class TestFactory:
         def no_work(*args):
             raise AssertionError("block assembled before the refusal")
 
-        for name in ("block", "_level_coupling", "_level_band"):
+        for name in ("block", "_run_coupling", "_fill_band"):
             monkeypatch.setattr(op, name, no_work)
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "hs")
@@ -524,7 +524,7 @@ class TestFactory:
         op, b, _, _ = build_operator(2, 3, 4)
         hs = make_preconditioner(op, "hs")
         hs.apply(b)
-        need = 8 * (op.M + 1) * op.n_dof * (op.level_band(0) + 1)
+        need = 8 * (op.M + 1) * op.n_dof * (op.run_band(1) + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         gs = make_preconditioner(op, "gs")
         gs.apply(b)
