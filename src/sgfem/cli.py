@@ -47,6 +47,7 @@ def _checked(convert, rule: str, ok):
 _POSITIVE_INT = _checked(int, ">= 1", lambda v: v >= 1)
 _NONNEG_INT = _checked(int, ">= 0", lambda v: v >= 0)
 _NONNEG_FLOAT = _checked(float, ">= 0", lambda v: v >= 0)  # NaN fails
+_POSITIVE_FLOAT = _checked(float, "> 0", lambda v: v > 0)
 
 
 def _add_config_flags(p):
@@ -117,7 +118,7 @@ def build_parser():
     p = sub.add_parser("export", help="write one instance to files")
     _add_config_flags(p)
     p.add_argument("--dest", required=True, help="output directory")
-    p.add_argument("--cov", type=_NONNEG_FLOAT, default=DEFAULT_COV,
+    p.add_argument("--cov", type=_POSITIVE_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
     p.add_argument("--cap", type=int, default=5000,
                    help="size cap for the dense global matrix")
@@ -129,7 +130,7 @@ def build_parser():
                        help="standard truncation degree")
     group.add_argument("--tau", type=_NONNEG_FLOAT,
                        help="adaptive truncation threshold")
-    p.add_argument("--cov", type=_NONNEG_FLOAT, default=DEFAULT_COV,
+    p.add_argument("--cov", type=_POSITIVE_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
     p.add_argument("--mesh", type=_POSITIVE_INT,
                    help="mesh subdivisions per side")

@@ -51,7 +51,7 @@ DEFAULT_COV = 100.0
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs for the sweeps.  The expansion degree of the coefficient is
-    always twice the solution degree.  CoV values are percentages;
+    always twice the solution degree.  CoV values are positive percentages;
     ``cov_list`` drives the CoV-iterating tables while the fixed-CoV
     sweeps run at 100%."""
 
@@ -78,19 +78,23 @@ class ExperimentConfig:
         for kind in self.preconds:
             if kind not in KINDS:
                 raise ValueError(f"unknown preconditioner {kind!r}")
+        for f in fields(self):
+            if getattr(self, f.name) == ():
+                raise ValueError(f"config field {f.name} must have at "
+                                 f"least one entry")
         # each entry of a list field; the comparisons fail on NaN
-        for name, low in (("N", 1), ("P", 0), ("n", 1), ("maxit", 0),
-                          ("cov_list", 0), ("lt_list", 0), ("tau_list", 0),
-                          ("mesh_list", 1)):
+        checks = [(name, f">= {low}", lambda v, low=low: v >= low)
+                  for name, low in (("N", 1), ("P", 0), ("n", 1),
+                                    ("maxit", 0), ("lt_list", 0),
+                                    ("tau_list", 0), ("mesh_list", 1))]
+        checks += [(name, "> 0", lambda v: v > 0)
+                   for name in ("tol", "mu_log", "L", "cov_list")]
+        for name, rule, ok in checks:
             value = getattr(self, name)
             entries = value if isinstance(value, tuple) else (value,)
-            if not all(v >= low for v in entries):
-                raise ValueError(f"config field {name} must be >= {low}, "
+            if not all(ok(v) for v in entries):
+                raise ValueError(f"config field {name} must be {rule}, "
                                  f"got {value!r}")
-        for name in ("tol", "mu_log", "L"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"config field {name} must be > 0, got "
-                                 f"{getattr(self, name)!r}")
 
     @property
     def pprime(self) -> int:

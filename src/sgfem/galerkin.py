@@ -144,7 +144,10 @@ def full_truncation(tensor: CijkTensor) -> TruncationSet:
 
 def _block_key(blocks):
     """Blocks as a hashable cache key: a range when they are contiguous
-    and ascending, else a tuple in the given order."""
+    and ascending, else a tuple in the given order.  A slice with its
+    start and stop given selects the range between them."""
+    if isinstance(blocks, slice):
+        blocks = range(blocks.start, blocks.stop, blocks.step or 1)
     if isinstance(blocks, range) and blocks.step == 1:
         return blocks
     b = tuple(int(x) for x in blocks)
@@ -315,7 +318,6 @@ class GalerkinOperator:
         self._plan_cache: OrderedDict = OrderedDict()
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
-        self._pair_cache: dict | None = None
 
     @property
     def n_global(self) -> int:
@@ -405,8 +407,9 @@ class GalerkinOperator:
                 v: np.ndarray) -> np.ndarray:
         """w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k).
 
-        ``v`` holds the column blocks: shape (len(col_blocks), n_dof) or
-        flat; the result follows the input layout over row_blocks.  Each
+        The blocks are given as indices, a range or a slice.  ``v``
+        holds the column blocks: shape (len(col_blocks), n_dof) or flat;
+        the result follows the input layout over row_blocks.  Each
         needed product K_i v_(k) is computed once and shared.
         """
         rows, cols = _block_key(row_blocks), _block_key(col_blocks)
@@ -447,28 +450,13 @@ class GalerkinOperator:
 
     # -- assembled blocks -------------------------------------------------
 
-    def _pairs(self) -> dict:
-        """Tensor reorganized per (j,k) block: (i indices, values)."""
-        if self._pair_cache is None:
-            t = self.tensor
-            order = np.lexsort((t.i, t.k, t.j))
-            jj, kk = t.j[order], t.k[order]
-            ii, vv = t.i[order], t.val[order]
-            starts = np.flatnonzero(np.diff(jj * (self.M + 1) + kk)) + 1
-            bounds = np.concatenate([[0], starts, [len(jj)]])
-            self._pair_cache = {
-                (int(jj[lo]), int(kk[lo])): (ii[lo:hi], vv[lo:hi])
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            }
-        return self._pair_cache
-
     def block(self, j: int, k: int) -> sp.csr_matrix | None:
         """Assembled block K^{(j,k)} with the full sum, or None if zero."""
-        entry = self._pairs().get((j, k))
-        if entry is None:
+        t = self.tensor
+        sel = np.flatnonzero((t.j == j) & (t.k == k))  # ascending in i
+        if len(sel) == 0:
             return None
-        ii, vv = entry
-        data = vv @ self._kdata[ii]
+        data = t.val[sel] @ self._kdata[t.i[sel]]
         ref = self.k_mats[0]
         return sp.csr_matrix((data, ref.indices, ref.indptr),
                              shape=(self.n_dof, self.n_dof))
@@ -569,7 +557,9 @@ class GalerkinOperator:
                              f"assembly cap {cap}")
         nd = self.n_dof
         A = np.zeros((n, n))
-        for (j, k) in self._pairs():
+        t, m1 = self.tensor, self.M + 1
+        for pair in np.unique(t.j * m1 + t.k).tolist():
+            j, k = divmod(pair, m1)
             A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = \
                 self.block(j, k).toarray()
         return A

@@ -1,12 +1,16 @@
 """Preconditioners for the stochastic Galerkin system.
 
 Six kinds, all linear maps applied blockwise on the (M+1)*N_dof global
-vector:
+vector.  Two are one Kronecker map (G ⊗ K_0)⁻¹, one class
+(``Kronecker``) that differs by kind only in the weights w_α of
+G = Σ_α w_α G_α:
 
-  mb    mean-based, diag(G_0) ⊗ K_0
-  kron  Kronecker product G ⊗ K_0 with trace-fitted G
+  kind  weights
+  mb    the mean's only, so G = G_0 (mean-based)
+  kron  every one, trace-fitted
 
-and four symmetric block Gauss-Seidel sweeps, one class
+Both solve K_0 with the factor of the mean diagonal block, K^{(0,0)} = K_0.
+The other four are symmetric block Gauss-Seidel sweeps, one class
 (``BlockGaussSeidel``) that differs by kind only in how the blocks are
 grouped, in which order the groups are swept and how a group is solved:
 
@@ -50,35 +54,27 @@ class Preconditioner:
                                                   self.op.n_dof)
 
 
-class MeanBased(Preconditioner):
-    """v_(j) = (G_0)_jj⁻¹ K_0⁻¹ r_(j)."""
-
-    def __init__(self, op, trunc):
-        super().__init__(op, trunc)
-        self._f0 = factorize(op.k_mats[0])
-        jj, _, vv = op.tensor.slice_coords(0)  # G_0 is diagonal
-        g0 = np.zeros(op.M + 1)
-        g0[jj] = vv
-        self._g0 = g0
-
-    def apply(self, r):
-        R = self._blocks(r)
-        V = self._f0.solve(R.T).T / self._g0[:, None]
-        return V.ravel()
-
-
 class Kronecker(Preconditioner):
-    """(G ⊗ K_0)⁻¹ with G = Σ_α [tr(K_αᵀK_0)/tr(K_0ᵀK_0)] G_α.
+    """(G ⊗ K_0)⁻¹ with G = Σ_α w_α G_α: mb and kron.
 
-    The traces reduce to data-array dot products because all K_α share one
-    sparsity pattern.
+    Unless ``fitted``, only the mean weight is kept, w = e_0, so G = G_0
+    exactly (mean-based, Powell & Elman 2009): the other weights add exact
+    zeros.  When ``fitted``, every weight is the trace fit
+    w_α = tr(K_αᵀK_0)/tr(K_0ᵀK_0) (Ullmann 2010); the traces reduce to
+    data-array dot products because all K_α share one sparsity pattern.
+    K_0's factor is that of the mean diagonal block: c_i00 = δ_i0, so
+    K^{(0,0)} = K_0.
     """
 
-    def __init__(self, op, trunc):
+    def __init__(self, op, trunc, fitted: bool):
         super().__init__(op, trunc)
-        self._f0 = factorize(op.k_mats[0])
-        d0 = op.k_mats[0].data
-        weights = (op._kdata @ d0) / float(d0 @ d0)
+        self._f0 = op.assemble_diag_block(0)
+        if fitted:
+            d0 = op.k_mats[0].data
+            weights = (op._kdata @ d0) / float(d0 @ d0)
+        else:
+            weights = np.zeros(op.Mprime + 1)
+            weights[0] = 1.0
         t = op.tensor
         G = np.zeros((op.M + 1, op.M + 1))
         np.add.at(G, (t.j, t.k), weights[t.i] * t.val)
@@ -90,12 +86,6 @@ class Kronecker(Preconditioner):
         Y = self._f0.solve(R.T).T  # K_0 solve per block
         V = self._fg.solve(Y)      # mix across the block index
         return V.ravel()
-
-
-def _span(lo: int, hi: int):
-    """Blocks [lo, hi) as a slice for indexing and a range for tmatvec, or
-    None when empty."""
-    return (slice(lo, hi), range(lo, hi)) if lo < hi else None
 
 
 class BlockGaussSeidel(Preconditioner):
@@ -112,7 +102,8 @@ class BlockGaussSeidel(Preconditioner):
     once a group is solved, one truncated product with its column blocks
     subtracts its coupling from every row still to be solved, so each
     K_i y_(k) is computed once per half sweep.  In either order those rows
-    are one contiguous range, computed once here.
+    are one slice of blocks, computed once here; the forward sweep's last
+    group pushes to an empty slice, a product with no terms.
 
     Each group is solved by factors of runs of its blocks, decided once
     here: the whole level, whose matrix is D_ℓ, when ``exact``, else one
@@ -131,14 +122,13 @@ class BlockGaussSeidel(Preconditioner):
         for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             runs = ([range(lo, hi)] if exact else
                     [range(j, j + 1) for j in range(lo, hi)])
-            after, before = _span(hi, end), _span(0, lo)
+            after, before = slice(hi, end), slice(0, lo)
             if descending:
                 after, before = before, after
-            # (group, which is its level for levels; blocks, its runs,
+            # (group, which is its level for levels; its blocks, its runs,
             # rows to push to going forward, rows to push to going back)
-            groups.append((g, slice(lo, hi), range(lo, hi), runs, after,
-                           before))
-        runs = [len(run) for group in groups for run in group[3]]
+            groups.append((g, slice(lo, hi), runs, after, before))
+        runs = [len(run) for group in groups for run in group[2]]
         check_band_fits([s * op.n_dof for s in runs],
                         [op.run_band(s) for s in runs], (
             "; hs's exact level solves need them, while ahs and ahgs "
@@ -164,29 +154,32 @@ class BlockGaussSeidel(Preconditioner):
                                     self._groups)
         rhs = self._blocks(r).copy()  # r minus the pushed products
         V = np.empty_like(rhs)
-        for g, blk, cols, runs, forward, _ in groups:
+        for g, blk, runs, forward, _ in groups:
             solve(g, runs, rhs[blk], V[blk])
-            if forward is not None:
-                rows, row_blocks = forward
-                rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
+            rhs[forward] -= op.tmatvec(forward, blk, trunc, V[blk])
         # the last forward solve is also the first backward one
         for t in range(len(groups) - 1, 0, -1):
-            _, blk, cols, _, _, (rows, row_blocks) = groups[t]
-            rhs[rows] -= op.tmatvec(row_blocks, cols, trunc, V[blk])
-            g, blk, _, runs = groups[t - 1][:4]
+            blk, back = groups[t][1], groups[t][4]
+            rhs[back] -= op.tmatvec(back, blk, trunc, V[blk])
+            g, blk, runs = groups[t - 1][:3]
             solve(g, runs, rhs[blk], V[blk])
         return V.ravel()
 
 
-# kind -> (class, sweep); a sweep is (groups, order, group solve) as in
-# the kind table above
+# kind -> (class, its keyword arguments); a sweep's are its groups
+# (degree levels or single blocks), order and group solve (exact D_ℓ or
+# diagonal blocks) as in the kind table above
 _KIND_TABLE = {
-    "mb": (MeanBased, None),
-    "kron": (Kronecker, None),
-    "gs": (BlockGaussSeidel, ("blocks", "ascending", "diagonal")),
-    "hs": (BlockGaussSeidel, ("levels", "descending", "exact")),
-    "ahs": (BlockGaussSeidel, ("levels", "descending", "diagonal")),
-    "ahgs": (BlockGaussSeidel, ("levels", "ascending", "diagonal")),
+    "mb": (Kronecker, dict(fitted=False)),
+    "kron": (Kronecker, dict(fitted=True)),
+    "gs": (BlockGaussSeidel, dict(by_level=False, descending=False,
+                                  exact=False)),
+    "hs": (BlockGaussSeidel, dict(by_level=True, descending=True,
+                                  exact=True)),
+    "ahs": (BlockGaussSeidel, dict(by_level=True, descending=True,
+                                   exact=False)),
+    "ahgs": (BlockGaussSeidel, dict(by_level=True, descending=False,
+                                    exact=False)),
 }
 
 KINDS = tuple(_KIND_TABLE)
@@ -207,9 +200,5 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
                          f"expected one of {KINDS}")
     if trunc is None:
         trunc = full_truncation(op.tensor)
-    cls, sweep = _KIND_TABLE[kind]
-    if sweep is None:
-        return cls(op, trunc)
-    groups, order, group_solve = sweep
-    return cls(op, trunc, groups == "levels", order == "descending",
-               group_solve == "exact")
+    cls, args = _KIND_TABLE[kind]
+    return cls(op, trunc, **args)

@@ -54,7 +54,9 @@ class TestConfig:
         ("maxit", -3), ("mu_log", 0.0), ("mu_log", -2.0), ("L", -1.0),
         ("cov_list", (25.0, -5.0)), ("lt_list", (0, -1)),
         ("tau_list", (1.0, -0.5)), ("tau_list", (float("nan"),)),
-        ("mesh_list", (3, 0)),
+        ("mesh_list", (3, 0)), ("cov_list", (0.0,)), ("cov_list", ()),
+        ("preconds", ()), ("lt_list", ()), ("tau_list", ()),
+        ("mesh_list", ()),
     ])
     def test_rejects_bad_field_naming_it(self, field, bad):
         with pytest.raises(ValueError, match=f"config field {field} must"):
@@ -433,9 +435,13 @@ class TestCli:
         (["solve", "--precond", "gs", "--mesh", "0"],
          "sg solve: error: argument --mesh: must be >= 1, got 0"),
         (["solve", "--precond", "gs", "--cov", "-5"],
-         "sg solve: error: argument --cov: must be >= 0, got -5"),
+         "sg solve: error: argument --cov: must be > 0, got -5"),
         (["export", "--dest", "out", "--cov", "nan"],
-         "sg export: error: argument --cov: must be >= 0, got nan"),
+         "sg export: error: argument --cov: must be > 0, got nan"),
+        (["solve", "--precond", "gs", "--cov", "0"],
+         "sg solve: error: argument --cov: must be > 0, got 0"),
+        (["export", "--dest", "out", "--cov", "0"],
+         "sg export: error: argument --cov: must be > 0, got 0"),
     ])
     def test_bad_argument_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -454,6 +460,21 @@ class TestCli:
     def test_bad_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"sg: error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line,message", [
+        ("cov_list = 0", "config field cov_list must be > 0, got (0.0,)"),
+        ("cov_list =", "config field cov_list must have at least one entry"),
+    ])
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, line,
+                                              message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"N = 2\nP = 2\nn = 3\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["norms", "--config", str(cfg)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err == f"sg: error: {message}\n"

@@ -149,6 +149,15 @@ class TestTmatvecOracle:
         op, _, _, _ = build_operator(2, 1, 3)
         v = np.random.default_rng(9).standard_normal(op.n_global)
         assert np.array_equal(op.matvec(v), op.matvec(v))
+        # a slice of blocks is the range it selects; an empty one adds
+        # no products and no summations
+        full, V = full_truncation(op.tensor), v.reshape(op.M + 1, -1)
+        for lo, hi in ((0, op.M + 1), (1, 3), (2, 2)):
+            want = op.tmatvec(range(lo, hi), range(1, 3), full, V[1:3])
+            counters = dict(op.counters)
+            got = op.tmatvec(slice(lo, hi), slice(1, 3), full, V[1:3])
+            assert np.array_equal(got, want)
+            assert (op.counters == counters) == (lo == hi)
 
     def test_dimension_mismatch(self):
         op, _, _, _ = build_operator(1, 1, 2)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
+from sgfem.chaos import g_matrix
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
 from sgfem.preconditioners import KINDS, make_preconditioner
@@ -21,13 +22,10 @@ SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
 def truncated_dense_block(op, j, k, indices):
     """Σ_{i in set} c_ijk K_i as a dense matrix (independent route)."""
-    pair = op._pairs().get((j, k))
+    t = op.tensor
+    keep = (t.j == j) & (t.k == k) & np.isin(t.i, indices)
     out = np.zeros((op.n_dof, op.n_dof))
-    if pair is None:
-        return out
-    ii, vv = pair
-    keep = np.isin(ii, indices)
-    for i, v in zip(ii[keep], vv[keep]):
+    for i, v in zip(t.i[keep], t.val[keep]):
         out += v * op.k_mats[i].toarray()
     return out
 
@@ -176,17 +174,37 @@ class TestMeanBased:
         e = rng.standard_normal(op.n_global)
         np.testing.assert_allclose(mb.apply(M @ e), e, atol=1e-12)
 
+    def test_g_matrix_is_the_mean_matrix(self):
+        op, _, _, _ = build_operator(2, 2, 3)
+        mb = make_preconditioner(op, "mb")
+        np.testing.assert_array_equal(mb.g_matrix, g_matrix(0, op.tensor))
+
 
 class TestKronecker:
-    @pytest.mark.parametrize("N,P,n", SMALL)
-    def test_dense_kronecker_oracle(self, N, P, n):
+    # kron's cases keep the bare (N, P, n) ids
+    @pytest.mark.parametrize("kind,N,P,n", [
+        pytest.param(kind, *case, id="-".join(
+            map(str, case if kind == "kron" else (kind, *case))))
+        for kind in ("kron", "mb") for case in SMALL])
+    def test_dense_kronecker_oracle(self, kind, N, P, n):
         op, _, _, _ = build_operator(N, P, n)
-        kr = make_preconditioner(op, "kron")
-        M = np.kron(kr.g_matrix, op.k_mats[0].toarray())
+        pre = make_preconditioner(op, kind)
+        G = pre.g_matrix if kind == "kron" else g_matrix(0, op.tensor)
+        M = np.kron(G, op.k_mats[0].toarray())
         rng = np.random.default_rng(7)
         r = rng.standard_normal(op.n_global)
         want = np.linalg.solve(M, r)
-        np.testing.assert_allclose(kr.apply(r), want, atol=1e-11)
+        np.testing.assert_allclose(pre.apply(r), want, atol=1e-11)
+
+    @pytest.mark.parametrize("n", [4, 10, 32])
+    @pytest.mark.parametrize("kind", ["mb", "kron"])
+    def test_k0_factor_is_the_factor_of_k0(self, kind, n):
+        op, _, _, _ = build_operator(1, 1, n)
+        F = [F for F in held_factors(make_preconditioner(op, kind))
+             if F.kind == "band"]
+        assert len(F) == 1
+        np.testing.assert_array_equal(
+            F[0]._state[0], linalg.factorize(op.k_mats[0])._state[0])
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
         import scipy.sparse as sp
