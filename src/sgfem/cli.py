@@ -4,6 +4,10 @@ Subcommands: ``tables`` (iteration-count sweeps), ``cpattern`` (tensor
 truncation counts), ``norms`` (stiffness norm decay data), ``export``
 (write one problem instance to files) and ``solve`` (one preconditioned
 solve).  Results go to stdout or, with --out, to CSV files.
+
+Exit status: 0 on success, 1 when ``solve`` refuses a setup that does not
+fit in memory, 2 on a usage error (a bad argument or config), 3 when
+``solve`` does not converge within its iteration cap.
 """
 
 from __future__ import annotations
@@ -66,16 +70,20 @@ def _add_config_flags(p):
 def _config_from(args):
     """The config file with every flag that names a config field on top.
 
-    A value the config rejects is a usage error: it ends the program the
-    way argparse does, with one ``sg: error:`` line and exit status 2.
+    A config file that cannot be read or a value the config rejects is a
+    usage error: it ends the program the way argparse does, with one
+    ``sg: error:`` line and exit status 2.
     """
     names = {f.name for f in fields(ExperimentConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in names}
     try:
         return load_config(args.config, **overrides)
+    except OSError as exc:
+        message = f"cannot read config file {args.config}: {exc.strerror}"
     except ValueError as exc:
-        print(f"sg: error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from None
+        message = str(exc)
+    print(f"sg: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _emit(report, out, markdown=False):
@@ -120,7 +128,7 @@ def build_parser():
     p.add_argument("--dest", required=True, help="output directory")
     p.add_argument("--cov", type=_POSITIVE_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
-    p.add_argument("--cap", type=int, default=5000,
+    p.add_argument("--cap", type=_NONNEG_INT, default=5000,
                    help="size cap for the dense global matrix")
 
     p = sub.add_parser("solve", help="one preconditioned solve")
@@ -200,7 +208,7 @@ def _cmd_solve(args):
            "converged": res["converged"]}
     report = Report("solve", tuple(row), (row,))
     _emit(report, args.out)
-    return 0 if res["converged"] else 2
+    return 0 if res["converged"] else 3
 
 
 _COMMANDS = {"tables": _cmd_tables, "cpattern": _cmd_cpattern,

@@ -416,12 +416,15 @@ def parse_config_text(text: str) -> dict:
         if key not in defaults:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
         default = defaults[key]
-        if isinstance(default, tuple):
-            conv = type(default[0])
-            out[key] = tuple(conv(v.strip())
-                             for v in value.split(",") if v.strip())
-        else:
-            out[key] = type(default)(value)
+        try:
+            if isinstance(default, tuple):
+                conv = type(default[0])
+                out[key] = tuple(conv(v.strip())
+                                 for v in value.split(",") if v.strip())
+            else:
+                out[key] = type(default)(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return out
 
 

@@ -9,8 +9,9 @@ buffer.  Then the buffer is mixed into the row blocks by one sparse
 coupling matrix holding the c_ijk.  The buffer is filled and mixed in
 chunks of bounded size, so a full product over all blocks never holds
 every K_i v_(k) at once.  Which products a call needs and how they mix
-form a plan, built once per (row blocks, column blocks, truncation set)
-and kept in a bounded cache.
+form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
+its user: a preconditioner keeps the plans of its own pushes, and the
+operator only that of its full product.
 
 Every block factor, of a diagonal block K^{(j,j)} or a level matrix D_ℓ,
 is that of a run of consecutive blocks (a diagonal block is a run of
@@ -24,8 +25,7 @@ brute-force oracles for small instances.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -45,7 +45,6 @@ from sgfem.linalg import (
 )
 
 _CHUNK_BYTES = 1 << 20      # stacked product buffer per chunk
-_PLAN_CACHE_SIZE = 1024     # plans kept per operator, least recent evicted
 
 
 @dataclass(frozen=True)
@@ -83,27 +82,15 @@ class TruncationSet:
 
     indices: np.ndarray
     provenance: str
-    _key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.indices) == 0 or self.indices[0] != 0:
             raise ValueError("truncation set must contain index 0")
         if np.any(np.diff(self.indices) <= 0):
             raise ValueError("truncation indices must be sorted, unique")
-        idx = np.asarray(self.indices, dtype=np.int64)
-        breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-        starts = idx[np.concatenate([[0], breaks])]
-        stops = idx[np.concatenate([breaks - 1, [len(idx) - 1]])] + 1
-        object.__setattr__(self, "_key", tuple(
-            (int(a), int(b)) for a, b in zip(starts, stops)))
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def key(self) -> tuple:
-        """The indices as (start, stop) runs, computed once: a standard or
-        full set is a single run."""
-        return self._key
 
 
 def standard_truncation(N: int, lt: int) -> TruncationSet:
@@ -142,20 +129,6 @@ def full_truncation(tensor: CijkTensor) -> TruncationSet:
     return TruncationSet(np.arange(len(tensor.iset), dtype=np.int64), "full")
 
 
-def _block_key(blocks):
-    """Blocks as a hashable cache key: a range when they are contiguous
-    and ascending, else a tuple in the given order.  A slice with its
-    start and stop given selects the range between them."""
-    if isinstance(blocks, slice):
-        blocks = range(blocks.start, blocks.stop, blocks.step or 1)
-    if isinstance(blocks, range) and blocks.step == 1:
-        return blocks
-    b = tuple(int(x) for x in blocks)
-    if b and b == tuple(range(b[0], b[0] + len(b))):
-        return range(b[0], b[0] + len(b))
-    return b
-
-
 @dataclass(frozen=True)
 class _Chunk:
     """One bounded slice of a plan's stacked products.
@@ -176,8 +149,12 @@ class _Chunk:
 
 @dataclass(frozen=True)
 class _Plan:
+    """The products and mixing of one truncated product, over ``n_rows``
+    row blocks and ``n_cols`` column blocks, in bounded chunks."""
+
+    n_rows: int
+    n_cols: int
     chunks: tuple
-    single_column: bool
     products: int
     summations: int
 
@@ -264,12 +241,13 @@ class GalerkinOperator:
     their data are stacked once into a new array, which is compacted the
     same way, and ``k_mats`` holds new CSR matrices on its rows.
 
-    A call of :meth:`tmatvec` follows a plan cached per (row blocks,
-    column blocks, truncation set): the needed pairs (i, k), grouped by i
-    and cut into chunks whose products fit a buffer of about
+    A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
+    (row blocks, column blocks, truncation set): the needed pairs (i, k),
+    grouped by i and cut into chunks whose products fit a buffer of about
     ``_CHUNK_BYTES``, and per chunk the sparse coupling matrix that mixes
-    the buffer rows into the row blocks.  The cache keeps the
-    ``_PLAN_CACHE_SIZE`` most recently used plans.  All calls share one
+    the buffer rows into the row blocks.  The caller holds the plan, so a
+    plan lives as long as its user; the operator keeps only the full
+    product's, built at the first :meth:`matvec`.  All calls share one
     buffer, so an operator must not run two products at once (from two
     threads).
 
@@ -314,8 +292,7 @@ class GalerkinOperator:
         # K_0's band: the largest row-minus-column offset of the pattern
         node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
         self._band = int((node - self._indices).max(initial=0))
-        self._full = full_truncation(tensor)
-        self._plan_cache: OrderedDict = OrderedDict()
+        self._full_plan: _Plan | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
 
@@ -333,19 +310,13 @@ class GalerkinOperator:
         coefficient's products over all M+1 column blocks."""
         return max(_CHUNK_BYTES // (8 * self.n_dof), self.M + 1)
 
-    def _plan(self, rows, cols, trunc: TruncationSet) -> _Plan:
-        key = (rows, cols, trunc.key())
-        plan = self._plan_cache.get(key)
-        if plan is not None:
-            self._plan_cache.move_to_end(key)
-            return plan
-        plan = self._build_plan(rows, cols, trunc)
-        self._plan_cache[key] = plan
-        if len(self._plan_cache) > _PLAN_CACHE_SIZE:
-            self._plan_cache.popitem(last=False)
-        return plan
-
-    def _build_plan(self, rows, cols, trunc: TruncationSet) -> _Plan:
+    def plan(self, row_blocks, col_blocks, trunc: TruncationSet) -> _Plan:
+        """The plan of w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k)
+        for :meth:`tmatvec`.  The blocks are given as distinct indices in
+        [0, M], a range or a slice with its start and stop given."""
+        rows, cols = (range(b.start, b.stop, b.step or 1)
+                      if isinstance(b, slice) else b
+                      for b in (row_blocks, col_blocks))
         t = self.tensor
         n_cols = len(cols)
         for blocks in (rows, cols):
@@ -394,7 +365,7 @@ class GalerkinOperator:
             chunks.append(_Chunk(steps, b - a, indptr,
                                  (prod[m] - a).astype(idx_dtype),
                                  np.ascontiguousarray(vv[m], dtype=float)))
-        return _Plan(tuple(chunks), n_cols == 1, len(pairs), len(sel))
+        return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel))
 
     def _chunk_buffer(self, n_products: int) -> np.ndarray:
         """The stacked product buffer's first rows, shared by all calls."""
@@ -403,29 +374,25 @@ class GalerkinOperator:
             self._buffer_rows = list(self._buffer)
         return self._buffer[:n_products]
 
-    def tmatvec(self, row_blocks, col_blocks, trunc: TruncationSet,
-                v: np.ndarray) -> np.ndarray:
-        """w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k).
+    def tmatvec(self, plan: _Plan, v: np.ndarray) -> np.ndarray:
+        """The truncated product of :meth:`plan` applied to ``v``.
 
-        The blocks are given as indices, a range or a slice.  ``v``
-        holds the column blocks: shape (len(col_blocks), n_dof) or flat;
-        the result follows the input layout over row_blocks.  Each
-        needed product K_i v_(k) is computed once and shared.
+        ``v`` holds the plan's column blocks: shape (n_cols, n_dof) or
+        flat; the result follows the input layout over its row blocks.
+        Each needed product K_i v_(k) is computed once and shared.
         """
-        rows, cols = _block_key(row_blocks), _block_key(col_blocks)
-        plan = self._plan(rows, cols, trunc)
-        n = self.n_dof
+        n, single_column = self.n_dof, plan.n_cols == 1
         flat = v.ndim == 1
-        V = np.ascontiguousarray(v, dtype=float).reshape(len(cols), n)
-        W = np.zeros((len(rows), n))
+        V = np.ascontiguousarray(v, dtype=float).reshape(plan.n_cols, n)
+        W = np.zeros((plan.n_rows, n))
         ip, ix, kd = self._indptr, self._indices, self._krows
-        if plan.single_column:
+        if single_column:
             y = V[0]
         else:
             Vt = np.ascontiguousarray(V.T)
         for ch in plan.chunks:
             S = self._chunk_buffer(ch.n_products)
-            if plan.single_column:
+            if single_column:
                 S.fill(0.0)
                 out = self._buffer_rows
                 for p, i in enumerate(ch.steps):
@@ -437,7 +404,7 @@ class GalerkinOperator:
                     csr_matvecs(n, n, m, ip, ix, kd[i],
                                 Vt.take(ks, axis=1).ravel(), U.ravel())
                     S[p:p + m] = U.T
-            csr_matvecs(len(rows), ch.n_products, n, ch.mix_indptr,
+            csr_matvecs(plan.n_rows, ch.n_products, n, ch.mix_indptr,
                         ch.mix_indices, ch.mix_data, S.ravel(), W.ravel())
         self.counters["products"] += plan.products
         self.counters["summations"] += plan.summations
@@ -445,8 +412,11 @@ class GalerkinOperator:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Full product A v over all blocks with the complete tensor."""
-        blocks = range(self.M + 1)
-        return self.tmatvec(blocks, blocks, self._full, v)
+        if self._full_plan is None:
+            blocks = range(self.M + 1)
+            self._full_plan = self.plan(blocks, blocks,
+                                        full_truncation(self.tensor))
+        return self.tmatvec(self._full_plan, v)
 
     # -- assembled blocks -------------------------------------------------
 

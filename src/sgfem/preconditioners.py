@@ -27,8 +27,8 @@ blocks otherwise, so a level of one block is a diagonal block in every
 kind.  Off-diagonal block products inside the sweeps run through the
 operator's truncated product and honor the configured TruncationSet;
 the factors always take the full sum.  Each preconditioner owns the
-factorizations it builds: sweeps on one operator share none, and a
-dropped preconditioner frees them.
+factorizations and product plans it builds: sweeps on one operator share
+none, and a dropped preconditioner frees them.
 """
 
 from __future__ import annotations
@@ -107,10 +107,11 @@ class BlockGaussSeidel(Preconditioner):
 
     Each group is solved by factors of runs of its blocks, decided once
     here: the whole level, whose matrix is D_ℓ, when ``exact``, else one
-    run per block, its diagonal block.  A group's factors are built at
-    its first solve and kept in ``_factors``, their only owner, so the
-    band bytes of every factor the sweep will hold are summed here and
-    checked against physical memory together, before any work.
+    run per block, its diagonal block.  Every group's factors and the
+    plans of its two pushes are built at the first apply and kept in
+    ``_sweep``, their only owner, so the band bytes of every factor the
+    sweep will hold are summed here and checked against physical memory
+    together, before any work.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
@@ -133,36 +134,44 @@ class BlockGaussSeidel(Preconditioner):
                         [op.run_band(s) for s in runs], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
-        self._factors: dict = {}  # group -> its factors, one per run
         self._groups = groups[::-1] if descending else groups
+        self._sweep: list | None = None  # built at the first apply
 
-    def _solve(self, g, runs: list, R: np.ndarray, out: np.ndarray):
-        """Solve group ``g`` for R given blockwise; the result goes to
+    def _build(self) -> list:
+        """Per group in sweep order: its blocks, its factors (one per
+        run), and its forward and backward push rows, each with the plan
+        of its truncated product."""
+        op, trunc = self.op, self.trunc
+        return [(blk, [op.assemble_diag_block(run.start) if len(run) == 1
+                       else op.assemble_level_block(g) for run in runs],
+                 forward, op.plan(forward, blk, trunc),
+                 back, op.plan(back, blk, trunc))
+                for g, blk, runs, forward, back in self._groups]
+
+    @staticmethod
+    def _solve(factors: list, R: np.ndarray, out: np.ndarray):
+        """Solve a group for R given blockwise; the result goes to
         ``out``.  Each of the group's factors solves its run, an equal
         share of the rows: a diagonal block or the whole level."""
-        factors = self._factors.get(g)
-        if factors is None:
-            factors = self._factors[g] = [
-                self.op.assemble_diag_block(run.start) if len(run) == 1
-                else self.op.assemble_level_block(g) for run in runs]
         for f, x, y in zip(factors, R.reshape(len(factors), -1),
                            out.reshape(len(factors), -1)):
             y[:] = f.solve(x)
 
     def apply(self, r):
-        op, trunc, solve, groups = (self.op, self.trunc, self._solve,
-                                    self._groups)
+        if self._sweep is None:
+            self._sweep = self._build()
+        tmatvec, solve, sweep = self.op.tmatvec, self._solve, self._sweep
         rhs = self._blocks(r).copy()  # r minus the pushed products
         V = np.empty_like(rhs)
-        for g, blk, runs, forward, _ in groups:
-            solve(g, runs, rhs[blk], V[blk])
-            rhs[forward] -= op.tmatvec(forward, blk, trunc, V[blk])
+        for blk, factors, forward, push, _, _ in sweep:
+            solve(factors, rhs[blk], V[blk])
+            rhs[forward] -= tmatvec(push, V[blk])
         # the last forward solve is also the first backward one
-        for t in range(len(groups) - 1, 0, -1):
-            blk, back = groups[t][1], groups[t][4]
-            rhs[back] -= op.tmatvec(back, blk, trunc, V[blk])
-            g, blk, runs = groups[t - 1][:3]
-            solve(g, runs, rhs[blk], V[blk])
+        for t in range(len(sweep) - 1, 0, -1):
+            blk, _, _, _, back, push = sweep[t]
+            rhs[back] -= tmatvec(push, V[blk])
+            blk, factors = sweep[t - 1][:2]
+            solve(factors, rhs[blk], V[blk])
         return V.ravel()
 
 

@@ -1,6 +1,6 @@
 """Shared helpers: build small end-to-end problem instances, probe
-linear maps, find the factorizations an object holds and trace the
-memory of a call."""
+linear maps, find the factorizations and product plans an object holds
+and trace the memory of a call."""
 
 import tracemalloc
 
@@ -69,17 +69,17 @@ def probe_matrix(apply, n: int) -> np.ndarray:
     return P
 
 
-def held_factors(obj) -> list:
-    """Every Factorization reachable from ``obj``, once each, through
-    the attributes of sgfem objects and the items of dicts, lists and
-    tuples."""
+def held_factors(obj, cls=Factorization) -> list:
+    """Every Factorization (or other ``cls``) reachable from ``obj``, once
+    each, through the attributes of sgfem objects and the items of dicts,
+    lists and tuples."""
     seen, found, todo = set(), [], [obj]
     while todo:
         x = todo.pop()
         if id(x) in seen:
             continue
         seen.add(id(x))
-        if isinstance(x, Factorization):
+        if isinstance(x, cls):
             found.append(x)
         elif isinstance(x, dict):
             todo += x.values()

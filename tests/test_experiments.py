@@ -442,6 +442,8 @@ class TestCli:
          "sg solve: error: argument --cov: must be > 0, got 0"),
         (["export", "--dest", "out", "--cov", "0"],
          "sg export: error: argument --cov: must be > 0, got 0"),
+        (["export", "--dest", "out", "--cap", "-5"],
+         "sg export: error: argument --cap: must be >= 0, got -5"),
     ])
     def test_bad_argument_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -456,6 +458,9 @@ class TestCli:
          "config field N must be >= 1, got 0"),
         (["solve", "--precond", "gs", "--tol", "0"],
          "config field tol must be > 0, got 0.0"),
+        (["solve", "--precond", "gs", "--config", "no/such/exp.cfg"],
+         "cannot read config file no/such/exp.cfg: No such file or "
+         "directory"),
     ])
     def test_bad_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -468,6 +473,8 @@ class TestCli:
     @pytest.mark.parametrize("line,message", [
         ("cov_list = 0", "config field cov_list must be > 0, got (0.0,)"),
         ("cov_list =", "config field cov_list must have at least one entry"),
+        ("N = abc",
+         "line 4: N: invalid literal for int() with base 10: 'abc'"),
     ])
     def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys, line,
                                               message):
@@ -500,6 +507,14 @@ class TestCli:
         assert captured.err.startswith("sg solve: error: band factor of ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_solve_not_converged_has_its_own_status(self, capsys):
+        rc = main(["solve", "--precond", "gs", "--N", "1", "--P", "1",
+                   "--mesh", "2", "--maxit", "0"])
+        assert rc == 3
+        head, line = capsys.readouterr().out.strip().split("\n")
+        assert dict(zip(head.split(","), line.split(",")))["converged"] \
+            == "False"
 
     def test_solve_unknown_precond_rejected(self, capsys):
         with pytest.raises(SystemExit):

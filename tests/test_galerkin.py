@@ -103,12 +103,6 @@ class TestTruncationSets:
         with pytest.raises(ValueError):
             TruncationSet(np.array([1, 2]), "bad")
 
-    def test_key_is_index_runs_computed_once(self):
-        t = TruncationSet(np.array([0, 1, 2, 5, 7, 8]), "runs")
-        assert t.key() == ((0, 3), (5, 6), (7, 9))
-        assert t.key() is t.key()
-        assert standard_truncation(4, 2).key() == ((0, 15),)
-
 
 class TestTmatvecOracle:
     @pytest.mark.parametrize("N,P,n", SMALL)
@@ -125,7 +119,7 @@ class TestTmatvecOracle:
     def test_mean_block_identity(self):
         op, _, _, _ = build_operator(2, 2, 3)
         v = np.random.default_rng(3).standard_normal(op.n_dof)
-        got = op.tmatvec([0], [0], full_truncation(op.tensor), v)
+        got = op.tmatvec(op.plan([0], [0], full_truncation(op.tensor)), v)
         np.testing.assert_allclose(got, op.k_mats[0] @ v, atol=1e-13)
 
     def test_mean_truncation_kills_off_diagonal(self):
@@ -133,7 +127,7 @@ class TestTmatvecOracle:
         t0 = standard_truncation(2, 0)
         v = np.random.default_rng(4).standard_normal(op.n_dof)
         for j in range(1, op.M + 1):
-            got = op.tmatvec([j], [0], t0, v)
+            got = op.tmatvec(op.plan([j], [0], t0), v)
             np.testing.assert_array_equal(got, np.zeros(op.n_dof))
 
     def test_symmetry_as_bilinear_form(self):
@@ -153,25 +147,26 @@ class TestTmatvecOracle:
         # no products and no summations
         full, V = full_truncation(op.tensor), v.reshape(op.M + 1, -1)
         for lo, hi in ((0, op.M + 1), (1, 3), (2, 2)):
-            want = op.tmatvec(range(lo, hi), range(1, 3), full, V[1:3])
+            want = op.tmatvec(op.plan(range(lo, hi), range(1, 3), full),
+                              V[1:3])
             counters = dict(op.counters)
-            got = op.tmatvec(slice(lo, hi), slice(1, 3), full, V[1:3])
+            got = op.tmatvec(op.plan(slice(lo, hi), slice(1, 3), full),
+                             V[1:3])
             assert np.array_equal(got, want)
             assert (op.counters == counters) == (lo == hi)
 
     def test_dimension_mismatch(self):
         op, _, _, _ = build_operator(1, 1, 2)
+        plan = op.plan([0], [0, 1], full_truncation(op.tensor))
         with pytest.raises(ValueError):
-            op.tmatvec([0], [0, 1], full_truncation(op.tensor),
-                       np.ones(op.n_dof))
+            op.tmatvec(plan, np.ones(op.n_dof))
 
     @pytest.mark.parametrize("rows,cols", [([1, 1], [0]), ([0], [2, 0, 2]),
                                            ([-1], [0]), ([0], [3])])
     def test_rejects_repeated_or_out_of_range_blocks(self, rows, cols):
         op, _, _, _ = build_operator(1, 2, 2)  # blocks 0..2
-        v = np.ones(len(cols) * op.n_dof)
         with pytest.raises(ValueError, match="distinct and in"):
-            op.tmatvec(rows, cols, full_truncation(op.tensor), v)
+            op.plan(rows, cols, full_truncation(op.tensor))
 
 
 @functools.lru_cache(maxsize=None)
@@ -216,12 +211,13 @@ class TestTmatvecProperty:
         for pos, k in enumerate(cols):
             x[k * nd:(k + 1) * nd] = v[pos]
         want = (A @ x).reshape(op.M + 1, nd)[rows]
-        got = op.tmatvec(rows, cols, trunc, v)
+        plan = op.plan(rows, cols, trunc)
+        got = op.tmatvec(plan, v)
         scale = max(np.abs(want).max(), 1.0)
         assert np.abs(got - want).max() <= 1e-13 * scale
         # flat input gives the same numbers in flat layout
-        np.testing.assert_array_equal(
-            op.tmatvec(rows, cols, trunc, v.ravel()), got.ravel())
+        np.testing.assert_array_equal(op.tmatvec(plan, v.ravel()),
+                                      got.ravel())
 
     def test_chunked_product_matches_single_chunk(self, monkeypatch):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -229,38 +225,11 @@ class TestTmatvecProperty:
         want = op.matvec(v)
         monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 8 * op.n_dof)
         small = GalerkinOperator(op.tensor, op.k_mats)
-        assert len(small._plan(range(op.M + 1), range(op.M + 1),
-                               small._full).chunks) > 1
+        blocks = range(op.M + 1)
+        assert len(small.plan(blocks, blocks,
+                              full_truncation(op.tensor)).chunks) > 1
         np.testing.assert_allclose(small.matvec(v), want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
-
-
-class TestPlanCache:
-    def test_bounded_over_many_truncation_sets(self, monkeypatch):
-        monkeypatch.setattr(galerkin, "_PLAN_CACHE_SIZE", 64)
-        op, _, _, _ = build_operator(2, 2, 2)
-        rng = np.random.default_rng(21)
-        v = rng.standard_normal(op.n_global)
-        blocks = range(op.M + 1)
-        for _ in range(200):
-            extra = np.flatnonzero(rng.random(op.Mprime) < 0.5) + 1
-            trunc = TruncationSet(np.concatenate([[0], extra]), "random")
-            got = op.tmatvec(blocks, blocks, trunc, v)
-            assert len(op._plan_cache) <= 64
-        # the cached plan of the last set still gives the oracle's numbers
-        np.testing.assert_allclose(got, truncated_oracle(op, trunc) @ v,
-                                   atol=1e-12)
-
-    def test_default_bound(self):
-        op, _, _, _ = build_operator(2, 2, 2)
-        v = np.ones(op.n_global)
-        blocks = range(op.M + 1)
-        bits = 1 << np.arange(op.Mprime)
-        for mask in range(galerkin._PLAN_CACHE_SIZE + 50):
-            extra = np.flatnonzero(mask & bits) + 1
-            op.tmatvec(blocks, blocks, TruncationSet(
-                np.concatenate([[0], extra]), f"mask={mask}"), v)
-        assert len(op._plan_cache) == galerkin._PLAN_CACHE_SIZE
 
 
 class TestSharedPattern:
@@ -419,7 +388,7 @@ class TestStructuralCompaction:
             want = dense_truncated_product(tensor, dense, rows, cols,
                                            trunc, V)
             np.testing.assert_allclose(
-                op.tmatvec(rows, cols, trunc, V), want, rtol=0,
+                op.tmatvec(op.plan(rows, cols, trunc), V), want, rtol=0,
                 atol=1e-13 * max(np.abs(want).max(), 1.0))
 
     @pytest.mark.parametrize("N,P,n", [(2, 2, 2), (2, 2, 4), (3, 2, 3)])
@@ -513,7 +482,7 @@ class TestCounters:
         def counts(idx):
             trunc = TruncationSet(np.array(sorted(idx | {0})), "drawn")
             before = dict(op.counters)
-            op.tmatvec(rows, cols, trunc, v)
+            op.tmatvec(op.plan(rows, cols, trunc), v)
             return [op.counters[c] - before[c]
                     for c in ("products", "summations")]
 
@@ -528,7 +497,8 @@ class TestCounters:
         v = np.ones(op.n_global)
         for lt, count in expect.items():
             op.reset_counters()
-            op.tmatvec(blocks, blocks, standard_truncation(4, lt), v)
+            op.tmatvec(op.plan(blocks, blocks, standard_truncation(4, lt)),
+                       v)
             assert op.counters["summations"] == count, lt
             assert op.counters["products"] <= count
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
 from sgfem.chaos import g_matrix
-from sgfem.galerkin import full_truncation, standard_truncation
+from sgfem.galerkin import _Plan, full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
 from sgfem.preconditioners import KINDS, make_preconditioner
 
@@ -57,11 +57,13 @@ def pull_form_gs(op, trunc, r):
     Y = np.zeros_like(R)
     for j in range(op.M + 1):
         if j > 0:
-            rhs_fwd[j] -= op.tmatvec([j], range(j), trunc, Y[:j])[0]
+            rhs_fwd[j] -= op.tmatvec(op.plan([j], range(j), trunc),
+                                     Y[:j])[0]
         Y[j] = solv[j].solve(rhs_fwd[j])
     V = Y.copy()
     for j in range(op.M - 1, -1, -1):
-        corr = op.tmatvec([j], range(j + 1, op.M + 1), trunc, V[j + 1:])[0]
+        corr = op.tmatvec(op.plan([j], range(j + 1, op.M + 1), trunc),
+                          V[j + 1:])[0]
         V[j] = solv[j].solve(rhs_fwd[j] - corr)
     return V.ravel()
 
@@ -122,12 +124,12 @@ def pull_form_schur(op, trunc, exact, r):
     for level in range(lm.P, 0, -1):
         blk = lm.blocks(level)
         z = level_solve(op, level, exact, g[blk])
-        g[:blk[0]] -= op.tmatvec(range(blk[0]), blk, trunc, z)
+        g[:blk[0]] -= op.tmatvec(op.plan(range(blk[0]), blk, trunc), z)
     v = np.zeros_like(g)
     v[0] = op.assemble_diag_block(0).solve(g[0])
     for level in range(1, lm.P + 1):
         blk = lm.blocks(level)
-        corr = op.tmatvec(blk, range(blk[0]), trunc, v[:blk[0]])
+        corr = op.tmatvec(op.plan(blk, range(blk[0]), trunc), v[:blk[0]])
         v[blk] = level_solve(op, level, exact, g[blk] - corr)
     return v.ravel()
 
@@ -143,14 +145,14 @@ def pull_form_level_gs(op, trunc, r):
     for level in range(lm.P + 1):
         blk = lm.blocks(level)
         if level > 0:
-            rhs_fwd[blk] -= op.tmatvec(blk, range(blk[0]), trunc,
+            rhs_fwd[blk] -= op.tmatvec(op.plan(blk, range(blk[0]), trunc),
                                        U[:blk[0]])
         U[blk] = level_solve(op, level, False, rhs_fwd[blk])
     V = U.copy()
     for level in range(lm.P - 1, -1, -1):
         blk = lm.blocks(level)
         above = range(blk[-1] + 1, op.M + 1)
-        corr = op.tmatvec(blk, above, trunc, V[blk[-1] + 1:])
+        corr = op.tmatvec(op.plan(blk, above, trunc), V[blk[-1] + 1:])
         V[blk] = level_solve(op, level, False, rhs_fwd[blk] - corr)
     return V.ravel()
 
@@ -566,6 +568,40 @@ class TestFactory:
         del pre
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_dropped_sweep_frees_its_plans(self, kind):
+        """A sweep builds the plans of its two pushes per group at its
+        first apply and is their only holder: the operator keeps none,
+        and they die with the sweep."""
+        op, b, _, _ = build_operator(2, 2, 3)
+        pre = make_preconditioner(op, kind)
+        assert held_factors(pre, _Plan) == []
+        pre.apply(b)
+        groups = op.levels.P + 1 if SWEEPS[kind][0] else op.M + 1
+        refs = [weakref.ref(p) for p in held_factors(pre, _Plan)]
+        assert len(refs) == 2 * groups
+        assert held_factors(op, _Plan) == []
+        del pre
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_sweeps_on_one_operator_apply_as_alone(self):
+        """Sweeps built side by side on one operator, sharing no plan or
+        factor, give first applies bitwise equal to each one built alone
+        on its own operator, with the same products and summations."""
+        trunc = standard_truncation(2, 1)
+        op, _, _, _ = build_operator(2, 2, 3)
+        r = np.random.default_rng(30).standard_normal(op.n_global)
+        together = [make_preconditioner(op, kind, trunc) for kind in SWEEPS]
+        for kind, pre in zip(SWEEPS, together):
+            before = dict(op.counters)
+            got = pre.apply(r)
+            alone, _, _, _ = build_operator(2, 2, 3)
+            assert np.array_equal(
+                make_preconditioner(alone, kind, trunc).apply(r), got), kind
+            assert alone.counters == {c: op.counters[c] - before[c]
+                                      for c in before}, kind
 
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)
