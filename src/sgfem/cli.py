@@ -3,7 +3,8 @@
 Subcommands: ``tables`` (iteration-count sweeps), ``cpattern`` (tensor
 truncation counts), ``norms`` (stiffness norm decay data), ``export``
 (write one problem instance to files) and ``solve`` (one preconditioned
-solve).  Results go to stdout or, with --out, to CSV files.
+solve).  Results go to stdout or, with --out, to CSV files; an --out or
+--dest that cannot be written is a usage error before any work.
 
 Exit status: 0 on success, 1 when ``solve`` refuses a setup that does not
 fit in memory, 2 on a usage error (a bad argument or config), 3 when
@@ -13,7 +14,9 @@ fit in memory, 2 on a usage error (a bad argument or config), 3 when
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from dataclasses import fields
 
 from .experiments import (
@@ -52,6 +55,40 @@ _POSITIVE_INT = _checked(int, ">= 1", lambda v: v >= 1)
 _NONNEG_INT = _checked(int, ">= 0", lambda v: v >= 0)
 _NONNEG_FLOAT = _checked(float, ">= 0", lambda v: v >= 0)  # NaN fails
 _POSITIVE_FLOAT = _checked(float, "> 0", lambda v: v > 0)
+
+
+def _probe(folder: str, path: str) -> None:
+    """Reject ``path`` as a usage error unless ``folder`` takes a new
+    file, tried by creating an unnamed temporary one."""
+    try:
+        with tempfile.TemporaryFile(dir=folder):
+            pass
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot write to {path}: {exc.strerror}") from None
+
+
+def _output(suffix: str = ""):
+    """argparse type: an output file path, ``suffix`` appended, that is
+    not a directory and whose directory takes a new file."""
+    def check(text):
+        path = text + suffix
+        if os.path.isdir(path):
+            raise argparse.ArgumentTypeError(
+                f"cannot write to {path}: Is a directory")
+        _probe(os.path.dirname(path) or ".", path)
+        return text
+    return check
+
+
+def _directory(text):
+    """argparse type: an output directory that exists or can be made:
+    its nearest existing ancestor is a directory that takes a new file."""
+    folder = os.path.abspath(text)
+    while not os.path.exists(folder):
+        folder = os.path.dirname(folder)
+    _probe(folder, text)
+    return text
 
 
 def _add_config_flags(p):
@@ -105,7 +142,8 @@ def build_parser():
     p = sub.add_parser("tables", help="run one iteration-count sweep")
     p.add_argument("which", choices=TABLE_KINDS)
     _add_config_flags(p)
-    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--out", type=_output(),
+                   help="CSV output path (default stdout)")
     p.add_argument("--markdown", action="store_true",
                    help="emit a Markdown table instead of CSV")
 
@@ -115,17 +153,19 @@ def build_parser():
     p.add_argument("--P", type=_NONNEG_INT, required=True)
     p.add_argument("--lt", type=_NONNEG_INT, required=True,
                    help="truncation degree")
-    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--out", type=_output(),
+                   help="CSV output path (default stdout)")
 
     p = sub.add_parser("norms", help="stiffness norm decay data")
     _add_config_flags(p)
-    p.add_argument("--out",
+    p.add_argument("--out", type=_output("_norms.csv"),
                    help="path prefix; writes <out>_norms.csv and "
                         "<out>_weighted.csv")
 
     p = sub.add_parser("export", help="write one instance to files")
     _add_config_flags(p)
-    p.add_argument("--dest", required=True, help="output directory")
+    p.add_argument("--dest", type=_directory, required=True,
+                   help="output directory")
     p.add_argument("--cov", type=_POSITIVE_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
     p.add_argument("--cap", type=_NONNEG_INT, default=5000,
@@ -143,7 +183,8 @@ def build_parser():
     p.add_argument("--mesh", type=_POSITIVE_INT,
                    help="mesh subdivisions per side")
     _add_config_flags(p)
-    p.add_argument("--out", help="CSV output path (default stdout)")
+    p.add_argument("--out", type=_output(),
+                   help="CSV output path (default stdout)")
     return ap
 
 

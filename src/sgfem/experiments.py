@@ -172,10 +172,7 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     tensor = _cached_tensor(N, P, 2 * P)
     coeffs = gpc_coefficients(kl, tensor.iset, mesh)
     kfam = assemble_stiffness_family(mesh, coeffs.values)
-    f = assemble_load(mesh, 1.0)
-    f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
-    for K in kfam[1:]:  # treated in place: one family alive, not two
-        apply_dirichlet(K, f, mesh, diagonal=0.0)
+    f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
     op = GalerkinOperator(tensor, kfam)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0

@@ -1,15 +1,16 @@
 """Bilinear quadrilateral finite elements on the unit square.
 
 Uniform n-by-n grid of Q1 elements, lexicographic node numbering (x runs
-fastest), 2x2 Gauss quadrature.  Assembly supports a family of coefficient
-fields evaluated at the quadrature points and returns CSR matrices that all
-share one sparsity pattern, which the block operator and the boundary
-treatment rely on.
+fastest), 2x2 Gauss quadrature.  A stiffness family, one matrix per
+coefficient field evaluated at the quadrature points, is assembled
+straight onto the Dirichlet pattern: boundary nodes keep only their
+diagonal, so no boundary coupling is ever stored.  Its CSR matrices share
+one sparsity pattern, which the block operator relies on.  A single
+matrix (``assemble_stiffness``) is the Neumann one, on the full pattern.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,15 +68,6 @@ class Mesh:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    @functools.cached_property
-    def _dirichlet_slots(self):
-        """(indptr, indices, slots, diagonal slots) of the stiffness
-        pattern: the data slots ``apply_dirichlet`` zeroes and the
-        boundary diagonal ones.  Computed once per mesh, so a stiffness
-        family on it is treated without recomputing them per matrix."""
-        indices, indptr, _ = _pattern(self)
-        return (indptr, indices) + _boundary_slots(indptr, indices, self)
-
     def interpolate(self, nodal: np.ndarray) -> np.ndarray:
         """Evaluate a nodal field at all quadrature points, shape (n^2, 4)."""
         nodal = np.asarray(nodal, dtype=float)
@@ -107,38 +99,39 @@ def build_mesh(n: int) -> Mesh:
     return Mesh(n, h, nodes, elements, boundary, quad_points, quad_weights)
 
 
-def _pattern(mesh: Mesh):
-    """Canonical CSR pattern of the Q1 stiffness matrix plus the slot map
-    taking each (element, row-corner, col-corner) contribution to its
-    position in the shared data array."""
+def _pattern(mesh: Mesh, dropped):
+    """Canonical CSR pattern of the Q1 stiffness matrix without the
+    couplings of the ``dropped`` nodes, which keep only their diagonal,
+    plus the slot map taking each (element, row-corner, col-corner)
+    contribution to its position in the shared data array.  A
+    contribution that touches a dropped node maps to the discard slot
+    nnz, one past the pattern, so it is left out of every sum."""
     el = mesh.elements
     rows = np.repeat(el, 4, axis=1).ravel()
     cols = np.tile(el, (1, 4)).ravel()
     nn = mesh.n_nodes
+    off = np.zeros(nn, dtype=bool)
+    off[dropped] = True
     key = rows * nn + cols
-    uniq, slots = np.unique(key, return_inverse=True)
+    key[off[rows] | off[cols]] = nn * nn  # sorts last: the discard slot
+    uniq, slots = np.unique(
+        np.concatenate([key, np.flatnonzero(off) * (nn + 1), [nn * nn]]),
+        return_inverse=True)
+    uniq = uniq[:-1]
     indices = (uniq % nn).astype(np.int32)
     counts = np.bincount((uniq // nn).astype(np.int64), minlength=nn)
     indptr = np.zeros(nn + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
-    return indices, indptr, slots
+    return indices, indptr, slots[:len(key)]
 
 
-def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_matrix]:
-    """Assemble one stiffness matrix per coefficient field.
-
-    ``coeffs`` has shape (n_fields, n_elements, 4): values of each field at
-    the element quadrature points.  All returned CSR matrices share the
-    same indices/indptr arrays (one sparsity pattern), so later value
-    surgery and blockwise sums stay aligned.  Their data arrays are the
-    rows of one C-contiguous (n_fields, nnz) array, which
-    :class:`~sgfem.galerkin.GalerkinOperator` adopts as its stacked data
-    instead of copying the family.
-    """
+def _assemble(mesh: Mesh, coeffs, dropped) -> list[sp.csr_matrix]:
+    """One matrix per field on ``_pattern(mesh, dropped)``, their data
+    the rows of one C-contiguous (n_fields, nnz) array."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != (len(mesh.elements), 4):
         raise ValueError("coeffs must have shape (n_fields, n_elements, 4)")
-    indices, indptr, slots = _pattern(mesh)
+    indices, indptr, slots = _pattern(mesh, dropped)
     nnz = len(indices)
     stack = np.empty((len(coeffs), nnz))
     out = []
@@ -146,14 +139,34 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
         # element matrices: Ke[e] = sum_q c[e,q] * gradprod[q];
         # flattening matches _pattern (row corner slow, column corner fast)
         ke = np.einsum("eq,qlm->elm", c, _GRADPROD)
-        data[:] = np.bincount(slots, weights=ke.reshape(-1), minlength=nnz)
+        data[:] = np.bincount(slots, weights=ke.reshape(-1),
+                              minlength=nnz + 1)[:nnz]
         out.append(csr_on(data, indices, indptr,
                           (mesh.n_nodes, mesh.n_nodes)))
     return out
 
 
+def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_matrix]:
+    """Assemble one stiffness matrix per coefficient field, with
+    homogeneous Dirichlet conditions on the outer boundary.
+
+    ``coeffs`` has shape (n_fields, n_elements, 4): values of each field at
+    the element quadrature points.  Each K_i is the Neumann matrix of its
+    field with the boundary rows and columns zeroed, stored on the
+    Dirichlet pattern: a boundary node keeps only its diagonal slot, which
+    holds 0, and every element contribution that touches a boundary node
+    is left out of the sums.  :func:`apply_dirichlet` on K_0 then sets its
+    unit boundary diagonal.  All returned CSR matrices share the same
+    indices/indptr arrays (one sparsity pattern), so blockwise sums stay
+    aligned.  Their data arrays are the rows of one C-contiguous
+    (n_fields, nnz) array, which :class:`~sgfem.galerkin.GalerkinOperator`
+    adopts as its stacked data instead of copying the family.
+    """
+    return _assemble(mesh, coeffs, mesh.boundary)
+
+
 def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
-    """Stiffness matrix for one coefficient field.
+    """Stiffness matrix for one coefficient field, no boundary condition.
 
     ``coeff`` is a scalar or an (n_elements, 4) array of values at the
     quadrature points; entries are ∫ k ∇φ_l·∇φ_m dx by 2x2 Gauss
@@ -161,7 +174,7 @@ def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
     """
     if np.isscalar(coeff):
         coeff = np.full((len(mesh.elements), 4), float(coeff))
-    return assemble_stiffness_family(mesh, np.asarray(coeff)[None])[0]
+    return _assemble(mesh, np.asarray(coeff)[None], [])[0]
 
 
 def assemble_load(mesh: Mesh, f: float) -> np.ndarray:
@@ -172,42 +185,27 @@ def assemble_load(mesh: Mesh, f: float) -> np.ndarray:
     return load
 
 
-def _boundary_slots(indptr: np.ndarray, indices: np.ndarray, mesh: Mesh):
-    """Data slots of a CSR pattern in a boundary row or column, and the
-    boundary diagonal slots."""
-    on_bdry = np.zeros(mesh.n_nodes, dtype=bool)
-    on_bdry[mesh.boundary] = True
-    row_of = np.repeat(np.arange(mesh.n_nodes), np.diff(indptr))
-    kill = on_bdry[row_of] | on_bdry[indices]
-    return np.flatnonzero(kill), np.flatnonzero(kill & (row_of == indices))
-
-
-def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray, mesh: Mesh,
-                    diagonal: float = 1.0) -> tuple[sp.csr_matrix, np.ndarray]:
+def apply_dirichlet(K: sp.csr_matrix, f: np.ndarray,
+                    mesh: Mesh) -> tuple[sp.csr_matrix, np.ndarray]:
     """Homogeneous Dirichlet conditions on the outer boundary, size kept.
 
     Boundary rows and columns are zeroed in place of elimination and the
-    boundary diagonal is set to ``diagonal`` (1 for a solvable matrix, 0
-    when the matrix only ever appears inside coefficient sums).  Zeroed
-    entries stay stored, so the sparsity pattern survives unchanged and a
-    treated family still shares one pattern;
-    :class:`~sgfem.galerkin.GalerkinOperator` drops the slots that are
-    zero in every K_i.
+    boundary diagonal is set to 1.  Zeroed entries stay stored, so the
+    sparsity pattern survives unchanged.  On a family from
+    :func:`assemble_stiffness_family`, whose boundary rows store only a
+    zero diagonal, one call on K_0 treats the whole family.
 
     K is treated in place: its data array is overwritten and K itself is
-    returned, so a stiffness family is treated without a second copy of
-    it.  A caller that still needs the untreated matrix passes a copy.
-    f is left as it is; the returned load is a copy with the boundary
-    entries zeroed.  A K on the mesh's stiffness pattern reuses the slots
-    cached on the mesh; any other pattern gets its slots computed.
+    returned.  A caller that still needs the untreated matrix passes a
+    copy.  f is left as it is; the returned load is a copy with the
+    boundary entries zeroed.
     """
-    indptr, indices, slots, diag = mesh._dirichlet_slots
-    if not (np.array_equal(K.indptr, indptr)
-            and np.array_equal(K.indices, indices)):
-        slots, diag = _boundary_slots(K.indptr, K.indices, mesh)
-    K.data[slots] = 0.0
-    if diagonal != 0.0:
-        K.data[diag] = diagonal
+    on_bdry = np.zeros(mesh.n_nodes, dtype=bool)
+    on_bdry[mesh.boundary] = True
+    row_of = np.repeat(np.arange(mesh.n_nodes), np.diff(K.indptr))
+    kill = on_bdry[row_of] | on_bdry[K.indices]
+    K.data[kill] = 0.0
+    K.data[kill & (row_of == K.indices)] = 1.0
     f = np.asarray(f, dtype=float).copy()
     f[mesh.boundary] = 0.0
     return K, f

@@ -159,61 +159,25 @@ class _Plan:
     summations: int
 
 
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two arrays are one array in memory: the same address,
-    shape, strides and type, even as two view objects."""
-    return a.__array_interface__ == b.__array_interface__
-
-
-def _rows_of_one_array(arrays) -> np.ndarray | None:
-    """The C-contiguous float array whose rows, in order, are ``arrays``
-    (views of it, not copies), or None when there is none."""
-    base = arrays[0].base
+def _stack_family(k_mats: list) -> tuple[np.ndarray, list]:
+    """The stacked data of shared-pattern CSR matrices, one row per
+    matrix, and the matrices on those rows.  Matrices whose data are the
+    rows of one C-contiguous float array, in order (views of it, not
+    copies), are adopted with that array; others are left as they are:
+    their data are stacked into one new array, with new CSR matrices on
+    its rows."""
+    data = [K.data for K in k_mats]
+    base = data[0].base
+    # one array in memory: the same address, shape, strides and type
     if (isinstance(base, np.ndarray) and base.dtype == np.float64
-            and base.flags.c_contiguous and len(base) == len(arrays)
-            and all(_same_array(a, row) for a, row in zip(arrays, base))):
-        return base
-    return None
-
-
-def _structural_slots(rows) -> np.ndarray:
-    """Positions of the data slots that are nonzero in some row, scanned
-    one row at a time."""
-    keep = np.zeros(len(rows[0]), dtype=bool)
-    for row in rows:
-        keep |= row != 0
-    return np.flatnonzero(keep)
-
-
-def _compact_family(k_mats: list) -> tuple[np.ndarray, list]:
-    """Stacked data of shared-pattern CSR matrices on the slots nonzero in
-    some matrix, and the matrices on those rows.
-
-    Matrices whose data are not the rows of one float array are left as
-    they are: their data are stacked into one new array, with new CSR
-    matrices on its rows.  The array is then compacted in place: each
-    row's kept values move to the front of the buffer, rows in ascending
-    order, so a row is read before any write reaches it; the matrices
-    are rebound to the compact pattern and rows, and the buffer's unused
-    tail stays allocated.
-    """
-    first, data = k_mats[0], [K.data for K in k_mats]
-    stack = _rows_of_one_array(data)
-    if stack is None:
-        stack = np.array(data, dtype=np.float64)
-        k_mats = [csr_on(row, first.indices, first.indptr, first.shape)
-                  for row in stack]
-    kept = _structural_slots(stack)
-    indices = first.indices[kept]
-    indptr = np.searchsorted(kept, first.indptr).astype(first.indptr.dtype)
-    n, m = len(k_mats), len(kept)
-    flat = stack.reshape(-1)
-    for i in range(n):
-        flat[i * m:(i + 1) * m] = stack[i, kept]
-    kdata = flat[:n * m].reshape(n, m)
-    for K, row in zip(k_mats, kdata):
-        K.indices, K.indptr, K.data = indices, indptr, row
-    return kdata, k_mats
+            and base.flags.c_contiguous and len(base) == len(data)
+            and all(a.__array_interface__ == row.__array_interface__
+                    for a, row in zip(data, base))):
+        return base, k_mats
+    first = k_mats[0]
+    stack = np.array(data, dtype=np.float64)
+    return stack, [csr_on(row, first.indices, first.indptr, first.shape)
+                   for row in stack]
 
 
 class GalerkinOperator:
@@ -221,25 +185,16 @@ class GalerkinOperator:
 
     ``k_mats[i]`` is the stiffness matrix of the i-th chaos coefficient of
     the diffusion field; all must share one CSR sparsity pattern, which
-    the constructor checks.  The constructor then drops, once, every slot
-    of that pattern that is zero in all K_i, such as the Dirichlet
-    placeholders :func:`~sgfem.fem.apply_dirichlet` leaves stored; a slot
-    nonzero in some K_i stays in all of them.  Products, blocks and
-    factorizations run on the compact pattern with the stacked data
-    arrays ``_kdata``, one row per matrix.  ``k_mats`` and ``_kdata`` are
-    one storage: every ``k_mats[i].data`` is the row ``_kdata[i]``, so an
-    in-place edit of a K_i is an edit of the operator.  Matrices whose
-    data already are the rows of one float array, in order, as
+    the constructor checks.  Products, blocks and factorizations run on
+    that pattern with the stacked data arrays ``_kdata``, one row per
+    matrix.  ``k_mats`` and ``_kdata`` are one storage: every
+    ``k_mats[i].data`` is the row ``_kdata[i]``, so an in-place edit of a
+    K_i is an edit of the operator.  Matrices whose data already are the
+    rows of one float array, in order, as
     :func:`~sgfem.fem.assemble_stiffness_family` returns them, are
-    adopted with that array and not copied: the array is compacted in
-    place and the caller's matrices are rebound to the compact pattern,
-    equal as matrices.  Building the operator thus invalidates every
-    earlier view of an adopted family's data, indices or indptr arrays,
-    and every object derived from them without a copy (such as
-    ``K.T``, which shares them): those read shifted values against the
-    old pattern, with no error.  Other matrices are left as they are:
-    their data are stacked once into a new array, which is compacted the
-    same way, and ``k_mats`` holds new CSR matrices on its rows.
+    adopted with that array and not copied.  Other matrices are left as
+    they are: their data are stacked once into a new array, and
+    ``k_mats`` holds new CSR matrices on its rows.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -277,7 +232,7 @@ class GalerkinOperator:
                     f"pattern (indptr/indices) of matrix 0; store explicit "
                     f"zeros to keep one pattern")
         self.tensor = tensor
-        kdata, self.k_mats = _compact_family(list(k_mats))
+        kdata, self.k_mats = _stack_family(list(k_mats))
         first = self.k_mats[0]
         self.levels = level_structure(tensor.jkset.N, tensor.jkset.degree)
         self.n_dof = first.shape[0]

@@ -31,19 +31,16 @@ settings.load_profile("sgfem")
 
 def build_family(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     """Small-scale pipeline up to the operator: mesh -> KL -> coefficients
-    -> K_i -> boundary treatment.  Returns (tensor, kfam, f0, mesh, kl):
-    the treated stiffness family as assembled, on the rows of one array,
-    and the treated load."""
+    -> Dirichlet family K_i -> K_0's boundary diagonal.  Returns (tensor,
+    kfam, f0, mesh, kl): the treated stiffness family as assembled, on
+    the rows of one array, and the treated load."""
     mesh = build_mesh(n)
     g0, sg = field_parameters(mu_log, cov)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
     tensor = build_c_tensor(N, P, 2 * P)
     fields = gpc_coefficients(kl, tensor.iset, mesh)
     kfam = assemble_stiffness_family(mesh, fields.values)
-    f = assemble_load(mesh, 1.0)
-    f0 = apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
-    for K in kfam[1:]:
-        apply_dirichlet(K, f, mesh, diagonal=0.0)
+    f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
     return tensor, kfam, f0, mesh, kl
 
 

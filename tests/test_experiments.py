@@ -27,6 +27,9 @@ from sgfem.experiments import (
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.linalg import read_matrix_market
 
+# a path that cannot be a directory: its parent is this file
+UNDER_A_FILE = os.path.join(__file__, "out")
+
 # small-but-real sweep setup used throughout; keeps each solve under a second
 TINY = dict(N=2, P=2, n=4, cov_list=(25.0, 50.0), lt_list=(0, 1),
             tau_list=(1.0, 0.0), mesh_list=(3, 4), maxit=200)
@@ -444,6 +447,24 @@ class TestCli:
          "sg export: error: argument --cov: must be > 0, got 0"),
         (["export", "--dest", "out", "--cap", "-5"],
          "sg export: error: argument --cap: must be >= 0, got -5"),
+        # output paths are checked before any problem is built
+        (["solve", "--precond", "mb", "--N", "1", "--P", "1", "--mesh", "2",
+          "--out", "no/such/dir/x.csv"],
+         "sg solve: error: argument --out: cannot write to "
+         "no/such/dir/x.csv: No such file or directory"),
+        (["tables", "logN", "--out", "no/such/dir/t.csv"],
+         "sg tables: error: argument --out: cannot write to "
+         "no/such/dir/t.csv: No such file or directory"),
+        (["cpattern", "--N", "1", "--P", "1", "--lt", "0", "--out",
+          os.path.dirname(__file__)],
+         f"sg cpattern: error: argument --out: cannot write to "
+         f"{os.path.dirname(__file__)}: Is a directory"),
+        (["norms", "--out", "no/such/dir/pre"],
+         "sg norms: error: argument --out: cannot write to "
+         "no/such/dir/pre_norms.csv: No such file or directory"),
+        (["export", "--dest", UNDER_A_FILE],
+         f"sg export: error: argument --dest: cannot write to "
+         f"{UNDER_A_FILE}: Not a directory"),
     ])
     def test_bad_argument_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

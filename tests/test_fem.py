@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import traced_memory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfem.fem import (
     apply_dirichlet,
@@ -20,6 +23,23 @@ Q1_LAPLACE = np.array([
     [-2, -1, 4, -1],
     [-1, -2, -1, 4],
 ]) / 6.0
+
+
+def boundary_zeroed(K, mesh) -> np.ndarray:
+    """K as a dense matrix with its boundary rows and columns zeroed."""
+    D = K.toarray()
+    D[mesh.boundary, :] = 0.0
+    D[:, mesh.boundary] = 0.0
+    return D
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """One array in memory: the same address, shape, strides and type."""
+    return a.__array_interface__ == b.__array_interface__
+
+
+def assert_bitwise(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBuildMesh:
@@ -107,8 +127,8 @@ class TestStiffness:
         assert all(np.shares_memory(f.indices, family[0].indices)
                    for f in family)
         for c, Kf in zip(coeffs, family):
-            K1 = assemble_stiffness(m, c)
-            assert np.array_equal(Kf.data, K1.data)
+            assert_bitwise(Kf.toarray(),
+                           boundary_zeroed(assemble_stiffness(m, c), m))
 
     def test_linear_in_coefficient(self):
         m = build_mesh(2)
@@ -165,14 +185,6 @@ class TestDirichlet:
         D = Kt.toarray()
         assert np.array_equal(D, D.T)
 
-    def test_zero_diagonal_mode(self):
-        m = build_mesh(3)
-        K = assemble_stiffness(m, 1.0)
-        Kt, _ = apply_dirichlet(K, np.zeros(m.n_nodes), m, diagonal=0.0)
-        D = Kt.toarray()
-        assert np.all(D[m.boundary, :] == 0.0)
-        assert np.all(D[:, m.boundary] == 0.0)
-
     def test_spd_after_treatment(self):
         m = build_mesh(5)
         K = assemble_stiffness(m, 1.0)
@@ -188,15 +200,13 @@ class TestDirichlet:
 
 
 class TestDirichletInPlace:
-    """apply_dirichlet treats K in place and reuses its slots per pattern."""
+    """apply_dirichlet treats K in place, on any pattern."""
 
     @staticmethod
-    def _reference(K, mesh, diagonal):
+    def _reference(K, mesh):
         # dense route: zero boundary rows and columns, set the diagonal
-        D = K.toarray()
-        D[mesh.boundary, :] = 0.0
-        D[:, mesh.boundary] = 0.0
-        D[mesh.boundary, mesh.boundary] = diagonal
+        D = boundary_zeroed(K, mesh)
+        D[mesh.boundary, mesh.boundary] = 1.0
         return D
 
     def test_treats_k_in_place_and_copies_f(self):
@@ -204,7 +214,7 @@ class TestDirichletInPlace:
         K = assemble_stiffness(m, 1.0)
         f = assemble_load(m, 1.0)
         f_before = f.copy()
-        expect = self._reference(K, m, 1.0)
+        expect = self._reference(K, m)
         Kt, ft = apply_dirichlet(K, f, m)
         assert Kt is K
         np.testing.assert_array_equal(K.toarray(), expect)
@@ -212,16 +222,61 @@ class TestDirichletInPlace:
         assert ft is not f and np.all(ft[m.boundary] == 0.0)
 
     def test_alternating_meshes_and_patterns(self):
-        # slots are cached per mesh for its stiffness pattern; other
-        # patterns (here a full one) get their own, interleaved freely
+        # the stiffness pattern, the Dirichlet family's pattern and a
+        # full one, on meshes interleaved freely
         rng = np.random.default_rng(7)
         meshes = [build_mesh(3), build_mesh(4), build_mesh(3)]
-        for m, d in zip(meshes * 2, (1.0, 0.0, 0.0, 1.0, 1.0, 0.0)):
-            for K in (assemble_stiffness(m, 1.0 + rng.random((m.n**2, 4))),
+        for m in meshes * 2:
+            coeff = 1.0 + rng.random((m.n**2, 4))
+            for K in (assemble_stiffness(m, coeff),
+                      assemble_stiffness_family(m, coeff[None])[0],
                       sp.csr_matrix(1.0 + rng.random((m.n_nodes,) * 2))):
-                expect = self._reference(K, m, d)
-                apply_dirichlet(K, np.zeros(m.n_nodes), m, diagonal=d)
+                expect = self._reference(K, m)
+                apply_dirichlet(K, np.zeros(m.n_nodes), m)
                 np.testing.assert_array_equal(K.toarray(), expect)
+
+
+class TestDirichletFamily:
+    """The family on the Dirichlet pattern against the Neumann single
+    assembly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), n_fields=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_zeroed_neumann_matrices_on_one_array(self, n, n_fields, seed):
+        m = build_mesh(n)  # n = 1: every node is on the boundary
+        coeffs = np.random.default_rng(seed).uniform(
+            0.1, 10.0, (n_fields, n * n, 4))
+        family = assemble_stiffness_family(m, coeffs)
+        for c, K in zip(coeffs, family):
+            assert_bitwise(K.toarray(),
+                           boundary_zeroed(assemble_stiffness(m, c), m))
+        first = family[0]
+        stack = first.data.base
+        assert stack.flags.c_contiguous
+        assert stack.shape == (n_fields, first.nnz)
+        for K, row in zip(family, stack, strict=True):
+            assert same_array(K.data, row)
+            assert same_array(K.indices, first.indices)
+            assert same_array(K.indptr, first.indptr)
+        for b in m.boundary:
+            assert first.indices[first.indptr[b]:first.indptr[b + 1]] \
+                .tolist() == [b]
+        apply_dirichlet(first, np.zeros(m.n_nodes), m)
+        assert stack.any(axis=0).all()
+
+    def test_assembly_peak_near_the_family(self):
+        """Memory regression guard: assembling the family of N = P = 4
+        (495 fields) at n = 32 peaks under 1.05 times its bytes."""
+        mesh = build_mesh(32)
+        coeffs = 1.0 + np.random.default_rng(3).random(
+            (495, len(mesh.elements), 4))
+        nnz = assemble_stiffness_family(mesh, coeffs[:1])[0].nnz
+        family = len(coeffs) * nnz * 8
+        kept, peak = traced_memory(
+            lambda: assemble_stiffness_family(mesh, coeffs))
+        assert kept >= family
+        assert peak < 1.05 * family
 
 
 class TestRefinement:

@@ -1,13 +1,11 @@
 """Block operator checks against the dense brute-force oracle."""
 
 import functools
-import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import build_family, build_operator, held_factors, \
-    traced_memory
+from conftest import build_operator, held_factors, traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +13,7 @@ import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor
-from sgfem.fem import apply_dirichlet, assemble_stiffness_family, build_mesh
+from sgfem.fem import assemble_stiffness_family, build_mesh
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -186,6 +184,16 @@ def tmatvec_cases(draw):
     N, P, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 4))
     op = cached_operator(N, P, n)
+    if draw(st.booleans()):
+        # a stacked copy of the family with stored zeros, common to every
+        # K_i or in only some of them
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        nnz = op.k_mats[0].nnz
+        common = rng.random(nnz) < draw(st.sampled_from([0, 0.2, 0.6]))
+        mats = [K.copy() for K in op.k_mats]
+        for K in mats:
+            K.data[common | (rng.random(nnz) < 0.3)] = 0.0
+        op = GalerkinOperator(op.tensor, mats)
     blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
                       unique=True)
     rows, cols = draw(blocks), draw(blocks)
@@ -237,7 +245,7 @@ class TestSharedPattern:
         op, _, _, _ = build_operator(2, 1, 3)
         mats = list(op.k_mats)
         pruned = mats[2].copy()
-        pruned.eliminate_zeros()  # Dirichlet zeros leave the pattern
+        pruned.eliminate_zeros()  # its zero boundary diagonal goes
         assert pruned.nnz < mats[2].nnz
         mats[2] = pruned
         with pytest.raises(ValueError, match="matrix 2 does not share"):
@@ -284,7 +292,7 @@ class TestFamilyStorage:
         """Memory regression guard: an operator built on a stiffness
         family as assembled holds its data arrays as they are, so the
         build allocates well under 5 % of the family's bytes."""
-        mesh = build_mesh(10)
+        mesh = build_mesh(12)
         tensor = build_c_tensor(4, 4, 8)
         coeffs = 1.0 + np.random.default_rng(3).random(
             (len(tensor.iset), len(mesh.elements), 4))
@@ -315,150 +323,20 @@ class TestFamilyStorage:
         np.testing.assert_allclose(own.assemble_global_dense(), A,
                                    rtol=0, atol=1e-13 * np.abs(A).max())
 
-
-def dense_truncated_product(tensor, dense, rows, cols, trunc, V):
-    """Σ_{k∈cols} Σ_{i∈trunc} c_ijk K_i v_(k) for j in rows, entry by
-    entry from the tensor and dense copies of the K_i."""
-    keep = set(trunc.indices.tolist())
-    pos_r = {j: p for p, j in enumerate(rows)}
-    pos_c = {k: p for p, k in enumerate(cols)}
-    W = np.zeros((len(rows), V.shape[1]))
-    for i, j, k, v in zip(tensor.i, tensor.j, tensor.k, tensor.val):
-        if i in keep and j in pos_r and k in pos_c:
-            W[pos_r[j]] += v * (dense[i] @ V[pos_c[k]])
-    return W
-
-
-def no_compaction(rows):
-    """Stand-in for galerkin._structural_slots that keeps every slot."""
-    return np.arange(len(rows[0]))
-
-
-def assert_same_band(F, G):
-    """F's band factor equals G's, where G may store more sub-diagonals,
-    all of them zero."""
-    a, b = F._state[0], G._state[0]
-    assert F.kind == G.kind == "band"
-    assert np.array_equal(F.order, G.order)
-    assert np.array_equal(a, b[:len(a)]) and not b[len(a):].any()
-
-
-class TestStructuralCompaction:
-    @settings(max_examples=40, deadline=None)
-    @given(N=st.integers(1, 3), P=st.integers(1, 3), n=st.integers(1, 4),
-           adopted=st.booleans(), data=st.data())
-    def test_keeps_exactly_the_structural_nonzeros(self, N, P, n, adopted,
-                                                   data):
-        tensor, kfam, _, _, _ = build_family(N, P, n)
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        nnz = kfam[0].nnz
-        # zeros common to every K_i, and zeros in only some of them
-        common = rng.random(nnz) < data.draw(st.sampled_from([0, 0.2, 0.6]))
-        for K in kfam:
-            K.data[common | (rng.random(nnz) < 0.3)] = 0.0
-        mats = kfam if adopted else [K.copy() for K in kfam]
-        dense = [K.toarray() for K in mats]
-        first = mats[0]
-        structural = np.array([K.data for K in mats]).any(axis=0)
-        rows_of = np.repeat(np.arange(first.shape[0]), np.diff(first.indptr))
-        want_rows, want_cols = rows_of[structural], first.indices[structural]
-
-        op = GalerkinOperator(tensor, mats)
-        got = op.k_mats[0]
-        assert np.array_equal(
-            np.repeat(np.arange(op.n_dof), np.diff(got.indptr)), want_rows)
-        assert np.array_equal(got.indices, want_cols)
-        assert op._kdata.shape == (len(mats), structural.sum())
-        assert_one_storage(op)
-        assert all(galerkin._same_array(K.indices, got.indices)
-                   and galerkin._same_array(K.indptr, got.indptr)
-                   for K in op.k_mats)
-        # the caller's matrices are unchanged as matrices, and adopted
-        # ones are the operator's
-        for K, D in zip(mats, dense):
-            assert np.array_equal(K.toarray(), D)
-        assert all(K is mine for K, mine in zip(mats, op.k_mats)) == adopted
-
-        blocks = st.lists(st.integers(0, op.M), min_size=1,
-                          max_size=op.M + 1, unique=True)
-        for _ in range(3):
-            rows, cols = data.draw(blocks), data.draw(blocks)
-            trunc = standard_truncation(N, data.draw(st.integers(0, 2 * P)))
-            V = rng.standard_normal((len(cols), op.n_dof))
-            want = dense_truncated_product(tensor, dense, rows, cols,
-                                           trunc, V)
-            np.testing.assert_allclose(
-                op.tmatvec(op.plan(rows, cols, trunc), V), want, rtol=0,
-                atol=1e-13 * max(np.abs(want).max(), 1.0))
-
-    @pytest.mark.parametrize("N,P,n", [(2, 2, 2), (2, 2, 4), (3, 2, 3)])
-    def test_bitwise_equal_to_the_uncompacted_operator(self, N, P, n,
-                                                       monkeypatch):
-        op, _, _, _ = build_operator(N, P, n)
-        with monkeypatch.context() as m:
-            m.setattr(galerkin, "_structural_slots", no_compaction)
-            full, _, _, _ = build_operator(N, P, n)
-        assert op._kdata.shape[1] < full._kdata.shape[1]
-        v = np.random.default_rng(8).standard_normal(op.n_global)
-        assert np.array_equal(op.matvec(v), full.matvec(v))
-        for kind in ("mb", "gs", "hs", "ahs", "ahgs"):
-            for trunc in (None, standard_truncation(N, 1)):
-                assert np.array_equal(
-                    make_preconditioner(op, kind, trunc).apply(v),
-                    make_preconditioner(full, kind, trunc).apply(v)), kind
-        for j in range(op.M + 1):
-            assert_same_band(op.assemble_diag_block(j),
-                             full.assemble_diag_block(j))
-        for level in range(P + 1):
-            assert_same_band(op.assemble_level_block(level),
-                             full.assemble_level_block(level))
-
-    def test_compaction_memory(self):
-        """Compacting a treated family as assembled holds at most two of
-        its rows and the index arrays besides the row views it keeps, and
-        the operator's build stays under the family guard's 5 % of the
-        family's bytes."""
-        mesh = build_mesh(10)
-        tensor = build_c_tensor(4, 4, 8)
-        coeffs = 1.0 + np.random.default_rng(3).random(
-            (len(tensor.iset), len(mesh.elements), 4))
-        f = np.zeros(mesh.n_nodes)
-
-        def treated_family():
-            kfam = assemble_stiffness_family(mesh, coeffs)
-            for i, K in enumerate(kfam):
-                apply_dirichlet(K, f, mesh, diagonal=float(i == 0))
-            return kfam
-
-        kfam = treated_family()
-        family, row = sum(K.data.nbytes for K in kfam), kfam[0].data.nbytes
-        views = len(kfam) * (sys.getsizeof(kfam[0].data) + 8)
-        _, peak = traced_memory(
-            lambda: galerkin._compact_family(list(kfam)))
-        kept = kfam[0].nnz
-        assert kept < row // 8
-        index = 8 * kept + kfam[0].indices.nbytes + kfam[0].indptr.nbytes
-        assert peak <= 2 * row + index + views
-        kfam = treated_family()
-        _, peak = traced_memory(lambda: GalerkinOperator(tensor, kfam))
-        assert peak < 0.05 * family
-
     def test_operator_on_an_operators_matrices(self):
-        """A chain op -> op2 on op's matrices -> op3 on op2's: every
-        operator's product is op's, bit for bit, and building a later
-        one leaves the earlier ones' data as they were.  op's matrices
-        view part of the family's array, so op2 copies their data; op2's
-        are the rows of its own array, which op3 adopts."""
+        """A chain op -> op2 on op's matrices -> op3 on op2's: op's
+        matrices are the rows of the family's array, so op2 and op3
+        adopt that one storage, and every operator's product is op's,
+        bit for bit."""
         op, _, _, _ = build_operator(2, 2, 3)
         v = np.random.default_rng(4).standard_normal(op.n_global)
-        want, kdata = op.matvec(v), op._kdata.copy()
+        want = op.matvec(v)
         op2 = GalerkinOperator(op.tensor, op.k_mats)
-        kdata2 = op2._kdata.copy()
         op3 = GalerkinOperator(op2.tensor, op2.k_mats)
-        assert not np.shares_memory(op2._kdata, op._kdata)
-        assert np.shares_memory(op3._kdata, op2._kdata)
-        assert np.array_equal(op._kdata, kdata)
-        assert np.array_equal(op2._kdata, kdata2)
+        for other in (op2, op3):
+            assert other._kdata is op._kdata
+            assert all(K is mine for K, mine in zip(op.k_mats, other.k_mats))
+            assert_one_storage(other)
         for other in (op, op2, op3):
             assert np.array_equal(other.matvec(v), want)
 

@@ -218,10 +218,7 @@ def test_exports_rebuild_build_problem():
     tensor = sg.build_c_tensor(N, P, 2 * P)
     coeffs = sg.gpc_coefficients(kl, tensor.iset, mesh)
     kfam = sg.assemble_stiffness_family(mesh, coeffs.values)
-    f = sg.assemble_load(mesh, 1.0)
-    f0 = sg.apply_dirichlet(kfam[0], f, mesh, diagonal=1.0)[1]
-    for K in kfam[1:]:
-        sg.apply_dirichlet(K, f, mesh, diagonal=0.0)
+    f0 = sg.apply_dirichlet(kfam[0], sg.assemble_load(mesh, 1.0), mesh)[1]
     op = sg.GalerkinOperator(tensor, kfam)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
