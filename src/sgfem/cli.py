@@ -6,8 +6,8 @@ truncation counts), ``norms`` (stiffness norm decay data), ``export``
 solve).  Results go to stdout or, with --out, to CSV files; an --out or
 --dest that cannot be written is a usage error before any work.
 
-Exit status: 0 on success, 1 when ``solve`` refuses a setup that does not
-fit in memory, 2 on a usage error (a bad argument or config), 3 when
+Exit status: 0 on success, 1 when a command refuses a setup that does
+not fit in memory, 2 on a usage error (a bad argument or config), 3 when
 ``solve`` does not converge within its iteration cap.
 """
 
@@ -22,6 +22,7 @@ from dataclasses import fields
 from .experiments import (
     DEFAULT_COV,
     TABLE_KINDS,
+    TRUNCATIONS,
     ExperimentConfig,
     Report,
     _problem,
@@ -33,9 +34,7 @@ from .experiments import (
     report_markdown,
     run_table,
     solve_case,
-    stiffness_norms,
 )
-from .galerkin import adaptive_truncation, standard_truncation
 from .preconditioners import KINDS
 
 
@@ -180,8 +179,6 @@ def build_parser():
                        help="adaptive truncation threshold")
     p.add_argument("--cov", type=_POSITIVE_FLOAT, default=DEFAULT_COV,
                    help="coefficient of variation in percent")
-    p.add_argument("--mesh", type=_POSITIVE_INT,
-                   help="mesh subdivisions per side")
     _add_config_flags(p)
     p.add_argument("--out", type=_output(),
                    help="CSV output path (default stdout)")
@@ -227,21 +224,12 @@ def _cmd_export(args):
 
 def _cmd_solve(args):
     config = _config_from(args)
-    n = args.mesh if args.mesh is not None else config.n
-    op, b = _problem(config, n=n, cov_pct=args.cov)
-    if args.lt is not None:
-        trunc = standard_truncation(config.N, min(args.lt, 2 * config.P))
-    elif args.tau is not None:
-        norms = stiffness_norms(op, config.norm)
-        trunc = adaptive_truncation(args.tau, norms, op.tensor)
-    else:
-        trunc = None
-    try:
-        res = solve_case(op, b, args.precond, trunc, config.tol, config.maxit)
-    except MemoryError as exc:  # an exact solve refused at setup
-        print(f"sg solve: error: {exc}", file=sys.stderr)
-        return 1
-    row = {"precond": args.precond, "cov": args.cov, "n": n,
+    op, b = _problem(config, cov_pct=args.cov)
+    flag = "lt" if args.lt is not None else "tau"  # exclusive flags
+    value = getattr(args, flag)
+    trunc = None if value is None else TRUNCATIONS[flag](config, op)(value)
+    res = solve_case(op, b, args.precond, trunc, config.tol, config.maxit)
+    row = {"precond": args.precond, "cov": args.cov, "n": config.n,
            "ndof": op.n_global,
            "lt": args.lt if args.lt is not None else "",
            "tau": args.tau if args.tau is not None else "",
@@ -259,7 +247,11 @@ _COMMANDS = {"tables": _cmd_tables, "cpattern": _cmd_cpattern,
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except MemoryError as exc:  # a setup refused before it allocates
+        print(f"sg {args.command}: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

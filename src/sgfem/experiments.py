@@ -96,10 +96,6 @@ class ExperimentConfig:
                 raise ValueError(f"config field {name} must be {rule}, "
                                  f"got {value!r}")
 
-    @property
-    def pprime(self) -> int:
-        return 2 * self.P
-
 
 # ReportRow: a dict mapping column name -> cell value (int, float or str).
 
@@ -238,12 +234,17 @@ def count_pattern(tensor, indices):
     return int(pairs.size), int(np.count_nonzero(keep))
 
 
+def degree_truncation(N, P, lt):
+    """The standard truncation of degree lt for a solution of degree P:
+    a degree past 2P, the tensor's, keeps what 2P keeps and builds no
+    larger index set."""
+    return standard_truncation(N, min(lt, 2 * P))
+
+
 def emit_c_pattern(N, P, lt):
-    """Counts for a standard truncation of the coefficient tensor; a
-    degree past 2P, the tensor's, counts as 2P."""
+    """Counts for a standard truncation of the coefficient tensor."""
     tensor = _cached_tensor(N, P, 2 * P)
-    trunc = standard_truncation(N, min(lt, 2 * P))
-    return count_pattern(tensor, trunc.indices)
+    return count_pattern(tensor, degree_truncation(N, P, lt).indices)
 
 
 def _solve_row(op, b, kinds, config, trunc=None):
@@ -277,16 +278,20 @@ _SWEEPS = {
     "logh": ("h", "n", lambda c: c.mesh_list, "1/{}".format, True),
 }
 
-# The truncation sweeps, one row per (CoV, swept value): (row column,
-# config field of the swept values, (config, op) -> value -> truncation).
-# A standard degree past 2P, the tensor's, keeps what 2P keeps.
-_TRUNC_SWEEPS = {
-    "trunc-std": ("lt", "lt_list", lambda c, op: lambda lt:
-                  standard_truncation(c.N, min(lt, 2 * c.P))),
-    "trunc-adapt": ("tau", "tau_list", lambda c, op: functools.partial(
+# The truncation set a value of "lt" (standard) or "tau" (adaptive)
+# names: (config, op) -> value -> truncation set, so the norms of op an
+# adaptive set reads are computed once for all the values.
+TRUNCATIONS = {
+    "lt": lambda c, op: functools.partial(degree_truncation, c.N, c.P),
+    "tau": lambda c, op: functools.partial(
         adaptive_truncation, k_norms=stiffness_norms(op, c.norm),
-        tensor=op.tensor)),
+        tensor=op.tensor),
 }
+
+# The truncation sweeps, one row per (CoV, swept value): (row column, a
+# key of TRUNCATIONS; config field of the swept values).
+_TRUNC_SWEEPS = {"trunc-std": ("lt", "lt_list"),
+                 "trunc-adapt": ("tau", "tau_list")}
 
 TABLE_KINDS = tuple(_SWEEPS) + tuple(_TRUNC_SWEEPS)
 
@@ -316,13 +321,13 @@ def _sweep_table(config, which, column, arg, values, cell, ndof):
     return Report(which, tuple(cols), tuple(rows))
 
 
-def _trunc_table(config, which, column, field, truncation):
+def _trunc_table(config, which, column, field):
     rows = []
     kinds = tuple(k for k in TRUNC_KINDS if k in config.preconds) or \
         TRUNC_KINDS
     for cov in config.cov_list:
         op, b = _problem(config, cov_pct=cov)
-        make = truncation(config, op)
+        make = TRUNCATIONS[column](config, op)
         for value in getattr(config, field):
             trunc = make(value)
             _, n_mv = count_pattern(op.tensor, trunc.indices)

@@ -13,9 +13,9 @@ form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes, and the
 operator only that of its full product.
 
-Every block factor, of a diagonal block K^{(j,j)} or a level matrix D_ℓ,
-is that of a run of consecutive blocks (a diagonal block is a run of
-one), filled straight into band storage with the FULL coefficient sum
+A block factor is one band factor, of a level matrix D_ℓ or of the
+block diagonal of consecutive blocks, one factor per group of a sweep.
+It is filled straight into band storage with the FULL coefficient sum
 (truncation only ever applies to off-diagonal products inside
 preconditioners) and factorized anew on each request; the caller owns
 it.  ``block(j, k)`` and a dense assembly of the whole matrix are
@@ -386,17 +386,38 @@ class GalerkinOperator:
         return sp.csr_matrix((data, ref.indices, ref.indptr),
                              shape=(self.n_dof, self.n_dof))
 
-    def assemble_diag_block(self, j: int) -> Factorization:
-        """A new factorization of K^{(j,j)} = Σ_i c_ijj K_i (never
-        truncated), a run of one block."""
-        return self._factor_run(range(j, j + 1))
+    def assemble_diag_block(self, blocks: range) -> Factorization:
+        """A new factorization of the block diagonal of the consecutive
+        ``blocks``, K^{(j,j)} = Σ_i c_ijj K_i (never truncated) for each
+        j in block-major order: one band factor that solves them all.
+
+        Each block's band, of K_0's band b, fills its own columns of one
+        (b + 1, s·n_dof) band; the entries that would couple a block to
+        the next stay 0, so the factor is block diagonal too.  The band's
+        bytes are checked against physical memory before it is filled.
+        """
+        nd = self.n_dof
+        check_band_fits(len(blocks) * nd, self._band)
+        ab = np.empty((self._band + 1, len(blocks) * nd), order="F")
+        for p, j in enumerate(blocks):
+            ab[:, p * nd:(p + 1) * nd] = self._fill_band(range(j, j + 1))
+        return factorize_band(ab)
 
     def assemble_level_block(self, level: int) -> Factorization:
-        """A new factorization of the level matrix D_ℓ, the run of the
-        level's blocks."""
-        return self._factor_run(self.levels.blocks(level), (
+        """A new factorization of the level matrix D_ℓ, never assembled:
+        a banded Cholesky in node-interleaved order, row node·s + block
+        for the level's s blocks, so the band is run_band(s) instead of
+        about nd·s; for s > 1, ``order`` solves in block-major order.
+        The band's bytes are checked before it is filled in place."""
+        blocks = self.levels.blocks(level)
+        nd, s = self.n_dof, len(blocks)
+        check_band_fits(s * nd, self.run_band(s), (
             f"; level {level}'s exact solve needs it, while ahs and ahgs "
             f"factorize only the level's diagonal blocks"))
+        F = factorize_band(self._fill_band(blocks))
+        if s > 1:
+            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
+        return F
 
     def run_band(self, s: int) -> int:
         """Sub-diagonals of the node-interleaved band of a run of s
@@ -455,24 +476,6 @@ class GalerkinOperator:
             on = r[part] >= c[part]
             flat[base_diag + shift[part][on]] = values[on][:, diag]
         return abT.T
-
-    def _factor_run(self, blocks: range, hint: str = "") -> Factorization:
-        """A new factorization of the matrix of the consecutive
-        ``blocks`` with the full coefficient sum, never assembled.
-
-        A banded Cholesky in node-interleaved order, row node·s + block
-        for the run's s blocks, so the band is s·b + s − 1 for K_0's band
-        b instead of about nd·s; for s > 1, ``order`` solves in
-        block-major order.  The band's bytes are checked against physical
-        memory (``hint`` ends the refusal), then it is filled and
-        factorized in place.
-        """
-        nd, s = self.n_dof, len(blocks)
-        check_band_fits(s * nd, self.run_band(s), hint)
-        F = factorize_band(self._fill_band(blocks))
-        if s > 1:
-            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
-        return F
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
         """Explicit global matrix for brute-force verification only."""

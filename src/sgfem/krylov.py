@@ -159,10 +159,3 @@ def pcg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 1000
     and checks as in ``flexible_cg``."""
     return _run_cg(apply_A, apply_M, b, tol, maxit, flexible=False)
 
-
-def write_residual_trace(path, report: SolveReport) -> None:
-    """Per-iteration residual history as CSV."""
-    with open(path, "w") as fh:
-        fh.write("iteration,relative_residual\n")
-        for k, res in enumerate(report.residuals, start=1):
-            fh.write(f"{k},{res:.17g}\n")

@@ -21,14 +21,15 @@ grouped, in which order the groups are swept and how a group is solved:
   hs    degree levels   descending  exact D_ℓ (banded Cholesky)
 
 hs is the hierarchical Schur complement preconditioner: the descending
-sweep is its downward pre-correction and upward post-correction.  A group
-is solved by factors of runs of its blocks: whole levels for hs, single
-blocks otherwise, so a level of one block is a diagonal block in every
-kind.  Off-diagonal block products inside the sweeps run through the
-operator's truncated product and honor the configured TruncationSet;
-the factors always take the full sum.  Each preconditioner owns the
-factorizations and product plans it builds: sweeps on one operator share
-none, and a dropped preconditioner frees them.
+sweep is its downward pre-correction and upward post-correction.  Each
+group has one factor, so a group solve is one call: D_ℓ for hs, the
+group's block diagonal otherwise (a single block for gs), so a level of
+one block is a diagonal block in every kind.  Off-diagonal block products
+inside the sweeps run through the operator's truncated product and honor
+the configured TruncationSet; the factors always take the full sum.
+Each preconditioner owns the factorizations and product plans it builds:
+sweeps on one operator share none, and a dropped preconditioner frees
+them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class Kronecker(Preconditioner):
 
     def __init__(self, op, trunc, fitted: bool):
         super().__init__(op, trunc)
-        self._f0 = op.assemble_diag_block(0)
+        self._f0 = op.assemble_diag_block(range(1))
         if fitted:
             d0 = op.k_mats[0].data
             weights = (op._kdata @ d0) / float(d0 @ d0)
@@ -105,9 +106,8 @@ class BlockGaussSeidel(Preconditioner):
     are one slice of blocks, computed once here; the forward sweep's last
     group pushes to an empty slice, a product with no terms.
 
-    Each group is solved by factors of runs of its blocks, decided once
-    here: the whole level, whose matrix is D_ℓ, when ``exact``, else one
-    run per block, its diagonal block.  Every group's factors and the
+    Each group is solved by one factor: of its level matrix D_ℓ when
+    ``exact``, else of its block diagonal.  Every group's factor and the
     plans of its two pushes are built at the first apply and kept in
     ``_sweep``, their only owner, so the band bytes of every factor the
     sweep will hold are summed here and checked against physical memory
@@ -121,63 +121,55 @@ class BlockGaussSeidel(Preconditioner):
         bounds = op.levels.offsets if by_level else range(end + 1)
         groups = []
         for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            runs = ([range(lo, hi)] if exact else
-                    [range(j, j + 1) for j in range(lo, hi)])
             after, before = slice(hi, end), slice(0, lo)
             if descending:
                 after, before = before, after
-            # (group, which is its level for levels; its blocks, its runs,
-            # rows to push to going forward, rows to push to going back)
-            groups.append((g, slice(lo, hi), runs, after, before))
-        runs = [len(run) for group in groups for run in group[2]]
-        check_band_fits([s * op.n_dof for s in runs],
-                        [op.run_band(s) for s in runs], (
+            # (what its factor is built from: its level for hs, else its
+            # blocks; its blocks, rows to push to going forward, rows to
+            # push to going back)
+            groups.append((g if exact else range(lo, hi), slice(lo, hi),
+                           after, before))
+        sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
+        check_band_fits([s * op.n_dof for s in sizes],
+                        [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
+        self._exact = exact
         self._groups = groups[::-1] if descending else groups
         self._sweep: list | None = None  # built at the first apply
 
     def _build(self) -> list:
-        """Per group in sweep order: its blocks, its factors (one per
-        run), and its forward and backward push rows, each with the plan
-        of its truncated product."""
+        """Per group in sweep order: its blocks, its factor, and its
+        forward and backward push rows, each with the plan of its
+        truncated product."""
         op, trunc = self.op, self.trunc
-        return [(blk, [op.assemble_diag_block(run.start) if len(run) == 1
-                       else op.assemble_level_block(g) for run in runs],
-                 forward, op.plan(forward, blk, trunc),
+        factor = (op.assemble_level_block if self._exact
+                  else op.assemble_diag_block)
+        return [(blk, factor(of), forward, op.plan(forward, blk, trunc),
                  back, op.plan(back, blk, trunc))
-                for g, blk, runs, forward, back in self._groups]
-
-    @staticmethod
-    def _solve(factors: list, R: np.ndarray, out: np.ndarray):
-        """Solve a group for R given blockwise; the result goes to
-        ``out``.  Each of the group's factors solves its run, an equal
-        share of the rows: a diagonal block or the whole level."""
-        for f, x, y in zip(factors, R.reshape(len(factors), -1),
-                           out.reshape(len(factors), -1)):
-            y[:] = f.solve(x)
+                for of, blk, forward, back in self._groups]
 
     def apply(self, r):
         if self._sweep is None:
             self._sweep = self._build()
-        tmatvec, solve, sweep = self.op.tmatvec, self._solve, self._sweep
+        tmatvec, sweep, nd = self.op.tmatvec, self._sweep, self.op.n_dof
         rhs = self._blocks(r).copy()  # r minus the pushed products
         V = np.empty_like(rhs)
-        for blk, factors, forward, push, _, _ in sweep:
-            solve(factors, rhs[blk], V[blk])
+        for blk, f, forward, push, _, _ in sweep:
+            V[blk] = f.solve(rhs[blk].ravel()).reshape(-1, nd)
             rhs[forward] -= tmatvec(push, V[blk])
         # the last forward solve is also the first backward one
         for t in range(len(sweep) - 1, 0, -1):
             blk, _, _, _, back, push = sweep[t]
             rhs[back] -= tmatvec(push, V[blk])
-            blk, factors = sweep[t - 1][:2]
-            solve(factors, rhs[blk], V[blk])
+            blk, f = sweep[t - 1][:2]
+            V[blk] = f.solve(rhs[blk].ravel()).reshape(-1, nd)
         return V.ravel()
 
 
 # kind -> (class, its keyword arguments); a sweep's are its groups
 # (degree levels or single blocks), order and group solve (exact D_ℓ or
-# diagonal blocks) as in the kind table above
+# the block diagonal) as in the kind table above
 _KIND_TABLE = {
     "mb": (Kronecker, dict(fitted=False)),
     "kron": (Kronecker, dict(fitted=True)),

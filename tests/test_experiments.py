@@ -40,7 +40,6 @@ class TestConfig:
     def test_defaults(self):
         c = ExperimentConfig()
         assert (c.N, c.P, c.n) == (4, 4, 10)
-        assert c.pprime == 8
         assert c.tol == 1e-8
         assert c.mesh_list == (5, 10, 15, 20)
 
@@ -391,7 +390,7 @@ class TestCli:
 
     def test_solve_stdout(self, capsys):
         rc = main(["solve", "--precond", "ahgs", "--lt", "1",
-                   "--cov", "50", "--mesh", "3", "--N", "2", "--P", "2"])
+                   "--cov", "50", "--n", "3", "--N", "2", "--P", "2"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().split("\n")
         head = lines[0].split(",")
@@ -407,7 +406,7 @@ class TestCli:
         rows = {}
         for lt in ("2", "3", huge):
             assert main(["solve", "--precond", "gs", "--lt", lt,
-                         "--mesh", "2", "--N", "1", "--P", "1"]) == 0
+                         "--n", "2", "--N", "1", "--P", "1"]) == 0
             head, line = capsys.readouterr().out.strip().split("\n")
             rows[lt] = dict(zip(head.split(","), line.split(",")))
             assert rows[lt].pop("lt") == lt
@@ -415,7 +414,7 @@ class TestCli:
 
     def test_solve_nan_tau_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["solve", "--precond", "gs", "--tau", "nan", "--mesh", "3",
+            main(["solve", "--precond", "gs", "--tau", "nan", "--n", "3",
                   "--N", "1", "--P", "1"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
@@ -435,8 +434,8 @@ class TestCli:
          "sg solve: error: argument --lt: must be >= 0, got -1"),
         (["solve", "--precond", "gs", "--tau", "-1"],
          "sg solve: error: argument --tau: must be >= 0, got -1"),
-        (["solve", "--precond", "gs", "--mesh", "0"],
-         "sg solve: error: argument --mesh: must be >= 1, got 0"),
+        (["solve", "--precond", "gs", "--n", "x"],
+         "sg solve: error: argument --n: invalid int value: 'x'"),
         (["solve", "--precond", "gs", "--cov", "-5"],
          "sg solve: error: argument --cov: must be > 0, got -5"),
         (["export", "--dest", "out", "--cov", "nan"],
@@ -448,7 +447,7 @@ class TestCli:
         (["export", "--dest", "out", "--cap", "-5"],
          "sg export: error: argument --cap: must be >= 0, got -5"),
         # output paths are checked before any problem is built
-        (["solve", "--precond", "mb", "--N", "1", "--P", "1", "--mesh", "2",
+        (["solve", "--precond", "mb", "--N", "1", "--P", "1", "--n", "2",
           "--out", "no/such/dir/x.csv"],
          "sg solve: error: argument --out: cannot write to "
          "no/such/dir/x.csv: No such file or directory"),
@@ -482,6 +481,8 @@ class TestCli:
         (["solve", "--precond", "gs", "--config", "no/such/exp.cfg"],
          "cannot read config file no/such/exp.cfg: No such file or "
          "directory"),
+        (["solve", "--precond", "gs", "--n", "0"],
+         "config field n must be >= 1, got 0"),
     ])
     def test_bad_config_is_a_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -518,20 +519,26 @@ class TestCli:
         assert err.startswith("sg: error: line 1:")
         assert "Traceback" not in err and err.count("\n") == 1
 
-    def test_solve_oversized_level_band_is_one_error_line(self, capsys,
-                                                           monkeypatch):
+    @pytest.mark.parametrize("command", [["solve", "--precond", "hs"],
+                                         ["tables", "logh"]],
+                             ids=["solve", "tables"])
+    def test_solve_oversized_level_band_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch, command):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("N = 2\nP = 3\nn = 4\nmesh_list = 4\n"
+                       "preconds = hs\n")
         monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
-        rc = main(["solve", "--precond", "hs", "--mesh", "4", "--N", "2",
-                   "--P", "3"])
+        rc = main(command + ["--config", str(cfg)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("sg solve: error: band factor of ")
+        assert captured.err.startswith(
+            f"sg {command[0]}: error: band factor of ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_solve_not_converged_has_its_own_status(self, capsys):
         rc = main(["solve", "--precond", "gs", "--N", "1", "--P", "1",
-                   "--mesh", "2", "--maxit", "0"])
+                   "--n", "2", "--maxit", "0"])
         assert rc == 3
         head, line = capsys.readouterr().out.strip().split("\n")
         assert dict(zip(head.split(","), line.split(",")))["converged"] \
@@ -539,7 +546,7 @@ class TestCli:
 
     def test_solve_unknown_precond_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["solve", "--precond", "ilu", "--mesh", "3"])
+            main(["solve", "--precond", "ilu", "--n", "3"])
         capsys.readouterr()
 
     def test_norms_writes_two_files(self, tmp_path, capsys):

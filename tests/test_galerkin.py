@@ -402,7 +402,7 @@ class TestAssembledBlocks:
         A = op.assemble_global_dense()
         nd = op.n_dof
         for j in range(op.M + 1):
-            K, F = op.block(j, j), op.assemble_diag_block(j)
+            K, F = op.block(j, j), op.assemble_diag_block(range(j, j + 1))
             want = A[j * nd:(j + 1) * nd, j * nd:(j + 1) * nd]
             np.testing.assert_allclose(K.toarray(), want, atol=1e-13)
             # factorization solves the block
@@ -518,7 +518,7 @@ class TestFactorizationContract:
             x = F.solve(b)
             assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
         for j in range(op.M + 1):
-            K, F = op.block(j, j), op.assemble_diag_block(j)
+            K, F = op.block(j, j), op.assemble_diag_block(range(j, j + 1))
             assert bitwise_symmetric(K)
             b = rng.standard_normal(op.n_dof)
             x = F.solve(b)
@@ -535,8 +535,8 @@ class TestFactorizationContract:
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
         nd = op.n_dof
-        cases = [(op.block(j, j), op.assemble_diag_block(j), None)
-                 for j in range(op.M + 1)]
+        cases = [(op.block(j, j), op.assemble_diag_block(range(j, j + 1)),
+                  None) for j in range(op.M + 1)]
         for level in range(P + 1):
             s = op.levels.sizes[level]
             order = interleaved_order(s, nd) if s > 1 else None
@@ -615,13 +615,19 @@ class TestFactorizationContract:
         assert peak <= 1.25 * band
 
     @pytest.mark.parametrize("builder,kind,calls", [
-        ("assemble_level_block", "hs", [1, 2]),
-        ("assemble_diag_block", "gs", list(range(6)))], ids=["level", "diag"])
+        ("assemble_level_block", "hs", [2, 1, 0]),
+        ("assemble_diag_block", "gs", [range(j, j + 1) for j in range(6)]),
+        ("assemble_diag_block", "ahgs", [range(0, 1), range(1, 3),
+                                         range(3, 6)]),
+        ("assemble_diag_block", "ahs", [range(3, 6), range(1, 3),
+                                        range(0, 1)])],
+        ids=["level", "diag", "ahgs", "ahs"])
     def test_fresh_factor_built_once_per_sweep(
             self, builder, kind, calls, monkeypatch):
         """The operator builds a new factorization on every call and
         keeps none; over two applies a sweep calls the builder once per
-        factor it holds."""
+        group, in sweep order: hs with each level, level 0 included, and
+        the other kinds with each group's blocks."""
         op, b, _, _ = build_operator(2, 2, 3)
         build = getattr(op, builder)
         F, G = build(calls[-1]), build(calls[-1])
@@ -638,7 +644,31 @@ class TestFactorizationContract:
         pre = make_preconditioner(op, kind)
         pre.apply(b)
         pre.apply(b)
-        assert sorted(seen) == calls
+        assert seen == calls
+
+    @pytest.mark.parametrize("N,P,n", SMALL + [(4, 4, 10)])
+    def test_diag_blocks_are_one_block_diagonal_factor(self, N, P, n):
+        """The factor of consecutive diagonal blocks is the blocks'
+        own factors side by side, bitwise, with zeros in every band entry
+        that would couple a block to the next, and it solves as they do,
+        bitwise."""
+        op, _, _, _ = build_operator(N, P, n)
+        nd, rng = op.n_dof, np.random.default_rng(4)
+        runs = [op.levels.blocks(level) for level in range(P + 1)]
+        for blocks in runs + [range(op.M + 1), range(1, op.M + 1)]:
+            F = op.assemble_diag_block(blocks)
+            alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
+            assert F.order is None and F.n == len(blocks) * nd
+            ab = F._state[0]
+            np.testing.assert_array_equal(
+                ab, np.hstack([G._state[0] for G in alone]))
+            # entry (d, c) is row c + d, column c
+            d, c = np.indices(ab.shape)
+            assert not ab[c % nd + d >= nd].any()
+            R = rng.standard_normal((len(blocks), nd))
+            np.testing.assert_array_equal(
+                F.solve(R.ravel()),
+                np.concatenate([G.solve(r) for G, r in zip(alone, R)]))
 
 
 class TestGlobalDense:

@@ -8,7 +8,6 @@ from sgfem.krylov import (
     flexible_cg,
     lanczos_condition_estimate,
     pcg,
-    write_residual_trace,
 )
 
 
@@ -195,15 +194,3 @@ class TestConditionEstimate:
         b = np.ones(9)
         _, rep = flexible_cg(lambda v: A @ v, lambda v: v, b)
         assert rep.kappa >= 1.0
-
-
-class TestTrace:
-    def test_csv(self, tmp_path):
-        A = np.diag([1.0, 3.0, 9.0])
-        b = np.ones(3)
-        _, rep = pcg(lambda v: A @ v, lambda v: v, b)
-        p = tmp_path / "trace.csv"
-        write_residual_trace(p, rep)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "iteration,relative_residual"
-        assert len(lines) == 1 + rep.iterations

@@ -51,7 +51,7 @@ def dense_split_parts(op, trunc):
 def pull_form_gs(op, trunc, r):
     """Reference symmetric block Gauss-Seidel in pull form: each row
     gathers its own truncated products from the blocks already solved."""
-    solv = [op.assemble_diag_block(j) for j in range(op.M + 1)]
+    solv = [op.assemble_diag_block(range(j, j + 1)) for j in range(op.M + 1)]
     R = r.reshape(op.M + 1, op.n_dof)
     rhs_fwd = R.copy()
     Y = np.zeros_like(R)
@@ -111,7 +111,7 @@ def level_solve(op, level, exact, R):
     if exact:
         F = op.assemble_level_block(level)
         return F.solve(R.ravel()).reshape(R.shape)
-    return np.vstack([op.assemble_diag_block(j).solve(row)
+    return np.vstack([op.assemble_diag_block(range(j, j + 1)).solve(row)
                       for j, row in zip(op.levels.blocks(level), R)])
 
 
@@ -126,7 +126,7 @@ def pull_form_schur(op, trunc, exact, r):
         z = level_solve(op, level, exact, g[blk])
         g[:blk[0]] -= op.tmatvec(op.plan(range(blk[0]), blk, trunc), z)
     v = np.zeros_like(g)
-    v[0] = op.assemble_diag_block(0).solve(g[0])
+    v[0] = op.assemble_diag_block(range(1)).solve(g[0])
     for level in range(1, lm.P + 1):
         blk = lm.blocks(level)
         corr = op.tmatvec(op.plan(blk, range(blk[0]), trunc), v[:blk[0]])
@@ -272,7 +272,7 @@ class TestGaussSeidel:
         gs = make_preconditioner(op, "gs", standard_truncation(2, 0))
         r = np.random.default_rng(9).standard_normal(op.n_global)
         R = r.reshape(op.M + 1, op.n_dof)
-        want = np.vstack([op.assemble_diag_block(j).solve(R[j])
+        want = np.vstack([op.assemble_diag_block(range(j, j + 1)).solve(R[j])
                           for j in range(op.M + 1)]).ravel()
         np.testing.assert_allclose(gs.apply(r), want, atol=1e-12)
 
@@ -491,8 +491,8 @@ class TestFactory:
     def test_oversized_level_band_refused_at_setup(self, monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
         # level ℓ at N = 2: s = ℓ + 1 blocks, band s·(n + 2) + s − 1 at
-        # n = 4, so 7·s² band rows of n_dof doubles; hs keeps the levels
-        # 1 to 3 and level 0's diagonal block
+        # n = 4, so 7·s² band rows of n_dof doubles; hs keeps the factors
+        # of the levels 0 to 3
         nd = op.n_dof
         need = 8 * nd * 7 * (1 + 4 + 9 + 16)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
@@ -568,6 +568,31 @@ class TestFactory:
         del pre
         gc.collect()
         assert refs and all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("N,P,n", [(1, 2, 2), (2, 3, 3), (4, 4, 10)])
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_one_factor_and_one_solve_per_group(self, kind, N, P, n,
+                                                monkeypatch):
+        """A sweep holds one factor per group and solves a group with one
+        call of it: 2·groups − 1 solves per apply, as the last forward
+        solve is also the first backward one."""
+        op, b, _, _ = build_operator(N, P, n)
+        pre = make_preconditioner(op, kind)
+        groups = op.levels.P + 1 if SWEEPS[kind][0] else op.M + 1
+        solve, used = linalg.Factorization.solve, []
+
+        def counted(F, rhs):
+            used.append(F)
+            return solve(F, rhs)
+
+        monkeypatch.setattr(linalg.Factorization, "solve", counted)
+        for _ in range(2):
+            used.clear()
+            pre.apply(b)
+            assert len(used) == 2 * groups - 1
+        held = held_factors(pre)
+        assert len(held) == groups
+        assert {id(F) for F in used} == {id(F) for F in held}
 
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_dropped_sweep_frees_its_plans(self, kind):
