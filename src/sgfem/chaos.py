@@ -121,9 +121,11 @@ class CijkTensor:
     """Nonzero triple products c_ijk = E[ψ_i ψ_j ψ_k] in coordinate form.
 
     The i axis runs over `iset` (degree bound P′), j and k over `jkset`
-    (degree bound P).  Coordinates are sorted by (i, j, k); `i_ptr` gives
-    the slice of entries for each i, CSR-style.  Entries are symmetric in
-    (j, k) and strictly nonzero.
+    (degree bound P).  Coordinates are sorted by (i, j, k).  Entries are
+    symmetric in (j, k) and strictly nonzero.  :meth:`g_sum` builds the
+    weighted sums G = Σ_i w_i G_i of the coupling matrices.  The levels
+    of the block hierarchy are the runs of equal total degree in
+    `jkset`'s graded order (:meth:`MultiIndexSet.total_degrees`).
     """
 
     iset: MultiIndexSet
@@ -132,18 +134,19 @@ class CijkTensor:
     j: np.ndarray
     k: np.ndarray
     val: np.ndarray
-    i_ptr: np.ndarray
 
     @property
     def nnz(self) -> int:
         return len(self.val)
 
-    def slice_coords(self, alpha: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(j, k, value) arrays of the nonzeros of G_alpha."""
-        if not 0 <= alpha < len(self.iset):
-            raise IndexError(f"alpha {alpha} outside [0, {len(self.iset) - 1}]")
-        lo, hi = self.i_ptr[alpha], self.i_ptr[alpha + 1]
-        return self.j[lo:hi], self.k[lo:hi], self.val[lo:hi]
+    def g_sum(self, weights: np.ndarray) -> np.ndarray:
+        """The dense (M+1)×(M+1) matrix G = Σ_i w_i G_i, entries
+        Σ_i w_i c_ijk, for one weight per index of `iset`; the terms are
+        added in the tensor's (i, j, k) order."""
+        m1 = len(self.jkset)
+        G = np.zeros((m1, m1))
+        np.add.at(G, (self.j, self.k), weights[self.i] * self.val)
+        return G
 
 
 def _table_1d(max_i: int, max_jk: int) -> np.ndarray:
@@ -192,21 +195,18 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
         jjs.append(jj)
         kks.append(kk)
         vals.append(G[aa, jj, kk])
-    i = np.concatenate(iis)
-    i_ptr = np.zeros(len(iset) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i, minlength=len(iset)), out=i_ptr[1:])
-    return CijkTensor(iset, jkset, i, np.concatenate(jjs),
-                      np.concatenate(kks), np.concatenate(vals), i_ptr)
+    return CijkTensor(iset, jkset, np.concatenate(iis), np.concatenate(jjs),
+                      np.concatenate(kks), np.concatenate(vals))
 
 
 def g_matrix(alpha: int, tensor: CijkTensor) -> np.ndarray:
     """Dense coupling matrix G_α with entries c_αjk.  Symmetric; G_0 is
     diagonal with entries E[ψ_j²]."""
-    m1 = len(tensor.jkset)
-    jj, kk, vv = tensor.slice_coords(alpha)
-    G = np.zeros((m1, m1))
-    G[jj, kk] = vv
-    return G
+    if not 0 <= alpha < len(tensor.iset):
+        raise IndexError(f"alpha {alpha} outside [0, {len(tensor.iset) - 1}]")
+    weights = np.zeros(len(tensor.iset))
+    weights[alpha] = 1.0
+    return tensor.g_sum(weights)
 
 
 def write_c_tensor(path, tensor: CijkTensor) -> None:

@@ -219,7 +219,11 @@ def solve_case(op, b, kind, trunc=None, tol=1e-8, maxit=1000):
     """One preconditioned flexible-CG solve.  Returns a cell dict with
     the iteration count, the Lanczos condition estimate from the same
     run, and the convergence flag."""
-    pre = make_preconditioner(op, kind, trunc)
+    return _solve(op, b, make_preconditioner(op, kind, trunc), tol, maxit)
+
+
+def _solve(op, b, pre, tol, maxit):
+    """solve_case's cell for a preconditioner already made."""
     _, rep = flexible_cg(op.matvec, pre.apply, b, tol=tol, maxit=maxit)
     return {"it": rep.iterations, "kappa": rep.kappa,
             "converged": rep.converged}
@@ -248,11 +252,17 @@ def emit_c_pattern(N, P, lt):
 
 
 def _solve_row(op, b, kinds, config, trunc=None):
-    """Cells for one table row; non-convergence is recorded, not raised."""
+    """Cells for one table row; non-convergence is recorded, not raised.
+
+    Every kind's preconditioner is made before the row's first solve, so
+    a setup refused for its size refuses the row before any solve of it.
+    A sweep builds its factors only at its first apply, and each
+    preconditioner is dropped after its solve."""
+    pres = [make_preconditioner(op, kind, trunc) for kind in kinds]
     cells = {}
     failed = []
     for kind in kinds:
-        res = solve_case(op, b, kind, trunc, config.tol, config.maxit)
+        res = _solve(op, b, pres.pop(0), config.tol, config.maxit)
         label = LABELS[kind]
         cells[f"{label}_it"] = res["it"]
         cells[f"{label}_kappa"] = res["kappa"]
@@ -350,10 +360,7 @@ def emit_norm_decay(config: ExperimentConfig):
     norms = stiffness_norms(op, config.norm)
     norm_rows = tuple({"i": i, "norm": float(v)}
                       for i, v in enumerate(norms))
-    t = op.tensor
-    m1 = len(t.jkset)
-    W = np.zeros((m1, m1))
-    np.add.at(W, (t.j, t.k), t.val * norms[t.i])
+    W = op.tensor.g_sum(norms)
     jj, kk = np.nonzero(W)
     weighted_rows = tuple(
         {"j": int(j), "k": int(k), "log10_weight": float(np.log10(W[j, k]))}

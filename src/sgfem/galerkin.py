@@ -13,13 +13,14 @@ form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes, and the
 operator only that of its full product.
 
-A block factor is one band factor, of a level matrix D_ℓ or of the
-block diagonal of consecutive blocks, one factor per group of a sweep.
-It is filled straight into band storage with the FULL coefficient sum
-(truncation only ever applies to off-diagonal products inside
-preconditioners) and factorized anew on each request; the caller owns
-it.  ``block(j, k)`` and a dense assembly of the whole matrix are
-brute-force oracles for small instances.
+A block factor is one band factor of a run of consecutive blocks: of
+all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
+The operator knows blocks only; which runs a preconditioner factorizes,
+and why, is the preconditioner's.  A factor is filled straight into band
+storage with the FULL coefficient sum (truncation only ever applies to
+off-diagonal products inside preconditioners) and factorized anew on
+each request; the caller owns it.  ``block(j, k)`` and a dense assembly
+of the whole matrix are brute-force oracles for small instances.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-# The raw CSR kernels behind ``csr_matrix @ x``: they accumulate into a
-# caller-owned output, which lets products land directly in the stacked
-# buffer, and they skip the per-call dispatch of the public operator.  On
-# a 2-vCPU Xeon host, ``K @ x`` with 961 nonzeros (121-node mesh) takes
-# 7.0 µs and the raw kernel 2.5 µs.
-from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 from sgfem.chaos import CijkTensor
 from sgfem.linalg import (
@@ -44,32 +39,27 @@ from sgfem.linalg import (
     factorize_band,
 )
 
+# The raw CSR kernels behind ``csr_matrix @ x``: they accumulate into a
+# caller-owned output, which lets products land directly in the stacked
+# buffer, and they skip the per-call dispatch of the public operator.  On
+# a 2-vCPU Xeon host, ``K @ x`` with 961 nonzeros (121-node mesh) takes
+# 7.0 µs and the raw kernel 2.5 µs.  The module is private to scipy; a
+# scipy without it gets the same two calls on the public product.
+try:
+    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+except ImportError:
+    def csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx):
+        """Yx += A Xx for the CSR matrix (Ap, Aj, Ax)."""
+        Yx += sp.csr_matrix((Ax, Aj, Ap), shape=(n_row, n_col)) @ Xx
+
+    def csr_matvecs(n_row, n_col, n_vecs, Ap, Aj, Ax, Xx, Yx):
+        """Yx += A X for the CSR matrix (Ap, Aj, Ax) and the n_vecs
+        columns of X, both X and Y flat in row-major order."""
+        A = sp.csr_matrix((Ax, Aj, Ap), shape=(n_row, n_col))
+        Yx += (A @ Xx.reshape(n_col, n_vecs)).ravel()
+
+
 _CHUNK_BYTES = 1 << 20      # stacked product buffer per chunk
-
-
-@dataclass(frozen=True)
-class LevelMap:
-    """Grouping of the M+1 stochastic blocks by total polynomial degree.
-
-    Level ℓ covers global block indices [offsets[ℓ], offsets[ℓ+1]) and has
-    sizes[ℓ] = C(N+ℓ−1, ℓ) blocks; offsets[P+1] = M+1.
-    """
-
-    N: int
-    P: int
-    sizes: tuple
-    offsets: tuple
-
-    def blocks(self, level: int) -> range:
-        """Global block indices belonging to one level."""
-        return range(self.offsets[level], self.offsets[level + 1])
-
-
-def level_structure(N: int, P: int) -> LevelMap:
-    """Level map for the graded index set of dimension N, degree P."""
-    sizes = tuple(math.comb(N + l - 1, l) for l in range(P + 1))
-    offsets = (0,) + tuple(np.cumsum(sizes).tolist())
-    return LevelMap(N, P, sizes, offsets)
 
 
 @dataclass(frozen=True)
@@ -234,7 +224,6 @@ class GalerkinOperator:
         self.tensor = tensor
         kdata, self.k_mats = _stack_family(list(k_mats))
         first = self.k_mats[0]
-        self.levels = level_structure(tensor.jkset.N, tensor.jkset.degree)
         self.n_dof = first.shape[0]
         self.M = len(tensor.jkset) - 1
         self.Mprime = len(tensor.iset) - 1
@@ -403,17 +392,16 @@ class GalerkinOperator:
             ab[:, p * nd:(p + 1) * nd] = self._fill_band(range(j, j + 1))
         return factorize_band(ab)
 
-    def assemble_level_block(self, level: int) -> Factorization:
-        """A new factorization of the level matrix D_ℓ, never assembled:
-        a banded Cholesky in node-interleaved order, row node·s + block
-        for the level's s blocks, so the band is run_band(s) instead of
-        about nd·s; for s > 1, ``order`` solves in block-major order.
-        The band's bytes are checked before it is filled in place."""
-        blocks = self.levels.blocks(level)
+    def assemble_level_block(self, blocks: range) -> Factorization:
+        """A new factorization of the matrix of the consecutive
+        ``blocks``, every pair K^{(j,k)} = Σ_i c_ijk K_i (never
+        truncated), such as a level matrix D_ℓ, never assembled: a banded
+        Cholesky in node-interleaved order, row node·s + block for the
+        s blocks, so the band is run_band(s) instead of about nd·s; for
+        s > 1, ``order`` solves in block-major order.  The band's bytes
+        are checked before it is filled in place."""
         nd, s = self.n_dof, len(blocks)
-        check_band_fits(s * nd, self.run_band(s), (
-            f"; level {level}'s exact solve needs it, while ahs and ahgs "
-            f"factorize only the level's diagonal blocks"))
+        check_band_fits(s * nd, self.run_band(s))
         F = factorize_band(self._fill_band(blocks))
         if s > 1:
             F.order = np.arange(nd * s).reshape(s, nd).T.ravel()

@@ -81,13 +81,14 @@ def check_band_fits(n, band, hint: str = "") -> None:
 class Factorization:
     """Cholesky factorization of a symmetric positive definite matrix.
 
-    ``kind`` is ``"cholesky"`` (dense) or ``"band"`` (sparse: banded
-    Cholesky, the factor in LAPACK's lower band storage).  ``order``,
-    when set, lists for each row of the factor the row of the system it
-    solves, so a factor of a reordered matrix solves in the original
-    order; it is None for a factor in the matrix's own order, such as a
-    single block's.  ``solve`` reproduces ``A^{-1} b`` with relative residual
-    below 1e-12 for well-conditioned matrices.
+    ``kind`` is ``"cholesky"`` (dense, from :func:`factorize`) or
+    ``"band"`` (banded, from :func:`factorize_band`, the factor in
+    LAPACK's lower band storage).  ``order``, when set, lists for each
+    row of the factor the row of the system it solves, so a factor of a
+    reordered matrix solves in the original order; it is None for a
+    factor in the matrix's own order, such as a single block's.
+    ``solve`` reproduces ``A^{-1} b`` with relative residual below 1e-12
+    for well-conditioned matrices.
     """
 
     kind: str
@@ -115,22 +116,6 @@ def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
     return np.abs(A - A.T).max() <= tol * scale
 
 
-def _band_fill(A) -> np.ndarray:
-    """Lower band storage of a sparse symmetric matrix in its given order:
-    the lower triangle's entries go straight into ``ab[i - j, j] = a_ij``,
-    whose width is the largest ``i - j`` of a stored entry."""
-    A = A.tocoo(copy=False)  # CSR: a row array beside the shared arrays
-    n = A.shape[0]
-    low = A.row >= A.col
-    rows, cols = A.row[low], A.col[low]
-    offset = rows - cols
-    band = int(offset.max(initial=0))
-    check_band_fits(n, band)
-    ab = np.zeros((band + 1, n), order="F")
-    ab[offset, cols] = A.data[low]
-    return ab
-
-
 def factorize_band(ab: np.ndarray) -> Factorization:
     """Banded Cholesky of an SPD matrix given in LAPACK's lower band
     storage, a Fortran-ordered (band + 1, n) array: the factor overwrites
@@ -149,22 +134,14 @@ def factorize_band(ab: np.ndarray) -> Factorization:
     return Factorization("band", ab.shape[1], (ab,))
 
 
-def factorize(A: Matrix) -> Factorization:
-    """Cholesky factorization of a symmetric positive definite matrix for
-    repeated solves; both paths read the lower triangle only.
+def factorize(A: np.ndarray) -> Factorization:
+    """LAPACK's dense Cholesky factorization of a symmetric positive
+    definite matrix, from its lower triangle, for repeated solves.
 
-    A sparse matrix, which must hold no duplicate entries, gets a banded
-    Cholesky in its own order.  It raises :class:`FactorizationError` on
-    a non-positive pivot or when a pivot L_ii² falls to 1e-14 of the
-    largest, and :class:`MemoryError` before it allocates a band larger
-    than physical memory.  A dense matrix gets LAPACK's dense Cholesky
-    and raises :class:`FactorizationError` on a non-positive pivot.
+    Raises :class:`FactorizationError` on a non-positive pivot, and
+    ValueError for a matrix that is not square or not dense: band
+    factors of sparse matrices come from :func:`factorize_band`.
     """
-    if sp.issparse(A):
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        return factorize_band(_band_fill(A))
-
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")

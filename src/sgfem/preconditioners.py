@@ -76,11 +76,8 @@ class Kronecker(Preconditioner):
         else:
             weights = np.zeros(op.Mprime + 1)
             weights[0] = 1.0
-        t = op.tensor
-        G = np.zeros((op.M + 1, op.M + 1))
-        np.add.at(G, (t.j, t.k), weights[t.i] * t.val)
-        self.g_matrix = G
-        self._fg = factorize(G)
+        self.g_matrix = op.tensor.g_sum(weights)
+        self._fg = factorize(self.g_matrix)
 
     def apply(self, r):
         R = self._blocks(r)
@@ -106,30 +103,33 @@ class BlockGaussSeidel(Preconditioner):
     are one slice of blocks, computed once here; the forward sweep's last
     group pushes to an empty slice, a product with no terms.
 
-    Each group is solved by one factor: of its level matrix D_ℓ when
-    ``exact``, else of its block diagonal.  Every group's factor and the
-    plans of its two pushes are built at the first apply and kept in
-    ``_sweep``, their only owner, so the band bytes of every factor the
-    sweep will hold are summed here and checked against physical memory
-    together, before any work.
+    The levels are the runs of equal total degree in the basis's graded
+    order, ``op.tensor.jkset.total_degrees()``.  Each group is solved by
+    one factor of its blocks: of all their pairs, the level matrix D_ℓ,
+    when ``exact``, else of their block diagonal.  Every group's factor
+    and the plans of its two pushes are built at the first apply and kept
+    in ``_sweep``, their only owner, so the band bytes of every factor
+    the sweep will hold are summed here and checked against physical
+    memory together, before any work.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
                  exact: bool):
         super().__init__(op, trunc)
         end = op.M + 1
-        bounds = op.levels.offsets if by_level else range(end + 1)
+        # a group is a run of blocks of one key: their total degree (a
+        # level) or their own index (a single block)
+        keys = op.tensor.jkset.total_degrees() if by_level else range(end)
+        bounds = np.searchsorted(keys, range(keys[-1] + 2)).tolist()
         groups = []
-        for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
             after, before = slice(hi, end), slice(0, lo)
             if descending:
                 after, before = before, after
-            # (what its factor is built from: its level for hs, else its
-            # blocks; its blocks, rows to push to going forward, rows to
-            # push to going back)
-            groups.append((g if exact else range(lo, hi), slice(lo, hi),
-                           after, before))
-        sizes = [hi - lo for lo, hi in zip(bounds[:-1], bounds[1:])]
+            # its blocks, rows to push to going forward, rows to push to
+            # going back
+            groups.append((range(lo, hi), after, before))
+        sizes = [len(blk) for blk, _, _ in groups]
         check_band_fits([s * op.n_dof for s in sizes],
                         [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
@@ -139,15 +139,16 @@ class BlockGaussSeidel(Preconditioner):
         self._sweep: list | None = None  # built at the first apply
 
     def _build(self) -> list:
-        """Per group in sweep order: its blocks, its factor, and its
-        forward and backward push rows, each with the plan of its
+        """Per group in sweep order: its blocks as a slice, its factor,
+        and its forward and backward push rows, each with the plan of its
         truncated product."""
         op, trunc = self.op, self.trunc
         factor = (op.assemble_level_block if self._exact
                   else op.assemble_diag_block)
-        return [(blk, factor(of), forward, op.plan(forward, blk, trunc),
+        return [(slice(blk.start, blk.stop), factor(blk),
+                 forward, op.plan(forward, blk, trunc),
                  back, op.plan(back, blk, trunc))
-                for of, blk, forward, back in self._groups]
+                for blk, forward, back in self._groups]
 
     def apply(self, r):
         if self._sweep is None:

@@ -1,7 +1,9 @@
 """Shared helpers: build small end-to-end problem instances, probe
 linear maps, find the factorizations and product plans an object holds
-and trace the memory of a call."""
+and trace the memory of a call; oracles of the degree levels and of
+lower band storage."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -53,6 +55,34 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b, mesh, kl
+
+
+def binomial_levels(N, P) -> list:
+    """The degree levels of the graded basis of dimension N and degree P
+    from the binomial count: level ℓ is the range of the next
+    C(N+ℓ−1, ℓ) blocks (oracle of the basis's graded order)."""
+    sizes = [math.comb(N + level - 1, level) for level in range(P + 1)]
+    offsets = np.cumsum([0] + sizes).tolist()
+    return [range(lo, hi) for lo, hi in zip(offsets[:-1], offsets[1:])]
+
+
+def levels(op) -> list:
+    """:func:`binomial_levels` of an operator's basis."""
+    return binomial_levels(op.tensor.jkset.N, op.tensor.jkset.degree)
+
+
+def band_fill(A) -> np.ndarray:
+    """Lower band storage of a sparse symmetric matrix in its given order
+    (oracle of the operator's band fills): the lower triangle's entries
+    go straight into ``ab[i - j, j] = a_ij``, whose width is the largest
+    ``i - j`` of a stored entry."""
+    A = A.tocoo(copy=False)
+    low = A.row >= A.col
+    rows, cols = A.row[low], A.col[low]
+    offset = rows - cols
+    ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]), order="F")
+    ab[offset, cols] = A.data[low]
+    return ab
 
 
 def probe_matrix(apply, n: int) -> np.ndarray:

@@ -12,10 +12,15 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import build_operator, probe_matrix
+from conftest import build_operator, levels, probe_matrix
 from test_preconditioners import dense_split_parts
 
-from sgfem.chaos import build_c_tensor, hermite_eval_1d, multi_index_set
+from sgfem.chaos import (
+    build_c_tensor,
+    g_matrix,
+    hermite_eval_1d,
+    multi_index_set,
+)
 from sgfem.experiments import build_problem, emit_c_pattern, solve_case
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
@@ -156,16 +161,15 @@ def test_criterion_04_preconditioner_oracles(small_instances):
                             np.abs(kr.apply(r)
                                    - np.linalg.solve(Mk, r)).max())
 
-        lm = op.levels
         g = r.reshape(op.M + 1, nd).copy()
-        for level in range(lm.P, 0, -1):
-            lo, hi = lm.offsets[level] * nd, lm.offsets[level + 1] * nd
+        for blk in levels(op)[:0:-1]:
+            lo, hi = blk.start * nd, blk.stop * nd
             z = np.linalg.solve(A[lo:hi, lo:hi], g.ravel()[lo:hi])
             g.reshape(-1)[:lo] -= A[:lo, lo:hi] @ z
         v = np.zeros_like(g)
         v[0] = np.linalg.solve(A[:nd, :nd], g[0])
-        for level in range(1, lm.P + 1):
-            lo, hi = lm.offsets[level] * nd, lm.offsets[level + 1] * nd
+        for blk in levels(op)[1:]:
+            lo, hi = blk.start * nd, blk.stop * nd
             rhs = g.reshape(-1)[lo:hi] - A[lo:hi, :lo] @ v.reshape(-1)[:lo]
             v.reshape(-1)[lo:hi] = np.linalg.solve(A[lo:hi, lo:hi], rhs)
         hs = make_preconditioner(op, "hs", full)
@@ -308,9 +312,7 @@ def test_criterion_08_control_point_jacobi():
     table = {}
     for n in ROBUST_MESHES:
         op, b = build_problem(2, 2, n, 100.0)
-        jj, _, vv = op.tensor.slice_coords(0)
-        g0 = np.zeros(op.M + 1)
-        g0[jj] = vv
+        g0 = np.diag(g_matrix(0, op.tensor))
         scale = np.outer(g0, op.k_mats[0].diagonal()).ravel()
         table[n] = {"jacobi": counted_solve(op, b, lambda r: r / scale)}
     spreads = minv_spreads(table)

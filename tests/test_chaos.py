@@ -131,22 +131,18 @@ def looped_c_tensor(N, P, Pprime) -> CijkTensor:
     jk = jkset.as_array()
     m1 = len(jkset)
     iis, jjs, kks, vals = [], [], [], []
-    counts = np.zeros(len(iset), dtype=np.int64)
     for a, idx in enumerate(iset.indices):
         G = np.ones((m1, m1))
         for d in range(N):
             cols = jk[:, d]
             G *= T[idx[d]][np.ix_(cols, cols)]
         jj, kk = np.nonzero(G)
-        counts[a] = len(jj)
         iis.append(np.full(len(jj), a, dtype=np.int64))
         jjs.append(jj)
         kks.append(kk)
         vals.append(G[jj, kk])
-    i_ptr = np.zeros(len(iset) + 1, dtype=np.int64)
-    np.cumsum(counts, out=i_ptr[1:])
     return CijkTensor(iset, jkset, np.concatenate(iis), np.concatenate(jjs),
-                      np.concatenate(kks), np.concatenate(vals), i_ptr)
+                      np.concatenate(kks), np.concatenate(vals))
 
 
 class TestCijkTensor:
@@ -159,7 +155,7 @@ class TestCijkTensor:
         with mock.patch.object(chaos, "_CHUNK_BYTES", chunk):
             got = build_c_tensor(N, P, Pprime)
         want = looped_c_tensor(N, P, Pprime)
-        for name in ("i", "j", "k", "val", "i_ptr"):
+        for name in ("i", "j", "k", "val"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
@@ -178,11 +174,11 @@ class TestCijkTensor:
 
     def test_zero_slice_is_diagonal_of_factorials(self):
         t = build_c_tensor(3, 3, 6)
-        jj, kk, vv = t.slice_coords(0)
-        assert np.array_equal(jj, kk)
+        G0 = g_matrix(0, t)
         expect = [np.prod([math.factorial(d) for d in idx])
                   for idx in t.jkset.indices]
-        np.testing.assert_allclose(vv, expect)
+        np.testing.assert_array_equal(G0, np.diag(np.diag(G0)))
+        np.testing.assert_allclose(np.diag(G0), expect)
 
     def test_all_stored_entries_nonzero(self):
         t = build_c_tensor(2, 2, 4)
@@ -206,7 +202,7 @@ class TestCijkTensor:
         expect = {0: 70, 1: 350, 2: 1210, 3: 2610, 4: 4980, 8: 12585}
         for bound, count in expect.items():
             n_i = math.comb(4 + bound, bound)
-            assert int(t.i_ptr[n_i]) == count, bound
+            assert int(np.searchsorted(t.i, n_i)) == count, bound
 
     def test_union_pattern_by_expansion_degree(self):
         # distinct (j,k) pairs covered when i is restricted by total degree
@@ -215,7 +211,7 @@ class TestCijkTensor:
         m1 = len(t.jkset)
         for bound, count in expect.items():
             n_i = math.comb(4 + bound, bound)
-            hi = t.i_ptr[n_i]
+            hi = np.searchsorted(t.i, n_i)
             pairs = np.unique(t.j[:hi] * m1 + t.k[:hi])
             assert len(pairs) == count, bound
 
@@ -260,6 +256,19 @@ class TestCijkTensor:
 
 
 class TestGMatrix:
+    @settings(max_examples=25, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3),
+           seed=st.integers(0, 2**16))
+    def test_g_sum_is_the_weighted_sum_of_coupling_matrices(self, N, P,
+                                                            seed):
+        t = build_c_tensor(N, P, 2 * P)
+        w = np.random.default_rng(seed).standard_normal(len(t.iset))
+        want = sum(w_a * g_matrix(a, t) for a, w_a in enumerate(w))
+        got = t.g_sum(w)
+        assert got.shape == (len(t.jkset),) * 2
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+
     def test_mean_block_low_degree(self):
         t = build_c_tensor(2, 1, 2)
         np.testing.assert_array_equal(g_matrix(0, t), np.eye(3))

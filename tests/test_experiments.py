@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import traced_memory
 
+import sgfem.experiments as experiments
 import sgfem.linalg as linalg
 from sgfem.chaos import build_c_tensor
 from sgfem.cli import main
@@ -275,6 +276,26 @@ class TestTables:
             # smaller threshold keeps more matrices
             assert counts == sorted(counts)
             assert counts[-1] == len(build_c_tensor(2, 2, 4).iset)
+
+    def test_oversized_setup_refused_before_the_rows_first_solve(
+            self, monkeypatch):
+        """Every kind's preconditioner of a row is made before the row's
+        first solve: an hs whose level bands do not fit at n = 4 stops
+        the table after the n = 3 row's four solves, before any solve of
+        its own row."""
+        solves, solve = [], experiments.flexible_cg
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "flexible_cg", counted)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 30000)
+        config = ExperimentConfig(N=2, P=3, mesh_list=(3, 4),
+                                  preconds=("mb", "kron", "gs", "hs"))
+        with pytest.raises(MemoryError, match="hs's exact level solves"):
+            run_table(config, "logh")
+        assert len(solves) == 4
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):

@@ -1,58 +1,66 @@
 """Block operator checks against the dense brute-force oracle."""
 
 import functools
+import importlib.util
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import build_operator, held_factors, traced_memory
+from conftest import (
+    band_fill,
+    binomial_levels,
+    build_family,
+    build_operator,
+    held_factors,
+    levels,
+    traced_memory,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
-from sgfem.chaos import build_c_tensor
+from sgfem.chaos import build_c_tensor, multi_index_set
 from sgfem.fem import assemble_stiffness_family, build_mesh
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
     full_truncation,
-    level_structure,
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import Factorization, _band_fill, factorize
-from sgfem.preconditioners import make_preconditioner
+from sgfem.linalg import Factorization, factorize
+from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
 
 class TestLevelStructure:
+    """The degree levels the level sweeps cut at, where the total degree
+    of the basis's graded order steps, against the binomial oracle."""
+
     def test_four_dimensional(self):
-        lm = level_structure(4, 4)
-        assert lm.sizes == (1, 4, 10, 20, 35)
-        assert lm.offsets == (0, 1, 5, 15, 35, 70)
+        degrees = multi_index_set(4, 4).total_degrees()
+        assert np.searchsorted(degrees, range(6)).tolist() == \
+            [0, 1, 5, 15, 35, 70]
+        assert [len(level) for level in binomial_levels(4, 4)] == \
+            [1, 4, 10, 20, 35]
 
     def test_one_dimensional(self):
-        lm = level_structure(1, 3)
-        assert lm.sizes == (1, 1, 1, 1)
+        degrees = multi_index_set(1, 3).total_degrees()
+        assert np.diff(np.searchsorted(degrees, range(5))).tolist() == \
+            [1, 1, 1, 1]
 
     def test_blocks_partition(self):
-        lm = level_structure(3, 3)
-        seen = []
-        for l in range(4):
-            seen.extend(lm.blocks(l))
-        assert seen == list(range(lm.offsets[-1]))
+        seen = [j for level in binomial_levels(3, 3) for j in level]
+        assert seen == list(range(len(multi_index_set(3, 3))))
 
     def test_matches_index_set_degrees(self):
-        from sgfem.chaos import multi_index_set
-        s = multi_index_set(3, 4)
-        lm = level_structure(3, 4)
-        degs = s.total_degrees()
-        for l in range(5):
-            blk = list(lm.blocks(l))
-            assert np.all(degs[blk] == l)
+        degs = multi_index_set(3, 4).total_degrees()
+        for l, blk in enumerate(binomial_levels(3, 4)):
+            assert np.all(degs[list(blk)] == l)
 
 
 class TestTruncationSets:
@@ -414,13 +422,12 @@ class TestAssembledBlocks:
         op, _, _, _ = build_operator(N, P, n)
         A = op.assemble_global_dense()
         nd = op.n_dof
-        for l in range(1, P + 1):
-            F = op.assemble_level_block(l)
-            blk = list(op.levels.blocks(l))
+        for blk in levels(op)[1:]:
+            F = op.assemble_level_block(blk)
             lo, hi = blk[0] * nd, (blk[-1] + 1) * nd
             want = A[lo:hi, lo:hi]
             order = interleaved_order(len(blk), nd)
-            ab = op._fill_band(op.levels.blocks(l))
+            ab = op._fill_band(blk)
             np.testing.assert_allclose(band_lower(ab),
                                        np.tril(want[np.ix_(order, order)]),
                                        atol=1e-13)
@@ -435,7 +442,7 @@ class TestAssembledBlocks:
         op, _, _, _ = build_operator(N, P, n)
         for j in range(op.M + 1):
             assert_same_band_values(op._fill_band(range(j, j + 1)),
-                                    _band_fill(op.block(j, j)))
+                                    band_fill(op.block(j, j)))
 
     def test_blocks_symmetric(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -444,10 +451,10 @@ class TestAssembledBlocks:
             assert np.array_equal(D, D.T)
 
 
-def bmat_level_oracle(op, level):
-    """D_ℓ through sp.bmat over the level's block() grid (independent
-    route, in block-major order)."""
-    blocks = list(op.levels.blocks(level))
+def bmat_oracle(op, blocks):
+    """The matrix of consecutive blocks, a level's D_ℓ say, through
+    sp.bmat over their block() grid (independent route, in block-major
+    order)."""
     return sp.bmat([[op.block(j, k) for k in blocks] for j in blocks],
                    format="csr")
 
@@ -458,12 +465,12 @@ def interleaved_order(s, nd):
     return np.arange(s * nd).reshape(s, nd).T.ravel()
 
 
-def oracle_band(op, level):
-    """The oracle D_ℓ permuted to node-interleaved order, in lower band
-    storage."""
-    D = bmat_level_oracle(op, level).tocoo()
-    pos = np.argsort(interleaved_order(op.levels.sizes[level], op.n_dof))
-    return _band_fill(sp.coo_matrix((D.data, (pos[D.row], pos[D.col])),
+def oracle_band(op, blocks):
+    """The oracle matrix of the blocks permuted to node-interleaved
+    order, in lower band storage."""
+    D = bmat_oracle(op, blocks).tocoo()
+    pos = np.argsort(interleaved_order(len(blocks), op.n_dof))
+    return band_fill(sp.coo_matrix((D.data, (pos[D.row], pos[D.col])),
                                     shape=D.shape))
 
 
@@ -484,10 +491,9 @@ def assert_same_band_values(got, want):
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def assert_band_matches_oracle(op, level):
-    """The unfactorized level band against the oracle's."""
-    assert_same_band_values(op._fill_band(op.levels.blocks(level)),
-                            oracle_band(op, level))
+def assert_band_matches_oracle(op, blocks):
+    """The unfactorized band of the blocks against the oracle's."""
+    assert_same_band_values(op._fill_band(blocks), oracle_band(op, blocks))
 
 
 def bitwise_symmetric(A):
@@ -510,9 +516,9 @@ class TestFactorizationContract:
     def test_blocks_assemble_and_solve(self, N, P, n, cov, seed):
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
-        for level in range(P + 1):
-            D, F = bmat_level_oracle(op, level), op.assemble_level_block(level)
-            assert_band_matches_oracle(op, level)
+        for blocks in levels(op):
+            D, F = bmat_oracle(op, blocks), op.assemble_level_block(blocks)
+            assert_band_matches_oracle(op, blocks)
             assert bitwise_symmetric(D)
             b = rng.standard_normal(D.shape[0])
             x = F.solve(b)
@@ -537,11 +543,11 @@ class TestFactorizationContract:
         nd = op.n_dof
         cases = [(op.block(j, j), op.assemble_diag_block(range(j, j + 1)),
                   None) for j in range(op.M + 1)]
-        for level in range(P + 1):
-            s = op.levels.sizes[level]
+        for blocks in levels(op):
+            s = len(blocks)
             order = interleaved_order(s, nd) if s > 1 else None
-            cases.append((bmat_level_oracle(op, level),
-                          op.assemble_level_block(level), order))
+            cases.append((bmat_oracle(op, blocks),
+                          op.assemble_level_block(blocks), order))
         for A, F, order in cases:
             assert F.kind == "band"
             dense = A.toarray()
@@ -561,9 +567,9 @@ class TestFactorizationContract:
     def test_level_band_exact_from_k0_pattern(self):
         op, _, _, _ = build_operator(2, 3, 4)
         n = 4
-        for level in range(4):
-            s = op.levels.sizes[level]
-            ab = op.assemble_level_block(level)._state[0]
+        for blocks in levels(op):
+            s = len(blocks)
+            ab = op.assemble_level_block(blocks)._state[0]
             # a Q1 node couples to rows up to n + 2 below it
             assert op.run_band(s) == s * (n + 2) + s - 1
             assert ab.shape == (op.run_band(s) + 1, s * op.n_dof)
@@ -573,8 +579,24 @@ class TestFactorizationContract:
         sp.bmat oracle permuted to node-interleaved order.  Not bitwise:
         here the level-3 values differ by up to 5.7e-17 of the largest."""
         op, _, _, _ = build_operator(3, 3, 4)
-        for level in range(4):
-            assert_band_matches_oracle(op, level)
+        for blocks in levels(op):
+            assert_band_matches_oracle(op, blocks)
+
+    @pytest.mark.parametrize("blocks", [range(5, 8), range(2, 6),
+                                        range(9, 10)],
+                             ids=["in-level-2", "across-levels", "one"])
+    def test_run_that_is_not_a_level(self, blocks):
+        """The builder takes any run of consecutive blocks: part of level
+        2 (blocks 4 to 9 at N = 3), a run across levels 1 and 2, and one
+        block; its band and its solve against the sp.bmat oracle."""
+        op, _, _, _ = build_operator(3, 3, 4)
+        assert levels(op)[2] == range(4, 10)
+        assert_band_matches_oracle(op, blocks)
+        D, F = bmat_oracle(op, blocks), op.assemble_level_block(blocks)
+        assert F.n == len(blocks) * op.n_dof
+        b = np.random.default_rng(12).standard_normal(F.n)
+        assert np.linalg.norm(b - D @ F.solve(b)) <= \
+            1e-12 * np.linalg.norm(b)
 
     def test_oversized_level_band_refused_before_assembly(self,
                                                           monkeypatch):
@@ -588,18 +610,24 @@ class TestFactorizationContract:
             raise AssertionError("level band allocated")
 
         monkeypatch.setattr(op, "_fill_band", no_fill)
+        level = levels(op)[3]
         with pytest.raises(MemoryError) as exc:
-            op.assemble_level_block(3)
-        assert f"needs {need} bytes" in str(exc.value)
-        assert "ahs and ahgs" in str(exc.value)
+            op.assemble_level_block(level)
+        # the operator names no preconditioner kind; the sweep's own
+        # check adds that hint
+        assert str(exc.value).endswith(f"needs {need} bytes "
+                                       f"({need / 2**30:.2f} GiB), more "
+                                       f"than the {need - 1} bytes "
+                                       f"({(need - 1) / 2**30:.2f} GiB) of "
+                                       f"physical memory")
         # with the band fitting, the patched fill is reached: the refusal
         # above came before it
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         with pytest.raises(AssertionError, match="band allocated"):
-            op.assemble_level_block(3)
+            op.assemble_level_block(level)
         monkeypatch.undo()
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
-        assert op.assemble_level_block(3)._state[0].nbytes == need
+        assert op.assemble_level_block(level)._state[0].nbytes == need
 
     def test_level_factor_keeps_only_the_band(self):
         """Memory regression guard: the bytes a level factorization keeps
@@ -607,15 +635,17 @@ class TestFactorizationContract:
         factor (or of D_ℓ) fails; and the band is filled in place, so
         the peak stays within 25 % of it."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
-        kept, peak = traced_memory(lambda: op.assemble_level_block(4))
-        band = op.assemble_level_block(4)._state[0].nbytes
+        level = range(35, 70)
+        kept, peak = traced_memory(lambda: op.assemble_level_block(level))
+        band = op.assemble_level_block(level)._state[0].nbytes
         # 35 blocks of 121 nodes, band 35·(n + 2) + 34
         assert band == 8 * 35 * 121 * (35 * 12 + 34 + 1)
         assert abs(kept - band) <= 0.05 * band
         assert peak <= 1.25 * band
 
     @pytest.mark.parametrize("builder,kind,calls", [
-        ("assemble_level_block", "hs", [2, 1, 0]),
+        ("assemble_level_block", "hs", [range(3, 6), range(1, 3),
+                                        range(0, 1)]),
         ("assemble_diag_block", "gs", [range(j, j + 1) for j in range(6)]),
         ("assemble_diag_block", "ahgs", [range(0, 1), range(1, 3),
                                          range(3, 6)]),
@@ -626,8 +656,8 @@ class TestFactorizationContract:
             self, builder, kind, calls, monkeypatch):
         """The operator builds a new factorization on every call and
         keeps none; over two applies a sweep calls the builder once per
-        group, in sweep order: hs with each level, level 0 included, and
-        the other kinds with each group's blocks."""
+        group, in sweep order, with the group's blocks: hs each level,
+        level 0 included, and the other kinds each group."""
         op, b, _, _ = build_operator(2, 2, 3)
         build = getattr(op, builder)
         F, G = build(calls[-1]), build(calls[-1])
@@ -654,8 +684,7 @@ class TestFactorizationContract:
         bitwise."""
         op, _, _, _ = build_operator(N, P, n)
         nd, rng = op.n_dof, np.random.default_rng(4)
-        runs = [op.levels.blocks(level) for level in range(P + 1)]
-        for blocks in runs + [range(op.M + 1), range(1, op.M + 1)]:
+        for blocks in levels(op) + [range(op.M + 1), range(1, op.M + 1)]:
             F = op.assemble_diag_block(blocks)
             alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
             assert F.order is None and F.n == len(blocks) * nd
@@ -696,3 +725,45 @@ class TestGlobalDense:
         for j in range(op.M + 1):
             for k in range(op.M + 1):
                 assert op.block(j, k) is not None
+
+
+def fallback_galerkin(monkeypatch):
+    """A fresh copy of the galerkin module imported without scipy's
+    private CSR kernels, so that it runs on its fallback for them; the
+    imported ``sgfem.galerkin`` is left as it is."""
+    monkeypatch.setitem(sys.modules, "scipy.sparse._sparsetools", None)
+    spec = importlib.util.spec_from_file_location("galerkin_fallback",
+                                                  galerkin.__file__)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses read their module's namespace while it executes
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestScipyFallback:
+    def test_fallback_matches_the_raw_kernels(self, monkeypatch):
+        """Without ``scipy.sparse._sparsetools`` the operator's products,
+        band fills and every kind's applies run on the public CSR
+        product and agree with the raw kernels' to 1e-14."""
+        fb = fallback_galerkin(monkeypatch)
+        assert fb.csr_matvec is not galerkin.csr_matvec
+        assert fb.csr_matvecs is not galerkin.csr_matvecs
+        tensor, kfam, _, _, _ = build_family(3, 3, 4)
+        op = GalerkinOperator(tensor, kfam)
+        op_fb = fb.GalerkinOperator(tensor, kfam)
+
+        def assert_close(got, want):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+        v = np.random.default_rng(40).standard_normal(op.n_global)
+        assert_close(op_fb.matvec(v), op.matvec(v))
+        for blocks in levels(op) + [range(op.M + 1)]:
+            assert_close(op_fb._fill_band(blocks), op._fill_band(blocks))
+        for kind in KINDS:
+            for trunc in (None, standard_truncation(3, 2)):
+                pre_fb = make_preconditioner(op_fb, kind, trunc)
+                pre = make_preconditioner(op, kind, trunc)
+                for _ in range(2):
+                    assert_close(pre_fb.apply(v), pre.apply(v))
+        assert op_fb.counters == op.counters

@@ -1,4 +1,5 @@
-"""Repository hygiene: no unused imports, no private definition that the
+"""Repository hygiene: no unused imports, no third-party import that
+``pyproject.toml`` does not declare, no private definition that the
 package never uses, no private attribute that it writes and never reads,
 no bench tracing hook aimed at a missing target, and a package surface
 that the README documents and that suffices to rebuild ``build_problem``
@@ -6,8 +7,10 @@ by hand."""
 
 import ast
 import importlib
+import importlib.metadata
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +59,67 @@ def test_unused_import_check_finds_one():
 def test_no_unused_imports(path):
     with open(path, encoding="utf-8") as fh:
         assert unused_imports(fh.read()) == []
+
+
+def undeclared_imports(sources: dict, declared: set,
+                       first_party: set) -> list:
+    """Top-level names of the absolute imports in ``sources`` (path ->
+    source text) that are neither the standard library's nor in
+    ``first_party`` and whose distribution is not in ``declared``
+    (normalized names), as "name (path)"."""
+    dists = importlib.metadata.packages_distributions()
+    missing = []
+    for path, source in sources.items():
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                names |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+        for name in sorted(names - set(sys.stdlib_module_names)
+                           - first_party):
+            if not {normalized(d) for d in dists.get(name, [name])} \
+                    & declared:
+                missing.append(f"{name} ({path})")
+    return missing
+
+
+def normalized(distribution: str) -> str:
+    """A distribution name in its normalized form (PEP 503)."""
+    return re.sub(r"[-_.]+", "-", distribution).lower()
+
+
+def declared_dependencies() -> set:
+    """Normalized names of the runtime and test dependencies that
+    ``pyproject.toml`` declares."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] + \
+        project["optional-dependencies"]["test"]
+    return {normalized(re.match(r"[A-Za-z0-9._-]+", req).group())
+            for req in requirements}
+
+
+def test_undeclared_import_check_finds_one():
+    assert undeclared_imports(
+        {"a.py": "import os\nimport numpy.linalg\nimport nosuchdist\n"
+                 "from . import b\nfrom mine.x import y\n"},
+        {"numpy"}, {"mine"}) == ["nosuchdist (a.py)"]
+
+
+def test_third_party_imports_are_declared():
+    """Every third-party module that the package or its tests import
+    is a declared dependency: runtime ones under ``dependencies``, the
+    test tooling under the ``test`` extra."""
+    sources = {}
+    for path in SOURCES:
+        with open(path, encoding="utf-8") as fh:
+            sources[os.path.relpath(path, ROOT)] = fh.read()
+    first_party = {"sgfem"} | {
+        os.path.splitext(os.path.basename(path))[0] for path in SOURCES}
+    assert undeclared_imports(sources, declared_dependencies(),
+                              first_party) == []
 
 
 def unreferenced_private_definitions(sources: dict) -> list:

@@ -4,6 +4,7 @@ matrix IO."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import band_fill, build_operator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,7 @@ from sgfem.linalg import (
     as_csr,
     check_band_fits,
     factorize,
+    factorize_band,
     read_matrix_market,
     sym_eig,
     write_matrix_market,
@@ -60,19 +62,23 @@ class TestFactorize:
             factorize(A)
 
     def test_sparse_solve(self):
+        """factorize is dense only: a sparse matrix is refused, and its
+        band factor comes from factorize_band."""
         rng = np.random.default_rng(9)
         B = rng.standard_normal((8, 8))
         A = B @ B.T + 8 * np.eye(8)
         As = as_csr(A)
         b = rng.standard_normal(8)
-        F = factorize(As)
+        with pytest.raises(ValueError):
+            factorize(As)
+        F = band_factor(As)
         assert F.kind == "band"
         np.testing.assert_allclose(F.solve(b), np.linalg.solve(A, b), atol=1e-10)
 
     def test_sparse_singular_raises(self):
         A = as_csr(np.diag([1.0, 0.0, 2.0]))
         with pytest.raises(FactorizationError):
-            factorize(A)
+            band_factor(A)
 
     def test_multiple_right_hand_sides(self):
         rng = np.random.default_rng(13)
@@ -100,15 +106,21 @@ def band_pivots(F):
     return F._state[0][0] ** 2
 
 
+def band_factor(A):
+    """factorize_band of a sparse matrix's band in its own order."""
+    return factorize_band(band_fill(A))
+
+
 class TestBandCholesky:
-    """The sparse path: banded Cholesky in the matrix's own order."""
+    """factorize_band: banded Cholesky of a sparse matrix's band in its
+    own order, and the band-size check made before a band is allocated."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 40), density=st.floats(0.0, 0.3),
            m=st.integers(2, 5), seed=st.integers(0, 2**16))
     def test_solves_and_pivots(self, n, density, m, seed):
         A = random_sparse_spd(n, density, seed)
-        F = factorize(A)
+        F = band_factor(A)
         assert F.kind == "band" and F.n == n
         rng = np.random.default_rng(seed + 1)
         b = rng.standard_normal(n)
@@ -133,7 +145,7 @@ class TestBandCholesky:
         # shift one eigenvalue past zero, by a margin far above roundoff
         shift = lam[0] + 0.5 * max(lam[1] - lam[0], 1e-3 * lam[-1])
         with pytest.raises(FactorizationError):
-            factorize(as_csr(A - shift * sp.eye(n)))
+            band_factor(as_csr(A - shift * sp.eye(n)))
 
     def test_singular_to_tolerance_raises(self):
         # Neumann 1-D Laplacian: rows sum to zero, the last pivot is 0 in
@@ -142,38 +154,48 @@ class TestBandCholesky:
         A = sp.diags([-np.ones(n - 1), np.r_[1.0, 2 * np.ones(n - 2), 1.0],
                       -np.ones(n - 1)], [-1, 0, 1])
         with pytest.raises(FactorizationError):
-            factorize(as_csr(A))
+            band_factor(as_csr(A))
         with pytest.raises(FactorizationError, match="singular"):
-            factorize(as_csr(np.diag([1.0, 1e-15, 2.0])))
+            band_factor(as_csr(np.diag([1.0, 1e-15, 2.0])))
 
     def test_band_from_lower_triangle(self):
         A = as_csr(sp.diags([np.full(4, -1.0), np.full(6, 4.0),
                              np.full(4, -1.0)], [-2, 0, 2], shape=(6, 6)))
-        F = factorize(A)
+        F = band_factor(A)
         assert F._state[0].shape == (3, 6)  # the diagonal and two below
 
     def test_order_solves_in_the_original_rows(self):
         A = random_sparse_spd(9, 0.3, 4)
         perm = np.random.default_rng(0).permutation(9)
-        F = factorize(as_csr(A[perm][:, perm]))
+        F = band_factor(as_csr(A[perm][:, perm]))
         F.order = perm
         b = np.arange(9.0)
         np.testing.assert_allclose(A @ F.solve(b), b, atol=1e-12)
 
     def test_band_bytes_checked_before_allocation(self, monkeypatch):
-        A = random_sparse_spd(20, 0.2, 1)
-        band = factorize(A)._state[0].shape[0] - 1
-        need = 8 * 20 * (band + 1)
+        """A band builder checks the band's bytes before it allocates the
+        band: here the operator's factor of its whole block diagonal."""
+        op, _, _, _ = build_operator(2, 1, 3)
+        blocks = range(op.M + 1)
+        band = op.run_band(1)
+        rows = len(blocks) * op.n_dof
+        need = 8 * rows * (band + 1)
+        assert op.assemble_diag_block(blocks)._state[0].nbytes == need
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
-        check_band_fits(20, band)  # fits exactly
+        check_band_fits(rows, band)  # fits exactly
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_band(*args, **kwargs):
             raise AssertionError("band allocated")
 
-        monkeypatch.setattr(linalg.np, "zeros", no_band)
+        monkeypatch.setattr(np, "empty", no_band)
         with pytest.raises(MemoryError, match=f"needs {need} bytes"):
-            factorize(A)
+            op.assemble_diag_block(blocks)
+        # with the band fitting, the patched allocation is reached: the
+        # refusal above came before it
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="band allocated"):
+            op.assemble_diag_block(blocks)
 
     def test_bands_kept_together_checked_as_one_sum(self, monkeypatch):
         rows, bands = [10, 30, 20], [4, 2, 9]

@@ -7,7 +7,14 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import build_operator, held_factors, probe_matrix
+from conftest import (
+    band_fill,
+    binomial_levels,
+    build_operator,
+    held_factors,
+    levels,
+    probe_matrix,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -87,7 +94,8 @@ def dense_sweep_inverse(op, kind, trunc):
     dropped."""
     by_level, descending, exact = SWEEPS[kind]
     nd, m1 = op.n_dof, op.M + 1
-    group = (np.repeat(np.arange(op.levels.P + 1), op.levels.sizes)
+    group = (np.repeat(np.arange(len(levels(op))),
+                       [len(blk) for blk in levels(op)])
              if by_level else np.arange(m1))
     rank = -group if descending else group  # position in the sweep
     A = op.assemble_global_dense()
@@ -105,32 +113,29 @@ def dense_sweep_inverse(op, kind, trunc):
     return np.linalg.inv((D + L) @ np.linalg.solve(D, D + U))
 
 
-def level_solve(op, level, exact, R):
-    """Solve one level for R given blockwise: with the factorization of
-    its level matrix when exact, else block by block."""
+def level_solve(op, blocks, exact, R):
+    """Solve one level, its blocks given, for R given blockwise: with the
+    factorization of its level matrix when exact, else block by block."""
     if exact:
-        F = op.assemble_level_block(level)
+        F = op.assemble_level_block(blocks)
         return F.solve(R.ravel()).reshape(R.shape)
     return np.vstack([op.assemble_diag_block(range(j, j + 1)).solve(row)
-                      for j, row in zip(op.levels.blocks(level), R)])
+                      for j, row in zip(blocks, R)])
 
 
 def pull_form_schur(op, trunc, exact, r):
     """Reference hs (exact) and ahs as the Schur complement sweep:
     downward pre-correction, coarse solve, then an upward post-correction
     in which each level gathers its products from the levels below."""
-    lm = op.levels
     g = r.reshape(op.M + 1, op.n_dof).copy()
-    for level in range(lm.P, 0, -1):
-        blk = lm.blocks(level)
-        z = level_solve(op, level, exact, g[blk])
+    for blk in levels(op)[:0:-1]:
+        z = level_solve(op, blk, exact, g[blk])
         g[:blk[0]] -= op.tmatvec(op.plan(range(blk[0]), blk, trunc), z)
     v = np.zeros_like(g)
     v[0] = op.assemble_diag_block(range(1)).solve(g[0])
-    for level in range(1, lm.P + 1):
-        blk = lm.blocks(level)
+    for blk in levels(op)[1:]:
         corr = op.tmatvec(op.plan(blk, range(blk[0]), trunc), v[:blk[0]])
-        v[blk] = level_solve(op, level, exact, g[blk] - corr)
+        v[blk] = level_solve(op, blk, exact, g[blk] - corr)
     return v.ravel()
 
 
@@ -138,23 +143,44 @@ def pull_form_level_gs(op, trunc, r):
     """Reference ahgs in pull form: symmetric Gauss-Seidel over levels
     0..P then P..0, each level gathering its products from the levels
     already solved."""
-    lm = op.levels
     R = r.reshape(op.M + 1, op.n_dof)
     rhs_fwd = R.copy()
     U = np.zeros_like(R)
-    for level in range(lm.P + 1):
-        blk = lm.blocks(level)
-        if level > 0:
+    for blk in levels(op):
+        if blk[0] > 0:
             rhs_fwd[blk] -= op.tmatvec(op.plan(blk, range(blk[0]), trunc),
                                        U[:blk[0]])
-        U[blk] = level_solve(op, level, False, rhs_fwd[blk])
+        U[blk] = level_solve(op, blk, False, rhs_fwd[blk])
     V = U.copy()
-    for level in range(lm.P - 1, -1, -1):
-        blk = lm.blocks(level)
+    for blk in levels(op)[-2::-1]:
         above = range(blk[-1] + 1, op.M + 1)
         corr = op.tmatvec(op.plan(blk, above, trunc), V[blk[-1] + 1:])
-        V[blk] = level_solve(op, level, False, rhs_fwd[blk] - corr)
+        V[blk] = level_solve(op, blk, False, rhs_fwd[blk] - corr)
     return V.ravel()
+
+
+class TestGroups:
+    @pytest.mark.parametrize("P", range(5))
+    @pytest.mark.parametrize("N", range(1, 5))
+    def test_groups_are_the_degree_levels(self, N, P):
+        """A level sweep's groups are the degree levels of the basis, of
+        C(N+ℓ−1, ℓ) blocks each by the binomial oracle, one level at
+        P = 0; gs's are the single blocks.  Each group pushes forward to
+        the blocks of the groups after it in the sweep and back to those
+        before it."""
+        op, _, _, _ = build_operator(N, P, 1)
+        for kind, (by_level, descending, _) in SWEEPS.items():
+            want = (binomial_levels(N, P) if by_level
+                    else [range(j, j + 1) for j in range(op.M + 1)])
+            if descending:
+                want = want[::-1]
+            groups = make_preconditioner(op, kind)._groups
+            assert [blk for blk, _, _ in groups] == want, kind
+            for g, (_, forward, back) in enumerate(groups):
+                after = sorted(j for blk in want[g + 1:] for j in blk)
+                before = sorted(j for blk in want[:g] for j in blk)
+                assert list(range(op.M + 1)[forward]) == after, kind
+                assert list(range(op.M + 1)[back]) == before, kind
 
 
 class TestMeanBased:
@@ -168,10 +194,7 @@ class TestMeanBased:
         op, _, _, _ = build_operator(2, 2, 3)
         mb = make_preconditioner(op, "mb")
         K0 = op.k_mats[0].toarray()
-        jj, _, vv = op.tensor.slice_coords(0)
-        g0 = np.zeros(op.M + 1)
-        g0[jj] = vv
-        M = np.kron(np.diag(g0), K0)
+        M = np.kron(g_matrix(0, op.tensor), K0)
         rng = np.random.default_rng(2)
         e = rng.standard_normal(op.n_global)
         np.testing.assert_allclose(mb.apply(M @ e), e, atol=1e-12)
@@ -206,7 +229,8 @@ class TestKronecker:
              if F.kind == "band"]
         assert len(F) == 1
         np.testing.assert_array_equal(
-            F[0]._state[0], linalg.factorize(op.k_mats[0])._state[0])
+            F[0]._state[0],
+            linalg.factorize_band(band_fill(op.k_mats[0]))._state[0])
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
         import scipy.sparse as sp
@@ -223,9 +247,7 @@ class TestKronecker:
     def test_weights_normalize_mean_to_one(self):
         op, _, _, _ = build_operator(2, 2, 3)
         kr = make_preconditioner(op, "kron")
-        jj, _, vv = op.tensor.slice_coords(0)
-        g0 = np.zeros(op.M + 1)
-        g0[jj] = vv
+        g0 = np.diag(g_matrix(0, op.tensor))
         # G's mean-mean entry carries weight 1 by construction
         assert kr.g_matrix[0, 0] == pytest.approx(g0[0], rel=1e-12)
 
@@ -285,23 +307,21 @@ class TestHierarchicalSchur:
         trunc = full_truncation(op.tensor)
         hs = make_preconditioner(op, "hs", trunc)
         A = op.assemble_global_dense()
-        nd, lm = op.n_dof, op.levels
+        nd = op.n_dof
         rng = np.random.default_rng(11)
         r = rng.standard_normal(op.n_global)
 
         g = r.reshape(op.M + 1, nd).copy()
-        zs = {}
-        for level in range(lm.P, 0, -1):
-            lo, hi = lm.offsets[level] * nd, lm.offsets[level + 1] * nd
+        for blk in levels(op)[:0:-1]:
+            lo, hi = blk.start * nd, blk.stop * nd
             D = A[lo:hi, lo:hi]
             z = np.linalg.solve(D, g.ravel()[lo:hi])
             B = A[:lo, lo:hi]
             g.reshape(-1)[:lo] -= B @ z
-            zs[level] = z
         v = np.zeros_like(g)
         v[0] = np.linalg.solve(A[:nd, :nd], g[0])
-        for level in range(1, lm.P + 1):
-            lo, hi = lm.offsets[level] * nd, lm.offsets[level + 1] * nd
+        for blk in levels(op)[1:]:
+            lo, hi = blk.start * nd, blk.stop * nd
             D = A[lo:hi, lo:hi]
             C = A[lo:hi, :lo]
             rhs = g.reshape(-1)[lo:hi] - C @ v.reshape(-1)[:lo]
@@ -578,7 +598,7 @@ class TestFactory:
         solve is also the first backward one."""
         op, b, _, _ = build_operator(N, P, n)
         pre = make_preconditioner(op, kind)
-        groups = op.levels.P + 1 if SWEEPS[kind][0] else op.M + 1
+        groups = len(levels(op)) if SWEEPS[kind][0] else op.M + 1
         solve, used = linalg.Factorization.solve, []
 
         def counted(F, rhs):
@@ -603,7 +623,7 @@ class TestFactory:
         pre = make_preconditioner(op, kind)
         assert held_factors(pre, _Plan) == []
         pre.apply(b)
-        groups = op.levels.P + 1 if SWEEPS[kind][0] else op.M + 1
+        groups = len(levels(op)) if SWEEPS[kind][0] else op.M + 1
         refs = [weakref.ref(p) for p in held_factors(pre, _Plan)]
         assert len(refs) == 2 * groups
         assert held_factors(op, _Plan) == []
