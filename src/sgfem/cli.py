@@ -14,6 +14,7 @@ not fit in memory, 2 on a usage error (a bad argument or config), 3 when
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -38,22 +39,27 @@ from .experiments import (
 from .preconditioners import KINDS
 
 
-def _checked(convert, rule: str, ok):
+def _checked(convert, *rules):
     """argparse type: ``convert`` the text, then reject a value that fails
-    ``ok`` as a usage error naming ``rule``."""
+    one of the ``(rule, ok)`` pairs, in order, as a usage error naming
+    the first rule it fails."""
     def check(text):
         value = convert(text)
-        if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        for rule, ok in rules:
+            if not ok(value):
+                raise argparse.ArgumentTypeError(
+                    f"must be {rule}, got {text}")
         return value
     check.__name__ = convert.__name__  # argparse: "invalid int value"
     return check
 
 
-_POSITIVE_INT = _checked(int, ">= 1", lambda v: v >= 1)
-_NONNEG_INT = _checked(int, ">= 0", lambda v: v >= 0)
-_NONNEG_FLOAT = _checked(float, ">= 0", lambda v: v >= 0)  # NaN fails
-_POSITIVE_FLOAT = _checked(float, "> 0", lambda v: v > 0)
+_POSITIVE_INT = _checked(int, (">= 1", lambda v: v >= 1))
+_NONNEG_INT = _checked(int, (">= 0", lambda v: v >= 0))
+# the comparisons fail on NaN
+_NONNEG_FLOAT = _checked(float, (">= 0", lambda v: v >= 0))
+_POSITIVE_FLOAT = _checked(float, ("> 0", lambda v: v > 0),
+                           ("finite", math.isfinite))
 
 
 def _probe(folder: str, path: str) -> None:

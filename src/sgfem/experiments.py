@@ -10,6 +10,7 @@ its output bit for bit.
 from __future__ import annotations
 
 import functools
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -88,6 +89,8 @@ class ExperimentConfig:
                                     ("maxit", 0), ("lt_list", 0),
                                     ("tau_list", 0), ("mesh_list", 1))]
         checks += [(name, "> 0", lambda v: v > 0)
+                   for name in ("tol", "mu_log", "L", "cov_list")]
+        checks += [(name, "finite", math.isfinite)
                    for name in ("tol", "mu_log", "L", "cov_list")]
         for name, rule, ok in checks:
             value = getattr(self, name)

@@ -13,6 +13,16 @@ form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes, and the
 operator only that of its full product.
 
+Products run on the free nodes only.  A node b is fixed when its pattern
+row holds only its diagonal, its column is in no other row and
+K_i[b,b] = 0 for every i > 0, as a Dirichlet node of the stiffness
+family is.  Its entries need no product: c_0jk = δ_jk (G_0)_jj (the
+chaos basis is orthogonal, not normalised), so (A v)_(j)[b] =
+(G_0)_jj · (K_0[b,b] · v_(j)[b]) when block j is both a row and a column
+of the product, and 0 otherwise.  That is the value the products and the
+mixing would give, whose other terms on b are all ±0.0, so results are
+bit for bit those of products over every node.
+
 A block factor is one band factor of a run of consecutive blocks: of
 all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
 The operator knows blocks only; which runs a preconditioner factorizes,
@@ -140,13 +150,22 @@ class _Chunk:
 @dataclass(frozen=True)
 class _Plan:
     """The products and mixing of one truncated product, over ``n_rows``
-    row blocks and ``n_cols`` column blocks, in bounded chunks."""
+    row blocks and ``n_cols`` column blocks, in bounded chunks.
+
+    ``diag_rows`` lists the positions of the row blocks j that are also
+    column blocks, ``diag_cols`` their column positions and
+    ``diag_scale`` their (G_0)_jj = c_0jj: the only terms of the product
+    on a fixed node.
+    """
 
     n_rows: int
     n_cols: int
     chunks: tuple
     products: int
     summations: int
+    diag_rows: np.ndarray
+    diag_cols: np.ndarray
+    diag_scale: np.ndarray
 
 
 def _stack_family(k_mats: list) -> tuple[np.ndarray, list]:
@@ -196,6 +215,14 @@ class GalerkinOperator:
     buffer, so an operator must not run two products at once (from two
     threads).
 
+    The constructor finds the fixed nodes once (module docstring):
+    products, gathers and mixing run on a free-node CSR, and a fixed
+    node's entries come from the closed form.  K_0[b,b] is read at each
+    call, but an in-place edit that makes K_i[b,b], i > 0, of a fixed
+    node nonzero is not seen.  An operator with no fixed nodes runs the
+    same code with every node free.  Vectors, ``n_dof``, band fills,
+    blocks and plans keep every node.
+
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms added (the cost measure of the
     truncated product), ``products`` the sparse matrix-vector products
@@ -230,15 +257,48 @@ class GalerkinOperator:
         self.counters = {"summations": 0, "products": 0}
         # stacked data arrays enable blockwise sums as single mat-vecs
         self._kdata = kdata
-        self._krows = list(self._kdata)
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
         # K_0's band: the largest row-minus-column offset of the pattern
         node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
         self._band = int((node - self._indices).max(initial=0))
+        self._find_fixed_nodes()
+        # (G_0)_jj = c_0jj: G_0 is diagonal, the chaos basis orthogonal
+        zero = tensor.i == 0
+        self._g0 = np.zeros(self.M + 1)
+        self._g0[tensor.j[zero]] = tensor.val[zero]
         self._full_plan: _Plan | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
+
+    def _find_fixed_nodes(self) -> None:
+        """Split the nodes into fixed and free ones (module docstring)
+        and lay out the free-node CSR on views of the stacked data rows.
+
+        Free row r holds the slots from row free[r]'s first up to the
+        next free row's first: the slot of a fixed row that lies between
+        two free rows joins the one before it, with its column set to
+        the zero pad entry past the free nodes, so it adds ±0.0.
+        """
+        n, ip, ix = self.n_dof, self._indptr, self._indices
+        single = np.flatnonzero(np.diff(ip) == 1)
+        slot = ip[single]
+        apart = ((ix[slot] == single)
+                 & (np.bincount(ix, minlength=n)[single] == 1))
+        single, slot = single[apart], slot[apart]
+        # one strided column of the stack at a time, not a copy of them
+        zero = np.array([not self._kdata[1:, s].any() for s in slot],
+                        dtype=bool)
+        self._fixed, self._fixed_slots = single[zero], slot[zero]
+        is_free = np.ones(n, dtype=bool)
+        is_free[self._fixed] = False
+        self._free = free = np.flatnonzero(is_free)
+        lo, hi = (ip[free[0]], ip[free[-1] + 1]) if len(free) else (0, 0)
+        self._free_indptr = (np.append(ip[free], hi) - lo).astype(ix.dtype)
+        column = np.full(n, len(free), dtype=ix.dtype)
+        column[free] = np.arange(len(free))
+        self._free_indices = column[ix[lo:hi]]
+        self._free_krows = [row[lo:hi] for row in self._kdata]
 
     @property
     def n_global(self) -> int:
@@ -309,12 +369,17 @@ class GalerkinOperator:
             chunks.append(_Chunk(steps, b - a, indptr,
                                  (prod[m] - a).astype(idx_dtype),
                                  np.ascontiguousarray(vv[m], dtype=float)))
-        return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel))
+        row_blocks = np.asarray(list(rows), dtype=np.int64)
+        diag = np.flatnonzero(pos_c[row_blocks] >= 0)
+        return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel),
+                     diag, pos_c[row_blocks[diag]],
+                     self._g0[row_blocks[diag]])
 
     def _chunk_buffer(self, n_products: int) -> np.ndarray:
-        """The stacked product buffer's first rows, shared by all calls."""
+        """The stacked product buffer's first rows, one entry per free
+        node, shared by all calls."""
         if self._buffer is None:
-            self._buffer = np.empty((self._chunk_rows(), self.n_dof))
+            self._buffer = np.empty((self._chunk_rows(), len(self._free)))
             self._buffer_rows = list(self._buffer)
         return self._buffer[:n_products]
 
@@ -323,33 +388,47 @@ class GalerkinOperator:
 
         ``v`` holds the plan's column blocks: shape (n_cols, n_dof) or
         flat; the result follows the input layout over its row blocks.
-        Each needed product K_i v_(k) is computed once and shared.
+        Each needed product K_i v_(k) is computed once and shared, on the
+        free nodes only; a fixed node b of row block j gets the closed
+        form (G_0)_jj · (K_0[b,b] · v_(j)[b]), or 0 when j is not a
+        column block.
         """
-        n, single_column = self.n_dof, plan.n_cols == 1
-        flat = v.ndim == 1
-        V = np.ascontiguousarray(v, dtype=float).reshape(plan.n_cols, n)
-        W = np.zeros((plan.n_rows, n))
-        ip, ix, kd = self._indptr, self._indices, self._krows
+        n, free, single_column = self.n_dof, self._free, plan.n_cols == 1
+        f, flat = len(free), v.ndim == 1
+        V = np.asarray(v, dtype=float).reshape(plan.n_cols, n)
+        Wf = np.zeros((plan.n_rows, f))
+        ip, ix = self._free_indptr, self._free_indices
+        kd = self._free_krows
+        # the free entries of v, then the zero pad entry
         if single_column:
-            y = V[0]
+            y = np.zeros(f + 1)
+            V[0].take(free, out=y[:f])
         else:
-            Vt = np.ascontiguousarray(V.T)
+            Vt = np.zeros((f + 1, plan.n_cols))
+            Vt[:f] = V[:, free].T
         for ch in plan.chunks:
             S = self._chunk_buffer(ch.n_products)
             if single_column:
                 S.fill(0.0)
                 out = self._buffer_rows
                 for p, i in enumerate(ch.steps):
-                    csr_matvec(n, n, ip, ix, kd[i], y, out[p])
+                    csr_matvec(f, f + 1, ip, ix, kd[i], y, out[p])
             else:
                 for i, p, ks in ch.steps:
                     m = len(ks)
-                    U = np.zeros((n, m))
-                    csr_matvecs(n, n, m, ip, ix, kd[i],
+                    U = np.zeros((f, m))
+                    csr_matvecs(f, f + 1, m, ip, ix, kd[i],
                                 Vt.take(ks, axis=1).ravel(), U.ravel())
                     S[p:p + m] = U.T
-            csr_matvecs(plan.n_rows, ch.n_products, n, ch.mix_indptr,
-                        ch.mix_indices, ch.mix_data, S.ravel(), W.ravel())
+            csr_matvecs(plan.n_rows, ch.n_products, f, ch.mix_indptr,
+                        ch.mix_indices, ch.mix_data, S.ravel(), Wf.ravel())
+        W = np.zeros((plan.n_rows, n))
+        W[:, free] = Wf
+        if len(plan.diag_rows):
+            fixed = self._fixed
+            k0 = self._kdata[0, self._fixed_slots]
+            W[plan.diag_rows[:, None], fixed] = plan.diag_scale[:, None] * (
+                k0 * V[plan.diag_cols[:, None], fixed])
         self.counters["products"] += plan.products
         self.counters["summations"] += plan.summations
         return W.ravel() if flat else W

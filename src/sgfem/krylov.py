@@ -16,6 +16,7 @@ preconditioned operator.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -82,8 +83,10 @@ def _run_cg(apply_A, apply_M, b, tol, maxit, flexible):
         raise ValueError(f"tol must be positive, got {tol}")
     if maxit < 0:
         raise ValueError(f"maxit must be non-negative, got {maxit}")
-    t0 = time.perf_counter()
     b = np.asarray(b, dtype=float)
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side b has non-finite entries")
+    t0 = time.perf_counter()
     report = SolveReport()
     x = np.zeros_like(b)
     norm_b = np.linalg.norm(b)
@@ -97,10 +100,13 @@ def _run_cg(apply_A, apply_M, b, tol, maxit, flexible):
     p = z.copy()
     rho = float(r @ z)
     for k in range(maxit):
+        if not math.isfinite(rho):
+            report.breakdown = True
+            break
         q = apply_A(p)
         report.matvecs += 1
         pAp = float(p @ q)
-        if pAp <= 0.0:
+        if not 0.0 < pAp < math.inf:
             report.breakdown = True
             break
         alpha = rho / pAp
@@ -146,9 +152,10 @@ def flexible_cg(apply_A, apply_M, b, tol: float = 1e-8, maxit: int = 1000
     """Flexible preconditioned CG from a zero initial guess.
 
     Converges when ‖b − Ax‖/‖b‖ ≤ tol; a non-converged or broken-down run
-    returns the last iterate with the flags set and does not raise.  A tol
-    that is not positive (NaN included) or a negative maxit raises
-    ValueError before any work.
+    returns the last iterate with the flags set and does not raise.  A
+    p·Ap that is not positive and finite, or a non-finite r·M⁻¹r, is a
+    breakdown.  A tol that is not positive (NaN included), a negative
+    maxit or a non-finite entry of b raises ValueError before any work.
     """
     return _run_cg(apply_A, apply_M, b, tol, maxit, flexible=True)
 

@@ -142,6 +142,9 @@ def factorize(A: np.ndarray) -> Factorization:
     ValueError for a matrix that is not square or not dense: band
     factors of sparse matrices come from :func:`factorize_band`.
     """
+    if sp.issparse(A):
+        raise ValueError("factorize takes a dense matrix; band factors of "
+                         "sparse matrices come from factorize_band")
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")

@@ -37,10 +37,12 @@ def field_parameters(mu_log: float, cov: float, mode: str = "moment"
     ``mode="gaussian"`` takes cov literally as the Gaussian σ_g (the mean
     stays matched; the realized lognormal CoV is then sqrt(exp(σ_g²)−1)).
     """
-    if mu_log <= 0:
-        raise ValueError("lognormal mean must be positive")
-    if cov < 0:
-        raise ValueError("coefficient of variation must be non-negative")
+    if not 0 < mu_log < math.inf:
+        raise ValueError(f"lognormal mean mu_log must be positive and "
+                         f"finite, got {mu_log!r}")
+    if not 0 <= cov < math.inf:
+        raise ValueError(f"coefficient of variation cov must be "
+                         f"non-negative and finite, got {cov!r}")
     if mode == "moment":
         sigma_g = math.sqrt(math.log1p(cov * cov))
     elif mode == "gaussian":

@@ -65,6 +65,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"config field {field} must"):
             ExperimentConfig(**{field: bad})
 
+    @pytest.mark.parametrize("field, bad", [
+        ("tol", float("inf")), ("mu_log", float("inf")),
+        ("L", float("inf")), ("cov_list", (50.0, float("inf"))),
+    ])
+    def test_rejects_non_finite_field_naming_it(self, field, bad):
+        with pytest.raises(ValueError,
+                           match=f"config field {field} must be finite"):
+            ExperimentConfig(**{field: bad})
+
     def test_bad_sweep_entry_fails_before_any_solve(self, tmp_path):
         # the bad lt used to raise only after the rows before it solved
         p = tmp_path / "exp.cfg"
@@ -492,6 +501,19 @@ class TestCli:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.err.splitlines()[-1] == message
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--precond", "gs", "--cov", "inf"],
+        ["export", "--dest", "out", "--cov", "inf"],
+    ])
+    def test_infinite_cov_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            f"sg {argv[0]}: error: argument --cov: must be finite, got inf")
         assert "Traceback" not in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("argv,message", [

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
-from sgfem.chaos import build_c_tensor, multi_index_set
+from sgfem.chaos import build_c_tensor, g_matrix, multi_index_set
 from sgfem.fem import assemble_stiffness_family, build_mesh
 from sgfem.galerkin import (
     GalerkinOperator,
@@ -31,7 +31,7 @@ from sgfem.galerkin import (
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import Factorization, factorize
+from sgfem.linalg import Factorization, csr_on, factorize
 from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -246,6 +246,99 @@ class TestTmatvecProperty:
                               full_truncation(op.tensor)).chunks) > 1
         np.testing.assert_allclose(small.matvec(v), want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
+
+
+@functools.lru_cache(maxsize=None)
+def cached_tensor(N, P):
+    return build_c_tensor(N, P, 2 * P)
+
+
+@functools.lru_cache(maxsize=None)
+def dirichlet_pattern(n):
+    """The CSR pattern of the stiffness family on an n × n mesh: a
+    boundary node's row holds only its diagonal."""
+    mesh = build_mesh(n)
+    K = assemble_stiffness_family(mesh, np.ones((1, len(mesh.elements), 4)))[0]
+    return K.indices, K.indptr, K.shape
+
+
+FIXED_UNIT, FIXED_SCALED, DECOUPLED = range(3)
+
+
+@st.composite
+def fixed_node_cases(draw):
+    """A random family on the Dirichlet pattern and a random product.
+
+    Interior slots get random values.  Each boundary node b is drawn as
+    fixed with K_0[b,b] = 1, fixed with a random K_0[b,b], or decoupled
+    with K_i[b,b] ≠ 0 for one i > 0, which keeps it on the product path;
+    or every boundary node is decoupled, which leaves no fixed node.
+    Rows and columns overlap at random, and a plan may have a single
+    column."""
+    N, P, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), \
+        draw(st.integers(1, 4))
+    tensor = cached_tensor(N, P)
+    indices, indptr, shape = dirichlet_pattern(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = rng.standard_normal((len(tensor.iset), len(indices)))
+    boundary = np.flatnonzero(np.diff(indptr) == 1)
+    kinds = (np.full(len(boundary), DECOUPLED) if draw(st.booleans())
+             else rng.integers(0, 3, len(boundary)))
+    for b, kind in zip(boundary, kinds):
+        slot = indptr[b]
+        data[1:, slot] = 0.0
+        if kind == FIXED_UNIT:
+            data[0, slot] = 1.0
+        elif kind == DECOUPLED:
+            data[rng.integers(1, len(tensor.iset)), slot] = 2.0
+    mats = [csr_on(row, indices, indptr, shape) for row in data]
+    op = GalerkinOperator(tensor, mats)
+    blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
+                      unique=True)
+    rows = draw(blocks)
+    cols = [draw(st.integers(0, op.M))] if draw(st.booleans()) \
+        else draw(blocks)
+    extra = draw(st.sets(st.integers(1, op.Mprime)))
+    trunc = TruncationSet(np.array(sorted(extra | {0})), "drawn")
+    return op, boundary[kinds != DECOUPLED], rows, cols, trunc
+
+
+class TestFixedNodes:
+    """A fixed node's entries come from the closed form (G_0)_jj ·
+    K_0[b,b] · v_(j)[b] instead of the products; both must agree with
+    the dense oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fixed_node_cases(), st.integers(0, 2**16))
+    def test_matches_dense_oracle(self, case, seed):
+        op, fixed, rows, cols, trunc = case
+        np.testing.assert_array_equal(op._fixed, fixed)
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([op._fixed, op._free])),
+            np.arange(op.n_dof))
+        nd = op.n_dof
+        v = np.random.default_rng(seed).standard_normal((len(cols), nd))
+        x = np.zeros(op.n_global)
+        for pos, k in enumerate(cols):
+            x[k * nd:(k + 1) * nd] = v[pos]
+        want = (truncated_oracle(op, trunc) @ x).reshape(op.M + 1, nd)[rows]
+        got = op.tmatvec(op.plan(rows, cols, trunc), v)
+        scale = max(np.abs(want).max(), 1.0)
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+    def test_operator_family_fixes_the_boundary(self):
+        """The assembled family fixes exactly the boundary nodes, and the
+        full product there is the closed form, bit for bit."""
+        op, _, _, _ = build_operator(2, 2, 4)
+        boundary = np.flatnonzero(np.diff(op.k_mats[0].indptr) == 1)
+        assert len(boundary) == 16
+        np.testing.assert_array_equal(op._fixed, boundary)
+        v = np.random.default_rng(5).standard_normal((op.M + 1, op.n_dof))
+        got = op.matvec(v)
+        g0 = np.diag(g_matrix(0, op.tensor))
+        k0 = op.k_mats[0].diagonal()[boundary]
+        np.testing.assert_array_equal(
+            got[:, boundary], g0[:, None] * (k0 * v[:, boundary]))
 
 
 class TestSharedPattern:

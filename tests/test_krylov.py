@@ -97,6 +97,68 @@ class TestArgumentChecks:
         np.testing.assert_array_equal(x, np.zeros(3))
 
 
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rhs_rejected(self, solver, bad):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return v
+
+        b = np.array([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            solver(apply_A, lambda v: v, b)
+        assert not calls
+
+
+class TestNonFiniteBreakdown:
+    """A NaN or inf inside the iteration stops it at once as a breakdown,
+    instead of running to maxit."""
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_pAp(self, solver, bad):
+        A = np.diag([1.0, 2.0, 3.0])
+
+        def apply_A(v):
+            w = A @ v
+            w[1] = bad
+            return w
+
+        x, rep = solver(apply_A, lambda v: v, np.ones(3))
+        assert rep.breakdown and not rep.converged
+        assert rep.matvecs == 1 and rep.iterations == 0
+        np.testing.assert_array_equal(x, np.zeros(3))
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    def test_non_finite_rho_at_start(self, solver):
+        calls = []
+
+        def apply_A(v):
+            calls.append(1)
+            return v
+
+        _, rep = solver(apply_A, lambda v: np.full_like(v, np.nan),
+                        np.ones(3))
+        assert rep.breakdown and not rep.converged
+        assert not calls
+
+    @pytest.mark.parametrize("solver", [flexible_cg, pcg])
+    def test_non_finite_rho_later(self, solver):
+        A, _ = spd(20, 3)
+        applies = []
+
+        def apply_M(v):
+            applies.append(1)
+            return v if len(applies) < 3 else np.full_like(v, np.nan)
+
+        _, rep = solver(lambda v: A @ v, apply_M, np.ones(20), maxit=1000)
+        assert rep.breakdown and not rep.converged
+        assert rep.iterations == 2 and rep.matvecs == 2
+        assert np.isfinite(rep.kappa)
+
+
 class TestFlexibleMatchesStandard:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_identical_iteration_counts_fixed_preconditioner(self, seed):

@@ -69,7 +69,7 @@ class TestFactorize:
         A = B @ B.T + 8 * np.eye(8)
         As = as_csr(A)
         b = rng.standard_normal(8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dense.*factorize_band"):
             factorize(As)
         F = band_factor(As)
         assert F.kind == "band"

@@ -54,6 +54,17 @@ class TestFieldParameters:
         with pytest.raises(ValueError):
             field_parameters(1.0, 0.5, mode="bogus")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mean_naming_it(self, bad):
+        with pytest.raises(ValueError, match="mu_log .*finite"):
+            field_parameters(bad, 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("mode", ["moment", "gaussian"])
+    def test_rejects_non_finite_cov_naming_it(self, bad, mode):
+        with pytest.raises(ValueError, match="cov .*finite"):
+            field_parameters(1.0, bad, mode)
+
 
 class TestCovariance:
     def test_variance_on_diagonal(self):
