@@ -29,7 +29,7 @@ from .galerkin import (
     standard_truncation,
 )
 from .krylov import flexible_cg
-from .linalg import as_csr, write_matrix_market
+from .linalg import as_csr, check_fits, write_matrix_market
 from .preconditioners import KINDS, make_preconditioner
 from .random_field import (
     ExponentialCovariance,
@@ -158,13 +158,34 @@ def _cached_mesh(n):
     return build_mesh(n)
 
 
+def check_problem_fits(N, P, n) -> None:
+    """Raise :class:`MemoryError` when the coefficient values, shape
+    (fields, n², 4), and the stiffness data, shape (fields, nnz), that
+    :func:`build_problem` holds at once exceed physical memory, for the
+    fields = C(N + 2P, N) chaos coefficients.  nnz counts the Dirichlet
+    pattern: the 9-point couplings of the (n − 1)² interior nodes,
+    (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.  Arguments that
+    :func:`build_problem` rejects, among them more KL modes than the
+    (n + 1)² nodes, pass; it names them."""
+    if N < 1 or P < 0 or n < 1 or N > (n + 1) ** 2:
+        return
+    fields = math.comb(N + 2 * P, N)
+    nnz = (3 * n - 5) ** 2 * (n >= 2) + 4 * n
+    check_fits(8 * fields * (4 * n * n + nnz), lambda: (
+        f"the problem at N = {N}, P = {P}, n = {n}, its {fields} "
+        f"coefficient fields and stiffness matrices, needs"))
+
+
 def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
                   sigma_mode="moment"):
     """Assemble the block operator and right-hand side for one setup.
 
     Returns (op, b).  The right-hand side carries the unit load in the
-    mean block; boundary rows are constrained to zero.
+    mean block; boundary rows are constrained to zero.  The bytes of its
+    two largest arrays are checked against physical memory before any
+    work (:func:`check_problem_fits`).
     """
+    check_problem_fits(N, P, n)
     mesh = _cached_mesh(n)
     g0, sg = field_parameters(mu_log, cov_pct / 100.0, sigma_mode)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)

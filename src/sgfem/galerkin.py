@@ -29,8 +29,12 @@ The operator knows blocks only; which runs a preconditioner factorizes,
 and why, is the preconditioner's.  A factor is filled straight into band
 storage with the FULL coefficient sum (truncation only ever applies to
 off-diagonal products inside preconditioners) and factorized anew on
-each request; the caller owns it.  ``block(j, k)`` and a dense assembly
-of the whole matrix are brute-force oracles for small instances.
+each request; the caller owns it.  It too spans the free nodes only: by
+the same closed form, the run's matrix is diagonal on a fixed node b of
+block j, with (G_0)_jj · K_0[b,b] on the diagonal (c_0jk = 0 for
+j ≠ k), so that row is solved by one division.  ``block(j, k)`` and a
+dense assembly of the whole matrix are brute-force oracles for small
+instances.
 """
 
 from __future__ import annotations
@@ -216,12 +220,13 @@ class GalerkinOperator:
     threads).
 
     The constructor finds the fixed nodes once (module docstring):
-    products, gathers and mixing run on a free-node CSR, and a fixed
-    node's entries come from the closed form.  K_0[b,b] is read at each
-    call, but an in-place edit that makes K_i[b,b], i > 0, of a fixed
-    node nonzero is not seen.  An operator with no fixed nodes runs the
-    same code with every node free.  Vectors, ``n_dof``, band fills,
-    blocks and plans keep every node.
+    products, gathers, mixing and band fills run on a free-node CSR, and
+    a fixed node's entries and solves come from the closed form.
+    K_0[b,b] is read at each call, but an in-place edit that makes
+    K_i[b,b], i > 0, of a fixed node nonzero is not seen.  An operator
+    with no fixed nodes runs the same code with every node free.
+    Vectors, ``n_dof``, blocks, plans and the rows a factor solves keep
+    every node; ``n_free`` counts the free ones.
 
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms added (the cost measure of the
@@ -259,9 +264,6 @@ class GalerkinOperator:
         self._kdata = kdata
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
-        # K_0's band: the largest row-minus-column offset of the pattern
-        node = np.repeat(np.arange(self.n_dof), np.diff(self._indptr))
-        self._band = int((node - self._indices).max(initial=0))
         self._find_fixed_nodes()
         # (G_0)_jj = c_0jj: G_0 is diagonal, the chaos basis orthogonal
         zero = tensor.i == 0
@@ -278,7 +280,9 @@ class GalerkinOperator:
         Free row r holds the slots from row free[r]'s first up to the
         next free row's first: the slot of a fixed row that lies between
         two free rows joins the one before it, with its column set to
-        the zero pad entry past the free nodes, so it adds ±0.0.
+        the zero pad entry past the free nodes, so it adds ±0.0.  The
+        band of the block factors is that of the free-node pattern: its
+        largest row-minus-column offset, which no pad slot sets.
         """
         n, ip, ix = self.n_dof, self._indptr, self._indices
         single = np.flatnonzero(np.diff(ip) == 1)
@@ -293,12 +297,16 @@ class GalerkinOperator:
         is_free = np.ones(n, dtype=bool)
         is_free[self._fixed] = False
         self._free = free = np.flatnonzero(is_free)
-        lo, hi = (ip[free[0]], ip[free[-1] + 1]) if len(free) else (0, 0)
+        self.n_free = f = len(free)
+        lo, hi = (ip[free[0]], ip[free[-1] + 1]) if f else (0, 0)
+        self._free_span = slice(lo, hi)
         self._free_indptr = (np.append(ip[free], hi) - lo).astype(ix.dtype)
-        column = np.full(n, len(free), dtype=ix.dtype)
-        column[free] = np.arange(len(free))
+        column = np.full(n, f, dtype=ix.dtype)
+        column[free] = np.arange(f)
         self._free_indices = column[ix[lo:hi]]
-        self._free_krows = [row[lo:hi] for row in self._kdata]
+        self._free_krows = [row[self._free_span] for row in self._kdata]
+        row = np.repeat(np.arange(f), np.diff(self._free_indptr))
+        self._band = int((row - self._free_indices).max(initial=0))
 
     @property
     def n_global(self) -> int:
@@ -459,37 +467,53 @@ class GalerkinOperator:
         ``blocks``, K^{(j,j)} = Σ_i c_ijj K_i (never truncated) for each
         j in block-major order: one band factor that solves them all.
 
-        Each block's band, of K_0's band b, fills its own columns of one
-        (b + 1, s·n_dof) band; the entries that would couple a block to
-        the next stay 0, so the factor is block diagonal too.  The band's
-        bytes are checked against physical memory before it is filled.
+        Each block's free-node band, of the free pattern's band b, fills
+        its own columns of one (b + 1, s·n_free) band; the entries that
+        would couple a block to the next stay 0, so the factor is block
+        diagonal too.  The band's bytes are checked against physical
+        memory before it is filled.
         """
-        nd = self.n_dof
-        check_band_fits(len(blocks) * nd, self._band)
-        ab = np.empty((self._band + 1, len(blocks) * nd), order="F")
+        f = self.n_free
+        check_band_fits(len(blocks) * f, self._band)
+        ab = np.empty((self._band + 1, len(blocks) * f), order="F")
         for p, j in enumerate(blocks):
-            ab[:, p * nd:(p + 1) * nd] = self._fill_band(range(j, j + 1))
-        return factorize_band(ab)
+            ab[:, p * f:(p + 1) * f] = self._fill_band(range(j, j + 1))
+        return factorize_band(ab, *self._solved_rows(blocks, False))
 
     def assemble_level_block(self, blocks: range) -> Factorization:
         """A new factorization of the matrix of the consecutive
         ``blocks``, every pair K^{(j,k)} = Σ_i c_ijk K_i (never
         truncated), such as a level matrix D_ℓ, never assembled: a banded
-        Cholesky in node-interleaved order, row node·s + block for the
-        s blocks, so the band is run_band(s) instead of about nd·s; for
-        s > 1, ``order`` solves in block-major order.  The band's bytes
-        are checked before it is filled in place."""
-        nd, s = self.n_dof, len(blocks)
-        check_band_fits(s * nd, self.run_band(s))
-        F = factorize_band(self._fill_band(blocks))
-        if s > 1:
-            F.order = np.arange(nd * s).reshape(s, nd).T.ravel()
-        return F
+        Cholesky of its free rows in node-interleaved order, row
+        (free node)·s + block for the s blocks, so the band is
+        run_band(s) instead of about n_free·s.  The band's bytes are
+        checked before it is filled in place."""
+        s = len(blocks)
+        check_band_fits(s * self.n_free, self.run_band(s))
+        return factorize_band(self._fill_band(blocks),
+                              *self._solved_rows(blocks, True))
 
     def run_band(self, s: int) -> int:
         """Sub-diagonals of the node-interleaved band of a run of s
-        blocks, s·b + s − 1 for K_0's band b; b for one block."""
+        blocks, s·b + s − 1 for the free pattern's band b; b for one
+        block."""
         return s * self._band + s - 1
+
+    def _solved_rows(self, blocks: range, interleaved: bool):
+        """The row map of a run's factor (:class:`Factorization`): for
+        each band row, free node r of the run's p-th block, the system
+        row p·n_dof + free[r], with band rows in node-interleaved order
+        r·s + p or in block-major order p·n_free + r; and the divisor
+        (G_0)_jj · K_0[b,b] of each fixed node b of block j."""
+        nd, s = self.n_dof, len(blocks)
+        start = np.arange(s) * nd
+        rows = (self._free[:, None] + start if interleaved
+                else start[:, None] + self._free).ravel()
+        divisor = np.ones((s, nd))
+        divisor[:, self._fixed] = np.outer(
+            self._g0[blocks.start:blocks.stop],
+            self._kdata[0, self._fixed_slots])
+        return rows, divisor.ravel()
 
     def _run_coupling(self, blocks: range):
         """The run's block pairs: the pair ids (block row)·s + (block
@@ -507,38 +531,42 @@ class GalerkinOperator:
                 t.i[sel].astype(np.int64), t.val[sel])
 
     def _fill_band(self, blocks: range) -> np.ndarray:
-        """The matrix of a run of s consecutive blocks in node-interleaved
-        lower band storage, row node·s + block, with run_band(s)
-        sub-diagonals, filled straight from the block pairs' values.
+        """The free rows of the matrix of a run of s consecutive blocks in
+        node-interleaved lower band storage, row (free node)·s + block,
+        with run_band(s) sub-diagonals, filled straight from the block
+        pairs' values.
 
         The pairs' values are computed in chunks of about
-        ``_CHUNK_BYTES``.  Entry (a, b) of K's pattern in pair (r, c) is
-        entry (a·s + r, b·s + c) of the run's matrix; it lies in the
-        lower triangle when a > b, or when a = b and r ≥ c, so only
-        pairs with r ≥ c write the diagonal node entries.
+        ``_CHUNK_BYTES``.  Entry (a, b) of the free pattern in pair
+        (r, c) is entry (a·s + r, b·s + c) of the run's matrix; it lies
+        in the lower triangle when a > b, or when a = b and r ≥ c, so
+        only pairs with r ≥ c write the diagonal node entries.  Pad
+        slots, whose column is past every free node, write nothing.
         """
-        nd, s = self.n_dof, len(blocks)
+        f, s = self.n_free, len(blocks)
         band = self.run_band(s)
         pairs, indptr, ii, vv = self._run_coupling(blocks)
-        cols = self._indices.astype(np.int64)
-        node = np.repeat(np.arange(nd), np.diff(self._indptr))
+        cols = self._free_indices.astype(np.int64)
+        node = np.repeat(np.arange(f), np.diff(self._free_indptr))
         low, diag = node > cols, node == cols
         # the band's transpose, C-ordered: entry (a, b) of pair (r, c)
         # goes to row b·s + c, column (a − b)·s + r − c, which is
         # position base + c·band + r of its flat array
-        abT = np.zeros((s * nd, band + 1))
+        abT = np.zeros((s * f, band + 1))
         flat = abT.reshape(-1)
         base = cols * (s * (band + 1)) + (node - cols) * s
         base_low, base_diag = base[low], base[diag]
         r, c = pairs // s, pairs % s
         shift = (c * band + r)[:, None]
-        step = max(_CHUNK_BYTES // (8 * len(cols)), 1)
+        nnz = self._kdata.shape[1]
+        step = max(_CHUNK_BYTES // (8 * nnz), 1)
         for a in range(0, len(pairs), step):
             part, ptr = slice(a, a + step), indptr[a:a + step + 1]
-            values = np.zeros((len(ptr) - 1, len(cols)))
-            csr_matvecs(len(ptr) - 1, len(self._kdata), len(cols),
+            values = np.zeros((len(ptr) - 1, nnz))
+            csr_matvecs(len(ptr) - 1, len(self._kdata), nnz,
                         ptr - ptr[0], ii[ptr[0]:ptr[-1]], vv[ptr[0]:ptr[-1]],
                         self._kdata.ravel(), values.ravel())
+            values = values[:, self._free_span]
             flat[base_low + shift[part]] = values[:, low]
             on = r[part] >= c[part]
             flat[base_diag + shift[part][on]] = values[on][:, diag]

@@ -50,9 +50,28 @@ def csr_on(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
     return K
 
 
+# read once, at import: the host's memory does not change while a
+# process runs, and a process's first ``os.sysconf`` call costs about 15 µs
+_PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def physical_memory() -> int:
-    """Bytes of physical memory of the host, from ``os.sysconf``."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory of the host, from ``os.sysconf`` at
+    import."""
+    return _PHYSICAL_MEMORY
+
+
+def check_fits(need: int, what, hint: str = "") -> None:
+    """Raise :class:`MemoryError` when ``need`` bytes exceed physical
+    memory, the message reading "``what()`` ``need`` bytes, more than the
+    bytes of physical memory", with ``hint`` appended.  ``what`` is
+    called only to refuse."""
+    have = physical_memory()
+    if need > have:
+        raise MemoryError(
+            f"{what()} {need} bytes ({need / 2**30:.2f} GiB), more than "
+            f"the {have} bytes ({have / 2**30:.2f} GiB) of physical "
+            f"memory{hint}")
 
 
 def check_band_fits(n, band, hint: str = "") -> None:
@@ -65,16 +84,15 @@ def check_band_fits(n, band, hint: str = "") -> None:
     the message names the largest factor."""
     rows, bands = np.atleast_1d(n), np.atleast_1d(band)
     sizes = 8 * rows.astype(np.int64) * (bands + 1)
-    need, big = int(sizes.sum()), int(np.argmax(sizes))
-    have = physical_memory()
-    if need > have:
+
+    def what():
+        big = int(np.argmax(sizes))
         others = (f" and the {len(sizes) - 1} other band factors kept with "
                   f"it need" if len(sizes) > 1 else " needs")
-        raise MemoryError(
-            f"band factor of {rows[big]} rows and {bands[big]} "
-            f"sub-diagonals{others} {need} bytes ({need / 2**30:.2f} GiB), "
-            f"more than the {have} bytes ({have / 2**30:.2f} GiB) of "
-            f"physical memory{hint}")
+        return (f"band factor of {rows[big]} rows and {bands[big]} "
+                f"sub-diagonals{others}")
+
+    check_fits(int(sizes.sum()), what, hint)
 
 
 @dataclass
@@ -83,32 +101,36 @@ class Factorization:
 
     ``kind`` is ``"cholesky"`` (dense, from :func:`factorize`) or
     ``"band"`` (banded, from :func:`factorize_band`, the factor in
-    LAPACK's lower band storage).  ``order``, when set, lists for each
-    row of the factor the row of the system it solves, so a factor of a
-    reordered matrix solves in the original order; it is None for a
-    factor in the matrix's own order, such as a single block's.
-    ``solve`` reproduces ``A^{-1} b`` with relative residual below 1e-12
-    for well-conditioned matrices.
+    LAPACK's lower band storage).  ``n`` is the number of rows of the
+    system it solves.  A band factor may cover only some of them, in its
+    own order: ``rows`` then lists for each row of the factor the row of
+    the system it solves, and every other system row r is diagonal and
+    solved alone, x_r = b_r / ``divisor[r]`` (the entries of ``divisor``
+    on the factor's rows are not used).  Both are None for a factor of
+    the whole matrix in its own order.  ``solve`` reproduces
+    ``A^{-1} b`` with relative residual below 1e-12 for well-conditioned
+    matrices.
     """
 
     kind: str
     n: int
     _state: tuple = field(repr=False)
-    order: np.ndarray | None = field(default=None, repr=False)
+    rows: np.ndarray | None = field(default=None, repr=False)
+    divisor: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
-        if self.order is not None:
-            b = b[self.order]
+        if self.rows is None:
+            return self._solve(b)
+        x = b / (self.divisor if b.ndim == 1 else self.divisor[:, None])
+        if len(self.rows):
+            x[self.rows] = self._solve(b.take(self.rows, axis=0))
+        return x
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         if self.kind == "cholesky":
-            x = sla.cho_solve(self._state, b)
-        else:
-            x, _ = dpbtrs(self._state[0], b, lower=1)
-        if self.order is None:
-            return x
-        out = np.empty_like(x)
-        out[self.order] = x
-        return out
+            return sla.cho_solve(self._state, b)
+        return dpbtrs(self._state[0], b, lower=1)[0]
 
 
 def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
@@ -116,22 +138,30 @@ def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
     return np.abs(A - A.T).max() <= tol * scale
 
 
-def factorize_band(ab: np.ndarray) -> Factorization:
+def factorize_band(ab: np.ndarray, rows: np.ndarray | None = None,
+                   divisor: np.ndarray | None = None) -> Factorization:
     """Banded Cholesky of an SPD matrix given in LAPACK's lower band
     storage, a Fortran-ordered (band + 1, n) array: the factor overwrites
-    ``ab`` in place and is all the result keeps.
+    ``ab`` in place and is all the result keeps.  ``rows`` and
+    ``divisor``, given together, are the system rows of the band's rows
+    and the diagonal of the other system rows (:class:`Factorization`).
 
-    Raises :class:`FactorizationError` on a non-positive pivot or when a
-    pivot L_ii² falls to 1e-14 of the largest.
+    Raises :class:`FactorizationError` on a non-positive pivot or
+    divisor, or when a pivot L_ii² falls to 1e-14 of the largest.
     """
     ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
         raise FactorizationError(f"non-positive pivot in row {info - 1}: "
                                  f"matrix is not positive definite")
     pivots = ab[0] ** 2
-    if pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
+    if len(pivots) and pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise FactorizationError("matrix is singular to tolerance")
-    return Factorization("band", ab.shape[1], (ab,))
+    if rows is None:
+        return Factorization("band", ab.shape[1], (ab,))
+    if not np.all(divisor > 0):  # NaN too
+        raise FactorizationError("non-positive divisor of a diagonal row: "
+                                 "matrix is not positive definite")
+    return Factorization("band", len(divisor), (ab,), rows, divisor)
 
 
 def factorize(A: np.ndarray) -> Factorization:

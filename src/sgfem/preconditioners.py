@@ -130,7 +130,7 @@ class BlockGaussSeidel(Preconditioner):
             # going back
             groups.append((range(lo, hi), after, before))
         sizes = [len(blk) for blk, _, _ in groups]
-        check_band_fits([s * op.n_dof for s in sizes],
+        check_band_fits([s * op.n_free for s in sizes],
                         [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")

@@ -25,6 +25,7 @@ from sgfem.experiments import (
     run_table,
     solve_case,
 )
+from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.linalg import read_matrix_market
 
@@ -225,6 +226,56 @@ class TestBuildProblemArguments:
         with pytest.raises(ValueError, match="degree P must"):
             build_problem(2, -1, 4, 50.0)
 
+    def test_oversized_problem_refused_before_any_work(self, monkeypatch):
+        """The coefficient values (28 fields × 16 elements × 4 points)
+        and the stiffness data (28 fields × 65 pattern slots) of
+        N = 2, P = 3, n = 4 are checked against physical memory before
+        the mesh is built."""
+        need = 8 * 28 * (16 * 4 + 65)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+
+        def no_mesh(n):
+            raise AssertionError("mesh built")
+
+        monkeypatch.setattr(experiments, "_cached_mesh", no_mesh)
+        with pytest.raises(MemoryError) as exc:
+            build_problem(2, 3, 4, 50.0)
+        assert str(exc.value).startswith(
+            f"the problem at N = 2, P = 3, n = 4, its 28 coefficient fields "
+            f"and stiffness matrices, needs {need} bytes")
+        # with the data fitting, the patched mesh is reached: the refusal
+        # above came before it
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="mesh built"):
+            build_problem(2, 3, 4, 50.0)
+
+    @pytest.mark.parametrize("N,P,n", [(1, 0, 1), (1, 1, 2), (2, 3, 4),
+                                       (3, 1, 5)])
+    def test_checked_bytes_are_the_problem_data(self, N, P, n,
+                                                monkeypatch):
+        """The bytes checked are those of the coefficient values and the
+        stiffness data build_problem allocates."""
+        checked, check = [], experiments.check_fits
+
+        def recorded(need, *args):
+            checked.append(need)
+            return check(need, *args)
+
+        monkeypatch.setattr(experiments, "check_fits", recorded)
+        op, _ = build_problem(N, P, n, 50.0)
+        mesh = build_mesh(n)
+        coeffs = 8 * len(op.k_mats) * len(mesh.elements) * 4
+        assert checked == [coeffs + op._kdata.nbytes]
+
+    def test_oversized_problem_is_one_error_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
+        rc = main(["solve", "--precond", "mb", "--N", "2", "--P", "3",
+                   "--n", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sg solve: error: the problem at N = 2")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_more_modes_than_nodes(self):
         # n = 4 has 25 nodes; the check runs before the tensor of N = 26
         with pytest.raises(ValueError, match="25 nodes"):
@@ -291,7 +342,9 @@ class TestTables:
         """Every kind's preconditioner of a row is made before the row's
         first solve: an hs whose level bands do not fit at n = 4 stops
         the table after the n = 3 row's four solves, before any solve of
-        its own row."""
+        its own row.  At N = P = 4, hs's free-node bands at n = 4, 627,120
+        bytes, outgrow the 510,840 bytes of the problem's coefficients
+        and stiffness data, which build_problem checks first."""
         solves, solve = [], experiments.flexible_cg
 
         def counted(*args, **kwargs):
@@ -299,8 +352,8 @@ class TestTables:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "flexible_cg", counted)
-        monkeypatch.setattr(linalg, "physical_memory", lambda: 30000)
-        config = ExperimentConfig(N=2, P=3, mesh_list=(3, 4),
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 600000)
+        config = ExperimentConfig(N=4, P=4, mesh_list=(3, 4),
                                   preconds=("mb", "kron", "gs", "hs"))
         with pytest.raises(MemoryError, match="hs's exact level solves"):
             run_table(config, "logh")
@@ -568,9 +621,10 @@ class TestCli:
     def test_solve_oversized_level_band_is_one_error_line(
             self, tmp_path, capsys, monkeypatch, command):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("N = 2\nP = 3\nn = 4\nmesh_list = 4\n"
+        # hs's bands need 627,120 bytes, the problem 510,840
+        cfg.write_text("N = 4\nP = 4\nn = 4\nmesh_list = 4\n"
                        "preconds = hs\n")
-        monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 600000)
         rc = main(command + ["--config", str(cfg)])
         assert rc == 1
         captured = capsys.readouterr()

@@ -16,14 +16,18 @@ from conftest import (
     levels,
     traced_memory,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor, g_matrix, multi_index_set
-from sgfem.fem import assemble_stiffness_family, build_mesh
+from sgfem.fem import (
+    assemble_stiffness,
+    assemble_stiffness_family,
+    build_mesh,
+)
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -31,7 +35,13 @@ from sgfem.galerkin import (
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import Factorization, csr_on, factorize
+from sgfem.linalg import Factorization, as_csr, csr_on, factorize
+from sgfem.random_field import (
+    ExponentialCovariance,
+    discrete_kl,
+    field_parameters,
+    gpc_coefficients,
+)
 from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -519,7 +529,7 @@ class TestAssembledBlocks:
             F = op.assemble_level_block(blk)
             lo, hi = blk[0] * nd, (blk[-1] + 1) * nd
             want = A[lo:hi, lo:hi]
-            order = interleaved_order(len(blk), nd)
+            order = compact_rows(op, len(blk))
             ab = op._fill_band(blk)
             np.testing.assert_allclose(band_lower(ab),
                                        np.tril(want[np.ix_(order, order)]),
@@ -530,12 +540,14 @@ class TestAssembledBlocks:
     @pytest.mark.parametrize("N,P,n", SMALL + [(1, 2, 2), (4, 4, 10)])
     def test_diag_band_fill_matches_block_oracle(self, N, P, n):
         """Every diagonal block's band, filled as a run of one block,
-        against the band of the block assembled by ``block(j, j)``.  Not
-        bitwise: the two sum the c_ijj K_i in different orders."""
+        against the band of the free rows of the block assembled by
+        ``block(j, j)``.  Not bitwise: the two sum the c_ijj K_i in
+        different orders."""
         op, _, _, _ = build_operator(N, P, n)
+        free = free_nodes(op)
         for j in range(op.M + 1):
             assert_same_band_values(op._fill_band(range(j, j + 1)),
-                                    band_fill(op.block(j, j)))
+                                    band_fill(op.block(j, j)[free][:, free]))
 
     def test_blocks_symmetric(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -552,19 +564,32 @@ def bmat_oracle(op, blocks):
                    format="csr")
 
 
-def interleaved_order(s, nd):
-    """For each row node·s + block of the node-interleaved order, its
-    block-major row block·nd + node."""
-    return np.arange(s * nd).reshape(s, nd).T.ravel()
+def free_nodes(op):
+    """The nodes a block factor's band holds, from the rule on dense
+    copies of the family: those whose row or column holds a pattern
+    entry off the diagonal, or with K_i[b,b] ≠ 0 for some i > 0."""
+    K0 = op.k_mats[0]
+    pattern = sp.csr_matrix((np.ones(K0.nnz), K0.indices, K0.indptr),
+                            shape=K0.shape).toarray()
+    np.fill_diagonal(pattern, 0.0)
+    diagonals = np.array([K.toarray().diagonal() for K in op.k_mats[1:]])
+    return np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1)
+                          | (diagonals != 0).any(axis=0))
+
+
+def compact_rows(op, s):
+    """For each row (free node r)·s + block p of the free nodes'
+    node-interleaved order of a run of s blocks, its block-major row
+    p·n_dof + free[r]."""
+    return np.array([p * op.n_dof + node for node in free_nodes(op)
+                     for p in range(s)], dtype=np.int64)
 
 
 def oracle_band(op, blocks):
-    """The oracle matrix of the blocks permuted to node-interleaved
-    order, in lower band storage."""
-    D = bmat_oracle(op, blocks).tocoo()
-    pos = np.argsort(interleaved_order(len(blocks), op.n_dof))
-    return band_fill(sp.coo_matrix((D.data, (pos[D.row], pos[D.col])),
-                                    shape=D.shape))
+    """The free rows of the oracle matrix of the blocks in
+    node-interleaved order, in lower band storage."""
+    rows = compact_rows(op, len(blocks))
+    return band_fill(bmat_oracle(op, blocks)[rows][:, rows])
 
 
 def band_lower(ab):
@@ -578,7 +603,10 @@ def band_lower(ab):
 
 def assert_same_band_values(got, want):
     """Two unfactorized bands: the same zero pattern, values within
-    1e-15 of the largest."""
+    1e-15 of the largest.  Bands of no rows (a mesh without free nodes)
+    are equal whatever their width."""
+    if got.size == want.size == 0:
+        return
     assert got.shape == want.shape
     assert np.array_equal(got == 0, want == 0)
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
@@ -627,28 +655,21 @@ class TestFactorizationContract:
     @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
            cov=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
     def test_band_factors_of_blocks(self, N, P, n, cov, seed):
-        """Pivots against a dense Cholesky of the same ordering (node-
-        interleaved for a level of more than one block, which alone has
-        an ``order``), and the residual for several right-hand sides at
-        once."""
+        """Pivots against a dense Cholesky of the same ordering (the free
+        rows, node-interleaved for a level of more than one block), and
+        the residual for several right-hand sides at once."""
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
-        nd = op.n_dof
         cases = [(op.block(j, j), op.assemble_diag_block(range(j, j + 1)),
-                  None) for j in range(op.M + 1)]
+                  compact_rows(op, 1)) for j in range(op.M + 1)]
         for blocks in levels(op):
-            s = len(blocks)
-            order = interleaved_order(s, nd) if s > 1 else None
             cases.append((bmat_oracle(op, blocks),
-                          op.assemble_level_block(blocks), order))
+                          op.assemble_level_block(blocks),
+                          compact_rows(op, len(blocks))))
         for A, F, order in cases:
-            assert F.kind == "band"
-            dense = A.toarray()
-            if order is None:
-                assert F.order is None
-            else:
-                np.testing.assert_array_equal(F.order, order)
-                dense = dense[np.ix_(order, order)]
+            assert F.kind == "band" and F.n == A.shape[0]
+            np.testing.assert_array_equal(F.rows, order)
+            dense = A.toarray()[np.ix_(order, order)]
             L = np.linalg.cholesky(dense)
             np.testing.assert_allclose(F._state[0][0] ** 2, np.diag(L) ** 2,
                                        rtol=1e-12)
@@ -660,17 +681,19 @@ class TestFactorizationContract:
     def test_level_band_exact_from_k0_pattern(self):
         op, _, _, _ = build_operator(2, 3, 4)
         n = 4
+        assert op.n_free == (n - 1) ** 2
         for blocks in levels(op):
             s = len(blocks)
             ab = op.assemble_level_block(blocks)._state[0]
-            # a Q1 node couples to rows up to n + 2 below it
-            assert op.run_band(s) == s * (n + 2) + s - 1
-            assert ab.shape == (op.run_band(s) + 1, s * op.n_dof)
+            # a free node of the (n − 1)² interior couples to free rows up
+            # to n below it
+            assert op.run_band(s) == s * n + s - 1
+            assert ab.shape == (op.run_band(s) + 1, s * op.n_free)
 
     def test_level_band_fill_matches_permuted_oracle(self):
-        """The band filled from the block pairs' values against the
-        sp.bmat oracle permuted to node-interleaved order.  Not bitwise:
-        here the level-3 values differ by up to 5.7e-17 of the largest."""
+        """The band filled from the block pairs' values against the free
+        rows of the sp.bmat oracle in node-interleaved order.  Not
+        bitwise: the values may differ in the last bit."""
         op, _, _, _ = build_operator(3, 3, 4)
         for blocks in levels(op):
             assert_band_matches_oracle(op, blocks)
@@ -694,9 +717,10 @@ class TestFactorizationContract:
     def test_oversized_level_band_refused_before_assembly(self,
                                                           monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
-        # level 3 at N = 2: s = 4 blocks, band 4·(n + 2) + 3 at n = 4
-        s, nd, band = 4, op.n_dof, 4 * 6 + 3
-        need = 8 * s * nd * (band + 1)
+        # level 3 at N = 2: s = 4 blocks of (n − 1)² free rows, band
+        # 4·n + 3 at n = 4
+        s, f, band = 4, 9, 4 * 4 + 3
+        need = 8 * s * f * (band + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_fill(blocks):
@@ -726,15 +750,16 @@ class TestFactorizationContract:
         """Memory regression guard: the bytes a level factorization keeps
         are its band storage, within 5 %, so a retained second copy of a
         factor (or of D_ℓ) fails; and the band is filled in place, so
-        the peak stays within 25 % of it."""
+        the peak passes it by no more than the fill's chunk of pair
+        values and its two gathers, three chunks in all."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
         level = range(35, 70)
         kept, peak = traced_memory(lambda: op.assemble_level_block(level))
         band = op.assemble_level_block(level)._state[0].nbytes
-        # 35 blocks of 121 nodes, band 35·(n + 2) + 34
-        assert band == 8 * 35 * 121 * (35 * 12 + 34 + 1)
+        # 35 blocks of 81 free nodes, band 35·n + 34
+        assert band == 8 * 35 * 81 * (35 * 10 + 34 + 1)
         assert abs(kept - band) <= 0.05 * band
-        assert peak <= 1.25 * band
+        assert peak <= band + 3 * galerkin._CHUNK_BYTES
 
     @pytest.mark.parametrize("builder,kind,calls", [
         ("assemble_level_block", "hs", [range(3, 6), range(1, 3),
@@ -756,6 +781,8 @@ class TestFactorizationContract:
         F, G = build(calls[-1]), build(calls[-1])
         assert isinstance(F, Factorization) and F is not G
         assert np.array_equal(F._state[0], G._state[0])
+        # the band spans the free nodes only
+        assert F._state[0].shape[1] == len(calls[-1]) * op.n_free
         assert held_factors(op) == []
         seen = []
 
@@ -772,25 +799,88 @@ class TestFactorizationContract:
     @pytest.mark.parametrize("N,P,n", SMALL + [(4, 4, 10)])
     def test_diag_blocks_are_one_block_diagonal_factor(self, N, P, n):
         """The factor of consecutive diagonal blocks is the blocks'
-        own factors side by side, bitwise, with zeros in every band entry
-        that would couple a block to the next, and it solves as they do,
-        bitwise."""
+        own factors side by side, bitwise, in block-major order of their
+        free rows, with zeros in every band entry that would couple a
+        block to the next, and it solves as they do, bitwise."""
         op, _, _, _ = build_operator(N, P, n)
-        nd, rng = op.n_dof, np.random.default_rng(4)
+        nd, f, rng = op.n_dof, op.n_free, np.random.default_rng(4)
+        free = free_nodes(op)
         for blocks in levels(op) + [range(op.M + 1), range(1, op.M + 1)]:
             F = op.assemble_diag_block(blocks)
             alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
-            assert F.order is None and F.n == len(blocks) * nd
+            assert F.n == len(blocks) * nd
+            np.testing.assert_array_equal(
+                F.rows, (np.arange(len(blocks))[:, None] * nd
+                         + free).ravel())
             ab = F._state[0]
             np.testing.assert_array_equal(
                 ab, np.hstack([G._state[0] for G in alone]))
             # entry (d, c) is row c + d, column c
             d, c = np.indices(ab.shape)
-            assert not ab[c % nd + d >= nd].any()
+            assert not ab[c % f + d >= f].any()
             R = rng.standard_normal((len(blocks), nd))
             np.testing.assert_array_equal(
                 F.solve(R.ravel()),
                 np.concatenate([G.solve(r) for G, r in zip(alone, R)]))
+
+
+def neumann_operator(N, P, n, cov):
+    """An operator with no fixed node: the Neumann stiffness matrices of
+    the chaos coefficients of the lognormal field, each on the full Q1
+    pattern, with the identity added to K_0 so that every block matrix,
+    positive semidefinite before, is positive definite."""
+    mesh = build_mesh(n)
+    g0, sigma = field_parameters(1.0, cov)
+    kl = discrete_kl(mesh, ExponentialCovariance(sigma, 0.5), N, g0=g0)
+    tensor = cached_tensor(N, P)
+    fields = gpc_coefficients(kl, tensor.iset, mesh)
+    mats = [assemble_stiffness(mesh, values) for values in fields.values]
+    mats[0] = as_csr(mats[0] + sp.identity(mesh.n_nodes))
+    return GalerkinOperator(tensor, mats)
+
+
+class TestCompactFactors:
+    """Block factors span the free nodes; a fixed node's row is solved
+    by the closed form r / ((G_0)_jj · K_0[b,b]).  Both diagonal-run and
+    level-run factors must solve their runs' matrices, assembled densely
+    from ``block(j, k)``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 5),
+           cov=st.floats(0.1, 1.5), neumann=st.booleans(),
+           seed=st.integers(0, 2**16))
+    @example(N=2, P=2, n=1, cov=1.0, neumann=False, seed=0)  # none free
+    @example(N=2, P=2, n=2, cov=1.0, neumann=False, seed=0)  # one free
+    @example(N=2, P=2, n=3, cov=1.0, neumann=True, seed=0)   # none fixed
+    def test_run_factors_solve_against_dense_blocks(self, N, P, n, cov,
+                                                    neumann, seed):
+        op = (neumann_operator(N, P, n, cov) if neumann
+              else build_operator(N, P, n, cov=cov)[0])
+        nd, rng = op.n_dof, np.random.default_rng(seed)
+        free = free_nodes(op)
+        fixed = np.setdiff1d(np.arange(nd), free)
+        assert op.n_free == len(free)
+        if neumann:
+            assert len(fixed) == 0
+        else:
+            # the interior, but for the one interior node of n = 2, which
+            # couples to no node, fixed when only K_0 is left (P = 0)
+            assert op.n_free == ((n - 1) ** 2 if P or n > 2 else 0)
+        closed = (np.diag(g_matrix(0, op.tensor))[:, None]
+                  * op.k_mats[0].diagonal()[fixed])
+        runs = [(blocks, op.assemble_level_block(blocks),
+                 bmat_oracle(op, blocks)) for blocks in levels(op)]
+        for blocks in levels(op) + [range(op.M + 1)]:
+            runs.append((blocks, op.assemble_diag_block(blocks),
+                         sp.block_diag([op.block(j, j) for j in blocks],
+                                       format="csr")))
+        for blocks, F, D in runs:
+            b = rng.standard_normal(D.shape[0])
+            x = F.solve(b)
+            assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
+            at = (np.arange(len(blocks))[:, None] * nd + fixed).ravel()
+            np.testing.assert_array_equal(
+                x[at], b[at] / closed[blocks.start:blocks.stop].ravel())
 
 
 class TestGlobalDense:

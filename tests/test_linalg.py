@@ -165,12 +165,36 @@ class TestBandCholesky:
         assert F._state[0].shape == (3, 6)  # the diagonal and two below
 
     def test_order_solves_in_the_original_rows(self):
+        """A band factor of some rows of a system, in its own order,
+        solves the whole system: each factor row solves the system row
+        ``rows`` maps it to, and every other row, diagonal, is divided
+        by its ``divisor`` entry, bit for bit; for one right-hand side
+        and for several."""
         A = random_sparse_spd(9, 0.3, 4)
-        perm = np.random.default_rng(0).permutation(9)
-        F = band_factor(as_csr(A[perm][:, perm]))
-        F.order = perm
-        b = np.arange(9.0)
-        np.testing.assert_allclose(A @ F.solve(b), b, atol=1e-12)
+        rng = np.random.default_rng(0)
+        rows = rng.permutation(12)[:9]  # factor row -> system row
+        others = np.setdiff1d(np.arange(12), rows)
+        diagonal = rng.uniform(0.5, 2.0, 12)
+        S = np.diag(diagonal)
+        S[np.ix_(rows, rows)] = A.toarray()
+        divisor = np.ones(12)
+        divisor[others] = diagonal[others]
+        F = factorize_band(band_fill(A), rows, divisor)
+        assert F.n == 12
+        for b in (rng.standard_normal(12), rng.standard_normal((12, 3))):
+            x = F.solve(b)
+            assert x.shape == b.shape
+            np.testing.assert_allclose(S @ x, b, atol=1e-12)
+            scale = diagonal[others] if b.ndim == 1 else \
+                diagonal[others, None]
+            np.testing.assert_array_equal(x[others], b[others] / scale)
+
+    def test_non_positive_divisor_raises(self):
+        A = random_sparse_spd(4, 0.3, 4)
+        divisor = np.ones(5)
+        divisor[4] = 0.0
+        with pytest.raises(FactorizationError, match="divisor"):
+            factorize_band(band_fill(A), np.arange(4), divisor)
 
     def test_band_bytes_checked_before_allocation(self, monkeypatch):
         """A band builder checks the band's bytes before it allocates the
@@ -178,7 +202,7 @@ class TestBandCholesky:
         op, _, _, _ = build_operator(2, 1, 3)
         blocks = range(op.M + 1)
         band = op.run_band(1)
-        rows = len(blocks) * op.n_dof
+        rows = len(blocks) * op.n_free
         need = 8 * rows * (band + 1)
         assert op.assemble_diag_block(blocks)._state[0].nbytes == need
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
+import sgfem.preconditioners as preconditioners
 from sgfem.chaos import g_matrix
 from sgfem.galerkin import _Plan, full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
@@ -224,13 +225,22 @@ class TestKronecker:
     @pytest.mark.parametrize("n", [4, 10, 32])
     @pytest.mark.parametrize("kind", ["mb", "kron"])
     def test_k0_factor_is_the_factor_of_k0(self, kind, n):
-        op, _, _, _ = build_operator(1, 1, n)
+        """The band factor is that of K_0's interior rows, the free
+        nodes; a boundary row is solved by its diagonal, G_0's (0, 0)
+        entry c_000 = 1 times K_0[b,b]."""
+        op, _, mesh, _ = build_operator(1, 1, n)
         F = [F for F in held_factors(make_preconditioner(op, kind))
              if F.kind == "band"]
         assert len(F) == 1
+        K0 = op.k_mats[0]
+        interior = np.setdiff1d(np.arange(op.n_dof), mesh.boundary)
+        np.testing.assert_array_equal(F[0].rows, interior)
         np.testing.assert_array_equal(
             F[0]._state[0],
-            linalg.factorize_band(band_fill(op.k_mats[0]))._state[0])
+            linalg.factorize_band(
+                band_fill(K0[interior][:, interior]))._state[0])
+        np.testing.assert_array_equal(F[0].divisor[mesh.boundary],
+                                      K0.diagonal()[mesh.boundary])
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
         import scipy.sparse as sp
@@ -510,11 +520,12 @@ class TestFactory:
 
     def test_oversized_level_band_refused_at_setup(self, monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
-        # level ℓ at N = 2: s = ℓ + 1 blocks, band s·(n + 2) + s − 1 at
-        # n = 4, so 7·s² band rows of n_dof doubles; hs keeps the factors
-        # of the levels 0 to 3
-        nd = op.n_dof
-        need = 8 * nd * 7 * (1 + 4 + 9 + 16)
+        # level ℓ at N = 2: s = ℓ + 1 blocks of f = 9 free rows, band
+        # s·n + s − 1 at n = 4, so 5·s² band rows of f doubles; hs keeps
+        # the factors of the levels 0 to 3
+        f = op.n_free
+        assert f == 9
+        need = 8 * f * 5 * (1 + 4 + 9 + 16)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_work(*args):
@@ -525,7 +536,7 @@ class TestFactory:
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "hs")
         assert str(exc.value).startswith(
-            f"band factor of {4 * nd} rows and 27 sub-diagonals and the 3 "
+            f"band factor of {4 * f} rows and 19 sub-diagonals and the 3 "
             f"other band factors kept with it need {need} bytes")
         assert "ahs and ahgs" in str(exc.value)
         # only the exact level solves need the level bands, and only
@@ -556,6 +567,25 @@ class TestFactory:
         pre.apply(b)
         assert sum(F._state[0].nbytes for F in held_factors(pre)) == need
 
+    @pytest.mark.parametrize("kind", SWEEPS)
+    def test_checked_bytes_are_the_held_bands(self, kind, monkeypatch):
+        """The bytes a sweep checks at setup are the bytes of the bands
+        its factors hold after an apply."""
+        op, b, _, _ = build_operator(2, 3, 4)
+        checked, check = [], preconditioners.check_band_fits
+
+        def recorded(n, band, hint=""):
+            checked.append(int(np.sum(8 * np.asarray(n)
+                                      * (np.asarray(band) + 1))))
+            return check(n, band, hint)
+
+        monkeypatch.setattr(preconditioners, "check_band_fits", recorded)
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        held = held_factors(pre)
+        assert len(held) > 1
+        assert checked == [sum(F._state[0].nbytes for F in held)]
+
     def test_sweep_checked_for_its_own_factors_only(self, monkeypatch):
         """A sweep built after another on one operator is checked for,
         and holds, its own factors: gs after hs, with memory for gs's
@@ -564,7 +594,7 @@ class TestFactory:
         op, b, _, _ = build_operator(2, 3, 4)
         hs = make_preconditioner(op, "hs")
         hs.apply(b)
-        need = 8 * (op.M + 1) * op.n_dof * (op.run_band(1) + 1)
+        need = 8 * (op.M + 1) * op.n_free * (op.run_band(1) + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         gs = make_preconditioner(op, "gs")
         gs.apply(b)
@@ -593,9 +623,10 @@ class TestFactory:
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_one_factor_and_one_solve_per_group(self, kind, N, P, n,
                                                 monkeypatch):
-        """A sweep holds one factor per group and solves a group with one
-        call of it: 2·groups − 1 solves per apply, as the last forward
-        solve is also the first backward one."""
+        """A sweep holds one factor per group, over the group's free rows,
+        and solves a group with one call of it: 2·groups − 1 solves per
+        apply, as the last forward solve is also the first backward
+        one."""
         op, b, _, _ = build_operator(N, P, n)
         pre = make_preconditioner(op, kind)
         groups = len(levels(op)) if SWEEPS[kind][0] else op.M + 1
@@ -613,6 +644,10 @@ class TestFactory:
         held = held_factors(pre)
         assert len(held) == groups
         assert {id(F) for F in used} == {id(F) for F in held}
+        sizes = ([len(blk) for blk in levels(op)] if SWEEPS[kind][0]
+                 else [1] * groups)
+        assert sorted(F._state[0].shape[1] for F in held) == \
+            sorted(s * op.n_free for s in sizes)
 
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_dropped_sweep_frees_its_plans(self, kind):
