@@ -4,8 +4,10 @@ Basis functions are products of probabilists' Hermite polynomials,
 ψ_i(ξ) = Π_d He_{i_d}(ξ_d) for a multi-index i, unnormalized so that
 E[ψ_i²] = Π_d i_d!.  The module builds graded multi-index sets, the
 triple-product expectations c_ijk = E[ψ_i ψ_j ψ_k] that couple the
-stochastic blocks of the Galerkin system, and the dense coupling matrices
-G_α with entries (G_α)_jk = c_αjk.
+stochastic blocks of the Galerkin system, from their 1-D closed form,
+and the dense weighted sums Σ_α w_α G_α of the coupling matrices
+(G_α)_jk = c_αjk.  It never evaluates a polynomial; the tests check it
+against Gauss-Hermite quadrature of ``numpy.polynomial.hermite_e``.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ class MultiIndexSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, k: int) -> tuple:
-        return self.indices[k]
-
     def as_array(self) -> np.ndarray:
         """Indices stacked as an integer array of shape (count, N)."""
         return np.array(self.indices, dtype=np.int64)
@@ -54,10 +53,6 @@ class MultiIndexSet:
     def total_degrees(self) -> np.ndarray:
         """Total degree of each index, shape (count,). Non-decreasing."""
         return self.as_array().sum(axis=1)
-
-    def position(self, index: tuple) -> int:
-        """Position of a multi-index in the ordering."""
-        return self.indices.index(tuple(index))
 
 
 def multi_index_set(N: int, P: int) -> MultiIndexSet:
@@ -75,24 +70,6 @@ def multi_index_set(N: int, P: int) -> MultiIndexSet:
     out = MultiIndexSet(N, P, tuple(idx))
     assert len(out) == math.comb(N + P, P)
     return out
-
-
-def hermite_eval_1d(n: int, x):
-    """Probabilists' Hermite polynomial He_n evaluated at x (scalar or array).
-
-    Three-term recurrence He_{n+1}(x) = x·He_n(x) − n·He_{n−1}(x),
-    He_0 = 1, He_1 = x.
-    """
-    if n < 0:
-        raise ValueError("degree must be non-negative")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = x.copy()
-    for m in range(1, n):
-        h, h_prev = x * h - m * h_prev, h
-    return h if h.ndim else float(h)
 
 
 def triple_product_1d(a: int, b: int, c: int) -> float:
@@ -197,16 +174,6 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
         vals.append(G[aa, jj, kk])
     return CijkTensor(iset, jkset, np.concatenate(iis), np.concatenate(jjs),
                       np.concatenate(kks), np.concatenate(vals))
-
-
-def g_matrix(alpha: int, tensor: CijkTensor) -> np.ndarray:
-    """Dense coupling matrix G_α with entries c_αjk.  Symmetric; G_0 is
-    diagonal with entries E[ψ_j²]."""
-    if not 0 <= alpha < len(tensor.iset):
-        raise IndexError(f"alpha {alpha} outside [0, {len(tensor.iset) - 1}]")
-    weights = np.zeros(len(tensor.iset))
-    weights[alpha] = 1.0
-    return tensor.g_sum(weights)
 
 
 def write_c_tensor(path, tensor: CijkTensor) -> None:

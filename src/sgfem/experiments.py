@@ -29,7 +29,7 @@ from .galerkin import (
     standard_truncation,
 )
 from .krylov import flexible_cg
-from .linalg import as_csr, check_fits, write_matrix_market
+from .linalg import check_fits, write_matrix_market
 from .preconditioners import KINDS, make_preconditioner
 from .random_field import (
     ExponentialCovariance,
@@ -110,9 +110,6 @@ class Report:
     name: str
     columns: tuple
     rows: tuple
-
-    def column(self, name):
-        return [row[name] for row in self.rows]
 
 
 _INT_KEYS = ("N", "P", "ndof", "lt", "n_mats", "nnz")
@@ -401,8 +398,15 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
 
     Returns a manifest dict mapping artifact names to file paths (the
     "global" entry holds a refusal message when the cap is exceeded).
+    Raises :class:`MemoryError` before any file is written when the
+    dense global matrix the cap admits exceeds physical memory.
     """
     op, b = _problem(config, cov_pct=cov)
+    n = op.n_global
+    if n <= cap:
+        check_fits(8 * n * n, lambda: (
+            f"the dense global matrix of {n} rows needs"),
+            f"; a cap below {n} skips it")
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)
@@ -414,17 +418,16 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         write_c_tensor(fname, op.tensor)
         manifest["c_tensor"] = fname
         fname = os.path.join(path, "load.mtx")
-        write_matrix_market(fname, as_csr(b.reshape(-1, 1)))
+        write_matrix_market(fname, b.reshape(-1, 1))
         manifest["load"] = fname
-        if op.n_global <= cap:
+        if n <= cap:
             A = op.assemble_global_dense(cap=cap)
             fname = os.path.join(path, "global.mtx")
-            write_matrix_market(fname, as_csr(A))
+            write_matrix_market(fname, A)
             manifest["global"] = fname
         else:
-            manifest["global"] = (f"refused: size {op.n_global} exceeds "
-                                  f"cap {cap}; rerun with cap >= "
-                                  f"{op.n_global}")
+            manifest["global"] = (f"refused: size {n} exceeds cap {cap}; "
+                                  f"rerun with cap >= {n}")
     except OSError as exc:
         raise OSError(f"export to {path!s} failed: {exc}") from exc
     return manifest

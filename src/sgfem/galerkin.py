@@ -312,9 +312,6 @@ class GalerkinOperator:
     def n_global(self) -> int:
         return (self.M + 1) * self.n_dof
 
-    def reset_counters(self) -> None:
-        self.counters = {"summations": 0, "products": 0}
-
     # -- truncated blockwise product ------------------------------------
 
     def _chunk_rows(self) -> int:

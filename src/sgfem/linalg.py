@@ -5,8 +5,9 @@ Dense matrices are C-ordered ``numpy.ndarray``s and sparse matrices are
 indices per row).  The heavy lifting (factorizations, eigensolves) is
 delegated to LAPACK through numpy/scipy; this module pins down the
 conventions the solver relies on: deterministic results for identical
-inputs, descending eigenvalue order with a fixed eigenvector sign, and
-residual guarantees on the factorization round trip.
+inputs, descending eigenvalue order with a fixed eigenvector sign,
+residual guarantees on the factorization round trip, and Matrix Market
+output that a reader gets back bit for bit.
 """
 
 from __future__ import annotations
@@ -210,60 +211,17 @@ def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-# ---------------------------------------------------------------------------
-# Matrix Market exchange format (coordinate, real, general/symmetric).
-#
-# Values are printed with 17 significant decimal digits, which round-trips
-# IEEE binary64 exactly, so write -> read reproduces the stored values bit
-# for bit.
-# ---------------------------------------------------------------------------
+def write_matrix_market(path, A: Matrix) -> None:
+    """Write a matrix in Matrix Market coordinate real general format.
 
-def write_matrix_market(path, A: Matrix, symmetry: str = "general") -> None:
-    """Write a matrix in Matrix Market coordinate format.
-
-    ``symmetry`` is ``"general"`` or ``"symmetric"``; the symmetric form
-    stores the lower triangle only.  Dense inputs are written through their
-    sparse pattern (explicitly stored zeros of a CSR input are kept).
+    Values are printed with 17 significant decimal digits, which
+    round-trips IEEE binary64 exactly, so a reader gets the stored values
+    back bit for bit.  Dense inputs are written through their sparse
+    pattern (explicitly stored zeros of a CSR input are kept).
     """
-    if symmetry not in ("general", "symmetric"):
-        raise ValueError(f"unsupported symmetry: {symmetry}")
-    A = as_csr(A)
-    coo = A.tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
-    if symmetry == "symmetric":
-        keep = rows >= cols
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    coo = as_csr(A).tocoo()
     with open(path, "w") as fh:
-        fh.write(f"%%MatrixMarket matrix coordinate real {symmetry}\n")
-        fh.write(f"{A.shape[0]} {A.shape[1]} {len(vals)}\n")
-        for r, c, v in zip(rows, cols, vals):
+        fh.write("%%MatrixMarket matrix coordinate real general\n")
+        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
+        for r, c, v in zip(coo.row, coo.col, coo.data):
             fh.write(f"{r + 1} {c + 1} {v:.16e}\n")
-
-
-def read_matrix_market(path) -> sp.csr_matrix:
-    """Read a real coordinate Matrix Market file written by this package."""
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 5 or header[0] != "%%MatrixMarket" or \
-                header[1:4] != ["matrix", "coordinate", "real"]:
-            raise ValueError(f"unsupported Matrix Market header in {path}")
-        symmetry = header[4]
-        if symmetry not in ("general", "symmetric"):
-            raise ValueError(f"unsupported symmetry: {symmetry}")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrows, ncols, nnz = (int(t) for t in line.split())
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=float)
-        for k in range(nnz):
-            r, c, v = fh.readline().split()
-            rows[k], cols[k], vals[k] = int(r) - 1, int(c) - 1, float(v)
-    if symmetry == "symmetric":
-        off = rows != cols
-        mirror_r, mirror_c = cols[off], rows[off]
-        rows = np.concatenate([rows, mirror_r])
-        cols = np.concatenate([cols, mirror_c])
-        vals = np.concatenate([vals, vals[off]])
-    return as_csr(sp.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)))

@@ -5,10 +5,10 @@ g = g_0 + Σ_d g_d(x) ξ_d with independent standard Gaussian ξ_d and mode
 fields g_d already scaled by the square roots of the covariance
 eigenvalues.  The exponential L1 kernel and the lumped Q1 weights are
 both tensor products over the two axes, so ``discrete_kl`` builds the
-modes from one 1-D eigensolve on the grid coordinates; ``kl_eigenpairs``
-solves the dense weighted problem for any covariance matrix and serves
-as the oracle.  The chaos coefficients of k against the unnormalized
-Hermite basis have the closed form
+modes from one 1-D eigensolve on the grid coordinates.  The dense
+weighted eigensolve over all nodes, the oracle it is checked against,
+lives in the tests (``tests/conftest.py``).  The chaos coefficients of
+k against the unnormalized Hermite basis have the closed form
 
     k_i(x) = [Π_d g_d(x)^{i_d} / i_d!] · exp(g_0 + ½ Σ_d g_d(x)²),
 
@@ -61,44 +61,13 @@ class ExponentialCovariance:
     L: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if self.L <= 0:
-            raise ValueError("correlation length must be positive")
-
-    def __call__(self, x, y) -> float:
-        d = np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        return self.sigma**2 * float(np.exp(-d.sum() / self.L))
-
-    def matrix(self, points: np.ndarray) -> np.ndarray:
-        """Covariance matrix over a point set, shape (n, n)."""
-        d = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
-        return self.sigma**2 * np.exp(-d / self.L)
-
-
-def kl_eigenpairs(C: np.ndarray, weights: np.ndarray, n_modes: int
-                  ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Top eigenpairs of the weighted covariance operator.
-
-    Solves the lumped-mass Galerkin form of the covariance eigenproblem:
-    W^{1/2} C W^{1/2} z = λ z with diagonal W, then φ = W^{−1/2} z, so the
-    φ are orthonormal in the W-inner product.  Returns (λ descending,
-    φ rows, retained energy fraction Σ_retained λ / Σ_all λ).
-    """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValueError("lumped mass weights must be positive")
-    ws = np.sqrt(w)
-    vals, vecs = sym_eig(C * np.outer(ws, ws))
-    if n_modes > len(vals):
-        raise ValueError("more modes requested than discrete eigenvalues")
-    floor = 1e-12 * max(vals[0], 0.0)
-    if vals[0] <= 0 or np.any(vals[:n_modes] <= floor):
-        raise ValueError(f"only {int(np.sum(vals > floor))} eigenvalues are "
-                         f"positive to tolerance, {n_modes} modes requested")
-    lam = vals[:n_modes].copy()
-    phi = (vecs[:, :n_modes] / ws[:, None]).T
-    return lam, phi, float(lam.sum() / vals.sum())
+        # the comparisons fail on NaN
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"standard deviation sigma must be "
+                             f"non-negative and finite, got {self.sigma!r}")
+        if not 0 < self.L < math.inf:
+            raise ValueError(f"correlation length L must be positive and "
+                             f"finite, got {self.L!r}")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,15 @@
 """Shared helpers: build small end-to-end problem instances, probe
 linear maps, find the factorizations and product plans an object holds
-and trace the memory of a call; oracles of the degree levels and of
-lower band storage."""
+and trace the memory of a call; oracles of the degree levels, of lower
+band storage, of the coupling matrices, of the Hermite polynomials and
+of the dense KL eigenproblem."""
 
 import math
 import tracemalloc
 
 import numpy as np
 from hypothesis import settings
+from numpy.polynomial.hermite_e import hermeval
 
 from sgfem.chaos import build_c_tensor
 from sgfem.fem import (
@@ -129,3 +131,54 @@ def traced_memory(fn):
     finally:
         tracemalloc.stop()
     return kept - before, peak - before
+
+
+def g_matrix(alpha, tensor) -> np.ndarray:
+    """Dense coupling matrix G_α, (G_α)_jk = c_αjk, scattered from the
+    tensor's coordinates (oracle of :meth:`CijkTensor.g_sum`).
+    Symmetric; G_0 is diagonal with entries E[ψ_j²]."""
+    m1 = len(tensor.jkset)
+    G = np.zeros((m1, m1))
+    sel = tensor.i == alpha
+    G[tensor.j[sel], tensor.k[sel]] = tensor.val[sel]
+    return G
+
+
+def hermite(n, x):
+    """Probabilists' Hermite polynomial He_n at x (scalar or array),
+    from numpy's HermiteE series."""
+    return hermeval(x, [0] * n + [1])
+
+
+def covariance_matrix(spec, points) -> np.ndarray:
+    """The kernel σ² exp(−‖x−y‖₁ / L) of an ``ExponentialCovariance``
+    over a point set, shape (n, n)."""
+    d = np.abs(points[:, None, :] - points[None, :, :]).sum(axis=2)
+    return spec.sigma**2 * np.exp(-d / spec.L)
+
+
+def kl_eigenpairs(C, weights, n_modes):
+    """Top eigenpairs of the weighted covariance operator, by one dense
+    eigensolve over all points (oracle of ``discrete_kl``).
+
+    Solves the lumped-mass Galerkin form of the covariance eigenproblem,
+    W^{1/2} C W^{1/2} z = λ z with diagonal W, then φ = W^{−1/2} z, so
+    the φ are orthonormal in the W-inner product.  Returns (λ
+    descending, φ rows, retained energy fraction Σ_retained λ / Σ_all
+    λ).
+    """
+    w = np.asarray(weights, dtype=float)
+    if np.any(w <= 0):
+        raise ValueError("lumped mass weights must be positive")
+    ws = np.sqrt(w)
+    vals, vecs = np.linalg.eigh(C * np.outer(ws, ws))
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    if n_modes > len(vals):
+        raise ValueError("more modes requested than discrete eigenvalues")
+    floor = 1e-12 * max(vals[0], 0.0)
+    if vals[0] <= 0 or np.any(vals[:n_modes] <= floor):
+        raise ValueError(f"only {int(np.sum(vals > floor))} eigenvalues are "
+                         f"positive to tolerance, {n_modes} modes requested")
+    lam = vals[:n_modes].copy()
+    phi = (vecs[:, :n_modes] / ws[:, None]).T
+    return lam, phi, float(lam.sum() / vals.sum())

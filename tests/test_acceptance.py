@@ -12,15 +12,16 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import build_operator, levels, probe_matrix
+from conftest import (
+    build_operator,
+    g_matrix,
+    hermite,
+    levels,
+    probe_matrix,
+)
 from test_preconditioners import dense_split_parts
 
-from sgfem.chaos import (
-    build_c_tensor,
-    g_matrix,
-    hermite_eval_1d,
-    multi_index_set,
-)
+from sgfem.chaos import build_c_tensor, multi_index_set
 from sgfem.experiments import build_problem, emit_c_pattern, solve_case
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
@@ -73,7 +74,7 @@ def test_criterion_01_tensor_quadrature_oracle():
     t0 = time.perf_counter()
     nodes, weights = np.polynomial.hermite_e.hermegauss(10)
     weights = weights / weights.sum()  # normalize to a probability measure
-    he = np.array([hermite_eval_1d(d, nodes) for d in range(5)])
+    he = np.array([hermite(d, nodes) for d in range(5)])
     T1 = np.einsum("q,aq,bq,cq->abc", weights, he, he, he)
     worst = 0.0
     checked = 0
@@ -393,7 +394,7 @@ def test_criterion_12_lognormal_expansion_decay():
             for pos, idx in enumerate(basis.indices):
                 he = 1.0
                 for d, p in enumerate(idx):
-                    he *= hermite_eval_1d(p, xi[d])
+                    he *= hermite(p, xi[d])
                 approx += coeffs.values[pos] * he
             worst = max(worst, float(np.max(np.abs(approx - exact)
                                             / np.abs(exact))))

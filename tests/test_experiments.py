@@ -1,10 +1,14 @@
 """Experiment driver: configs, sweep tables, counts, export, CLI."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+import scipy.io
 from conftest import traced_memory
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sgfem.experiments as experiments
 import sgfem.linalg as linalg
@@ -27,7 +31,6 @@ from sgfem.experiments import (
 )
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
-from sgfem.linalg import read_matrix_market
 
 # a path that cannot be a directory: its parent is this file
 UNDER_A_FILE = os.path.join(__file__, "out")
@@ -35,6 +38,11 @@ UNDER_A_FILE = os.path.join(__file__, "out")
 # small-but-real sweep setup used throughout; keeps each solve under a second
 TINY = dict(N=2, P=2, n=4, cov_list=(25.0, 50.0), lt_list=(0, 1),
             tau_list=(1.0, 0.0), mesh_list=(3, 4), maxit=200)
+
+
+def column(report, name) -> list:
+    """The cells of one column of a report, row by row."""
+    return [row[name] for row in report.rows]
 
 
 class TestConfig:
@@ -185,7 +193,7 @@ class TestNorms:
         assert norms.columns == ("i", "norm")
         # one row per coefficient matrix, mean norm dominates
         assert len(norms.rows) == len(build_c_tensor(2, 2, 4).iset)
-        vals = norms.column("norm")
+        vals = column(norms, "norm")
         assert vals[0] == max(vals) > 0
         # weighted matrix is symmetric: every (j,k) row has a (k,j) twin
         entries = {(r["j"], r["k"]): r["log10_weight"]
@@ -225,6 +233,11 @@ class TestBuildProblemArguments:
     def test_negative_degree(self):
         with pytest.raises(ValueError, match="degree P must"):
             build_problem(2, -1, 4, 50.0)
+
+    def test_nan_correlation_length(self):
+        # refused by name, not by the KL eigensolve's symmetry check
+        with pytest.raises(ValueError, match="correlation length L"):
+            build_problem(2, 2, 4, 100.0, L=float("nan"))
 
     def test_oversized_problem_refused_before_any_work(self, monkeypatch):
         """The coefficient values (28 fields × 16 elements × 4 points)
@@ -288,24 +301,24 @@ class TestTables:
         config = ExperimentConfig(**{**TINY, "preconds": ("mb", "gs")})
         rep = run_table(config, "logN")
         assert rep.columns[:2] == ("N", "ndof")
-        assert rep.column("N") == [1, 2]
+        assert column(rep, "N") == [1, 2]
         # block count times spatial dofs
         n_dof = (config.n + 1) ** 2
         m1 = [len(build_c_tensor(N, 2, 4).jkset) for N in (1, 2)]
-        assert rep.column("ndof") == [m * n_dof for m in m1]
-        assert all(it > 0 for it in rep.column("GS_it"))
+        assert column(rep, "ndof") == [m * n_dof for m in m1]
+        assert all(it > 0 for it in column(rep, "GS_it"))
         assert rep.rows[0]["nonconverged"] == ""
 
     def test_logcov_row_per_cov(self):
         config = ExperimentConfig(**{**TINY, "preconds": ("hs",)})
         rep = run_table(config, "logCoV")
-        assert rep.column("cov") == [25.0, 50.0]
-        assert all(k >= 1.0 for k in rep.column("hS_kappa"))
+        assert column(rep, "cov") == [25.0, 50.0]
+        assert all(k >= 1.0 for k in column(rep, "hS_kappa"))
 
     def test_logh_labels(self):
         config = ExperimentConfig(**{**TINY, "preconds": ("gs",)})
         rep = run_table(config, "logh")
-        assert rep.column("h") == ["1/3", "1/4"]
+        assert column(rep, "h") == ["1/3", "1/4"]
 
     def test_trunc_std_counts_match_pattern(self):
         config = ExperimentConfig(**{**TINY, "preconds": ("gs", "ahgs")})
@@ -390,29 +403,49 @@ class TestReportFormats:
 
 class TestExport:
 
-    def test_round_trip(self, tmp_path):
-        config = ExperimentConfig(**TINY)
-        dest = tmp_path / "case"
-        manifest = export_case(config, dest, cov=50.0, cap=10000)
-        op, b = build_problem(2, 2, 4, 50.0)
-        # every coefficient matrix round-trips exactly, with the stored
-        # entries of op.k_mats[i]: the slots nonzero in some K_i, 65 of
-        # the mesh pattern's 169, so explicit zeros only where another
-        # K_i is nonzero (the boundary diagonal of K_i, i > 0)
-        assert op.k_mats[0].nnz == 65
-        for i, K in enumerate(op.k_mats):
-            back = read_matrix_market(manifest[f"k_{i:04d}"])
+    @settings(max_examples=12, deadline=None)
+    @given(N=st.integers(1, 2), P=st.integers(0, 2), n=st.integers(1, 4),
+           cov=st.floats(1.0, 150.0))
+    def test_round_trip(self, N, P, n, cov):
+        """scipy's Matrix Market reader gets every exported matrix back
+        bit for bit: each K_i with its stored entries, explicit zeros
+        included (the slots nonzero in some K_i), the load and the dense
+        global matrix."""
+        config = ExperimentConfig(N=N, P=P, n=n)
+        op, b = build_problem(N, P, n, cov)
+        with tempfile.TemporaryDirectory() as dest:
+            manifest = export_case(config, dest, cov=cov, cap=op.n_global)
+            backs = [scipy.io.mmread(manifest[f"k_{i:04d}"]).tocsr()
+                     for i in range(len(op.k_mats))]
+            load = scipy.io.mmread(manifest["load"]).toarray().ravel()
+            A = scipy.io.mmread(manifest["global"]).toarray()
+        for i, (back, K) in enumerate(zip(backs, op.k_mats)):
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(back, name),
                                       getattr(K, name)), (i, name)
-        load = read_matrix_market(manifest["load"]).toarray().ravel()
-        np.testing.assert_array_equal(load, b)
+        assert np.array_equal(load, b)
+        assert np.array_equal(A, op.assemble_global_dense(op.n_global))
         # the exported dense global matrix acts like the operator
-        A = read_matrix_market(manifest["global"]).toarray()
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal(op.n_global)
+        v = np.random.default_rng(11).standard_normal(op.n_global)
         np.testing.assert_allclose(A @ v, op.matvec(v), rtol=1e-12,
                                    atol=1e-14)
+
+    def test_oversized_global_refused_before_any_file(self, tmp_path,
+                                                      monkeypatch):
+        """The dense global matrix of N = P = 2, n = 4, 150² doubles, is
+        checked against physical memory before the destination is made;
+        the problem's own 15,480 bytes fit."""
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 100000)
+        dest = tmp_path / "case"
+        with pytest.raises(MemoryError) as exc:
+            export_case(ExperimentConfig(**TINY), dest, cap=150)
+        assert str(exc.value).startswith(
+            "the dense global matrix of 150 rows needs 180000 bytes")
+        assert "a cap below 150 skips it" in str(exc.value)
+        assert not dest.exists()
+        # a cap that skips the dense matrix exports the rest
+        manifest = export_case(ExperimentConfig(**TINY), dest, cap=149)
+        assert manifest["global"].startswith("refused")
 
     def test_cap_refusal_names_required_cap(self, tmp_path):
         config = ExperimentConfig(**TINY)
@@ -632,6 +665,20 @@ class TestCli:
             f"sg {command[0]}: error: band factor of ")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_export_oversized_global_is_one_error_line(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 100000)
+        dest = tmp_path / "case"
+        rc = main(["export", "--N", "2", "--P", "2", "--n", "4",
+                   "--dest", str(dest), "--cap", "100000"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "sg export: error: the dense global matrix of 150 rows")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not dest.exists()
 
     def test_solve_not_converged_has_its_own_status(self, capsys):
         rc = main(["solve", "--precond", "gs", "--N", "1", "--P", "1",

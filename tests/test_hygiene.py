@@ -1,9 +1,10 @@
 """Repository hygiene: no unused imports, no third-party import that
 ``pyproject.toml`` does not declare, no private definition that the
-package never uses, no private attribute that it writes and never reads,
-no bench tracing hook aimed at a missing target, and a package surface
-that the README documents and that suffices to rebuild ``build_problem``
-by hand."""
+package never uses, no public function or method that only the tests
+reach, no private attribute that it writes and never reads, no bench
+tracing hook aimed at a missing target, and a package surface that the
+README documents and that suffices to rebuild ``build_problem`` by
+hand."""
 
 import ast
 import importlib
@@ -122,22 +123,21 @@ def test_third_party_imports_are_declared():
                               first_party) == []
 
 
-def unreferenced_private_definitions(sources: dict) -> list:
-    """Private functions and classes at module level, and private
-    methods of module-level classes, that no module of ``sources``
-    (module name -> source text) refers to, by name, by attribute or in
-    an import."""
+def definitions_and_uses(sources: dict) -> tuple:
+    """The functions and classes at module level, and the methods of
+    module-level classes, of ``sources`` (module name -> source text),
+    as (qualified name, is a class) pairs, and the names that some
+    module refers to, by name, by attribute or in an import."""
     defined, used = [], set()
     for module, source in sources.items():
         tree = ast.parse(source)
         scopes = [(module, node) for node in tree.body]
         scopes += [(f"{module}.{cls.name}", node) for cls in tree.body
                    if isinstance(cls, ast.ClassDef) for node in cls.body]
-        defined += [f"{scope}.{node.name}" for scope, node in scopes
+        defined += [(f"{scope}.{node.name}", isinstance(node, ast.ClassDef))
+                    for scope, node in scopes
                     if isinstance(node, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_")
-                    and not node.name.startswith("__")]
+                                         ast.AsyncFunctionDef, ast.ClassDef))]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
@@ -145,8 +145,18 @@ def unreferenced_private_definitions(sources: dict) -> list:
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return sorted(name for name in defined
-                  if name.rsplit(".", 1)[1] not in used)
+    return defined, used
+
+
+def unreferenced_private_definitions(sources: dict) -> list:
+    """Private functions and classes at module level, and private
+    methods of module-level classes, that no module of ``sources``
+    refers to (:func:`definitions_and_uses`)."""
+    defined, used = definitions_and_uses(sources)
+    names = [(name, name.rsplit(".", 1)[1]) for name, _ in defined]
+    return sorted(name for name, short in names
+                  if short.startswith("_") and not short.startswith("__")
+                  and short not in used)
 
 
 def test_unreferenced_private_check_finds_one():
@@ -163,6 +173,48 @@ def test_unreferenced_private_check_finds_one():
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_definitions(package_sources()) == []
+
+
+def uncalled_public_functions(sources: dict, exported) -> list:
+    """Public functions at module level, and public methods of
+    module-level classes, of ``sources`` that neither appear in
+    ``exported`` nor are referred to by any module
+    (:func:`definitions_and_uses`).  A name only imported is caught by
+    the unused import check."""
+    defined, used = definitions_and_uses(sources)
+    names = [(name, name.rsplit(".", 1)[1]) for name, is_class in defined
+             if not is_class]
+    return sorted(name for name, short in names
+                  if not short.startswith("_")
+                  and short not in used | set(exported))
+
+
+# public definitions that only the tests call, each kept for its reason
+TEST_ONLY_PUBLIC = {
+    "krylov.pcg": "plain preconditioned CG, the oracle that flexible CG "
+                  "must agree with on a fixed preconditioner",
+    "fem.assemble_stiffness": "the Neumann matrix of one field, the "
+                              "reference the Dirichlet family is "
+                              "compared with",
+}
+
+
+def test_uncalled_public_check_finds_one():
+    assert uncalled_public_functions(
+        {"a": "def f(): pass\ndef g(): pass\ndef _h(): pass\n"
+              "class C:\n    def m(self): pass\n"
+              "    def n(self): pass\n    def __len__(self): return 0\n",
+         "b": "from a import g\nimport a\ng()\na.C().n()\n"},
+        ["C"]) == ["a.C.m", "a.f"]
+    assert uncalled_public_functions({"a": "def f(): pass\n"}, ["f"]) == []
+
+
+def test_every_public_function_is_called_or_exported():
+    """The package's public functions and methods are reached from the
+    package itself or are its exports; an oracle that only the tests
+    call lives in the tests, apart from the reasoned exceptions."""
+    assert uncalled_public_functions(package_sources(), sg.__all__) == \
+        sorted(TEST_ONLY_PUBLIC)
 
 
 def write_only_private_attributes(sources: dict) -> list:

@@ -11,6 +11,7 @@ from conftest import (
     band_fill,
     binomial_levels,
     build_operator,
+    g_matrix,
     held_factors,
     levels,
     probe_matrix,
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
 import sgfem.preconditioners as preconditioners
-from sgfem.chaos import g_matrix
 from sgfem.galerkin import _Plan, full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
 from sgfem.preconditioners import KINDS, make_preconditioner

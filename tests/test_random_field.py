@@ -7,13 +7,18 @@ import math
 
 import numpy as np
 import pytest
-from conftest import traced_memory
+from conftest import (
+    covariance_matrix,
+    hermite,
+    kl_eigenpairs,
+    traced_memory,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 from scipy.optimize import brentq
 
-from sgfem.chaos import hermite_eval_1d, multi_index_set
+from sgfem.chaos import multi_index_set
 from sgfem.fem import assemble_load, build_mesh
 from sgfem.random_field import (
     ExponentialCovariance,
@@ -21,7 +26,6 @@ from sgfem.random_field import (
     discrete_kl,
     field_parameters,
     gpc_coefficients,
-    kl_eigenpairs,
 )
 
 
@@ -66,26 +70,33 @@ class TestFieldParameters:
             field_parameters(1.0, bad, mode)
 
 
+def covariance(spec, x, y) -> float:
+    """The kernel of the dense oracle between two points."""
+    return covariance_matrix(spec, np.array([x, y], dtype=float))[0, 1]
+
+
 class TestCovariance:
     def test_variance_on_diagonal(self):
         spec = ExponentialCovariance(0.7, 0.5)
-        assert spec([0.3, 0.4], [0.3, 0.4]) == pytest.approx(0.49)
+        assert covariance(spec, [0.3, 0.4], [0.3, 0.4]) == \
+            pytest.approx(0.49)
 
     def test_one_correlation_length(self):
         spec = ExponentialCovariance(1.0, 0.5)
-        assert spec([0.0, 0.0], [0.25, 0.25]) == \
+        assert covariance(spec, [0.0, 0.0], [0.25, 0.25]) == \
             pytest.approx(math.exp(-1))
 
     def test_separability(self):
         spec = ExponentialCovariance(1.3, 0.4)
         x, y = [0.1, 0.8], [0.5, 0.3]
-        c1 = spec([x[0], 0.0], [y[0], 0.0])
-        c2 = spec([0.0, x[1]], [0.0, y[1]])
-        assert spec(x, y) == pytest.approx(c1 * c2 / spec.sigma**2)
+        c1 = covariance(spec, [x[0], 0.0], [y[0], 0.0])
+        c2 = covariance(spec, [0.0, x[1]], [0.0, y[1]])
+        assert covariance(spec, x, y) == \
+            pytest.approx(c1 * c2 / spec.sigma**2)
 
     def test_matrix_symmetric(self):
         pts = np.random.default_rng(3).random((7, 2))
-        C = ExponentialCovariance(1.0, 0.5).matrix(pts)
+        C = covariance_matrix(ExponentialCovariance(1.0, 0.5), pts)
         np.testing.assert_allclose(C, C.T, atol=1e-15)
         np.testing.assert_allclose(np.diag(C), 1.0)
 
@@ -93,8 +104,19 @@ class TestCovariance:
         with pytest.raises(ValueError):
             ExponentialCovariance(1.0, 0.0)
 
+    @pytest.mark.parametrize("sigma, L, name", [
+        (math.nan, 0.5, "sigma"), (math.inf, 0.5, "sigma"),
+        (1.0, math.nan, "correlation length L"),
+        (1.0, math.inf, "correlation length L")])
+    def test_rejects_non_finite_parameters_naming_them(self, sigma, L, name):
+        # NaN passes a plain comparison such as L <= 0
+        with pytest.raises(ValueError, match=f"{name} must be .*finite"):
+            ExponentialCovariance(sigma, L)
+
 
 class TestKlEigenpairs:
+    """The dense KL oracle against hand and direct eigensolves."""
+
     def test_two_point_hand_oracle(self):
         # equal weights 1/2: B = C/2, eigenvalues (σ²/2)(1 ± ρ)
         sigma, L = 1.2, 0.5
@@ -107,7 +129,7 @@ class TestKlEigenpairs:
     def test_unequal_weights_match_direct_eigensolve(self):
         rng = np.random.default_rng(5)
         pts = rng.random((6, 2))
-        C = ExponentialCovariance(1.0, 0.7).matrix(pts)
+        C = covariance_matrix(ExponentialCovariance(1.0, 0.7), pts)
         w = rng.random(6) + 0.5
         lam, _, _ = kl_eigenpairs(C, w, 3)
         ws = np.sqrt(w)
@@ -266,7 +288,7 @@ class TestSeparableKl:
         # a few extra oracle pairs so a cluster cut by the truncation is
         # still spanned in full
         m = min(mesh.n_nodes, N + 4)
-        C = spec.matrix(mesh.nodes)
+        C = covariance_matrix(spec, mesh.nodes)
         lam, phi, _ = kl_eigenpairs(C, W, m)
         np.testing.assert_allclose(kl.lambdas, lam[:N], rtol=1e-12, atol=0)
         assert kl.energy_fraction == pytest.approx(kl_eigenpairs(C, W, N)[2],
@@ -360,7 +382,7 @@ class TestGpcCoefficients:
         W2 = np.outer(w, w)
         expg = np.exp(kl.g0 + g[0] * X1 + g[1] * X2)
         for pos, idx in enumerate(basis.indices):
-            psi = hermite_eval_1d(idx[0], X1) * hermite_eval_1d(idx[1], X2)
+            psi = hermite(idx[0], X1) * hermite(idx[1], X2)
             norm = math.factorial(idx[0]) * math.factorial(idx[1])
             oracle = float((W2 * expg * psi).sum()) / norm
             assert abs(fields.values[pos][e, q] - oracle) < 1e-10, idx
@@ -410,7 +432,7 @@ class TestExpansionConvergence:
             errs = []
             for xi in xis:
                 psi = np.array([
-                    hermite_eval_1d(i[0], xi[0]) * hermite_eval_1d(i[1], xi[1])
+                    hermite(i[0], xi[0]) * hermite(i[1], xi[1])
                     for i in basis.indices])
                 approx = np.tensordot(psi, fields.values, axes=1)
                 exact = np.exp(kl.g0 + xi[0] * G[0] + xi[1] * G[1])
