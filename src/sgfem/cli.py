@@ -7,8 +7,9 @@ solve).  Results go to stdout or, with --out, to CSV files; an --out or
 --dest that cannot be written is a usage error before any work.
 
 Exit status: 0 on success, 1 when a command refuses a setup that does
-not fit in memory, 2 on a usage error (a bad argument or config), 3 when
-``solve`` does not converge within its iteration cap.
+not fit in memory, 2 on a usage error (a bad argument or config, or a
+problem the library rejects, such as more KL modes than mesh nodes), 3
+when ``solve`` does not converge within its iteration cap.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ from .experiments import (
     report_csv,
     report_markdown,
     run_table,
-    solve_case,
 )
-from .preconditioners import KINDS
+from .krylov import flexible_cg
+from .linalg import FactorizationError
+from .preconditioners import KINDS, make_preconditioner
 
 
 def _checked(convert, *rules):
@@ -234,16 +236,18 @@ def _cmd_solve(args):
     flag = "lt" if args.lt is not None else "tau"  # exclusive flags
     value = getattr(args, flag)
     trunc = None if value is None else TRUNCATIONS[flag](config, op)(value)
-    res = solve_case(op, b, args.precond, trunc, config.tol, config.maxit)
+    pre = make_preconditioner(op, args.precond, trunc)
+    _, rep = flexible_cg(op.matvec, pre.apply, b, tol=config.tol,
+                         maxit=config.maxit)
     row = {"precond": args.precond, "cov": args.cov, "n": config.n,
            "ndof": op.n_global,
            "lt": args.lt if args.lt is not None else "",
            "tau": args.tau if args.tau is not None else "",
-           "it": res["it"], "kappa": res["kappa"],
-           "converged": res["converged"]}
+           "it": rep.iterations, "kappa": rep.kappa,
+           "converged": rep.converged}
     report = Report("solve", tuple(row), (row,))
     _emit(report, args.out)
-    return 0 if res["converged"] else 3
+    return 0 if rep.converged else 3
 
 
 _COMMANDS = {"tables": _cmd_tables, "cpattern": _cmd_cpattern,
@@ -258,6 +262,11 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a setup refused before it allocates
         print(f"sg {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    except FactorizationError:  # a failed factor is not the caller's
+        raise
+    except ValueError as exc:  # a problem argument the library rejects
+        print(f"sg {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

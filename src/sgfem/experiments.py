@@ -236,20 +236,6 @@ def stiffness_norms(op: GalerkinOperator, which="frob") -> np.ndarray:
     return np.array([matrix_norm(K, which) for K in op.k_mats])
 
 
-def solve_case(op, b, kind, trunc=None, tol=1e-8, maxit=1000):
-    """One preconditioned flexible-CG solve.  Returns a cell dict with
-    the iteration count, the Lanczos condition estimate from the same
-    run, and the convergence flag."""
-    return _solve(op, b, make_preconditioner(op, kind, trunc), tol, maxit)
-
-
-def _solve(op, b, pre, tol, maxit):
-    """solve_case's cell for a preconditioner already made."""
-    _, rep = flexible_cg(op.matvec, pre.apply, b, tol=tol, maxit=maxit)
-    return {"it": rep.iterations, "kappa": rep.kappa,
-            "converged": rep.converged}
-
-
 def count_pattern(tensor, indices):
     """(nnz of the union (j,k) pattern, total retained tensor entries)
     over the retained coefficient indices."""
@@ -283,11 +269,12 @@ def _solve_row(op, b, kinds, config, trunc=None):
     cells = {}
     failed = []
     for kind in kinds:
-        res = _solve(op, b, pres.pop(0), config.tol, config.maxit)
+        _, rep = flexible_cg(op.matvec, pres.pop(0).apply, b,
+                             tol=config.tol, maxit=config.maxit)
         label = LABELS[kind]
-        cells[f"{label}_it"] = res["it"]
-        cells[f"{label}_kappa"] = res["kappa"]
-        if not res["converged"]:
+        cells[f"{label}_it"] = rep.iterations
+        cells[f"{label}_kappa"] = rep.kappa
+        if not rep.converged:
             failed.append(label)
     cells["nonconverged"] = ";".join(failed)
     return cells

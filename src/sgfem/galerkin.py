@@ -49,6 +49,7 @@ from sgfem.chaos import CijkTensor
 from sgfem.linalg import (
     Factorization,
     check_band_fits,
+    check_fits,
     csr_on,
     factorize_band,
 )
@@ -101,11 +102,15 @@ def standard_truncation(N: int, lt: int) -> TruncationSet:
     """Degree-based truncation: all indices of total degree ≤ ℓ_t.
 
     In the graded ordering these are exactly the first (N+ℓ_t choose ℓ_t)
-    indices.
+    indices.  Raises :class:`MemoryError` when their int64s exceed
+    physical memory.
     """
     if lt < 0:
         raise ValueError("truncation degree must be non-negative")
     count = math.comb(N + lt, lt)
+    check_fits(8 * count, lambda: (
+        f"the standard truncation of degree lt = {lt} at N = {N}, its "
+        f"{count} indices, needs"))
     return TruncationSet(np.arange(count, dtype=np.int64), f"standard:lt={lt}")
 
 
@@ -113,13 +118,17 @@ def adaptive_truncation(tau: float, k_norms: np.ndarray,
                         tensor: CijkTensor) -> TruncationSet:
     """Norm-based truncation: keep i when max_jk(c_ijk)·‖K_i‖ ≥ τ.
 
-    Index 0 is kept unconditionally.
+    Index 0 is kept unconditionally.  A NaN or negative norm is refused.
     """
     if not tau >= 0:  # NaN too
         raise ValueError(f"threshold must be non-negative, got {tau!r}")
     k_norms = np.asarray(k_norms, dtype=float)
     if len(k_norms) != len(tensor.iset):
         raise ValueError("one norm per coefficient matrix required")
+    bad = np.flatnonzero(~(k_norms >= 0))  # NaN too
+    if len(bad):
+        raise ValueError(f"k_norms must be non-negative, got "
+                         f"{float(k_norms[bad[0]])!r} at index {bad[0]}")
     cmax = np.zeros(len(tensor.iset))
     np.maximum.at(cmax, tensor.i, tensor.val)
     keep = np.flatnonzero(cmax * k_norms >= tau)

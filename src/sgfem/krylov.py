@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from sgfem.linalg import sym_eig
-
 _REFRESH = 50  # explicit residual recomputation period
 
 
@@ -58,24 +56,21 @@ def lanczos_condition_estimate(alphas, betas) -> float:
     coefficients.
 
     T[k,k] = 1/α_k + β_{k−1}/α_{k−1} (first term only for k=0) and
-    T[k,k+1] = sqrt(β_k)/α_k.  Fewer than 2 iterations give κ = 1.
+    T[k,k+1] = sqrt(max(β_k, 0))/α_k.  Fewer than 2 iterations give
+    κ = 1, and a smallest eigenvalue of T that is not positive κ = inf.
     """
-    m = len(alphas)
-    if m < 2:
+    if len(alphas) < 2:
         return 1.0
-    T = np.zeros((m, m))
-    for k in range(m):
-        T[k, k] = 1.0 / alphas[k]
-        if k > 0:
-            T[k, k] += betas[k - 1] / alphas[k - 1]
-        if k < m - 1:
-            off = np.sqrt(max(betas[k], 0.0)) / alphas[k]
-            T[k, k + 1] = T[k + 1, k] = off
-    vals, _ = sym_eig(T)
-    lo = vals[-1]
-    if lo <= 0:
+    a = np.asarray(alphas, dtype=float)
+    b = np.asarray(betas[:len(a) - 1], dtype=float)
+    diag = 1.0 / a
+    diag[1:] += b / a[:-1]
+    off = np.sqrt(np.maximum(b, 0.0)) / a[:-1]
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    vals = np.linalg.eigh(T)[0]  # ascending
+    if vals[0] <= 0:
         return float("inf")
-    return float(vals[0] / lo)
+    return float(vals[-1] / vals[0])
 
 
 def _run_cg(apply_A, apply_M, b, tol, maxit, flexible):

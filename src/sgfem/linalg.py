@@ -2,43 +2,27 @@
 
 Dense matrices are C-ordered ``numpy.ndarray``s and sparse matrices are
 ``scipy.sparse.csr_matrix`` in canonical form (sorted, deduplicated column
-indices per row).  The heavy lifting (factorizations, eigensolves) is
-delegated to LAPACK through numpy/scipy; this module pins down the
-conventions the solver relies on: deterministic results for identical
-inputs, descending eigenvalue order with a fixed eigenvector sign,
-residual guarantees on the factorization round trip, and Matrix Market
-output that a reader gets back bit for bit.
+indices per row).  The factorizations are delegated to LAPACK through
+numpy/scipy; this module pins down the conventions the solver relies on:
+deterministic results for identical inputs, residual guarantees on the
+factorization round trip, the memory checks made before a large
+allocation, and Matrix Market output that a reader gets back bit for bit.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
-Matrix = Union[np.ndarray, sp.csr_matrix]
-
-
-class NotSymmetricError(ValueError):
-    """Raised when an operation requires a symmetric matrix."""
-
 
 class FactorizationError(ValueError):
     """Raised on a non-positive Cholesky pivot or a pivot singular to
     tolerance."""
-
-
-def as_csr(A) -> sp.csr_matrix:
-    """Return ``A`` as a canonical CSR matrix (sorted indices, no duplicates)."""
-    B = sp.csr_matrix(A)
-    B.sum_duplicates()
-    B.sort_indices()
-    return B
 
 
 def csr_on(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
@@ -134,11 +118,6 @@ class Factorization:
         return dpbtrs(self._state[0], b, lower=1)[0]
 
 
-def _is_symmetric(A: np.ndarray, tol: float = 1e-12) -> bool:
-    scale = max(np.abs(A).max(), 1.0)
-    return np.abs(A - A.T).max() <= tol * scale
-
-
 def factorize_band(ab: np.ndarray, rows: np.ndarray | None = None,
                    divisor: np.ndarray | None = None) -> Factorization:
     """Banded Cholesky of an SPD matrix given in LAPACK's lower band
@@ -186,40 +165,16 @@ def factorize(A: np.ndarray) -> Factorization:
     return Factorization("cholesky", A.shape[0], (c, low))
 
 
-def sym_eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full symmetric eigendecomposition with deterministic conventions.
-
-    Returns ``(values, vectors)`` with eigenvalues sorted descending and
-    eigenvectors in the corresponding columns.  Each eigenvector is scaled
-    so that its entry of largest magnitude (first such entry on ties) is
-    positive, which makes the output reproducible and comparable across
-    runs.  Raises :class:`NotSymmetricError` for inputs that are not
-    symmetric within 1e-12 relative.
-    """
-    A = np.asarray(A, dtype=float)
-    if not _is_symmetric(A):
-        raise NotSymmetricError("matrix is not symmetric within tolerance")
-    vals, vecs = np.linalg.eigh(A)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        pivot = np.argmax(np.abs(col))
-        if col[pivot] < 0:
-            vecs[:, j] = -col
-    return vals, vecs
-
-
-def write_matrix_market(path, A: Matrix) -> None:
+def write_matrix_market(path, A) -> None:
     """Write a matrix in Matrix Market coordinate real general format.
 
     Values are printed with 17 significant decimal digits, which
     round-trips IEEE binary64 exactly, so a reader gets the stored values
-    back bit for bit.  Dense inputs are written through their sparse
-    pattern (explicitly stored zeros of a CSR input are kept).
+    back bit for bit.  A sparse input is written in its stored order, its
+    explicitly stored zeros kept; a dense input writes its nonzeros in
+    row-major order.
     """
-    coo = as_csr(A).tocoo()
+    coo = sp.coo_matrix(A)
     with open(path, "w") as fh:
         fh.write("%%MatrixMarket matrix coordinate real general\n")
         fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")

@@ -25,7 +25,6 @@ import numpy as np
 
 from sgfem.chaos import MultiIndexSet
 from sgfem.fem import Mesh
-from sgfem.linalg import sym_eig
 
 
 def field_parameters(mu_log: float, cov: float, mode: str = "moment"
@@ -117,7 +116,8 @@ def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
     w1[[0, -1]] = 0.5 * mesh.h
     s1 = np.sqrt(w1)
     C1 = np.exp(-np.abs(x[:, None] - x[None, :]) / spec.L)
-    mu, vecs = sym_eig(C1 * np.outer(s1, s1))
+    mu, vecs = np.linalg.eigh(C1 * np.outer(s1, s1))
+    mu, vecs = mu[::-1], vecs[:, ::-1]  # descending
     vecs *= np.where(vecs[0] < 0, -1.0, 1.0)
     phi1 = vecs / s1[:, None]  # columns orthonormal in the W1 inner product
 

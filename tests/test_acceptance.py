@@ -22,7 +22,7 @@ from conftest import (
 from test_preconditioners import dense_split_parts
 
 from sgfem.chaos import build_c_tensor, multi_index_set
-from sgfem.experiments import build_problem, emit_c_pattern, solve_case
+from sgfem.experiments import build_problem, emit_c_pattern
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg, pcg
@@ -63,9 +63,10 @@ def desk_iterations(kinds, n=10, cov=100.0):
     op, b = desk_problem(n, cov)
     out = {}
     for kind in kinds:
-        res = solve_case(op, b, kind, None, 1e-8, 1000)
-        assert res["converged"], f"{kind} did not converge at n={n}"
-        out[kind] = res["it"]
+        pre = make_preconditioner(op, kind)
+        _, rep = flexible_cg(op.matvec, pre.apply, b, tol=1e-8, maxit=1000)
+        assert rep.converged, f"{kind} did not converge at n={n}"
+        out[kind] = rep.iterations
     return out
 
 

@@ -27,10 +27,11 @@ from sgfem.experiments import (
     report_csv,
     report_markdown,
     run_table,
-    solve_case,
 )
 from sgfem.fem import build_mesh
 from sgfem.galerkin import full_truncation, standard_truncation
+from sgfem.krylov import flexible_cg
+from sgfem.preconditioners import make_preconditioner
 
 # a path that cannot be a directory: its parent is this file
 UNDER_A_FILE = os.path.join(__file__, "out")
@@ -208,19 +209,25 @@ def _small_op():
 
 
 class TestSolveCase:
+    """One preconditioned solve as a table cell and ``sg solve`` make it:
+    ``make_preconditioner``, then ``flexible_cg``."""
+
+    @staticmethod
+    def solve(kind, tol, maxit):
+        op, b, _, _ = _small_op()
+        pre = make_preconditioner(op, kind)
+        return flexible_cg(op.matvec, pre.apply, b, tol=tol, maxit=maxit)[1]
 
     def test_reports_iterations_and_kappa(self):
-        op, b, _, _ = _small_op()
-        res = solve_case(op, b, "mb", None, 1e-8, 200)
-        assert res["converged"]
-        assert res["it"] > 0
-        assert res["kappa"] >= 1.0
+        rep = self.solve("mb", 1e-8, 200)
+        assert rep.converged
+        assert rep.iterations > 0
+        assert rep.kappa >= 1.0
 
     def test_nonconvergence_is_reported_not_raised(self):
-        op, b, _, _ = _small_op()
-        res = solve_case(op, b, "mb", None, 1e-14, 2)
-        assert not res["converged"]
-        assert res["it"] == 2
+        rep = self.solve("mb", 1e-14, 2)
+        assert not rep.converged
+        assert rep.iterations == 2
 
 
 class TestBuildProblemArguments:
@@ -678,6 +685,29 @@ class TestCli:
             "sg export: error: the dense global matrix of 150 rows")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err and captured.out == ""
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--precond", "mb", "--N", "10", "--P", "1", "--n", "2"],
+        ["tables", "logN", "--N", "10", "--P", "1", "--n", "2"],
+        ["export", "--N", "12", "--P", "1", "--n", "2"],
+    ], ids=["solve", "tables", "export"])
+    def test_problem_the_library_rejects_is_a_usage_error(
+            self, tmp_path, capsys, argv):
+        """More KL modes than the mesh's 9 nodes pass the config checks
+        and reach build_problem, which rejects them: one error line and
+        exit status 2, no rows and no files.  logN first solves the rows
+        N = 1 to 9."""
+        dest = tmp_path / "case"
+        if argv[0] == "export":
+            argv = argv + ["--dest", str(dest)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"sg {argv[0]}: error: n_modes = {argv[argv.index('--N') + 1]} "
+            f"KL modes requested; the mesh has 9 nodes, so 1 to 9 are "
+            f"possible\n")
+        assert captured.out == ""
         assert not dest.exists()
 
     def test_solve_not_converged_has_its_own_status(self, capsys):

@@ -36,7 +36,7 @@ from sgfem.galerkin import (
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import Factorization, as_csr, csr_on, factorize
+from sgfem.linalg import Factorization, csr_on, factorize
 from sgfem.random_field import (
     ExponentialCovariance,
     discrete_kl,
@@ -94,6 +94,30 @@ class TestTruncationSets:
         t = build_c_tensor(2, 2, 4)
         with pytest.raises(ValueError, match="threshold"):
             adaptive_truncation(tau, np.ones(len(t.iset)), t)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0])
+    def test_adaptive_rejects_nan_or_negative_norm(self, bad):
+        """A NaN norm fails every comparison with τ, so it would drop its
+        index without a word; it is refused by name, as is a negative
+        one."""
+        t = build_c_tensor(2, 2, 4)
+        norms = np.ones(len(t.iset))
+        norms[3] = bad
+        with pytest.raises(ValueError,
+                           match=rf"k_norms .* {bad!r} at index 3"):
+            adaptive_truncation(0.0, norms, t)
+
+    def test_standard_truncation_past_memory_refused(self, monkeypatch):
+        """An index set whose int64s exceed physical memory is refused by
+        ``check_fits``, naming the degree, before numpy is asked for it;
+        one that fits exactly is built."""
+        with pytest.raises(MemoryError,
+                           match=r"degree lt = 1000000 at N = 4"):
+            standard_truncation(4, 10**6)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 8 * 15)
+        assert len(standard_truncation(4, 2)) == 15
+        with pytest.raises(MemoryError, match="its 35 indices, needs 280"):
+            standard_truncation(4, 3)
 
     def test_adaptive_threshold_mechanism(self):
         t = build_c_tensor(2, 1, 2)
@@ -837,7 +861,7 @@ def neumann_operator(N, P, n, cov):
     tensor = cached_tensor(N, P)
     fields = gpc_coefficients(kl, tensor.iset, mesh)
     mats = [assemble_stiffness(mesh, values) for values in fields.values]
-    mats[0] = as_csr(mats[0] + sp.identity(mesh.n_nodes))
+    mats[0] = sp.csr_matrix(mats[0] + sp.identity(mesh.n_nodes))
     return GalerkinOperator(tensor, mats)
 
 

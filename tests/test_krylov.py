@@ -3,6 +3,8 @@ Lanczos condition estimates against dense eigensolves."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgfem.krylov import (
     flexible_cg,
@@ -220,10 +222,65 @@ class TestMonotonicity:
         assert rho[-1] < 1e-12 * rho[0]
 
 
+def looped_tridiagonal(alphas, betas):
+    """The Lanczos tridiagonal of CG coefficients, entry by entry:
+    T[k,k] = 1/α_k + β_{k−1}/α_{k−1} and T[k,k+1] = sqrt(max(β_k, 0))/α_k
+    (oracle of the estimate's array expressions)."""
+    m = len(alphas)
+    T = np.zeros((m, m))
+    for k in range(m):
+        T[k, k] = 1.0 / alphas[k]
+        if k > 0:
+            T[k, k] += betas[k - 1] / alphas[k - 1]
+        if k < m - 1:
+            off = np.sqrt(max(betas[k], 0.0)) / alphas[k]
+            T[k, k + 1] = T[k + 1, k] = off
+    return T
+
+
+@st.composite
+def cg_coefficients(draw):
+    """α > 0 and β, some of them ≤ 0, for m in [2, 60] iterations; β has
+    m − 1 entries, or m when the last iteration also made one."""
+    m = draw(st.integers(2, 60))
+    alphas = draw(st.lists(st.floats(0.1, 10.0), min_size=m, max_size=m))
+    n_beta = m - 1 + draw(st.integers(0, 1))
+    betas = draw(st.lists(st.floats(-0.5, 2.0), min_size=n_beta,
+                          max_size=n_beta))
+    return alphas, betas
+
+
 class TestConditionEstimate:
     def test_trivial_cases(self):
         assert lanczos_condition_estimate([], []) == 1.0
         assert lanczos_condition_estimate([0.5], []) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficients=cg_coefficients())
+    def test_matches_looped_tridiagonal(self, coefficients):
+        """κ from the array-built tridiagonal against the looped one's
+        eigenvalues.  An eigenvalue is off by about ε‖T‖, which moves κ
+        by up to about ε·κ relative: the tolerance is 1e-12, widened for
+        κ past 100.  A λ_min that is zero to roundoff may come out with
+        either sign."""
+        alphas, betas = coefficients
+        vals = np.linalg.eigvalsh(looped_tridiagonal(alphas, betas))
+        lo, hi = vals[0], vals[-1]
+        kappa = lanczos_condition_estimate(alphas, betas)
+        if abs(lo) <= 1e-12 * hi:
+            assert kappa == float("inf") or kappa >= 1e11
+        elif lo < 0:
+            assert kappa == float("inf")
+        else:
+            assert kappa == pytest.approx(
+                hi / lo, rel=1e-12 * max(1.0, hi / lo / 100))
+
+    @pytest.mark.parametrize("beta", [-1.0, -2.0])
+    def test_non_positive_smallest_eigenvalue_gives_inf(self, beta):
+        """α = (1, 1): a β_0 ≤ 0 couples nothing, and T = diag(1, 1 + β_0)
+        has the smallest eigenvalue 0 or −1."""
+        assert lanczos_condition_estimate([1.0, 1.0], [beta]) == \
+            float("inf")
 
     def test_two_eigenvalue_system(self):
         A = np.diag([1.0, 10.0])

@@ -1,5 +1,4 @@
-"""Kernel-level checks: CSR conversion, factorizations, symmetric eig,
-matrix IO."""
+"""Kernel-level checks: factorizations, memory checks, matrix IO."""
 
 import numpy as np
 import pytest
@@ -12,23 +11,11 @@ from hypothesis import strategies as st
 import sgfem.linalg as linalg
 from sgfem.linalg import (
     FactorizationError,
-    NotSymmetricError,
-    as_csr,
     check_band_fits,
     factorize,
     factorize_band,
-    sym_eig,
     write_matrix_market,
 )
-
-
-class TestAsCsr:
-    def test_matches_dense_product(self):
-        rng = np.random.default_rng(7)
-        D = rng.standard_normal((5, 5))
-        D[rng.random((5, 5)) < 0.4] = 0.0
-        x = rng.standard_normal(5)
-        np.testing.assert_allclose(as_csr(D) @ x, D @ x, atol=1e-14)
 
 
 class TestFactorize:
@@ -67,7 +54,7 @@ class TestFactorize:
         rng = np.random.default_rng(9)
         B = rng.standard_normal((8, 8))
         A = B @ B.T + 8 * np.eye(8)
-        As = as_csr(A)
+        As = sp.csr_matrix(A)
         b = rng.standard_normal(8)
         with pytest.raises(ValueError, match="dense.*factorize_band"):
             factorize(As)
@@ -76,7 +63,7 @@ class TestFactorize:
         np.testing.assert_allclose(F.solve(b), np.linalg.solve(A, b), atol=1e-10)
 
     def test_sparse_singular_raises(self):
-        A = as_csr(np.diag([1.0, 0.0, 2.0]))
+        A = sp.csr_matrix(np.diag([1.0, 0.0, 2.0]))
         with pytest.raises(FactorizationError):
             band_factor(A)
 
@@ -98,7 +85,7 @@ def random_sparse_spd(n, density, seed):
     S = sp.tril(S, k=-1)
     S = S + S.T
     dom = np.asarray(abs(S).sum(axis=1)).ravel()
-    return as_csr(S + sp.diags(dom + rng.uniform(0.1, 2.0, n)))
+    return sp.csr_matrix(S + sp.diags(dom + rng.uniform(0.1, 2.0, n)))
 
 
 def band_pivots(F):
@@ -145,7 +132,7 @@ class TestBandCholesky:
         # shift one eigenvalue past zero, by a margin far above roundoff
         shift = lam[0] + 0.5 * max(lam[1] - lam[0], 1e-3 * lam[-1])
         with pytest.raises(FactorizationError):
-            band_factor(as_csr(A - shift * sp.eye(n)))
+            band_factor(sp.csr_matrix(A - shift * sp.eye(n)))
 
     def test_singular_to_tolerance_raises(self):
         # Neumann 1-D Laplacian: rows sum to zero, the last pivot is 0 in
@@ -154,12 +141,12 @@ class TestBandCholesky:
         A = sp.diags([-np.ones(n - 1), np.r_[1.0, 2 * np.ones(n - 2), 1.0],
                       -np.ones(n - 1)], [-1, 0, 1])
         with pytest.raises(FactorizationError):
-            band_factor(as_csr(A))
+            band_factor(sp.csr_matrix(A))
         with pytest.raises(FactorizationError, match="singular"):
-            band_factor(as_csr(np.diag([1.0, 1e-15, 2.0])))
+            band_factor(sp.csr_matrix(np.diag([1.0, 1e-15, 2.0])))
 
     def test_band_from_lower_triangle(self):
-        A = as_csr(sp.diags([np.full(4, -1.0), np.full(6, 4.0),
+        A = sp.csr_matrix(sp.diags([np.full(4, -1.0), np.full(6, 4.0),
                              np.full(4, -1.0)], [-2, 0, 2], shape=(6, 6)))
         F = band_factor(A)
         assert F._state[0].shape == (3, 6)  # the diagonal and two below
@@ -236,49 +223,12 @@ class TestBandCholesky:
         assert str(exc.value).endswith("; hint")
 
 
-class TestSymEig:
-    def test_diagonal(self):
-        vals, vecs = sym_eig(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(vals, [3.0, 1.0])
-        np.testing.assert_allclose(np.abs(vecs), np.eye(2), atol=1e-14)
-
-    def test_two_by_two(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        vals, vecs = sym_eig(A)
-        np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-14)
-        s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(vecs[:, 0], [s, s], atol=1e-14)
-
-    def test_reconstruction_and_orthonormality(self):
-        rng = np.random.default_rng(21)
-        B = rng.standard_normal((9, 9))
-        A = (B + B.T) / 2
-        vals, vecs = sym_eig(A)
-        np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.T, A, atol=1e-10)
-        np.testing.assert_allclose(vecs.T @ vecs, np.eye(9), atol=1e-10)
-        np.testing.assert_allclose(vals.sum(), np.trace(A), atol=1e-10)
-        assert np.all(np.diff(vals) <= 1e-12)
-
-    def test_sign_convention(self):
-        rng = np.random.default_rng(2)
-        B = rng.standard_normal((6, 6))
-        A = (B + B.T) / 2
-        _, vecs = sym_eig(A)
-        for j in range(6):
-            col = vecs[:, j]
-            assert col[np.argmax(np.abs(col))] > 0
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 class TestMatrixMarket:
     def test_round_trip_general_bit_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         D = rng.standard_normal((6, 4))
         D[rng.random((6, 4)) < 0.5] = 0.0
-        A = as_csr(D)
+        A = sp.csr_matrix(D)
         p = tmp_path / "a.mtx"
         write_matrix_market(p, A)
         B = scipy.io.mmread(p).tocsr()
@@ -288,7 +238,7 @@ class TestMatrixMarket:
         assert np.array_equal(np.sort(A.data), np.sort(B.data))
 
     def test_header_and_one_based_indices(self, tmp_path):
-        A = as_csr(np.array([[0.0, 1.5], [0.0, 0.0]]))
+        A = sp.csr_matrix(np.array([[0.0, 1.5], [0.0, 0.0]]))
         p = tmp_path / "h.mtx"
         write_matrix_market(p, A)
         lines = p.read_text().splitlines()
