@@ -33,6 +33,7 @@ from .linalg import check_fits, write_matrix_market
 from .preconditioners import KINDS, make_preconditioner
 from .random_field import (
     ExponentialCovariance,
+    check_kl_modes,
     discrete_kl,
     field_parameters,
     gpc_coefficients,
@@ -155,17 +156,18 @@ def _cached_mesh(n):
     return build_mesh(n)
 
 
-def check_problem_fits(N, P, n) -> None:
-    """Raise :class:`MemoryError` when the coefficient values, shape
-    (fields, n², 4), and the stiffness data, shape (fields, nnz), that
-    :func:`build_problem` holds at once exceed physical memory, for the
-    fields = C(N + 2P, N) chaos coefficients.  nnz counts the Dirichlet
-    pattern: the 9-point couplings of the (n − 1)² interior nodes,
-    (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.  Arguments that
-    :func:`build_problem` rejects, among them more KL modes than the
-    (n + 1)² nodes, pass; it names them."""
-    if N < 1 or P < 0 or n < 1 or N > (n + 1) ** 2:
+def check_problem(N, P, n) -> None:
+    """Refuse, before any work, what :func:`build_problem` cannot build:
+    more KL modes than the (n + 1)² mesh nodes (ValueError), or
+    coefficient values, shape (fields, n², 4), and stiffness data, shape
+    (fields, nnz), held at once past physical memory (MemoryError), for
+    the fields = C(N + 2P, N) chaos coefficients.  nnz counts the
+    Dirichlet pattern: the 9-point couplings of the (n − 1)² interior
+    nodes, (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.  Other
+    arguments that :func:`build_problem` rejects pass; it names them."""
+    if P < 0 or n < 1:
         return
+    check_kl_modes(N, (n + 1) ** 2)
     fields = math.comb(N + 2 * P, N)
     nnz = (3 * n - 5) ** 2 * (n >= 2) + 4 * n
     check_fits(8 * fields * (4 * n * n + nnz), lambda: (
@@ -178,11 +180,11 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     """Assemble the block operator and right-hand side for one setup.
 
     Returns (op, b).  The right-hand side carries the unit load in the
-    mean block; boundary rows are constrained to zero.  The bytes of its
-    two largest arrays are checked against physical memory before any
-    work (:func:`check_problem_fits`).
+    mean block; boundary rows are constrained to zero.  The KL modes and
+    the bytes of its two largest arrays are checked before any work
+    (:func:`check_problem`).
     """
-    check_problem_fits(N, P, n)
+    check_problem(N, P, n)
     mesh = _cached_mesh(n)
     g0, sg = field_parameters(mu_log, cov_pct / 100.0, sigma_mode)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
@@ -326,8 +328,12 @@ def run_table(config: ExperimentConfig, which: str) -> Report:
 
 
 def _sweep_table(config, which, column, arg, values, cell, ndof):
+    values = values(config)
+    for value in values:  # refuse any swept problem before the first solve
+        check_problem(*(value if name == arg else getattr(config, name)
+                        for name in ("N", "P", "n")))
     rows = []
-    for value in values(config):
+    for value in values:
         op, b = _problem(config, **{arg: value})
         row = {column: value if cell is None else cell(value)}
         if ndof:

@@ -13,15 +13,17 @@ form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes, and the
 operator only that of its full product.
 
-Products run on the free nodes only.  A node b is fixed when its pattern
-row holds only its diagonal, its column is in no other row and
-K_i[b,b] = 0 for every i > 0, as a Dirichlet node of the stiffness
-family is.  Its entries need no product: c_0jk = δ_jk (G_0)_jj (the
+Products and block factors run on the free nodes only.  A node b is
+fixed when its pattern row holds only its diagonal, its column is in no
+other row and K_i[b,b] = 0 for every i > 0, as a Dirichlet node of the
+stiffness family is.  Its rows are diagonal: c_0jk = δ_jk (G_0)_jj (the
 chaos basis is orthogonal, not normalised), so (A v)_(j)[b] =
-(G_0)_jj · (K_0[b,b] · v_(j)[b]) when block j is both a row and a column
-of the product, and 0 otherwise.  That is the value the products and the
-mixing would give, whose other terms on b are all ±0.0, so results are
-bit for bit those of products over every node.
+(G_0)_jj · (K_0[b,b] · v_(j)[b]).  So :meth:`tmatvec` and the factors
+take and return free-node blocks, shape (blocks, n_free), and the
+layout changes once at the edge of a call: :meth:`matvec` writes a
+fixed node by the closed form, and a preconditioner divides a fixed row
+by its :meth:`fixed_divisor`.  Results are bit for bit those of
+products over every node, whose other terms on b are all ±0.0.
 
 A block factor is one band factor of a run of consecutive blocks: of
 all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
@@ -29,12 +31,8 @@ The operator knows blocks only; which runs a preconditioner factorizes,
 and why, is the preconditioner's.  A factor is filled straight into band
 storage with the FULL coefficient sum (truncation only ever applies to
 off-diagonal products inside preconditioners) and factorized anew on
-each request; the caller owns it.  It too spans the free nodes only: by
-the same closed form, the run's matrix is diagonal on a fixed node b of
-block j, with (G_0)_jj · K_0[b,b] on the diagonal (c_0jk = 0 for
-j ≠ k), so that row is solved by one division.  ``block(j, k)`` and a
-dense assembly of the whole matrix are brute-force oracles for small
-instances.
+each request; the caller owns it.  ``block(j, k)`` and a dense assembly
+of the whole matrix are brute-force oracles for small instances.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import scipy.sparse as sp
 from sgfem.chaos import CijkTensor
 from sgfem.linalg import (
     Factorization,
+    FactorizationError,
     check_band_fits,
     check_fits,
     csr_on,
@@ -163,22 +162,13 @@ class _Chunk:
 @dataclass(frozen=True)
 class _Plan:
     """The products and mixing of one truncated product, over ``n_rows``
-    row blocks and ``n_cols`` column blocks, in bounded chunks.
-
-    ``diag_rows`` lists the positions of the row blocks j that are also
-    column blocks, ``diag_cols`` their column positions and
-    ``diag_scale`` their (G_0)_jj = c_0jj: the only terms of the product
-    on a fixed node.
-    """
+    row blocks and ``n_cols`` column blocks, in bounded chunks."""
 
     n_rows: int
     n_cols: int
     chunks: tuple
     products: int
     summations: int
-    diag_rows: np.ndarray
-    diag_cols: np.ndarray
-    diag_scale: np.ndarray
 
 
 def _stack_family(k_mats: list) -> tuple[np.ndarray, list]:
@@ -208,9 +198,9 @@ class GalerkinOperator:
     ``k_mats[i]`` is the stiffness matrix of the i-th chaos coefficient of
     the diffusion field; all must share one CSR sparsity pattern, which
     the constructor checks.  Products, blocks and factorizations run on
-    that pattern with the stacked data arrays ``_kdata``, one row per
-    matrix.  ``k_mats`` and ``_kdata`` are one storage: every
-    ``k_mats[i].data`` is the row ``_kdata[i]``, so an in-place edit of a
+    that pattern with the stacked data arrays ``kdata``, one row per
+    matrix.  ``k_mats`` and ``kdata`` are one storage: every
+    ``k_mats[i].data`` is the row ``kdata[i]``, so an in-place edit of a
     K_i is an edit of the operator.  Matrices whose data already are the
     rows of one float array, in order, as
     :func:`~sgfem.fem.assemble_stiffness_family` returns them, are
@@ -228,14 +218,12 @@ class GalerkinOperator:
     buffer, so an operator must not run two products at once (from two
     threads).
 
-    The constructor finds the fixed nodes once (module docstring):
-    products, gathers, mixing and band fills run on a free-node CSR, and
-    a fixed node's entries and solves come from the closed form.
-    K_0[b,b] is read at each call, but an in-place edit that makes
-    K_i[b,b], i > 0, of a fixed node nonzero is not seen.  An operator
-    with no fixed nodes runs the same code with every node free.
-    Vectors, ``n_dof``, blocks, plans and the rows a factor solves keep
-    every node; ``n_free`` counts the free ones.
+    The constructor finds the fixed nodes once (module docstring), the
+    ascending node indices ``fixed`` and ``free``, of which there are
+    ``n_free``; products, mixing and band fills run on a free-node CSR.
+    K_0[b,b] is read at each :meth:`matvec`, but an in-place edit that
+    makes K_i[b,b], i > 0, of a fixed node nonzero is not seen.  An
+    operator with no fixed nodes runs the same code with every node free.
 
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms added (the cost measure of the
@@ -270,7 +258,7 @@ class GalerkinOperator:
         self.Mprime = len(tensor.iset) - 1
         self.counters = {"summations": 0, "products": 0}
         # stacked data arrays enable blockwise sums as single mat-vecs
-        self._kdata = kdata
+        self.kdata = kdata
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
         self._find_fixed_nodes()
@@ -300,12 +288,12 @@ class GalerkinOperator:
                  & (np.bincount(ix, minlength=n)[single] == 1))
         single, slot = single[apart], slot[apart]
         # one strided column of the stack at a time, not a copy of them
-        zero = np.array([not self._kdata[1:, s].any() for s in slot],
+        zero = np.array([not self.kdata[1:, s].any() for s in slot],
                         dtype=bool)
-        self._fixed, self._fixed_slots = single[zero], slot[zero]
+        self.fixed, self._fixed_slots = single[zero], slot[zero]
         is_free = np.ones(n, dtype=bool)
-        is_free[self._fixed] = False
-        self._free = free = np.flatnonzero(is_free)
+        is_free[self.fixed] = False
+        self.free = free = np.flatnonzero(is_free)
         self.n_free = f = len(free)
         lo, hi = (ip[free[0]], ip[free[-1] + 1]) if f else (0, 0)
         self._free_span = slice(lo, hi)
@@ -313,7 +301,7 @@ class GalerkinOperator:
         column = np.full(n, f, dtype=ix.dtype)
         column[free] = np.arange(f)
         self._free_indices = column[ix[lo:hi]]
-        self._free_krows = [row[self._free_span] for row in self._kdata]
+        self._free_krows = [row[self._free_span] for row in self.kdata]
         row = np.repeat(np.arange(f), np.diff(self._free_indptr))
         self._band = int((row - self._free_indices).max(initial=0))
 
@@ -383,43 +371,34 @@ class GalerkinOperator:
             chunks.append(_Chunk(steps, b - a, indptr,
                                  (prod[m] - a).astype(idx_dtype),
                                  np.ascontiguousarray(vv[m], dtype=float)))
-        row_blocks = np.asarray(list(rows), dtype=np.int64)
-        diag = np.flatnonzero(pos_c[row_blocks] >= 0)
-        return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel),
-                     diag, pos_c[row_blocks[diag]],
-                     self._g0[row_blocks[diag]])
+        return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel))
 
     def _chunk_buffer(self, n_products: int) -> np.ndarray:
         """The stacked product buffer's first rows, one entry per free
         node, shared by all calls."""
         if self._buffer is None:
-            self._buffer = np.empty((self._chunk_rows(), len(self._free)))
+            self._buffer = np.empty((self._chunk_rows(), self.n_free))
             self._buffer_rows = list(self._buffer)
         return self._buffer[:n_products]
 
     def tmatvec(self, plan: _Plan, v: np.ndarray) -> np.ndarray:
-        """The truncated product of :meth:`plan` applied to ``v``.
-
-        ``v`` holds the plan's column blocks: shape (n_cols, n_dof) or
-        flat; the result follows the input layout over its row blocks.
-        Each needed product K_i v_(k) is computed once and shared, on the
-        free nodes only; a fixed node b of row block j gets the closed
-        form (G_0)_jj · (K_0[b,b] · v_(j)[b]), or 0 when j is not a
-        column block.
-        """
-        n, free, single_column = self.n_dof, self._free, plan.n_cols == 1
-        f, flat = len(free), v.ndim == 1
-        V = np.asarray(v, dtype=float).reshape(plan.n_cols, n)
-        Wf = np.zeros((plan.n_rows, f))
+        """The truncated product of :meth:`plan` applied to ``v`` on the
+        free nodes: ``v`` holds the plan's column blocks, shape
+        (n_cols, n_free) or flat, and the result its row blocks in the
+        input layout.  Each needed product K_i v_(k) is computed once and
+        shared."""
+        f, single_column = self.n_free, plan.n_cols == 1
+        V = np.asarray(v, dtype=float).reshape(plan.n_cols, f)
+        W = np.zeros((plan.n_rows, f))
         ip, ix = self._free_indptr, self._free_indices
         kd = self._free_krows
-        # the free entries of v, then the zero pad entry
+        # the entries of v, then the zero pad entry
         if single_column:
             y = np.zeros(f + 1)
-            V[0].take(free, out=y[:f])
+            y[:f] = V[0]
         else:
             Vt = np.zeros((f + 1, plan.n_cols))
-            Vt[:f] = V[:, free].T
+            Vt[:f] = V.T
         for ch in plan.chunks:
             S = self._chunk_buffer(ch.n_products)
             if single_column:
@@ -435,25 +414,38 @@ class GalerkinOperator:
                                 Vt.take(ks, axis=1).ravel(), U.ravel())
                     S[p:p + m] = U.T
             csr_matvecs(plan.n_rows, ch.n_products, f, ch.mix_indptr,
-                        ch.mix_indices, ch.mix_data, S.ravel(), Wf.ravel())
-        W = np.zeros((plan.n_rows, n))
-        W[:, free] = Wf
-        if len(plan.diag_rows):
-            fixed = self._fixed
-            k0 = self._kdata[0, self._fixed_slots]
-            W[plan.diag_rows[:, None], fixed] = plan.diag_scale[:, None] * (
-                k0 * V[plan.diag_cols[:, None], fixed])
+                        ch.mix_indices, ch.mix_data, S.ravel(), W.ravel())
         self.counters["products"] += plan.products
         self.counters["summations"] += plan.summations
-        return W.ravel() if flat else W
+        return W.ravel() if v.ndim == 1 else W
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Full product A v over all blocks with the complete tensor."""
+        """Full product A v over all blocks with the complete tensor, on
+        every node: ``v`` of shape (M+1, n_dof) or flat, the result in
+        the input layout.  A fixed node b of block j gets the closed form
+        (G_0)_jj · (K_0[b,b] · v_(j)[b])."""
         if self._full_plan is None:
             blocks = range(self.M + 1)
             self._full_plan = self.plan(blocks, blocks,
                                         full_truncation(self.tensor))
-        return self.tmatvec(self._full_plan, v)
+        V = np.asarray(v, dtype=float).reshape(self.M + 1, self.n_dof)
+        W = np.empty_like(V)
+        W[:, self.free] = self.tmatvec(self._full_plan, V[:, self.free])
+        W[:, self.fixed] = self._g0[:, None] * (
+            self.kdata[0, self._fixed_slots] * V[:, self.fixed])
+        return W.ravel() if v.ndim == 1 else W
+
+    def fixed_divisor(self, blocks: range) -> np.ndarray:
+        """(G_0)_jj · K_0[b,b] for each block j of the consecutive
+        ``blocks`` and fixed node b, shape (blocks, fixed nodes): the
+        diagonal of a fixed row.  Raises :class:`FactorizationError`
+        when one is not positive."""
+        divisor = np.outer(self._g0[blocks.start:blocks.stop],
+                           self.kdata[0, self._fixed_slots])
+        if not np.all(divisor > 0):  # NaN too
+            raise FactorizationError("non-positive divisor of a diagonal "
+                                     "row: matrix is not positive definite")
+        return divisor
 
     # -- assembled blocks -------------------------------------------------
 
@@ -463,7 +455,7 @@ class GalerkinOperator:
         sel = np.flatnonzero((t.j == j) & (t.k == k))  # ascending in i
         if len(sel) == 0:
             return None
-        data = t.val[sel] @ self._kdata[t.i[sel]]
+        data = t.val[sel] @ self.kdata[t.i[sel]]
         ref = self.k_mats[0]
         return sp.csr_matrix((data, ref.indices, ref.indptr),
                              shape=(self.n_dof, self.n_dof))
@@ -484,7 +476,7 @@ class GalerkinOperator:
         ab = np.empty((self._band + 1, len(blocks) * f), order="F")
         for p, j in enumerate(blocks):
             ab[:, p * f:(p + 1) * f] = self._fill_band(range(j, j + 1))
-        return factorize_band(ab, *self._solved_rows(blocks, False))
+        return factorize_band(ab)
 
     def assemble_level_block(self, blocks: range) -> Factorization:
         """A new factorization of the matrix of the consecutive
@@ -492,34 +484,19 @@ class GalerkinOperator:
         truncated), such as a level matrix D_ℓ, never assembled: a banded
         Cholesky of its free rows in node-interleaved order, row
         (free node)·s + block for the s blocks, so the band is
-        run_band(s) instead of about n_free·s.  The band's bytes are
-        checked before it is filled in place."""
-        s = len(blocks)
-        check_band_fits(s * self.n_free, self.run_band(s))
-        return factorize_band(self._fill_band(blocks),
-                              *self._solved_rows(blocks, True))
+        run_band(s) instead of about n_free·s; ``rows`` maps it back to
+        block-major order.  The band's bytes are checked before it is
+        filled in place."""
+        s, f = len(blocks), self.n_free
+        check_band_fits(s * f, self.run_band(s))
+        rows = (np.arange(f)[:, None] + np.arange(s) * f).ravel()
+        return factorize_band(self._fill_band(blocks), rows)
 
     def run_band(self, s: int) -> int:
         """Sub-diagonals of the node-interleaved band of a run of s
         blocks, s·b + s − 1 for the free pattern's band b; b for one
         block."""
         return s * self._band + s - 1
-
-    def _solved_rows(self, blocks: range, interleaved: bool):
-        """The row map of a run's factor (:class:`Factorization`): for
-        each band row, free node r of the run's p-th block, the system
-        row p·n_dof + free[r], with band rows in node-interleaved order
-        r·s + p or in block-major order p·n_free + r; and the divisor
-        (G_0)_jj · K_0[b,b] of each fixed node b of block j."""
-        nd, s = self.n_dof, len(blocks)
-        start = np.arange(s) * nd
-        rows = (self._free[:, None] + start if interleaved
-                else start[:, None] + self._free).ravel()
-        divisor = np.ones((s, nd))
-        divisor[:, self._fixed] = np.outer(
-            self._g0[blocks.start:blocks.stop],
-            self._kdata[0, self._fixed_slots])
-        return rows, divisor.ravel()
 
     def _run_coupling(self, blocks: range):
         """The run's block pairs: the pair ids (block row)·s + (block
@@ -564,14 +541,14 @@ class GalerkinOperator:
         base_low, base_diag = base[low], base[diag]
         r, c = pairs // s, pairs % s
         shift = (c * band + r)[:, None]
-        nnz = self._kdata.shape[1]
+        nnz = self.kdata.shape[1]
         step = max(_CHUNK_BYTES // (8 * nnz), 1)
         for a in range(0, len(pairs), step):
             part, ptr = slice(a, a + step), indptr[a:a + step + 1]
             values = np.zeros((len(ptr) - 1, nnz))
-            csr_matvecs(len(ptr) - 1, len(self._kdata), nnz,
+            csr_matvecs(len(ptr) - 1, len(self.kdata), nnz,
                         ptr - ptr[0], ii[ptr[0]:ptr[-1]], vv[ptr[0]:ptr[-1]],
-                        self._kdata.ravel(), values.ravel())
+                        self.kdata.ravel(), values.ravel())
             values = values[:, self._free_span]
             flat[base_low + shift[part]] = values[:, low]
             on = r[part] >= c[part]

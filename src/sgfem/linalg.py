@@ -87,47 +87,42 @@ class Factorization:
     ``kind`` is ``"cholesky"`` (dense, from :func:`factorize`) or
     ``"band"`` (banded, from :func:`factorize_band`, the factor in
     LAPACK's lower band storage).  ``n`` is the number of rows of the
-    system it solves.  A band factor may cover only some of them, in its
-    own order: ``rows`` then lists for each row of the factor the row of
-    the system it solves, and every other system row r is diagonal and
-    solved alone, x_r = b_r / ``divisor[r]`` (the entries of ``divisor``
-    on the factor's rows are not used).  Both are None for a factor of
-    the whole matrix in its own order.  ``solve`` reproduces
-    ``A^{-1} b`` with relative residual below 1e-12 for well-conditioned
-    matrices.
+    system it solves.  A band factor may hold them in its own order:
+    ``rows`` then lists for each row of the factor the row of the system
+    it solves; it is None for a factor in the system's order.  ``solve``
+    reproduces ``A^{-1} b`` with relative residual below 1e-12 for
+    well-conditioned matrices.
     """
 
     kind: str
     n: int
     _state: tuple = field(repr=False)
     rows: np.ndarray | None = field(default=None, repr=False)
-    divisor: np.ndarray | None = field(default=None, repr=False)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if self.rows is None:
             return self._solve(b)
-        x = b / (self.divisor if b.ndim == 1 else self.divisor[:, None])
-        if len(self.rows):
-            x[self.rows] = self._solve(b.take(self.rows, axis=0))
+        x = np.empty_like(b)
+        x[self.rows] = self._solve(b.take(self.rows, axis=0))
         return x
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
         if self.kind == "cholesky":
             return sla.cho_solve(self._state, b)
-        return dpbtrs(self._state[0], b, lower=1)[0]
+        # LAPACK refuses the leading dimension of a system of no rows
+        return dpbtrs(self._state[0], b, lower=1)[0] if len(b) else b.copy()
 
 
-def factorize_band(ab: np.ndarray, rows: np.ndarray | None = None,
-                   divisor: np.ndarray | None = None) -> Factorization:
+def factorize_band(ab: np.ndarray,
+                   rows: np.ndarray | None = None) -> Factorization:
     """Banded Cholesky of an SPD matrix given in LAPACK's lower band
     storage, a Fortran-ordered (band + 1, n) array: the factor overwrites
-    ``ab`` in place and is all the result keeps.  ``rows`` and
-    ``divisor``, given together, are the system rows of the band's rows
-    and the diagonal of the other system rows (:class:`Factorization`).
+    ``ab`` in place and is all the result keeps.  ``rows``, if given,
+    are the system rows of the band's rows (:class:`Factorization`).
 
-    Raises :class:`FactorizationError` on a non-positive pivot or
-    divisor, or when a pivot L_ii² falls to 1e-14 of the largest.
+    Raises :class:`FactorizationError` on a non-positive pivot, or when
+    a pivot L_ii² falls to 1e-14 of the largest.
     """
     ab, info = dpbtrf(ab, lower=1, overwrite_ab=1)
     if info > 0:
@@ -136,12 +131,7 @@ def factorize_band(ab: np.ndarray, rows: np.ndarray | None = None,
     pivots = ab[0] ** 2
     if len(pivots) and pivots.min() <= 1e-14 * max(pivots.max(), 1.0):
         raise FactorizationError("matrix is singular to tolerance")
-    if rows is None:
-        return Factorization("band", ab.shape[1], (ab,))
-    if not np.all(divisor > 0):  # NaN too
-        raise FactorizationError("non-positive divisor of a diagonal row: "
-                                 "matrix is not positive definite")
-    return Factorization("band", len(divisor), (ab,), rows, divisor)
+    return Factorization("band", ab.shape[1], (ab,), rows)
 
 
 def factorize(A: np.ndarray) -> Factorization:

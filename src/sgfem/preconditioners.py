@@ -30,6 +30,10 @@ the configured TruncationSet; the factors always take the full sum.
 Each preconditioner owns the factorizations and product plans it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.
+
+An apply takes r's free-node entries once and runs every solve and push
+on them; each fixed row is one division by its diagonal, computed and
+checked when the preconditioner is made.
 """
 
 from __future__ import annotations
@@ -69,10 +73,11 @@ class Kronecker(Preconditioner):
 
     def __init__(self, op, trunc, fitted: bool):
         super().__init__(op, trunc)
+        self._divisor = op.fixed_divisor(range(1))
         self._f0 = op.assemble_diag_block(range(1))
         if fitted:
             d0 = op.k_mats[0].data
-            weights = (op._kdata @ d0) / float(d0 @ d0)
+            weights = (op.kdata @ d0) / float(d0 @ d0)
         else:
             weights = np.zeros(op.Mprime + 1)
             weights[0] = 1.0
@@ -80,10 +85,11 @@ class Kronecker(Preconditioner):
         self._fg = factorize(self.g_matrix)
 
     def apply(self, r):
-        R = self._blocks(r)
-        Y = self._f0.solve(R.T).T  # K_0 solve per block
-        V = self._fg.solve(Y)      # mix across the block index
-        return V.ravel()
+        op, R = self.op, self._blocks(r)
+        Y = np.empty_like(R)  # K_0 solve per block
+        Y[:, op.free] = self._f0.solve(R.take(op.free, axis=1).T).T
+        Y[:, op.fixed] = R[:, op.fixed] / self._divisor
+        return self._fg.solve(Y).ravel()  # mix across the block index
 
 
 class BlockGaussSeidel(Preconditioner):
@@ -137,35 +143,45 @@ class BlockGaussSeidel(Preconditioner):
         self._exact = exact
         self._groups = groups[::-1] if descending else groups
         self._sweep: list | None = None  # built at the first apply
+        self._divisor = op.fixed_divisor(range(end))
 
     def _build(self) -> list:
-        """Per group in sweep order: its blocks as a slice, its factor,
-        and its forward and backward push rows, each with the plan of its
-        truncated product."""
-        op, trunc = self.op, self.trunc
+        """Per group in sweep order: its blocks' entries in the flat
+        free-node layout, its factor, and its forward and backward push
+        rows' entries, each with the plan of its truncated product."""
+        op, trunc, f = self.op, self.trunc, self.op.n_free
         factor = (op.assemble_level_block if self._exact
                   else op.assemble_diag_block)
-        return [(slice(blk.start, blk.stop), factor(blk),
-                 forward, op.plan(forward, blk, trunc),
-                 back, op.plan(back, blk, trunc))
+
+        def entries(blocks):
+            return slice(blocks.start * f, blocks.stop * f)
+
+        return [(entries(blk), factor(blk),
+                 entries(forward), op.plan(forward, blk, trunc),
+                 entries(back), op.plan(back, blk, trunc))
                 for blk, forward, back in self._groups]
 
     def apply(self, r):
         if self._sweep is None:
             self._sweep = self._build()
-        tmatvec, sweep, nd = self.op.tmatvec, self._sweep, self.op.n_dof
-        rhs = self._blocks(r).copy()  # r minus the pushed products
+        op, tmatvec, sweep = self.op, self.op.tmatvec, self._sweep
+        R = self._blocks(r)
+        # r's free entries, C-ordered, minus the pushed products
+        rhs = R.take(op.free, axis=1).ravel()
         V = np.empty_like(rhs)
         for blk, f, forward, push, _, _ in sweep:
-            V[blk] = f.solve(rhs[blk].ravel()).reshape(-1, nd)
+            V[blk] = f.solve(rhs[blk])
             rhs[forward] -= tmatvec(push, V[blk])
         # the last forward solve is also the first backward one
         for t in range(len(sweep) - 1, 0, -1):
             blk, _, _, _, back, push = sweep[t]
             rhs[back] -= tmatvec(push, V[blk])
             blk, f = sweep[t - 1][:2]
-            V[blk] = f.solve(rhs[blk].ravel()).reshape(-1, nd)
-        return V.ravel()
+            V[blk] = f.solve(rhs[blk])
+        out = np.empty_like(R)
+        out[:, op.free] = V.reshape(len(R), op.n_free)
+        out[:, op.fixed] = R[:, op.fixed] / self._divisor
+        return out.ravel()
 
 
 # kind -> (class, its keyword arguments); a sweep's are its groups
@@ -195,7 +211,8 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     (default: no truncation).  The kind is checked before any work, and
     so, for a sweep, is the sum of the band bytes of every factorization
     it will build at its first apply and keep: a sum past physical
-    memory raises :class:`MemoryError`.
+    memory raises :class:`MemoryError`.  A fixed row whose diagonal is
+    not positive raises :class:`~sgfem.linalg.FactorizationError`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "

@@ -88,6 +88,14 @@ class KLExpansion:
         return len(self.lambdas)
 
 
+def check_kl_modes(n_modes: int, n_nodes: int) -> None:
+    """Refuse a count of KL modes outside 1 to a mesh's ``n_nodes``."""
+    if not 1 <= n_modes <= n_nodes:
+        raise ValueError(f"n_modes = {n_modes} KL modes requested; the mesh "
+                         f"has {n_nodes} nodes, so 1 to {n_nodes} are "
+                         "possible")
+
+
 def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
                 g0: float = 0.0) -> KLExpansion:
     """KL expansion of the exponent field on a mesh, from 1-D eigenpairs.
@@ -107,10 +115,7 @@ def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
     trace σ²·(Σμ)² of the full weighted matrix.
     """
     side = mesh.n + 1
-    if not 1 <= n_modes <= side * side:
-        raise ValueError(f"n_modes = {n_modes} KL modes requested; the mesh "
-                         f"has {side * side} nodes, so 1 to {side * side} "
-                         "are possible")
+    check_kl_modes(n_modes, side * side)
     x = mesh.nodes[:side, 0]
     w1 = np.full(side, mesh.h)
     w1[[0, -1]] = 0.5 * mesh.h

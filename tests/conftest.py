@@ -1,13 +1,14 @@
-"""Shared helpers: build small end-to-end problem instances, probe
-linear maps, find the factorizations and product plans an object holds
-and trace the memory of a call; oracles of the degree levels, of lower
-band storage, of the coupling matrices, of the Hermite polynomials and
-of the dense KL eigenproblem."""
+"""Shared helpers: build small end-to-end problem instances and operators
+with no fixed node, probe linear maps, find the factorizations and
+product plans an object holds and trace the memory of a call; oracles of
+the degree levels, of lower band storage, of the coupling matrices, of
+the Hermite polynomials and of the dense KL eigenproblem."""
 
 import math
 import tracemalloc
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import settings
 from numpy.polynomial.hermite_e import hermeval
 
@@ -15,6 +16,7 @@ from sgfem.chaos import build_c_tensor
 from sgfem.fem import (
     apply_dirichlet,
     assemble_load,
+    assemble_stiffness,
     assemble_stiffness_family,
     build_mesh,
 )
@@ -57,6 +59,21 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b, mesh, kl
+
+
+def neumann_operator(N, P, n, cov):
+    """An operator with no fixed node: the Neumann stiffness matrices of
+    the chaos coefficients of the lognormal field, each on the full Q1
+    pattern, with the identity added to K_0 so that every block matrix,
+    positive semidefinite before, is positive definite."""
+    mesh = build_mesh(n)
+    g0, sigma = field_parameters(1.0, cov)
+    kl = discrete_kl(mesh, ExponentialCovariance(sigma, 0.5), N, g0=g0)
+    tensor = build_c_tensor(N, P, 2 * P)
+    fields = gpc_coefficients(kl, tensor.iset, mesh)
+    mats = [assemble_stiffness(mesh, values) for values in fields.values]
+    mats[0] = sp.csr_matrix(mats[0] + sp.identity(mesh.n_nodes))
+    return GalerkinOperator(tensor, mats)
 
 
 def binomial_levels(N, P) -> list:

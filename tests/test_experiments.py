@@ -285,7 +285,7 @@ class TestBuildProblemArguments:
         op, _ = build_problem(N, P, n, 50.0)
         mesh = build_mesh(n)
         coeffs = 8 * len(op.k_mats) * len(mesh.elements) * 4
-        assert checked == [coeffs + op._kdata.nbytes]
+        assert checked == [coeffs + op.kdata.nbytes]
 
     def test_oversized_problem_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
@@ -378,6 +378,35 @@ class TestTables:
         with pytest.raises(MemoryError, match="hs's exact level solves"):
             run_table(config, "logh")
         assert len(solves) == 4
+
+    @pytest.mark.parametrize("which,config,memory,refusal", [
+        ("logN", dict(N=10, P=1, n=2), None,
+         (ValueError, "the mesh has 9 nodes")),
+        ("logh", dict(N=10, P=1, mesh_list=(3, 2)), None,
+         (ValueError, "the mesh has 9 nodes")),
+        ("logP", dict(N=2, P=3, n=4), 8 * 28 * (16 * 4 + 65) - 1,
+         (MemoryError, "the problem at N = 2, P = 3, n = 4"))],
+        ids=["logN", "logh", "logP"])
+    def test_swept_problem_refused_before_any_solve(
+            self, which, config, memory, refusal, monkeypatch):
+        """Every swept problem is checked before the first row is built:
+        logN's N = 10 and logh's n = 2 ask for more KL modes than the
+        mesh's 9 nodes, and logP's P = 3, 28 coefficient fields, outgrows
+        a memory that holds P = 2's 15; each refuses the table after 0
+        solves, not after the rows before it."""
+        solves, solve = [], experiments.flexible_cg
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "flexible_cg", counted)
+        if memory is not None:
+            monkeypatch.setattr(linalg, "physical_memory", lambda: memory)
+        error, message = refusal
+        with pytest.raises(error, match=message):
+            run_table(ExperimentConfig(**config), which)
+        assert solves == []
 
     def test_unknown_table_rejected(self):
         with pytest.raises(ValueError, match="unknown table"):
@@ -696,8 +725,8 @@ class TestCli:
             self, tmp_path, capsys, argv):
         """More KL modes than the mesh's 9 nodes pass the config checks
         and reach build_problem, which rejects them: one error line and
-        exit status 2, no rows and no files.  logN first solves the rows
-        N = 1 to 9."""
+        exit status 2, no rows and no files.  logN refuses before it
+        solves the rows N = 1 to 9."""
         dest = tmp_path / "case"
         if argv[0] == "export":
             argv = argv + ["--dest", str(dest)]

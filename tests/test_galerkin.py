@@ -15,6 +15,7 @@ from conftest import (
     g_matrix,
     held_factors,
     levels,
+    neumann_operator,
     traced_memory,
 )
 from hypothesis import example, given, settings
@@ -24,11 +25,7 @@ import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor, multi_index_set
-from sgfem.fem import (
-    assemble_stiffness,
-    assemble_stiffness_family,
-    build_mesh,
-)
+from sgfem.fem import assemble_stiffness_family, build_mesh
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -37,12 +34,6 @@ from sgfem.galerkin import (
     TruncationSet,
 )
 from sgfem.linalg import Factorization, csr_on, factorize
-from sgfem.random_field import (
-    ExponentialCovariance,
-    discrete_kl,
-    field_parameters,
-    gpc_coefficients,
-)
 from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -159,17 +150,19 @@ class TestTmatvecOracle:
 
     def test_mean_block_identity(self):
         op, _, _, _ = build_operator(2, 2, 3)
-        v = np.random.default_rng(3).standard_normal(op.n_dof)
+        free = free_nodes(op)
+        v = np.random.default_rng(3).standard_normal(len(free))
         got = op.tmatvec(op.plan([0], [0], full_truncation(op.tensor)), v)
-        np.testing.assert_allclose(got, op.k_mats[0] @ v, atol=1e-13)
+        np.testing.assert_allclose(got, op.k_mats[0][free][:, free] @ v,
+                                   atol=1e-13)
 
     def test_mean_truncation_kills_off_diagonal(self):
         op, _, _, _ = build_operator(2, 2, 3)
         t0 = standard_truncation(2, 0)
-        v = np.random.default_rng(4).standard_normal(op.n_dof)
+        v = np.random.default_rng(4).standard_normal(op.n_free)
         for j in range(1, op.M + 1):
             got = op.tmatvec(op.plan([j], [0], t0), v)
-            np.testing.assert_array_equal(got, np.zeros(op.n_dof))
+            np.testing.assert_array_equal(got, np.zeros(op.n_free))
 
     def test_symmetry_as_bilinear_form(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -186,7 +179,8 @@ class TestTmatvecOracle:
         assert np.array_equal(op.matvec(v), op.matvec(v))
         # a slice of blocks is the range it selects; an empty one adds
         # no products and no summations
-        full, V = full_truncation(op.tensor), v.reshape(op.M + 1, -1)
+        full = full_truncation(op.tensor)
+        V = v.reshape(op.M + 1, -1)[:, op.free]
         for lo, hi in ((0, op.M + 1), (1, 3), (2, 2)):
             want = op.tmatvec(op.plan(range(lo, hi), range(1, 3), full),
                               V[1:3])
@@ -200,7 +194,7 @@ class TestTmatvecOracle:
         op, _, _, _ = build_operator(1, 1, 2)
         plan = op.plan([0], [0, 1], full_truncation(op.tensor))
         with pytest.raises(ValueError):
-            op.tmatvec(plan, np.ones(op.n_dof))
+            op.tmatvec(plan, np.ones(op.n_free))
 
     @pytest.mark.parametrize("rows,cols", [([1, 1], [0]), ([0], [2, 0, 2]),
                                            ([-1], [0]), ([0], [3])])
@@ -213,6 +207,17 @@ class TestTmatvecOracle:
 @functools.lru_cache(maxsize=None)
 def cached_operator(N, P, n):
     return build_operator(N, P, n)[0]
+
+
+def free_oracle_product(op, A, rows, cols, seed):
+    """Random column blocks ``v``, shape (cols, n_dof), and the row
+    blocks of the product of the dense global matrix ``A`` with them,
+    shape (rows, n_dof)."""
+    nd = op.n_dof
+    v = np.random.default_rng(seed).standard_normal((len(cols), nd))
+    x = np.zeros((op.M + 1, nd))
+    x[cols] = v
+    return v, (A @ x.ravel()).reshape(op.M + 1, nd)[rows]
 
 
 def truncated_oracle(op, trunc):
@@ -254,20 +259,19 @@ class TestTmatvecProperty:
     @settings(max_examples=60, deadline=None)
     @given(tmatvec_cases())
     def test_matches_dense_oracle(self, case):
+        """On the free nodes, in and out: a fixed node's column of the
+        matrix is zero off its own row."""
         op, rows, cols, trunc, seed = case
-        A = truncated_oracle(op, trunc)
-        nd = op.n_dof
-        v = np.random.default_rng(seed).standard_normal((len(cols), nd))
-        x = np.zeros(op.n_global)
-        for pos, k in enumerate(cols):
-            x[k * nd:(k + 1) * nd] = v[pos]
-        want = (A @ x).reshape(op.M + 1, nd)[rows]
+        free = free_nodes(op)
+        v, want = free_oracle_product(op, truncated_oracle(op, trunc),
+                                      rows, cols, seed)
         plan = op.plan(rows, cols, trunc)
-        got = op.tmatvec(plan, v)
-        scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(got - want).max() <= 1e-13 * scale
+        got = op.tmatvec(plan, v[:, free])
+        want = want[:, free]
+        scale = np.abs(want).max(initial=1.0)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
         # flat input gives the same numbers in flat layout
-        np.testing.assert_array_equal(op.tmatvec(plan, v.ravel()),
+        np.testing.assert_array_equal(op.tmatvec(plan, v[:, free].ravel()),
                                       got.ravel())
 
     def test_chunked_product_matches_single_chunk(self, monkeypatch):
@@ -339,27 +343,30 @@ def fixed_node_cases(draw):
 
 
 class TestFixedNodes:
-    """A fixed node's entries come from the closed form (G_0)_jj ·
-    K_0[b,b] · v_(j)[b] instead of the products; both must agree with
-    the dense oracle."""
+    """The operator finds the fixed nodes; the free-node products agree
+    with the dense oracle, and so does the full product, whose fixed
+    node entries come from the closed form (G_0)_jj · K_0[b,b] ·
+    v_(j)[b]."""
 
     @settings(max_examples=80, deadline=None)
     @given(fixed_node_cases(), st.integers(0, 2**16))
     def test_matches_dense_oracle(self, case, seed):
         op, fixed, rows, cols, trunc = case
-        np.testing.assert_array_equal(op._fixed, fixed)
+        np.testing.assert_array_equal(op.fixed, fixed)
+        np.testing.assert_array_equal(op.free, free_nodes(op))
         np.testing.assert_array_equal(
-            np.sort(np.concatenate([op._fixed, op._free])),
+            np.sort(np.concatenate([op.fixed, op.free])),
             np.arange(op.n_dof))
-        nd = op.n_dof
-        v = np.random.default_rng(seed).standard_normal((len(cols), nd))
-        x = np.zeros(op.n_global)
-        for pos, k in enumerate(cols):
-            x[k * nd:(k + 1) * nd] = v[pos]
-        want = (truncated_oracle(op, trunc) @ x).reshape(op.M + 1, nd)[rows]
-        got = op.tmatvec(op.plan(rows, cols, trunc), v)
-        scale = max(np.abs(want).max(), 1.0)
-        assert np.abs(got - want).max() <= 1e-13 * scale
+        v, want = free_oracle_product(op, truncated_oracle(op, trunc),
+                                      rows, cols, seed)
+        got = op.tmatvec(op.plan(rows, cols, trunc), v[:, op.free])
+        scale = np.abs(want).max(initial=1.0)
+        assert np.abs(got - want[:, op.free]).max(initial=0.0) <= \
+            1e-13 * scale
+        x = np.random.default_rng(seed).standard_normal(op.n_global)
+        want = op.assemble_global_dense() @ x
+        scale = np.abs(want).max(initial=1.0)
+        assert np.abs(op.matvec(x) - want).max() <= 1e-13 * scale
 
     def test_operator_family_fixes_the_boundary(self):
         """The assembled family fixes exactly the boundary nodes, and the
@@ -367,7 +374,7 @@ class TestFixedNodes:
         op, _, _, _ = build_operator(2, 2, 4)
         boundary = np.flatnonzero(np.diff(op.k_mats[0].indptr) == 1)
         assert len(boundary) == 16
-        np.testing.assert_array_equal(op._fixed, boundary)
+        np.testing.assert_array_equal(op.fixed, boundary)
         v = np.random.default_rng(5).standard_normal((op.M + 1, op.n_dof))
         got = op.matvec(v)
         g0 = np.diag(g_matrix(0, op.tensor))
@@ -419,7 +426,7 @@ def dense_from_matrices(tensor, mats) -> np.ndarray:
 
 
 def assert_one_storage(op):
-    for K, row in zip(op.k_mats, op._kdata, strict=True):
+    for K, row in zip(op.k_mats, op.kdata, strict=True):
         assert K.data.__array_interface__ == row.__array_interface__
 
 
@@ -442,7 +449,7 @@ class TestFamilyStorage:
         assert all(K is mine for K, mine in zip(kfam, op.k_mats))
         # one storage: an in-place edit of a K_i is an edit of the operator
         kfam[3].data[0] = 7.0
-        assert op._kdata[3, 0] == 7.0
+        assert op.kdata[3, 0] == 7.0
 
     def test_separately_allocated_matrices_stacked_once(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -450,7 +457,7 @@ class TestFamilyStorage:
         own = GalerkinOperator(op.tensor, mats)
         assert_one_storage(own)
         # the caller's matrices are left as they are
-        assert not any(np.shares_memory(K.data, own._kdata) for K in mats)
+        assert not any(np.shares_memory(K.data, own.kdata) for K in mats)
         A = dense_from_matrices(op.tensor, mats)
         v = np.random.default_rng(4).standard_normal(own.n_global)
         want = A @ v
@@ -470,7 +477,7 @@ class TestFamilyStorage:
         op2 = GalerkinOperator(op.tensor, op.k_mats)
         op3 = GalerkinOperator(op2.tensor, op2.k_mats)
         for other in (op2, op3):
-            assert other._kdata is op._kdata
+            assert other.kdata is op.kdata
             assert all(K is mine for K, mine in zip(op.k_mats, other.k_mats))
             assert_one_storage(other)
         for other in (op, op2, op3):
@@ -491,7 +498,7 @@ class TestCounters:
         rows, cols = data.draw(blocks), data.draw(blocks)
         indices = st.sets(st.integers(1, op.Mprime + 3))
         base, extra = data.draw(indices), data.draw(indices)
-        v = np.ones(len(cols) * op.n_dof)
+        v = np.ones(len(cols) * op.n_free)
 
         def counts(idx):
             trunc = TruncationSet(np.array(sorted(idx | {0})), "drawn")
@@ -508,7 +515,7 @@ class TestCounters:
         op, _, _, _ = build_operator(4, 4, 2)
         expect = {0: 70, 1: 350, 2: 1210, 3: 2610, 4: 4980, 8: 12585}
         blocks = range(op.M + 1)
-        v = np.ones(op.n_global)
+        v = np.ones((op.M + 1) * op.n_free)
         for lt, count in expect.items():
             before = dict(op.counters)
             op.tmatvec(op.plan(blocks, blocks, standard_truncation(4, lt)),
@@ -537,14 +544,15 @@ class TestAssembledBlocks:
     def test_diag_blocks_match_dense_oracle(self, N, P, n):
         op, _, _, _ = build_operator(N, P, n)
         A = op.assemble_global_dense()
-        nd = op.n_dof
+        nd, free = op.n_dof, free_nodes(op)
         for j in range(op.M + 1):
             K, F = op.block(j, j), op.assemble_diag_block(range(j, j + 1))
             want = A[j * nd:(j + 1) * nd, j * nd:(j + 1) * nd]
             np.testing.assert_allclose(K.toarray(), want, atol=1e-13)
-            # factorization solves the block
-            rhs = np.linspace(1, 2, nd)
-            np.testing.assert_allclose(K @ F.solve(rhs), rhs, atol=1e-10)
+            # factorization solves the block's free rows
+            rhs = np.linspace(1, 2, len(free))
+            np.testing.assert_allclose(K[free][:, free] @ F.solve(rhs), rhs,
+                                       atol=1e-10)
 
     @pytest.mark.parametrize("N,P,n", SMALL)
     def test_level_blocks_match_dense_oracle(self, N, P, n):
@@ -560,8 +568,10 @@ class TestAssembledBlocks:
             np.testing.assert_allclose(band_lower(ab),
                                        np.tril(want[np.ix_(order, order)]),
                                        atol=1e-13)
-            rhs = np.linspace(-1, 1, hi - lo)
-            np.testing.assert_allclose(want @ F.solve(rhs), rhs, atol=1e-9)
+            rows = free_rows(op, len(blk))
+            rhs = np.linspace(-1, 1, len(rows))
+            np.testing.assert_allclose(want[np.ix_(rows, rows)]
+                                       @ F.solve(rhs), rhs, atol=1e-9)
 
     @pytest.mark.parametrize("N,P,n", SMALL + [(1, 2, 2), (4, 4, 10)])
     def test_diag_band_fill_matches_block_oracle(self, N, P, n):
@@ -601,6 +611,14 @@ def free_nodes(op):
     diagonals = np.array([K.toarray().diagonal() for K in op.k_mats[1:]])
     return np.flatnonzero(pattern.any(axis=0) | pattern.any(axis=1)
                           | (diagonals != 0).any(axis=0))
+
+
+def free_rows(op, s):
+    """The block-major rows p·n_dof + free[r] of the free nodes of a run
+    of s blocks: the rows its factor solves, in the order it takes
+    them."""
+    return (np.arange(s)[:, None] * op.n_dof
+            + free_nodes(op)).ravel().astype(np.int64)
 
 
 def compact_rows(op, s):
@@ -663,45 +681,47 @@ class TestFactorizationContract:
     def test_blocks_assemble_and_solve(self, N, P, n, cov, seed):
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
+        cases = [(bmat_oracle(op, blocks), op.assemble_level_block(blocks),
+                  len(blocks)) for blocks in levels(op)]
         for blocks in levels(op):
-            D, F = bmat_oracle(op, blocks), op.assemble_level_block(blocks)
             assert_band_matches_oracle(op, blocks)
+        cases += [(op.block(j, j), op.assemble_diag_block(range(j, j + 1)),
+                   1) for j in range(op.M + 1)]
+        for D, F, s in cases:
             assert bitwise_symmetric(D)
-            b = rng.standard_normal(D.shape[0])
+            rows = free_rows(op, s)
+            b = rng.standard_normal(len(rows))
             x = F.solve(b)
-            assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
-        for j in range(op.M + 1):
-            K, F = op.block(j, j), op.assemble_diag_block(range(j, j + 1))
-            assert bitwise_symmetric(K)
-            b = rng.standard_normal(op.n_dof)
-            x = F.solve(b)
-            assert np.linalg.norm(b - K @ x) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(b - D[rows][:, rows] @ x) <= \
+                1e-12 * np.linalg.norm(b)
 
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
            cov=st.floats(0.1, 1.5), seed=st.integers(0, 2**16))
     def test_band_factors_of_blocks(self, N, P, n, cov, seed):
         """Pivots against a dense Cholesky of the same ordering (the free
-        rows, node-interleaved for a level of more than one block), and
-        the residual for several right-hand sides at once."""
+        rows, node-interleaved for a level of more than one block), the
+        ``rows`` that map a level's band rows to its block-major free
+        rows, and the residual for several right-hand sides at once."""
         op, _, _, _ = build_operator(N, P, n, cov=cov)
         rng = np.random.default_rng(seed)
         cases = [(op.block(j, j), op.assemble_diag_block(range(j, j + 1)),
-                  compact_rows(op, 1)) for j in range(op.M + 1)]
+                  1) for j in range(op.M + 1)]
         for blocks in levels(op):
             cases.append((bmat_oracle(op, blocks),
-                          op.assemble_level_block(blocks),
-                          compact_rows(op, len(blocks))))
-        for A, F, order in cases:
-            assert F.kind == "band" and F.n == A.shape[0]
-            np.testing.assert_array_equal(F.rows, order)
+                          op.assemble_level_block(blocks), len(blocks)))
+        for A, F, s in cases:
+            rows, order = free_rows(op, s), compact_rows(op, s)
+            assert F.kind == "band" and F.n == len(rows)
+            if F.rows is not None:  # a level's factor
+                np.testing.assert_array_equal(rows[F.rows], order)
             dense = A.toarray()[np.ix_(order, order)]
             L = np.linalg.cholesky(dense)
             np.testing.assert_allclose(F._state[0][0] ** 2, np.diag(L) ** 2,
                                        rtol=1e-12)
-            B = rng.standard_normal((A.shape[0], 3))
+            B = rng.standard_normal((len(rows), 3))
             X = F.solve(B)
-            assert np.all(np.linalg.norm(B - A @ X, axis=0)
+            assert np.all(np.linalg.norm(B - A[rows][:, rows] @ X, axis=0)
                           <= 1e-12 * np.linalg.norm(B, axis=0))
 
     def test_level_band_exact_from_k0_pattern(self):
@@ -735,9 +755,10 @@ class TestFactorizationContract:
         assert levels(op)[2] == range(4, 10)
         assert_band_matches_oracle(op, blocks)
         D, F = bmat_oracle(op, blocks), op.assemble_level_block(blocks)
-        assert F.n == len(blocks) * op.n_dof
+        assert F.n == len(blocks) * op.n_free
+        rows = free_rows(op, len(blocks))
         b = np.random.default_rng(12).standard_normal(F.n)
-        assert np.linalg.norm(b - D @ F.solve(b)) <= \
+        assert np.linalg.norm(b - D[rows][:, rows] @ F.solve(b)) <= \
             1e-12 * np.linalg.norm(b)
 
     def test_oversized_level_band_refused_before_assembly(self,
@@ -826,50 +847,33 @@ class TestFactorizationContract:
     def test_diag_blocks_are_one_block_diagonal_factor(self, N, P, n):
         """The factor of consecutive diagonal blocks is the blocks'
         own factors side by side, bitwise, in block-major order of their
-        free rows, with zeros in every band entry that would couple a
-        block to the next, and it solves as they do, bitwise."""
+        free rows and needing no permutation, with zeros in every band
+        entry that would couple a block to the next, and it solves as
+        they do, bitwise."""
         op, _, _, _ = build_operator(N, P, n)
-        nd, f, rng = op.n_dof, op.n_free, np.random.default_rng(4)
-        free = free_nodes(op)
+        f, rng = op.n_free, np.random.default_rng(4)
         for blocks in levels(op) + [range(op.M + 1), range(1, op.M + 1)]:
             F = op.assemble_diag_block(blocks)
             alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
-            assert F.n == len(blocks) * nd
-            np.testing.assert_array_equal(
-                F.rows, (np.arange(len(blocks))[:, None] * nd
-                         + free).ravel())
+            assert F.n == len(blocks) * f and F.rows is None
             ab = F._state[0]
             np.testing.assert_array_equal(
                 ab, np.hstack([G._state[0] for G in alone]))
             # entry (d, c) is row c + d, column c
             d, c = np.indices(ab.shape)
             assert not ab[c % f + d >= f].any()
-            R = rng.standard_normal((len(blocks), nd))
+            R = rng.standard_normal((len(blocks), f))
             np.testing.assert_array_equal(
                 F.solve(R.ravel()),
                 np.concatenate([G.solve(r) for G, r in zip(alone, R)]))
 
 
-def neumann_operator(N, P, n, cov):
-    """An operator with no fixed node: the Neumann stiffness matrices of
-    the chaos coefficients of the lognormal field, each on the full Q1
-    pattern, with the identity added to K_0 so that every block matrix,
-    positive semidefinite before, is positive definite."""
-    mesh = build_mesh(n)
-    g0, sigma = field_parameters(1.0, cov)
-    kl = discrete_kl(mesh, ExponentialCovariance(sigma, 0.5), N, g0=g0)
-    tensor = cached_tensor(N, P)
-    fields = gpc_coefficients(kl, tensor.iset, mesh)
-    mats = [assemble_stiffness(mesh, values) for values in fields.values]
-    mats[0] = sp.csr_matrix(mats[0] + sp.identity(mesh.n_nodes))
-    return GalerkinOperator(tensor, mats)
-
-
 class TestCompactFactors:
-    """Block factors span the free nodes; a fixed node's row is solved
-    by the closed form r / ((G_0)_jj · K_0[b,b]).  Both diagonal-run and
-    level-run factors must solve their runs' matrices, assembled densely
-    from ``block(j, k)``."""
+    """Block factors span the free nodes: both diagonal-run and
+    level-run factors must solve the free rows of their runs' matrices,
+    assembled densely from ``block(j, k)``.  A fixed node's row is
+    diagonal there, with the closed form (G_0)_jj · K_0[b,b] that
+    ``fixed_divisor`` gives."""
 
     @settings(max_examples=30, deadline=None)
     @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 5),
@@ -901,12 +905,17 @@ class TestCompactFactors:
                          sp.block_diag([op.block(j, j) for j in blocks],
                                        format="csr")))
         for blocks, F, D in runs:
-            b = rng.standard_normal(D.shape[0])
+            rows = free_rows(op, len(blocks))
+            b = rng.standard_normal(len(rows))
             x = F.solve(b)
-            assert np.linalg.norm(b - D @ x) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(b - D[rows][:, rows] @ x) <= \
+                1e-12 * np.linalg.norm(b)
             at = (np.arange(len(blocks))[:, None] * nd + fixed).ravel()
             np.testing.assert_array_equal(
-                x[at], b[at] / closed[blocks.start:blocks.stop].ravel())
+                D.diagonal()[at], closed[blocks.start:blocks.stop].ravel())
+            assert (D[at] != 0).sum() == len(at)  # the diagonal alone
+            np.testing.assert_array_equal(op.fixed_divisor(blocks),
+                                          closed[blocks.start:blocks.stop])
 
 
 class TestGlobalDense:

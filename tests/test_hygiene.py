@@ -1,10 +1,10 @@
 """Repository hygiene: no unused imports, no third-party import that
 ``pyproject.toml`` does not declare, no private definition that the
 package never uses, no public function or method that only the tests
-reach, no private attribute that it writes and never reads, no bench
-tracing hook aimed at a missing target, and a package surface that the
-README documents and that suffices to rebuild ``build_problem`` by
-hand."""
+reach, no private attribute that it writes and never reads or that it
+reaches on another object, no bench tracing hook aimed at a missing
+target, and a package surface that the README documents and that
+suffices to rebuild ``build_problem`` by hand."""
 
 import ast
 import importlib
@@ -260,6 +260,37 @@ def test_no_write_only_private_attributes():
     assert write_only_private_attributes(package_sources()) == []
 
 
+def private_attributes_of_others(sources: dict) -> list:
+    """Attributes with one leading underscore (``x._name``) that a module
+    of ``sources`` (module name -> source text) reaches on an owner other
+    than ``self`` or ``cls``, as "module line: expression"."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_")
+                    and not node.attr.startswith("__")
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id in ("self", "cls"))):
+                found.append(f"{module} line {node.lineno}: "
+                             f"{ast.unparse(node)}")
+    return found
+
+
+def test_private_attribute_of_others_check_finds_one():
+    assert private_attributes_of_others(
+        {"a": "class C:\n    @classmethod\n    def f(cls, o):\n"
+              "        return cls._a, o.__len__, o.b, o._c\n"
+              "    def g(self):\n        self._d = 1\n"}) == \
+        ["a line 4: o._c"]
+
+
+def test_no_private_attribute_of_others():
+    """No package module reaches into another object's private state:
+    what one object uses of another is public."""
+    assert private_attributes_of_others(package_sources()) == []
+
+
 def tracing_hooks() -> dict:
     """The hook tables of ``perfbench/tracing.py`` (name -> tuple of
     hooks), read from its source without running it."""
@@ -345,7 +376,7 @@ def test_exports_rebuild_build_problem():
 
     ref, ref_b = sg.build_problem(N, P, n, cov_pct)
     assert np.array_equal(b, ref_b)
-    assert np.array_equal(op._kdata, ref._kdata)
+    assert np.array_equal(op.kdata, ref.kdata)
     for name in ("i", "j", "k", "val"):
         assert np.array_equal(getattr(op.tensor, name),
                               getattr(ref.tensor, name))

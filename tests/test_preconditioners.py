@@ -14,6 +14,7 @@ from conftest import (
     g_matrix,
     held_factors,
     levels,
+    neumann_operator,
     probe_matrix,
 )
 from hypothesis import example, given, settings
@@ -21,8 +22,14 @@ from hypothesis import strategies as st
 
 import sgfem.linalg as linalg
 import sgfem.preconditioners as preconditioners
-from sgfem.galerkin import _Plan, full_truncation, standard_truncation
+from sgfem.galerkin import (
+    GalerkinOperator,
+    _Plan,
+    full_truncation,
+    standard_truncation,
+)
 from sgfem.krylov import flexible_cg, pcg
+from sgfem.linalg import FactorizationError
 from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -56,11 +63,29 @@ def dense_split_parts(op, trunc):
     return L, D, U
 
 
+def free_blocks(op, r):
+    """The free-node blocks of a global vector, shape (M+1, n_free)."""
+    return r.reshape(op.M + 1, op.n_dof)[:, op.free]
+
+
+def with_fixed_rows(op, r, V):
+    """The global result of a sweep whose free-node blocks are ``V``:
+    each fixed row b of block j solved alone, r_b / ((G_0)_jj ·
+    K_0[b,b]), from the dense G_0 and K_0."""
+    R = r.reshape(op.M + 1, op.n_dof)
+    out = np.empty_like(R)
+    out[:, op.free] = V
+    out[:, op.fixed] = R[:, op.fixed] / (
+        np.diag(g_matrix(0, op.tensor))[:, None]
+        * op.k_mats[0].diagonal()[op.fixed])
+    return out.ravel()
+
+
 def pull_form_gs(op, trunc, r):
     """Reference symmetric block Gauss-Seidel in pull form: each row
     gathers its own truncated products from the blocks already solved."""
     solv = [op.assemble_diag_block(range(j, j + 1)) for j in range(op.M + 1)]
-    R = r.reshape(op.M + 1, op.n_dof)
+    R = free_blocks(op, r)
     rhs_fwd = R.copy()
     Y = np.zeros_like(R)
     for j in range(op.M + 1):
@@ -73,7 +98,7 @@ def pull_form_gs(op, trunc, r):
         corr = op.tmatvec(op.plan([j], range(j + 1, op.M + 1), trunc),
                           V[j + 1:])[0]
         V[j] = solv[j].solve(rhs_fwd[j] - corr)
-    return V.ravel()
+    return with_fixed_rows(op, r, V)
 
 
 # kind -> (groups are degree levels, descending order, exact level
@@ -115,7 +140,8 @@ def dense_sweep_inverse(op, kind, trunc):
 
 
 def level_solve(op, blocks, exact, R):
-    """Solve one level, its blocks given, for R given blockwise: with the
+    """Solve one level, its blocks given, for R given in free-node
+    blocks: with the
     factorization of its level matrix when exact, else block by block."""
     if exact:
         F = op.assemble_level_block(blocks)
@@ -128,7 +154,7 @@ def pull_form_schur(op, trunc, exact, r):
     """Reference hs (exact) and ahs as the Schur complement sweep:
     downward pre-correction, coarse solve, then an upward post-correction
     in which each level gathers its products from the levels below."""
-    g = r.reshape(op.M + 1, op.n_dof).copy()
+    g = free_blocks(op, r).copy()
     for blk in levels(op)[:0:-1]:
         z = level_solve(op, blk, exact, g[blk])
         g[:blk[0]] -= op.tmatvec(op.plan(range(blk[0]), blk, trunc), z)
@@ -137,14 +163,14 @@ def pull_form_schur(op, trunc, exact, r):
     for blk in levels(op)[1:]:
         corr = op.tmatvec(op.plan(blk, range(blk[0]), trunc), v[:blk[0]])
         v[blk] = level_solve(op, blk, exact, g[blk] - corr)
-    return v.ravel()
+    return with_fixed_rows(op, r, v)
 
 
 def pull_form_level_gs(op, trunc, r):
     """Reference ahgs in pull form: symmetric Gauss-Seidel over levels
     0..P then P..0, each level gathering its products from the levels
     already solved."""
-    R = r.reshape(op.M + 1, op.n_dof)
+    R = free_blocks(op, r)
     rhs_fwd = R.copy()
     U = np.zeros_like(R)
     for blk in levels(op):
@@ -157,7 +183,7 @@ def pull_form_level_gs(op, trunc, r):
         above = range(blk[-1] + 1, op.M + 1)
         corr = op.tmatvec(op.plan(blk, above, trunc), V[blk[-1] + 1:])
         V[blk] = level_solve(op, blk, False, rhs_fwd[blk] - corr)
-    return V.ravel()
+    return with_fixed_rows(op, r, V)
 
 
 class TestGroups:
@@ -226,21 +252,22 @@ class TestKronecker:
     @pytest.mark.parametrize("kind", ["mb", "kron"])
     def test_k0_factor_is_the_factor_of_k0(self, kind, n):
         """The band factor is that of K_0's interior rows, the free
-        nodes; a boundary row is solved by its diagonal, G_0's (0, 0)
-        entry c_000 = 1 times K_0[b,b]."""
+        nodes, in their order; a boundary row is solved by its diagonal,
+        G_0's (0, 0) entry c_000 = 1 times K_0[b,b]."""
         op, _, mesh, _ = build_operator(1, 1, n)
         F = [F for F in held_factors(make_preconditioner(op, kind))
              if F.kind == "band"]
-        assert len(F) == 1
+        assert len(F) == 1 and F[0].rows is None
         K0 = op.k_mats[0]
         interior = np.setdiff1d(np.arange(op.n_dof), mesh.boundary)
-        np.testing.assert_array_equal(F[0].rows, interior)
+        np.testing.assert_array_equal(op.free, interior)
+        np.testing.assert_array_equal(op.fixed, np.sort(mesh.boundary))
         np.testing.assert_array_equal(
             F[0]._state[0],
             linalg.factorize_band(
                 band_fill(K0[interior][:, interior]))._state[0])
-        np.testing.assert_array_equal(F[0].divisor[mesh.boundary],
-                                      K0.diagonal()[mesh.boundary])
+        np.testing.assert_array_equal(op.fixed_divisor(range(1)),
+                                      [K0.diagonal()[op.fixed]])
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
         import scipy.sparse as sp
@@ -303,9 +330,10 @@ class TestGaussSeidel:
         op, _, _, _ = build_operator(2, 2, 3)
         gs = make_preconditioner(op, "gs", standard_truncation(2, 0))
         r = np.random.default_rng(9).standard_normal(op.n_global)
-        R = r.reshape(op.M + 1, op.n_dof)
-        want = np.vstack([op.assemble_diag_block(range(j, j + 1)).solve(R[j])
-                          for j in range(op.M + 1)]).ravel()
+        R = free_blocks(op, r)
+        want = with_fixed_rows(op, r, np.vstack([
+            op.assemble_diag_block(range(j, j + 1)).solve(R[j])
+            for j in range(op.M + 1)]))
         np.testing.assert_allclose(gs.apply(r), want, atol=1e-12)
 
 
@@ -467,6 +495,67 @@ class TestLinearMapProperties:
             assert np.linalg.eigvalsh(got + got.T).min() > 0, kind
 
 
+@st.composite
+def layout_cases(draw, instance):
+    """An operator of the ``instance`` kind: with fixed nodes (the
+    Dirichlet family), with none (a Neumann family) or with no free node
+    (P = 0, n ≤ 2); and a seed."""
+    N, cov = draw(st.integers(1, 2)), draw(st.floats(0.5, 1.5))
+    if instance == "none free":
+        op = build_operator(N, 0, draw(st.integers(1, 2)), cov=cov)[0]
+        assert op.n_free == 0
+    elif instance == "neumann":
+        op = neumann_operator(N, draw(st.integers(1, 2)),
+                              draw(st.integers(1, 3)), cov)
+        assert len(op.fixed) == 0
+    else:
+        op = build_operator(N, draw(st.integers(1, 2)),
+                            draw(st.integers(2, 4)), cov=cov)[0]
+        assert len(op.fixed) and op.n_free
+    return op, draw(st.integers(0, 2**16))
+
+
+class TestLayoutEdge:
+    """Each apply and the full product change between the global layout
+    and the free-node blocks once, at their edge."""
+
+    @pytest.mark.parametrize("instance", ["fixed", "neumann", "none free"])
+    @pytest.mark.parametrize("kind", KINDS)
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_fixed_rows_by_closed_form(self, kind, instance, data):
+        """The free part of an apply is bitwise blind to r's fixed
+        entries; a fixed row is r_b / ((G_0)_jj · K_0[b,b]) in the
+        sweeps, and G⁻¹ across blocks of r_b / K_0[b,b] in mb and kron;
+        and the full product matches the dense matrix, fixed rows
+        included."""
+        op, seed = data.draw(layout_cases(instance))
+        rng = np.random.default_rng(seed)
+        pre = make_preconditioner(op, kind)
+        r = rng.standard_normal(op.n_global)
+        other = r.reshape(op.M + 1, op.n_dof).copy()
+        other[:, op.fixed] = rng.standard_normal((op.M + 1, len(op.fixed)))
+        got = pre.apply(r).reshape(op.M + 1, op.n_dof)
+        np.testing.assert_array_equal(
+            pre.apply(other.ravel()).reshape(op.M + 1, op.n_dof)[:, op.free],
+            got[:, op.free])
+        R, k0 = r.reshape(op.M + 1, op.n_dof), op.k_mats[0].diagonal()
+        g0 = np.diag(g_matrix(0, op.tensor))
+        if kind in SWEEPS:
+            np.testing.assert_array_equal(
+                got[:, op.fixed], R[:, op.fixed] / (g0[:, None]
+                                                    * k0[op.fixed]))
+        else:
+            G = pre.g_matrix if kind == "kron" else np.diag(g0)
+            np.testing.assert_allclose(
+                got[:, op.fixed],
+                np.linalg.solve(G, R[:, op.fixed] / k0[op.fixed]),
+                rtol=1e-12, atol=0)
+        want = op.assemble_global_dense() @ r
+        assert np.abs(op.matvec(r) - want).max() <= \
+            1e-13 * np.abs(want).max()
+
+
 class TestFcgPcgAgreement:
     @settings(max_examples=15, deadline=None)
     @given(N=st.integers(1, 3), P=st.integers(1, 3), n=st.integers(1, 4),
@@ -517,6 +606,23 @@ class TestFactory:
             make_preconditioner(op, "ilu")
         # no block was assembled or factorized, no product was run
         assert op.counters == {"summations": 0, "products": 0}
+
+    def test_non_positive_divisor_refused_at_setup(self):
+        """K_0 as assembled, before ``apply_dirichlet``, holds 0 on the
+        diagonal of its fixed boundary nodes (and here also -1): every
+        kind refuses it when it is made, where the divisors of the fixed
+        rows are computed, before any apply."""
+        op, _, mesh, _ = build_operator(2, 2, 4)
+        for value in (0.0, -1.0):
+            mats = [K.copy() for K in op.k_mats]
+            mats[0].data[mats[0].indptr[mesh.boundary]] = value
+            untreated = GalerkinOperator(op.tensor, mats)
+            assert len(untreated.fixed) == 16
+            for kind in KINDS:
+                with pytest.raises(FactorizationError,
+                                   match="non-positive divisor of a "
+                                         "diagonal row"):
+                    make_preconditioner(untreated, kind)
 
     def test_oversized_level_band_refused_at_setup(self, monkeypatch):
         op, _, _, _ = build_operator(2, 3, 4)
