@@ -126,7 +126,7 @@ class CijkTensor:
         return G
 
 
-def _table_1d(max_i: int, max_jk: int) -> np.ndarray:
+def triple_product_table(max_i: int, max_jk: int) -> np.ndarray:
     """Dense table of triple_product_1d over a ≤ max_i, b,c ≤ max_jk."""
     T = np.zeros((max_i + 1, max_jk + 1, max_jk + 1))
     for a in range(max_i + 1):
@@ -151,7 +151,7 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
                          f"P' = {Pprime} < P = {P}")
     iset = multi_index_set(N, Pprime)
     jkset = multi_index_set(N, P)
-    T = _table_1d(Pprime, P)
+    T = triple_product_table(Pprime, P)
     ia, jk = iset.as_array(), jkset.as_array()  # (M'+1, N), (M+1, N)
     m1 = len(jkset)
     T2 = T.reshape(Pprime + 1, (P + 1) ** 2)  # rows a, columns (b, c)

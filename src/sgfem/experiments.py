@@ -158,21 +158,30 @@ def _cached_mesh(n):
 
 def check_problem(N, P, n) -> None:
     """Refuse, before any work, what :func:`build_problem` cannot build:
-    more KL modes than the (n + 1)² mesh nodes (ValueError), or
-    coefficient values, shape (fields, n², 4), and stiffness data, shape
-    (fields, nnz), held at once past physical memory (MemoryError), for
-    the fields = C(N + 2P, N) chaos coefficients.  nnz counts the
-    Dirichlet pattern: the 9-point couplings of the (n − 1)² interior
-    nodes, (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.  Other
-    arguments that :func:`build_problem` rejects pass; it names them."""
+    more KL modes than the (n + 1)² mesh nodes (ValueError), or three
+    things held at once past physical memory (MemoryError): coefficient
+    values, shape (fields, n², 4), and stiffness data, shape
+    (fields, nnz), for the fields = C(N + 2P, N) chaos coefficients, and
+    what the operator's Gauss-point product keeps for each of the 4n²
+    points, N·(P + 1)² doubles of its 1-D matrices m_d, the mean and the
+    N modes, and 104 bytes of the gradient matrix (two rows of four
+    entries and an int32 column each, and two int32 row pointers).  For
+    small N and large P the last outweighs the coefficient fields.  nnz
+    counts the Dirichlet pattern: the 9-point couplings of the (n − 1)²
+    interior nodes, (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.
+    Other arguments that :func:`build_problem` rejects pass; it names
+    them."""
     if P < 0 or n < 1:
         return
     check_kl_modes(N, (n + 1) ** 2)
     fields = math.comb(N + 2 * P, N)
     nnz = (3 * n - 5) ** 2 * (n >= 2) + 4 * n
-    check_fits(8 * fields * (4 * n * n + nnz), lambda: (
+    points = 4 * n * n
+    gauss = points * (8 * (N * (P + 1) ** 2 + N + 1) + 104)
+    check_fits(8 * fields * (points + nnz) + gauss, lambda: (
         f"the problem at N = {N}, P = {P}, n = {n}, its {fields} "
-        f"coefficient fields and stiffness matrices, needs"))
+        f"coefficient fields and stiffness matrices and its Gauss-point "
+        f"data, needs"))
 
 
 def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
@@ -180,8 +189,10 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     """Assemble the block operator and right-hand side for one setup.
 
     Returns (op, b).  The right-hand side carries the unit load in the
-    mean block; boundary rows are constrained to zero.  The KL modes and
-    the bytes of its two largest arrays are checked before any work
+    mean block; boundary rows are constrained to zero.  The operator
+    holds the field at the Gauss points, so its full product runs there
+    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`).  The KL modes and
+    the bytes of its largest data are checked before any work
     (:func:`check_problem`).
     """
     check_problem(N, P, n)
@@ -192,7 +203,7 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     coeffs = gpc_coefficients(kl, tensor.iset, mesh)
     kfam = assemble_stiffness_family(mesh, coeffs.values)
     f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
-    op = GalerkinOperator(tensor, kfam)
+    op = GalerkinOperator(tensor, kfam, coeffs, mesh)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b

@@ -39,6 +39,8 @@ def _shape_grad(xi, eta):
 
 # shape values at the 4 Gauss points, (4 gauss, 4 nodes)
 _S = np.array([_shape(*g) for g in _GPTS])
+# reference gradients at the 4 Gauss points, (4 gauss, 2, 4 nodes)
+_GRAD = np.array([_shape_grad(*g) for g in _GPTS])
 # per-Gauss-point gradient outer products for the Laplacian form; the
 # quadrature weight h^2/4 cancels the (2/h)^2 gradient scaling, so these
 # are mesh-size independent
@@ -74,6 +76,23 @@ class Mesh:
         if nodal.shape != (self.n_nodes,):
             raise ValueError("nodal field has wrong length")
         return nodal[self.elements] @ _S.T
+
+
+def gradient_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """The gradients of a nodal field at every Gauss point, scaled so
+    that the stiffness matrix of a field k at the points is Dᵀ diag(k) D,
+    each value of k repeated for both components: a CSR matrix of
+    n_elements · 8 rows, row 8e + 2q + c the component c at Gauss
+    point q of element e, over the mesh nodes.  The quadrature weight
+    h²/4 cancels the (2/h)² of the two gradients, so the entries are
+    the reference gradients, whatever the mesh size."""
+    ne = len(mesh.elements)
+    shape = (ne, 4, 2, 4)
+    return sp.csr_matrix((np.broadcast_to(_GRAD, shape).ravel(),
+                          np.broadcast_to(mesh.elements[:, None, None],
+                                          shape).ravel(),
+                          np.arange(0, 32 * ne + 1, 4)),
+                         shape=(8 * ne, mesh.n_nodes))
 
 
 def build_mesh(n: int) -> Mesh:

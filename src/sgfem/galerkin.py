@@ -13,6 +13,13 @@ form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes, and the
 operator only that of its full product.
 
+The full product need not stream the K_i at all.  An operator given
+the lognormal field at the Gauss points and the mesh multiplies there
+instead, exactly when P′ ≥ 2P (:class:`_GaussPointProduct`).  The
+truncated pushes, the band fills, ``block`` and the dense assembly keep
+the family, and so does the full product of an operator built without
+the field.
+
 Products and block factors run on the free nodes only.  A node b is
 fixed when its pattern row holds only its diagonal, its column is in no
 other row and K_i[b,b] = 0 for every i > 0, as a Dirichlet node of the
@@ -43,7 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from sgfem.chaos import CijkTensor
+from sgfem.chaos import CijkTensor, triple_product_table
+from sgfem.fem import Mesh, gradient_matrix
 from sgfem.linalg import (
     Factorization,
     FactorizationError,
@@ -52,15 +60,16 @@ from sgfem.linalg import (
     csr_on,
     factorize_band,
 )
+from sgfem.random_field import CoefficientFields
 
 # The raw CSR kernels behind ``csr_matrix @ x``: they accumulate into a
 # caller-owned output, which lets products land directly in the stacked
 # buffer, and they skip the per-call dispatch of the public operator.  On
 # a 2-vCPU Xeon host, ``K @ x`` with 961 nonzeros (121-node mesh) takes
 # 7.0 µs and the raw kernel 2.5 µs.  The module is private to scipy; a
-# scipy without it gets the same two calls on the public product.
+# scipy without it gets the same calls on the public products.
 try:
-    from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
+    from scipy.sparse._sparsetools import csc_matvecs, csr_matvec, csr_matvecs
 except ImportError:
     def csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx):
         """Yx += A Xx for the CSR matrix (Ap, Aj, Ax)."""
@@ -70,6 +79,11 @@ except ImportError:
         """Yx += A X for the CSR matrix (Ap, Aj, Ax) and the n_vecs
         columns of X, both X and Y flat in row-major order."""
         A = sp.csr_matrix((Ax, Aj, Ap), shape=(n_row, n_col))
+        Yx += (A @ Xx.reshape(n_col, n_vecs)).ravel()
+
+    def csc_matvecs(n_row, n_col, n_vecs, Ap, Ai, Ax, Xx, Yx):
+        """Yx += A X for the CSC matrix (Ap, Ai, Ax), as csr_matvecs."""
+        A = sp.csc_matrix((Ax, Ai, Ap), shape=(n_row, n_col))
         Yx += (A @ Xx.reshape(n_col, n_vecs)).ravel()
 
 
@@ -192,6 +206,123 @@ def _stack_family(k_mats: list) -> tuple[np.ndarray, list]:
                    for row in stack]
 
 
+def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``jk``, multi-indices of degree ≤ P over some
+    of the dimensions, and the position of each row among them."""
+    key = jk @ (P + 1) ** np.arange(jk.shape[1])
+    _, first, position = np.unique(key, return_index=True,
+                                   return_inverse=True)
+    return jk[first], position
+
+
+class _GaussPointProduct:
+    """The full product on the free nodes from the field at the Gauss
+    points, exact for P′ ≥ 2P.
+
+    With the closed forms a_α = a_0 Π_d g_d^{α_d}/α_d! and
+    c_αjk = Π_d T[α_d, j_d, k_d], the coupling at a point q is
+    C_q[j, k] = Σ_α a_α c_αjk = a_0 Π_d m_d[j_d, k_d] with the 1-D
+    matrices m_d[a, b] = Σ_α g_d^α/α! T[α, a, b], exactly, since
+    c_αjk ≠ 0 needs |α| ≤ |j| + |k| ≤ 2P.  Splitting the dimensions in
+    two halves, C_q = a_0 (A_q ⊗ B_q) on the grid of (first half, second
+    half) multi-indices, in which the total-degree set is embedded; at
+    N = 4 that grid is 15 × 15 for 70 blocks.  This is the sum
+    factorization of spectral elements (Orszag 1980) at the quadrature
+    points of matrix-free FEM (Kronbichler & Kormann 2012).  A product
+    then
+    1. gathers every block's gradients at the points through the
+       free-column gradient matrix D (:func:`~sgfem.fem.gradient_matrix`),
+    2. embeds them in the grid and multiplies by A_q from the left and
+       B_q from the right (both are symmetric), two batched matmuls,
+    3. scatters the grid's total-degree entries back with Dᵀ.
+    The m_d of every point are computed once, N·(P+1)² doubles a point;
+    A_q and B_q are formed per chunk of points, in one workspace of
+    about ``_CHUNK_BYTES`` that every call reuses.
+    """
+
+    def __init__(self, tensor: CijkTensor, mean: np.ndarray,
+                 modes: np.ndarray, mesh: Mesh, free: np.ndarray):
+        N, P = tensor.jkset.N, tensor.jkset.degree
+        jk = tensor.jkset.as_array()
+        h, s = N // 2, (P + 1) ** 2
+        (first, pos1), (second, pos2) = (_half_grid(jk[:, :h], P),
+                                         _half_grid(jk[:, h:], P))
+        n1, n2 = self._shape = len(first), len(second)
+        # a point's factors of A_q, one per dimension of the first half,
+        # then of B_q: the entries of m_d in the point's row of m
+        self._take = np.concatenate(
+            [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
+             for part, dims in ((first, range(h)), (second, range(h, N)))
+             for e, d in enumerate(dims)])
+        self._a_parts = [slice(e * n1 * n1, (e + 1) * n1 * n1)
+                         for e in range(h)]
+        self._b_parts = [slice(h * n1 * n1 + e * n2 * n2,
+                               h * n1 * n1 + (e + 1) * n2 * n2)
+                         for e in range(N - h)]
+        # block j of gradient component c at grid entry (j1, c, j2)
+        self._pos = ((pos1 * 2 * n2 + pos2)[None, :]
+                     + (np.arange(2) * n2)[:, None]).ravel()
+        # m_d at every point: g_d^α/α! by repeated products, then the sum
+        # over α with the 1-D table as one matrix product
+        g = modes.reshape(N, -1).T
+        powers = np.empty(g.shape + (2 * P + 1,))
+        powers[..., 0] = 1.0
+        for a in range(1, 2 * P + 1):
+            np.multiply(powers[..., a - 1], g, out=powers[..., a])
+            powers[..., a] /= a
+        table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
+        self._m = (powers @ table).reshape(len(g), N * s)
+        self._a0 = mean.ravel()
+        grad = gradient_matrix(mesh)[:, free].tocsr()
+        self._d = grad.indptr, grad.indices, grad.data
+        # one workspace row a point: the factors, A_q, the grid and the
+        # half product, and the gradients, which the result overwrites
+        widths = (len(self._take), n1 * n1, 2 * n1 * n2, 2 * n1 * n2,
+                  2 * len(jk))
+        self._points = min(max(_CHUNK_BYTES // (8 * sum(widths)), 1),
+                           len(self._a0))
+        self._work = [np.empty((self._points, w)) for w in widths]
+        self._out = np.empty((len(free), len(jk)))
+
+    def apply(self, vt: np.ndarray) -> np.ndarray:
+        """The product of the free-node blocks ``vt``, node-major
+        (n_free, M+1), in the same layout; the result is the workspace's,
+        valid until the next call."""
+        (f, m1), (n1, n2) = vt.shape, self._shape
+        ip, ix, dx = self._d
+        W = self._out
+        W.fill(0.0)
+        for lo in range(0, len(self._a0), self._points):
+            hi = min(lo + self._points, len(self._a0))
+            q = hi - lo
+            F, A, X, Y, G = (buf[:q] for buf in self._work)
+            # A_q with a_0, and B_q in place of its first factor
+            np.take(self._m[lo:hi], self._take, axis=1, out=F, mode="clip")
+            A[:] = self._a0[lo:hi, None]
+            for part in self._a_parts:
+                A *= F[:, part]
+            B = F[:, self._b_parts[0]]
+            for part in self._b_parts[1:]:
+                B *= F[:, part]
+            # every block's gradients at the chunk's points, in the grid
+            rows = ip[2 * lo:2 * hi + 1]
+            nz = slice(rows[0], rows[-1])
+            rows = rows - rows[0]
+            G.fill(0.0)
+            csr_matvecs(2 * q, f, m1, rows, ix[nz], dx[nz], vt.ravel(),
+                        G.ravel())
+            X.fill(0.0)
+            X[:, self._pos] = G
+            np.matmul(A.reshape(q, n1, n1), X.reshape(q, n1, 2 * n2),
+                      out=Y.reshape(q, n1, 2 * n2))
+            np.matmul(Y.reshape(q, 2 * n1, n2), B.reshape(q, n2, n2),
+                      out=X.reshape(q, 2 * n1, n2))
+            np.take(X, self._pos, axis=1, out=G, mode="clip")
+            csc_matvecs(f, 2 * q, m1, rows, ix[nz], dx[nz], G.ravel(),
+                        W.ravel())
+        return W
+
+
 class GalerkinOperator:
     """Blockwise operator built from shared-pattern stiffness matrices.
 
@@ -218,6 +349,15 @@ class GalerkinOperator:
     buffer, so an operator must not run two products at once (from two
     threads).
 
+    Given ``field`` and ``mesh``, as :func:`~sgfem.experiments.build_problem`
+    gives them, :meth:`matvec` runs at the Gauss points instead (module
+    docstring) and keeps the field's mean and modes, not its coefficient
+    values.  The constructor refuses, with ValueError, one given without
+    the other, a tensor with P′ < 2P, a mesh of another node count, or
+    one whose boundary nodes are not all fixed; an interior node may be
+    fixed too, when no K_i, i > 0, couples it (P = 0 at n = 2).  That
+    product does not see an in-place edit of the K_i.
+
     The constructor finds the fixed nodes once (module docstring), the
     ascending node indices ``fixed`` and ``free``, of which there are
     ``n_free``; products, mixing and band fills run on a free-node CSR.
@@ -234,7 +374,9 @@ class GalerkinOperator:
     they update as well.
     """
 
-    def __init__(self, tensor: CijkTensor, k_mats):
+    def __init__(self, tensor: CijkTensor, k_mats,
+                 field: CoefficientFields | None = None,
+                 mesh: Mesh | None = None):
         if len(k_mats) != len(tensor.iset):
             raise ValueError("need one stiffness matrix per tensor index i")
         first = k_mats[0]
@@ -269,6 +411,37 @@ class GalerkinOperator:
         self._full_plan: _Plan | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
+        self._field = None if field is None and mesh is None else \
+            self._check_field(field, mesh)
+        self._gauss: _GaussPointProduct | None = None
+
+    def _check_field(self, field, mesh) -> tuple:
+        """The field's mean and modes and the mesh, which the Gauss-point
+        product needs, once they are found to fit this operator; not the
+        field's coefficient values, which it never reads."""
+        t = self.tensor
+        if field is None or mesh is None:
+            raise ValueError("the Gauss-point product needs both the "
+                             "field and the mesh")
+        if t.iset.degree < 2 * t.jkset.degree:
+            raise ValueError(
+                f"the Gauss-point product needs P' >= 2P, got "
+                f"P' = {t.iset.degree}, P = {t.jkset.degree}")
+        if mesh.n_nodes != self.n_dof:
+            raise ValueError(f"the mesh has {mesh.n_nodes} nodes, the "
+                             f"stiffness matrices {self.n_dof} rows")
+        # an interior node whose neighbours are all on the boundary is
+        # fixed too when no K_i, i > 0, couples it (P = 0 at n = 2)
+        if not np.isin(mesh.boundary, self.fixed).all():
+            raise ValueError("the mesh's boundary nodes are not all fixed "
+                             "nodes of the operator")
+        points = (len(mesh.elements), 4)
+        if (field.basis.N != t.iset.N or field.mean.shape != points
+                or field.modes.shape != (t.iset.N,) + points):
+            raise ValueError(f"the field does not hold a mean and "
+                             f"{t.iset.N} modes at the mesh's {points} "
+                             f"Gauss points")
+        return field.mean, field.modes, mesh
 
     def _find_fixed_nodes(self) -> None:
         """Split the nodes into fixed and free ones (module docstring)
@@ -423,14 +596,27 @@ class GalerkinOperator:
         """Full product A v over all blocks with the complete tensor, on
         every node: ``v`` of shape (M+1, n_dof) or flat, the result in
         the input layout.  A fixed node b of block j gets the closed form
-        (G_0)_jj · (K_0[b,b] · v_(j)[b])."""
-        if self._full_plan is None:
-            blocks = range(self.M + 1)
-            self._full_plan = self.plan(blocks, blocks,
-                                        full_truncation(self.tensor))
+        (G_0)_jj · (K_0[b,b] · v_(j)[b]).
+
+        An operator given the field multiplies the free nodes at the
+        Gauss points (:class:`_GaussPointProduct`, built at the first
+        call) and reads no K_i; it counts the tensor's terms in
+        ``summations`` and runs no ``products``.  Any other runs the
+        full plan through :meth:`tmatvec`, built at the first call."""
         V = np.asarray(v, dtype=float).reshape(self.M + 1, self.n_dof)
         W = np.empty_like(V)
-        W[:, self.free] = self.tmatvec(self._full_plan, V[:, self.free])
+        if self._field is not None:
+            if self._gauss is None:
+                self._gauss = _GaussPointProduct(self.tensor, *self._field,
+                                                 self.free)
+            W[:, self.free] = self._gauss.apply(V.T[self.free]).T
+            self.counters["summations"] += self.tensor.nnz
+        else:
+            if self._full_plan is None:
+                blocks = range(self.M + 1)
+                self._full_plan = self.plan(blocks, blocks,
+                                            full_truncation(self.tensor))
+            W[:, self.free] = self.tmatvec(self._full_plan, V[:, self.free])
         W[:, self.fixed] = self._g0[:, None] * (
             self.kdata[0, self._fixed_slots] * V[:, self.fixed])
         return W.ravel() if v.ndim == 1 else W
@@ -519,8 +705,10 @@ class GalerkinOperator:
         with run_band(s) sub-diagonals, filled straight from the block
         pairs' values.
 
-        The pairs' values are computed in chunks of about
-        ``_CHUNK_BYTES``.  Entry (a, b) of the free pattern in pair
+        The pairs' values are computed in chunks of about a quarter of
+        ``_CHUNK_BYTES``, so that with their lower-triangle gather and its
+        int64 positions the fill holds less than ``_CHUNK_BYTES`` beside
+        the band.  Entry (a, b) of the free pattern in pair
         (r, c) is entry (a·s + r, b·s + c) of the run's matrix; it lies
         in the lower triangle when a > b, or when a = b and r ≥ c, so
         only pairs with r ≥ c write the diagonal node entries.  Pad
@@ -542,7 +730,7 @@ class GalerkinOperator:
         r, c = pairs // s, pairs % s
         shift = (c * band + r)[:, None]
         nnz = self.kdata.shape[1]
-        step = max(_CHUNK_BYTES // (8 * nnz), 1)
+        step = max(_CHUNK_BYTES // (32 * nnz), 1)
         for a in range(0, len(pairs), step):
             part, ptr = slice(a, a + step), indptr[a:a + step + 1]
             values = np.zeros((len(ptr) - 1, nnz))

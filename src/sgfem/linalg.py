@@ -99,19 +99,25 @@ class Factorization:
     _state: tuple = field(repr=False)
     rows: np.ndarray | None = field(default=None, repr=False)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
+    def solve(self, b: np.ndarray, overwrite_b: bool = False) -> np.ndarray:
+        """``A^{-1} b`` for b of n rows and any number of columns.  With
+        ``overwrite_b`` LAPACK may solve in b's memory, which it does for
+        a contiguous float b, Fortran-ordered when it has columns: b is
+        the caller's to give up.  A factor in its own order solves its
+        gathered copy of b in place."""
         b = np.asarray(b, dtype=float)
         if self.rows is None:
-            return self._solve(b)
+            return self._solve(b, overwrite_b)
         x = np.empty_like(b)
-        x[self.rows] = self._solve(b.take(self.rows, axis=0))
+        x[self.rows] = self._solve(b.take(self.rows, axis=0), True)
         return x
 
-    def _solve(self, b: np.ndarray) -> np.ndarray:
+    def _solve(self, b: np.ndarray, overwrite_b: bool) -> np.ndarray:
         if self.kind == "cholesky":
-            return sla.cho_solve(self._state, b)
-        # LAPACK refuses the leading dimension of a system of no rows
-        return dpbtrs(self._state[0], b, lower=1)[0] if len(b) else b.copy()
+            return sla.cho_solve(self._state, b, overwrite_b=overwrite_b)
+        if not len(b):
+            return b.copy()  # LAPACK refuses a system of no rows
+        return dpbtrs(self._state[0], b, lower=1, overwrite_b=overwrite_b)[0]
 
 
 def factorize_band(ab: np.ndarray,

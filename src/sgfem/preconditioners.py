@@ -86,10 +86,13 @@ class Kronecker(Preconditioner):
 
     def apply(self, r):
         op, R = self.op, self._blocks(r)
-        Y = np.empty_like(R)  # K_0 solve per block
-        Y[:, op.free] = self._f0.solve(R.take(op.free, axis=1).T).T
+        # K_0 solve per block, then the mix across the block index, each
+        # in place on a Fortran-ordered temporary
+        Y = np.empty(R.shape, order="F")
+        Y[:, op.free] = self._f0.solve(R.take(op.free, axis=1).T,
+                                       overwrite_b=True).T
         Y[:, op.fixed] = R[:, op.fixed] / self._divisor
-        return self._fg.solve(Y).ravel()  # mix across the block index
+        return self._fg.solve(Y, overwrite_b=True).ravel()
 
 
 class BlockGaussSeidel(Preconditioner):

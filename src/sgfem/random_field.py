@@ -147,14 +147,22 @@ def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Chaos coefficients k_i of the lognormal field at quadrature points.
+    """Chaos coefficients k_i of the lognormal field at quadrature points,
+    and the field they come from.
 
     ``values[i]`` has shape (n_elements, 4); ``basis`` is the multi-index
-    set the i axis runs over.  k_0 is strictly positive.
+    set the i axis runs over.  ``mean`` holds a_0 = exp(g_0 + ½ Σ_d g_d²)
+    and ``modes[d]`` the exponent mode g_d, each at the same points, so
+    that every coefficient is k_i = a_0 Π_d g_d^{i_d} / i_d!;
+    ``values[0]`` equals ``mean``, which is strictly positive.  A
+    :class:`~sgfem.galerkin.GalerkinOperator` given them multiplies at
+    the points instead of through the stiffness family.
     """
 
     basis: MultiIndexSet
     values: np.ndarray
+    mean: np.ndarray
+    modes: np.ndarray
 
 
 def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh
@@ -175,4 +183,4 @@ def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh
             if p:
                 prod *= powers[p, d] / math.factorial(p)
         values[pos] = prod
-    return CoefficientFields(basis, values)
+    return CoefficientFields(basis, values, base, G)

@@ -73,6 +73,17 @@ def test_traced_pass_gives_every_per_layer_figure(traced):
     assert set(metrics) == declared("per_layer")
 
 
+def test_traced_pass_counts_the_operator_work(traced):
+    """The per-layer figures derived from the operator's counters are
+    not 0: the full product counts its tensor terms without running a
+    K_i product, and the sweeps' pushes run K_i products."""
+    metrics = run.per_layer(traced)
+    for name in ("galerkin.products", "galerkin.summations",
+                 "galerkin.matvec_flops_computed",
+                 "galerkin.matvec_bytes_computed"):
+        assert metrics[name]["value"] > 0, name
+
+
 def test_traced_pass_has_a_span_in_every_layer(traced):
     layers = {name.split(".", 1)[0] for name in traced["spans"]}
     assert set(tracing.LAYERS) <= layers

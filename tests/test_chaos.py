@@ -122,7 +122,7 @@ def multivariate_quadrature_cijk(idx_i, idx_j, idx_k, n_nodes=10):
 def looped_c_tensor(N, P, Pprime) -> CijkTensor:
     """The tensor built one expansion index at a time (oracle)."""
     iset, jkset = multi_index_set(N, Pprime), multi_index_set(N, P)
-    T = chaos._table_1d(Pprime, P)
+    T = chaos.triple_product_table(Pprime, P)
     jk = jkset.as_array()
     m1 = len(jkset)
     iis, jjs, kks, vals = [], [], [], []

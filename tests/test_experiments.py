@@ -247,11 +247,12 @@ class TestBuildProblemArguments:
             build_problem(2, 2, 4, 100.0, L=float("nan"))
 
     def test_oversized_problem_refused_before_any_work(self, monkeypatch):
-        """The coefficient values (28 fields × 16 elements × 4 points)
-        and the stiffness data (28 fields × 65 pattern slots) of
-        N = 2, P = 3, n = 4 are checked against physical memory before
-        the mesh is built."""
-        need = 8 * 28 * (16 * 4 + 65)
+        """The coefficient values (28 fields × 16 elements × 4 points),
+        the stiffness data (28 fields × 65 pattern slots) and the
+        Gauss-point data (64 points of 2·16 + 3 doubles and 104 bytes)
+        of N = 2, P = 3, n = 4 are checked against physical memory
+        before the mesh is built."""
+        need = 8 * 28 * (16 * 4 + 65) + 64 * (8 * 35 + 104)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_mesh(n):
@@ -262,7 +263,8 @@ class TestBuildProblemArguments:
             build_problem(2, 3, 4, 50.0)
         assert str(exc.value).startswith(
             f"the problem at N = 2, P = 3, n = 4, its 28 coefficient fields "
-            f"and stiffness matrices, needs {need} bytes")
+            f"and stiffness matrices and its Gauss-point data, needs "
+            f"{need} bytes")
         # with the data fitting, the patched mesh is reached: the refusal
         # above came before it
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
@@ -274,7 +276,10 @@ class TestBuildProblemArguments:
     def test_checked_bytes_are_the_problem_data(self, N, P, n,
                                                 monkeypatch):
         """The bytes checked are those of the coefficient values and the
-        stiffness data build_problem allocates."""
+        stiffness data build_problem allocates, and at least those that
+        the Gauss-point product keeps: its m_d, the field's mean and
+        modes and its gradient matrix, which has no entry in a fixed
+        node's column."""
         checked, check = [], experiments.check_fits
 
         def recorded(need, *args):
@@ -284,8 +289,26 @@ class TestBuildProblemArguments:
         monkeypatch.setattr(experiments, "check_fits", recorded)
         op, _ = build_problem(N, P, n, 50.0)
         mesh = build_mesh(n)
-        coeffs = 8 * len(op.k_mats) * len(mesh.elements) * 4
-        assert checked == [coeffs + op.kdata.nbytes]
+        points = len(mesh.elements) * 4
+        coeffs = 8 * len(op.k_mats) * points
+        gauss = points * (8 * (N * (P + 1) ** 2 + N + 1) + 104)
+        assert checked == [coeffs + op.kdata.nbytes + gauss]
+        op.matvec(np.ones(op.n_global))
+        kept = op._gauss._m.nbytes + 8 * points * (N + 1) + sum(
+            a.nbytes for a in op._gauss._d)
+        assert kept <= gauss
+
+    def test_gauss_point_data_alone_refused(self, monkeypatch):
+        """At N = 1, P = 20, n = 2 the 41 coefficient fields and their
+        stiffness data fit in 8200 bytes, but the 16 Gauss points keep
+        441 doubles of m_d each: only that term refuses the problem."""
+        fields = 8 * 41 * (16 + 9)
+        need = fields + 16 * (8 * (441 + 2) + 104)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: fields)
+        with pytest.raises(MemoryError, match=f"needs {need} bytes"):
+            build_problem(1, 20, 2, 50.0)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        build_problem(1, 20, 2, 50.0)
 
     def test_oversized_problem_is_one_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "physical_memory", lambda: 1000)
@@ -363,8 +386,9 @@ class TestTables:
         first solve: an hs whose level bands do not fit at n = 4 stops
         the table after the n = 3 row's four solves, before any solve of
         its own row.  At N = P = 4, hs's free-node bands at n = 4, 627,120
-        bytes, outgrow the 510,840 bytes of the problem's coefficients
-        and stiffness data, which build_problem checks first."""
+        bytes, outgrow the 571,256 bytes of the problem's coefficients,
+        stiffness data and Gauss-point data, which build_problem checks
+        first."""
         solves, solve = [], experiments.flexible_cg
 
         def counted(*args, **kwargs):
@@ -384,7 +408,8 @@ class TestTables:
          (ValueError, "the mesh has 9 nodes")),
         ("logh", dict(N=10, P=1, mesh_list=(3, 2)), None,
          (ValueError, "the mesh has 9 nodes")),
-        ("logP", dict(N=2, P=3, n=4), 8 * 28 * (16 * 4 + 65) - 1,
+        ("logP", dict(N=2, P=3, n=4),
+         8 * 28 * (16 * 4 + 65) + 64 * (8 * 35 + 104) - 1,
          (MemoryError, "the problem at N = 2, P = 3, n = 4"))],
         ids=["logN", "logh", "logP"])
     def test_swept_problem_refused_before_any_solve(

@@ -25,7 +25,12 @@ import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor, multi_index_set
-from sgfem.fem import assemble_stiffness_family, build_mesh
+from sgfem.fem import (
+    apply_dirichlet,
+    assemble_load,
+    assemble_stiffness_family,
+    build_mesh,
+)
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -35,6 +40,12 @@ from sgfem.galerkin import (
 )
 from sgfem.linalg import Factorization, csr_on, factorize
 from sgfem.preconditioners import KINDS, make_preconditioner
+from sgfem.random_field import (
+    ExponentialCovariance,
+    discrete_kl,
+    field_parameters,
+    gpc_coefficients,
+)
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
@@ -534,6 +545,119 @@ class TestCounters:
         assert op.counters["summations"] == 2 * once
 
 
+def field_family(N, P, n, Pprime=None):
+    """The Dirichlet family of :func:`build_problem` with its field and
+    mesh, for a coefficient degree P′ (default 2P): (tensor, kfam, field,
+    mesh)."""
+    mesh = build_mesh(n)
+    g0, sigma = field_parameters(1.0, 1.0)
+    kl = discrete_kl(mesh, ExponentialCovariance(sigma, 0.5), N, g0=g0)
+    tensor = build_c_tensor(N, P, 2 * P if Pprime is None else Pprime)
+    field = gpc_coefficients(kl, tensor.iset, mesh)
+    kfam = assemble_stiffness_family(mesh, field.values)
+    apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)
+    return tensor, kfam, field, mesh
+
+
+class TestGaussPointProduct:
+    """The full product at the Gauss points, which operators built with
+    the field run, against the family's full plan and the dense
+    matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 4), P=st.integers(0, 3),
+           n=st.sampled_from([1, 2, 3, 5]),
+           cov=st.sampled_from([50.0, 100.0, 150.0]),
+           seed=st.integers(0, 2**16))
+    @example(N=3, P=3, n=5, cov=150.0, seed=0)  # halves of 1 and 2 dims
+    @example(N=4, P=3, n=5, cov=100.0, seed=0)
+    @example(N=1, P=0, n=2, cov=100.0, seed=0)  # no free node
+    def test_matches_the_family_product(self, N, P, n, cov, seed):
+        """Odd N splits the dimensions into unequal halves, N = 1 into an
+        empty one, and n ≤ 2 leaves at most one free node."""
+        op, _ = build_problem(N, P, n, cov)
+        V = np.random.default_rng(seed).standard_normal((op.M + 1,
+                                                         op.n_dof))
+        got = op.matvec(V)
+        blocks = range(op.M + 1)
+        want = op.tmatvec(op.plan(blocks, blocks, full_truncation(op.tensor)),
+                          V[:, op.free])
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(got[:, op.free] - want).max(initial=0.0) <= \
+            1e-14 * scale
+        family = GalerkinOperator(op.tensor, op.k_mats).matvec(V)
+        np.testing.assert_array_equal(got[:, op.fixed], family[:, op.fixed])
+        if op.n_global <= 5000:
+            dense = op.assemble_global_dense() @ V.ravel()
+            assert np.abs(got.ravel() - dense).max() <= \
+                1e-14 * np.abs(dense).max()
+
+    def test_chunks_give_the_same_numbers(self, monkeypatch):
+        """Every point is multiplied on its own, so chunks of a few points,
+        the last one partial, give the one-chunk result bit for bit."""
+        op, _ = build_problem(2, 2, 3, 100.0)
+        v = np.random.default_rng(41).standard_normal(op.n_global)
+        want = op.matvec(v)
+        monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 1)
+        small = GalerkinOperator(op.tensor, op.k_mats,
+                                 *field_family(2, 2, 3)[2:])
+        np.testing.assert_array_equal(small.matvec(v), want)
+        assert small._gauss._points == 1
+
+    def test_counts_the_tensor_terms_and_no_product(self):
+        """A full product counts the c_ijk terms it applies, as the full
+        plan does, and runs no K_i product."""
+        op, _ = build_problem(2, 2, 3, 100.0)
+        v = np.ones(op.n_global)
+        for calls in (1, 2):
+            op.matvec(v)
+            assert op.counters == {"summations": calls * op.tensor.nnz,
+                                   "products": 0}
+
+    def test_reads_no_stiffness_matrix(self):
+        """The product comes from the field: zeroing every K_i but K_0's
+        fixed diagonal, which the closed form of a fixed row reads,
+        leaves it as it was."""
+        op, _ = build_problem(2, 2, 3, 100.0)
+        v = np.random.default_rng(42).standard_normal(op.n_global)
+        want = op.matvec(v)
+        diagonal = op.kdata[0, op._fixed_slots].copy()
+        op.kdata[:] = 0.0
+        op.kdata[0, op._fixed_slots] = diagonal
+        np.testing.assert_array_equal(op.matvec(v), want)
+
+    def test_refuses_a_coefficient_degree_below_2P(self):
+        tensor, kfam, field, mesh = field_family(2, 2, 3, Pprime=3)
+        with pytest.raises(ValueError, match="P' >= 2P"):
+            GalerkinOperator(tensor, kfam, field, mesh)
+        GalerkinOperator(tensor, kfam)  # the family product takes any P'
+
+    def test_refuses_a_mesh_of_other_nodes(self):
+        tensor, kfam, field, _ = field_family(2, 2, 3)
+        with pytest.raises(ValueError, match="25 nodes, the stiffness matrices 16"):
+            GalerkinOperator(tensor, kfam, field, build_mesh(4))
+
+    def test_refuses_a_boundary_that_is_not_fixed(self):
+        """A family with no fixed node, the Neumann matrices of the same
+        field, does not fit the Gauss-point product of its mesh."""
+        tensor, _, field, mesh = field_family(2, 2, 3)
+        mats = neumann_operator(2, 2, 3, 1.0).k_mats
+        with pytest.raises(ValueError, match="boundary"):
+            GalerkinOperator(tensor, mats, field, mesh)
+
+    def test_refuses_a_field_of_another_dimension(self):
+        tensor, kfam, _, mesh = field_family(2, 2, 3)
+        with pytest.raises(ValueError, match="2 modes"):
+            GalerkinOperator(tensor, kfam, field_family(3, 1, 3)[2], mesh)
+
+    def test_refuses_a_field_without_its_mesh(self):
+        tensor, kfam, field, mesh = field_family(2, 2, 3)
+        with pytest.raises(ValueError, match="both"):
+            GalerkinOperator(tensor, kfam, field)
+        with pytest.raises(ValueError, match="both"):
+            GalerkinOperator(tensor, kfam, mesh=mesh)
+
+
 class TestAssembledBlocks:
     def test_mean_diagonal_block_is_mean_matrix(self):
         op, _, _, _ = build_operator(2, 2, 3)
@@ -797,8 +921,8 @@ class TestFactorizationContract:
         """Memory regression guard: the bytes a level factorization keeps
         are its band storage, within 5 %, so a retained second copy of a
         factor (or of D_ℓ) fails; and the band is filled in place, so
-        the peak passes it by no more than the fill's chunk of pair
-        values and its two gathers, three chunks in all."""
+        the peak passes it by no more than the fill's quarter chunk of
+        pair values and its two gathers, one chunk in all."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
         level = range(35, 70)
         kept, peak = traced_memory(lambda: op.assemble_level_block(level))
@@ -806,7 +930,7 @@ class TestFactorizationContract:
         # 35 blocks of 81 free nodes, band 35·n + 34
         assert band == 8 * 35 * 81 * (35 * 10 + 34 + 1)
         assert abs(kept - band) <= 0.05 * band
-        assert peak <= band + 3 * galerkin._CHUNK_BYTES
+        assert peak <= band + galerkin._CHUNK_BYTES
 
     @pytest.mark.parametrize("builder,kind,calls", [
         ("assemble_level_block", "hs", [range(3, 6), range(1, 3),
@@ -985,3 +1109,16 @@ class TestScipyFallback:
                 for _ in range(2):
                     assert_close(pre_fb.apply(v), pre.apply(v))
         assert op_fb.counters == op.counters
+
+    def test_fallback_gauss_point_product(self, monkeypatch):
+        """The Gauss-point product's gather and scatter run on the public
+        CSR and CSC products as well, to the raw kernels' numbers within
+        1e-14."""
+        fb = fallback_galerkin(monkeypatch)
+        assert fb.csc_matvecs is not galerkin.csc_matvecs
+        family = field_family(3, 2, 4)
+        v = np.random.default_rng(43).standard_normal(
+            (len(family[0].jkset), 25))
+        want = GalerkinOperator(*family).matvec(v)
+        got = fb.GalerkinOperator(*family).matvec(v)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

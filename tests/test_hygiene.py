@@ -370,7 +370,7 @@ def test_exports_rebuild_build_problem():
     coeffs = sg.gpc_coefficients(kl, tensor.iset, mesh)
     kfam = sg.assemble_stiffness_family(mesh, coeffs.values)
     f0 = sg.apply_dirichlet(kfam[0], sg.assemble_load(mesh, 1.0), mesh)[1]
-    op = sg.GalerkinOperator(tensor, kfam)
+    op = sg.GalerkinOperator(tensor, kfam, coeffs, mesh)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
-from conftest import band_fill, build_operator
+from conftest import band_fill, build_operator, traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +166,34 @@ class TestBandCholesky:
             x = F.solve(b)
             assert x.shape == b.shape
             np.testing.assert_allclose(S @ x, b, atol=1e-12)
+
+    def test_solve_in_place(self):
+        """With ``overwrite_b`` a band factor solves a contiguous b, one
+        column or Fortran-ordered columns, in its own memory, to the
+        numbers of a solve on a copy; without it b is left as it is."""
+        A = random_sparse_spd(40, 0.2, 5)
+        F = factorize_band(band_fill(A))
+        rng = np.random.default_rng(1)
+        for b in (rng.standard_normal(40),
+                  np.asfortranarray(rng.standard_normal((40, 3)))):
+            want = F.solve(b)
+            assert not np.shares_memory(want, b)
+            own = b.copy(order="A")
+            x = F.solve(own, overwrite_b=True)
+            assert np.shares_memory(x, own)
+            np.testing.assert_array_equal(x, want)
+
+    def test_ordered_factor_solves_its_gathered_copy_in_place(self):
+        """A factor in its own order gathers b into its order and solves
+        that copy in place: a solve holds the copy and the result, not a
+        third array for LAPACK."""
+        n = 20000
+        ab = np.zeros((2, n), order="F")
+        ab[0], ab[1, :-1] = 4.0, -1.0
+        F = factorize_band(ab, np.random.default_rng(2).permutation(n))
+        b = np.random.default_rng(3).standard_normal(n)
+        _, peak = traced_memory(lambda: F.solve(b))
+        assert peak <= 2.1 * b.nbytes
 
     def test_factor_of_no_rows(self, capfd):
         """A band factor of no rows, a mesh with no free node, solves one

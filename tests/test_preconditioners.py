@@ -16,6 +16,7 @@ from conftest import (
     levels,
     neumann_operator,
     probe_matrix,
+    traced_memory,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -280,6 +281,19 @@ class TestKronecker:
         mb = make_preconditioner(op2, "mb")
         r = np.random.default_rng(1).standard_normal(op2.n_global)
         np.testing.assert_allclose(kr.apply(r), mb.apply(r), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mb", "kron"])
+    def test_apply_solves_its_temporaries_in_place(self, kind):
+        """The K_0 solve and the G solve each run in place on the apply's
+        own Fortran-ordered temporaries, so an apply holds at most two
+        global vectors at once: the gathered free entries with the
+        solve's array, then that array with the C-ordered result."""
+        op, _, _, _ = build_operator(2, 2, 30)
+        pre = make_preconditioner(op, kind)
+        r = np.random.default_rng(2).standard_normal(op.n_global)
+        pre.apply(r)
+        _, peak = traced_memory(lambda: pre.apply(r))
+        assert peak <= 2.1 * r.nbytes
 
     def test_weights_normalize_mean_to_one(self):
         op, _, _, _ = build_operator(2, 2, 3)
