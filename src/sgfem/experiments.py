@@ -357,9 +357,12 @@ def _sweep_table(config, which, column, arg, values, cell, ndof):
 
 
 def _trunc_table(config, which, column, field):
+    kinds = tuple(k for k in TRUNC_KINDS if k in config.preconds)
+    if not kinds:
+        raise ValueError(f"the {which} table compares "
+                         f"{', '.join(TRUNC_KINDS)}; preconds names none "
+                         f"of them")
     rows = []
-    kinds = tuple(k for k in TRUNC_KINDS if k in config.preconds) or \
-        TRUNC_KINDS
     for cov in config.cov_list:
         op, b = _problem(config, cov_pct=cov)
         make = TRUNCATIONS[column](config, op)

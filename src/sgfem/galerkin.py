@@ -7,30 +7,28 @@ steps.  First every needed product K_i v_(k) is computed once, however
 many row blocks use it, and written as one row of a stacked product
 buffer.  Then the buffer is mixed into the row blocks by one sparse
 coupling matrix holding the c_ijk.  The buffer is filled and mixed in
-chunks of bounded size, so a full product over all blocks never holds
-every K_i v_(k) at once.  Which products a call needs and how they mix
+chunks of bounded size, so a product over all blocks never holds every
+K_i v_(k) at once.  Which products a call needs and how they mix
 form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
-its user: a preconditioner keeps the plans of its own pushes, and the
-operator only that of its full product.
+its user: a preconditioner keeps the plans of its own pushes.
 
-The full product need not stream the K_i at all.  An operator given
-the lognormal field at the Gauss points and the mesh multiplies there
-instead, exactly when P′ ≥ 2P (:class:`_GaussPointProduct`).  The
-truncated pushes, the band fills, ``block`` and the dense assembly keep
-the family, and so does the full product of an operator built without
-the field.
+The full product does not stream the K_i at all: it multiplies at the
+Gauss points from the lognormal field and the mesh, exactly since
+P′ ≥ 2P (:class:`_GaussPointProduct`).  The truncated pushes, the band
+fills, ``block`` and the dense assembly keep the family.
 
-Products and block factors run on the free nodes only.  A node b is
-fixed when its pattern row holds only its diagonal, its column is in no
-other row and K_i[b,b] = 0 for every i > 0, as a Dirichlet node of the
-stiffness family is.  Its rows are diagonal: c_0jk = δ_jk (G_0)_jj (the
-chaos basis is orthogonal, not normalised), so (A v)_(j)[b] =
-(G_0)_jj · (K_0[b,b] · v_(j)[b]).  So :meth:`tmatvec` and the factors
-take and return free-node blocks, shape (blocks, n_free), and the
-layout changes once at the edge of a call: :meth:`matvec` writes a
-fixed node by the closed form, and a preconditioner divides a fixed row
-by its :meth:`fixed_divisor`.  Results are bit for bit those of
-products over every node, whose other terms on b are all ±0.0.
+Products and block factors run on the free nodes only.  The fixed nodes
+are the mesh's boundary, and the family must be on their Dirichlet
+pattern: a boundary row b holds only its diagonal, its column is in no
+other row and K_i[b,b] = 0 for every i > 0.  Its rows are diagonal:
+c_0jk = δ_jk (G_0)_jj (the chaos basis is orthogonal, not normalised),
+so (A v)_(j)[b] = (G_0)_jj · (K_0[b,b] · v_(j)[b]).  So :meth:`tmatvec`
+and the factors take and return free-node blocks, shape
+(blocks, n_free), and the layout changes once at the edge of a call:
+:meth:`matvec` writes a fixed node by the closed form, and a
+preconditioner divides a fixed row by its :meth:`fixed_divisor`.
+Results are bit for bit those of products over every node, whose other
+terms on b are all ±0.0.
 
 A block factor is one band factor of a run of consecutive blocks: of
 all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
@@ -344,26 +342,23 @@ class GalerkinOperator:
     grouped by i and cut into chunks whose products fit a buffer of about
     ``_CHUNK_BYTES``, and per chunk the sparse coupling matrix that mixes
     the buffer rows into the row blocks.  The caller holds the plan, so a
-    plan lives as long as its user; the operator keeps only the full
-    product's, built at the first :meth:`matvec`.  All calls share one
-    buffer, so an operator must not run two products at once (from two
-    threads).
+    plan lives as long as its user.  All calls share one buffer, so an
+    operator must not run two products at once (from two threads).
 
-    Given ``field`` and ``mesh``, as :func:`~sgfem.experiments.build_problem`
-    gives them, :meth:`matvec` runs at the Gauss points instead (module
-    docstring) and keeps the field's mean and modes, not its coefficient
-    values.  The constructor refuses, with ValueError, one given without
-    the other, a tensor with P′ < 2P, a mesh of another node count, or
-    one whose boundary nodes are not all fixed; an interior node may be
-    fixed too, when no K_i, i > 0, couples it (P = 0 at n = 2).  That
-    product does not see an in-place edit of the K_i.
+    ``field`` and ``mesh``, as :func:`~sgfem.experiments.build_problem`
+    gives them, are those the family was assembled from: :meth:`matvec`
+    runs at their Gauss points (module docstring) and keeps the field's
+    mean and modes, not its coefficient values, so it does not see an
+    in-place edit of the K_i.  The constructor refuses, with ValueError,
+    a tensor with P′ < 2P, a mesh of another node count, a field of
+    another dimension or other points, and a family off the Dirichlet
+    pattern of the mesh's boundary.
 
-    The constructor finds the fixed nodes once (module docstring), the
-    ascending node indices ``fixed`` and ``free``, of which there are
-    ``n_free``; products, mixing and band fills run on a free-node CSR.
-    K_0[b,b] is read at each :meth:`matvec`, but an in-place edit that
-    makes K_i[b,b], i > 0, of a fixed node nonzero is not seen.  An
-    operator with no fixed nodes runs the same code with every node free.
+    The fixed nodes ``fixed`` are the mesh's boundary, ascending; the
+    other nodes are ``free``, of which there are ``n_free``; products,
+    mixing and band fills run on a free-node CSR.  K_0[b,b] is read at
+    each :meth:`matvec`, but an in-place edit that makes K_i[b,b],
+    i > 0, of a fixed node nonzero is not seen.
 
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms added (the cost measure of the
@@ -374,11 +369,14 @@ class GalerkinOperator:
     they update as well.
     """
 
-    def __init__(self, tensor: CijkTensor, k_mats,
-                 field: CoefficientFields | None = None,
-                 mesh: Mesh | None = None):
+    def __init__(self, tensor: CijkTensor, k_mats, field: CoefficientFields,
+                 mesh: Mesh):
         if len(k_mats) != len(tensor.iset):
             raise ValueError("need one stiffness matrix per tensor index i")
+        if tensor.iset.degree < 2 * tensor.jkset.degree:
+            raise ValueError(
+                f"the Gauss-point product needs P' >= 2P, got "
+                f"P' = {tensor.iset.degree}, P = {tensor.jkset.degree}")
         first = k_mats[0]
         for i, K in enumerate(k_mats):
             if not sp.issparse(K) or K.format != "csr":
@@ -392,6 +390,15 @@ class GalerkinOperator:
                     f"stiffness matrix {i} does not share the CSR sparsity "
                     f"pattern (indptr/indices) of matrix 0; store explicit "
                     f"zeros to keep one pattern")
+        if mesh.n_nodes != first.shape[0]:
+            raise ValueError(f"the mesh has {mesh.n_nodes} nodes, the "
+                             f"stiffness matrices {first.shape[0]} rows")
+        points = (len(mesh.elements), 4)
+        if (field.basis.N != tensor.iset.N or field.mean.shape != points
+                or field.modes.shape != (tensor.iset.N,) + points):
+            raise ValueError(f"the field does not hold a mean and "
+                             f"{tensor.iset.N} modes at the mesh's {points} "
+                             f"Gauss points")
         self.tensor = tensor
         kdata, self.k_mats = _stack_family(list(k_mats))
         first = self.k_mats[0]
@@ -403,49 +410,22 @@ class GalerkinOperator:
         self.kdata = kdata
         self._indices = first.indices
         self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
-        self._find_fixed_nodes()
+        self._fix_boundary(mesh.boundary)
         # (G_0)_jj = c_0jj: G_0 is diagonal, the chaos basis orthogonal
         zero = tensor.i == 0
         self._g0 = np.zeros(self.M + 1)
         self._g0[tensor.j[zero]] = tensor.val[zero]
-        self._full_plan: _Plan | None = None
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
-        self._field = None if field is None and mesh is None else \
-            self._check_field(field, mesh)
+        # the field's mean and modes, not its coefficient values, which
+        # the Gauss-point product never reads
+        self._field = field.mean, field.modes, mesh
         self._gauss: _GaussPointProduct | None = None
 
-    def _check_field(self, field, mesh) -> tuple:
-        """The field's mean and modes and the mesh, which the Gauss-point
-        product needs, once they are found to fit this operator; not the
-        field's coefficient values, which it never reads."""
-        t = self.tensor
-        if field is None or mesh is None:
-            raise ValueError("the Gauss-point product needs both the "
-                             "field and the mesh")
-        if t.iset.degree < 2 * t.jkset.degree:
-            raise ValueError(
-                f"the Gauss-point product needs P' >= 2P, got "
-                f"P' = {t.iset.degree}, P = {t.jkset.degree}")
-        if mesh.n_nodes != self.n_dof:
-            raise ValueError(f"the mesh has {mesh.n_nodes} nodes, the "
-                             f"stiffness matrices {self.n_dof} rows")
-        # an interior node whose neighbours are all on the boundary is
-        # fixed too when no K_i, i > 0, couples it (P = 0 at n = 2)
-        if not np.isin(mesh.boundary, self.fixed).all():
-            raise ValueError("the mesh's boundary nodes are not all fixed "
-                             "nodes of the operator")
-        points = (len(mesh.elements), 4)
-        if (field.basis.N != t.iset.N or field.mean.shape != points
-                or field.modes.shape != (t.iset.N,) + points):
-            raise ValueError(f"the field does not hold a mean and "
-                             f"{t.iset.N} modes at the mesh's {points} "
-                             f"Gauss points")
-        return field.mean, field.modes, mesh
-
-    def _find_fixed_nodes(self) -> None:
-        """Split the nodes into fixed and free ones (module docstring)
-        and lay out the free-node CSR on views of the stacked data rows.
+    def _fix_boundary(self, boundary: np.ndarray) -> None:
+        """Fix the mesh's boundary nodes, once the family is found to be
+        on their Dirichlet pattern (module docstring), and lay out the
+        free-node CSR on views of the stacked data rows.
 
         Free row r holds the slots from row free[r]'s first up to the
         next free row's first: the slot of a fixed row that lies between
@@ -455,18 +435,21 @@ class GalerkinOperator:
         largest row-minus-column offset, which no pad slot sets.
         """
         n, ip, ix = self.n_dof, self._indptr, self._indices
-        single = np.flatnonzero(np.diff(ip) == 1)
-        slot = ip[single]
-        apart = ((ix[slot] == single)
-                 & (np.bincount(ix, minlength=n)[single] == 1))
-        single, slot = single[apart], slot[apart]
+        slot = ip[boundary]
+        is_fixed = np.zeros(n, dtype=bool)
+        is_fixed[boundary] = True
         # one strided column of the stack at a time, not a copy of them
-        zero = np.array([not self.kdata[1:, s].any() for s in slot],
-                        dtype=bool)
-        self.fixed, self._fixed_slots = single[zero], slot[zero]
-        is_free = np.ones(n, dtype=bool)
-        is_free[self.fixed] = False
-        self.free = free = np.flatnonzero(is_free)
+        if (np.any(ip[boundary + 1] - slot != 1)
+                or np.any(ix[slot] != boundary)
+                or np.count_nonzero(is_fixed[ix]) != len(boundary)
+                or any(self.kdata[1:, s].any() for s in slot)):
+            raise ValueError(
+                "the stiffness matrices are not on the Dirichlet pattern of "
+                "the mesh's boundary: a boundary row must hold only its "
+                "diagonal, no other row a boundary column, and K_i[b,b] "
+                "must be 0 for i > 0")
+        self.fixed, self._fixed_slots = boundary, slot
+        self.free = free = np.flatnonzero(~is_fixed)
         self.n_free = f = len(free)
         lo, hi = (ip[free[0]], ip[free[-1] + 1]) if f else (0, 0)
         self._free_span = slice(lo, hi)
@@ -598,25 +581,17 @@ class GalerkinOperator:
         the input layout.  A fixed node b of block j gets the closed form
         (G_0)_jj · (K_0[b,b] · v_(j)[b]).
 
-        An operator given the field multiplies the free nodes at the
-        Gauss points (:class:`_GaussPointProduct`, built at the first
-        call) and reads no K_i; it counts the tensor's terms in
-        ``summations`` and runs no ``products``.  Any other runs the
-        full plan through :meth:`tmatvec`, built at the first call."""
+        The free nodes are multiplied at the Gauss points
+        (:class:`_GaussPointProduct`, built at the first call), reading
+        no K_i; a call counts the tensor's terms in ``summations`` and
+        runs no ``products``."""
         V = np.asarray(v, dtype=float).reshape(self.M + 1, self.n_dof)
         W = np.empty_like(V)
-        if self._field is not None:
-            if self._gauss is None:
-                self._gauss = _GaussPointProduct(self.tensor, *self._field,
-                                                 self.free)
-            W[:, self.free] = self._gauss.apply(V.T[self.free]).T
-            self.counters["summations"] += self.tensor.nnz
-        else:
-            if self._full_plan is None:
-                blocks = range(self.M + 1)
-                self._full_plan = self.plan(blocks, blocks,
-                                            full_truncation(self.tensor))
-            W[:, self.free] = self.tmatvec(self._full_plan, V[:, self.free])
+        if self._gauss is None:
+            self._gauss = _GaussPointProduct(self.tensor, *self._field,
+                                             self.free)
+        W[:, self.free] = self._gauss.apply(V.T[self.free]).T
+        self.counters["summations"] += self.tensor.nnz
         W[:, self.fixed] = self._g0[:, None] * (
             self.kdata[0, self._fixed_slots] * V[:, self.fixed])
         return W.ravel() if v.ndim == 1 else W

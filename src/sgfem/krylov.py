@@ -106,7 +106,7 @@ def _run_cg(apply_A, apply_M, b, tol, maxit, flexible):
             break
         alpha = rho / pAp
         x += alpha * p
-        r_old = r.copy() if flexible else None
+        r_old = r if flexible else None  # r is rebound, never written
         r = r - alpha * q
         if (k + 1) % _REFRESH == 0:
             r = b - apply_A(x)

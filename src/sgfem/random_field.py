@@ -155,8 +155,8 @@ class CoefficientFields:
     and ``modes[d]`` the exponent mode g_d, each at the same points, so
     that every coefficient is k_i = a_0 Π_d g_d^{i_d} / i_d!;
     ``values[0]`` equals ``mean``, which is strictly positive.  A
-    :class:`~sgfem.galerkin.GalerkinOperator` given them multiplies at
-    the points instead of through the stiffness family.
+    :class:`~sgfem.galerkin.GalerkinOperator` multiplies at the points
+    from ``mean`` and ``modes``, not through the stiffness family.
     """
 
     basis: MultiIndexSet

@@ -1,14 +1,14 @@
-"""Shared helpers: build small end-to-end problem instances and operators
-with no fixed node, probe linear maps, find the factorizations and
-product plans an object holds and trace the memory of a call; oracles of
-the degree levels, of lower band storage, of the coupling matrices, of
-the Hermite polynomials and of the dense KL eigenproblem."""
+"""Shared helpers: build small end-to-end problem instances, probe linear
+maps, find the factorizations and product plans an object holds and
+trace the memory of a call; oracles of the full product through the
+stiffness family, of the degree levels, of lower band storage, of the
+coupling matrices, of the Hermite polynomials and of the dense KL
+eigenproblem."""
 
 import math
 import tracemalloc
 
 import numpy as np
-import scipy.sparse as sp
 from hypothesis import settings
 from numpy.polynomial.hermite_e import hermeval
 
@@ -16,11 +16,10 @@ from sgfem.chaos import build_c_tensor
 from sgfem.fem import (
     apply_dirichlet,
     assemble_load,
-    assemble_stiffness,
     assemble_stiffness_family,
     build_mesh,
 )
-from sgfem.galerkin import GalerkinOperator
+from sgfem.galerkin import GalerkinOperator, full_truncation
 from sgfem.linalg import Factorization
 from sgfem.random_field import (
     ExponentialCovariance,
@@ -35,45 +34,46 @@ settings.register_profile("sgfem", print_blob=True)
 settings.load_profile("sgfem")
 
 
-def build_family(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
+def build_family(N, P, n, cov=1.0, mu_log=1.0, L=0.5, Pprime=None):
     """Small-scale pipeline up to the operator: mesh -> KL -> coefficients
-    -> Dirichlet family K_i -> K_0's boundary diagonal.  Returns (tensor,
-    kfam, f0, mesh, kl): the treated stiffness family as assembled, on
-    the rows of one array, and the treated load."""
+    of degree P′ (default 2P) -> Dirichlet family K_i -> K_0's boundary
+    diagonal.  Returns (tensor, kfam, field, mesh, f0): the operator's
+    arguments, with the treated stiffness family as assembled, on the
+    rows of one array, and the treated load."""
     mesh = build_mesh(n)
     g0, sg = field_parameters(mu_log, cov)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
-    tensor = build_c_tensor(N, P, 2 * P)
-    fields = gpc_coefficients(kl, tensor.iset, mesh)
-    kfam = assemble_stiffness_family(mesh, fields.values)
+    tensor = build_c_tensor(N, P, 2 * P if Pprime is None else Pprime)
+    field = gpc_coefficients(kl, tensor.iset, mesh)
+    kfam = assemble_stiffness_family(mesh, field.values)
     f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
-    return tensor, kfam, f0, mesh, kl
+    return tensor, kfam, field, mesh, f0
 
 
 def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     """Full pipeline at small scale: :func:`build_family`, then the block
-    operator.  Returns (op, b, mesh, kl) with b the global right-hand side
-    (unit load in the mean block only)."""
-    tensor, kfam, f0, mesh, kl = build_family(N, P, n, cov, mu_log, L)
-    op = GalerkinOperator(tensor, kfam)
+    operator.  Returns (op, b, mesh, field) with b the global right-hand
+    side (unit load in the mean block only)."""
+    tensor, kfam, field, mesh, f0 = build_family(N, P, n, cov, mu_log, L)
+    op = GalerkinOperator(tensor, kfam, field, mesh)
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
-    return op, b, mesh, kl
+    return op, b, mesh, field
 
 
-def neumann_operator(N, P, n, cov):
-    """An operator with no fixed node: the Neumann stiffness matrices of
-    the chaos coefficients of the lognormal field, each on the full Q1
-    pattern, with the identity added to K_0 so that every block matrix,
-    positive semidefinite before, is positive definite."""
-    mesh = build_mesh(n)
-    g0, sigma = field_parameters(1.0, cov)
-    kl = discrete_kl(mesh, ExponentialCovariance(sigma, 0.5), N, g0=g0)
-    tensor = build_c_tensor(N, P, 2 * P)
-    fields = gpc_coefficients(kl, tensor.iset, mesh)
-    mats = [assemble_stiffness(mesh, values) for values in fields.values]
-    mats[0] = sp.csr_matrix(mats[0] + sp.identity(mesh.n_nodes))
-    return GalerkinOperator(tensor, mats)
+def family_matvec(op, V) -> np.ndarray:
+    """The full product through the stiffness family, shape
+    (M+1, n_dof) (oracle of the Gauss-point product): the truncated
+    product over every block and every K_i on the free nodes, and the
+    closed form (G_0)_jj · K_0[b,b] · v_(j)[b] on a fixed node b."""
+    V = np.asarray(V, dtype=float).reshape(op.M + 1, op.n_dof)
+    blocks = range(op.M + 1)
+    W = np.empty_like(V)
+    W[:, op.free] = op.tmatvec(
+        op.plan(blocks, blocks, full_truncation(op.tensor)), V[:, op.free])
+    W[:, op.fixed] = np.diag(g_matrix(0, op.tensor))[:, None] * (
+        op.k_mats[0].diagonal()[op.fixed] * V[:, op.fixed])
+    return W
 
 
 def binomial_levels(N, P) -> list:

@@ -552,6 +552,26 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out.startswith("| N | ndof |")
 
+    @pytest.mark.parametrize("which", ["trunc-std", "trunc-adapt"])
+    def test_trunc_table_without_a_trunc_kind_refused(self, which, tmp_path,
+                                                      capsys, monkeypatch):
+        """A truncation table compares hs, ahs, gs and ahgs; preconds
+        that name none of them are refused before any problem is built,
+        with one error line and exit status 2."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("problem built before the refusal")
+
+        monkeypatch.setattr(experiments, "build_problem", no_build)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("preconds = mb, kron\n")
+        rc = main(["tables", which, "--config", str(cfg), "--N", "1",
+                   "--P", "1", "--n", "2"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [
+            f"sg tables: error: the {which} table compares hs, ahs, gs, "
+            f"ahgs; preconds names none of them"]
+
     def test_cli_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("N = 3\nP = 1\nn = 3\npreconds = gs\n")

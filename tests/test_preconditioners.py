@@ -2,6 +2,7 @@
 pull-form references of the sweeps, coincidence identities, linearity and
 symmetry probes."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -14,7 +15,6 @@ from conftest import (
     g_matrix,
     held_factors,
     levels,
-    neumann_operator,
     probe_matrix,
     traced_memory,
 )
@@ -271,12 +271,14 @@ class TestKronecker:
                                       [K0.diagonal()[op.fixed]])
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
+        """The family and field of the same mean, with the modes set to
+        zero."""
         import scipy.sparse as sp
-        from sgfem.galerkin import GalerkinOperator
-        op, _, _, _ = build_operator(2, 1, 2)
+        op, _, mesh, field = build_operator(2, 1, 2)
         zero = [sp.csr_matrix((K.data * 0.0, K.indices, K.indptr),
                               shape=K.shape) for K in op.k_mats[1:]]
-        op2 = GalerkinOperator(op.tensor, [op.k_mats[0]] + zero)
+        mean = dataclasses.replace(field, modes=np.zeros_like(field.modes))
+        op2 = GalerkinOperator(op.tensor, [op.k_mats[0]] + zero, mean, mesh)
         kr = make_preconditioner(op2, "kron")
         mb = make_preconditioner(op2, "mb")
         r = np.random.default_rng(1).standard_normal(op2.n_global)
@@ -511,17 +513,12 @@ class TestLinearMapProperties:
 
 @st.composite
 def layout_cases(draw, instance):
-    """An operator of the ``instance`` kind: with fixed nodes (the
-    Dirichlet family), with none (a Neumann family) or with no free node
-    (P = 0, n ≤ 2); and a seed."""
+    """An operator of the ``instance`` kind: with fixed and free nodes
+    or with no free node (n = 1); and a seed."""
     N, cov = draw(st.integers(1, 2)), draw(st.floats(0.5, 1.5))
     if instance == "none free":
-        op = build_operator(N, 0, draw(st.integers(1, 2)), cov=cov)[0]
+        op = build_operator(N, draw(st.integers(0, 2)), 1, cov=cov)[0]
         assert op.n_free == 0
-    elif instance == "neumann":
-        op = neumann_operator(N, draw(st.integers(1, 2)),
-                              draw(st.integers(1, 3)), cov)
-        assert len(op.fixed) == 0
     else:
         op = build_operator(N, draw(st.integers(1, 2)),
                             draw(st.integers(2, 4)), cov=cov)[0]
@@ -533,7 +530,7 @@ class TestLayoutEdge:
     """Each apply and the full product change between the global layout
     and the free-node blocks once, at their edge."""
 
-    @pytest.mark.parametrize("instance", ["fixed", "neumann", "none free"])
+    @pytest.mark.parametrize("instance", ["fixed", "none free"])
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
@@ -626,11 +623,11 @@ class TestFactory:
         diagonal of its fixed boundary nodes (and here also -1): every
         kind refuses it when it is made, where the divisors of the fixed
         rows are computed, before any apply."""
-        op, _, mesh, _ = build_operator(2, 2, 4)
+        op, _, mesh, field = build_operator(2, 2, 4)
         for value in (0.0, -1.0):
             mats = [K.copy() for K in op.k_mats]
             mats[0].data[mats[0].indptr[mesh.boundary]] = value
-            untreated = GalerkinOperator(op.tensor, mats)
+            untreated = GalerkinOperator(op.tensor, mats, field, mesh)
             assert len(untreated.fixed) == 16
             for kind in KINDS:
                 with pytest.raises(FactorizationError,
