@@ -163,13 +163,14 @@ def check_problem(N, P, n) -> None:
     values, shape (fields, n², 4), and stiffness data, shape
     (fields, nnz), for the fields = C(N + 2P, N) chaos coefficients, and
     what the operator's Gauss-point product keeps for each of the 4n²
-    points, N·(P + 1)² doubles of its 1-D matrices m_d, the mean and the
-    N modes, and 104 bytes of the gradient matrix (two rows of four
-    entries and an int32 column each, and two int32 row pointers).  For
-    small N and large P the last outweighs the coefficient fields.  nnz
-    counts the Dirichlet pattern: the 9-point couplings of the (n − 1)²
-    interior nodes, (3n − 5)² for n ≥ 2, and the 4n boundary diagonals.
-    Other arguments that :func:`build_problem` rejects pass; it names
+    points: n₁² + n₂² doubles of its stored factors A_q and B_q, for the
+    half-grid sizes n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the
+    mean and the N modes, and 104 bytes of the gradient matrix (two rows
+    of four entries and an int32 column each, and two int32 row
+    pointers).  For small N and large P the last outweighs the
+    coefficient fields.  nnz counts the Dirichlet pattern: the 9-point
+    couplings of the (n − 1)² interior nodes, (3n − 5)² for n ≥ 2, and
+    the 4n boundary diagonals.  Other arguments that :func:`build_problem` rejects pass; it names
     them."""
     if P < 0 or n < 1:
         return
@@ -177,7 +178,8 @@ def check_problem(N, P, n) -> None:
     fields = math.comb(N + 2 * P, N)
     nnz = (3 * n - 5) ** 2 * (n >= 2) + 4 * n
     points = 4 * n * n
-    gauss = points * (8 * (N * (P + 1) ** 2 + N + 1) + 104)
+    n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
+    gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 104)
     check_fits(8 * fields * (points + nnz) + gauss, lambda: (
         f"the problem at N = {N}, P = {P}, n = {n}, its {fields} "
         f"coefficient fields and stiffness matrices and its Gauss-point "

@@ -12,10 +12,18 @@ K_i v_(k) at once.  Which products a call needs and how they mix
 form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
 its user: a preconditioner keeps the plans of its own pushes.
 
-The full product does not stream the K_i at all: it multiplies at the
-Gauss points from the lognormal field and the mesh, exactly since
-P′ ≥ 2P (:class:`_GaussPointProduct`).  The truncated pushes, the band
-fills, ``block`` and the dense assembly keep the family.
+A product over the full tensor need not stream the K_i at all: it can
+multiply at the Gauss points from the lognormal field and the mesh,
+exactly since P′ ≥ 2P (:class:`_GaussPointProduct`), with a plan built
+by ``gauss_plan(rows, cols)``.  The full product always runs there, and
+so do the pushes of the level sweeps (hs, ahs and ahgs) whose truncation
+keeps every tensor index.  A push at the Gauss points applies the full
+tensor and scatters through the whole grid of its row blocks however few
+its column blocks are, while a push through the family costs what its
+retained K_i do.  So gs, which pushes each single block to all the
+blocks after it, and the truncated sweeps, whose pushes need only the
+retained K_i, keep the family; so do the band fills, ``block`` and the
+dense assembly.
 
 Products and block factors run on the free nodes only.  The fixed nodes
 are the mesh's boundary, and the family must be on their Dirichlet
@@ -213,9 +221,34 @@ def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
     return jk[first], position
 
 
+@dataclass(frozen=True)
+class _GaussPlan:
+    """One product at the Gauss points over the full tensor, from
+    ``n_cols`` column blocks S to ``n_rows`` row blocks T.
+
+    S₁, S₂ and T₁, T₂ are the half-grid multi-indices of the blocks, and
+    ``shape`` is (|T₁|, |S₁|, |S₂|, |T₂|).  ``a_take`` and ``b_take`` are
+    the flat entries of A_q[T₁, S₁] and B_q[S₂, T₂] in a point's stored
+    factor, or None where the sub-block is the whole factor.  ``embed``
+    places the gradient component c of column block k, entry
+    c·n_cols + k, in the (S₁, 2, S₂) grid, and ``pick`` takes those of
+    the row blocks from the (T₁, 2, T₂) grid.  ``summations`` counts the
+    c_ijk terms with j in T and k in S.
+    """
+
+    n_rows: int
+    n_cols: int
+    shape: tuple
+    a_take: np.ndarray | None
+    b_take: np.ndarray | None
+    embed: np.ndarray
+    pick: np.ndarray
+    summations: int
+
+
 class _GaussPointProduct:
-    """The full product on the free nodes from the field at the Gauss
-    points, exact for P′ ≥ 2P.
+    """Products on the free nodes from the field at the Gauss points,
+    exact for P′ ≥ 2P.
 
     With the closed forms a_α = a_0 Π_d g_d^{α_d}/α_d! and
     c_αjk = Π_d T[α_d, j_d, k_d], the coupling at a point q is
@@ -227,15 +260,22 @@ class _GaussPointProduct:
     N = 4 that grid is 15 × 15 for 70 blocks.  This is the sum
     factorization of spectral elements (Orszag 1980) at the quadrature
     points of matrix-free FEM (Kronbichler & Kormann 2012).  A product
-    then
-    1. gathers every block's gradients at the points through the
+    from column blocks S to row blocks T (a :class:`_GaussPlan`) then
+    1. gathers the gradients of S's blocks at the points through the
        free-column gradient matrix D (:func:`~sgfem.fem.gradient_matrix`),
-    2. embeds them in the grid and multiplies by A_q from the left and
-       B_q from the right (both are symmetric), two batched matmuls,
-    3. scatters the grid's total-degree entries back with Dᵀ.
-    The m_d of every point are computed once, N·(P+1)² doubles a point;
-    A_q and B_q are formed per chunk of points, in one workspace of
-    about ``_CHUNK_BYTES`` that every call reuses.
+    2. embeds them in the (S₁ × S₂) grid of their half-grid multi-indices
+       and multiplies by A_q[T₁, S₁] from the left and B_q[S₂, T₂] from
+       the right (both factors are symmetric), two batched matmuls,
+    3. takes T's entries of the (T₁ × T₂) grid and scatters them with Dᵀ.
+    The full product is the plan of all blocks to all blocks, whose
+    sub-blocks are the stored factors themselves.
+
+    A_q, with a_0 folded in, and B_q are stored for every point, n₁² +
+    n₂² doubles a point for the half-grid sizes n₁ and n₂.  They are
+    formed from the m_d in chunks of points, and the m_d are dropped.
+    Every product runs in chunks of points in one workspace of about
+    ``_CHUNK_BYTES``, sized for the full product, so that any plan's
+    sub-blocks and grids fit in it.
     """
 
     def __init__(self, tensor: CijkTensor, mean: np.ndarray,
@@ -243,23 +283,19 @@ class _GaussPointProduct:
         N, P = tensor.jkset.N, tensor.jkset.degree
         jk = tensor.jkset.as_array()
         h, s = N // 2, (P + 1) ** 2
-        (first, pos1), (second, pos2) = (_half_grid(jk[:, :h], P),
-                                         _half_grid(jk[:, h:], P))
+        (first, self._pos1), (second, self._pos2) = (
+            _half_grid(jk[:, :h], P), _half_grid(jk[:, h:], P))
         n1, n2 = self._shape = len(first), len(second)
         # a point's factors of A_q, one per dimension of the first half,
         # then of B_q: the entries of m_d in the point's row of m
-        self._take = np.concatenate(
+        take = np.concatenate(
             [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
              for part, dims in ((first, range(h)), (second, range(h, N)))
              for e, d in enumerate(dims)])
-        self._a_parts = [slice(e * n1 * n1, (e + 1) * n1 * n1)
-                         for e in range(h)]
-        self._b_parts = [slice(h * n1 * n1 + e * n2 * n2,
-                               h * n1 * n1 + (e + 1) * n2 * n2)
-                         for e in range(N - h)]
-        # block j of gradient component c at grid entry (j1, c, j2)
-        self._pos = ((pos1 * 2 * n2 + pos2)[None, :]
-                     + (np.arange(2) * n2)[:, None]).ravel()
+        a_parts = [slice(e * n1 * n1, (e + 1) * n1 * n1) for e in range(h)]
+        b_parts = [slice(h * n1 * n1 + e * n2 * n2,
+                         h * n1 * n1 + (e + 1) * n2 * n2)
+                   for e in range(N - h)]
         # m_d at every point: g_d^α/α! by repeated products, then the sum
         # over α with the 1-D table as one matrix product
         g = modes.reshape(N, -1).T
@@ -269,55 +305,96 @@ class _GaussPointProduct:
             np.multiply(powers[..., a - 1], g, out=powers[..., a])
             powers[..., a] /= a
         table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
-        self._m = (powers @ table).reshape(len(g), N * s)
-        self._a0 = mean.ravel()
+        m = (powers @ table).reshape(len(g), N * s)
+        a0 = mean.ravel()
+        # A_q with a_0 and B_q, from chunks of the m_d's entries
+        self._a = np.empty((len(g), n1 * n1))
+        self._b = np.empty((len(g), n2 * n2))
+        step = max(_CHUNK_BYTES // (8 * len(take)), 1)
+        for lo in range(0, len(g), step):
+            hi = min(lo + step, len(g))
+            F = m[lo:hi].take(take, axis=1)
+            A, B = self._a[lo:hi], self._b[lo:hi]
+            A[:] = a0[lo:hi, None]
+            for part in a_parts:
+                A *= F[:, part]
+            B[:] = F[:, b_parts[0]]
+            for part in b_parts[1:]:
+                B *= F[:, part]
         grad = gradient_matrix(mesh)[:, free].tocsr()
         self._d = grad.indptr, grad.indices, grad.data
-        # one workspace row a point: the factors, A_q, the grid and the
-        # half product, and the gradients, which the result overwrites
-        widths = (len(self._take), n1 * n1, 2 * n1 * n2, 2 * n1 * n2,
-                  2 * len(jk))
+        # one flat workspace for the chunk's points per array of the full
+        # product, which any plan's arrays fit: the sub-blocks of A_q and
+        # B_q, the grid and the half product, and the gradients, which the
+        # result overwrites
+        widths = (n1 * n1, n2 * n2, 2 * n1 * n2, 2 * n1 * n2, 2 * len(jk))
         self._points = min(max(_CHUNK_BYTES // (8 * sum(widths)), 1),
-                           len(self._a0))
-        self._work = [np.empty((self._points, w)) for w in widths]
-        self._out = np.empty((len(free), len(jk)))
+                           len(g))
+        self._work = [np.empty(self._points * w) for w in widths]
 
-    def apply(self, vt: np.ndarray) -> np.ndarray:
-        """The product of the free-node blocks ``vt``, node-major
-        (n_free, M+1), in the same layout; the result is the workspace's,
-        valid until the next call."""
-        (f, m1), (n1, n2) = vt.shape, self._shape
+    def plan(self, rows, cols, summations: int) -> _GaussPlan:
+        """The plan of the product from the blocks ``cols`` to the blocks
+        ``rows`` (index arrays), whose c_ijk terms number
+        ``summations``."""
+        (n1, n2), grid = self._shape, []
+        for blocks in (rows, cols):
+            for pos in (self._pos1, self._pos2):
+                grid.append(np.unique(pos[blocks], return_inverse=True))
+        (t1, r1), (t2, r2), (s1, c1), (s2, c2) = grid
+
+        def sub(left, right, n):
+            if len(left) == len(right) == n:
+                return None
+            return (left[:, None] * n + right).ravel()
+
+        def entries(p1, p2, width):
+            return ((p1 * 2)[None, :] + np.arange(2)[:, None]) * width + p2
+
+        return _GaussPlan(len(rows), len(cols),
+                          (len(t1), len(s1), len(s2), len(t2)),
+                          sub(t1, s1, n1), sub(s2, t2, n2),
+                          entries(c1, c2, len(s2)).ravel(),
+                          entries(r1, r2, len(t2)).ravel(), summations)
+
+    def apply(self, plan: _GaussPlan, vt: np.ndarray) -> np.ndarray:
+        """The product of ``plan`` applied to the free-node column blocks
+        ``vt``, node-major (n_free, n_cols) and C-ordered; the result is
+        node-major, (n_free, n_rows)."""
+        (f, n_cols), (t1, s1, s2, t2) = vt.shape, plan.shape
         ip, ix, dx = self._d
-        W = self._out
-        W.fill(0.0)
-        for lo in range(0, len(self._a0), self._points):
-            hi = min(lo + self._points, len(self._a0))
+        W = np.zeros((f, plan.n_rows))
+        if not (plan.n_rows and n_cols):
+            return W
+        for lo in range(0, len(self._a), self._points):
+            hi = min(lo + self._points, len(self._a))
             q = hi - lo
-            F, A, X, Y, G = (buf[:q] for buf in self._work)
-            # A_q with a_0, and B_q in place of its first factor
-            np.take(self._m[lo:hi], self._take, axis=1, out=F, mode="clip")
-            A[:] = self._a0[lo:hi, None]
-            for part in self._a_parts:
-                A *= F[:, part]
-            B = F[:, self._b_parts[0]]
-            for part in self._b_parts[1:]:
-                B *= F[:, part]
-            # every block's gradients at the chunk's points, in the grid
+            a, b, x, y, g = self._work
+            # the column blocks' gradients at the chunk's points, in the grid
             rows = ip[2 * lo:2 * hi + 1]
             nz = slice(rows[0], rows[-1])
             rows = rows - rows[0]
+            G = g[:2 * q * n_cols].reshape(q, 2 * n_cols)
             G.fill(0.0)
-            csr_matvecs(2 * q, f, m1, rows, ix[nz], dx[nz], vt.ravel(),
+            csr_matvecs(2 * q, f, n_cols, rows, ix[nz], dx[nz], vt.ravel(),
                         G.ravel())
+            X = x[:q * s1 * 2 * s2].reshape(q, s1 * 2 * s2)
             X.fill(0.0)
-            X[:, self._pos] = G
-            np.matmul(A.reshape(q, n1, n1), X.reshape(q, n1, 2 * n2),
-                      out=Y.reshape(q, n1, 2 * n2))
-            np.matmul(Y.reshape(q, 2 * n1, n2), B.reshape(q, n2, n2),
-                      out=X.reshape(q, 2 * n1, n2))
-            np.take(X, self._pos, axis=1, out=G, mode="clip")
-            csc_matvecs(f, 2 * q, m1, rows, ix[nz], dx[nz], G.ravel(),
-                        W.ravel())
+            X[:, plan.embed] = G
+            A, B = self._a[lo:hi], self._b[lo:hi]
+            if plan.a_take is not None:
+                A = np.take(A, plan.a_take, axis=1, mode="clip",
+                            out=a[:q * t1 * s1].reshape(q, t1 * s1))
+            if plan.b_take is not None:
+                B = np.take(B, plan.b_take, axis=1, mode="clip",
+                            out=b[:q * s2 * t2].reshape(q, s2 * t2))
+            Y = y[:q * t1 * 2 * s2].reshape(q, t1, 2 * s2)
+            np.matmul(A.reshape(q, t1, s1), X.reshape(q, s1, 2 * s2), out=Y)
+            X = x[:q * 2 * t1 * t2].reshape(q, 2 * t1, t2)
+            np.matmul(Y.reshape(q, 2 * t1, s2), B.reshape(q, s2, t2), out=X)
+            G = g[:2 * q * plan.n_rows].reshape(q, 2 * plan.n_rows)
+            np.take(X.reshape(q, -1), plan.pick, axis=1, out=G, mode="clip")
+            csc_matvecs(f, 2 * q, plan.n_rows, rows, ix[nz], dx[nz],
+                        G.ravel(), W.ravel())
         return W
 
 
@@ -341,15 +418,19 @@ class GalerkinOperator:
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
     grouped by i and cut into chunks whose products fit a buffer of about
     ``_CHUNK_BYTES``, and per chunk the sparse coupling matrix that mixes
-    the buffer rows into the row blocks.  The caller holds the plan, so a
-    plan lives as long as its user.  All calls share one buffer, so an
-    operator must not run two products at once (from two threads).
+    the buffer rows into the row blocks.  Or it runs a plan that
+    :meth:`gauss_plan` built for (row blocks, column blocks) at the
+    Gauss points, in chunks of points in a workspace of about the same
+    size.  The caller holds the plan, so a plan lives as long as its
+    user.  All calls share the buffer and the workspace, so an operator
+    must not run two products at once (from two threads).
 
     ``field`` and ``mesh``, as :func:`~sgfem.experiments.build_problem`
     gives them, are those the family was assembled from: :meth:`matvec`
-    runs at their Gauss points (module docstring) and keeps the field's
-    mean and modes, not its coefficient values, so it does not see an
-    in-place edit of the K_i.  The constructor refuses, with ValueError,
+    and the plans of :meth:`gauss_plan` run at their Gauss points (module
+    docstring), on factors formed from the field's mean and modes, not
+    from its coefficient values, so they do not see an in-place edit of
+    the K_i.  The constructor refuses, with ValueError,
     a tensor with P′ < 2P, a mesh of another node count, a field of
     another dimension or other points, and a family off the Dirichlet
     pattern of the mesh's boundary.
@@ -361,9 +442,11 @@ class GalerkinOperator:
     i > 0, of a fixed node nonzero is not seen.
 
     Product and summation counters accumulate across applications:
-    ``summations`` counts the c_ijk terms added (the cost measure of the
-    truncated product), ``products`` the sparse matrix-vector products
-    actually run.  Within one call each K_i v_(k) is computed once for
+    ``summations`` counts the c_ijk terms a product covers (the cost
+    measure of the truncated product), ``products`` the sparse
+    matrix-vector products K_i v_(k) actually run, which only the
+    family's plans run: a product at the Gauss points counts its terms
+    and no product.  Within one call each K_i v_(k) is computed once for
     all row blocks; the block Gauss-Seidel sweep pushes each solved group
     through a single call, so its products are shared across all the rows
     they update as well.
@@ -421,6 +504,7 @@ class GalerkinOperator:
         # the Gauss-point product never reads
         self._field = field.mean, field.modes, mesh
         self._gauss: _GaussPointProduct | None = None
+        self._full: _GaussPlan | None = None
 
     def _fix_boundary(self, boundary: np.ndarray) -> None:
         """Fix the mesh's boundary nodes, once the family is found to be
@@ -472,24 +556,28 @@ class GalerkinOperator:
         coefficient's products over all M+1 column blocks."""
         return max(_CHUNK_BYTES // (8 * self.n_dof), self.M + 1)
 
+    def _blocks(self, blocks) -> np.ndarray:
+        """Distinct block indices in [0, M], given as such, as a range or
+        as a slice with its start and stop given."""
+        if isinstance(blocks, slice):
+            blocks = range(blocks.start, blocks.stop, blocks.step or 1)
+        if (len(set(blocks)) != len(blocks)
+                or not all(0 <= b <= self.M for b in blocks)):
+            raise ValueError(f"block indices must be distinct and in "
+                             f"[0, {self.M}], got {list(blocks)}")
+        return np.asarray(blocks, dtype=np.int64).reshape(-1)
+
     def plan(self, row_blocks, col_blocks, trunc: TruncationSet) -> _Plan:
         """The plan of w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k)
-        for :meth:`tmatvec`.  The blocks are given as distinct indices in
-        [0, M], a range or a slice with its start and stop given."""
-        rows, cols = (range(b.start, b.stop, b.step or 1)
-                      if isinstance(b, slice) else b
-                      for b in (row_blocks, col_blocks))
+        for :meth:`tmatvec`, through the family.  The blocks are given as
+        in :meth:`_blocks`."""
+        rows, cols = self._blocks(row_blocks), self._blocks(col_blocks)
         t = self.tensor
         n_cols = len(cols)
-        for blocks in (rows, cols):
-            if (len(set(blocks)) != len(blocks)
-                    or not all(0 <= b <= self.M for b in blocks)):
-                raise ValueError(f"block indices must be distinct and in "
-                                 f"[0, {self.M}], got {list(blocks)}")
         pos_r = np.full(self.M + 1, -1, dtype=np.int64)
-        pos_r[list(rows)] = np.arange(len(rows))
+        pos_r[rows] = np.arange(len(rows))
         pos_c = np.full(self.M + 1, -1, dtype=np.int64)
-        pos_c[list(cols)] = np.arange(n_cols)
+        pos_c[cols] = np.arange(n_cols)
         # indices past the tensor (a degree above 2P) carry no c_ijk
         keep = np.zeros(len(t.iset), dtype=bool)
         keep[trunc.indices[trunc.indices < len(t.iset)]] = True
@@ -537,14 +625,37 @@ class GalerkinOperator:
             self._buffer_rows = list(self._buffer)
         return self._buffer[:n_products]
 
-    def tmatvec(self, plan: _Plan, v: np.ndarray) -> np.ndarray:
-        """The truncated product of :meth:`plan` applied to ``v`` on the
-        free nodes: ``v`` holds the plan's column blocks, shape
-        (n_cols, n_free) or flat, and the result its row blocks in the
-        input layout.  Each needed product K_i v_(k) is computed once and
-        shared."""
-        f, single_column = self.n_free, plan.n_cols == 1
+    def _gauss_product(self) -> _GaussPointProduct:
+        """The Gauss-point product, built at its first use."""
+        if self._gauss is None:
+            self._gauss = _GaussPointProduct(self.tensor, *self._field,
+                                             self.free)
+        return self._gauss
+
+    def gauss_plan(self, row_blocks, col_blocks) -> _GaussPlan:
+        """The plan of w_(j) = Σ_{k∈col_blocks} Σ_i c_ijk K_i v_(k) over
+        the full tensor for :meth:`tmatvec`, at the Gauss points (module
+        docstring).  The blocks are given as in :meth:`_blocks`."""
+        rows, cols = self._blocks(row_blocks), self._blocks(col_blocks)
+        t = self.tensor
+        summations = np.count_nonzero(np.isin(t.j, rows) & np.isin(t.k, cols))
+        return self._gauss_product().plan(rows, cols, int(summations))
+
+    def tmatvec(self, plan: _Plan | _GaussPlan, v: np.ndarray) -> np.ndarray:
+        """The product of a plan of :meth:`plan` or :meth:`gauss_plan`
+        applied to ``v`` on the free nodes: ``v`` holds the plan's column
+        blocks, shape (n_cols, n_free) or flat, and the result its row
+        blocks in the input layout.  Through the family, each needed
+        product K_i v_(k) is computed once and shared; at the Gauss points
+        a call counts its c_ijk terms in ``summations`` and runs no
+        ``products``."""
+        f = self.n_free
         V = np.asarray(v, dtype=float).reshape(plan.n_cols, f)
+        if isinstance(plan, _GaussPlan):
+            W = self._gauss_product().apply(plan, np.ascontiguousarray(V.T))
+            self.counters["summations"] += plan.summations
+            return W.T.ravel() if v.ndim == 1 else W.T
+        single_column = plan.n_cols == 1
         W = np.zeros((plan.n_rows, f))
         ip, ix = self._free_indptr, self._free_indices
         kd = self._free_krows
@@ -581,17 +692,16 @@ class GalerkinOperator:
         the input layout.  A fixed node b of block j gets the closed form
         (G_0)_jj · (K_0[b,b] · v_(j)[b]).
 
-        The free nodes are multiplied at the Gauss points
-        (:class:`_GaussPointProduct`, built at the first call), reading
-        no K_i; a call counts the tensor's terms in ``summations`` and
-        runs no ``products``."""
+        The free nodes are multiplied at the Gauss points, the plan of
+        all blocks to all blocks (:meth:`gauss_plan`, built at the first
+        call), reading no K_i; a call counts the tensor's terms in
+        ``summations`` and runs no ``products``."""
         V = np.asarray(v, dtype=float).reshape(self.M + 1, self.n_dof)
         W = np.empty_like(V)
-        if self._gauss is None:
-            self._gauss = _GaussPointProduct(self.tensor, *self._field,
-                                             self.free)
-        W[:, self.free] = self._gauss.apply(V.T[self.free]).T
-        self.counters["summations"] += self.tensor.nnz
+        if self._full is None:
+            self._full = self.gauss_plan(range(self.M + 1), range(self.M + 1))
+        W[:, self.free] = self._gauss.apply(self._full, V.T[self.free]).T
+        self.counters["summations"] += self._full.summations
         W[:, self.fixed] = self._g0[:, None] * (
             self.kdata[0, self._fixed_slots] * V[:, self.fixed])
         return W.ravel() if v.ndim == 1 else W

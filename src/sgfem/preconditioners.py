@@ -25,8 +25,16 @@ sweep is its downward pre-correction and upward post-correction.  Each
 group has one factor, so a group solve is one call: D_ℓ for hs, the
 group's block diagonal otherwise (a single block for gs), so a level of
 one block is a diagonal block in every kind.  Off-diagonal block products
-inside the sweeps run through the operator's truncated product and honor
-the configured TruncationSet; the factors always take the full sum.
+inside the sweeps (pushes) honor the configured TruncationSet; the
+factors always take the full sum.  A level sweep (hs, ahs, ahgs) whose
+truncation keeps every tensor index pushes at the Gauss points
+(``op.gauss_plan``): each push goes from one level to all the levels
+after or before it and multiplies sub-blocks of the operator's stored
+A_q and B_q, reading no K_i.  gs pushes each single block to every block
+after it; at the Gauss points each such push costs nearly a full grid
+product, which made its apply 2.4–8× slower, so it keeps the family's
+product (``op.plan``).  So do the truncated sweeps, whose pushes need only the
+retained K_i.
 Each preconditioner owns the factorizations and product plans it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.
@@ -106,9 +114,9 @@ class BlockGaussSeidel(Preconditioner):
     its own in the sweep order π.
 
     The sweep runs forward through the groups, then back, in push form:
-    once a group is solved, one truncated product with its column blocks
-    subtracts its coupling from every row still to be solved, so each
-    K_i y_(k) is computed once per half sweep.  In either order those rows
+    once a group is solved, one product with its column blocks subtracts
+    its coupling from every row still to be solved, so each group's
+    solution is pushed once per half sweep.  In either order those rows
     are one slice of blocks, computed once here; the forward sweep's last
     group pushes to an empty slice, a product with no terms.
 
@@ -143,7 +151,7 @@ class BlockGaussSeidel(Preconditioner):
                         [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
-        self._exact = exact
+        self._by_level, self._exact = by_level, exact
         self._groups = groups[::-1] if descending else groups
         self._sweep: list | None = None  # built at the first apply
         self._divisor = op.fixed_divisor(range(end))
@@ -151,17 +159,26 @@ class BlockGaussSeidel(Preconditioner):
     def _build(self) -> list:
         """Per group in sweep order: its blocks' entries in the flat
         free-node layout, its factor, and its forward and backward push
-        rows' entries, each with the plan of its truncated product."""
+        rows' entries, each with the plan of its product: at the Gauss
+        points when the sweep is over levels and the truncation keeps
+        every tensor index, through the family otherwise."""
         op, trunc, f = self.op, self.trunc, self.op.n_free
         factor = (op.assemble_level_block if self._exact
                   else op.assemble_diag_block)
+        terms = len(op.tensor.iset)
+        if (self._by_level
+                and np.count_nonzero(trunc.indices < terms) == terms):
+            plan = op.gauss_plan
+        else:
+            def plan(rows, cols):
+                return op.plan(rows, cols, trunc)
 
         def entries(blocks):
             return slice(blocks.start * f, blocks.stop * f)
 
         return [(entries(blk), factor(blk),
-                 entries(forward), op.plan(forward, blk, trunc),
-                 entries(back), op.plan(back, blk, trunc))
+                 entries(forward), plan(forward, blk),
+                 entries(back), plan(back, blk))
                 for blk, forward, back in self._groups]
 
     def apply(self, r):

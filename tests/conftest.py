@@ -1,9 +1,9 @@
 """Shared helpers: build small end-to-end problem instances, probe linear
 maps, find the factorizations and product plans an object holds and
 trace the memory of a call; oracles of the full product through the
-stiffness family, of the degree levels, of lower band storage, of the
-coupling matrices, of the Hermite polynomials and of the dense KL
-eigenproblem."""
+stiffness family and through the 1-D matrices m_d at the Gauss points,
+of the degree levels, of lower band storage, of the coupling matrices,
+of the Hermite polynomials and of the dense KL eigenproblem."""
 
 import math
 import tracemalloc
@@ -12,14 +12,21 @@ import numpy as np
 from hypothesis import settings
 from numpy.polynomial.hermite_e import hermeval
 
-from sgfem.chaos import build_c_tensor
+from sgfem.chaos import build_c_tensor, triple_product_table
 from sgfem.fem import (
     apply_dirichlet,
     assemble_load,
     assemble_stiffness_family,
     build_mesh,
+    gradient_matrix,
 )
-from sgfem.galerkin import GalerkinOperator, full_truncation
+from sgfem.galerkin import (
+    GalerkinOperator,
+    _half_grid,
+    csc_matvecs,
+    csr_matvecs,
+    full_truncation,
+)
 from sgfem.linalg import Factorization
 from sgfem.random_field import (
     ExponentialCovariance,
@@ -74,6 +81,59 @@ def family_matvec(op, V) -> np.ndarray:
     W[:, op.fixed] = np.diag(g_matrix(0, op.tensor))[:, None] * (
         op.k_mats[0].diagonal()[op.fixed] * V[:, op.fixed])
     return W
+
+
+def md_matvec(op, V) -> np.ndarray:
+    """The full product on the free nodes, shape (M+1, n_free), by the
+    Gauss-point kernel that forms A_q and B_q from the 1-D matrices m_d
+    at every call and stores neither (bitwise oracle of ``matvec``).
+    Every point is multiplied on its own and the scatter adds the points
+    in order, so one chunk of all points gives the numbers of any
+    chunking."""
+    tensor, (mean, modes, mesh) = op.tensor, op._field
+    N, P = tensor.jkset.N, tensor.jkset.degree
+    jk = tensor.jkset.as_array()
+    h, s = N // 2, (P + 1) ** 2
+    (first, pos1), (second, pos2) = (_half_grid(jk[:, :h], P),
+                                     _half_grid(jk[:, h:], P))
+    n1, n2 = len(first), len(second)
+    take = np.concatenate(
+        [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
+         for part, dims in ((first, range(h)), (second, range(h, N)))
+         for e, d in enumerate(dims)])
+    pos = ((pos1 * 2 * n2 + pos2)[None, :]
+           + (np.arange(2) * n2)[:, None]).ravel()
+    g = modes.reshape(N, -1).T
+    powers = np.empty(g.shape + (2 * P + 1,))
+    powers[..., 0] = 1.0
+    for a in range(1, 2 * P + 1):
+        np.multiply(powers[..., a - 1], g, out=powers[..., a])
+        powers[..., a] /= a
+    table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
+    m = (powers @ table).reshape(len(g), N * s)
+    q, m1 = len(g), len(jk)
+    F = np.take(m, take, axis=1)
+    A = np.empty((q, n1 * n1))
+    A[:] = mean.ravel()[:, None]
+    for e in range(h):
+        A *= F[:, e * n1 * n1:(e + 1) * n1 * n1]
+    B = F[:, h * n1 * n1:h * n1 * n1 + n2 * n2]
+    for e in range(1, N - h):
+        B *= F[:, h * n1 * n1 + e * n2 * n2:h * n1 * n1 + (e + 1) * n2 * n2]
+    grad = gradient_matrix(mesh)[:, op.free].tocsr()
+    vt = np.asarray(V, dtype=float).reshape(m1, op.n_dof).T[op.free]
+    G = np.zeros((q, 2 * m1))
+    csr_matvecs(2 * q, op.n_free, m1, grad.indptr, grad.indices, grad.data,
+                vt.ravel(), G.ravel())
+    X = np.zeros((q, 2 * n1 * n2))
+    X[:, pos] = G
+    Y = np.matmul(A.reshape(q, n1, n1), X.reshape(q, n1, 2 * n2))
+    X = np.matmul(Y.reshape(q, 2 * n1, n2), B.reshape(q, n2, n2))
+    G = np.take(X.reshape(q, -1), pos, axis=1)
+    W = np.zeros((op.n_free, m1))
+    csc_matvecs(op.n_free, 2 * q, m1, grad.indptr, grad.indices, grad.data,
+                G.ravel(), W.ravel())
+    return W.T
 
 
 def binomial_levels(N, P) -> list:

@@ -1,5 +1,6 @@
 """Experiment driver: configs, sweep tables, counts, export, CLI."""
 
+import math
 import os
 import tempfile
 
@@ -249,7 +250,7 @@ class TestBuildProblemArguments:
     def test_oversized_problem_refused_before_any_work(self, monkeypatch):
         """The coefficient values (28 fields × 16 elements × 4 points),
         the stiffness data (28 fields × 65 pattern slots) and the
-        Gauss-point data (64 points of 2·16 + 3 doubles and 104 bytes)
+        Gauss-point data (64 points of 4² + 4² + 3 doubles and 104 bytes)
         of N = 2, P = 3, n = 4 are checked against physical memory
         before the mesh is built."""
         need = 8 * 28 * (16 * 4 + 65) + 64 * (8 * 35 + 104)
@@ -277,8 +278,10 @@ class TestBuildProblemArguments:
                                                 monkeypatch):
         """The bytes checked are those of the coefficient values and the
         stiffness data build_problem allocates, and at least those that
-        the Gauss-point product keeps: its m_d, the field's mean and
-        modes and its gradient matrix, which has no entry in a fixed
+        the Gauss-point product keeps: its stored factors A_q and B_q,
+        n₁² + n₂² doubles a point for the half-grid sizes
+        n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the field's mean
+        and modes and its gradient matrix, which has no entry in a fixed
         node's column."""
         checked, check = [], experiments.check_fits
 
@@ -291,19 +294,22 @@ class TestBuildProblemArguments:
         mesh = build_mesh(n)
         points = len(mesh.elements) * 4
         coeffs = 8 * len(op.k_mats) * points
-        gauss = points * (8 * (N * (P + 1) ** 2 + N + 1) + 104)
+        n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
+        gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 104)
         assert checked == [coeffs + op.kdata.nbytes + gauss]
         op.matvec(np.ones(op.n_global))
-        kept = op._gauss._m.nbytes + 8 * points * (N + 1) + sum(
-            a.nbytes for a in op._gauss._d)
+        kept = (op._gauss._a.nbytes + op._gauss._b.nbytes
+                + 8 * points * (N + 1)
+                + sum(a.nbytes for a in op._gauss._d))
         assert kept <= gauss
 
     def test_gauss_point_data_alone_refused(self, monkeypatch):
         """At N = 1, P = 20, n = 2 the 41 coefficient fields and their
         stiffness data fit in 8200 bytes, but the 16 Gauss points keep
-        441 doubles of m_d each: only that term refuses the problem."""
+        1² + 21² = 442 doubles of A_q and B_q each: only that term
+        refuses the problem."""
         fields = 8 * 41 * (16 + 9)
-        need = fields + 16 * (8 * (441 + 2) + 104)
+        need = fields + 16 * (8 * (442 + 2) + 104)
         monkeypatch.setattr(linalg, "physical_memory", lambda: fields)
         with pytest.raises(MemoryError, match=f"needs {need} bytes"):
             build_problem(1, 20, 2, 50.0)
@@ -383,12 +389,12 @@ class TestTables:
     def test_oversized_setup_refused_before_the_rows_first_solve(
             self, monkeypatch):
         """Every kind's preconditioner of a row is made before the row's
-        first solve: an hs whose level bands do not fit at n = 4 stops
-        the table after the n = 3 row's four solves, before any solve of
-        its own row.  At N = P = 4, hs's free-node bands at n = 4, 627,120
-        bytes, outgrow the 571,256 bytes of the problem's coefficients,
-        stiffness data and Gauss-point data, which build_problem checks
-        first."""
+        first solve: an hs whose level bands do not fit at n = 5 stops
+        the table after the n = 4 row's four solves, before any solve of
+        its own row.  At N = P = 4, hs's free-node bands at n = 5,
+        1,337,856 bytes, outgrow the 1,245,600 bytes of the problem's
+        coefficients, stiffness data and Gauss-point data, which
+        build_problem checks first."""
         solves, solve = [], experiments.flexible_cg
 
         def counted(*args, **kwargs):
@@ -396,8 +402,8 @@ class TestTables:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "flexible_cg", counted)
-        monkeypatch.setattr(linalg, "physical_memory", lambda: 600000)
-        config = ExperimentConfig(N=4, P=4, mesh_list=(3, 4),
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 1300000)
+        config = ExperimentConfig(N=4, P=4, mesh_list=(4, 5),
                                   preconds=("mb", "kron", "gs", "hs"))
         with pytest.raises(MemoryError, match="hs's exact level solves"):
             run_table(config, "logh")
@@ -735,10 +741,10 @@ class TestCli:
     def test_solve_oversized_level_band_is_one_error_line(
             self, tmp_path, capsys, monkeypatch, command):
         cfg = tmp_path / "exp.cfg"
-        # hs's bands need 627,120 bytes, the problem 510,840
-        cfg.write_text("N = 4\nP = 4\nn = 4\nmesh_list = 4\n"
+        # hs's bands need 1,337,856 bytes, the problem 1,245,600
+        cfg.write_text("N = 4\nP = 4\nn = 5\nmesh_list = 5\n"
                        "preconds = hs\n")
-        monkeypatch.setattr(linalg, "physical_memory", lambda: 600000)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: 1300000)
         rc = main(command + ["--config", str(cfg)])
         assert rc == 1
         captured = capsys.readouterr()

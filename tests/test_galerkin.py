@@ -17,6 +17,7 @@ from conftest import (
     g_matrix,
     held_factors,
     levels,
+    md_matvec,
     traced_memory,
 )
 from hypothesis import example, given, settings
@@ -612,6 +613,112 @@ class TestGaussPointProduct:
         tensor, kfam, _, mesh, _ = build_family(2, 2, 3)
         with pytest.raises(ValueError, match="2 modes"):
             GalerkinOperator(tensor, kfam, build_family(3, 1, 3)[2], mesh)
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dense(N, P, n):
+    """The dense global matrix of :func:`cached_problem` at (N, P, n)."""
+    return cached_problem(N, P, n)[0].assemble_global_dense()
+
+
+@st.composite
+def gauss_push_cases(draw):
+    """An operator with N odd or even, N = 1 (an empty first half, n₁ =
+    1) included, P = 0 (one block) to 3, and a consecutive row range and
+    column range of its blocks, either possibly empty."""
+    N, P = draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    n = draw(st.sampled_from([2, 3]))
+    op = cached_problem(N, P, n)[0]
+    ends = st.integers(0, op.M + 1)
+    rows, cols = (range(*sorted((draw(ends), draw(ends)))) for _ in range(2))
+    return (N, P, n), rows, cols, draw(st.integers(0, 2**16))
+
+
+class TestGaussPlan:
+    """Products of row blocks from column blocks at the Gauss points
+    against the family's product, the dense oracle and the kernel that
+    forms A_q and B_q from the m_d at every call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(gauss_push_cases())
+    @example(((1, 3, 3), range(0, 2), range(2, 4), 0))  # n₁ = 1
+    @example(((5, 3, 2), range(21, 56), range(6, 21), 0))
+    @example(((2, 0, 3), range(0, 1), range(0, 1), 0))  # one block
+    @example(((2, 1, 2), range(0, 1), range(2, 3), 0))  # cancels
+    def test_matches_the_family_and_the_dense_oracle(self, case):
+        """To 1e-14 of the largest entry of |A| |v|, the product in
+        absolute values over every row block: a sub-block's product may
+        cancel to rounding, at n = 2 even its one entry."""
+        shape, rows, cols, seed = case
+        op = cached_problem(*shape)[0]
+        free, dense = op.free, cached_dense(*shape)
+        v, want = free_oracle_product(op, dense, rows, cols, seed)
+        x = np.zeros((op.M + 1, op.n_dof))
+        x[cols] = np.abs(v)
+        scale = (np.abs(dense) @ x.ravel()).max(initial=0.0)
+        got = op.tmatvec(op.gauss_plan(rows, cols), v[:, free])
+        family = op.tmatvec(op.plan(rows, cols, full_truncation(op.tensor)),
+                            v[:, free])
+        assert got.shape == (len(rows), op.n_free)
+        assert np.abs(got - family).max(initial=0.0) <= 1e-14 * scale
+        assert np.abs(got - want[:, free]).max(initial=0.0) <= 1e-14 * scale
+        # the full product is the plan of all blocks, bit for bit the
+        # numbers of the m_d kernel
+        V = np.random.default_rng(seed).standard_normal((op.M + 1,
+                                                         op.n_dof))
+        np.testing.assert_array_equal(op.matvec(V)[:, free],
+                                      md_matvec(op, V))
+
+    @pytest.mark.parametrize("N,P,n,cov", [
+        (1, 2, 4, 100.0), (2, 1, 4, 100.0), (2, 2, 3, 100.0),
+        (2, 2, 4, 100.0), (2, 2, 4, 25.0), (2, 2, 4, 50.0),
+        (4, 4, 10, 100.0), (4, 4, 10, 150.0)])
+    def test_matvec_bitwise_the_md_kernel(self, N, P, n, cov):
+        """Every problem of the golden tables, and the default tables'
+        shape at 100 and 150 % CoV."""
+        op, b = build_problem(N, P, n, cov)
+        V = np.random.default_rng(44).standard_normal((op.M + 1, op.n_dof))
+        for v in (V, b.reshape(V.shape)):
+            np.testing.assert_array_equal(op.matvec(v)[:, op.free],
+                                          md_matvec(op, v))
+
+    def test_push_counts_its_terms_and_no_product(self):
+        """A push counts the c_ijk terms it covers, those the family's
+        full-tensor plan counts, in ``summations``, and runs no K_i
+        product."""
+        op, _ = build_problem(3, 2, 3, 100.0)
+        v = np.ones((4, op.n_free))
+        for rows in (range(4, 10), range(0, 1), range(0, 0)):
+            plan = op.gauss_plan(rows, range(1, 5))
+            family = op.plan(rows, range(1, 5), full_truncation(op.tensor))
+            assert plan.summations == family.summations
+            before = dict(op.counters)
+            op.tmatvec(plan, v)
+            assert op.counters == {
+                "summations": before["summations"] + family.summations,
+                "products": before["products"]}
+
+    def test_stored_factors_replace_the_md(self):
+        """The product keeps A_q and B_q, 8·(n₁² + n₂²) bytes a point
+        for the half-grid sizes n₁ = n₂ = 15 at N = P = 4, and no m_d:
+        what building it keeps is the factors, the workspace of about
+        ``_CHUNK_BYTES``, the gradient matrix, the positions and the
+        full product's plan, less than the m_d's 100 doubles a point
+        beyond them."""
+        op, b = build_problem(4, 4, 10, 100.0)
+        points = 4 * 10 * 10
+        kept, _ = traced_memory(op._gauss_product)
+        gauss = op._gauss
+        factors = gauss._a.nbytes + gauss._b.nbytes
+        assert factors == 8 * (15 ** 2 + 15 ** 2) * points
+        work = sum(w.nbytes for w in gauss._work)
+        assert work <= galerkin._CHUNK_BYTES
+        grad = sum(a.nbytes for a in gauss._d)
+        assert 0 <= kept - (factors + work + grad) < 8 * 100 * points
+        arrays = [a for a in vars(gauss).values()
+                  if isinstance(a, np.ndarray)]
+        assert all(a.shape[0] != points or a is gauss._a or a is gauss._b
+                   for a in arrays)
 
 
 class TestAssembledBlocks:

@@ -21,10 +21,13 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 import sgfem.preconditioners as preconditioners
+from sgfem import build_problem
 from sgfem.galerkin import (
     GalerkinOperator,
+    _GaussPlan,
     _Plan,
     full_truncation,
     standard_truncation,
@@ -455,6 +458,42 @@ class TestSweeps:
         np.testing.assert_array_equal(got, want)
 
 
+class TestPushForm:
+    """Which product each sweep's pushes run: at the Gauss points for the
+    level sweeps whose truncation keeps every tensor index, through the
+    family otherwise."""
+
+    @pytest.mark.parametrize("kind,lt,gauss", [
+        ("ahgs", None, True), ("ahs", None, True), ("hs", None, True),
+        ("ahgs", 4, True), ("hs", 5, True),  # every index kept
+        ("gs", None, False), ("gs", 4, False),
+        ("ahgs", 2, False), ("ahs", 1, False), ("hs", 3, False)])
+    def test_products_run_only_through_the_family(self, kind, lt, gauss):
+        """An apply counts the c_ijk terms of its pushes either way, and
+        K_i products only through the family: at N = 3, P = 2 the tensor
+        has the 35 indices of degree ≤ 4."""
+        op, b, _, _ = build_operator(3, 2, 3)
+        trunc = None if lt is None else standard_truncation(3, lt)
+        pre = make_preconditioner(op, kind, trunc)
+        pre.apply(b)
+        assert op.counters["summations"] > 0
+        assert (op.counters["products"] == 0) == gauss
+        plans = held_factors(pre, (_Plan, _GaussPlan))
+        assert {type(p) for p in plans} == {_GaussPlan if gauss else _Plan}
+
+    def test_gauss_point_sweep_adds_no_push_workspace(self):
+        """The pushes of an untruncated ahgs share the operator's one
+        workspace: its first apply at n = 10, which builds its factors and
+        plans, keeps no more than the factors' bands and one
+        ``_CHUNK_BYTES``."""
+        op, b = build_problem(4, 4, 10, 100.0)
+        op.matvec(b)
+        pre = make_preconditioner(op, "ahgs")
+        kept, _ = traced_memory(lambda: pre.apply(b))
+        bands = sum(F._state[0].nbytes for F in held_factors(pre))
+        assert bands < kept <= bands + galerkin._CHUNK_BYTES
+
+
 class TestCoincidences:
     @pytest.mark.parametrize("N,P,n", SMALL)
     def test_mean_truncation_collapses_approximate_kinds(self, N, P, n):
@@ -769,16 +808,17 @@ class TestFactory:
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_dropped_sweep_frees_its_plans(self, kind):
         """A sweep builds the plans of its two pushes per group at its
-        first apply and is their only holder: the operator keeps none,
-        and they die with the sweep."""
+        first apply, family or Gauss-point plans, and is their only
+        holder: the operator keeps none, and they die with the sweep."""
         op, b, _, _ = build_operator(2, 2, 3)
+        plans = (_Plan, _GaussPlan)
         pre = make_preconditioner(op, kind)
-        assert held_factors(pre, _Plan) == []
+        assert held_factors(pre, plans) == []
         pre.apply(b)
         groups = len(levels(op)) if SWEEPS[kind][0] else op.M + 1
-        refs = [weakref.ref(p) for p in held_factors(pre, _Plan)]
+        refs = [weakref.ref(p) for p in held_factors(pre, plans)]
         assert len(refs) == 2 * groups
-        assert held_factors(op, _Plan) == []
+        assert held_factors(op, plans) == []
         del pre
         gc.collect()
         assert all(ref() is None for ref in refs)
