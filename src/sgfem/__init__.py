@@ -13,12 +13,7 @@ other name lives in its submodule.
 
 from .chaos import build_c_tensor
 from .experiments import build_problem
-from .fem import (
-    apply_dirichlet,
-    assemble_load,
-    assemble_stiffness_family,
-    build_mesh,
-)
+from .fem import apply_dirichlet, assemble_load, build_mesh
 from .galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -40,8 +35,8 @@ __all__ = [
     "build_problem", "make_preconditioner", "flexible_cg",
     # the pipeline build_problem chains
     "build_mesh", "field_parameters", "ExponentialCovariance", "discrete_kl",
-    "build_c_tensor", "gpc_coefficients", "assemble_stiffness_family",
-    "assemble_load", "apply_dirichlet", "GalerkinOperator",
-    "standard_truncation", "adaptive_truncation",
+    "build_c_tensor", "gpc_coefficients", "GalerkinOperator",
+    "assemble_load", "apply_dirichlet", "standard_truncation",
+    "adaptive_truncation",
     "__version__",
 ]

@@ -17,12 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chaos import build_c_tensor, write_c_tensor
-from .fem import (
-    apply_dirichlet,
-    assemble_load,
-    assemble_stiffness_family,
-    build_mesh,
-)
+from .fem import apply_dirichlet, assemble_load, build_mesh, dirichlet_nnz
 from .galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -168,15 +163,14 @@ def check_problem(N, P, n) -> None:
     mean and the N modes, and 104 bytes of the gradient matrix (two rows
     of four entries and an int32 column each, and two int32 row
     pointers).  For small N and large P the last outweighs the
-    coefficient fields.  nnz counts the Dirichlet pattern: the 9-point
-    couplings of the (n − 1)² interior nodes, (3n − 5)² for n ≥ 2, and
-    the 4n boundary diagonals.  Other arguments that :func:`build_problem` rejects pass; it names
-    them."""
+    coefficient fields.  nnz counts the Dirichlet pattern
+    (:func:`~sgfem.fem.dirichlet_nnz`).  Other arguments that
+    :func:`build_problem` rejects pass; it names them."""
     if P < 0 or n < 1:
         return
     check_kl_modes(N, (n + 1) ** 2)
     fields = math.comb(N + 2 * P, N)
-    nnz = (3 * n - 5) ** 2 * (n >= 2) + 4 * n
+    nnz = dirichlet_nnz(n)
     points = 4 * n * n
     n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
     gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 104)
@@ -192,8 +186,11 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
 
     Returns (op, b).  The right-hand side carries the unit load in the
     mean block; boundary rows are constrained to zero.  The operator
-    holds the field at the Gauss points, so its full product runs there
-    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`).  The KL modes and
+    assembles its stiffness family from the field and holds the field at
+    the Gauss points, so its full product runs there
+    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`).  The load is
+    treated by :func:`~sgfem.fem.apply_dirichlet` on the operator's K_0,
+    whose boundary diagonal is 1 already.  The KL modes and
     the bytes of its largest data are checked before any work
     (:func:`check_problem`).
     """
@@ -203,9 +200,8 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
     tensor = _cached_tensor(N, P, 2 * P)
     coeffs = gpc_coefficients(kl, tensor.iset, mesh)
-    kfam = assemble_stiffness_family(mesh, coeffs.values)
-    f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
-    op = GalerkinOperator(tensor, kfam, coeffs, mesh)
+    op = GalerkinOperator(tensor, coeffs, mesh)
+    f0 = apply_dirichlet(op.k_mats[0], assemble_load(mesh, 1.0), mesh)[1]
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
     return op, b

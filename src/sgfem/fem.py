@@ -176,12 +176,20 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
     holds 0, and every element contribution that touches a boundary node
     is left out of the sums.  :func:`apply_dirichlet` on K_0 then sets its
     unit boundary diagonal.  All returned CSR matrices share the same
-    indices/indptr arrays (one sparsity pattern), so blockwise sums stay
-    aligned.  Their data arrays are the rows of one C-contiguous
-    (n_fields, nnz) array, which :class:`~sgfem.galerkin.GalerkinOperator`
-    adopts as its stacked data instead of copying the family.
+    indices/indptr arrays (one sparsity pattern, of
+    :func:`dirichlet_nnz` entries), so blockwise sums stay aligned.  Their
+    data arrays are the rows of one C-contiguous (n_fields, nnz) array:
+    :class:`~sgfem.galerkin.GalerkinOperator` assembles its family here
+    and adopts that array as its stacked data.
     """
     return _assemble(mesh, coeffs, mesh.boundary)
+
+
+def dirichlet_nnz(n: int) -> int:
+    """Stored entries of a matrix of :func:`assemble_stiffness_family` on
+    the n-by-n mesh: the 9-point couplings of the (n − 1)² interior
+    nodes, (3n − 5)² for n ≥ 2, and the 4n boundary diagonals."""
+    return (3 * n - 5) ** 2 * (n >= 2) + 4 * n
 
 
 def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:

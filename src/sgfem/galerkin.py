@@ -1,16 +1,19 @@
 """Matrix-free stochastic Galerkin operator.
 
-The global system matrix has (M+1)x(M+1) blocks K^{(j,k)} = Σ_i c_ijk K_i
-of size N_dof.  It is never assembled for products: the truncated blockwise
-product (tMAT-VEC) computes w_(j) = Σ_k Σ_{i∈set} c_ijk K_i v_(k) in two
-steps.  First every needed product K_i v_(k) is computed once, however
-many row blocks use it, and written as one row of a stacked product
-buffer.  Then the buffer is mixed into the row blocks by one sparse
-coupling matrix holding the c_ijk.  The buffer is filled and mixed in
-chunks of bounded size, so a product over all blocks never holds every
-K_i v_(k) at once.  Which products a call needs and how they mix
-form a plan, an object built by ``plan(rows, cols, trunc)`` and held by
-its user: a preconditioner keeps the plans of its own pushes.
+The global system matrix has (M+1)x(M+1) blocks K^{(j,k)} = Σ_i c_ijk
+K_i of size N_dof.  The operator derives both of its representations from
+one input, the lognormal field on the mesh: the stiffness family of the
+K_i, which it assembles, and the field's mean and modes at the Gauss
+points.  The matrix is never assembled for products: the truncated
+blockwise product (tMAT-VEC) computes w_(j) = Σ_k Σ_{i∈set} c_ijk K_i
+v_(k) in two steps.  First every needed product K_i v_(k) is computed
+once, however many row blocks use it, and written as one row of a
+stacked product buffer.  Then the buffer is mixed into the row blocks by
+one sparse coupling matrix holding the c_ijk.  The buffer is filled and
+mixed in chunks of bounded size, so a product over all blocks never
+holds every K_i v_(k) at once.  Which products a call needs and how they
+mix form a plan, an object built by ``plan(rows, cols, trunc)`` and held
+by its user: a preconditioner keeps the plans of its own pushes.
 
 A product over the full tensor need not stream the K_i at all: it can
 multiply at the Gauss points from the lognormal field and the mesh,
@@ -26,17 +29,17 @@ retained K_i, keep the family; so do the band fills, ``block`` and the
 dense assembly.
 
 Products and block factors run on the free nodes only.  The fixed nodes
-are the mesh's boundary, and the family must be on their Dirichlet
+are the mesh's boundary, and the family is assembled on their Dirichlet
 pattern: a boundary row b holds only its diagonal, its column is in no
-other row and K_i[b,b] = 0 for every i > 0.  Its rows are diagonal:
-c_0jk = δ_jk (G_0)_jj (the chaos basis is orthogonal, not normalised),
-so (A v)_(j)[b] = (G_0)_jj · (K_0[b,b] · v_(j)[b]).  So :meth:`tmatvec`
-and the factors take and return free-node blocks, shape
+other row and K_i[b,b] = 0 for every i > 0, while K_0[b,b] = 1.  Its rows
+are diagonal: c_0jk = δ_jk (G_0)_jj (the chaos basis is orthogonal, not
+normalised), so (A v)_(j)[b] = (G_0)_jj · (K_0[b,b] · v_(j)[b]).  So
+:meth:`tmatvec` and the factors take and return free-node blocks, shape
 (blocks, n_free), and the layout changes once at the edge of a call:
 :meth:`matvec` writes a fixed node by the closed form, and a
-preconditioner divides a fixed row by its :meth:`fixed_divisor`.
-Results are bit for bit those of products over every node, whose other
-terms on b are all ±0.0.
+preconditioner divides a fixed row by its :meth:`fixed_divisor`.  Results
+are bit for bit those of products over every node, whose other terms on
+b are all ±0.0.
 
 A block factor is one band factor of a run of consecutive blocks: of
 all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
@@ -57,13 +60,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from sgfem.chaos import CijkTensor, triple_product_table
-from sgfem.fem import Mesh, gradient_matrix
+from sgfem.fem import (
+    Mesh,
+    assemble_stiffness_family,
+    dirichlet_nnz,
+    gradient_matrix,
+)
 from sgfem.linalg import (
     Factorization,
     FactorizationError,
     check_band_fits,
     check_fits,
-    csr_on,
     factorize_band,
 )
 from sgfem.random_field import CoefficientFields
@@ -189,27 +196,6 @@ class _Plan:
     chunks: tuple
     products: int
     summations: int
-
-
-def _stack_family(k_mats: list) -> tuple[np.ndarray, list]:
-    """The stacked data of shared-pattern CSR matrices, one row per
-    matrix, and the matrices on those rows.  Matrices whose data are the
-    rows of one C-contiguous float array, in order (views of it, not
-    copies), are adopted with that array; others are left as they are:
-    their data are stacked into one new array, with new CSR matrices on
-    its rows."""
-    data = [K.data for K in k_mats]
-    base = data[0].base
-    # one array in memory: the same address, shape, strides and type
-    if (isinstance(base, np.ndarray) and base.dtype == np.float64
-            and base.flags.c_contiguous and len(base) == len(data)
-            and all(a.__array_interface__ == row.__array_interface__
-                    for a, row in zip(data, base))):
-        return base, k_mats
-    first = k_mats[0]
-    stack = np.array(data, dtype=np.float64)
-    return stack, [csr_on(row, first.indices, first.indptr, first.shape)
-                   for row in stack]
 
 
 def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -399,20 +385,19 @@ class _GaussPointProduct:
 
 
 class GalerkinOperator:
-    """Blockwise operator built from shared-pattern stiffness matrices.
+    """Blockwise operator of the lognormal field ``field`` on ``mesh``,
+    with the chaos tensor ``tensor``.
 
-    ``k_mats[i]`` is the stiffness matrix of the i-th chaos coefficient of
-    the diffusion field; all must share one CSR sparsity pattern, which
-    the constructor checks.  Products, blocks and factorizations run on
-    that pattern with the stacked data arrays ``kdata``, one row per
-    matrix.  ``k_mats`` and ``kdata`` are one storage: every
-    ``k_mats[i].data`` is the row ``kdata[i]``, so an in-place edit of a
-    K_i is an edit of the operator.  Matrices whose data already are the
-    rows of one float array, in order, as
-    :func:`~sgfem.fem.assemble_stiffness_family` returns them, are
-    adopted with that array and not copied.  Other matrices are left as
-    they are: their data are stacked once into a new array, and
-    ``k_mats`` holds new CSR matrices on its rows.
+    The constructor assembles the stiffness family, one matrix K_i per
+    chaos coefficient of the field
+    (:func:`~sgfem.fem.assemble_stiffness_family` of
+    :attr:`~sgfem.random_field.CoefficientFields.values`, which derive
+    from the field's mean and modes), and sets K_0's boundary diagonal
+    to 1.  ``k_mats`` holds the K_i, which share one CSR pattern, and
+    ``kdata`` their data arrays stacked, one row per matrix: every
+    ``k_mats[i].data`` is the row ``kdata[i]``.  Products, blocks and
+    factorizations run on that pattern with ``kdata``, so an in-place
+    edit of ``kdata`` is an edit of the operator.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -425,15 +410,14 @@ class GalerkinOperator:
     user.  All calls share the buffer and the workspace, so an operator
     must not run two products at once (from two threads).
 
-    ``field`` and ``mesh``, as :func:`~sgfem.experiments.build_problem`
-    gives them, are those the family was assembled from: :meth:`matvec`
-    and the plans of :meth:`gauss_plan` run at their Gauss points (module
-    docstring), on factors formed from the field's mean and modes, not
-    from its coefficient values, so they do not see an in-place edit of
-    the K_i.  The constructor refuses, with ValueError,
-    a tensor with P′ < 2P, a mesh of another node count, a field of
-    another dimension or other points, and a family off the Dirichlet
-    pattern of the mesh's boundary.
+    :meth:`matvec` and the plans of :meth:`gauss_plan` run at the mesh's
+    Gauss points (module docstring), on factors formed from the field's
+    mean and modes, so they do not see an in-place edit of ``kdata``.
+    The constructor refuses, with ValueError, a tensor with P′ < 2P and
+    a field on another basis than the tensor's i-set or at other points
+    than the mesh's, and with MemoryError a family that, with the
+    coefficient values it is assembled from, exceeds physical memory,
+    each before it assembles the family.
 
     The fixed nodes ``fixed`` are the mesh's boundary, ascending; the
     other nodes are ``free``, of which there are ``n_free``; products,
@@ -452,47 +436,35 @@ class GalerkinOperator:
     they update as well.
     """
 
-    def __init__(self, tensor: CijkTensor, k_mats, field: CoefficientFields,
+    def __init__(self, tensor: CijkTensor, field: CoefficientFields,
                  mesh: Mesh):
-        if len(k_mats) != len(tensor.iset):
-            raise ValueError("need one stiffness matrix per tensor index i")
-        if tensor.iset.degree < 2 * tensor.jkset.degree:
+        iset = tensor.iset
+        if iset.degree < 2 * tensor.jkset.degree:
             raise ValueError(
                 f"the Gauss-point product needs P' >= 2P, got "
-                f"P' = {tensor.iset.degree}, P = {tensor.jkset.degree}")
-        first = k_mats[0]
-        for i, K in enumerate(k_mats):
-            if not sp.issparse(K) or K.format != "csr":
-                raise ValueError(f"stiffness matrix {i} is not in CSR "
-                                 f"format")
-            if K.shape != first.shape:
-                raise ValueError("stiffness matrices must share one shape")
-            if not (np.array_equal(K.indptr, first.indptr)
-                    and np.array_equal(K.indices, first.indices)):
-                raise ValueError(
-                    f"stiffness matrix {i} does not share the CSR sparsity "
-                    f"pattern (indptr/indices) of matrix 0; store explicit "
-                    f"zeros to keep one pattern")
-        if mesh.n_nodes != first.shape[0]:
-            raise ValueError(f"the mesh has {mesh.n_nodes} nodes, the "
-                             f"stiffness matrices {first.shape[0]} rows")
+                f"P' = {iset.degree}, P = {tensor.jkset.degree}")
         points = (len(mesh.elements), 4)
-        if (field.basis.N != tensor.iset.N or field.mean.shape != points
-                or field.modes.shape != (tensor.iset.N,) + points):
-            raise ValueError(f"the field does not hold a mean and "
-                             f"{tensor.iset.N} modes at the mesh's {points} "
-                             f"Gauss points")
+        if (field.basis != iset or field.mean.shape != points
+                or field.modes.shape != (iset.N,) + points):
+            raise ValueError(f"the field is not on the tensor's i-set with "
+                             f"a mean and {iset.N} modes at the mesh's "
+                             f"{points} Gauss points")
+        nnz, size = dirichlet_nnz(mesh.n), 4 * len(mesh.elements)
+        check_fits(8 * len(iset) * (nnz + size), lambda: (
+            f"the stiffness family, {len(iset)} matrices of {nnz} stored "
+            f"entries, with the coefficient values at its {size} points, "
+            f"needs"))
         self.tensor = tensor
-        kdata, self.k_mats = _stack_family(list(k_mats))
+        self.k_mats = assemble_stiffness_family(mesh, field.values)
         first = self.k_mats[0]
         self.n_dof = first.shape[0]
         self.M = len(tensor.jkset) - 1
-        self.Mprime = len(tensor.iset) - 1
+        self.Mprime = len(iset) - 1
         self.counters = {"summations": 0, "products": 0}
-        # stacked data arrays enable blockwise sums as single mat-vecs
-        self.kdata = kdata
-        self._indices = first.indices
-        self._indptr = first.indptr.astype(first.indices.dtype, copy=False)
+        # the family's data are the rows of one array, adopted as they
+        # are: blockwise sums run as single mat-vecs on it
+        self.kdata = first.data.base
+        self._indices, self._indptr = first.indices, first.indptr
         self._fix_boundary(mesh.boundary)
         # (G_0)_jj = c_0jj: G_0 is diagonal, the chaos basis orthogonal
         zero = tensor.i == 0
@@ -507,9 +479,10 @@ class GalerkinOperator:
         self._full: _GaussPlan | None = None
 
     def _fix_boundary(self, boundary: np.ndarray) -> None:
-        """Fix the mesh's boundary nodes, once the family is found to be
-        on their Dirichlet pattern (module docstring), and lay out the
-        free-node CSR on views of the stacked data rows.
+        """Fix the mesh's boundary nodes, on whose Dirichlet pattern the
+        family is assembled (module docstring), with K_0's diagonal 1
+        there, and lay out the free-node CSR on views of the stacked data
+        rows.
 
         Free row r holds the slots from row free[r]'s first up to the
         next free row's first: the slot of a fixed row that lies between
@@ -519,20 +492,10 @@ class GalerkinOperator:
         largest row-minus-column offset, which no pad slot sets.
         """
         n, ip, ix = self.n_dof, self._indptr, self._indices
-        slot = ip[boundary]
+        self.fixed, self._fixed_slots = boundary, ip[boundary]
+        self.kdata[0, self._fixed_slots] = 1.0
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[boundary] = True
-        # one strided column of the stack at a time, not a copy of them
-        if (np.any(ip[boundary + 1] - slot != 1)
-                or np.any(ix[slot] != boundary)
-                or np.count_nonzero(is_fixed[ix]) != len(boundary)
-                or any(self.kdata[1:, s].any() for s in slot)):
-            raise ValueError(
-                "the stiffness matrices are not on the Dirichlet pattern of "
-                "the mesh's boundary: a boundary row must hold only its "
-                "diagonal, no other row a boundary column, and K_i[b,b] "
-                "must be 0 for i > 0")
-        self.fixed, self._fixed_slots = boundary, slot
         self.free = free = np.flatnonzero(~is_fixed)
         self.n_free = f = len(free)
         lo, hi = (ip[free[0]], ip[free[-1] + 1]) if f else (0, 0)

@@ -147,40 +147,48 @@ def discrete_kl(mesh: Mesh, spec: ExponentialCovariance, n_modes: int,
 
 @dataclass(frozen=True)
 class CoefficientFields:
-    """Chaos coefficients k_i of the lognormal field at quadrature points,
-    and the field they come from.
+    """The lognormal field at quadrature points and its chaos
+    coefficients k_i.
 
-    ``values[i]`` has shape (n_elements, 4); ``basis`` is the multi-index
-    set the i axis runs over.  ``mean`` holds a_0 = exp(g_0 + ½ Σ_d g_d²)
-    and ``modes[d]`` the exponent mode g_d, each at the same points, so
-    that every coefficient is k_i = a_0 Π_d g_d^{i_d} / i_d!;
-    ``values[0]`` equals ``mean``, which is strictly positive.  A
-    :class:`~sgfem.galerkin.GalerkinOperator` multiplies at the points
-    from ``mean`` and ``modes``, not through the stiffness family.
+    ``basis`` is the multi-index set the coefficients run over.  ``mean``
+    holds a_0 = exp(g_0 + ½ Σ_d g_d²) and ``modes[d]`` the exponent mode
+    g_d, each of shape (n_elements, 4), so that every coefficient is
+    k_i = a_0 Π_d g_d^{i_d} / i_d!.  The mean is strictly positive.  A
+    :class:`~sgfem.galerkin.GalerkinOperator` takes the field whole, on
+    its tensor's i-set: it assembles its stiffness family from
+    :attr:`values` and multiplies at the points from ``mean`` and
+    ``modes``, one source for both.
     """
 
     basis: MultiIndexSet
-    values: np.ndarray
     mean: np.ndarray
     modes: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every k_i at the points, shape (len(basis), n_elements, 4),
+        computed anew from ``mean`` and ``modes`` at each access;
+        ``values[0]`` equals ``mean``."""
+        degrees = np.arange(self.basis.degree + 1)[:, None, None, None]
+        powers = self.modes[None] ** degrees
+        values = np.empty((len(self.basis),) + self.mean.shape)
+        for pos, idx in enumerate(self.basis.indices):
+            prod = self.mean.copy()
+            for d, p in enumerate(idx):
+                if p:
+                    prod *= powers[p, d] / math.factorial(p)
+            values[pos] = prod
+        return values
 
 
 def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh
                      ) -> CoefficientFields:
-    """Evaluate every k_i at the mesh quadrature points (closed form)."""
+    """The field at the mesh quadrature points, whose k_i have a closed
+    form (:attr:`CoefficientFields.values`)."""
     if basis.N != kl.N:
         raise ValueError(f"basis dimension {basis.N} does not match "
                          f"{kl.N} KL modes")
     # g_d at quadrature points via bilinear interpolation, (N, n_e, 4)
     G = np.array([mesh.interpolate(m) for m in kl.modes])
     base = np.exp(kl.g0 + 0.5 * np.sum(G * G, axis=0))
-    maxdeg = basis.degree
-    powers = G[None] ** np.arange(maxdeg + 1)[:, None, None, None]
-    values = np.empty((len(basis),) + base.shape)
-    for pos, idx in enumerate(basis.indices):
-        prod = base.copy()
-        for d, p in enumerate(idx):
-            if p:
-                prod *= powers[p, d] / math.factorial(p)
-        values[pos] = prod
-    return CoefficientFields(basis, values, base, G)
+    return CoefficientFields(basis, base, G)

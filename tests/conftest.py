@@ -16,7 +16,6 @@ from sgfem.chaos import build_c_tensor, triple_product_table
 from sgfem.fem import (
     apply_dirichlet,
     assemble_load,
-    assemble_stiffness_family,
     build_mesh,
     gradient_matrix,
 )
@@ -41,30 +40,27 @@ settings.register_profile("sgfem", print_blob=True)
 settings.load_profile("sgfem")
 
 
-def build_family(N, P, n, cov=1.0, mu_log=1.0, L=0.5, Pprime=None):
-    """Small-scale pipeline up to the operator: mesh -> KL -> coefficients
-    of degree P′ (default 2P) -> Dirichlet family K_i -> K_0's boundary
-    diagonal.  Returns (tensor, kfam, field, mesh, f0): the operator's
-    arguments, with the treated stiffness family as assembled, on the
-    rows of one array, and the treated load."""
+def build_inputs(N, P, n, cov=1.0, mu_log=1.0, L=0.5, Pprime=None):
+    """Small-scale pipeline up to the operator: mesh -> KL -> tensor ->
+    coefficients of degree P′ (default 2P).  Returns (tensor, field,
+    mesh): the operator's arguments."""
     mesh = build_mesh(n)
     g0, sg = field_parameters(mu_log, cov)
     kl = discrete_kl(mesh, ExponentialCovariance(sg, L), N, g0=g0)
     tensor = build_c_tensor(N, P, 2 * P if Pprime is None else Pprime)
-    field = gpc_coefficients(kl, tensor.iset, mesh)
-    kfam = assemble_stiffness_family(mesh, field.values)
-    f0 = apply_dirichlet(kfam[0], assemble_load(mesh, 1.0), mesh)[1]
-    return tensor, kfam, field, mesh, f0
+    return tensor, gpc_coefficients(kl, tensor.iset, mesh), mesh
 
 
 def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
-    """Full pipeline at small scale: :func:`build_family`, then the block
-    operator.  Returns (op, b, mesh, field) with b the global right-hand
-    side (unit load in the mean block only)."""
-    tensor, kfam, field, mesh, f0 = build_family(N, P, n, cov, mu_log, L)
-    op = GalerkinOperator(tensor, kfam, field, mesh)
+    """Full pipeline at small scale: :func:`build_inputs`, the block
+    operator, which assembles its stiffness family, and the load treated
+    on its K_0.  Returns (op, b, mesh, field) with b the global
+    right-hand side (unit load in the mean block only)."""
+    tensor, field, mesh = build_inputs(N, P, n, cov, mu_log, L)
+    op = GalerkinOperator(tensor, field, mesh)
     b = np.zeros(op.n_global)
-    b[:op.n_dof] = f0
+    b[:op.n_dof] = apply_dirichlet(op.k_mats[0], assemble_load(mesh, 1.0),
+                                   mesh)[1]
     return op, b, mesh, field
 
 

@@ -52,8 +52,10 @@ def untraced():
 
 @pytest.fixture(scope="module")
 def traced():
-    # a cached tensor would leave the chaos layer without a span
+    # a cached tensor or mesh would leave build_c_tensor or build_mesh
+    # without a span
     experiments._cached_tensor.cache_clear()
+    experiments._cached_mesh.cache_clear()
     with tracing.Tracer() as tracer:
         result = bench_pass(tracer)
     result["spans"] = tracer.span_totals()
@@ -87,6 +89,16 @@ def test_traced_pass_counts_the_operator_work(traced):
 def test_traced_pass_has_a_span_in_every_layer(traced):
     layers = {name.split(".", 1)[0] for name in traced["spans"]}
     assert set(tracing.LAYERS) <= layers
+
+
+def test_traced_pass_has_a_span_for_every_hook(traced):
+    """Every hooked function and method, and every preconditioner's
+    apply, is on the pass's path: a change that moved one of them off
+    it would leave a per-layer figure reading 0."""
+    hooks = [hook[-1] for hook in tracing.FUNCTION_HOOKS
+             + tracing.METHOD_HOOKS] + ["preconditioners.apply"]
+    assert [name for name in hooks
+            if traced["spans"].get(name, {}).get("calls", 0) < 1] == []
 
 
 def test_tracer_restores_the_package(traced):

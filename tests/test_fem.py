@@ -13,6 +13,7 @@ from sgfem.fem import (
     assemble_stiffness,
     assemble_stiffness_family,
     build_mesh,
+    dirichlet_nnz,
 )
 from sgfem.linalg import factorize
 
@@ -252,6 +253,7 @@ class TestDirichletFamily:
             assert_bitwise(K.toarray(),
                            boundary_zeroed(assemble_stiffness(m, c), m))
         first = family[0]
+        assert first.nnz == dirichlet_nnz(n)
         stack = first.data.base
         assert stack.flags.c_contiguous
         assert stack.shape == (n_fields, first.nnz)

@@ -1,5 +1,6 @@
 """Block operator checks against the dense brute-force oracle."""
 
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -11,7 +12,7 @@ import scipy.sparse as sp
 from conftest import (
     band_fill,
     binomial_levels,
-    build_family,
+    build_inputs,
     build_operator,
     family_matvec,
     g_matrix,
@@ -27,7 +28,7 @@ import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem
 from sgfem.chaos import build_c_tensor, multi_index_set
-from sgfem.fem import assemble_stiffness, build_mesh
+from sgfem.fem import assemble_stiffness_family, build_mesh, dirichlet_nnz
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -35,7 +36,7 @@ from sgfem.galerkin import (
     standard_truncation,
     TruncationSet,
 )
-from sgfem.linalg import Factorization, csr_on, factorize
+from sgfem.linalg import Factorization, factorize
 from sgfem.preconditioners import KINDS, make_preconditioner
 
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
@@ -236,15 +237,13 @@ def tmatvec_cases(draw):
         draw(st.integers(1, 4))
     op, _, mesh, field = cached_problem(N, P, n)
     if draw(st.booleans()):
-        # a stacked copy of the family with stored zeros, common to every
-        # K_i or in only some of them
+        # a new operator's family edited in place to hold stored zeros,
+        # common to every K_i or in only some of them
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        nnz = op.k_mats[0].nnz
-        common = rng.random(nnz) < draw(st.sampled_from([0, 0.2, 0.6]))
-        mats = [K.copy() for K in op.k_mats]
-        for K in mats:
-            K.data[common | (rng.random(nnz) < 0.3)] = 0.0
-        op = GalerkinOperator(op.tensor, mats, field, mesh)
+        op = GalerkinOperator(op.tensor, field, mesh)
+        common = rng.random(op.kdata.shape[1]) < draw(
+            st.sampled_from([0, 0.2, 0.6]))
+        op.kdata[common | (rng.random(op.kdata.shape) < 0.3)] = 0.0
     blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
                       unique=True)
     rows, cols = draw(blocks), draw(blocks)
@@ -282,7 +281,7 @@ class TestTmatvecProperty:
         v = np.random.default_rng(12).standard_normal(op.n_global)
         want = family_matvec(op, v)
         monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 8 * op.n_dof)
-        small = GalerkinOperator(op.tensor, op.k_mats, field, mesh)
+        small = GalerkinOperator(op.tensor, field, mesh)
         blocks = range(op.M + 1)
         assert len(small.plan(blocks, blocks,
                               full_truncation(op.tensor)).chunks) > 1
@@ -292,8 +291,8 @@ class TestTmatvecProperty:
 
 @st.composite
 def fixed_node_cases(draw):
-    """A random family on the Dirichlet pattern of the mesh's boundary,
-    with the field and mesh of the family it replaces, and a random
+    """A new operator whose family is edited in place into a random one
+    on the Dirichlet pattern of the mesh's boundary, and a random
     product.
 
     Interior slots get random values.  A boundary node b keeps
@@ -309,8 +308,8 @@ def fixed_node_cases(draw):
     slot = K.indptr[mesh.boundary]
     data[1:, slot] = 0.0
     data[0, slot[rng.random(len(slot)) < 0.5]] = 1.0
-    mats = [csr_on(row, K.indices, K.indptr, K.shape) for row in data]
-    op = GalerkinOperator(op.tensor, mats, field, mesh)
+    op = GalerkinOperator(op.tensor, field, mesh)
+    op.kdata[:] = data
     blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
                       unique=True)
     rows = draw(blocks)
@@ -365,60 +364,6 @@ class TestFixedNodes:
             got[:, boundary], g0[:, None] * (k0 * v[:, boundary]))
 
 
-    @pytest.mark.parametrize("edit", ["neumann", "K_2 boundary diagonal",
-                                      "boundary row", "boundary column"])
-    def test_refuses_a_family_off_the_dirichlet_pattern(self, edit):
-        """The constructor refuses a family that is not on the Dirichlet
-        pattern of the mesh's boundary: the Neumann matrices of the same
-        field, a K_i, i > 0, with a nonzero boundary diagonal, and one
-        more stored entry, holding 0, in a boundary row or column."""
-        tensor, kfam, field, mesh, _ = build_family(2, 2, 3)
-        if edit == "neumann":
-            mats = [assemble_stiffness(mesh, values)
-                    for values in field.values]
-        elif edit == "K_2 boundary diagonal":
-            mats = [K.copy() for K in kfam]
-            mats[2].data[mats[2].indptr[mesh.boundary[3]]] = 1.0
-        else:  # node 0 is a corner, node 5 inside the mesh
-            row, col = (0, 5) if edit == "boundary row" else (5, 0)
-            mats = [sp.csr_matrix((np.append(A.data, 0.0),
-                                   (np.append(A.row, row),
-                                    np.append(A.col, col))), shape=A.shape)
-                    for A in (K.tocoo() for K in kfam)]
-        with pytest.raises(ValueError, match="not on the Dirichlet pattern"):
-            GalerkinOperator(tensor, mats, field, mesh)
-
-
-class TestSharedPattern:
-    def test_rejects_different_pattern(self):
-        op, _, mesh, field = build_operator(2, 1, 3)
-        mats = list(op.k_mats)
-        pruned = mats[2].copy()
-        pruned.eliminate_zeros()  # its zero boundary diagonal goes
-        assert pruned.nnz < mats[2].nnz
-        mats[2] = pruned
-        with pytest.raises(ValueError, match="matrix 2 does not share"):
-            GalerkinOperator(op.tensor, mats, field, mesh)
-
-    def test_rejects_permuted_column_indices(self):
-        op, _, mesh, field = build_operator(2, 1, 3)
-        mats = list(op.k_mats)
-        K = mats[1]
-        lo, hi = K.indptr[5], K.indptr[6]
-        idx = K.indices.copy()
-        idx[lo:hi] = idx[lo:hi][::-1]
-        mats[1] = sp.csr_matrix((K.data.copy(), idx, K.indptr.copy()),
-                                shape=K.shape)
-        with pytest.raises(ValueError, match="CSR sparsity pattern"):
-            GalerkinOperator(op.tensor, mats, field, mesh)
-
-    def test_rejects_non_csr(self):
-        op, _, mesh, field = build_operator(1, 1, 2)
-        mats = list(op.k_mats)
-        mats[1] = mats[1].tocsc()
-        with pytest.raises(ValueError, match="CSR format"):
-            GalerkinOperator(op.tensor, mats, field, mesh)
-
 
 def dense_from_matrices(tensor, mats) -> np.ndarray:
     """Global matrix Σ c_ijk K_i summed entry by entry from the tensor and
@@ -431,60 +376,64 @@ def dense_from_matrices(tensor, mats) -> np.ndarray:
     return A
 
 
-def assert_one_storage(op):
-    for K, row in zip(op.k_mats, op.kdata, strict=True):
-        assert K.data.__array_interface__ == row.__array_interface__
-
-
 class TestFamilyStorage:
+    """The operator assembles its one stiffness family from its field."""
+
+    def test_family_is_the_assembled_one(self):
+        """``kdata`` is the family of the field's values as assembled, bit
+        for bit, with K_0's boundary diagonal 1.0."""
+        tensor, field, mesh = build_inputs(2, 2, 4)
+        op = GalerkinOperator(tensor, field, mesh)
+        family = assemble_stiffness_family(mesh, field.values)
+        want = np.array([K.data for K in family])
+        assert not want[0, op._fixed_slots].any()
+        want[0, op._fixed_slots] = 1.0
+        assert np.array_equal(op.kdata, want)
+        for K, mine in zip(family, op.k_mats, strict=True):
+            assert np.array_equal(K.indices, mine.indices)
+            assert np.array_equal(K.indptr, mine.indptr)
+
     def test_family_adopted_without_a_copy(self):
-        """Memory regression guard: an operator built on a stiffness
-        family as assembled holds its data arrays as they are, so the
-        build allocates well under 5 % of the family's bytes."""
-        tensor, kfam, field, mesh, _ = build_family(4, 4, 12)
-        family = sum(K.data.nbytes for K in kfam)
-        _, peak = traced_memory(
-            lambda: GalerkinOperator(tensor, kfam, field, mesh))
+        """The operator holds one family copy: every ``k_mats[i].data`` is
+        the row ``kdata[i]``, so an in-place edit of ``kdata`` is an edit
+        of the K_i.  Memory regression guard: building the operator peaks
+        within 10 % of the bytes of the family and the coefficient values
+        it is assembled from, with no second copy of either, and keeps
+        within 10 % of the family's, without the values."""
+        tensor, field, mesh = build_inputs(4, 4, 12)
+        op = GalerkinOperator(tensor, field, mesh)
+        assert op.kdata.flags.c_contiguous
+        for K, row in zip(op.k_mats, op.kdata, strict=True):
+            assert K.data.__array_interface__ == row.__array_interface__
+        op.kdata[3, 0] = 7.0
+        assert op.k_mats[3].data[0] == 7.0
+        family, values = op.kdata.nbytes, 8 * len(tensor.iset) * 4 * 144
+        kept, peak = traced_memory(
+            lambda: GalerkinOperator(tensor, field, mesh))
         assert family > 3e6
-        assert peak < 0.05 * family
-        op = GalerkinOperator(tensor, kfam, field, mesh)
-        assert_one_storage(op)
-        assert all(K is mine for K, mine in zip(kfam, op.k_mats))
-        # one storage: an in-place edit of a K_i is an edit of the operator
-        kfam[3].data[0] = 7.0
-        assert op.kdata[3, 0] == 7.0
+        assert family <= kept < 1.1 * family
+        assert peak < 1.1 * (family + values)
 
-    def test_separately_allocated_matrices_stacked_once(self):
-        op, _, mesh, field = build_operator(2, 2, 3)
-        mats = [K.copy() for K in op.k_mats]
-        own = GalerkinOperator(op.tensor, mats, field, mesh)
-        assert_one_storage(own)
-        # the caller's matrices are left as they are
-        assert not any(np.shares_memory(K.data, own.kdata) for K in mats)
-        A = dense_from_matrices(op.tensor, mats)
-        v = np.random.default_rng(4).standard_normal(own.n_global)
-        want = A @ v
-        np.testing.assert_allclose(family_matvec(own, v).ravel(), want,
-                                   rtol=0, atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(own.assemble_global_dense(), A,
-                                   rtol=0, atol=1e-13 * np.abs(A).max())
+    def test_oversized_family_refused_before_assembly(self, monkeypatch):
+        """The bytes of the family and of the coefficient values it is
+        assembled from, 8·fields·(nnz + points), are checked against
+        physical memory before either is built."""
+        tensor, field, mesh = build_inputs(2, 2, 4)
+        need = 8 * len(tensor.iset) * (dirichlet_nnz(4) + 64)
+        assert need == GalerkinOperator(tensor, field, mesh).kdata.nbytes \
+            + field.values.nbytes
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
-    def test_operator_on_an_operators_matrices(self):
-        """A chain op -> op2 on op's matrices -> op3 on op2's: op's
-        matrices are the rows of the family's array, so op2 and op3
-        adopt that one storage, and every operator's family product is
-        op's, bit for bit."""
-        op, _, mesh, field = build_operator(2, 2, 3)
-        v = np.random.default_rng(4).standard_normal(op.n_global)
-        want = family_matvec(op, v)
-        op2 = GalerkinOperator(op.tensor, op.k_mats, field, mesh)
-        op3 = GalerkinOperator(op2.tensor, op2.k_mats, field, mesh)
-        for other in (op2, op3):
-            assert other.kdata is op.kdata
-            assert all(K is mine for K, mine in zip(op.k_mats, other.k_mats))
-            assert_one_storage(other)
-        for other in (op, op2, op3):
-            assert np.array_equal(family_matvec(other, v), want)
+        def no_work(*args):
+            raise AssertionError("family assembled before the refusal")
+
+        monkeypatch.setattr(galerkin, "assemble_stiffness_family", no_work)
+        with pytest.raises(MemoryError) as exc:
+            GalerkinOperator(tensor, field, mesh)
+        assert str(exc.value).startswith(
+            f"the stiffness family, 15 matrices of 65 stored entries, "
+            f"with the coefficient values at its 64 points, needs {need} "
+            f"bytes")
 
 
 class TestCounters:
@@ -573,8 +522,7 @@ class TestGaussPointProduct:
         v = np.random.default_rng(41).standard_normal(op.n_global)
         want = op.matvec(v)
         monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 1)
-        small = GalerkinOperator(op.tensor, op.k_mats,
-                                 *build_family(2, 2, 3)[2:4])
+        small = GalerkinOperator(*build_inputs(2, 2, 3))
         np.testing.assert_array_equal(small.matvec(v), want)
         assert small._gauss._points == 1
 
@@ -587,6 +535,19 @@ class TestGaussPointProduct:
             op.matvec(v)
             assert op.counters == {"summations": calls * op.tensor.nnz,
                                    "products": 0}
+
+    def test_an_edited_field_keeps_both_products_in_step(self):
+        """The family derives from the field's mean and modes, as the
+        product at the Gauss points does, so a field whose modes are
+        edited still gives one operator: its full product matches its
+        family's."""
+        tensor, field, mesh = build_inputs(2, 2, 4)
+        field = dataclasses.replace(field, modes=1.5 * field.modes)
+        op = GalerkinOperator(tensor, field, mesh)
+        V = np.random.default_rng(44).standard_normal((op.M + 1, op.n_dof))
+        family = family_matvec(op, V)
+        assert np.abs(op.matvec(V) - family).max() <= \
+            1e-14 * np.abs(family).max()
 
     def test_reads_no_stiffness_matrix(self):
         """The product comes from the field: zeroing every K_i but K_0's
@@ -602,17 +563,34 @@ class TestGaussPointProduct:
 
     def test_refuses_a_coefficient_degree_below_2P(self):
         with pytest.raises(ValueError, match="P' >= 2P"):
-            GalerkinOperator(*build_family(2, 2, 3, Pprime=3)[:4])
+            GalerkinOperator(*build_inputs(2, 2, 3, Pprime=3))
 
     def test_refuses_a_mesh_of_other_nodes(self):
-        tensor, kfam, field, _, _ = build_family(2, 2, 3)
-        with pytest.raises(ValueError, match="25 nodes, the stiffness matrices 16"):
-            GalerkinOperator(tensor, kfam, field, build_mesh(4))
+        tensor, field, _ = build_inputs(2, 2, 3)
+        with pytest.raises(ValueError, match=r"mesh's \(16, 4\) Gauss"):
+            GalerkinOperator(tensor, field, build_mesh(4))
 
     def test_refuses_a_field_of_another_dimension(self):
-        tensor, kfam, _, mesh, _ = build_family(2, 2, 3)
+        tensor, _, mesh = build_inputs(2, 2, 3)
         with pytest.raises(ValueError, match="2 modes"):
-            GalerkinOperator(tensor, kfam, build_family(3, 1, 3)[2], mesh)
+            GalerkinOperator(tensor, build_inputs(3, 1, 3)[1], mesh)
+
+    @pytest.mark.parametrize("P,Pprime", [(1, None), (2, 3)],
+                             ids=["lower degree", "P' = 3"])
+    def test_refuses_a_field_on_another_basis(self, monkeypatch, P, Pprime):
+        """A field of the tensor's dimension and the mesh's points, on
+        another multi-index set than the tensor's i-set, is refused
+        before any assembly."""
+        tensor, _, mesh = build_inputs(2, 2, 3)
+        field = build_inputs(2, P, 3, Pprime=Pprime)[1]
+        assert field.basis != tensor.iset
+
+        def no_work(*args):
+            raise AssertionError("family assembled before the refusal")
+
+        monkeypatch.setattr(galerkin, "assemble_stiffness_family", no_work)
+        with pytest.raises(ValueError, match="not on the tensor's i-set"):
+            GalerkinOperator(tensor, field, mesh)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1141,9 +1119,9 @@ class TestScipyFallback:
         fb = fallback_galerkin(monkeypatch)
         assert fb.csr_matvec is not galerkin.csr_matvec
         assert fb.csr_matvecs is not galerkin.csr_matvecs
-        family = build_family(3, 3, 4)[:4]
-        op = GalerkinOperator(*family)
-        op_fb = fb.GalerkinOperator(*family)
+        inputs = build_inputs(3, 3, 4)
+        op = GalerkinOperator(*inputs)
+        op_fb = fb.GalerkinOperator(*inputs)
 
         def assert_close(got, want):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -1166,9 +1144,9 @@ class TestScipyFallback:
         1e-14."""
         fb = fallback_galerkin(monkeypatch)
         assert fb.csc_matvecs is not galerkin.csc_matvecs
-        family = build_family(3, 2, 4)[:4]
+        inputs = build_inputs(3, 2, 4)
         v = np.random.default_rng(43).standard_normal(
-            (len(family[0].jkset), 25))
-        want = GalerkinOperator(*family).matvec(v)
-        got = fb.GalerkinOperator(*family).matvec(v)
+            (len(inputs[0].jkset), 25))
+        want = GalerkinOperator(*inputs).matvec(v)
+        got = fb.GalerkinOperator(*inputs).matvec(v)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -368,9 +368,9 @@ def test_exports_rebuild_build_problem():
                         g0=g0)
     tensor = sg.build_c_tensor(N, P, 2 * P)
     coeffs = sg.gpc_coefficients(kl, tensor.iset, mesh)
-    kfam = sg.assemble_stiffness_family(mesh, coeffs.values)
-    f0 = sg.apply_dirichlet(kfam[0], sg.assemble_load(mesh, 1.0), mesh)[1]
-    op = sg.GalerkinOperator(tensor, kfam, coeffs, mesh)
+    op = sg.GalerkinOperator(tensor, coeffs, mesh)
+    f0 = sg.apply_dirichlet(op.k_mats[0], sg.assemble_load(mesh, 1.0),
+                            mesh)[1]
     b = np.zeros(op.n_global)
     b[:op.n_dof] = f0
 
@@ -385,7 +385,8 @@ def test_exports_rebuild_build_problem():
     # both truncations build from the exported names as well
     for trunc in (sg.standard_truncation(N, 1),
                   sg.adaptive_truncation(
-                      1.0, [np.linalg.norm(K.data) for K in kfam], tensor)):
+                      1.0, [np.linalg.norm(K.data) for K in op.k_mats],
+                      tensor)):
         _, rep = sg.flexible_cg(
             op.matvec, sg.make_preconditioner(op, "ahgs", trunc).apply, b)
         assert rep.converged
