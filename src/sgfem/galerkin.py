@@ -20,13 +20,14 @@ multiply at the Gauss points from the lognormal field and the mesh,
 exactly since P′ ≥ 2P (:class:`_GaussPointProduct`), with a plan built
 by ``gauss_plan(rows, cols)``.  The full product always runs there, and
 so do the pushes of the level sweeps (hs, ahs and ahgs) whose truncation
-keeps every tensor index.  A push at the Gauss points applies the full
-tensor and scatters through the whole grid of its row blocks however few
-its column blocks are, while a push through the family costs what its
-retained K_i do.  So gs, which pushes each single block to all the
-blocks after it, and the truncated sweeps, whose pushes need only the
-retained K_i, keep the family; so do the band fills, ``block`` and the
-dense assembly.
+keeps every tensor index.  A push at the Gauss points multiplies slices
+of stored factors whose half grids are ordered by total degree; it
+applies the full tensor and scatters through the whole grid of its row
+blocks however few its column blocks are, while a push through the
+family costs what its retained K_i do.  So gs, which pushes each single
+block to all the blocks after it, and the truncated sweeps, whose pushes
+need only the retained K_i, keep the family; so do the band fills,
+``block`` and the dense assembly.
 
 Products and block factors run on the free nodes only.  The fixed nodes
 are the mesh's boundary, and the family is assembled on their Dirichlet
@@ -200,8 +201,9 @@ class _Plan:
 
 def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``jk``, multi-indices of degree ≤ P over some
-    of the dimensions, and the position of each row among them."""
-    key = jk @ (P + 1) ** np.arange(jk.shape[1])
+    of the dimensions, ordered by total degree and then by their digits,
+    and the position of each row among them."""
+    key = np.c_[jk, jk.sum(axis=1)] @ (P + 1) ** np.arange(jk.shape[1] + 1)
     _, first, position = np.unique(key, return_index=True,
                                    return_inverse=True)
     return jk[first], position
@@ -212,11 +214,10 @@ class _GaussPlan:
     """One product at the Gauss points over the full tensor, from
     ``n_cols`` column blocks S to ``n_rows`` row blocks T.
 
-    S₁, S₂ and T₁, T₂ are the half-grid multi-indices of the blocks, and
-    ``shape`` is (|T₁|, |S₁|, |S₂|, |T₂|).  ``a_take`` and ``b_take`` are
-    the flat entries of A_q[T₁, S₁] and B_q[S₂, T₂] in a point's stored
-    factor, or None where the sub-block is the whole factor.  ``embed``
-    places the gradient component c of column block k, entry
+    ``hulls`` holds the ranges of positions (T₁, S₁, S₂, T₂) in the half
+    grids that span the blocks' half-grid multi-indices, as slices:
+    A_q[T₁, S₁] and B_q[S₂, T₂] are views of a point's stored factors.
+    ``embed`` places the gradient component c of column block k, entry
     c·n_cols + k, in the (S₁, 2, S₂) grid, and ``pick`` takes those of
     the row blocks from the (T₁, 2, T₂) grid.  ``summations`` counts the
     c_ijk terms with j in T and k in S.
@@ -224,9 +225,7 @@ class _GaussPlan:
 
     n_rows: int
     n_cols: int
-    shape: tuple
-    a_take: np.ndarray | None
-    b_take: np.ndarray | None
+    hulls: tuple
     embed: np.ndarray
     pick: np.ndarray
     summations: int
@@ -242,26 +241,31 @@ class _GaussPointProduct:
     matrices m_d[a, b] = Σ_α g_d^α/α! T[α, a, b], exactly, since
     c_αjk ≠ 0 needs |α| ≤ |j| + |k| ≤ 2P.  Splitting the dimensions in
     two halves, C_q = a_0 (A_q ⊗ B_q) on the grid of (first half, second
-    half) multi-indices, in which the total-degree set is embedded; at
-    N = 4 that grid is 15 × 15 for 70 blocks.  This is the sum
-    factorization of spectral elements (Orszag 1980) at the quadrature
-    points of matrix-free FEM (Kronbichler & Kormann 2012).  A product
-    from column blocks S to row blocks T (a :class:`_GaussPlan`) then
+    half) multi-indices, each ordered by total degree, in which the
+    total-degree set is embedded; at N = 4 that grid is 15 × 15 for 70
+    blocks.  This is the sum factorization of spectral elements (Orszag
+    1980) at the quadrature points of matrix-free FEM (Kronbichler &
+    Kormann 2012).  A product from column blocks S to row blocks T (a
+    :class:`_GaussPlan`) then
     1. gathers the gradients of S's blocks at the points through the
        free-column gradient matrix D (:func:`~sgfem.fem.gradient_matrix`),
     2. embeds them in the (S₁ × S₂) grid of their half-grid multi-indices
        and multiplies by A_q[T₁, S₁] from the left and B_q[S₂, T₂] from
        the right (both factors are symmetric), two batched matmuls,
     3. takes T's entries of the (T₁ × T₂) grid and scatters them with Dᵀ.
-    The full product is the plan of all blocks to all blocks, whose
-    sub-blocks are the stored factors themselves.
+    S₁, S₂, T₁ and T₂ are ranges of half-grid positions, so the
+    sub-blocks are views of the stored factors.  The ranges of a level,
+    of the levels above it and of those below it hold just their blocks'
+    multi-indices; those of other blocks may hold more, whose grid
+    entries are zero.  The full product is the plan of all blocks to all
+    blocks, whose sub-blocks are the factors.
 
     A_q, with a_0 folded in, and B_q are stored for every point, n₁² +
     n₂² doubles a point for the half-grid sizes n₁ and n₂.  They are
     formed from the m_d in chunks of points, and the m_d are dropped.
     Every product runs in chunks of points in one workspace of about
     ``_CHUNK_BYTES``, sized for the full product, so that any plan's
-    sub-blocks and grids fit in it.
+    grid, half product and gradients fit in it.
     """
 
     def __init__(self, tensor: CijkTensor, mean: np.ndarray,
@@ -278,10 +282,6 @@ class _GaussPointProduct:
             [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
              for part, dims in ((first, range(h)), (second, range(h, N)))
              for e, d in enumerate(dims)])
-        a_parts = [slice(e * n1 * n1, (e + 1) * n1 * n1) for e in range(h)]
-        b_parts = [slice(h * n1 * n1 + e * n2 * n2,
-                         h * n1 * n1 + (e + 1) * n2 * n2)
-                   for e in range(N - h)]
         # m_d at every point: g_d^α/α! by repeated products, then the sum
         # over α with the 1-D table as one matrix product
         g = modes.reshape(N, -1).T
@@ -300,20 +300,21 @@ class _GaussPointProduct:
         for lo in range(0, len(g), step):
             hi = min(lo + step, len(g))
             F = m[lo:hi].take(take, axis=1)
+            FA = F[:, :h * n1 * n1].reshape(hi - lo, h, n1 * n1)
+            FB = F[:, h * n1 * n1:].reshape(hi - lo, N - h, n2 * n2)
             A, B = self._a[lo:hi], self._b[lo:hi]
             A[:] = a0[lo:hi, None]
-            for part in a_parts:
-                A *= F[:, part]
-            B[:] = F[:, b_parts[0]]
-            for part in b_parts[1:]:
-                B *= F[:, part]
+            for e in range(h):
+                A *= FA[:, e]
+            B[:] = FB[:, 0]
+            for e in range(1, N - h):
+                B *= FB[:, e]
         grad = gradient_matrix(mesh)[:, free].tocsr()
         self._d = grad.indptr, grad.indices, grad.data
         # one flat workspace for the chunk's points per array of the full
-        # product, which any plan's arrays fit: the sub-blocks of A_q and
-        # B_q, the grid and the half product, and the gradients, which the
-        # result overwrites
-        widths = (n1 * n1, n2 * n2, 2 * n1 * n2, 2 * n1 * n2, 2 * len(jk))
+        # product, which any plan's arrays fit: the grid, the half product
+        # and the gradients, which the result overwrites
+        widths = (2 * n1 * n2, 2 * n1 * n2, 2 * len(jk))
         self._points = min(max(_CHUNK_BYTES // (8 * sum(widths)), 1),
                            len(g))
         self._work = [np.empty(self._points * w) for w in widths]
@@ -322,39 +323,43 @@ class _GaussPointProduct:
         """The plan of the product from the blocks ``cols`` to the blocks
         ``rows`` (index arrays), whose c_ijk terms number
         ``summations``."""
-        (n1, n2), grid = self._shape, []
+        hulls, offsets = [], []
         for blocks in (rows, cols):
             for pos in (self._pos1, self._pos2):
-                grid.append(np.unique(pos[blocks], return_inverse=True))
-        (t1, r1), (t2, r2), (s1, c1), (s2, c2) = grid
-
-        def sub(left, right, n):
-            if len(left) == len(right) == n:
-                return None
-            return (left[:, None] * n + right).ravel()
+                p = pos[blocks]
+                lo, hi = (p.min(), p.max() + 1) if len(p) else (0, 0)
+                hulls.append(slice(lo, hi))
+                offsets.append(p - lo)
+        (t1, t2, s1, s2), (r1, r2, c1, c2) = hulls, offsets
 
         def entries(p1, p2, width):
             return ((p1 * 2)[None, :] + np.arange(2)[:, None]) * width + p2
 
-        return _GaussPlan(len(rows), len(cols),
-                          (len(t1), len(s1), len(s2), len(t2)),
-                          sub(t1, s1, n1), sub(s2, t2, n2),
-                          entries(c1, c2, len(s2)).ravel(),
-                          entries(r1, r2, len(t2)).ravel(), summations)
+        return _GaussPlan(len(rows), len(cols), (t1, s1, s2, t2),
+                          entries(c1, c2, s2.stop - s2.start).ravel(),
+                          entries(r1, r2, t2.stop - t2.start).ravel(),
+                          summations)
+
+    def factors(self, plan: _GaussPlan, points: slice):
+        """A_q[T₁, S₁] and B_q[S₂, T₂] of ``plan`` at the ``points``,
+        strided views of the stored factors."""
+        (n1, n2), (t1, s1, s2, t2) = self._shape, plan.hulls
+        return (self._a[points].reshape(-1, n1, n1)[:, t1, s1],
+                self._b[points].reshape(-1, n2, n2)[:, s2, t2])
 
     def apply(self, plan: _GaussPlan, vt: np.ndarray) -> np.ndarray:
         """The product of ``plan`` applied to the free-node column blocks
         ``vt``, node-major (n_free, n_cols) and C-ordered; the result is
         node-major, (n_free, n_rows)."""
-        (f, n_cols), (t1, s1, s2, t2) = vt.shape, plan.shape
+        (f, n_cols), (x, y, g) = vt.shape, self._work
         ip, ix, dx = self._d
         W = np.zeros((f, plan.n_rows))
         if not (plan.n_rows and n_cols):
             return W
         for lo in range(0, len(self._a), self._points):
             hi = min(lo + self._points, len(self._a))
-            q = hi - lo
-            a, b, x, y, g = self._work
+            A, B = self.factors(plan, slice(lo, hi))
+            (q, t1, s1), (_, s2, t2) = A.shape, B.shape
             # the column blocks' gradients at the chunk's points, in the grid
             rows = ip[2 * lo:2 * hi + 1]
             nz = slice(rows[0], rows[-1])
@@ -366,17 +371,10 @@ class _GaussPointProduct:
             X = x[:q * s1 * 2 * s2].reshape(q, s1 * 2 * s2)
             X.fill(0.0)
             X[:, plan.embed] = G
-            A, B = self._a[lo:hi], self._b[lo:hi]
-            if plan.a_take is not None:
-                A = np.take(A, plan.a_take, axis=1, mode="clip",
-                            out=a[:q * t1 * s1].reshape(q, t1 * s1))
-            if plan.b_take is not None:
-                B = np.take(B, plan.b_take, axis=1, mode="clip",
-                            out=b[:q * s2 * t2].reshape(q, s2 * t2))
             Y = y[:q * t1 * 2 * s2].reshape(q, t1, 2 * s2)
-            np.matmul(A.reshape(q, t1, s1), X.reshape(q, s1, 2 * s2), out=Y)
+            np.matmul(A, X.reshape(q, s1, 2 * s2), out=Y)
             X = x[:q * 2 * t1 * t2].reshape(q, 2 * t1, t2)
-            np.matmul(Y.reshape(q, 2 * t1, s2), B.reshape(q, s2, t2), out=X)
+            np.matmul(Y.reshape(q, 2 * t1, s2), B, out=X)
             G = g[:2 * q * plan.n_rows].reshape(q, 2 * plan.n_rows)
             np.take(X.reshape(q, -1), plan.pick, axis=1, out=G, mode="clip")
             csc_matvecs(f, 2 * q, plan.n_rows, rows, ix[nz], dx[nz],
@@ -612,8 +610,8 @@ class GalerkinOperator:
         product K_i v_(k) is computed once and shared; at the Gauss points
         a call counts its c_ijk terms in ``summations`` and runs no
         ``products``."""
-        f = self.n_free
-        V = np.asarray(v, dtype=float).reshape(plan.n_cols, f)
+        f, v = self.n_free, np.asarray(v, dtype=float)
+        V = v.reshape(plan.n_cols, f)
         if isinstance(plan, _GaussPlan):
             W = self._gauss_product().apply(plan, np.ascontiguousarray(V.T))
             self.counters["summations"] += plan.summations
@@ -659,7 +657,8 @@ class GalerkinOperator:
         all blocks to all blocks (:meth:`gauss_plan`, built at the first
         call), reading no K_i; a call counts the tensor's terms in
         ``summations`` and runs no ``products``."""
-        V = np.asarray(v, dtype=float).reshape(self.M + 1, self.n_dof)
+        v = np.asarray(v, dtype=float)
+        V = v.reshape(self.M + 1, self.n_dof)
         W = np.empty_like(V)
         if self._full is None:
             self._full = self.gauss_plan(range(self.M + 1), range(self.M + 1))

@@ -29,12 +29,12 @@ inside the sweeps (pushes) honor the configured TruncationSet; the
 factors always take the full sum.  A level sweep (hs, ahs, ahgs) whose
 truncation keeps every tensor index pushes at the Gauss points
 (``op.gauss_plan``): each push goes from one level to all the levels
-after or before it and multiplies sub-blocks of the operator's stored
-A_q and B_q, reading no K_i.  gs pushes each single block to every block
-after it; at the Gauss points each such push costs nearly a full grid
-product, which made its apply 2.4–8× slower, so it keeps the family's
-product (``op.plan``).  So do the truncated sweeps, whose pushes need only the
-retained K_i.
+after or before it and multiplies slices of the operator's stored A_q
+and B_q, ordered by degree, reading no K_i and copying no sub-block.
+gs pushes each single block to every block after it; at the Gauss
+points each such push costs nearly a full grid product, which made its
+apply 2.4–8× slower, so it keeps the family's product (``op.plan``).  So
+do the truncated sweeps, whose pushes need only the retained K_i.
 Each preconditioner owns the factorizations and product plans it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.

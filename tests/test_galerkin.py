@@ -193,6 +193,20 @@ class TestTmatvecOracle:
             assert np.array_equal(got, want)
             assert (op.counters == counters) == (lo == hi)
 
+    def test_accepts_lists(self):
+        """A list is converted as an array is, flat or nested, and keeps
+        its layout."""
+        op, b = build_problem(1, 1, 2, 100.0)
+        np.testing.assert_array_equal(op.matvec(list(b)), op.matvec(b))
+        B = b.reshape(op.M + 1, op.n_dof)
+        np.testing.assert_array_equal(op.matvec(B.tolist()), op.matvec(B))
+        v = B[:, op.free]
+        for plan in (op.plan([0, 1], [0, 1], full_truncation(op.tensor)),
+                     op.gauss_plan([0, 1], [0, 1])):
+            got = op.tmatvec(plan, v.ravel().tolist())
+            assert got.shape == (v.size,)
+            np.testing.assert_array_equal(got, op.tmatvec(plan, v).ravel())
+
     def test_dimension_mismatch(self):
         op, _, _, _ = build_operator(1, 1, 2)
         plan = op.plan([0], [0, 1], full_truncation(op.tensor))
@@ -623,6 +637,7 @@ class TestGaussPlan:
     @example(((5, 3, 2), range(21, 56), range(6, 21), 0))
     @example(((2, 0, 3), range(0, 1), range(0, 1), 0))  # one block
     @example(((2, 1, 2), range(0, 1), range(2, 3), 0))  # cancels
+    @example(((3, 2, 3), range(3, 5), range(3, 5), 0))  # hulls past sets
     def test_matches_the_family_and_the_dense_oracle(self, case):
         """To 1e-14 of the largest entry of |A| |v|, the product in
         absolute values over every row block: a sub-block's product may
@@ -697,6 +712,75 @@ class TestGaussPlan:
                   if isinstance(a, np.ndarray)]
         assert all(a.shape[0] != points or a is gauss._a or a is gauss._b
                    for a in arrays)
+
+
+def plan_sets(op, rows, cols):
+    """The positions (T₁, S₁, S₂, T₂) of a plan's blocks in the half
+    grids, each distinct and ascending."""
+    gauss, rows, cols = op._gauss_product(), list(rows), list(cols)
+    pos1, pos2 = gauss._pos1, gauss._pos2
+    return [np.unique(pos[blocks]) for pos, blocks in
+            ((pos1, rows), (pos1, cols), (pos2, cols), (pos2, rows))]
+
+
+class TestDegreeOrderedHalfGrids:
+    """The half grids are ordered by total degree, so the half-grid
+    positions of a level, of the levels above it and of those below it
+    are ranges, and a sweep's pushes multiply slices of the stored A_q
+    and B_q."""
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("P", range(5))
+    def test_levels_are_ranges_of_both_halves(self, N, P):
+        jk = multi_index_set(N, P).as_array()
+        degrees = jk.sum(axis=1)
+        h = N // 2
+        for half in (jk[:, :h], jk[:, h:]):
+            grid, pos = galerkin._half_grid(half, P)
+            np.testing.assert_array_equal(grid[pos], half)
+            assert np.all(np.diff(grid.sum(axis=1)) >= 0)
+            for level in range(P + 1):
+                for blocks in (degrees == level, degrees > level,
+                               degrees < level):
+                    got = np.unique(pos[blocks])
+                    np.testing.assert_array_equal(
+                        got, np.arange(got[0], got[-1] + 1) if len(got)
+                        else got)
+
+    @pytest.mark.parametrize("kind", ["hs", "ahs", "ahgs"])
+    def test_sweep_plans_slice_the_stored_factors(self, kind):
+        """Every push plan of an untruncated level sweep at N = P = 4 has
+        hulls equal to its blocks' positions, and its sub-blocks of A_q
+        and B_q are views of the stored factors.  A push to no rows has
+        empty hulls and multiplies nothing."""
+        op, b = build_problem(4, 4, 3, 100.0)
+        pre = make_preconditioner(op, kind)
+        pre.apply(b)
+        gauss = op._gauss
+        for (blk, forward, back), group in zip(pre._groups, pre._sweep):
+            for rows, plan in ((forward, group[3]), (back, group[5])):
+                rows = range(op.M + 1)[rows]
+                assert isinstance(plan, galerkin._GaussPlan)
+                for hull, want in zip(plan.hulls, plan_sets(op, rows, blk)):
+                    np.testing.assert_array_equal(
+                        np.arange(hull.start, hull.stop), want)
+                if plan.n_rows:
+                    A, B = gauss.factors(plan, slice(0, gauss._points))
+                    assert np.shares_memory(A, gauss._a)
+                    assert np.shares_memory(B, gauss._b)
+
+    def test_an_unaligned_range_pads_its_hulls(self):
+        """Blocks 3 and 4 at N = 3, P = 2, (0, 0, 1) and (2, 0, 0), sit
+        at positions 0 and 2 of either half grid: their hulls, of three
+        positions each, hold one that no block of theirs takes, whose
+        grid entries stay zero (the explicit example of
+        ``TestGaussPlan``)."""
+        op = cached_problem(3, 2, 3)[0]
+        blocks = range(3, 5)
+        plan = op.gauss_plan(blocks, blocks)
+        for hull, want in zip(plan.hulls, plan_sets(op, blocks, blocks)):
+            assert want.tolist() == [0, 2]
+            assert (hull.start, hull.stop) == (0, 3)
 
 
 class TestAssembledBlocks:
