@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .chaos import build_c_tensor, write_c_tensor
-from .fem import apply_dirichlet, assemble_load, build_mesh, dirichlet_nnz
+from .fem import assemble_load, build_mesh, dirichlet_nnz
 from .galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -153,31 +153,29 @@ def _cached_mesh(n):
 
 def check_problem(N, P, n) -> None:
     """Refuse, before any work, what :func:`build_problem` cannot build:
-    more KL modes than the (n + 1)² mesh nodes (ValueError), or three
-    things held at once past physical memory (MemoryError): coefficient
-    values, shape (fields, n², 4), and stiffness data, shape
-    (fields, nnz), for the fields = C(N + 2P, N) chaos coefficients, and
-    what the operator's Gauss-point product keeps for each of the 4n²
-    points: n₁² + n₂² doubles of its stored factors A_q and B_q, for the
+    more KL modes than the (n + 1)² mesh nodes (ValueError), or what the
+    operator holds past physical memory (MemoryError): K_0's data, nnz
+    doubles on the Dirichlet pattern (:func:`~sgfem.fem.dirichlet_nnz`),
+    and what its Gauss-point product keeps for each of the 4n² points:
+    n₁² + n₂² doubles of its stored factors A_q and B_q, for the
     half-grid sizes n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the
-    mean and the N modes, and 104 bytes of the gradient matrix (two rows
-    of four entries and an int32 column each, and two int32 row
-    pointers).  For small N and large P the last outweighs the
-    coefficient fields.  nnz counts the Dirichlet pattern
-    (:func:`~sgfem.fem.dirichlet_nnz`).  Other arguments that
-    :func:`build_problem` rejects pass; it names them."""
+    mean and the N modes, 104 bytes of the gradient matrix (two rows of
+    four entries and an int32 column each, and two int32 row pointers)
+    and 192 bytes of the assembly matrix that the band fills and kron's
+    traces read (:func:`~sgfem.fem.assembly_matrix`: 16 entries and
+    int32 columns).  The stiffness family, C(N + 2P, N) matrices, is not
+    built here: the operator checks it where something first needs it
+    (:meth:`~sgfem.galerkin.GalerkinOperator.family`).  Other arguments
+    that :func:`build_problem` rejects pass; it names them."""
     if P < 0 or n < 1:
         return
     check_kl_modes(N, (n + 1) ** 2)
-    fields = math.comb(N + 2 * P, N)
-    nnz = dirichlet_nnz(n)
     points = 4 * n * n
     n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
-    gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 104)
-    check_fits(8 * fields * (points + nnz) + gauss, lambda: (
-        f"the problem at N = {N}, P = {P}, n = {n}, its {fields} "
-        f"coefficient fields and stiffness matrices and its Gauss-point "
-        f"data, needs"))
+    gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 296)
+    check_fits(8 * dirichlet_nnz(n) + gauss, lambda: (
+        f"the problem at N = {N}, P = {P}, n = {n}, its K_0 and its "
+        f"Gauss-point data, needs"))
 
 
 def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
@@ -186,12 +184,11 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
 
     Returns (op, b).  The right-hand side carries the unit load in the
     mean block; boundary rows are constrained to zero.  The operator
-    assembles its stiffness family from the field and holds the field at
-    the Gauss points, so its full product runs there
-    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`).  The load is
-    treated by :func:`~sgfem.fem.apply_dirichlet` on the operator's K_0,
-    whose boundary diagonal is 1 already.  The KL modes and
-    the bytes of its largest data are checked before any work
+    assembles K_0, treated by :func:`~sgfem.fem.apply_dirichlet`, and
+    holds the field at the Gauss points, where its full product runs
+    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`); it assembles the
+    stiffness family only for what reads it.  The KL modes and the bytes
+    of what the operator holds are checked before any work
     (:func:`check_problem`).
     """
     check_problem(N, P, n)
@@ -201,9 +198,9 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     tensor = _cached_tensor(N, P, 2 * P)
     coeffs = gpc_coefficients(kl, tensor.iset, mesh)
     op = GalerkinOperator(tensor, coeffs, mesh)
-    f0 = apply_dirichlet(op.k_mats[0], assemble_load(mesh, 1.0), mesh)[1]
     b = np.zeros(op.n_global)
-    b[:op.n_dof] = f0
+    b[:op.n_dof] = assemble_load(mesh, 1.0)
+    b[mesh.boundary] = 0.0
     return op, b
 
 
@@ -244,7 +241,8 @@ def matrix_norm(K, which="frob"):
 
 
 def stiffness_norms(op: GalerkinOperator, which="frob") -> np.ndarray:
-    return np.array([matrix_norm(K, which) for K in op.k_mats])
+    return np.array([matrix_norm(K, which)
+                     for K in op.family("the stiffness norms")])
 
 
 def count_pattern(tensor, indices):
@@ -404,7 +402,8 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
     Returns a manifest dict mapping artifact names to file paths (the
     "global" entry holds a refusal message when the cap is exceeded).
     Raises :class:`MemoryError` before any file is written when the
-    dense global matrix the cap admits exceeds physical memory.
+    dense global matrix the cap admits, or the stiffness family the
+    operator assembles for the export, exceeds physical memory.
     """
     op, b = _problem(config, cov_pct=cov)
     n = op.n_global
@@ -412,10 +411,11 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         check_fits(8 * n * n, lambda: (
             f"the dense global matrix of {n} rows needs"),
             f"; a cap below {n} skips it")
+    k_mats = op.family("sg export")
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)
-        for i, K in enumerate(op.k_mats):
+        for i, K in enumerate(k_mats):
             fname = os.path.join(path, f"k_{i:04d}.mtx")
             write_matrix_market(fname, K)
             manifest[f"k_{i:04d}"] = fname

@@ -5,8 +5,10 @@ fastest), 2x2 Gauss quadrature.  A stiffness family, one matrix per
 coefficient field evaluated at the quadrature points, is assembled
 straight onto the Dirichlet pattern: boundary nodes keep only their
 diagonal, so no boundary coupling is ever stored.  Its CSR matrices share
-one sparsity pattern, which the block operator relies on.  A single
-matrix (``assemble_stiffness``) is the Neumann one, on the full pattern.
+one sparsity pattern, which the block operator relies on; the same data
+as a linear map of a field's values at the points is
+``assembly_matrix``.  A single matrix (``assemble_stiffness``) is the
+Neumann one, on the full pattern.
 """
 
 from __future__ import annotations
@@ -183,6 +185,30 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
     and adopts that array as its stacked data.
     """
     return _assemble(mesh, coeffs, mesh.boundary)
+
+
+def assembly_matrix(mesh: Mesh) -> sp.csr_matrix:
+    """The data of an :func:`assemble_stiffness_family` matrix as a
+    linear map of its field's values at the quadrature points: the CSR
+    matrix S of :func:`dirichlet_nnz` rows and 4·n_elements columns with
+    S[s, 4e + q] = gradprod[q, l, m] for the corners (l, m) of element e
+    whose contribution lands in slot s.  The data of the matrix of a
+    field k is S k.ravel(), equal to the family's to rounding (the
+    family sums element matrices, S the point terms of each slot), and
+    Sᵀ d gives the point weights u of data d, whose dot product with a
+    field is that of its matrix's data with d.  A contribution that
+    touches a boundary node has no entry, so a boundary diagonal is 0."""
+    indices, _, slots = _pattern(mesh, mesh.boundary)
+    ne, nnz = len(mesh.elements), len(indices)
+    # entry (element, row corner, column corner, point), in the slot map's
+    # order with the point fastest
+    rows = np.repeat(slots, 4)
+    cols = np.broadcast_to(np.arange(4 * ne).reshape(ne, 1, 4),
+                           (ne, 16, 4)).ravel()
+    vals = np.broadcast_to(_GRADPROD.reshape(4, 16).T, (ne, 16, 4)).ravel()
+    kept = rows < nnz
+    return sp.csr_matrix((vals[kept], (rows[kept], cols[kept])),
+                         shape=(nnz, 4 * ne))
 
 
 def dirichlet_nnz(n: int) -> int:

@@ -1,16 +1,18 @@
 """Matrix-free stochastic Galerkin operator.
 
 The global system matrix has (M+1)x(M+1) blocks K^{(j,k)} = Σ_i c_ijk
-K_i of size N_dof.  The operator derives both of its representations from
-one input, the lognormal field on the mesh: the stiffness family of the
-K_i, which it assembles, and the field's mean and modes at the Gauss
-points.  The matrix is never assembled for products: the truncated
-blockwise product (tMAT-VEC) computes w_(j) = Σ_k Σ_{i∈set} c_ijk K_i
-v_(k) in two steps.  First every needed product K_i v_(k) is computed
-once, however many row blocks use it, and written as one row of a
-stacked product buffer.  Then the buffer is mixed into the row blocks by
-one sparse coupling matrix holding the c_ijk.  The buffer is filled and
-mixed in chunks of bounded size, so a product over all blocks never
+K_i of size N_dof.  The operator derives everything from one input, the
+lognormal field on the mesh: K_0, the stiffness matrix of the field's
+mean, which it assembles at once; the field's mean and modes at the
+Gauss points; and the stiffness family of the K_i, which it assembles
+only where something reads it, once (:meth:`GalerkinOperator.family`).
+The matrix is never assembled for products: the truncated blockwise
+product (tMAT-VEC) through the family computes w_(j) = Σ_k Σ_{i∈set}
+c_ijk K_i v_(k) in two steps.  First every needed product K_i v_(k) is
+computed once, however many row blocks use it, and written as one row of
+a stacked product buffer.  Then the buffer is mixed into the row blocks
+by one sparse coupling matrix holding the c_ijk.  The buffer is filled
+and mixed in chunks of bounded size, so a product over all blocks never
 holds every K_i v_(k) at once.  Which products a call needs and how they
 mix form a plan, an object built by ``plan(rows, cols, trunc)`` and held
 by its user: a preconditioner keeps the plans of its own pushes.
@@ -26,18 +28,22 @@ applies the full tensor and scatters through the whole grid of its row
 blocks however few its column blocks are, while a push through the
 family costs what its retained K_i do.  So gs, which pushes each single
 block to all the blocks after it, and the truncated sweeps, whose pushes
-need only the retained K_i, keep the family; so do the band fills,
-``block`` and the dense assembly.
+need only the retained K_i, read the family, and so do ``block``, the
+dense assembly, the norms and ``sg export``.  The band fills and kron's
+trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the
+stiffness matrix of its pair field at the points, assembled as a K_i is,
+and tr(K_iᵀK_0) is the field's moment Σ_q k_i(q) u(q) with the point
+weights u of K_0's data.
 
 Products and block factors run on the free nodes only.  The fixed nodes
-are the mesh's boundary, and the family is assembled on their Dirichlet
-pattern: a boundary row b holds only its diagonal, its column is in no
-other row and K_i[b,b] = 0 for every i > 0, while K_0[b,b] = 1.  Its rows
-are diagonal: c_0jk = δ_jk (G_0)_jj (the chaos basis is orthogonal, not
-normalised), so (A v)_(j)[b] = (G_0)_jj · (K_0[b,b] · v_(j)[b]).  So
-:meth:`tmatvec` and the factors take and return free-node blocks, shape
-(blocks, n_free), and the layout changes once at the edge of a call:
-:meth:`matvec` writes a fixed node by the closed form, and a
+are the mesh's boundary, and K_0 and the family are assembled on their
+Dirichlet pattern: a boundary row b holds only its diagonal, its column
+is in no other row and K_i[b,b] = 0 for every i > 0, while K_0[b,b] = 1.
+Its rows are diagonal: c_0jk = δ_jk (G_0)_jj (the chaos basis is
+orthogonal, not normalised), so (A v)_(j)[b] = (G_0)_jj · (K_0[b,b] ·
+v_(j)[b]).  So :meth:`tmatvec` and the factors take and return free-node
+blocks, shape (blocks, n_free), and the layout changes once at the edge
+of a call: :meth:`matvec` writes a fixed node by the closed form, and a
 preconditioner divides a fixed row by its :meth:`fixed_divisor`.  Results
 are bit for bit those of products over every node, whose other terms on
 b are all ±0.0.
@@ -63,8 +69,9 @@ import scipy.sparse as sp
 from sgfem.chaos import CijkTensor, triple_product_table
 from sgfem.fem import (
     Mesh,
+    apply_dirichlet,
     assemble_stiffness_family,
-    dirichlet_nnz,
+    assembly_matrix,
     gradient_matrix,
 )
 from sgfem.linalg import (
@@ -217,6 +224,8 @@ class _GaussPlan:
     ``hulls`` holds the ranges of positions (T₁, S₁, S₂, T₂) in the half
     grids that span the blocks' half-grid multi-indices, as slices:
     A_q[T₁, S₁] and B_q[S₂, T₂] are views of a point's stored factors.
+    S₂, the width the B product contracts, is at least two positions
+    wide where the second half grid has two.
     ``embed`` places the gradient component c of column block k, entry
     c·n_cols + k, in the (S₁, 2, S₂) grid, and ``pick`` takes those of
     the row blocks from the (T₁, 2, T₂) grid.  ``summations`` counts the
@@ -330,6 +339,13 @@ class _GaussPointProduct:
                 lo, hi = (p.min(), p.max() + 1) if len(p) else (0, 0)
                 hulls.append(slice(lo, hi))
                 offsets.append(p - lo)
+        # a one-wide S₂ takes a zero position more where the half grid
+        # has one: numpy's matmul leaves BLAS at a contracted width of 1
+        lo, n2 = hulls[3].start, self._shape[1]
+        if hulls[3].stop - lo == 1 and n2 > 1:
+            start = min(lo, n2 - 2)
+            hulls[3] = slice(start, start + 2)
+            offsets[3] += lo - start
         (t1, t2, s1, s2), (r1, r2, c1, c2) = hulls, offsets
 
         def entries(p1, p2, width):
@@ -339,6 +355,15 @@ class _GaussPointProduct:
                           entries(c1, c2, s2.stop - s2.start).ravel(),
                           entries(r1, r2, t2.stop - t2.start).ravel(),
                           summations)
+
+    def pair_fields(self, rows, cols) -> np.ndarray:
+        """C_q[j, k] at every point for the block pairs (j, k) =
+        (rows[p], cols[p]), shape (points, pairs): the coefficient field
+        whose stiffness matrix is the block K^{(jk)} = Σ_i c_ijk K_i."""
+        (n1, n2), pos1, pos2 = self._shape, self._pos1, self._pos2
+        fields = self._a.take(pos1[rows] * n1 + pos1[cols], axis=1)
+        fields *= self._b.take(pos2[rows] * n2 + pos2[cols], axis=1)
+        return fields
 
     def factors(self, plan: _GaussPlan, points: slice):
         """A_q[T₁, S₁] and B_q[S₂, T₂] of ``plan`` at the ``points``,
@@ -386,16 +411,32 @@ class GalerkinOperator:
     """Blockwise operator of the lognormal field ``field`` on ``mesh``,
     with the chaos tensor ``tensor``.
 
-    The constructor assembles the stiffness family, one matrix K_i per
-    chaos coefficient of the field
+    The constructor assembles K_0, the stiffness matrix of the field's
+    mean, and fixes the mesh's boundary by
+    :func:`~sgfem.fem.apply_dirichlet`, which sets K_0's boundary diagonal
+    to 1.  The rest it derives from the field at the Gauss points (module
+    docstring): the full product, the level sweeps' pushes, every band
+    fill and the traces tr(K_iᵀK_0) (:meth:`k0_traces`).  The stiffness
+    family, one matrix K_i per chaos coefficient of the field
     (:func:`~sgfem.fem.assemble_stiffness_family` of
-    :attr:`~sgfem.random_field.CoefficientFields.values`, which derive
-    from the field's mean and modes), and sets K_0's boundary diagonal
-    to 1.  ``k_mats`` holds the K_i, which share one CSR pattern, and
-    ``kdata`` their data arrays stacked, one row per matrix: every
-    ``k_mats[i].data`` is the row ``kdata[i]``.  Products, blocks and
-    factorizations run on that pattern with ``kdata``, so an in-place
-    edit of ``kdata`` is an edit of the operator.
+    :attr:`~sgfem.random_field.CoefficientFields.values`), is assembled
+    once, at the first :meth:`family` call, by what reads it: the
+    family's plans (:meth:`plan`, which gs and the truncated sweeps push
+    with), :meth:`block`, the dense assembly, and through ``k_mats`` the
+    norms and ``sg export``.  ``k_mats`` holds the K_i, which share one
+    CSR pattern, and ``kdata`` their data arrays stacked, one row per
+    matrix: every ``k_mats[i].data`` is the row ``kdata[i]``; reading
+    either assembles the family.  Its row 0 is K_0's data as the operator
+    holds it when the family is built, in the one array that K_0 keeps
+    from then on.
+
+    An in-place edit of ``kdata`` is an edit of the family's products,
+    blocks and dense assembly; one of row 0 is also an edit of K_0,
+    which :meth:`matvec` and :meth:`fixed_divisor` read on the fixed
+    nodes and the factor of block 0 alone reads whole.  The products and
+    fills at the Gauss points do not see such an edit.  :meth:`matvec`,
+    :meth:`fixed_divisor`, :meth:`k0_traces` and the fills never
+    assemble the family.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -408,20 +449,13 @@ class GalerkinOperator:
     user.  All calls share the buffer and the workspace, so an operator
     must not run two products at once (from two threads).
 
-    :meth:`matvec` and the plans of :meth:`gauss_plan` run at the mesh's
-    Gauss points (module docstring), on factors formed from the field's
-    mean and modes, so they do not see an in-place edit of ``kdata``.
     The constructor refuses, with ValueError, a tensor with P′ < 2P and
     a field on another basis than the tensor's i-set or at other points
-    than the mesh's, and with MemoryError a family that, with the
-    coefficient values it is assembled from, exceeds physical memory,
-    each before it assembles the family.
+    than the mesh's, before any assembly.
 
     The fixed nodes ``fixed`` are the mesh's boundary, ascending; the
     other nodes are ``free``, of which there are ``n_free``; products,
-    mixing and band fills run on a free-node CSR.  K_0[b,b] is read at
-    each :meth:`matvec`, but an in-place edit that makes K_i[b,b],
-    i > 0, of a fixed node nonzero is not seen.
+    mixing and band fills run on a free-node CSR.
 
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms a product covers (the cost
@@ -447,22 +481,16 @@ class GalerkinOperator:
             raise ValueError(f"the field is not on the tensor's i-set with "
                              f"a mean and {iset.N} modes at the mesh's "
                              f"{points} Gauss points")
-        nnz, size = dirichlet_nnz(mesh.n), 4 * len(mesh.elements)
-        check_fits(8 * len(iset) * (nnz + size), lambda: (
-            f"the stiffness family, {len(iset)} matrices of {nnz} stored "
-            f"entries, with the coefficient values at its {size} points, "
-            f"needs"))
         self.tensor = tensor
-        self.k_mats = assemble_stiffness_family(mesh, field.values)
-        first = self.k_mats[0]
-        self.n_dof = first.shape[0]
+        # the boundary diagonal 1; the load is the caller's, so the zero
+        # one treated here is dropped
+        self._k0 = apply_dirichlet(
+            assemble_stiffness_family(mesh, field.mean[None])[0],
+            np.zeros(mesh.n_nodes), mesh)[0]
+        self.n_dof = mesh.n_nodes
         self.M = len(tensor.jkset) - 1
         self.Mprime = len(iset) - 1
         self.counters = {"summations": 0, "products": 0}
-        # the family's data are the rows of one array, adopted as they
-        # are: blockwise sums run as single mat-vecs on it
-        self.kdata = first.data.base
-        self._indices, self._indptr = first.indices, first.indptr
         self._fix_boundary(mesh.boundary)
         # (G_0)_jj = c_0jj: G_0 is diagonal, the chaos basis orthogonal
         zero = tensor.i == 0
@@ -470,17 +498,16 @@ class GalerkinOperator:
         self._g0[tensor.j[zero]] = tensor.val[zero]
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
-        # the field's mean and modes, not its coefficient values, which
-        # the Gauss-point product never reads
-        self._field = field.mean, field.modes, mesh
+        self._field, self._mesh = field, mesh
+        self._assembly_matrix: sp.csr_matrix | None = None
         self._gauss: _GaussPointProduct | None = None
         self._full: _GaussPlan | None = None
+        self._k_mats: list | None = None
 
     def _fix_boundary(self, boundary: np.ndarray) -> None:
-        """Fix the mesh's boundary nodes, on whose Dirichlet pattern the
-        family is assembled (module docstring), with K_0's diagonal 1
-        there, and lay out the free-node CSR on views of the stacked data
-        rows.
+        """Fix the mesh's boundary nodes, on whose Dirichlet pattern K_0
+        and the family are assembled (module docstring), and lay out the
+        free-node CSR of that pattern.
 
         Free row r holds the slots from row free[r]'s first up to the
         next free row's first: the slot of a fixed row that lies between
@@ -489,9 +516,8 @@ class GalerkinOperator:
         band of the block factors is that of the free-node pattern: its
         largest row-minus-column offset, which no pad slot sets.
         """
-        n, ip, ix = self.n_dof, self._indptr, self._indices
+        n, ip, ix = self.n_dof, self._k0.indptr, self._k0.indices
         self.fixed, self._fixed_slots = boundary, ip[boundary]
-        self.kdata[0, self._fixed_slots] = 1.0
         is_fixed = np.zeros(n, dtype=bool)
         is_fixed[boundary] = True
         self.free = free = np.flatnonzero(~is_fixed)
@@ -502,9 +528,42 @@ class GalerkinOperator:
         column = np.full(n, f, dtype=ix.dtype)
         column[free] = np.arange(f)
         self._free_indices = column[ix[lo:hi]]
-        self._free_krows = [row[self._free_span] for row in self.kdata]
-        row = np.repeat(np.arange(f), np.diff(self._free_indptr))
-        self._band = int((row - self._free_indices).max(initial=0))
+        self._free_rows = np.repeat(np.arange(f), np.diff(self._free_indptr))
+        self._band = int((self._free_rows - self._free_indices).max(
+            initial=0))
+
+    def family(self, purpose: str) -> list[sp.csr_matrix]:
+        """The stiffness family, assembled at the first call from the
+        field's coefficient values, with K_0 as the operator holds it in
+        row 0 of its data (class docstring).  Before it assembles, the
+        family with the values, 8·fields·(nnz + points) bytes, is checked
+        against physical memory: a MemoryError names ``purpose``, what
+        needs the family."""
+        if self._k_mats is None:
+            fields, nnz = len(self.tensor.iset), len(self._k0.data)
+            size = self._field.mean.size
+            check_fits(8 * fields * (nnz + size), lambda: (
+                f"the stiffness family for {purpose}, {fields} matrices of "
+                f"{nnz} stored entries, with the coefficient values at its "
+                f"{size} points, needs"))
+            k_mats = assemble_stiffness_family(self._mesh, self._field.values)
+            self._kdata = k_mats[0].data.base
+            self._kdata[0] = self._k0.data
+            self._k0, self._k_mats = k_mats[0], k_mats
+            self._free_krows = [row[self._free_span] for row in self._kdata]
+        return self._k_mats
+
+    @property
+    def k_mats(self) -> list[sp.csr_matrix]:
+        """The K_i of :meth:`family`, which reading them assembles."""
+        return self.family("k_mats")
+
+    @property
+    def kdata(self) -> np.ndarray:
+        """The K_i's data stacked, one row per matrix, of :meth:`family`,
+        which reading them assembles."""
+        self.family("kdata")
+        return self._kdata
 
     @property
     def n_global(self) -> int:
@@ -531,8 +590,9 @@ class GalerkinOperator:
     def plan(self, row_blocks, col_blocks, trunc: TruncationSet) -> _Plan:
         """The plan of w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k)
         for :meth:`tmatvec`, through the family.  The blocks are given as
-        in :meth:`_blocks`."""
+        in :meth:`_blocks`.  It assembles the family (:meth:`family`)."""
         rows, cols = self._blocks(row_blocks), self._blocks(col_blocks)
+        self.family("a product plan through the family")
         t = self.tensor
         n_cols = len(cols)
         pos_r = np.full(self.M + 1, -1, dtype=np.int64)
@@ -557,7 +617,7 @@ class GalerkinOperator:
                 lo = bounds[g - 1]
                 cuts.append(lo)
         cuts.append(len(pairs))
-        idx_dtype = self._indices.dtype
+        idx_dtype = self._k0.indices.dtype
         order = np.lexsort((prod, rr))
         chunks = []
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -589,8 +649,9 @@ class GalerkinOperator:
     def _gauss_product(self) -> _GaussPointProduct:
         """The Gauss-point product, built at its first use."""
         if self._gauss is None:
-            self._gauss = _GaussPointProduct(self.tensor, *self._field,
-                                             self.free)
+            self._gauss = _GaussPointProduct(
+                self.tensor, self._field.mean, self._field.modes, self._mesh,
+                self.free)
         return self._gauss
 
     def gauss_plan(self, row_blocks, col_blocks) -> _GaussPlan:
@@ -665,7 +726,7 @@ class GalerkinOperator:
         W[:, self.free] = self._gauss.apply(self._full, V.T[self.free]).T
         self.counters["summations"] += self._full.summations
         W[:, self.fixed] = self._g0[:, None] * (
-            self.kdata[0, self._fixed_slots] * V[:, self.fixed])
+            self._k0.data[self._fixed_slots] * V[:, self.fixed])
         return W.ravel() if v.ndim == 1 else W
 
     def fixed_divisor(self, blocks: range) -> np.ndarray:
@@ -674,7 +735,7 @@ class GalerkinOperator:
         diagonal of a fixed row.  Raises :class:`FactorizationError`
         when one is not positive."""
         divisor = np.outer(self._g0[blocks.start:blocks.stop],
-                           self.kdata[0, self._fixed_slots])
+                           self._k0.data[self._fixed_slots])
         if not np.all(divisor > 0):  # NaN too
             raise FactorizationError("non-positive divisor of a diagonal "
                                      "row: matrix is not positive definite")
@@ -689,8 +750,7 @@ class GalerkinOperator:
         if len(sel) == 0:
             return None
         data = t.val[sel] @ self.kdata[t.i[sel]]
-        ref = self.k_mats[0]
-        return sp.csr_matrix((data, ref.indices, ref.indptr),
+        return sp.csr_matrix((data, self._k0.indices, self._k0.indptr),
                              shape=(self.n_dof, self.n_dof))
 
     def assemble_diag_block(self, blocks: range) -> Factorization:
@@ -731,41 +791,21 @@ class GalerkinOperator:
         block."""
         return s * self._band + s - 1
 
-    def _run_coupling(self, blocks: range):
-        """The run's block pairs: the pair ids (block row)·s + (block
-        column), ascending, and the (pair × i) coupling matrix of c_ijk
-        as CSR arrays (indptr, i, c_ijk), whose product with the stacked
-        K_i data gives each pair's values as one row."""
-        t, lo, s = self.tensor, blocks.start, len(blocks)
-        sel = np.flatnonzero((t.j >= lo) & (t.j < lo + s)
-                             & (t.k >= lo) & (t.k < lo + s))
-        pair = (t.j[sel] - lo) * s + (t.k[sel] - lo)
-        # stable, so each pair keeps the tensor's ascending i
-        sel = sel[np.argsort(pair, kind="stable")]
-        pairs, counts = np.unique(pair, return_counts=True)
-        return (pairs, np.concatenate([[0], np.cumsum(counts)]),
-                t.i[sel].astype(np.int64), t.val[sel])
-
     def _fill_band(self, blocks: range) -> np.ndarray:
         """The free rows of the matrix of a run of s consecutive blocks in
         node-interleaved lower band storage, row (free node)·s + block,
         with run_band(s) sub-diagonals, filled straight from the block
-        pairs' values.
+        pairs' values (:meth:`_pair_values`).
 
-        The pairs' values are computed in chunks of about a quarter of
-        ``_CHUNK_BYTES``, so that with their lower-triangle gather and its
-        int64 positions the fill holds less than ``_CHUNK_BYTES`` beside
-        the band.  Entry (a, b) of the free pattern in pair
-        (r, c) is entry (a·s + r, b·s + c) of the run's matrix; it lies
-        in the lower triangle when a > b, or when a = b and r ≥ c, so
-        only pairs with r ≥ c write the diagonal node entries.  Pad
-        slots, whose column is past every free node, write nothing.
+        Entry (a, b) of the free pattern in pair (r, c) is entry
+        (a·s + r, b·s + c) of the run's matrix; it lies in the lower
+        triangle when a > b, or when a = b and r ≥ c, so only pairs with
+        r ≥ c write the diagonal node entries.  Pad slots, whose column
+        is past every free node, write nothing.
         """
         f, s = self.n_free, len(blocks)
         band = self.run_band(s)
-        pairs, indptr, ii, vv = self._run_coupling(blocks)
-        cols = self._free_indices.astype(np.int64)
-        node = np.repeat(np.arange(f), np.diff(self._free_indptr))
+        node, cols = self._free_rows, self._free_indices.astype(np.int64)
         low, diag = node > cols, node == cols
         # the band's transpose, C-ordered: entry (a, b) of pair (r, c)
         # goes to row b·s + c, column (a − b)·s + r − c, which is
@@ -773,22 +813,60 @@ class GalerkinOperator:
         abT = np.zeros((s * f, band + 1))
         flat = abT.reshape(-1)
         base = cols * (s * (band + 1)) + (node - cols) * s
-        base_low, base_diag = base[low], base[diag]
-        r, c = pairs // s, pairs % s
-        shift = (c * band + r)[:, None]
-        nnz = self.kdata.shape[1]
-        step = max(_CHUNK_BYTES // (32 * nnz), 1)
-        for a in range(0, len(pairs), step):
-            part, ptr = slice(a, a + step), indptr[a:a + step + 1]
-            values = np.zeros((len(ptr) - 1, nnz))
-            csr_matvecs(len(ptr) - 1, len(self.kdata), nnz,
-                        ptr - ptr[0], ii[ptr[0]:ptr[-1]], vv[ptr[0]:ptr[-1]],
-                        self.kdata.ravel(), values.ravel())
-            values = values[:, self._free_span]
-            flat[base_low + shift[part]] = values[:, low]
+        base_low, base_diag = base[low, None], base[diag, None]
+        r, c = np.divmod(np.arange(s * s), s)
+        if blocks == range(1):  # c_i00 = δ_i0 and c_000 = 1: K^{(00)} = K_0
+            chunks = [(slice(0, 1), self._k0.data[:, None])]
+        else:
+            chunks = self._pair_values(blocks.start + r, blocks.start + c)
+        for part, values in chunks:
+            values = values[self._free_span]
+            shift = c[part] * band + r[part]
+            flat[base_low + shift] = values[low]
             on = r[part] >= c[part]
-            flat[base_diag + shift[part][on]] = values[on][:, diag]
+            flat[base_diag + shift[on]] = values[np.ix_(diag, on)]
         return abT.T
+
+    def _pair_values(self, j, k):
+        """The blocks (j[p], k[p]) on the Dirichlet pattern, as (slice of
+        p, data) chunks, the data of the chunk's pairs as columns.  Block
+        (j, k) is the stiffness matrix of the pair field C_q[j, k]
+        (:meth:`_GaussPointProduct.pair_fields`), one product with the
+        assembly matrix (:func:`~sgfem.fem.assembly_matrix`) for all the
+        chunk's pairs.  A chunk's fields and data, with the caller's
+        gathers of the data, take about ``_CHUNK_BYTES``."""
+        gauss, S = self._gauss_product(), self._assembly()
+        (nnz, points), ip, ix, sx = S.shape, S.indptr, S.indices, S.data
+        step = max(_CHUNK_BYTES // (8 * (points + 3 * nnz)), 1)
+        for lo in range(0, len(j), step):
+            part = slice(lo, lo + step)
+            fields = gauss.pair_fields(j[part], k[part])
+            values = np.zeros((nnz, fields.shape[1]))
+            csr_matvecs(nnz, points, fields.shape[1], ip, ix, sx,
+                        fields.ravel(), values.ravel())
+            yield part, values
+
+    def _assembly(self) -> sp.csr_matrix:
+        """The assembly matrix of K_0's pattern
+        (:func:`~sgfem.fem.assembly_matrix`), built at its first use."""
+        if self._assembly_matrix is None:
+            self._assembly_matrix = assembly_matrix(self._mesh)
+        return self._assembly_matrix
+
+    def k0_traces(self) -> np.ndarray:
+        """tr(K_iᵀK_0) for every coefficient index i, from the field at
+        the Gauss points, assembling no K_i: with u = Sᵀd_0 the point
+        weights of K_0's data (:func:`~sgfem.fem.assembly_matrix`), the
+        trace is Σ_q k_i(q) u(q)
+        (:meth:`~sgfem.random_field.CoefficientFields.moments`), plus,
+        for i = 0, Σ_b K_0[b,b]² over the fixed nodes, where every other
+        K_i holds 0."""
+        d0 = self._k0.data
+        u = self._assembly().T @ d0
+        traces = self._field.moments(u.reshape(self._field.mean.shape))
+        fixed = d0[self._fixed_slots]
+        traces[0] += fixed @ fixed
+        return traces
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
         """Explicit global matrix for brute-force verification only."""

@@ -34,7 +34,8 @@ and B_q, ordered by degree, reading no K_i and copying no sub-block.
 gs pushes each single block to every block after it; at the Gauss
 points each such push costs nearly a full grid product, which made its
 apply 2.4–8× slower, so it keeps the family's product (``op.plan``).  So
-do the truncated sweeps, whose pushes need only the retained K_i.
+do the truncated sweeps, whose pushes need only the retained K_i; the
+operator assembles the family when such a sweep is made.
 Each preconditioner owns the factorizations and product plans it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.
@@ -73,10 +74,11 @@ class Kronecker(Preconditioner):
     Unless ``fitted``, only the mean weight is kept, w = e_0, so G = G_0
     exactly (mean-based, Powell & Elman 2009): the other weights add exact
     zeros.  When ``fitted``, every weight is the trace fit
-    w_α = tr(K_αᵀK_0)/tr(K_0ᵀK_0) (Ullmann 2010); the traces reduce to
-    data-array dot products because all K_α share one sparsity pattern.
-    K_0's factor is that of the mean diagonal block: c_i00 = δ_i0, so
-    K^{(0,0)} = K_0.
+    w_α = tr(K_αᵀK_0)/tr(K_0ᵀK_0) (Ullmann 2010), the traces taken at
+    the Gauss points from the field and K_0 (``op.k0_traces``), so no
+    K_α is assembled.  K_0's factor is that of the mean diagonal block:
+    c_i00 = δ_i0, so K^{(0,0)} = K_0, which the operator holds.  Neither
+    kind reads the stiffness family or the Gauss-point product.
     """
 
     def __init__(self, op, trunc, fitted: bool):
@@ -84,8 +86,8 @@ class Kronecker(Preconditioner):
         self._divisor = op.fixed_divisor(range(1))
         self._f0 = op.assemble_diag_block(range(1))
         if fitted:
-            d0 = op.k_mats[0].data
-            weights = (op.kdata @ d0) / float(d0 @ d0)
+            traces = op.k0_traces()
+            weights = traces / traces[0]
         else:
             weights = np.zeros(op.Mprime + 1)
             weights[0] = 1.0
@@ -127,7 +129,9 @@ class BlockGaussSeidel(Preconditioner):
     and the plans of its two pushes are built at the first apply and kept
     in ``_sweep``, their only owner, so the band bytes of every factor
     the sweep will hold are summed here and checked against physical
-    memory together, before any work.
+    memory together, before any work.  A sweep whose pushes run through
+    the stiffness family (gs, or a truncated level sweep) has the
+    operator assemble it here, at setup, once per operator.
     """
 
     def __init__(self, op, trunc, by_level: bool, descending: bool,
@@ -151,10 +155,16 @@ class BlockGaussSeidel(Preconditioner):
                         [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
-        self._by_level, self._exact = by_level, exact
+        self._exact = exact
         self._groups = groups[::-1] if descending else groups
         self._sweep: list | None = None  # built at the first apply
         self._divisor = op.fixed_divisor(range(end))
+        terms = len(op.tensor.iset)
+        self._at_points = (by_level and np.count_nonzero(
+            trunc.indices < terms) == terms)
+        if not self._at_points:
+            op.family("the pushes of a truncated level sweep" if by_level
+                      else "gs's pushes")
 
     def _build(self) -> list:
         """Per group in sweep order: its blocks' entries in the flat
@@ -165,9 +175,7 @@ class BlockGaussSeidel(Preconditioner):
         op, trunc, f = self.op, self.trunc, self.op.n_free
         factor = (op.assemble_level_block if self._exact
                   else op.assemble_diag_block)
-        terms = len(op.tensor.iset)
-        if (self._by_level
-                and np.count_nonzero(trunc.indices < terms) == terms):
+        if self._at_points:
             plan = op.gauss_plan
         else:
             def plan(rows, cols):
@@ -231,8 +239,10 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     (default: no truncation).  The kind is checked before any work, and
     so, for a sweep, is the sum of the band bytes of every factorization
     it will build at its first apply and keep: a sum past physical
-    memory raises :class:`MemoryError`.  A fixed row whose diagonal is
-    not positive raises :class:`~sgfem.linalg.FactorizationError`.
+    memory raises :class:`MemoryError`, as does, for gs or a truncated
+    sweep, a stiffness family that the operator cannot assemble.  A
+    fixed row whose diagonal is not positive raises
+    :class:`~sgfem.linalg.FactorizationError`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown preconditioner kind: {kind!r}, "

@@ -155,9 +155,10 @@ class CoefficientFields:
     g_d, each of shape (n_elements, 4), so that every coefficient is
     k_i = a_0 Π_d g_d^{i_d} / i_d!.  The mean is strictly positive.  A
     :class:`~sgfem.galerkin.GalerkinOperator` takes the field whole, on
-    its tensor's i-set: it assembles its stiffness family from
-    :attr:`values` and multiplies at the points from ``mean`` and
-    ``modes``, one source for both.
+    its tensor's i-set: it multiplies at the points from ``mean`` and
+    ``modes``, assembles K_0 from ``mean`` and, only where something
+    reads it, its stiffness family from :attr:`values`, one source for
+    all three.
     """
 
     basis: MultiIndexSet
@@ -179,6 +180,37 @@ class CoefficientFields:
                     prod *= powers[p, d] / math.factorial(p)
             values[pos] = prod
         return values
+
+    def moments(self, weights: np.ndarray) -> np.ndarray:
+        """Σ_q k_i(q) w(q) over the points for every k_i, with the point
+        weights ``weights`` of the mean's shape, equal to the products of
+        :attr:`values` with them to rounding, without forming the k_i.
+        With the dimensions split in two halves, k_i = a_0 x_i' y_i'' for
+        x and y the products of g_d^{i_d}/i_d! over either half, so the
+        moments are entries of one matrix product (x · a_0 w) yᵀ over
+        the halves' distinct multi-indices.  Its temporaries, the g_d^a/a!
+        and the two factors, take N·(P′ + 1) + n₁′ + n₂′ doubles a point
+        for the n₁′ and n₂′ distinct multi-indices of the halves (126 at
+        N = 4, P′ = 8)."""
+        idx, deg = self.basis.as_array(), self.basis.degree
+        g = self.modes.reshape(len(self.modes), -1)
+        powers = np.empty((deg + 1,) + g.shape)
+        powers[0] = 1.0
+        for a in range(1, deg + 1):
+            np.multiply(powers[a - 1], g, out=powers[a])
+            powers[a] /= a
+        halves = []
+        for dims in (range(len(g) // 2), range(len(g) // 2, len(g))):
+            key = idx[:, dims] @ (deg + 1) ** np.arange(len(dims))
+            _, first, position = np.unique(key, return_index=True,
+                                           return_inverse=True)
+            factor = np.ones((len(first), g.shape[1]))
+            for d in dims:
+                factor *= powers[idx[first, d], d]
+            halves.append((factor, position))
+        (x, first), (y, second) = halves
+        aw = self.mean.ravel() * np.asarray(weights, dtype=float).ravel()
+        return ((x * aw) @ y.T)[first, second]
 
 
 def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh

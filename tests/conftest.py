@@ -2,7 +2,8 @@
 maps, find the factorizations and product plans an object holds and
 trace the memory of a call; oracles of the full product through the
 stiffness family and through the 1-D matrices m_d at the Gauss points,
-of the degree levels, of lower band storage, of the coupling matrices,
+of the degree levels, of lower band storage, of the band fills through
+the family's coupling, of the coupling matrices,
 of the Hermite polynomials and of the dense KL eigenproblem."""
 
 import math
@@ -86,7 +87,8 @@ def md_matvec(op, V) -> np.ndarray:
     Every point is multiplied on its own and the scatter adds the points
     in order, so one chunk of all points gives the numbers of any
     chunking."""
-    tensor, (mean, modes, mesh) = op.tensor, op._field
+    tensor, field, mesh = op.tensor, op._field, op._mesh
+    mean, modes = field.mean, field.modes
     N, P = tensor.jkset.N, tensor.jkset.degree
     jk = tensor.jkset.as_array()
     h, s = N // 2, (P + 1) ** 2
@@ -158,6 +160,43 @@ def band_fill(A) -> np.ndarray:
     ab = np.zeros((int(offset.max(initial=0)) + 1, A.shape[0]), order="F")
     ab[offset, cols] = A.data[low]
     return ab
+
+
+def family_band(op, blocks) -> np.ndarray:
+    """The band of ``op._fill_band(blocks)``, filled from the stiffness
+    family's coupling (oracle of the fill from the Gauss points): every
+    pair (r, c) of the run with a c_ijk gets Σ_i c_ijk K_i over the free
+    rows as one row of the (pairs × i) coupling times the stacked K_i
+    data, and writes its entries of the lower triangle, entry (a, b) of
+    the free pattern at (a·s + r, b·s + c)."""
+    f, s, lo = op.n_free, len(blocks), blocks.start
+    band = op.run_band(s)
+    t = op.tensor
+    sel = np.flatnonzero((t.j >= lo) & (t.j < lo + s)
+                         & (t.k >= lo) & (t.k < lo + s))
+    pair = (t.j[sel] - lo) * s + (t.k[sel] - lo)
+    # stable, so each pair keeps the tensor's ascending i
+    sel = sel[np.argsort(pair, kind="stable")]
+    pairs, counts = np.unique(pair, return_counts=True)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    kdata = op.kdata
+    values = np.zeros((len(pairs), kdata.shape[1]))
+    csr_matvecs(len(pairs), len(kdata), kdata.shape[1], indptr,
+                t.i[sel].astype(np.int64), t.val[sel], kdata.ravel(),
+                values.ravel())
+    values = values[:, op._free_span]
+    cols = op._free_indices.astype(np.int64)
+    node = np.repeat(np.arange(f), np.diff(op._free_indptr))
+    low, diag = node > cols, node == cols
+    abT = np.zeros((s * f, band + 1))
+    flat = abT.reshape(-1)
+    base = cols * (s * (band + 1)) + (node - cols) * s
+    r, c = pairs // s, pairs % s
+    shift = (c * band + r)[:, None]
+    flat[base[low] + shift] = values[:, low]
+    on = r >= c
+    flat[base[diag] + shift[on]] = values[on][:, diag]
+    return abT.T
 
 
 def probe_matrix(apply, n: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from sgfem.experiments import (
     report_markdown,
     run_table,
 )
-from sgfem.fem import build_mesh
+from sgfem.fem import build_mesh, dirichlet_nnz
 from sgfem.galerkin import full_truncation, standard_truncation
 from sgfem.krylov import flexible_cg
 from sgfem.preconditioners import make_preconditioner
@@ -248,12 +248,11 @@ class TestBuildProblemArguments:
             build_problem(2, 2, 4, 100.0, L=float("nan"))
 
     def test_oversized_problem_refused_before_any_work(self, monkeypatch):
-        """The coefficient values (28 fields × 16 elements × 4 points),
-        the stiffness data (28 fields × 65 pattern slots) and the
-        Gauss-point data (64 points of 4² + 4² + 3 doubles and 104 bytes)
-        of N = 2, P = 3, n = 4 are checked against physical memory
-        before the mesh is built."""
-        need = 8 * 28 * (16 * 4 + 65) + 64 * (8 * 35 + 104)
+        """K_0's data (65 pattern slots) and the Gauss-point data (64
+        points of 4² + 4² + 3 doubles and 296 bytes) of N = 2, P = 3,
+        n = 4 are checked against physical memory before the mesh is
+        built."""
+        need = 8 * 65 + 64 * (8 * 35 + 296)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_mesh(n):
@@ -263,9 +262,8 @@ class TestBuildProblemArguments:
         with pytest.raises(MemoryError) as exc:
             build_problem(2, 3, 4, 50.0)
         assert str(exc.value).startswith(
-            f"the problem at N = 2, P = 3, n = 4, its 28 coefficient fields "
-            f"and stiffness matrices and its Gauss-point data, needs "
-            f"{need} bytes")
+            f"the problem at N = 2, P = 3, n = 4, its K_0 and its "
+            f"Gauss-point data, needs {need} bytes")
         # with the data fitting, the patched mesh is reached: the refusal
         # above came before it
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
@@ -276,13 +274,15 @@ class TestBuildProblemArguments:
                                        (3, 1, 5)])
     def test_checked_bytes_are_the_problem_data(self, N, P, n,
                                                 monkeypatch):
-        """The bytes checked are those of the coefficient values and the
-        stiffness data build_problem allocates, and at least those that
-        the Gauss-point product keeps: its stored factors A_q and B_q,
+        """The bytes build_problem checks are those of the K_0 data it
+        assembles and at least those that the Gauss-point product and
+        the assembly matrix keep: the stored factors A_q and B_q,
         n₁² + n₂² doubles a point for the half-grid sizes
         n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the field's mean
-        and modes and its gradient matrix, which has no entry in a fixed
-        node's column."""
+        and modes, the gradient matrix, which has no entry in a fixed
+        node's column, and the assembly matrix's entries.  The family's
+        bytes, with the coefficient values, are checked by the operator
+        when the family is built, not here."""
         checked, check = [], experiments.check_fits
 
         def recorded(need, *args):
@@ -293,24 +293,28 @@ class TestBuildProblemArguments:
         op, _ = build_problem(N, P, n, 50.0)
         mesh = build_mesh(n)
         points = len(mesh.elements) * 4
-        coeffs = 8 * len(op.k_mats) * points
+        k0 = 8 * dirichlet_nnz(n)
         n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
-        gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 104)
-        assert checked == [coeffs + op.kdata.nbytes + gauss]
+        gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 296)
+        assert checked == [k0 + gauss]
         op.matvec(np.ones(op.n_global))
+        S = op._assembly()
         kept = (op._gauss._a.nbytes + op._gauss._b.nbytes
                 + 8 * points * (N + 1)
-                + sum(a.nbytes for a in op._gauss._d))
+                + sum(a.nbytes for a in op._gauss._d)
+                + S.data.nbytes + S.indices.nbytes)
         assert kept <= gauss
+        assert op.k_mats[0].data.nbytes == k0
 
     def test_gauss_point_data_alone_refused(self, monkeypatch):
         """At N = 1, P = 20, n = 2 the 41 coefficient fields and their
         stiffness data fit in 8200 bytes, but the 16 Gauss points keep
-        1² + 21² = 442 doubles of A_q and B_q each: only that term
-        refuses the problem."""
+        1² + 21² = 442 doubles of A_q and B_q each: the problem, which
+        builds no family, is refused for its Gauss-point data."""
         fields = 8 * 41 * (16 + 9)
-        need = fields + 16 * (8 * (442 + 2) + 104)
-        monkeypatch.setattr(linalg, "physical_memory", lambda: fields)
+        need = 8 * 9 + 16 * (8 * (442 + 2) + 296)
+        assert fields < need
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"needs {need} bytes"):
             build_problem(1, 20, 2, 50.0)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
@@ -392,9 +396,9 @@ class TestTables:
         first solve: an hs whose level bands do not fit at n = 5 stops
         the table after the n = 4 row's four solves, before any solve of
         its own row.  At N = P = 4, hs's free-node bands at n = 5,
-        1,337,856 bytes, outgrow the 1,245,600 bytes of the problem's
-        coefficients, stiffness data and Gauss-point data, which
-        build_problem checks first."""
+        1,337,856 bytes, outgrow the 394,560 bytes of K_0 and the
+        Gauss-point data, which build_problem checks first, and the
+        871,200 bytes of the stiffness family, which gs assembles."""
         solves, solve = [], experiments.flexible_cg
 
         def counted(*args, **kwargs):
@@ -415,15 +419,15 @@ class TestTables:
         ("logh", dict(N=10, P=1, mesh_list=(3, 2)), None,
          (ValueError, "the mesh has 9 nodes")),
         ("logP", dict(N=2, P=3, n=4),
-         8 * 28 * (16 * 4 + 65) + 64 * (8 * 35 + 104) - 1,
+         8 * 65 + 64 * (8 * 35 + 296) - 1,
          (MemoryError, "the problem at N = 2, P = 3, n = 4"))],
         ids=["logN", "logh", "logP"])
     def test_swept_problem_refused_before_any_solve(
             self, which, config, memory, refusal, monkeypatch):
         """Every swept problem is checked before the first row is built:
         logN's N = 10 and logh's n = 2 ask for more KL modes than the
-        mesh's 9 nodes, and logP's P = 3, 28 coefficient fields, outgrows
-        a memory that holds P = 2's 15; each refuses the table after 0
+        mesh's 9 nodes, and logP's P = 3, whose Gauss-point data outgrow
+        a memory that holds P = 2's; each refuses the table after 0
         solves, not after the rows before it."""
         solves, solve = [], experiments.flexible_cg
 

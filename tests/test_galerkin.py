@@ -14,6 +14,7 @@ from conftest import (
     binomial_levels,
     build_inputs,
     build_operator,
+    family_band,
     family_matvec,
     g_matrix,
     held_factors,
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
-from sgfem import build_problem
+from sgfem import build_problem, flexible_cg
 from sgfem.chaos import build_c_tensor, multi_index_set
 from sgfem.fem import assemble_stiffness_family, build_mesh, dirichlet_nnz
 from sgfem.galerkin import (
@@ -410,44 +411,61 @@ class TestFamilyStorage:
     def test_family_adopted_without_a_copy(self):
         """The operator holds one family copy: every ``k_mats[i].data`` is
         the row ``kdata[i]``, so an in-place edit of ``kdata`` is an edit
-        of the K_i.  Memory regression guard: building the operator peaks
-        within 10 % of the bytes of the family and the coefficient values
-        it is assembled from, with no second copy of either, and keeps
-        within 10 % of the family's, without the values."""
+        of the K_i, and row 0 is the K_0 the fixed rows read.  Memory
+        regression guards: building the operator keeps well below the
+        family's bytes, for it holds K_0 alone; building the family on
+        demand peaks within 10 % of the bytes of the family and the
+        coefficient values it is assembled from, with no second copy of
+        either, and keeps within 10 % of the family's, without the
+        values."""
         tensor, field, mesh = build_inputs(4, 4, 12)
+        family = 8 * len(tensor.iset) * dirichlet_nnz(12)
+        values = 8 * len(tensor.iset) * 4 * 144
+        assert family > 3e6
+        kept, _ = traced_memory(lambda: GalerkinOperator(tensor, field,
+                                                         mesh))
+        assert kept < 0.05 * family
         op = GalerkinOperator(tensor, field, mesh)
+        kept, peak = traced_memory(lambda: op.family("the test"))
+        assert family <= kept < 1.1 * family
+        assert peak < 1.1 * (family + values)
+        assert op.kdata.nbytes == family
         assert op.kdata.flags.c_contiguous
         for K, row in zip(op.k_mats, op.kdata, strict=True):
             assert K.data.__array_interface__ == row.__array_interface__
         op.kdata[3, 0] = 7.0
         assert op.k_mats[3].data[0] == 7.0
-        family, values = op.kdata.nbytes, 8 * len(tensor.iset) * 4 * 144
-        kept, peak = traced_memory(
-            lambda: GalerkinOperator(tensor, field, mesh))
-        assert family > 3e6
-        assert family <= kept < 1.1 * family
-        assert peak < 1.1 * (family + values)
+        op.kdata[0, op._fixed_slots] = 2.0
+        np.testing.assert_array_equal(op.fixed_divisor(range(1)), 2.0)
 
     def test_oversized_family_refused_before_assembly(self, monkeypatch):
         """The bytes of the family and of the coefficient values it is
         assembled from, 8·fields·(nnz + points), are checked against
-        physical memory before either is built."""
+        physical memory when something first reads the family, before
+        either is built, naming what read it; the operator, which holds
+        K_0 alone, is built within that memory."""
         tensor, field, mesh = build_inputs(2, 2, 4)
         need = 8 * len(tensor.iset) * (dirichlet_nnz(4) + 64)
         assert need == GalerkinOperator(tensor, field, mesh).kdata.nbytes \
             + field.values.nbytes
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+        op = GalerkinOperator(tensor, field, mesh)
 
         def no_work(*args):
             raise AssertionError("family assembled before the refusal")
 
         monkeypatch.setattr(galerkin, "assemble_stiffness_family", no_work)
         with pytest.raises(MemoryError) as exc:
-            GalerkinOperator(tensor, field, mesh)
+            op.k_mats
         assert str(exc.value).startswith(
-            f"the stiffness family, 15 matrices of 65 stored entries, "
-            f"with the coefficient values at its 64 points, needs {need} "
-            f"bytes")
+            f"the stiffness family for k_mats, 15 matrices of 65 stored "
+            f"entries, with the coefficient values at its 64 points, needs "
+            f"{need} bytes")
+        # with the family fitting, the patched assembly is reached: the
+        # refusal above came before it
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        with pytest.raises(AssertionError, match="family assembled"):
+            op.family("the test")
 
 
 class TestCounters:
@@ -723,6 +741,17 @@ def plan_sets(op, rows, cols):
             ((pos1, rows), (pos1, cols), (pos2, cols), (pos2, rows))]
 
 
+def contracted(s2, n2):
+    """The positions S₂ of a plan's column blocks in a second half grid
+    of n2 positions as the plan contracts them: one position widened by
+    the next, or at the grid's end by the one before, where the grid
+    has two."""
+    if len(s2) == 1 and n2 > 1:
+        lo = min(s2[0], n2 - 2)
+        return np.arange(lo, lo + 2)
+    return s2
+
+
 class TestDegreeOrderedHalfGrids:
     """The half grids are ordered by total degree, so the half-grid
     positions of a level, of the levels above it and of those below it
@@ -750,7 +779,8 @@ class TestDegreeOrderedHalfGrids:
     @pytest.mark.parametrize("kind", ["hs", "ahs", "ahgs"])
     def test_sweep_plans_slice_the_stored_factors(self, kind):
         """Every push plan of an untruncated level sweep at N = P = 4 has
-        hulls equal to its blocks' positions, and its sub-blocks of A_q
+        hulls equal to its blocks' positions, S₂ widened where it is one
+        position wide (:func:`contracted`), and its sub-blocks of A_q
         and B_q are views of the stored factors.  A push to no rows has
         empty hulls and multiplies nothing."""
         op, b = build_problem(4, 4, 3, 100.0)
@@ -761,13 +791,41 @@ class TestDegreeOrderedHalfGrids:
             for rows, plan in ((forward, group[3]), (back, group[5])):
                 rows = range(op.M + 1)[rows]
                 assert isinstance(plan, galerkin._GaussPlan)
-                for hull, want in zip(plan.hulls, plan_sets(op, rows, blk)):
+                sets = plan_sets(op, rows, blk)
+                sets[2] = contracted(sets[2], 15)
+                for hull, want in zip(plan.hulls, sets):
                     np.testing.assert_array_equal(
                         np.arange(hull.start, hull.stop), want)
                 if plan.n_rows:
                     A, B = gauss.factors(plan, slice(0, gauss._points))
                     assert np.shares_memory(A, gauss._a)
                     assert np.shares_memory(B, gauss._b)
+
+    @pytest.mark.parametrize("N,P,n", [(1, 3, 3), (2, 1, 2), (3, 2, 3),
+                                       (4, 2, 2), (2, 0, 3)])
+    def test_one_wide_column_hull_is_widened(self, N, P, n):
+        """A push from one column block has a one-wide S₂, which the plan
+        widens by a zero position where the second half grid has one, so
+        the B product never contracts a width of 1: for every column
+        block, to all blocks and to the blocks after it, S₂ is at least
+        two wide (one at P = 0, whose grid has one position) and the
+        product still matches the dense oracle to 1e-14 of |A| |v|."""
+        op = cached_problem(N, P, n)[0]
+        n2 = math.comb(N - N // 2 + P, P)
+        dense = cached_dense(N, P, n)
+        for k in range(op.M + 1):
+            for rows in (range(op.M + 1), range(k + 1, op.M + 1)):
+                plan = op.gauss_plan(rows, [k])
+                s2 = plan.hulls[2]
+                assert s2.stop - s2.start == min(2, n2)
+                assert 0 <= s2.start and s2.stop <= n2
+                v, want = free_oracle_product(op, dense, rows, [k], k)
+                x = np.zeros((op.M + 1, op.n_dof))
+                x[k] = np.abs(v)
+                scale = (np.abs(dense) @ x.ravel()).max(initial=0.0)
+                got = op.tmatvec(plan, v[:, op.free])
+                assert np.abs(got - want[:, op.free]).max(initial=0.0) \
+                    <= 1e-14 * scale
 
     def test_an_unaligned_range_pads_its_hulls(self):
         """Blocks 3 and 4 at N = 3, P = 2, (0, 0, 1) and (2, 0, 0), sit
@@ -781,6 +839,97 @@ class TestDegreeOrderedHalfGrids:
         for hull, want in zip(plan.hulls, plan_sets(op, blocks, blocks)):
             assert want.tolist() == [0, 2]
             assert (hull.start, hull.stop) == (0, 3)
+
+
+@st.composite
+def run_cases(draw):
+    """A small operator and a run of its consecutive blocks."""
+    N, P, n = (draw(st.integers(1, 4)), draw(st.integers(0, 3)),
+               draw(st.integers(1, 5)))
+    op = cached_problem(N, P, n)[0]
+    lo = draw(st.integers(0, op.M))
+    return (N, P, n), range(lo, draw(st.integers(lo + 1, op.M + 1)))
+
+
+def recorded_assemblies(monkeypatch) -> list:
+    """The field counts of every family assembly the operator runs from
+    now on, K_0's (one field) included."""
+    counts, assemble = [], galerkin.assemble_stiffness_family
+
+    def recorded(mesh, coeffs):
+        counts.append(len(coeffs))
+        return assemble(mesh, coeffs)
+
+    monkeypatch.setattr(galerkin, "assemble_stiffness_family", recorded)
+    return counts
+
+
+class TestPointFills:
+    """Band fills from the field at the Gauss points against the fills
+    from the stiffness family's coupling, and the paths that never read
+    the family."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_cases())
+    @example(((1, 0, 1), range(0, 1)))  # no free node
+    @example(((4, 3, 3), range(0, 1)))
+    @example(((3, 1, 2), range(0, 4)))  # entries that cancel
+    def test_point_fill_matches_the_family_coupling(self, case):
+        """To 1e-13 of the band's largest entry; the band of block 0
+        alone, K_0's, bit for bit."""
+        shape, blocks = case
+        op = cached_problem(*shape)[0]
+        got, want = op._fill_band(blocks), family_band(op, blocks)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(initial=0.0)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+        if blocks == range(1):
+            np.testing.assert_array_equal(got, want)
+
+    def test_point_paths_assemble_only_k0(self, monkeypatch):
+        """build_problem, and mb, kron, hs, ahs and ahgs made and applied,
+        at N = P = 4, n = 12 assemble K_0 alone, one field, and what they
+        keep is less than the family's bytes.  gs and then a truncated
+        sweep on the same operator build the family once."""
+        counts, held = recorded_assemblies(monkeypatch), []
+
+        def run():
+            op, b = build_problem(4, 4, 12, 100.0)
+            for kind in ("mb", "kron", "hs", "ahs", "ahgs"):
+                make_preconditioner(op, kind).apply(b)
+            op.matvec(b)
+            held.append((op, b))
+            return held
+
+        kept, _ = traced_memory(run)
+        assert counts == [1]
+        assert kept < 8 * 495 * dirichlet_nnz(12)
+        op, b = held.pop()
+        make_preconditioner(op, "gs").apply(b)
+        assert counts == [1, 495]
+        make_preconditioner(op, "ahgs", standard_truncation(4, 2)).apply(b)
+        assert counts == [1, 495]
+
+    def test_solves_without_memory_for_the_family(self, monkeypatch):
+        """With physical memory one byte short of the family and its
+        coefficient values at N = P = 4, n = 4, kron and ahgs build and
+        solve; gs is refused when it is made, before any assembly, and
+        the refusal names its pushes."""
+        need = 8 * 495 * (dirichlet_nnz(4) + 64)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+        counts = recorded_assemblies(monkeypatch)
+        op, b = build_problem(4, 4, 4, 100.0)
+        for kind in ("kron", "ahgs"):
+            _, rep = flexible_cg(op.matvec,
+                                 make_preconditioner(op, kind).apply, b)
+            assert rep.converged
+        with pytest.raises(MemoryError) as exc:
+            make_preconditioner(op, "gs")
+        assert str(exc.value).startswith(
+            f"the stiffness family for gs's pushes, 495 matrices of 65 "
+            f"stored entries, with the coefficient values at its 64 "
+            f"points, needs {need} bytes")
+        assert counts == [1]
 
 
 class TestAssembledBlocks:
@@ -891,13 +1040,19 @@ def band_lower(ab):
 
 def assert_same_band_values(got, want):
     """Two unfactorized bands: the same zero pattern, values within
-    1e-15 of the largest.  Bands of no rows (a mesh without free nodes)
-    are equal whatever their width."""
+    1e-15 of the largest.  An entry that cancels mathematically may be
+    rounding noise in one route and exactly 0 in the other (the
+    Gauss-point fill sums a field that a mirrored pair of KL modes makes
+    exactly antisymmetric), so only entries above 1e-15 of the largest
+    must be zero in both or in neither.  Bands of no rows (a mesh
+    without free nodes) are equal whatever their width."""
     if got.size == want.size == 0:
         return
     assert got.shape == want.shape
-    assert np.array_equal(got == 0, want == 0)
-    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    scale = np.abs(want).max()
+    noise = np.maximum(np.abs(got), np.abs(want)) <= 1e-15 * scale
+    assert np.array_equal((got == 0) | noise, (want == 0) | noise)
+    assert np.abs(got - want).max() <= 1e-15 * scale
 
 
 def assert_band_matches_oracle(op, blocks):
@@ -1041,9 +1196,11 @@ class TestFactorizationContract:
         """Memory regression guard: the bytes a level factorization keeps
         are its band storage, within 5 %, so a retained second copy of a
         factor (or of D_ℓ) fails; and the band is filled in place, so
-        the peak passes it by no more than the fill's quarter chunk of
-        pair values and its two gathers, one chunk in all."""
+        the peak passes it by no more than the fill's chunk of pair
+        fields, pair values and their gathers.  The Gauss-point data the
+        fill reads are built before."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
+        op._gauss_product()  # the fill reads its A_q and B_q
         level = range(35, 70)
         kept, peak = traced_memory(lambda: op.assemble_level_block(level))
         band = op.assemble_level_block(level)._state[0].nbytes

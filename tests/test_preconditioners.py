@@ -252,6 +252,26 @@ class TestKronecker:
         want = np.linalg.solve(M, r)
         np.testing.assert_allclose(pre.apply(r), want, atol=1e-11)
 
+    @pytest.mark.parametrize("N,P,n,cov", [
+        (1, 2, 3, 100.0), (2, 2, 4, 50.0), (3, 2, 5, 150.0),
+        (4, 4, 10, 100.0)])
+    def test_trace_weights_match_the_family(self, N, P, n, cov):
+        """The trace fit taken at the Gauss points equals the family's
+        data-array dot products, (kdata @ d_0)/(d_0 @ d_0), to 1e-14 of
+        the largest weight, and kron's G equals the G of those weights
+        to 1e-14 of its largest entry; the fit reads no K_i, so the
+        family is built after it, for the oracle."""
+        op, _ = build_problem(N, P, n, cov)
+        G = make_preconditioner(op, "kron").g_matrix
+        traces = op.k0_traces()
+        assert op._k_mats is None
+        d0 = op.k_mats[0].data
+        want = (op.kdata @ d0) / (d0 @ d0)
+        assert np.abs(traces / traces[0] - want).max() <= \
+            1e-14 * np.abs(want).max()
+        want_G = op.tensor.g_sum(want)
+        assert np.abs(G - want_G).max() <= 1e-14 * np.abs(want_G).max()
+
     @pytest.mark.parametrize("n", [4, 10, 32])
     @pytest.mark.parametrize("kind", ["mb", "kron"])
     def test_k0_factor_is_the_factor_of_k0(self, kind, n):
@@ -689,7 +709,7 @@ class TestFactory:
         def no_work(*args):
             raise AssertionError("block assembled before the refusal")
 
-        for name in ("block", "_run_coupling", "_fill_band"):
+        for name in ("block", "_pair_values", "_fill_band"):
             monkeypatch.setattr(op, name, no_work)
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "hs")
