@@ -156,14 +156,15 @@ def check_problem(N, P, n) -> None:
     more KL modes than the (n + 1)² mesh nodes (ValueError), or what the
     operator holds past physical memory (MemoryError): K_0's data, nnz
     doubles on the Dirichlet pattern (:func:`~sgfem.fem.dirichlet_nnz`),
-    and what its Gauss-point product keeps for each of the 4n² points:
-    n₁² + n₂² doubles of its stored factors A_q and B_q, for the
-    half-grid sizes n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the
-    mean and the N modes, 104 bytes of the gradient matrix (two rows of
-    four entries and an int32 column each, and two int32 row pointers)
-    and 192 bytes of the assembly matrix that the band fills and kron's
-    traces read (:func:`~sgfem.fem.assembly_matrix`: 16 entries and
-    int32 columns).  The stiffness family, C(N + 2P, N) matrices, is not
+    and what it keeps for each of the 4n² points once it has multiplied
+    and filled a band: the n₁² + n₂² doubles of the Gauss-point
+    product's stored factors A_q and B_q, for the half-grid sizes
+    n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the mean and the N
+    modes, the N·(P + 1)² entries of the 1-D factors m_d that the band
+    fills read, 104 bytes of the gradient matrix (two rows of four
+    entries and an int32 column each, and two int32 row pointers) and
+    32 of the slot map that every assembly on the mesh shares (four
+    int64 slots).  The stiffness family, C(N + 2P, N) matrices, is not
     built here: the operator checks it where something first needs it
     (:meth:`~sgfem.galerkin.GalerkinOperator.family`).  Other arguments
     that :func:`build_problem` rejects pass; it names them."""
@@ -172,8 +173,8 @@ def check_problem(N, P, n) -> None:
     check_kl_modes(N, (n + 1) ** 2)
     points = 4 * n * n
     n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
-    gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 296)
-    check_fits(8 * dirichlet_nnz(n) + gauss, lambda: (
+    doubles = n1 * n1 + n2 * n2 + N + 1 + N * (P + 1) ** 2
+    check_fits(8 * dirichlet_nnz(n) + points * (8 * doubles + 136), lambda: (
         f"the problem at N = {N}, P = {P}, n = {n}, its K_0 and its "
         f"Gauss-point data, needs"))
 

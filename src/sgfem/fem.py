@@ -5,14 +5,17 @@ fastest), 2x2 Gauss quadrature.  A stiffness family, one matrix per
 coefficient field evaluated at the quadrature points, is assembled
 straight onto the Dirichlet pattern: boundary nodes keep only their
 diagonal, so no boundary coupling is ever stored.  Its CSR matrices share
-one sparsity pattern, which the block operator relies on; the same data
-as a linear map of a field's values at the points is
-``assembly_matrix``.  A single matrix (``assemble_stiffness``) is the
-Neumann one, on the full pattern.
+one sparsity pattern, which the block operator relies on, and every
+assembly on a mesh shares that pattern's slot map
+(:attr:`Mesh.dirichlet_pattern`): the matrices' data alone is
+``stiffness_data``, and ``point_weights`` is its transpose, a matrix's
+data back to weights at the points.  A single matrix
+(``assemble_stiffness``) is the Neumann one, on the full pattern.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +50,8 @@ _GRAD = np.array([_shape_grad(*g) for g in _GPTS])
 # quadrature weight h^2/4 cancels the (2/h)^2 gradient scaling, so these
 # are mesh-size independent
 _GRADPROD = np.array([_shape_grad(*g).T @ _shape_grad(*g) for g in _GPTS])
+# element matrices and their slots per chunk of fields in an assembly
+_ELEMENT_BYTES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,14 @@ class Mesh:
         if nodal.shape != (self.n_nodes,):
             raise ValueError("nodal field has wrong length")
         return nodal[self.elements] @ _S.T
+
+    @functools.cached_property
+    def dirichlet_pattern(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The CSR indices and indptr of the Dirichlet pattern, without
+        the boundary's couplings, and its slot map (:func:`_pattern`),
+        computed at the first use and kept: every assembly of a family,
+        and of its data and point weights, on this mesh reads them."""
+        return _pattern(self, self.boundary)
 
 
 def gradient_matrix(mesh: Mesh) -> sp.csr_matrix:
@@ -146,25 +159,45 @@ def _pattern(mesh: Mesh, dropped):
     return indices, indptr, slots[:len(key)]
 
 
-def _assemble(mesh: Mesh, coeffs, dropped) -> list[sp.csr_matrix]:
-    """One matrix per field on ``_pattern(mesh, dropped)``, their data
-    the rows of one C-contiguous (n_fields, nnz) array."""
+def _element_sums(coeffs: np.ndarray, slots: np.ndarray,
+                  nnz: int) -> np.ndarray:
+    """The data of one matrix per field of ``coeffs``, (n_fields,
+    n_elements, 4), on a pattern of ``nnz`` entries with the slot map
+    ``slots`` of :func:`_pattern`, as one C-contiguous (n_fields, nnz)
+    array.  The element matrices Ke[e] = Σ_q c[e,q] gradprod[q] are
+    summed into their slots in element order; chunks of fields whose
+    element matrices and shifted slots take about ``_ELEMENT_BYTES``
+    share one bincount, each field's slots shifted past the bins of the
+    fields before it, so a field's sums are those of its own bincount."""
+    out = np.empty((len(coeffs), nnz))
+    step = max(_ELEMENT_BYTES // (16 * len(slots)), 1)
+    shifted = slots + (nnz + 1) * np.arange(min(step, len(coeffs)))[:, None]
+    for lo in range(0, len(coeffs), step):
+        c = coeffs[lo:lo + step]
+        # flattening matches _pattern (row corner slow, column corner fast)
+        ke = np.einsum("peq,qlm->pelm", c, _GRADPROD)
+        sums = np.bincount(shifted[:len(c)].ravel(), weights=ke.reshape(-1),
+                           minlength=len(c) * (nnz + 1))
+        out[lo:lo + len(c)] = sums.reshape(len(c), nnz + 1)[:, :nnz]
+    return out
+
+
+def _fields(mesh: Mesh, coeffs) -> np.ndarray:
+    """``coeffs`` as float, refused unless (n_fields, n_elements, 4)."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.ndim != 3 or coeffs.shape[1:] != (len(mesh.elements), 4):
         raise ValueError("coeffs must have shape (n_fields, n_elements, 4)")
-    indices, indptr, slots = _pattern(mesh, dropped)
-    nnz = len(indices)
-    stack = np.empty((len(coeffs), nnz))
-    out = []
-    for data, c in zip(stack, coeffs):
-        # element matrices: Ke[e] = sum_q c[e,q] * gradprod[q];
-        # flattening matches _pattern (row corner slow, column corner fast)
-        ke = np.einsum("eq,qlm->elm", c, _GRADPROD)
-        data[:] = np.bincount(slots, weights=ke.reshape(-1),
-                              minlength=nnz + 1)[:nnz]
-        out.append(csr_on(data, indices, indptr,
-                          (mesh.n_nodes, mesh.n_nodes)))
-    return out
+    return coeffs
+
+
+def _assemble(mesh: Mesh, coeffs, pattern) -> list[sp.csr_matrix]:
+    """One matrix per field on ``pattern``, (indices, indptr, slots) of
+    :func:`_pattern`, their data the rows of one C-contiguous
+    (n_fields, nnz) array."""
+    indices, indptr, slots = pattern
+    stack = _element_sums(_fields(mesh, coeffs), slots, len(indices))
+    return [csr_on(data, indices, indptr, (mesh.n_nodes, mesh.n_nodes))
+            for data in stack]
 
 
 def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_matrix]:
@@ -179,36 +212,32 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
     is left out of the sums.  :func:`apply_dirichlet` on K_0 then sets its
     unit boundary diagonal.  All returned CSR matrices share the same
     indices/indptr arrays (one sparsity pattern, of
-    :func:`dirichlet_nnz` entries), so blockwise sums stay aligned.  Their
-    data arrays are the rows of one C-contiguous (n_fields, nnz) array:
+    :func:`dirichlet_nnz` entries, :attr:`Mesh.dirichlet_pattern`), so
+    blockwise sums stay aligned.  Their data arrays are the rows of one
+    C-contiguous (n_fields, nnz) array, :func:`stiffness_data`:
     :class:`~sgfem.galerkin.GalerkinOperator` assembles its family here
     and adopts that array as its stacked data.
     """
-    return _assemble(mesh, coeffs, mesh.boundary)
+    return _assemble(mesh, coeffs, mesh.dirichlet_pattern)
 
 
-def assembly_matrix(mesh: Mesh) -> sp.csr_matrix:
-    """The data of an :func:`assemble_stiffness_family` matrix as a
-    linear map of its field's values at the quadrature points: the CSR
-    matrix S of :func:`dirichlet_nnz` rows and 4·n_elements columns with
-    S[s, 4e + q] = gradprod[q, l, m] for the corners (l, m) of element e
-    whose contribution lands in slot s.  The data of the matrix of a
-    field k is S k.ravel(), equal to the family's to rounding (the
-    family sums element matrices, S the point terms of each slot), and
-    Sᵀ d gives the point weights u of data d, whose dot product with a
-    field is that of its matrix's data with d.  A contribution that
-    touches a boundary node has no entry, so a boundary diagonal is 0."""
-    indices, _, slots = _pattern(mesh, mesh.boundary)
-    ne, nnz = len(mesh.elements), len(indices)
-    # entry (element, row corner, column corner, point), in the slot map's
-    # order with the point fastest
-    rows = np.repeat(slots, 4)
-    cols = np.broadcast_to(np.arange(4 * ne).reshape(ne, 1, 4),
-                           (ne, 16, 4)).ravel()
-    vals = np.broadcast_to(_GRADPROD.reshape(4, 16).T, (ne, 16, 4)).ravel()
-    kept = rows < nnz
-    return sp.csr_matrix((vals[kept], (rows[kept], cols[kept])),
-                         shape=(nnz, 4 * ne))
+def stiffness_data(mesh: Mesh, coeffs: np.ndarray) -> np.ndarray:
+    """The data of :func:`assemble_stiffness_family`'s matrices of the
+    fields ``coeffs``, bit for bit, as one C-contiguous (n_fields, nnz)
+    array, without the matrices."""
+    indices, _, slots = mesh.dirichlet_pattern
+    return _element_sums(_fields(mesh, coeffs), slots, len(indices))
+
+
+def point_weights(mesh: Mesh, data: np.ndarray) -> np.ndarray:
+    """The weights u at the points, shape (n_elements, 4), whose sum
+    Σ_q k(q) u(q) with any field k is the dot product of ``data`` with
+    the data of k's matrix (:func:`stiffness_data`): u[e, q] = Σ_{l,m}
+    gradprod[q, l, m] · data[slot of (e, l, m)], where a contribution
+    that touches a boundary node, in no slot, weighs 0."""
+    _, _, slots = mesh.dirichlet_pattern
+    gathered = np.append(data, 0.0)[slots].reshape(-1, 16)
+    return gathered @ _GRADPROD.reshape(4, 16).T
 
 
 def dirichlet_nnz(n: int) -> int:
@@ -227,7 +256,7 @@ def assemble_stiffness(mesh: Mesh, coeff) -> sp.csr_matrix:
     """
     if np.isscalar(coeff):
         coeff = np.full((len(mesh.elements), 4), float(coeff))
-    return _assemble(mesh, np.asarray(coeff)[None], [])[0]
+    return _assemble(mesh, np.asarray(coeff)[None], _pattern(mesh, []))[0]
 
 
 def assemble_load(mesh: Mesh, f: float) -> np.ndarray:

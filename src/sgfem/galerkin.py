@@ -28,12 +28,14 @@ applies the full tensor and scatters through the whole grid of its row
 blocks however few its column blocks are, while a push through the
 family costs what its retained K_i do.  So gs, which pushes each single
 block to all the blocks after it, and the truncated sweeps, whose pushes
-need only the retained K_i, read the family, and so do ``block``, the
-dense assembly, the norms and ``sg export``.  The band fills and kron's
-trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the
-stiffness matrix of its pair field at the points, assembled as a K_i is,
-and tr(K_iᵀK_0) is the field's moment Σ_q k_i(q) u(q) with the point
-weights u of K_0's data.
+need only the retained K_i, read the family, and so do the dense
+assembly, the norms and ``sg export``.  The band fills, ``block`` and
+kron's trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is
+the stiffness matrix of its pair field C_q[j,k] = a_0 Π_d m_d[j_d, k_d]
+at the points, assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`)
+from the 1-D factors m_d, and tr(K_iᵀK_0) is the field's moment
+Σ_q k_i(q) u(q) with the point weights u of K_0's data
+(:func:`~sgfem.fem.point_weights`).
 
 Products and block factors run on the free nodes only.  The fixed nodes
 are the mesh's boundary, and K_0 and the family are assembled on their
@@ -54,8 +56,9 @@ The operator knows blocks only; which runs a preconditioner factorizes,
 and why, is the preconditioner's.  A factor is filled straight into band
 storage with the FULL coefficient sum (truncation only ever applies to
 off-diagonal products inside preconditioners) and factorized anew on
-each request; the caller owns it.  ``block(j, k)`` and a dense assembly
-of the whole matrix are brute-force oracles for small instances.
+each request; the caller owns it.  ``block(j, k)``, one block as the
+fills take it, and a dense assembly of the whole matrix through the
+family are brute-force oracles for small instances.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ from sgfem.fem import (
     Mesh,
     apply_dirichlet,
     assemble_stiffness_family,
-    assembly_matrix,
     gradient_matrix,
+    point_weights,
+    stiffness_data,
 )
 from sgfem.linalg import (
     Factorization,
@@ -206,6 +210,23 @@ class _Plan:
     summations: int
 
 
+def _dimension_factors(tensor: CijkTensor, modes: np.ndarray) -> np.ndarray:
+    """The 1-D matrices m_d[a, b] = Σ_α g_d^α/α! T[α, a, b] of every
+    dimension d at every point (:class:`_GaussPointProduct`), shape
+    (points, N·(P + 1)²), entry d·(P + 1)² + a·(P + 1) + b: the powers
+    g_d^α/α! by repeated products, then the sum over α with the 1-D
+    table as one matrix product."""
+    N, P = tensor.jkset.N, tensor.jkset.degree
+    g = modes.reshape(N, -1).T
+    powers = np.empty(g.shape + (2 * P + 1,))
+    powers[..., 0] = 1.0
+    for a in range(1, 2 * P + 1):
+        np.multiply(powers[..., a - 1], g, out=powers[..., a])
+        powers[..., a] /= a
+    table = triple_product_table(2 * P, P).reshape(2 * P + 1, (P + 1) ** 2)
+    return (powers @ table).reshape(len(g), N * (P + 1) ** 2)
+
+
 def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of ``jk``, multi-indices of degree ≤ P over some
     of the dimensions, ordered by total degree and then by their digits,
@@ -291,23 +312,14 @@ class _GaussPointProduct:
             [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
              for part, dims in ((first, range(h)), (second, range(h, N)))
              for e, d in enumerate(dims)])
-        # m_d at every point: g_d^α/α! by repeated products, then the sum
-        # over α with the 1-D table as one matrix product
-        g = modes.reshape(N, -1).T
-        powers = np.empty(g.shape + (2 * P + 1,))
-        powers[..., 0] = 1.0
-        for a in range(1, 2 * P + 1):
-            np.multiply(powers[..., a - 1], g, out=powers[..., a])
-            powers[..., a] /= a
-        table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
-        m = (powers @ table).reshape(len(g), N * s)
-        a0 = mean.ravel()
+        m = _dimension_factors(tensor, modes)
+        a0, points = mean.ravel(), len(m)
         # A_q with a_0 and B_q, from chunks of the m_d's entries
-        self._a = np.empty((len(g), n1 * n1))
-        self._b = np.empty((len(g), n2 * n2))
+        self._a = np.empty((points, n1 * n1))
+        self._b = np.empty((points, n2 * n2))
         step = max(_CHUNK_BYTES // (8 * len(take)), 1)
-        for lo in range(0, len(g), step):
-            hi = min(lo + step, len(g))
+        for lo in range(0, points, step):
+            hi = min(lo + step, points)
             F = m[lo:hi].take(take, axis=1)
             FA = F[:, :h * n1 * n1].reshape(hi - lo, h, n1 * n1)
             FB = F[:, h * n1 * n1:].reshape(hi - lo, N - h, n2 * n2)
@@ -325,7 +337,7 @@ class _GaussPointProduct:
         # and the gradients, which the result overwrites
         widths = (2 * n1 * n2, 2 * n1 * n2, 2 * len(jk))
         self._points = min(max(_CHUNK_BYTES // (8 * sum(widths)), 1),
-                           len(g))
+                           points)
         self._work = [np.empty(self._points * w) for w in widths]
 
     def plan(self, rows, cols, summations: int) -> _GaussPlan:
@@ -355,15 +367,6 @@ class _GaussPointProduct:
                           entries(c1, c2, s2.stop - s2.start).ravel(),
                           entries(r1, r2, t2.stop - t2.start).ravel(),
                           summations)
-
-    def pair_fields(self, rows, cols) -> np.ndarray:
-        """C_q[j, k] at every point for the block pairs (j, k) =
-        (rows[p], cols[p]), shape (points, pairs): the coefficient field
-        whose stiffness matrix is the block K^{(jk)} = Σ_i c_ijk K_i."""
-        (n1, n2), pos1, pos2 = self._shape, self._pos1, self._pos2
-        fields = self._a.take(pos1[rows] * n1 + pos1[cols], axis=1)
-        fields *= self._b.take(pos2[rows] * n2 + pos2[cols], axis=1)
-        return fields
 
     def factors(self, plan: _GaussPlan, points: slice):
         """A_q[T₁, S₁] and B_q[S₂, T₂] of ``plan`` at the ``points``,
@@ -416,27 +419,29 @@ class GalerkinOperator:
     :func:`~sgfem.fem.apply_dirichlet`, which sets K_0's boundary diagonal
     to 1.  The rest it derives from the field at the Gauss points (module
     docstring): the full product, the level sweeps' pushes, every band
-    fill and the traces tr(K_iᵀK_0) (:meth:`k0_traces`).  The stiffness
+    fill and :meth:`block`, from the 1-D factors m_d it computes at the
+    first fill and keeps, and the traces tr(K_iᵀK_0) (:meth:`k0_traces`).
+    The stiffness
     family, one matrix K_i per chaos coefficient of the field
     (:func:`~sgfem.fem.assemble_stiffness_family` of
     :attr:`~sgfem.random_field.CoefficientFields.values`), is assembled
     once, at the first :meth:`family` call, by what reads it: the
     family's plans (:meth:`plan`, which gs and the truncated sweeps push
-    with), :meth:`block`, the dense assembly, and through ``k_mats`` the
-    norms and ``sg export``.  ``k_mats`` holds the K_i, which share one
+    with), the dense assembly, and through ``k_mats`` the norms and
+    ``sg export``.  ``k_mats`` holds the K_i, which share one
     CSR pattern, and ``kdata`` their data arrays stacked, one row per
     matrix: every ``k_mats[i].data`` is the row ``kdata[i]``; reading
     either assembles the family.  Its row 0 is K_0's data as the operator
     holds it when the family is built, in the one array that K_0 keeps
     from then on.
 
-    An in-place edit of ``kdata`` is an edit of the family's products,
-    blocks and dense assembly; one of row 0 is also an edit of K_0,
-    which :meth:`matvec` and :meth:`fixed_divisor` read on the fixed
-    nodes and the factor of block 0 alone reads whole.  The products and
-    fills at the Gauss points do not see such an edit.  :meth:`matvec`,
-    :meth:`fixed_divisor`, :meth:`k0_traces` and the fills never
-    assemble the family.
+    An in-place edit of ``kdata`` is an edit of the family's products
+    and dense assembly; one of row 0 is also an edit of K_0, which
+    :meth:`matvec`, :meth:`fixed_divisor` and :meth:`block` read on the
+    fixed nodes and the factor of block 0 alone reads whole.  The
+    products, fills and blocks at the Gauss points do not see such an
+    edit.  :meth:`matvec`, :meth:`fixed_divisor`, :meth:`k0_traces`,
+    :meth:`block` and the fills never assemble the family.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -499,7 +504,8 @@ class GalerkinOperator:
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
         self._field, self._mesh = field, mesh
-        self._assembly_matrix: sp.csr_matrix | None = None
+        self._m: np.ndarray | None = None
+        self._jk = tensor.jkset.as_array()
         self._gauss: _GaussPointProduct | None = None
         self._full: _GaussPlan | None = None
         self._k_mats: list | None = None
@@ -528,9 +534,16 @@ class GalerkinOperator:
         column = np.full(n, f, dtype=ix.dtype)
         column[free] = np.arange(f)
         self._free_indices = column[ix[lo:hi]]
-        self._free_rows = np.repeat(np.arange(f), np.diff(self._free_indptr))
-        self._band = int((self._free_rows - self._free_indices).max(
-            initial=0))
+        self._free_rows = rows = np.repeat(np.arange(f),
+                                           np.diff(self._free_indptr))
+        self._band = int((rows - self._free_indices).max(initial=0))
+        # the slot of entry (b, a) for each entry (a, b) below the
+        # diagonal: the pattern is symmetric, and its slots ascend by row
+        # and column, the pad slots last in their row
+        cols = self._free_indices.astype(np.int64)
+        low = rows > cols
+        self._mirror = np.searchsorted(rows * (f + 1) + cols,
+                                       cols[low] * (f + 1) + rows[low])
 
     def family(self, purpose: str) -> list[sp.csr_matrix]:
         """The stiffness family, assembled at the first call from the
@@ -654,6 +667,15 @@ class GalerkinOperator:
                 self.free)
         return self._gauss
 
+    def _factors(self) -> np.ndarray:
+        """The 1-D factors m_d at the points (:func:`_dimension_factors`)
+        that the band fills read, computed at the first fill and kept.
+        The Gauss-point product forms its A_q and B_q from its own m_d,
+        which it drops."""
+        if self._m is None:
+            self._m = _dimension_factors(self.tensor, self._field.modes)
+        return self._m
+
     def gauss_plan(self, row_blocks, col_blocks) -> _GaussPlan:
         """The plan of w_(j) = Σ_{k∈col_blocks} Σ_i c_ijk K_i v_(k) over
         the full tensor for :meth:`tmatvec`, at the Gauss points (module
@@ -744,12 +766,19 @@ class GalerkinOperator:
     # -- assembled blocks -------------------------------------------------
 
     def block(self, j: int, k: int) -> sp.csr_matrix | None:
-        """Assembled block K^{(j,k)} with the full sum, or None if zero."""
+        """Assembled block K^{(j,k)} with the full sum, or None if zero:
+        the stiffness matrix of its pair field, as the band fills take
+        it (:meth:`_pair_values`), with a fixed row's diagonal
+        (G_0)_jj · K_0[b,b] when j = k.  The pair field of block (0, 0)
+        is the mean, whose matrix is K_0."""
         t = self.tensor
-        sel = np.flatnonzero((t.j == j) & (t.k == k))  # ascending in i
-        if len(sel) == 0:
+        if not np.any((t.j == j) & (t.k == k)):
             return None
-        data = t.val[sel] @ self.kdata[t.i[sel]]
+        (_, data), = self._pair_values(np.array([j]), np.array([k]))
+        data = data[0]
+        if j == k:
+            data[self._fixed_slots] = (self._g0[j]
+                                       * self._k0.data[self._fixed_slots])
         return sp.csr_matrix((data, self._k0.indices, self._k0.indptr),
                              shape=(self.n_dof, self.n_dof))
 
@@ -801,7 +830,11 @@ class GalerkinOperator:
         (a·s + r, b·s + c) of the run's matrix; it lies in the lower
         triangle when a > b, or when a = b and r ≥ c, so only pairs with
         r ≥ c write the diagonal node entries.  Pad slots, whose column
-        is past every free node, write nothing.
+        is past every free node, write nothing.  Only the pairs with
+        r ≥ c are computed: block (k, j) is the transpose of block (j, k)
+        bit for bit, since the pair fields and the element matrices are
+        symmetric, so pair (c, r) writes the entries (b, a) of pair
+        (r, c).
         """
         f, s = self.n_free, len(blocks)
         band = self.run_band(s)
@@ -813,72 +846,76 @@ class GalerkinOperator:
         abT = np.zeros((s * f, band + 1))
         flat = abT.reshape(-1)
         base = cols * (s * (band + 1)) + (node - cols) * s
-        base_low, base_diag = base[low, None], base[diag, None]
-        r, c = np.divmod(np.arange(s * s), s)
+        base_low, base_diag = base[None, low], base[None, diag]
+        r, c = np.tril_indices(s)
         if blocks == range(1):  # c_i00 = δ_i0 and c_000 = 1: K^{(00)} = K_0
-            chunks = [(slice(0, 1), self._k0.data[:, None])]
+            chunks = [(slice(0, 1), self._k0.data[None])]
         else:
             chunks = self._pair_values(blocks.start + r, blocks.start + c)
         for part, values in chunks:
-            values = values[self._free_span]
-            shift = c[part] * band + r[part]
-            flat[base_low + shift] = values[low]
-            on = r[part] >= c[part]
-            flat[base_diag + shift[on]] = values[np.ix_(diag, on)]
+            values = values[:, self._free_span]
+            rp, cp = r[part], c[part]
+            shift = (cp * band + rp)[:, None]
+            flat[base_low + shift] = values[:, low]
+            flat[base_diag + shift] = values[:, diag]
+            off = rp > cp
+            flat[base_low + (rp[off] * band + cp[off])[:, None]] = \
+                values[off][:, self._mirror]
         return abT.T
 
     def _pair_values(self, j, k):
         """The blocks (j[p], k[p]) on the Dirichlet pattern, as (slice of
-        p, data) chunks, the data of the chunk's pairs as columns.  Block
-        (j, k) is the stiffness matrix of the pair field C_q[j, k]
-        (:meth:`_GaussPointProduct.pair_fields`), one product with the
-        assembly matrix (:func:`~sgfem.fem.assembly_matrix`) for all the
-        chunk's pairs.  A chunk's fields and data, with the caller's
-        gathers of the data, take about ``_CHUNK_BYTES``."""
-        gauss, S = self._gauss_product(), self._assembly()
-        (nnz, points), ip, ix, sx = S.shape, S.indptr, S.indices, S.data
-        step = max(_CHUNK_BYTES // (8 * (points + 3 * nnz)), 1)
+        p, data) chunks, the data of the chunk's pairs as rows.  Block
+        (j, k) = Σ_i c_ijk K_i is the stiffness matrix of the pair field
+        C_q[j, k] = a_0 Π_d m_d[j_d, k_d] (:class:`_GaussPointProduct`),
+        exactly since P′ ≥ 2P, from the kept 1-D factors
+        (:meth:`_factors`), assembled as a K_i is
+        (:func:`~sgfem.fem.stiffness_data`).  A chunk's fields, data and
+        the caller's gathers of the data take about a quarter of
+        ``_CHUNK_BYTES``, beside the assembly's own chunk."""
+        m, mesh, a0 = self._factors(), self._mesh, self._field.mean.ravel()
+        N, side = self._jk.shape[1], self.tensor.jkset.degree + 1
+        # the column of m_d[j_d, k_d] in m for each pair and dimension
+        columns = np.arange(N) * side ** 2 + self._jk[j] * side + self._jk[k]
+        step = max(_CHUNK_BYTES // (64 * (len(a0) + len(self._k0.data))), 1)
         for lo in range(0, len(j), step):
-            part = slice(lo, lo + step)
-            fields = gauss.pair_fields(j[part], k[part])
-            values = np.zeros((nnz, fields.shape[1]))
-            csr_matvecs(nnz, points, fields.shape[1], ip, ix, sx,
-                        fields.ravel(), values.ravel())
-            yield part, values
-
-    def _assembly(self) -> sp.csr_matrix:
-        """The assembly matrix of K_0's pattern
-        (:func:`~sgfem.fem.assembly_matrix`), built at its first use."""
-        if self._assembly_matrix is None:
-            self._assembly_matrix = assembly_matrix(self._mesh)
-        return self._assembly_matrix
+            part = columns[lo:lo + step]
+            fields = np.repeat(a0[None], len(part), axis=0)
+            for e in range(N):  # the order in which the k_i multiply
+                fields *= m.take(part[:, e], axis=1).T
+            yield slice(lo, lo + step), stiffness_data(
+                mesh, fields.reshape(len(part), -1, 4))
 
     def k0_traces(self) -> np.ndarray:
         """tr(K_iᵀK_0) for every coefficient index i, from the field at
-        the Gauss points, assembling no K_i: with u = Sᵀd_0 the point
-        weights of K_0's data (:func:`~sgfem.fem.assembly_matrix`), the
-        trace is Σ_q k_i(q) u(q)
+        the Gauss points, assembling no K_i: with u the point weights of
+        K_0's data (:func:`~sgfem.fem.point_weights`), the trace is
+        Σ_q k_i(q) u(q)
         (:meth:`~sgfem.random_field.CoefficientFields.moments`), plus,
         for i = 0, Σ_b K_0[b,b]² over the fixed nodes, where every other
         K_i holds 0."""
         d0 = self._k0.data
-        u = self._assembly().T @ d0
-        traces = self._field.moments(u.reshape(self._field.mean.shape))
+        traces = self._field.moments(point_weights(self._mesh, d0))
         fixed = d0[self._fixed_slots]
         traces[0] += fixed @ fixed
         return traces
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
-        """Explicit global matrix for brute-force verification only."""
+        """Explicit global matrix for brute-force verification and
+        ``sg export``, every block Σ_i c_ijk K_i from the family, the
+        c_ijk in ascending i."""
         n = self.n_global
         if n > cap:
             raise ValueError(f"global dimension {n} exceeds the dense "
                              f"assembly cap {cap}")
-        nd = self.n_dof
+        nd, kdata, (indices, indptr) = self.n_dof, self.kdata, (
+            self._k0.indices, self._k0.indptr)
         A = np.zeros((n, n))
         t, m1 = self.tensor, self.M + 1
         for pair in np.unique(t.j * m1 + t.k).tolist():
             j, k = divmod(pair, m1)
-            A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = \
-                self.block(j, k).toarray()
+            sel = np.flatnonzero((t.j == j) & (t.k == k))
+            A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = sp.csr_matrix(
+                (t.val[sel] @ kdata[t.i[sel]], indices, indptr),
+                shape=(nd, nd)).toarray()
         return A

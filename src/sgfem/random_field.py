@@ -155,10 +155,13 @@ class CoefficientFields:
     g_d, each of shape (n_elements, 4), so that every coefficient is
     k_i = a_0 Π_d g_d^{i_d} / i_d!.  The mean is strictly positive.  A
     :class:`~sgfem.galerkin.GalerkinOperator` takes the field whole, on
-    its tensor's i-set: it multiplies at the points from ``mean`` and
-    ``modes``, assembles K_0 from ``mean`` and, only where something
-    reads it, its stiffness family from :attr:`values`, one source for
-    all three.
+    its tensor's i-set: it multiplies and fills its block factors at the
+    points from ``mean`` and ``modes``, assembles K_0 from ``mean`` and,
+    only where something reads it, its stiffness family from
+    :attr:`values`; kron's trace weights are :meth:`moments`.  Both
+    evaluate the closed form of the k_i from ``mean`` and ``modes``, so
+    an edited field moves them all; :meth:`moments` groups its factors
+    by halves of the dimensions and forms no k_i.
     """
 
     basis: MultiIndexSet

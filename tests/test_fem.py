@@ -14,6 +14,8 @@ from sgfem.fem import (
     assemble_stiffness_family,
     build_mesh,
     dirichlet_nnz,
+    point_weights,
+    stiffness_data,
 )
 from sgfem.linalg import factorize
 
@@ -266,6 +268,24 @@ class TestDirichletFamily:
                 .tolist() == [b]
         apply_dirichlet(first, np.zeros(m.n_nodes), m)
         assert stack.any(axis=0).all()
+
+    def test_chunked_data_and_point_weights(self):
+        """The data of 70 fields at n = 4, three chunks of the assembly,
+        are those of one field at a time bit for bit, with or without
+        the matrices; the point weights of data d are its transpose, so
+        their sum against a field is d's dot product with that field's
+        data."""
+        m = build_mesh(4)
+        rng = np.random.default_rng(5)
+        coeffs = rng.uniform(0.1, 10.0, (70, 16, 4))
+        data = stiffness_data(m, coeffs)
+        assert_bitwise(data, assemble_stiffness_family(m, coeffs)[0].data.base)
+        for c, row in zip(coeffs, data):
+            assert_bitwise(row, stiffness_data(m, c[None])[0])
+        d = rng.standard_normal(data.shape[1])
+        np.testing.assert_allclose(
+            coeffs.reshape(70, -1) @ point_weights(m, d).ravel(), data @ d,
+            rtol=1e-13)
 
     def test_assembly_peak_near_the_family(self):
         """Memory regression guard: assembling the family of N = P = 4

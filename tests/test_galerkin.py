@@ -1040,19 +1040,13 @@ def band_lower(ab):
 
 def assert_same_band_values(got, want):
     """Two unfactorized bands: the same zero pattern, values within
-    1e-15 of the largest.  An entry that cancels mathematically may be
-    rounding noise in one route and exactly 0 in the other (the
-    Gauss-point fill sums a field that a mirrored pair of KL modes makes
-    exactly antisymmetric), so only entries above 1e-15 of the largest
-    must be zero in both or in neither.  Bands of no rows (a mesh
-    without free nodes) are equal whatever their width."""
+    1e-15 of the largest.  Bands of no rows (a mesh without free nodes)
+    are equal whatever their width."""
     if got.size == want.size == 0:
         return
     assert got.shape == want.shape
-    scale = np.abs(want).max()
-    noise = np.maximum(np.abs(got), np.abs(want)) <= 1e-15 * scale
-    assert np.array_equal((got == 0) | noise, (want == 0) | noise)
-    assert np.abs(got - want).max() <= 1e-15 * scale
+    assert np.array_equal(got == 0, want == 0)
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def assert_band_matches_oracle(op, blocks):
@@ -1196,11 +1190,9 @@ class TestFactorizationContract:
         """Memory regression guard: the bytes a level factorization keeps
         are its band storage, within 5 %, so a retained second copy of a
         factor (or of D_ℓ) fails; and the band is filled in place, so
-        the peak passes it by no more than the fill's chunk of pair
-        fields, pair values and their gathers.  The Gauss-point data the
-        fill reads are built before."""
+        the peak passes it by no more than the fill's quarter chunk of
+        pair values and its two gathers, one chunk in all."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
-        op._gauss_product()  # the fill reads its A_q and B_q
         level = range(35, 70)
         kept, peak = traced_memory(lambda: op.assemble_level_block(level))
         band = op.assemble_level_block(level)._state[0].nbytes

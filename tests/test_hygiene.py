@@ -200,6 +200,10 @@ TEST_ONLY_PUBLIC = {
     "fem.assemble_stiffness": "the Neumann matrix of one field, the "
                               "reference the Dirichlet family is "
                               "compared with",
+    "galerkin.GalerkinOperator.block": "one block from its pair field, as "
+                                       "the band fills take it: the "
+                                       "reference their band layouts are "
+                                       "compared with",
 }
 
 
