@@ -14,22 +14,23 @@ a stacked product buffer.  Then the buffer is mixed into the row blocks
 by one sparse coupling matrix holding the c_ijk.  The buffer is filled
 and mixed in chunks of bounded size, so a product over all blocks never
 holds every K_i v_(k) at once.  Which products a call needs and how they
-mix form a plan, an object built by ``plan(rows, cols, trunc)`` and held
-by its user: a preconditioner keeps the plans of its own pushes.
+mix form a plan, an object built by ``plan(rows, cols, trunc)`` from the
+tensor's entries grouped by column block, and held by its user: a
+preconditioner keeps the plans of its own products.
 
 A product over the full tensor need not stream the K_i at all: it can
 multiply at the Gauss points from the lognormal field and the mesh,
 exactly since P′ ≥ 2P (:class:`_GaussPointProduct`), with a plan built
 by ``gauss_plan(rows, cols)``.  The full product always runs there, and
-so do the pushes of the level sweeps (hs, ahs and ahgs) whose truncation
-keeps every tensor index.  A push at the Gauss points multiplies slices
-of stored factors whose half grids are ordered by total degree; it
-applies the full tensor and scatters through the whole grid of its row
-blocks however few its column blocks are, while a push through the
-family costs what its retained K_i do.  So gs, which pushes each single
-block to all the blocks after it, and the truncated sweeps, whose pushes
-need only the retained K_i, read the family, and so do the dense
-assembly, the norms and ``sg export``.  The band fills, ``block`` and
+so do the couplings between degree levels of every sweep whose
+truncation keeps every tensor index.  A product at the Gauss points
+multiplies slices of stored factors whose half grids are ordered by
+total degree; it applies the full tensor and scatters through the whole
+grid of its row blocks however few its column blocks are, while a
+product through the family costs what its retained K_i do.  So gs's
+pushes inside a level, each from a single block, and the truncated
+sweeps, which need only the retained K_i, read the family, and so do the
+dense assembly, the norms and ``sg export``.  The band fills, ``block`` and
 kron's trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is
 the stiffness matrix of its pair field C_q[j,k] = a_0 Π_d m_d[j_d, k_d]
 at the points, assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`)
@@ -418,22 +419,21 @@ class GalerkinOperator:
     mean, and fixes the mesh's boundary by
     :func:`~sgfem.fem.apply_dirichlet`, which sets K_0's boundary diagonal
     to 1.  The rest it derives from the field at the Gauss points (module
-    docstring): the full product, the level sweeps' pushes, every band
-    fill and :meth:`block`, from the 1-D factors m_d it computes at the
-    first fill and keeps, and the traces tr(K_iᵀK_0) (:meth:`k0_traces`).
-    The stiffness
-    family, one matrix K_i per chaos coefficient of the field
-    (:func:`~sgfem.fem.assemble_stiffness_family` of
-    :attr:`~sgfem.random_field.CoefficientFields.values`), is assembled
-    once, at the first :meth:`family` call, by what reads it: the
-    family's plans (:meth:`plan`, which gs and the truncated sweeps push
-    with), the dense assembly, and through ``k_mats`` the norms and
-    ``sg export``.  ``k_mats`` holds the K_i, which share one
-    CSR pattern, and ``kdata`` their data arrays stacked, one row per
-    matrix: every ``k_mats[i].data`` is the row ``kdata[i]``; reading
-    either assembles the family.  Its row 0 is K_0's data as the operator
-    holds it when the family is built, in the one array that K_0 keeps
-    from then on.
+    docstring): the full product, the sweeps' couplings between levels,
+    every band fill and :meth:`block`, from the 1-D factors m_d it
+    computes at the first fill and keeps, and the traces tr(K_iᵀK_0)
+    (:meth:`k0_traces`).  The stiffness family, one matrix K_i per chaos
+    coefficient of the field (:func:`~sgfem.fem.assemble_stiffness_family`
+    of :attr:`~sgfem.random_field.CoefficientFields.values`), is
+    assembled once, at the first :meth:`family` call, by what reads it:
+    the family's plans (:meth:`plan`, for gs's pushes inside a level and
+    the truncated sweeps' couplings), the dense assembly, and through
+    ``k_mats`` the norms and ``sg export``.  ``k_mats`` holds the K_i,
+    which share one CSR pattern, and ``kdata`` their data arrays
+    stacked, one row per matrix: every ``k_mats[i].data`` is the row
+    ``kdata[i]``; reading either assembles the family.  Its row 0 is
+    K_0's data as the operator holds it when the family is built, in the
+    one array that K_0 keeps from then on.
 
     An in-place edit of ``kdata`` is an edit of the family's products
     and dense assembly; one of row 0 is also an edit of K_0, which
@@ -468,9 +468,7 @@ class GalerkinOperator:
     matrix-vector products K_i v_(k) actually run, which only the
     family's plans run: a product at the Gauss points counts its terms
     and no product.  Within one call each K_i v_(k) is computed once for
-    all row blocks; the block Gauss-Seidel sweep pushes each solved group
-    through a single call, so its products are shared across all the rows
-    they update as well.
+    all row blocks.
     """
 
     def __init__(self, tensor: CijkTensor, field: CoefficientFields,
@@ -509,6 +507,7 @@ class GalerkinOperator:
         self._gauss: _GaussPointProduct | None = None
         self._full: _GaussPlan | None = None
         self._k_mats: list | None = None
+        self._by_k: tuple | None = None
 
     def _fix_boundary(self, boundary: np.ndarray) -> None:
         """Fix the mesh's boundary nodes, on whose Dirichlet pattern K_0
@@ -615,8 +614,13 @@ class GalerkinOperator:
         # indices past the tensor (a degree above 2P) carry no c_ijk
         keep = np.zeros(len(t.iset), dtype=bool)
         keep[trunc.indices[trunc.indices < len(t.iset)]] = True
-        sel = np.flatnonzero(keep[t.i] & (pos_r[t.j] >= 0)
-                             & (pos_c[t.k] >= 0))
+        # the retained terms among the column blocks' entries, in any
+        # order: the products and the mixing below order them
+        by_k, starts = self._entries_by_k()
+        counts = starts[cols + 1] - starts[cols]
+        sel = by_k[np.repeat(starts[cols] - np.cumsum(counts) + counts,
+                             counts) + np.arange(counts.sum())]
+        sel = sel[keep[t.i[sel]] & (pos_r[t.j[sel]] >= 0)]
         rr, vv = pos_r[t.j[sel]], t.val[sel]
         pairs, prod = np.unique(t.i[sel] * n_cols + pos_c[t.k[sel]],
                                 return_inverse=True)
@@ -641,7 +645,7 @@ class GalerkinOperator:
             np.cumsum(np.bincount(rr[m], minlength=len(rows)),
                       out=indptr[1:])
             if n_cols == 1:
-                steps = [int(i) for i in pi[a:b]]
+                steps = pi[a:b].tolist()
             else:
                 steps = [(int(pi[s]), s - a, pk[s:e])
                          for s, e in zip(bounds[:-1], bounds[1:])
@@ -650,6 +654,15 @@ class GalerkinOperator:
                                  (prod[m] - a).astype(idx_dtype),
                                  np.ascontiguousarray(vv[m], dtype=float)))
         return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel))
+
+    def _entries_by_k(self) -> tuple[np.ndarray, np.ndarray]:
+        """The tensor's entries grouped by k and where each k's group
+        starts (M + 2 bounds), computed at the first plan and kept."""
+        if self._by_k is None:
+            k = self.tensor.k
+            order = np.argsort(k, kind="stable")
+            self._by_k = order, np.searchsorted(k[order], range(self.M + 2))
+        return self._by_k
 
     def _chunk_buffer(self, n_products: int) -> np.ndarray:
         """The stacked product buffer's first rows, one entry per free
@@ -788,16 +801,27 @@ class GalerkinOperator:
         j in block-major order: one band factor that solves them all.
 
         Each block's free-node band, of the free pattern's band b, fills
-        its own columns of one (b + 1, s·n_free) band; the entries that
-        would couple a block to the next stay 0, so the factor is block
-        diagonal too.  The band's bytes are checked against physical
-        memory before it is filled.
+        its own columns of one (b + 1, s·n_free) band, all of them from
+        one pass of the blocks' values (:meth:`_band_values`); the
+        entries that would couple a block to the next stay 0, so the
+        factor is block diagonal too.  The band's bytes are checked
+        against physical memory before it is filled.
         """
-        f = self.n_free
-        check_band_fits(len(blocks) * f, self._band)
-        ab = np.empty((self._band + 1, len(blocks) * f), order="F")
-        for p, j in enumerate(blocks):
-            ab[:, p * f:(p + 1) * f] = self._fill_band(range(j, j + 1))
+        f, band = self.n_free, self._band
+        check_band_fits(len(blocks) * f, band)
+        ab = np.zeros((band + 1, len(blocks) * f), order="F")
+        # its transpose, C-ordered: entry (a, b) of block p goes to row
+        # p·n_free + b, column a − b
+        flat = ab.T.reshape(-1)
+        node, cols = self._free_rows, self._free_indices.astype(np.int64)
+        low, diag = node > cols, node == cols
+        base = cols * (band + 1) + node - cols
+        base_low, base_diag = base[None, low], base[None, diag]
+        j = np.arange(blocks.start, blocks.stop)
+        for part, values in self._band_values(j, j):
+            shift = (np.arange(len(j))[part] * (f * (band + 1)))[:, None]
+            flat[base_low + shift] = values[:, low]
+            flat[base_diag + shift] = values[:, diag]
         return factorize_band(ab)
 
     def assemble_level_block(self, blocks: range) -> Factorization:
@@ -848,12 +872,8 @@ class GalerkinOperator:
         base = cols * (s * (band + 1)) + (node - cols) * s
         base_low, base_diag = base[None, low], base[None, diag]
         r, c = np.tril_indices(s)
-        if blocks == range(1):  # c_i00 = δ_i0 and c_000 = 1: K^{(00)} = K_0
-            chunks = [(slice(0, 1), self._k0.data[None])]
-        else:
-            chunks = self._pair_values(blocks.start + r, blocks.start + c)
-        for part, values in chunks:
-            values = values[:, self._free_span]
+        for part, values in self._band_values(blocks.start + r,
+                                              blocks.start + c):
             rp, cp = r[part], c[part]
             shift = (cp * band + rp)[:, None]
             flat[base_low + shift] = values[:, low]
@@ -862,6 +882,18 @@ class GalerkinOperator:
             flat[base_low + (rp[off] * band + cp[off])[:, None]] = \
                 values[off][:, self._mirror]
         return abT.T
+
+    def _band_values(self, j, k):
+        """The free span of the blocks (j[p], k[p]) as :meth:`_pair_values`
+        chunks, a first pair (0, 0) being K_0, which the operator holds:
+        c_i00 = δ_i0 and c_000 = 1, so K^{(00)} = K_0."""
+        mean = int(len(j) > 0 and j[0] == k[0] == 0)
+        if mean:
+            yield slice(0, 1), self._k0.data[None, self._free_span]
+        if len(j) > mean:  # the 1-D factors only where a pair needs them
+            for part, values in self._pair_values(j[mean:], k[mean:]):
+                yield (slice(part.start + mean, part.stop + mean),
+                       values[:, self._free_span])
 
     def _pair_values(self, j, k):
         """The blocks (j[p], k[p]) on the Dirichlet pattern, as (slice of

@@ -10,39 +10,43 @@ G = Σ_α w_α G_α:
   kron  every one, trace-fitted
 
 Both solve K_0 with the factor of the mean diagonal block, K^{(0,0)} = K_0.
-The other four are symmetric block Gauss-Seidel sweeps, one class
-(``BlockGaussSeidel``) that differs by kind only in how the blocks are
-grouped, in which order the groups are swept and how a group is solved:
+The other four are symmetric block Gauss-Seidel sweeps over the degree
+levels, one class (``BlockGaussSeidel``) that differs by kind only in
+which order the levels are swept and how a level is solved:
 
-  kind  groups          order       group solve
-  gs    single blocks   ascending   diagonal block
+  kind  groups          order       level solve
+  gs    degree levels   ascending   its blocks one by one
   ahgs  degree levels   ascending   the level's diagonal blocks
   ahs   degree levels   descending  the level's diagonal blocks
   hs    degree levels   descending  exact D_ℓ (banded Cholesky)
 
 hs is the hierarchical Schur complement preconditioner: the descending
-sweep is its downward pre-correction and upward post-correction.  Each
-group has one factor, so a group solve is one call: D_ℓ for hs, the
-group's block diagonal otherwise (a single block for gs), so a level of
-one block is a diagonal block in every kind.  Off-diagonal block products
-inside the sweeps (pushes) honor the configured TruncationSet; the
-factors always take the full sum.  A level sweep (hs, ahs, ahgs) whose
-truncation keeps every tensor index pushes at the Gauss points
-(``op.gauss_plan``): each push goes from one level to all the levels
-after or before it and multiplies slices of the operator's stored A_q
-and B_q, ordered by degree, reading no K_i and copying no sub-block.
-gs pushes each single block to every block after it; at the Gauss
-points each such push costs nearly a full grid product, which made its
-apply 2.4–8× slower, so it keeps the family's product (``op.plan``).  So
-do the truncated sweeps, whose pushes need only the retained K_i; the
-operator assembles the family when such a sweep is made.
+sweep is its downward pre-correction and upward post-correction.  A
+level is solved by one factor, D_ℓ for hs and its block diagonal for ahs
+and ahgs, or by gs one block at a time, each by its own factor; a level
+of one block is a diagonal block in every kind.  Off-diagonal block
+products inside the sweeps honor the configured TruncationSet; the
+factors always take the full sum.  Levels couple by the same rule in
+every kind: in the ascending pass a level pulls the products of all
+lower levels just before it is solved, and in the descending pass it
+pushes its own to all lower levels just after.  When the truncation
+keeps every tensor index these couplings run at the Gauss points
+(``op.gauss_plan``), multiplying slices of the operator's stored A_q and
+B_q, ordered by degree, that span only the level and those below it,
+reading no K_i and copying no sub-block.  A truncated sweep couples
+levels through the family (``op.plan``), since it needs only the
+retained K_i.  Inside a level gs pushes each block to the later blocks
+of the level on the way up and to the earlier ones on the way down,
+through the family: at the Gauss points each such push from one block
+costs nearly a product over the level's whole grid.  The operator
+assembles the family when gs or a truncated sweep is made.
 Each preconditioner owns the factorizations and product plans it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.
 
-An apply takes r's free-node entries once and runs every solve and push
-on them; each fixed row is one division by its diagonal, computed and
-checked when the preconditioner is made.
+An apply takes r's free-node entries once and runs every solve and
+product on them; each fixed row is one division by its diagonal,
+computed and checked when the preconditioner is made.
 """
 
 from __future__ import annotations
@@ -106,105 +110,111 @@ class Kronecker(Preconditioner):
 
 
 class BlockGaussSeidel(Preconditioner):
-    """Symmetric block Gauss-Seidel over groups of consecutive blocks:
-    gs, hs, ahs and ahgs, with the groups, order and group solve of the
-    kind table.
+    """Symmetric block Gauss-Seidel over the degree levels: gs, hs, ahs
+    and ahgs, with the order and level solve of the kind table.
 
-    Equals the inverse of (D + L_π) D⁻¹ (D + U_π) with D the group
-    matrices (whole level matrices for hs, the diagonal blocks otherwise)
-    and L_π/U_π the truncated couplings of a row to the groups before/after
-    its own in the sweep order π.
-
-    The sweep runs forward through the groups, then back, in push form:
-    once a group is solved, one product with its column blocks subtracts
-    its coupling from every row still to be solved, so each group's
-    solution is pushed once per half sweep.  In either order those rows
-    are one slice of blocks, computed once here; the forward sweep's last
-    group pushes to an empty slice, a product with no terms.
+    Equals the inverse of (D + L_π) D⁻¹ (D + U_π) with D the matrices
+    solved (whole level matrices for hs, the diagonal blocks otherwise)
+    and L_π/U_π the truncated couplings of a row to the units solved
+    before/after its own in the sweep order π.
 
     The levels are the runs of equal total degree in the basis's graded
-    order, ``op.tensor.jkset.total_degrees()``.  Each group is solved by
-    one factor of its blocks: of all their pairs, the level matrix D_ℓ,
-    when ``exact``, else of their block diagonal.  Every group's factor
-    and the plans of its two pushes are built at the first apply and kept
-    in ``_sweep``, their only owner, so the band bytes of every factor
-    the sweep will hold are summed here and checked against physical
-    memory together, before any work.  A sweep whose pushes run through
-    the stiffness family (gs, or a truncated level sweep) has the
-    operator assemble it here, at setup, once per operator.
+    order, ``op.tensor.jkset.total_degrees()``.  A unit is a run of
+    blocks solved by one factor: a level, or for gs each block of it.
+    The sweep runs one pass ascending through the units and one
+    descending, in the kind's order; the last solve of the first pass is
+    also the first of the second, and one product runs between two
+    solves: a level's pull (module docstring) before its first unit is
+    solved ascending and its push after that unit is solved descending,
+    and gs's pushes inside a level around its other units.
+
+    Every unit's factor and every plan are built at the first apply and
+    kept in ``_sweep``, their only owner, so the band bytes of every
+    factor the sweep will hold are summed here and checked against
+    physical memory together, before any work.  A sweep that reads the
+    family has the operator assemble it here, at setup, once per
+    operator.
     """
 
-    def __init__(self, op, trunc, by_level: bool, descending: bool,
-                 exact: bool):
+    def __init__(self, op, trunc, descending: bool, solve: str):
         super().__init__(op, trunc)
-        end = op.M + 1
-        # a group is a run of blocks of one key: their total degree (a
-        # level) or their own index (a single block)
-        keys = op.tensor.jkset.total_degrees() if by_level else range(end)
+        keys = op.tensor.jkset.total_degrees()
         bounds = np.searchsorted(keys, range(keys[-1] + 2)).tolist()
-        groups = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            after, before = slice(hi, end), slice(0, lo)
-            if descending:
-                after, before = before, after
-            # its blocks, rows to push to going forward, rows to push to
-            # going back
-            groups.append((range(lo, hi), after, before))
-        sizes = [len(blk) for blk, _, _ in groups]
+        # (its level, its blocks) of every unit, in ascending order
+        self._units = [(level, unit)
+                       for level in map(range, bounds[:-1], bounds[1:])
+                       for unit in ([range(j, j + 1) for j in level]
+                                    if solve == "blocks" else [level])]
+        exact = solve == "exact"
+        sizes = [len(unit) for _, unit in self._units]
         check_band_fits([s * op.n_free for s in sizes],
                         [op.run_band(s if exact else 1) for s in sizes], (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
-        self._exact = exact
-        self._groups = groups[::-1] if descending else groups
-        self._sweep: list | None = None  # built at the first apply
-        self._divisor = op.fixed_divisor(range(end))
+        self._exact, self._descending = exact, descending
+        self._sweep: tuple | None = None  # built at the first apply
+        self._divisor = op.fixed_divisor(range(op.M + 1))
         terms = len(op.tensor.iset)
-        self._at_points = (by_level and np.count_nonzero(
-            trunc.indices < terms) == terms)
-        if not self._at_points:
-            op.family("the pushes of a truncated level sweep" if by_level
-                      else "gs's pushes")
+        self._at_points = np.count_nonzero(trunc.indices < terms) == terms
+        if solve == "blocks":
+            op.family("gs's pushes")
+        elif not self._at_points:
+            op.family("the couplings of a truncated sweep")
 
-    def _build(self) -> list:
-        """Per group in sweep order: its blocks' entries in the flat
-        free-node layout, its factor, and its forward and backward push
-        rows' entries, each with the plan of its product: at the Gauss
-        points when the sweep is over levels and the truncation keeps
-        every tensor index, through the family otherwise."""
-        op, trunc, f = self.op, self.trunc, self.op.n_free
+    def _build(self) -> tuple:
+        """The first solve, then the steps that follow it in sweep order:
+        each a product subtracted from some rows' entries in the flat
+        free-node layout, with its plan and the entries of its column
+        blocks, and then the solve of one unit's entries by its factor."""
+        op, trunc, f, units = self.op, self.trunc, self.op.n_free, self._units
         factor = (op.assemble_level_block if self._exact
                   else op.assemble_diag_block)
-        if self._at_points:
-            plan = op.gauss_plan
-        else:
-            def plan(rows, cols):
-                return op.plan(rows, cols, trunc)
+
+        def family(rows, cols):
+            return op.plan(rows, cols, trunc)
+
+        between = op.gauss_plan if self._at_points else family
 
         def entries(blocks):
             return slice(blocks.start * f, blocks.stop * f)
 
-        return [(entries(blk), factor(blk),
-                 entries(forward), plan(forward, blk),
-                 entries(back), plan(back, blk))
-                for blk, forward, back in self._groups]
+        def coupling(rows, cols, plan):
+            return entries(rows), entries(cols), plan(rows, cols)
+
+        # one factor per unit, built in the order of the first pass
+        sweep = units[::-1] if self._descending else units
+        factors = {unit.start: factor(unit) for _, unit in sweep}
+        solves = [(entries(unit), factors[unit.start]) for _, unit in units]
+        # the product before each unit past the first is solved
+        # ascending, and after it is solved descending
+        before, after = [], []
+        for (_, prev), (level, unit) in zip(units[:-1], units[1:]):
+            below = range(level.start)
+            if unit.start == level.start:
+                before.append(coupling(level, below, between))
+                after.append(coupling(below, level, between))
+            else:
+                before.append(coupling(range(unit.start, level.stop), prev,
+                                       family))
+                after.append(coupling(range(level.start, unit.start), unit,
+                                      family))
+        ascend = [c + s for c, s in zip(before, solves[1:])]
+        descend = [c + s for c, s in zip(after[::-1], solves[-2::-1])]
+        if self._descending:
+            return solves[-1], descend + ascend
+        return solves[0], ascend + descend
 
     def apply(self, r):
         if self._sweep is None:
             self._sweep = self._build()
-        op, tmatvec, sweep = self.op, self.op.tmatvec, self._sweep
+        op, tmatvec, ((blk, f), steps) = self.op, self.op.tmatvec, self._sweep
         R = self._blocks(r)
-        # r's free entries, C-ordered, minus the pushed products
+        # r's free entries, C-ordered, minus the solved units' products
         rhs = R.take(op.free, axis=1).ravel()
         V = np.empty_like(rhs)
-        for blk, f, forward, push, _, _ in sweep:
-            V[blk] = f.solve(rhs[blk])
-            rhs[forward] -= tmatvec(push, V[blk])
-        # the last forward solve is also the first backward one
-        for t in range(len(sweep) - 1, 0, -1):
-            blk, _, _, _, back, push = sweep[t]
-            rhs[back] -= tmatvec(push, V[blk])
-            blk, f = sweep[t - 1][:2]
+        V[blk] = f.solve(rhs[blk])
+        for rows, cols, plan, blk, f in steps:
+            rhs[rows] -= tmatvec(plan, V[cols])
             V[blk] = f.solve(rhs[blk])
         out = np.empty_like(R)
         out[:, op.free] = V.reshape(len(R), op.n_free)
@@ -212,20 +222,16 @@ class BlockGaussSeidel(Preconditioner):
         return out.ravel()
 
 
-# kind -> (class, its keyword arguments); a sweep's are its groups
-# (degree levels or single blocks), order and group solve (exact D_ℓ or
-# the block diagonal) as in the kind table above
+# kind -> (class, its keyword arguments); a sweep's are its order and
+# level solve (its blocks one by one, the block diagonal or exact D_ℓ)
+# as in the kind table above
 _KIND_TABLE = {
     "mb": (Kronecker, dict(fitted=False)),
     "kron": (Kronecker, dict(fitted=True)),
-    "gs": (BlockGaussSeidel, dict(by_level=False, descending=False,
-                                  exact=False)),
-    "hs": (BlockGaussSeidel, dict(by_level=True, descending=True,
-                                  exact=True)),
-    "ahs": (BlockGaussSeidel, dict(by_level=True, descending=True,
-                                   exact=False)),
-    "ahgs": (BlockGaussSeidel, dict(by_level=True, descending=False,
-                                    exact=False)),
+    "gs": (BlockGaussSeidel, dict(descending=False, solve="blocks")),
+    "hs": (BlockGaussSeidel, dict(descending=True, solve="exact")),
+    "ahs": (BlockGaussSeidel, dict(descending=True, solve="diagonal")),
+    "ahgs": (BlockGaussSeidel, dict(descending=False, solve="diagonal")),
 }
 
 KINDS = tuple(_KIND_TABLE)

@@ -1,10 +1,11 @@
 """Shared helpers: build small end-to-end problem instances, probe linear
-maps, find the factorizations and product plans an object holds and
-trace the memory of a call; oracles of the full product through the
-stiffness family and through the 1-D matrices m_d at the Gauss points,
-of the degree levels, of lower band storage, of the band fills through
-the family's coupling, of the coupling matrices,
-of the Hermite polynomials and of the dense KL eigenproblem."""
+maps, find the factorizations and product plans an object holds, trace
+the memory of a call and read a sweep's steps in blocks; oracles of the
+family's product plans by a scan of the whole tensor, of the full
+product through the stiffness family and through the 1-D matrices m_d
+at the Gauss points, of the degree levels, of lower band storage, of the
+band fills through the family's coupling, of the coupling matrices, of
+the Hermite polynomials and of the dense KL eigenproblem."""
 
 import math
 import tracemalloc
@@ -22,7 +23,9 @@ from sgfem.fem import (
 )
 from sgfem.galerkin import (
     GalerkinOperator,
+    _Chunk,
     _half_grid,
+    _Plan,
     csc_matvecs,
     csr_matvecs,
     full_truncation,
@@ -63,6 +66,63 @@ def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     b[:op.n_dof] = apply_dirichlet(op.k_mats[0], assemble_load(mesh, 1.0),
                                    mesh)[1]
     return op, b, mesh, field
+
+
+def scan_plan(op, rows, cols, trunc) -> _Plan:
+    """The plan of ``op.plan(rows, cols, trunc)`` from a scan of every
+    tensor entry for those in the blocks and the set (oracle of the
+    plan's selection through the entries indexed by column block)."""
+    rows, cols = op._blocks(rows), op._blocks(cols)
+    t, n_cols = op.tensor, len(cols)
+    pos_r = np.full(op.M + 1, -1, dtype=np.int64)
+    pos_r[rows] = np.arange(len(rows))
+    pos_c = np.full(op.M + 1, -1, dtype=np.int64)
+    pos_c[cols] = np.arange(n_cols)
+    keep = np.zeros(len(t.iset), dtype=bool)
+    keep[trunc.indices[trunc.indices < len(t.iset)]] = True
+    sel = np.flatnonzero(keep[t.i] & (pos_r[t.j] >= 0) & (pos_c[t.k] >= 0))
+    rr, vv = pos_r[t.j[sel]], t.val[sel]
+    pairs, prod = np.unique(t.i[sel] * n_cols + pos_c[t.k[sel]],
+                            return_inverse=True)
+    pi, pk = pairs // n_cols, pairs % n_cols
+    starts = np.flatnonzero(np.diff(pi, prepend=-1))
+    bounds = np.append(starts, len(pairs))
+    cap, cuts, lo = op._chunk_rows(), [0], 0
+    for g in range(1, len(bounds)):
+        if bounds[g] - lo > cap:
+            lo = bounds[g - 1]
+            cuts.append(lo)
+    cuts.append(len(pairs))
+    idx_dtype = op._k0.indices.dtype
+    order = np.lexsort((prod, rr))
+    chunks = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a == b:
+            continue
+        m = order[(prod[order] >= a) & (prod[order] < b)]
+        indptr = np.zeros(len(rows) + 1, dtype=idx_dtype)
+        np.cumsum(np.bincount(rr[m], minlength=len(rows)), out=indptr[1:])
+        steps = ([int(i) for i in pi[a:b]] if n_cols == 1 else
+                 [(int(pi[s]), s - a, pk[s:e])
+                  for s, e in zip(bounds[:-1], bounds[1:]) if a <= s < b])
+        chunks.append(_Chunk(steps, b - a, indptr,
+                             (prod[m] - a).astype(idx_dtype),
+                             np.ascontiguousarray(vv[m], dtype=float)))
+    return _Plan(len(rows), n_cols, tuple(chunks), len(pairs), len(sel))
+
+
+def sweep_steps(pre):
+    """The built sweep of a block Gauss-Seidel ``pre`` in blocks: the
+    unit it solves first, then per step its product's row blocks, column
+    blocks and plan, and the unit it then solves, each unit a range."""
+    f = pre.op.n_free
+
+    def blocks(entries):
+        return range(entries.start // f, entries.stop // f)
+
+    (first, _), steps = pre._sweep
+    return blocks(first), [(blocks(rows), blocks(cols), plan, blocks(blk))
+                           for rows, cols, plan, blk, _ in steps]
 
 
 def family_matvec(op, V) -> np.ndarray:

@@ -5,6 +5,7 @@ import functools
 import importlib.util
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from conftest import (
     held_factors,
     levels,
     md_matvec,
+    scan_plan,
+    sweep_steps,
     traced_memory,
 )
 from hypothesis import example, given, settings
@@ -290,6 +293,49 @@ class TestTmatvecProperty:
         # flat input gives the same numbers in flat layout
         np.testing.assert_array_equal(op.tmatvec(plan, v[:, free].ravel()),
                                       got.ravel())
+
+    @settings(max_examples=80, deadline=None)
+    @given(N=st.integers(1, 4), P=st.integers(0, 3), n=st.integers(1, 2),
+           data=st.data())
+    def test_plan_equals_the_scan_of_every_entry(self, N, P, n, data):
+        """A plan takes its terms from its column blocks' entries of the
+        tensor, indexed by k once, and equals field by field, in every
+        dtype, the plan from a scan of every entry: for random row and
+        column blocks in any order, a standard truncation of random
+        degree, the full set or a drawn one, and chunks of random
+        size."""
+        op = cached_problem(N, P, n)[0]
+        blocks = st.lists(st.integers(0, op.M), max_size=op.M + 1,
+                          unique=True)
+        rows, cols = data.draw(blocks), data.draw(blocks)
+        kind = data.draw(st.sampled_from(["full", "standard", "drawn"]))
+        if kind == "full":
+            trunc = full_truncation(op.tensor)
+        elif kind == "standard":
+            lt = data.draw(st.integers(0, 2 * P + 1))
+            trunc = standard_truncation(N, lt)
+        else:
+            extra = data.draw(st.sets(st.integers(1, op.Mprime + 3)))
+            trunc = TruncationSet(np.array(sorted(extra | {0})), "drawn")
+        chunk = data.draw(st.sampled_from([8 * op.n_dof, 64 * op.n_dof,
+                                           galerkin._CHUNK_BYTES]))
+
+        def same(x, y):
+            if dataclasses.is_dataclass(x):
+                return type(x) is type(y) and all(
+                    same(getattr(x, f.name), getattr(y, f.name))
+                    for f in dataclasses.fields(x))
+            if isinstance(x, (list, tuple)):
+                return (type(x) is type(y) and len(x) == len(y)
+                        and all(map(same, x, y)))
+            if isinstance(x, np.ndarray):
+                return (isinstance(y, np.ndarray) and x.dtype == y.dtype
+                        and np.array_equal(x, y))
+            return type(x) is type(y) and x == y
+
+        with mock.patch.object(galerkin, "_CHUNK_BYTES", chunk):
+            assert same(op.plan(rows, cols, trunc),
+                        scan_plan(op, rows, cols, trunc))
 
     def test_chunked_product_matches_single_chunk(self, monkeypatch):
         op, _, mesh, field = build_operator(2, 2, 3)
@@ -776,30 +822,30 @@ class TestDegreeOrderedHalfGrids:
                         got, np.arange(got[0], got[-1] + 1) if len(got)
                         else got)
 
-    @pytest.mark.parametrize("kind", ["hs", "ahs", "ahgs"])
+    @pytest.mark.parametrize("kind", ["hs", "ahs", "ahgs", "gs"])
     def test_sweep_plans_slice_the_stored_factors(self, kind):
-        """Every push plan of an untruncated level sweep at N = P = 4 has
-        hulls equal to its blocks' positions, S₂ widened where it is one
-        position wide (:func:`contracted`), and its sub-blocks of A_q
-        and B_q are views of the stored factors.  A push to no rows has
-        empty hulls and multiplies nothing."""
+        """Every plan between levels of an untruncated sweep at N = P = 4
+        is at the Gauss points, 8 of them, and has hulls equal to its
+        blocks' positions, S₂ widened where it is one position wide
+        (:func:`contracted`); its sub-blocks of A_q and B_q are views of
+        the stored factors."""
         op, b = build_problem(4, 4, 3, 100.0)
         pre = make_preconditioner(op, kind)
         pre.apply(b)
         gauss = op._gauss
-        for (blk, forward, back), group in zip(pre._groups, pre._sweep):
-            for rows, plan in ((forward, group[3]), (back, group[5])):
-                rows = range(op.M + 1)[rows]
-                assert isinstance(plan, galerkin._GaussPlan)
-                sets = plan_sets(op, rows, blk)
-                sets[2] = contracted(sets[2], 15)
-                for hull, want in zip(plan.hulls, sets):
-                    np.testing.assert_array_equal(
-                        np.arange(hull.start, hull.stop), want)
-                if plan.n_rows:
-                    A, B = gauss.factors(plan, slice(0, gauss._points))
-                    assert np.shares_memory(A, gauss._a)
-                    assert np.shares_memory(B, gauss._b)
+        plans = [(rows, cols, plan) for rows, cols, plan, _
+                 in sweep_steps(pre)[1]
+                 if isinstance(plan, galerkin._GaussPlan)]
+        assert len(plans) == 8
+        for rows, cols, plan in plans:
+            sets = plan_sets(op, rows, cols)
+            sets[2] = contracted(sets[2], 15)
+            for hull, want in zip(plan.hulls, sets):
+                np.testing.assert_array_equal(
+                    np.arange(hull.start, hull.stop), want)
+            A, B = gauss.factors(plan, slice(0, gauss._points))
+            assert np.shares_memory(A, gauss._a)
+            assert np.shares_memory(B, gauss._b)
 
     @pytest.mark.parametrize("N,P,n", [(1, 3, 3), (2, 1, 2), (3, 2, 3),
                                        (4, 2, 2), (2, 0, 3)])
@@ -1238,16 +1284,20 @@ class TestFactorizationContract:
 
     @pytest.mark.parametrize("N,P,n", SMALL + [(4, 4, 10)])
     def test_diag_blocks_are_one_block_diagonal_factor(self, N, P, n):
-        """The factor of consecutive diagonal blocks is the blocks'
-        own factors side by side, bitwise, in block-major order of their
-        free rows and needing no permutation, with zeros in every band
-        entry that would couple a block to the next, and it solves as
-        they do, bitwise."""
+        """The factor of consecutive diagonal blocks, filled in one
+        pass, is the blocks' own factors side by side, bitwise, each that
+        of its block's run fill alone, in block-major order of their free
+        rows and needing no permutation, with zeros in every band entry
+        that would couple a block to the next, and it solves as they do,
+        bitwise."""
         op, _, _, _ = build_operator(N, P, n)
         f, rng = op.n_free, np.random.default_rng(4)
         for blocks in levels(op) + [range(op.M + 1), range(1, op.M + 1)]:
             F = op.assemble_diag_block(blocks)
             alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
+            for j, G in zip(blocks, alone):
+                fill = linalg.factorize_band(op._fill_band(range(j, j + 1)))
+                np.testing.assert_array_equal(G._state[0], fill._state[0])
             assert F.n == len(blocks) * f and F.rows is None
             ab = F._state[0]
             np.testing.assert_array_equal(
