@@ -164,8 +164,8 @@ def check_problem(N, P, n) -> None:
     fills read, 104 bytes of the gradient matrix (two rows of four
     entries and an int32 column each, and two int32 row pointers) and
     32 of the slot map that every assembly on the mesh shares (four
-    int64 slots).  The stiffness family, C(N + 2P, N) matrices, is not
-    built here: the operator checks it where something first needs it
+    int64 slots).  The other K_i, up to C(N + 2P, N), are assembled and
+    checked by what reads them
     (:meth:`~sgfem.galerkin.GalerkinOperator.family`).  Other arguments
     that :func:`build_problem` rejects pass; it names them."""
     if P < 0 or n < 1:
@@ -187,8 +187,8 @@ def build_problem(N, P, n, cov_pct, mu_log=1.0, L=0.5,
     mean block; boundary rows are constrained to zero.  The operator
     assembles K_0, treated by :func:`~sgfem.fem.apply_dirichlet`, and
     holds the field at the Gauss points, where its full product runs
-    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`); it assembles the
-    stiffness family only for what reads it.  The KL modes and the bytes
+    (:meth:`~sgfem.galerkin.GalerkinOperator.matvec`); it assembles other
+    K_i only for what reads them.  The KL modes and the bytes
     of what the operator holds are checked before any work
     (:func:`check_problem`).
     """
@@ -242,8 +242,7 @@ def matrix_norm(K, which="frob"):
 
 
 def stiffness_norms(op: GalerkinOperator, which="frob") -> np.ndarray:
-    return np.array([matrix_norm(K, which)
-                     for K in op.family("the stiffness norms")])
+    return np.array([matrix_norm(K, which) for K in op.k_mats])
 
 
 def count_pattern(tensor, indices):
@@ -403,8 +402,8 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
     Returns a manifest dict mapping artifact names to file paths (the
     "global" entry holds a refusal message when the cap is exceeded).
     Raises :class:`MemoryError` before any file is written when the
-    dense global matrix the cap admits, or the stiffness family the
-    operator assembles for the export, exceeds physical memory.
+    dense global matrix the cap admits, or the stiffness family that
+    ``op.k_mats`` assembles for the export, exceeds physical memory.
     """
     op, b = _problem(config, cov_pct=cov)
     n = op.n_global
@@ -412,7 +411,7 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         check_fits(8 * n * n, lambda: (
             f"the dense global matrix of {n} rows needs"),
             f"; a cap below {n} skips it")
-    k_mats = op.family("sg export")
+    k_mats = op.k_mats
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)

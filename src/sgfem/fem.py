@@ -214,9 +214,9 @@ def assemble_stiffness_family(mesh: Mesh, coeffs: np.ndarray) -> list[sp.csr_mat
     indices/indptr arrays (one sparsity pattern, of
     :func:`dirichlet_nnz` entries, :attr:`Mesh.dirichlet_pattern`), so
     blockwise sums stay aligned.  Their data arrays are the rows of one
-    C-contiguous (n_fields, nnz) array, :func:`stiffness_data`:
-    :class:`~sgfem.galerkin.GalerkinOperator` assembles its family here
-    and adopts that array as its stacked data.
+    C-contiguous (n_fields, nnz) array, :func:`stiffness_data`, which
+    :class:`~sgfem.galerkin.GalerkinOperator` gives for the K_i a caller
+    asks for.
     """
     return _assemble(mesh, coeffs, mesh.dirichlet_pattern)
 

@@ -3,20 +3,20 @@
 The global system matrix has (M+1)x(M+1) blocks K^{(j,k)} = Σ_i c_ijk
 K_i of size N_dof.  The operator derives everything from one input, the
 lognormal field on the mesh: K_0, the stiffness matrix of the field's
-mean, which it assembles at once; the field's mean and modes at the
-Gauss points; and the stiffness family of the K_i, which it assembles
-only where something reads it, once (:meth:`GalerkinOperator.family`).
-The matrix is never assembled for products: the truncated blockwise
-product (tMAT-VEC) through the family computes w_(j) = Σ_k Σ_{i∈set}
-c_ijk K_i v_(k) in two steps.  First every needed product K_i v_(k) is
-computed once, however many row blocks use it, and written as one row of
-a stacked product buffer.  Then the buffer is mixed into the row blocks
-by one sparse coupling matrix holding the c_ijk.  The buffer is filled
-and mixed in chunks of bounded size, so a product over all blocks never
-holds every K_i v_(k) at once.  Which products a call needs and how they
-mix form a plan, an object built by ``plan(rows, cols, trunc)`` from the
-tensor's entries grouped by column block, and held by its user: a
-preconditioner keeps the plans of its own products.
+mean, which it assembles at once, and the field's mean and modes at the
+Gauss points; the other K_i only a caller holds
+(:meth:`GalerkinOperator.family`).  The matrix is never assembled for
+products: the truncated blockwise product (tMAT-VEC) through the family
+computes w_(j) = Σ_k Σ_{i∈set} c_ijk K_i v_(k) in two steps.  First
+every needed product K_i v_(k) is computed once, however many row blocks
+use it, and written as one row of a stacked product buffer.  Then the
+buffer is mixed into the row blocks by one sparse coupling matrix
+holding the c_ijk.  The buffer is filled and mixed in chunks of bounded
+size, so a product over all blocks never holds every K_i v_(k) at once.
+Which products a call needs, on which K_i, and how they mix form a
+plan, an object built by ``plan(rows, cols, trunc, family)`` from the
+tensor's entries grouped by column block and the set's K_i, and held by
+its user with those K_i.
 
 A product over the full tensor need not stream the K_i at all: it can
 multiply at the Gauss points from the lognormal field and the mesh,
@@ -29,10 +29,9 @@ total degree; it applies the full tensor and scatters through the whole
 grid of its row blocks however few its column blocks are, while a
 product through the family costs what its retained K_i do.  So gs's
 pushes inside a level, each from a single block, and the truncated
-sweeps, which need only the retained K_i, read the family, and so do the
-dense assembly, the norms and ``sg export``.  The band fills, ``block`` and
-kron's trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is
-the stiffness matrix of its pair field C_q[j,k] = a_0 Π_d m_d[j_d, k_d]
+sweeps run through the family.  The band fills, ``block`` and kron's
+trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the
+stiffness matrix of its pair field C_q[j,k] = a_0 Π_d m_d[j_d, k_d]
 at the points, assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`)
 from the 1-D factors m_d, and tr(K_iᵀK_0) is the field's moment
 Σ_q k_i(q) u(q) with the point weights u of K_0's data
@@ -84,6 +83,7 @@ from sgfem.linalg import (
     FactorizationError,
     check_band_fits,
     check_fits,
+    csr_on,
     factorize_band,
 )
 from sgfem.random_field import CoefficientFields
@@ -97,19 +97,25 @@ from sgfem.random_field import CoefficientFields
 try:
     from scipy.sparse._sparsetools import csc_matvecs, csr_matvec, csr_matvecs
 except ImportError:
+    def _slots(Ap, Aj, Ax):
+        """(Ax, Aj, Ap) from slot Ap[0] on, which the raw kernels start
+        at and scipy's constructors take as 0."""
+        lo, hi = Ap[0], Ap[-1]
+        return Ax[lo:hi], Aj[lo:hi], Ap - lo
+
     def csr_matvec(n_row, n_col, Ap, Aj, Ax, Xx, Yx):
         """Yx += A Xx for the CSR matrix (Ap, Aj, Ax)."""
-        Yx += sp.csr_matrix((Ax, Aj, Ap), shape=(n_row, n_col)) @ Xx
+        Yx += sp.csr_matrix(_slots(Ap, Aj, Ax), shape=(n_row, n_col)) @ Xx
 
     def csr_matvecs(n_row, n_col, n_vecs, Ap, Aj, Ax, Xx, Yx):
         """Yx += A X for the CSR matrix (Ap, Aj, Ax) and the n_vecs
         columns of X, both X and Y flat in row-major order."""
-        A = sp.csr_matrix((Ax, Aj, Ap), shape=(n_row, n_col))
+        A = sp.csr_matrix(_slots(Ap, Aj, Ax), shape=(n_row, n_col))
         Yx += (A @ Xx.reshape(n_col, n_vecs)).ravel()
 
     def csc_matvecs(n_row, n_col, n_vecs, Ap, Ai, Ax, Xx, Yx):
         """Yx += A X for the CSC matrix (Ap, Ai, Ax), as csr_matvecs."""
-        A = sp.csc_matrix((Ax, Ai, Ap), shape=(n_row, n_col))
+        A = sp.csc_matrix(_slots(Ap, Ai, Ax), shape=(n_row, n_col))
         Yx += (A @ Xx.reshape(n_col, n_vecs)).ravel()
 
 
@@ -185,9 +191,9 @@ def full_truncation(tensor: CijkTensor) -> TruncationSet:
 class _Chunk:
     """One bounded slice of a plan's stacked products.
 
-    ``steps`` lists the products by coefficient index: for a single column
-    block the coefficient index of buffer row p, otherwise (i, first
-    buffer row, column positions) with one buffer row per column.  The
+    ``steps`` lists the products by K_i's data: for a single column block
+    that of buffer row p, otherwise (the data, first buffer row, column
+    positions) with one buffer row per column.  The
     ``mix_*`` arrays hold the (rows × buffer rows) coupling matrix of
     c_ijk values in CSR form.
     """
@@ -391,12 +397,9 @@ class _GaussPointProduct:
             (q, t1, s1), (_, s2, t2) = A.shape, B.shape
             # the column blocks' gradients at the chunk's points, in the grid
             rows = ip[2 * lo:2 * hi + 1]
-            nz = slice(rows[0], rows[-1])
-            rows = rows - rows[0]
             G = g[:2 * q * n_cols].reshape(q, 2 * n_cols)
             G.fill(0.0)
-            csr_matvecs(2 * q, f, n_cols, rows, ix[nz], dx[nz], vt.ravel(),
-                        G.ravel())
+            csr_matvecs(2 * q, f, n_cols, rows, ix, dx, vt.ravel(), G.ravel())
             X = x[:q * s1 * 2 * s2].reshape(q, s1 * 2 * s2)
             X.fill(0.0)
             X[:, plan.embed] = G
@@ -406,8 +409,8 @@ class _GaussPointProduct:
             np.matmul(Y.reshape(q, 2 * t1, s2), B, out=X)
             G = g[:2 * q * plan.n_rows].reshape(q, 2 * plan.n_rows)
             np.take(X.reshape(q, -1), plan.pick, axis=1, out=G, mode="clip")
-            csc_matvecs(f, 2 * q, plan.n_rows, rows, ix[nz], dx[nz],
-                        G.ravel(), W.ravel())
+            csc_matvecs(f, 2 * q, plan.n_rows, rows, ix, dx, G.ravel(),
+                        W.ravel())
         return W
 
 
@@ -422,26 +425,9 @@ class GalerkinOperator:
     docstring): the full product, the sweeps' couplings between levels,
     every band fill and :meth:`block`, from the 1-D factors m_d it
     computes at the first fill and keeps, and the traces tr(K_iᵀK_0)
-    (:meth:`k0_traces`).  The stiffness family, one matrix K_i per chaos
-    coefficient of the field (:func:`~sgfem.fem.assemble_stiffness_family`
-    of :attr:`~sgfem.random_field.CoefficientFields.values`), is
-    assembled once, at the first :meth:`family` call, by what reads it:
-    the family's plans (:meth:`plan`, for gs's pushes inside a level and
-    the truncated sweeps' couplings), the dense assembly, and through
-    ``k_mats`` the norms and ``sg export``.  ``k_mats`` holds the K_i,
-    which share one CSR pattern, and ``kdata`` their data arrays
-    stacked, one row per matrix: every ``k_mats[i].data`` is the row
-    ``kdata[i]``; reading either assembles the family.  Its row 0 is
-    K_0's data as the operator holds it when the family is built, in the
-    one array that K_0 keeps from then on.
-
-    An in-place edit of ``kdata`` is an edit of the family's products
-    and dense assembly; one of row 0 is also an edit of K_0, which
-    :meth:`matvec`, :meth:`fixed_divisor` and :meth:`block` read on the
-    fixed nodes and the factor of block 0 alone reads whole.  The
-    products, fills and blocks at the Gauss points do not see such an
-    edit.  :meth:`matvec`, :meth:`fixed_divisor`, :meth:`k0_traces`,
-    :meth:`block` and the fills never assemble the family.
+    (:meth:`k0_traces`).  It holds no other K_i: :meth:`family`
+    assembles those a caller names, anew at each call, for the caller to
+    own, and ``k_mats`` is the whole family, anew at each read.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -506,7 +492,6 @@ class GalerkinOperator:
         self._jk = tensor.jkset.as_array()
         self._gauss: _GaussPointProduct | None = None
         self._full: _GaussPlan | None = None
-        self._k_mats: list | None = None
         self._by_k: tuple | None = None
 
     def _fix_boundary(self, boundary: np.ndarray) -> None:
@@ -529,12 +514,14 @@ class GalerkinOperator:
         self.n_free = f = len(free)
         lo, hi = (ip[free[0]], ip[free[-1] + 1]) if f else (0, 0)
         self._free_span = slice(lo, hi)
-        self._free_indptr = (np.append(ip[free], hi) - lo).astype(ix.dtype)
+        # the free rows' slots, and their columns, in a whole data row
+        self._row_indptr = np.append(ip[free], hi).astype(ix.dtype)
         column = np.full(n, f, dtype=ix.dtype)
         column[free] = np.arange(f)
-        self._free_indices = column[ix[lo:hi]]
+        self._row_indices = column[ix]
+        self._free_indices = self._row_indices[lo:hi]
         self._free_rows = rows = np.repeat(np.arange(f),
-                                           np.diff(self._free_indptr))
+                                           np.diff(self._row_indptr))
         self._band = int((rows - self._free_indices).max(initial=0))
         # the slot of entry (b, a) for each entry (a, b) below the
         # diagonal: the pattern is symmetric, and its slots ascend by row
@@ -544,38 +531,30 @@ class GalerkinOperator:
         self._mirror = np.searchsorted(rows * (f + 1) + cols,
                                        cols[low] * (f + 1) + rows[low])
 
-    def family(self, purpose: str) -> list[sp.csr_matrix]:
-        """The stiffness family, assembled at the first call from the
-        field's coefficient values, with K_0 as the operator holds it in
-        row 0 of its data (class docstring).  Before it assembles, the
-        family with the values, 8·fields·(nnz + points) bytes, is checked
-        against physical memory: a MemoryError names ``purpose``, what
-        needs the family."""
-        if self._k_mats is None:
-            fields, nnz = len(self.tensor.iset), len(self._k0.data)
-            size = self._field.mean.size
-            check_fits(8 * fields * (nnz + size), lambda: (
-                f"the stiffness family for {purpose}, {fields} matrices of "
-                f"{nnz} stored entries, with the coefficient values at its "
-                f"{size} points, needs"))
-            k_mats = assemble_stiffness_family(self._mesh, self._field.values)
-            self._kdata = k_mats[0].data.base
-            self._kdata[0] = self._k0.data
-            self._k0, self._k_mats = k_mats[0], k_mats
-            self._free_krows = [row[self._free_span] for row in self._kdata]
-        return self._k_mats
+    def family(self, indices, purpose: str) -> np.ndarray:
+        """The data of the K_i of the coefficient ``indices``, assembled
+        anew from the field's values at them, as one C-contiguous
+        (len(indices), nnz) array on K_0's pattern, index 0's row K_0's
+        data as the operator holds it.  The data and the values,
+        8·len(indices)·(nnz + points) bytes, are checked against physical
+        memory first: a MemoryError names ``purpose``."""
+        indices = np.asarray(indices, dtype=np.int64).reshape(-1)
+        nnz, size = len(self._k0.data), self._field.mean.size
+        check_fits(8 * len(indices) * (nnz + size), lambda: (
+            f"the stiffness family for {purpose}, {len(indices)} "
+            f"matrices of {nnz} stored entries, with the coefficient "
+            f"values at its {size} points, needs"))
+        data = stiffness_data(self._mesh, self._field.values(indices))
+        data[indices == 0] = self._k0.data
+        return data
 
     @property
     def k_mats(self) -> list[sp.csr_matrix]:
-        """The K_i of :meth:`family`, which reading them assembles."""
-        return self.family("k_mats")
-
-    @property
-    def kdata(self) -> np.ndarray:
-        """The K_i's data stacked, one row per matrix, of :meth:`family`,
-        which reading them assembles."""
-        self.family("kdata")
-        return self._kdata
+        """The whole family, assembled anew at each read (:meth:`family`),
+        as CSR matrices on K_0's pattern."""
+        k0 = self._k0
+        return [csr_on(row, k0.indices, k0.indptr, k0.shape) for row in
+                self.family(range(len(self.tensor.iset)), "k_mats")]
 
     @property
     def n_global(self) -> int:
@@ -599,12 +578,15 @@ class GalerkinOperator:
                              f"[0, {self.M}], got {list(blocks)}")
         return np.asarray(blocks, dtype=np.int64).reshape(-1)
 
-    def plan(self, row_blocks, col_blocks, trunc: TruncationSet) -> _Plan:
+    def plan(self, row_blocks, col_blocks, trunc: TruncationSet,
+             family) -> _Plan:
         """The plan of w_(j) = Σ_{k∈col_blocks} Σ_{i∈trunc} c_ijk K_i v_(k)
-        for :meth:`tmatvec`, through the family.  The blocks are given as
-        in :meth:`_blocks`.  It assembles the family (:meth:`family`)."""
+        for :meth:`tmatvec`, through ``family``, the data of the K_i of
+        the set's indices inside the tensor, one row per index in the
+        set's order, as :meth:`family` gives it or as a list of its rows.
+        The plan holds the rows it multiplies, so plans given one list
+        share them.  The blocks are given as in :meth:`_blocks`."""
         rows, cols = self._blocks(row_blocks), self._blocks(col_blocks)
-        self.family("a product plan through the family")
         t = self.tensor
         n_cols = len(cols)
         pos_r = np.full(self.M + 1, -1, dtype=np.int64)
@@ -614,6 +596,9 @@ class GalerkinOperator:
         # indices past the tensor (a degree above 2P) carry no c_ijk
         keep = np.zeros(len(t.iset), dtype=bool)
         keep[trunc.indices[trunc.indices < len(t.iset)]] = True
+        if len(family) != keep.sum():
+            raise ValueError(f"{len(family)} K_i for {keep.sum()} indices")
+        row = np.cumsum(keep) - 1  # each kept index's row of the family
         # the retained terms among the column blocks' entries, in any
         # order: the products and the mixing below order them
         by_k, starts = self._entries_by_k()
@@ -645,9 +630,9 @@ class GalerkinOperator:
             np.cumsum(np.bincount(rr[m], minlength=len(rows)),
                       out=indptr[1:])
             if n_cols == 1:
-                steps = pi[a:b].tolist()
+                steps = [family[r] for r in row[pi[a:b]]]
             else:
-                steps = [(int(pi[s]), s - a, pk[s:e])
+                steps = [(family[row[pi[s]]], s - a, pk[s:e])
                          for s, e in zip(bounds[:-1], bounds[1:])
                          if a <= s < b]
             chunks.append(_Chunk(steps, b - a, indptr,
@@ -714,8 +699,7 @@ class GalerkinOperator:
             return W.T.ravel() if v.ndim == 1 else W.T
         single_column = plan.n_cols == 1
         W = np.zeros((plan.n_rows, f))
-        ip, ix = self._free_indptr, self._free_indices
-        kd = self._free_krows
+        ip, ix = self._row_indptr, self._row_indices
         # the entries of v, then the zero pad entry
         if single_column:
             y = np.zeros(f + 1)
@@ -728,13 +712,13 @@ class GalerkinOperator:
             if single_column:
                 S.fill(0.0)
                 out = self._buffer_rows
-                for p, i in enumerate(ch.steps):
-                    csr_matvec(f, f + 1, ip, ix, kd[i], y, out[p])
+                for p, ki in enumerate(ch.steps):
+                    csr_matvec(f, f + 1, ip, ix, ki, y, out[p])
             else:
-                for i, p, ks in ch.steps:
+                for ki, p, ks in ch.steps:
                     m = len(ks)
                     U = np.zeros((f, m))
-                    csr_matvecs(f, f + 1, m, ip, ix, kd[i],
+                    csr_matvecs(f, f + 1, m, ip, ix, ki,
                                 Vt.take(ks, axis=1).ravel(), U.ravel())
                     S[p:p + m] = U.T
             csr_matvecs(plan.n_rows, ch.n_products, f, ch.mix_indptr,
@@ -934,20 +918,20 @@ class GalerkinOperator:
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
         """Explicit global matrix for brute-force verification and
-        ``sg export``, every block Σ_i c_ijk K_i from the family, the
+        ``sg export``, every block Σ_i c_ijk K_i from ``k_mats``, the
         c_ijk in ascending i."""
         n = self.n_global
         if n > cap:
             raise ValueError(f"global dimension {n} exceeds the dense "
                              f"assembly cap {cap}")
-        nd, kdata, (indices, indptr) = self.n_dof, self.kdata, (
-            self._k0.indices, self._k0.indptr)
+        nd, k0 = self.n_dof, self._k0
+        kdata = np.array([K.data for K in self.k_mats])
         A = np.zeros((n, n))
         t, m1 = self.tensor, self.M + 1
         for pair in np.unique(t.j * m1 + t.k).tolist():
             j, k = divmod(pair, m1)
             sel = np.flatnonzero((t.j == j) & (t.k == k))
             A[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = sp.csr_matrix(
-                (t.val[sel] @ kdata[t.i[sel]], indices, indptr),
+                (t.val[sel] @ kdata[t.i[sel]], k0.indices, k0.indptr),
                 shape=(nd, nd)).toarray()
         return A

@@ -112,6 +112,16 @@ class Factorization:
         x[self.rows] = self._solve(b.take(self.rows, axis=0), True)
         return x
 
+    def diagonal_block(self, rows: slice) -> Factorization:
+        """The factor of the diagonal block ``rows``, consecutive rows of
+        a band factor in the system's order whose matrix couples them to
+        no other row: a view of the band's columns ``rows``."""
+        if self.kind != "band" or self.rows is not None:
+            raise ValueError("a diagonal block is a slice of a band factor "
+                             "in the system's order")
+        ab = self._state[0][:, rows]
+        return Factorization("band", ab.shape[1], (ab,))
+
     def _solve(self, b: np.ndarray, overwrite_b: bool) -> np.ndarray:
         if self.kind == "cholesky":
             return sla.cho_solve(self._state, b, overwrite_b=overwrite_b)

@@ -23,24 +23,23 @@ which order the levels are swept and how a level is solved:
 hs is the hierarchical Schur complement preconditioner: the descending
 sweep is its downward pre-correction and upward post-correction.  A
 level is solved by one factor, D_ℓ for hs and its block diagonal for ahs
-and ahgs, or by gs one block at a time, each by its own factor; a level
-of one block is a diagonal block in every kind.  Off-diagonal block
-products inside the sweeps honor the configured TruncationSet; the
-factors always take the full sum.  Levels couple by the same rule in
-every kind: in the ascending pass a level pulls the products of all
-lower levels just before it is solved, and in the descending pass it
-pushes its own to all lower levels just after.  When the truncation
-keeps every tensor index these couplings run at the Gauss points
-(``op.gauss_plan``), multiplying slices of the operator's stored A_q and
-B_q, ordered by degree, that span only the level and those below it,
-reading no K_i and copying no sub-block.  A truncated sweep couples
-levels through the family (``op.plan``), since it needs only the
-retained K_i.  Inside a level gs pushes each block to the later blocks
-of the level on the way up and to the earlier ones on the way down,
-through the family: at the Gauss points each such push from one block
-costs nearly a product over the level's whole grid.  The operator
-assembles the family when gs or a truncated sweep is made.
-Each preconditioner owns the factorizations and product plans it builds:
+and ahgs, or by gs one block at a time, each on its slice of the level's
+block-diagonal factor; a level of one block is a diagonal block in every
+kind.  Off-diagonal block products inside the sweeps honor the
+configured TruncationSet; the factors always take the full sum.  Levels
+couple by the same rule in every kind: in the ascending pass a level
+pulls the products of all lower levels just before it is solved, and in
+the descending pass it pushes its own to all lower levels just after.
+When the truncation keeps every tensor index these couplings run at the
+Gauss points (``op.gauss_plan``), multiplying slices of the operator's
+stored A_q and B_q, ordered by degree, that span only the level and
+those below it, reading no K_i and copying no sub-block.  A truncated
+sweep couples levels through the family (``op.plan``), since it needs
+only the retained K_i.  Inside a level gs pushes each block to the later
+blocks of the level on the way up and to the earlier ones on the way
+down, through the family: at the Gauss points each such push from one
+block costs nearly a product over the level's whole grid.  Each
+preconditioner owns the factorizations, product plans and K_i it builds:
 sweeps on one operator share none, and a dropped preconditioner frees
 them.
 
@@ -131,9 +130,8 @@ class BlockGaussSeidel(Preconditioner):
     Every unit's factor and every plan are built at the first apply and
     kept in ``_sweep``, their only owner, so the band bytes of every
     factor the sweep will hold are summed here and checked against
-    physical memory together, before any work.  A sweep that reads the
-    family has the operator assemble it here, at setup, once per
-    operator.
+    physical memory together, before any work.  A sweep that multiplies
+    through the family assembles the K_i it retains here, at setup.
     """
 
     def __init__(self, op, trunc, descending: bool, solve: str):
@@ -155,11 +153,13 @@ class BlockGaussSeidel(Preconditioner):
         self._sweep: tuple | None = None  # built at the first apply
         self._divisor = op.fixed_divisor(range(op.M + 1))
         terms = len(op.tensor.iset)
-        self._at_points = np.count_nonzero(trunc.indices < terms) == terms
-        if solve == "blocks":
-            op.family("gs's pushes")
-        elif not self._at_points:
-            op.family("the couplings of a truncated sweep")
+        retained = trunc.indices[trunc.indices < terms]
+        self._at_points = len(retained) == terms
+        if solve == "blocks" or not self._at_points:
+            # its rows, which its plans share
+            self._family = list(op.family(
+                retained, "gs's pushes" if solve == "blocks" else
+                "the couplings of a truncated sweep"))
 
     def _build(self) -> tuple:
         """The first solve, then the steps that follow it in sweep order:
@@ -171,7 +171,7 @@ class BlockGaussSeidel(Preconditioner):
                   else op.assemble_diag_block)
 
         def family(rows, cols):
-            return op.plan(rows, cols, trunc)
+            return op.plan(rows, cols, trunc, self._family)
 
         between = op.gauss_plan if self._at_points else family
 
@@ -181,10 +181,15 @@ class BlockGaussSeidel(Preconditioner):
         def coupling(rows, cols, plan):
             return entries(rows), entries(cols), plan(rows, cols)
 
-        # one factor per unit, built in the order of the first pass
-        sweep = units[::-1] if self._descending else units
-        factors = {unit.start: factor(unit) for _, unit in sweep}
-        solves = [(entries(unit), factors[unit.start]) for _, unit in units]
+        # a factor per level, built in first-pass order; gs's blocks slice it
+        levels = list(dict.fromkeys(level for level, _ in units))
+        factors = {level: factor(level) for level in
+                   (levels[::-1] if self._descending else levels)}
+        solves = [(entries(unit), factors[level] if unit == level else
+                   factors[level].diagonal_block(slice(
+                       (unit.start - level.start) * f,
+                       (unit.stop - level.start) * f)))
+                  for level, unit in units]
         # the product before each unit past the first is solved
         # ascending, and after it is solved descending
         before, after = [], []
@@ -245,8 +250,8 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     (default: no truncation).  The kind is checked before any work, and
     so, for a sweep, is the sum of the band bytes of every factorization
     it will build at its first apply and keep: a sum past physical
-    memory raises :class:`MemoryError`, as does, for gs or a truncated
-    sweep, a stiffness family that the operator cannot assemble.  A
+    memory raises :class:`MemoryError`, as do, for gs or a truncated
+    sweep, the K_i it retains, which it assembles here and owns.  A
     fixed row whose diagonal is not positive raises
     :class:`~sgfem.linalg.FactorizationError`.
     """

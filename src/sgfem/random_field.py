@@ -156,9 +156,9 @@ class CoefficientFields:
     k_i = a_0 Π_d g_d^{i_d} / i_d!.  The mean is strictly positive.  A
     :class:`~sgfem.galerkin.GalerkinOperator` takes the field whole, on
     its tensor's i-set: it multiplies and fills its block factors at the
-    points from ``mean`` and ``modes``, assembles K_0 from ``mean`` and,
-    only where something reads it, its stiffness family from
-    :attr:`values`; kron's trace weights are :meth:`moments`.  Both
+    points from ``mean`` and ``modes``, assembles K_0 from ``mean`` and
+    the K_i that a caller asks for from their :meth:`values`; kron's
+    trace weights are :meth:`moments`.  Both
     evaluate the closed form of the k_i from ``mean`` and ``modes``, so
     an edited field moves them all; :meth:`moments` groups its factors
     by halves of the dimensions and forms no k_i.
@@ -168,26 +168,24 @@ class CoefficientFields:
     mean: np.ndarray
     modes: np.ndarray
 
-    @property
-    def values(self) -> np.ndarray:
-        """Every k_i at the points, shape (len(basis), n_elements, 4),
-        computed anew from ``mean`` and ``modes`` at each access;
-        ``values[0]`` equals ``mean``."""
+    def values(self, indices) -> np.ndarray:
+        """The k_i of the basis positions ``indices`` at the points, shape
+        (len(indices), n_elements, 4), computed anew at each call, each
+        row bit for bit whatever the others; index 0's is ``mean``."""
         degrees = np.arange(self.basis.degree + 1)[:, None, None, None]
         powers = self.modes[None] ** degrees
-        values = np.empty((len(self.basis),) + self.mean.shape)
-        for pos, idx in enumerate(self.basis.indices):
-            prod = self.mean.copy()
-            for d, p in enumerate(idx):
+        values = np.empty((len(indices),) + self.mean.shape)
+        for row, pos in zip(values, indices):
+            row[:] = self.mean
+            for d, p in enumerate(self.basis.indices[pos]):
                 if p:
-                    prod *= powers[p, d] / math.factorial(p)
-            values[pos] = prod
+                    row *= powers[p, d] / math.factorial(p)
         return values
 
     def moments(self, weights: np.ndarray) -> np.ndarray:
         """Σ_q k_i(q) w(q) over the points for every k_i, with the point
         weights ``weights`` of the mean's shape, equal to the products of
-        :attr:`values` with them to rounding, without forming the k_i.
+        :meth:`values` with them to rounding, without forming the k_i.
         With the dimensions split in two halves, k_i = a_0 x_i' y_i'' for
         x and y the products of g_d^{i_d}/i_d! over either half, so the
         moments are entries of one matrix product (x · a_0 w) yᵀ over
@@ -219,7 +217,7 @@ class CoefficientFields:
 def gpc_coefficients(kl: KLExpansion, basis: MultiIndexSet, mesh: Mesh
                      ) -> CoefficientFields:
     """The field at the mesh quadrature points, whose k_i have a closed
-    form (:attr:`CoefficientFields.values`)."""
+    form (:meth:`CoefficientFields.values`)."""
     if basis.N != kl.N:
         raise ValueError(f"basis dimension {basis.N} does not match "
                          f"{kl.N} KL modes")

@@ -16,7 +16,6 @@ from numpy.polynomial.hermite_e import hermeval
 
 from sgfem.chaos import build_c_tensor, triple_product_table
 from sgfem.fem import (
-    apply_dirichlet,
     assemble_load,
     build_mesh,
     gradient_matrix,
@@ -57,21 +56,42 @@ def build_inputs(N, P, n, cov=1.0, mu_log=1.0, L=0.5, Pprime=None):
 
 def build_operator(N, P, n, cov=1.0, mu_log=1.0, L=0.5):
     """Full pipeline at small scale: :func:`build_inputs`, the block
-    operator, which assembles its stiffness family, and the load treated
-    on its K_0.  Returns (op, b, mesh, field) with b the global
-    right-hand side (unit load in the mean block only)."""
+    operator and the load with its boundary entries zeroed.  Returns
+    (op, b, mesh, field) with b the global right-hand side (unit load in
+    the mean block only)."""
     tensor, field, mesh = build_inputs(N, P, n, cov, mu_log, L)
     op = GalerkinOperator(tensor, field, mesh)
     b = np.zeros(op.n_global)
-    b[:op.n_dof] = apply_dirichlet(op.k_mats[0], assemble_load(mesh, 1.0),
-                                   mesh)[1]
+    b[:op.n_dof] = assemble_load(mesh, 1.0)
+    b[mesh.boundary] = 0.0
     return op, b, mesh, field
 
 
-def scan_plan(op, rows, cols, trunc) -> _Plan:
-    """The plan of ``op.plan(rows, cols, trunc)`` from a scan of every
-    tensor entry for those in the blocks and the set (oracle of the
-    plan's selection through the entries indexed by column block)."""
+def all_indices(op) -> range:
+    """Every coefficient index of the operator's tensor."""
+    return range(len(op.tensor.iset))
+
+
+def retained_family(op, trunc) -> np.ndarray:
+    """The data of the K_i of ``trunc``'s indices inside the tensor, the
+    family that a plan of ``trunc`` multiplies (``op.plan``)."""
+    kept = trunc.indices[trunc.indices < len(op.tensor.iset)]
+    return op.family(kept, "a test plan")
+
+
+def family_plan(op, rows, cols, trunc) -> _Plan:
+    """``op.plan`` of ``trunc`` through its retained K_i, assembled for
+    this plan alone."""
+    return op.plan(rows, cols, trunc, retained_family(op, trunc))
+
+
+def scan_plan(op, rows, cols, trunc, family) -> _Plan:
+    """The plan of ``op.plan(rows, cols, trunc, family)`` from a scan of
+    every tensor entry for those in the blocks and the set (oracle of
+    the plan's selection through the entries indexed by column block),
+    its steps ``family``'s rows."""
+    kept = trunc.indices[trunc.indices < len(op.tensor.iset)]
+    krows = dict(zip(kept.tolist(), family))
     rows, cols = op._blocks(rows), op._blocks(cols)
     t, n_cols = op.tensor, len(cols)
     pos_r = np.full(op.M + 1, -1, dtype=np.int64)
@@ -102,8 +122,8 @@ def scan_plan(op, rows, cols, trunc) -> _Plan:
         m = order[(prod[order] >= a) & (prod[order] < b)]
         indptr = np.zeros(len(rows) + 1, dtype=idx_dtype)
         np.cumsum(np.bincount(rr[m], minlength=len(rows)), out=indptr[1:])
-        steps = ([int(i) for i in pi[a:b]] if n_cols == 1 else
-                 [(int(pi[s]), s - a, pk[s:e])
+        steps = ([krows[i] for i in pi[a:b].tolist()] if n_cols == 1 else
+                 [(krows[int(pi[s])], s - a, pk[s:e])
                   for s, e in zip(bounds[:-1], bounds[1:]) if a <= s < b])
         chunks.append(_Chunk(steps, b - a, indptr,
                              (prod[m] - a).astype(idx_dtype),
@@ -125,18 +145,22 @@ def sweep_steps(pre):
                            for rows, cols, plan, blk, _ in steps]
 
 
-def family_matvec(op, V) -> np.ndarray:
-    """The full product through the stiffness family, shape
-    (M+1, n_dof) (oracle of the Gauss-point product): the truncated
-    product over every block and every K_i on the free nodes, and the
-    closed form (G_0)_jj · K_0[b,b] · v_(j)[b] on a fixed node b."""
+def family_matvec(op, V, family=None) -> np.ndarray:
+    """The full product through the stiffness family ``family``, every
+    K_i's data (by default the operator's), shape (M+1, n_dof) (oracle
+    of the Gauss-point product): the truncated product over every block
+    and every K_i on the free nodes, and the closed form
+    (G_0)_jj · K_0[b,b] · v_(j)[b] on a fixed node b."""
+    if family is None:
+        family = op.family(all_indices(op), "the family oracle")
     V = np.asarray(V, dtype=float).reshape(op.M + 1, op.n_dof)
     blocks = range(op.M + 1)
     W = np.empty_like(V)
     W[:, op.free] = op.tmatvec(
-        op.plan(blocks, blocks, full_truncation(op.tensor)), V[:, op.free])
+        op.plan(blocks, blocks, full_truncation(op.tensor), family),
+        V[:, op.free])
     W[:, op.fixed] = np.diag(g_matrix(0, op.tensor))[:, None] * (
-        op.k_mats[0].diagonal()[op.fixed] * V[:, op.fixed])
+        family[0, op._fixed_slots] * V[:, op.fixed])
     return W
 
 
@@ -239,14 +263,14 @@ def family_band(op, blocks) -> np.ndarray:
     sel = sel[np.argsort(pair, kind="stable")]
     pairs, counts = np.unique(pair, return_counts=True)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    kdata = op.kdata
+    kdata = op.family(all_indices(op), "the family oracle")
     values = np.zeros((len(pairs), kdata.shape[1]))
     csr_matvecs(len(pairs), len(kdata), kdata.shape[1], indptr,
                 t.i[sel].astype(np.int64), t.val[sel], kdata.ravel(),
                 values.ravel())
     values = values[:, op._free_span]
     cols = op._free_indices.astype(np.int64)
-    node = np.repeat(np.arange(f), np.diff(op._free_indptr))
+    node = np.repeat(np.arange(f), np.diff(op._row_indptr))
     low, diag = node > cols, node == cols
     abT = np.zeros((s * f, band + 1))
     flat = abT.reshape(-1)

@@ -11,16 +11,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import (
+    all_indices,
     band_fill,
     binomial_levels,
     build_inputs,
     build_operator,
     family_band,
     family_matvec,
+    family_plan,
     g_matrix,
     held_factors,
     levels,
     md_matvec,
+    retained_family,
     scan_plan,
     sweep_steps,
     traced_memory,
@@ -159,7 +162,8 @@ class TestTmatvecOracle:
         op, _, _, _ = build_operator(2, 2, 3)
         free = free_nodes(op)
         v = np.random.default_rng(3).standard_normal(len(free))
-        got = op.tmatvec(op.plan([0], [0], full_truncation(op.tensor)), v)
+        got = op.tmatvec(
+            family_plan(op, [0], [0], full_truncation(op.tensor)), v)
         np.testing.assert_allclose(got, op.k_mats[0][free][:, free] @ v,
                                    atol=1e-13)
 
@@ -168,7 +172,7 @@ class TestTmatvecOracle:
         t0 = standard_truncation(2, 0)
         v = np.random.default_rng(4).standard_normal(op.n_free)
         for j in range(1, op.M + 1):
-            got = op.tmatvec(op.plan([j], [0], t0), v)
+            got = op.tmatvec(family_plan(op, [j], [0], t0), v)
             np.testing.assert_array_equal(got, np.zeros(op.n_free))
 
     def test_symmetry_as_bilinear_form(self):
@@ -189,11 +193,11 @@ class TestTmatvecOracle:
         full = full_truncation(op.tensor)
         V = v.reshape(op.M + 1, -1)[:, op.free]
         for lo, hi in ((0, op.M + 1), (1, 3), (2, 2)):
-            want = op.tmatvec(op.plan(range(lo, hi), range(1, 3), full),
-                              V[1:3])
+            want = op.tmatvec(
+                family_plan(op, range(lo, hi), range(1, 3), full), V[1:3])
             counters = dict(op.counters)
-            got = op.tmatvec(op.plan(slice(lo, hi), slice(1, 3), full),
-                             V[1:3])
+            got = op.tmatvec(
+                family_plan(op, slice(lo, hi), slice(1, 3), full), V[1:3])
             assert np.array_equal(got, want)
             assert (op.counters == counters) == (lo == hi)
 
@@ -205,7 +209,8 @@ class TestTmatvecOracle:
         B = b.reshape(op.M + 1, op.n_dof)
         np.testing.assert_array_equal(op.matvec(B.tolist()), op.matvec(B))
         v = B[:, op.free]
-        for plan in (op.plan([0, 1], [0, 1], full_truncation(op.tensor)),
+        full = full_truncation(op.tensor)
+        for plan in (family_plan(op, [0, 1], [0, 1], full),
                      op.gauss_plan([0, 1], [0, 1])):
             got = op.tmatvec(plan, v.ravel().tolist())
             assert got.shape == (v.size,)
@@ -213,7 +218,7 @@ class TestTmatvecOracle:
 
     def test_dimension_mismatch(self):
         op, _, _, _ = build_operator(1, 1, 2)
-        plan = op.plan([0], [0, 1], full_truncation(op.tensor))
+        plan = family_plan(op, [0], [0, 1], full_truncation(op.tensor))
         with pytest.raises(ValueError):
             op.tmatvec(plan, np.ones(op.n_free))
 
@@ -222,7 +227,7 @@ class TestTmatvecOracle:
     def test_rejects_repeated_or_out_of_range_blocks(self, rows, cols):
         op, _, _, _ = build_operator(1, 2, 2)  # blocks 0..2
         with pytest.raises(ValueError, match="distinct and in"):
-            op.plan(rows, cols, full_truncation(op.tensor))
+            family_plan(op, rows, cols, full_truncation(op.tensor))
 
 
 @functools.lru_cache(maxsize=None)
@@ -242,37 +247,54 @@ def free_oracle_product(op, A, rows, cols, seed):
     return v, (A @ x.ravel()).reshape(op.M + 1, nd)[rows]
 
 
-def truncated_oracle(op, trunc):
-    """Dense global matrix with every K_i outside the set zeroed."""
+def family_matrices(op, family) -> list:
+    """The CSR matrices on K_0's pattern whose data are the rows of
+    ``family``."""
+    K0 = op._k0
+    return [sp.csr_matrix((row, K0.indices, K0.indptr), shape=K0.shape)
+            for row in family]
+
+
+def truncated_oracle(op, trunc, family):
+    """Dense global matrix of ``family``, every K_i's data, with every
+    K_i outside the set zeroed."""
     keep = set(trunc.indices.tolist())
-    kept = [K if i in keep else K * 0.0 for i, K in enumerate(op.k_mats)]
+    kept = [K if i in keep else K * 0.0
+            for i, K in enumerate(family_matrices(op, family))]
     return dense_from_matrices(op.tensor, kept)
+
+
+def kept_rows(trunc, family) -> np.ndarray:
+    """The rows of ``family``, every K_i's data, that a plan of ``trunc``
+    multiplies: those of its indices inside the tensor."""
+    return family[trunc.indices[trunc.indices < len(family)]]
 
 
 @st.composite
 def tmatvec_cases(draw):
+    """An operator, its family or the family edited to hold stored
+    zeros, common to every K_i or in only some of them, and a random
+    product of a standard or adaptive truncation."""
     N, P, n = draw(st.integers(1, 3)), draw(st.integers(1, 3)), \
         draw(st.integers(1, 4))
-    op, _, mesh, field = cached_problem(N, P, n)
+    op = cached_problem(N, P, n)[0]
+    family = op.family(all_indices(op), "the test")
     if draw(st.booleans()):
-        # a new operator's family edited in place to hold stored zeros,
-        # common to every K_i or in only some of them
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-        op = GalerkinOperator(op.tensor, field, mesh)
-        common = rng.random(op.kdata.shape[1]) < draw(
+        common = rng.random(family.shape[1]) < draw(
             st.sampled_from([0, 0.2, 0.6]))
-        op.kdata[common | (rng.random(op.kdata.shape) < 0.3)] = 0.0
+        family[common | (rng.random(family.shape) < 0.3)] = 0.0
     blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
                       unique=True)
     rows, cols = draw(blocks), draw(blocks)
     if draw(st.booleans()):
         trunc = standard_truncation(N, draw(st.integers(0, 2 * P)))
     else:
-        norms = np.array([np.linalg.norm(K.data) for K in op.k_mats])
+        norms = np.array([np.linalg.norm(row) for row in family])
         tau = draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0]))
         trunc = adaptive_truncation(tau, norms, op.tensor)
     seed = draw(st.integers(0, 2**16))
-    return op, rows, cols, trunc, seed
+    return op, family, rows, cols, trunc, seed
 
 
 class TestTmatvecProperty:
@@ -281,11 +303,11 @@ class TestTmatvecProperty:
     def test_matches_dense_oracle(self, case):
         """On the free nodes, in and out: a fixed node's column of the
         matrix is zero off its own row."""
-        op, rows, cols, trunc, seed = case
+        op, family, rows, cols, trunc, seed = case
         free = free_nodes(op)
-        v, want = free_oracle_product(op, truncated_oracle(op, trunc),
-                                      rows, cols, seed)
-        plan = op.plan(rows, cols, trunc)
+        v, want = free_oracle_product(
+            op, truncated_oracle(op, trunc, family), rows, cols, seed)
+        plan = op.plan(rows, cols, trunc, kept_rows(trunc, family))
         got = op.tmatvec(plan, v[:, free])
         want = want[:, free]
         scale = np.abs(want).max(initial=1.0)
@@ -333,9 +355,10 @@ class TestTmatvecProperty:
                         and np.array_equal(x, y))
             return type(x) is type(y) and x == y
 
+        family = retained_family(op, trunc)
         with mock.patch.object(galerkin, "_CHUNK_BYTES", chunk):
-            assert same(op.plan(rows, cols, trunc),
-                        scan_plan(op, rows, cols, trunc))
+            assert same(op.plan(rows, cols, trunc, family),
+                        scan_plan(op, rows, cols, trunc, family))
 
     def test_chunked_product_matches_single_chunk(self, monkeypatch):
         op, _, mesh, field = build_operator(2, 2, 3)
@@ -344,17 +367,17 @@ class TestTmatvecProperty:
         monkeypatch.setattr(galerkin, "_CHUNK_BYTES", 8 * op.n_dof)
         small = GalerkinOperator(op.tensor, field, mesh)
         blocks = range(op.M + 1)
-        assert len(small.plan(blocks, blocks,
-                              full_truncation(op.tensor)).chunks) > 1
+        assert len(family_plan(small, blocks, blocks,
+                               full_truncation(op.tensor)).chunks) > 1
         np.testing.assert_allclose(family_matvec(small, v), want, rtol=1e-14,
                                    atol=1e-14 * np.abs(want).max())
 
 
 @st.composite
 def fixed_node_cases(draw):
-    """A new operator whose family is edited in place into a random one
-    on the Dirichlet pattern of the mesh's boundary, and a random
-    product.
+    """A new operator, a random family on the Dirichlet pattern of the
+    mesh's boundary, with the operator's K_0 edited in place into the
+    family's, and a random product.
 
     Interior slots get random values.  A boundary node b keeps
     K_i[b,b] = 0 for every i > 0 and gets K_0[b,b] = 1 or a random
@@ -363,14 +386,14 @@ def fixed_node_cases(draw):
     N, P, n = draw(st.integers(1, 2)), draw(st.integers(1, 2)), \
         draw(st.integers(1, 4))
     op, _, mesh, field = cached_problem(N, P, n)
-    K = op.k_mats[0]
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    data = rng.standard_normal((len(op.tensor.iset), K.nnz))
-    slot = K.indptr[mesh.boundary]
-    data[1:, slot] = 0.0
-    data[0, slot[rng.random(len(slot)) < 0.5]] = 1.0
     op = GalerkinOperator(op.tensor, field, mesh)
-    op.kdata[:] = data
+    K = op._k0
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    family = rng.standard_normal((len(op.tensor.iset), K.nnz))
+    slot = K.indptr[mesh.boundary]
+    family[1:, slot] = 0.0
+    family[0, slot[rng.random(len(slot)) < 0.5]] = 1.0
+    K.data[:] = family[0]
     blocks = st.lists(st.integers(0, op.M), min_size=1, max_size=op.M + 1,
                       unique=True)
     rows = draw(blocks)
@@ -378,7 +401,7 @@ def fixed_node_cases(draw):
         else draw(blocks)
     extra = draw(st.sets(st.integers(1, op.Mprime)))
     trunc = TruncationSet(np.array(sorted(extra | {0})), "drawn")
-    return op, mesh.boundary, rows, cols, trunc
+    return op, family, mesh.boundary, rows, cols, trunc
 
 
 class TestFixedNodes:
@@ -390,22 +413,25 @@ class TestFixedNodes:
     @settings(max_examples=80, deadline=None)
     @given(fixed_node_cases(), st.integers(0, 2**16))
     def test_matches_dense_oracle(self, case, seed):
-        op, fixed, rows, cols, trunc = case
+        op, family, fixed, rows, cols, trunc = case
         np.testing.assert_array_equal(op.fixed, fixed)
         np.testing.assert_array_equal(op.free, free_nodes(op))
         np.testing.assert_array_equal(
             np.sort(np.concatenate([op.fixed, op.free])),
             np.arange(op.n_dof))
-        v, want = free_oracle_product(op, truncated_oracle(op, trunc),
-                                      rows, cols, seed)
-        got = op.tmatvec(op.plan(rows, cols, trunc), v[:, op.free])
+        v, want = free_oracle_product(
+            op, truncated_oracle(op, trunc, family), rows, cols, seed)
+        got = op.tmatvec(op.plan(rows, cols, trunc,
+                                 kept_rows(trunc, family)), v[:, op.free])
         scale = np.abs(want).max(initial=1.0)
         assert np.abs(got - want[:, op.free]).max(initial=0.0) <= \
             1e-13 * scale
         x = np.random.default_rng(seed).standard_normal(op.n_global)
-        want = (op.assemble_global_dense() @ x).reshape(op.M + 1, op.n_dof)
+        dense = dense_from_matrices(op.tensor, family_matrices(op, family))
+        want = (dense @ x).reshape(op.M + 1, op.n_dof)
         scale = np.abs(want).max(initial=1.0)
-        assert np.abs(family_matvec(op, x) - want).max() <= 1e-13 * scale
+        assert np.abs(family_matvec(op, x, family) - want).max() <= \
+            1e-13 * scale
         got = op.matvec(x).reshape(op.M + 1, op.n_dof)[:, op.fixed]
         assert np.abs(got - want[:, op.fixed]).max(initial=0.0) <= \
             1e-13 * scale
@@ -437,33 +463,39 @@ def dense_from_matrices(tensor, mats) -> np.ndarray:
     return A
 
 
-class TestFamilyStorage:
-    """The operator assembles its one stiffness family from its field."""
+class TestFamily:
+    """``family`` assembles the K_i a caller names from the field, anew at
+    each call, and the operator keeps none of them."""
 
-    def test_family_is_the_assembled_one(self):
-        """``kdata`` is the family of the field's values as assembled, bit
-        for bit, with K_0's boundary diagonal 1.0."""
+    @pytest.mark.parametrize("indices", [range(15), [0], [3, 0, 7],
+                                         [14, 2], []])
+    def test_rows_are_the_assembled_family(self, indices):
+        """Each row is that of ``assemble_stiffness_family`` of the
+        field's values bit for bit, K_0's with boundary diagonal 1.0, in
+        one C-contiguous array."""
         tensor, field, mesh = build_inputs(2, 2, 4)
         op = GalerkinOperator(tensor, field, mesh)
-        family = assemble_stiffness_family(mesh, field.values)
+        family = assemble_stiffness_family(
+            mesh, field.values(range(len(tensor.iset))))
         want = np.array([K.data for K in family])
         assert not want[0, op._fixed_slots].any()
         want[0, op._fixed_slots] = 1.0
-        assert np.array_equal(op.kdata, want)
+        got = op.family(indices, "the test")
+        assert got.shape == (len(indices), dirichlet_nnz(4))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want[list(indices)])
         for K, mine in zip(family, op.k_mats, strict=True):
             assert np.array_equal(K.indices, mine.indices)
             assert np.array_equal(K.indptr, mine.indptr)
 
-    def test_family_adopted_without_a_copy(self):
-        """The operator holds one family copy: every ``k_mats[i].data`` is
-        the row ``kdata[i]``, so an in-place edit of ``kdata`` is an edit
-        of the K_i, and row 0 is the K_0 the fixed rows read.  Memory
-        regression guards: building the operator keeps well below the
-        family's bytes, for it holds K_0 alone; building the family on
-        demand peaks within 10 % of the bytes of the family and the
-        coefficient values it is assembled from, with no second copy of
-        either, and keeps within 10 % of the family's, without the
-        values."""
+    def test_assembled_anew_and_kept_by_the_caller(self):
+        """Every call and every read of ``k_mats`` assembles new arrays,
+        so an edit of one is seen by no other, and row 0 is K_0's data as
+        the operator holds it at the call.  Memory regression guards:
+        building the operator keeps well below the family's bytes, for
+        it holds K_0 alone; a call at N = P = 4, n = 12 keeps only what
+        it returns, the family's bytes, and peaks within 10 % of those
+        and the bytes of the coefficient values it is assembled from."""
         tensor, field, mesh = build_inputs(4, 4, 12)
         family = 8 * len(tensor.iset) * dirichlet_nnz(12)
         values = 8 * len(tensor.iset) * 4 * 144
@@ -472,46 +504,66 @@ class TestFamilyStorage:
                                                          mesh))
         assert kept < 0.05 * family
         op = GalerkinOperator(tensor, field, mesh)
-        kept, peak = traced_memory(lambda: op.family("the test"))
-        assert family <= kept < 1.1 * family
+        every = range(len(tensor.iset))
+        kept, peak = traced_memory(lambda: op.family(every, "the test"))
+        assert family <= kept < 1.01 * family
         assert peak < 1.1 * (family + values)
-        assert op.kdata.nbytes == family
-        assert op.kdata.flags.c_contiguous
-        for K, row in zip(op.k_mats, op.kdata, strict=True):
-            assert K.data.__array_interface__ == row.__array_interface__
-        op.kdata[3, 0] = 7.0
-        assert op.k_mats[3].data[0] == 7.0
-        op.kdata[0, op._fixed_slots] = 2.0
-        np.testing.assert_array_equal(op.fixed_divisor(range(1)), 2.0)
+        kept, _ = traced_memory(lambda: op.family(every, "the test").size)
+        assert kept < 0.01 * family
+        op.family([0, 3], "the test")[:] = 7.0
+        assert not np.any(op.k_mats[3].data == 7.0)
+        assert not np.any(op.family([0], "the test") == 7.0)
+        op._k0.data[op._fixed_slots] = 2.0
+        np.testing.assert_array_equal(
+            op.family([3, 0], "the test")[1, op._fixed_slots], 2.0)
 
     def test_oversized_family_refused_before_assembly(self, monkeypatch):
-        """The bytes of the family and of the coefficient values it is
-        assembled from, 8·fields·(nnz + points), are checked against
-        physical memory when something first reads the family, before
-        either is built, naming what read it; the operator, which holds
-        K_0 alone, is built within that memory."""
+        """The bytes of the asked K_i and of the coefficient values they
+        are assembled from, 8·len(indices)·(nnz + points), are checked
+        against physical memory before either is computed, naming what
+        asked for them; the operator, which holds K_0 alone, is built
+        within that memory."""
         tensor, field, mesh = build_inputs(2, 2, 4)
-        need = 8 * len(tensor.iset) * (dirichlet_nnz(4) + 64)
-        assert need == GalerkinOperator(tensor, field, mesh).kdata.nbytes \
-            + field.values.nbytes
+        indices = [0, 4, 9]
+        need = 8 * len(indices) * (dirichlet_nnz(4) + 64)
+        op = GalerkinOperator(tensor, field, mesh)
+        assert need == op.family(indices, "the test").nbytes \
+            + field.values(indices).nbytes
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         op = GalerkinOperator(tensor, field, mesh)
 
         def no_work(*args):
             raise AssertionError("family assembled before the refusal")
 
-        monkeypatch.setattr(galerkin, "assemble_stiffness_family", no_work)
+        monkeypatch.setattr(type(field), "values", no_work)
         with pytest.raises(MemoryError) as exc:
-            op.k_mats
+            op.family(indices, "the test")
         assert str(exc.value).startswith(
-            f"the stiffness family for k_mats, 15 matrices of 65 stored "
+            f"the stiffness family for the test, 3 matrices of 65 stored "
             f"entries, with the coefficient values at its 64 points, needs "
             f"{need} bytes")
-        # with the family fitting, the patched assembly is reached: the
-        # refusal above came before it
+        with pytest.raises(MemoryError, match="for k_mats, 15 matrices"):
+            op.k_mats
+        # with the K_i fitting, the patched values are reached: the
+        # refusal above came before them
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         with pytest.raises(AssertionError, match="family assembled"):
-            op.family("the test")
+            op.family(indices, "the test")
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 4), P=st.integers(0, 3), n=st.integers(1, 4),
+           data=st.data())
+    def test_subsets_are_rows_of_the_whole(self, N, P, n, data):
+        """For random index subsets in any order, the field's values and
+        the family of the subset are the matching rows of those of every
+        index, bit for bit, whatever chunks the assembly cuts."""
+        op, _, _, field = cached_problem(N, P, n)
+        every = range(len(op.tensor.iset))
+        subset = data.draw(st.lists(st.sampled_from(every), unique=True))
+        assert np.array_equal(field.values(subset),
+                              field.values(every)[subset])
+        assert np.array_equal(op.family(subset, "the test"),
+                              op.family(every, "the test")[subset])
 
 
 class TestCounters:
@@ -533,7 +585,7 @@ class TestCounters:
         def counts(idx):
             trunc = TruncationSet(np.array(sorted(idx | {0})), "drawn")
             before = dict(op.counters)
-            op.tmatvec(op.plan(rows, cols, trunc), v)
+            op.tmatvec(family_plan(op, rows, cols, trunc), v)
             return [op.counters[c] - before[c]
                     for c in ("products", "summations")]
 
@@ -548,8 +600,8 @@ class TestCounters:
         v = np.ones((op.M + 1) * op.n_free)
         for lt, count in expect.items():
             before = dict(op.counters)
-            op.tmatvec(op.plan(blocks, blocks, standard_truncation(4, lt)),
-                       v)
+            op.tmatvec(family_plan(op, blocks, blocks,
+                                   standard_truncation(4, lt)), v)
             assert op.counters["summations"] - before["summations"] == \
                 count, lt
             assert op.counters["products"] - before["products"] <= count
@@ -627,16 +679,21 @@ class TestGaussPointProduct:
         assert np.abs(op.matvec(V) - family).max() <= \
             1e-14 * np.abs(family).max()
 
-    def test_reads_no_stiffness_matrix(self):
-        """The product comes from the field: zeroing every K_i but K_0's
-        fixed diagonal, which the closed form of a fixed row reads,
-        leaves it as it was."""
+    def test_reads_no_stiffness_matrix(self, monkeypatch):
+        """The product comes from the field: it assembles no K_i, and
+        zeroing K_0's data but its fixed diagonal, which the closed form
+        of a fixed row reads, leaves it as it was."""
+        def no_work(*args):
+            raise AssertionError("a K_i assembled")
+
+        monkeypatch.setattr(GalerkinOperator, "family", no_work)
         op, _ = build_problem(2, 2, 3, 100.0)
         v = np.random.default_rng(42).standard_normal(op.n_global)
         want = op.matvec(v)
-        diagonal = op.kdata[0, op._fixed_slots].copy()
-        op.kdata[:] = 0.0
-        op.kdata[0, op._fixed_slots] = diagonal
+        k0 = op._k0.data
+        diagonal = k0[op._fixed_slots].copy()
+        k0[:] = 0.0
+        k0[op._fixed_slots] = diagonal
         np.testing.assert_array_equal(op.matvec(v), want)
 
     def test_refuses_a_coefficient_degree_below_2P(self):
@@ -714,8 +771,9 @@ class TestGaussPlan:
         x[cols] = np.abs(v)
         scale = (np.abs(dense) @ x.ravel()).max(initial=0.0)
         got = op.tmatvec(op.gauss_plan(rows, cols), v[:, free])
-        family = op.tmatvec(op.plan(rows, cols, full_truncation(op.tensor)),
-                            v[:, free])
+        family = op.tmatvec(
+            family_plan(op, rows, cols, full_truncation(op.tensor)),
+            v[:, free])
         assert got.shape == (len(rows), op.n_free)
         assert np.abs(got - family).max(initial=0.0) <= 1e-14 * scale
         assert np.abs(got - want[:, free]).max(initial=0.0) <= 1e-14 * scale
@@ -747,7 +805,8 @@ class TestGaussPlan:
         v = np.ones((4, op.n_free))
         for rows in (range(4, 10), range(0, 1), range(0, 0)):
             plan = op.gauss_plan(rows, range(1, 5))
-            family = op.plan(rows, range(1, 5), full_truncation(op.tensor))
+            family = family_plan(op, rows, range(1, 5),
+                                 full_truncation(op.tensor))
             assert plan.summations == family.summations
             before = dict(op.counters)
             op.tmatvec(plan, v)
@@ -898,15 +957,23 @@ def run_cases(draw):
 
 
 def recorded_assemblies(monkeypatch) -> list:
-    """The field counts of every family assembly the operator runs from
-    now on, K_0's (one field) included."""
-    counts, assemble = [], galerkin.assemble_stiffness_family
+    """The matrix counts of every assembly of K_i that an operator runs
+    from now on: K_0's (one matrix) and those of :meth:`family`."""
+    counts = []
+    assemble, family = (galerkin.assemble_stiffness_family,
+                        GalerkinOperator.family)
 
     def recorded(mesh, coeffs):
         counts.append(len(coeffs))
         return assemble(mesh, coeffs)
 
+    def recorded_family(op, indices, purpose):
+        data = family(op, indices, purpose)
+        counts.append(len(data))
+        return data
+
     monkeypatch.setattr(galerkin, "assemble_stiffness_family", recorded)
+    monkeypatch.setattr(GalerkinOperator, "family", recorded_family)
     return counts
 
 
@@ -935,8 +1002,8 @@ class TestPointFills:
     def test_point_paths_assemble_only_k0(self, monkeypatch):
         """build_problem, and mb, kron, hs, ahs and ahgs made and applied,
         at N = P = 4, n = 12 assemble K_0 alone, one field, and what they
-        keep is less than the family's bytes.  gs and then a truncated
-        sweep on the same operator build the family once."""
+        keep is less than the family's bytes.  gs then assembles the
+        whole family, and a truncated ahgs at lt = 2 its own 15 K_i."""
         counts, held = recorded_assemblies(monkeypatch), []
 
         def run():
@@ -954,20 +1021,22 @@ class TestPointFills:
         make_preconditioner(op, "gs").apply(b)
         assert counts == [1, 495]
         make_preconditioner(op, "ahgs", standard_truncation(4, 2)).apply(b)
-        assert counts == [1, 495]
+        assert counts == [1, 495, 15]
 
     def test_solves_without_memory_for_the_family(self, monkeypatch):
         """With physical memory one byte short of the family and its
         coefficient values at N = P = 4, n = 4, kron and ahgs build and
-        solve; gs is refused when it is made, before any assembly, and
-        the refusal names its pushes."""
+        solve, and so does ahgs at lt = 2 on its 15 K_i; gs is refused
+        when it is made, before any assembly, and the refusal names its
+        pushes."""
         need = 8 * 495 * (dirichlet_nnz(4) + 64)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         counts = recorded_assemblies(monkeypatch)
         op, b = build_problem(4, 4, 4, 100.0)
-        for kind in ("kron", "ahgs"):
-            _, rep = flexible_cg(op.matvec,
-                                 make_preconditioner(op, kind).apply, b)
+        for kind, trunc in (("kron", None), ("ahgs", None),
+                            ("ahgs", standard_truncation(4, 2))):
+            _, rep = flexible_cg(op.matvec, make_preconditioner(
+                op, kind, trunc).apply, b)
             assert rep.converged
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "gs")
@@ -975,7 +1044,7 @@ class TestPointFills:
             f"the stiffness family for gs's pushes, 495 matrices of 65 "
             f"stored entries, with the coefficient values at its 64 "
             f"points, needs {need} bytes")
-        assert counts == [1]
+        assert counts == [1, 15]
 
 
 class TestAssembledBlocks:
@@ -1250,7 +1319,8 @@ class TestFactorizationContract:
     @pytest.mark.parametrize("builder,kind,calls", [
         ("assemble_level_block", "hs", [range(3, 6), range(1, 3),
                                         range(0, 1)]),
-        ("assemble_diag_block", "gs", [range(j, j + 1) for j in range(6)]),
+        ("assemble_diag_block", "gs", [range(0, 1), range(1, 3),
+                                       range(3, 6)]),
         ("assemble_diag_block", "ahgs", [range(0, 1), range(1, 3),
                                          range(3, 6)]),
         ("assemble_diag_block", "ahs", [range(3, 6), range(1, 3),
@@ -1260,8 +1330,9 @@ class TestFactorizationContract:
             self, builder, kind, calls, monkeypatch):
         """The operator builds a new factorization on every call and
         keeps none; over two applies a sweep calls the builder once per
-        group, in sweep order, with the group's blocks: hs each level,
-        level 0 included, and the other kinds each group."""
+        level, in sweep order, with the level's blocks, level 0 included:
+        gs too, which solves each block on its slice of the level's
+        factor."""
         op, b, _, _ = build_operator(2, 2, 3)
         build = getattr(op, builder)
         F, G = build(calls[-1]), build(calls[-1])
@@ -1309,6 +1380,35 @@ class TestFactorizationContract:
             np.testing.assert_array_equal(
                 F.solve(R.ravel()),
                 np.concatenate([G.solve(r) for G, r in zip(alone, R)]))
+
+    @pytest.mark.parametrize("n", [5, 10, 20, 32])
+    def test_block_slices_are_the_blocks_own_factors(self, n):
+        """gs solves a block on its slice of the level's block-diagonal
+        factor (``diagonal_block``): each slice is a view of the level's
+        band and, bit for bit, the factor of the block alone,
+        ``assemble_diag_block(range(j, j + 1))``, and solves as it
+        does."""
+        op = build_problem(2, 2, n, 100.0)[0]
+        f, rng = op.n_free, np.random.default_rng(7)
+        level = range(3, 6)
+        F = op.assemble_diag_block(level)
+        for p, j in enumerate(level):
+            S = F.diagonal_block(slice(p * f, (p + 1) * f))
+            G = op.assemble_diag_block(range(j, j + 1))
+            assert S.n == f and S.rows is None
+            assert np.shares_memory(S._state[0], F._state[0])
+            np.testing.assert_array_equal(S._state[0], G._state[0])
+            r = rng.standard_normal(f)
+            np.testing.assert_array_equal(S.solve(r), G.solve(r))
+
+    def test_block_slice_needs_a_band_factor_in_system_order(self):
+        """A level factor holds its rows node-interleaved and a dense
+        factor no band: neither is sliced."""
+        op = build_problem(2, 1, 3, 100.0)[0]
+        for F in (op.assemble_level_block(range(1, 3)),
+                  factorize(np.eye(2))):
+            with pytest.raises(ValueError, match="system's order"):
+                F.diagonal_block(slice(0, 1))
 
 
 class TestCompactFactors:

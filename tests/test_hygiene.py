@@ -380,7 +380,9 @@ def test_exports_rebuild_build_problem():
 
     ref, ref_b = sg.build_problem(N, P, n, cov_pct)
     assert np.array_equal(b, ref_b)
-    assert np.array_equal(op.kdata, ref.kdata)
+    every = range(len(tensor.iset))
+    assert np.array_equal(op.family(every, "the test"),
+                          ref.family(every, "the test"))
     for name in ("i", "j", "k", "val"):
         assert np.array_equal(getattr(op.tensor, name),
                               getattr(ref.tensor, name))

@@ -12,6 +12,7 @@ from conftest import (
     band_fill,
     binomial_levels,
     build_operator,
+    family_plan,
     g_matrix,
     held_factors,
     levels,
@@ -33,6 +34,7 @@ from sgfem.galerkin import (
     full_truncation,
     standard_truncation,
 )
+from sgfem.fem import dirichlet_nnz
 from sgfem.krylov import flexible_cg, pcg
 from sgfem.linalg import FactorizationError
 from sgfem.preconditioners import KINDS, make_preconditioner
@@ -40,19 +42,21 @@ from sgfem.preconditioners import KINDS, make_preconditioner
 SMALL = [(1, 1, 2), (2, 1, 3), (2, 2, 3)]
 
 
-def truncated_dense_block(op, j, k, indices):
-    """Σ_{i in set} c_ijk K_i as a dense matrix (independent route)."""
+def truncated_dense_block(op, j, k, indices, dense):
+    """Σ_{i in set} c_ijk K_i as a dense matrix (independent route), from
+    the K_i's dense matrices ``dense``."""
     t = op.tensor
     keep = (t.j == j) & (t.k == k) & np.isin(t.i, indices)
     out = np.zeros((op.n_dof, op.n_dof))
     for i, v in zip(t.i[keep], t.val[keep]):
-        out += v * op.k_mats[i].toarray()
+        out += v * dense[i]
     return out
 
 
 def dense_split_parts(op, trunc):
     """(L, D, U) dense: strictly-lower/upper truncated parts, full diag."""
     nd, m1 = op.n_dof, op.M + 1
+    dense = [K.toarray() for K in op.k_mats]
     L = np.zeros((m1 * nd, m1 * nd))
     U = np.zeros_like(L)
     D = np.zeros_like(L)
@@ -62,7 +66,7 @@ def dense_split_parts(op, trunc):
                 blk = op.block(j, j).toarray()
                 tgt = D
             else:
-                blk = truncated_dense_block(op, j, k, trunc.indices)
+                blk = truncated_dense_block(op, j, k, trunc.indices, dense)
                 tgt = L if j > k else U
             tgt[j * nd:(j + 1) * nd, k * nd:(k + 1) * nd] = blk
     return L, D, U
@@ -95,13 +99,14 @@ def pull_form_gs(op, trunc, r):
     Y = np.zeros_like(R)
     for j in range(op.M + 1):
         if j > 0:
-            rhs_fwd[j] -= op.tmatvec(op.plan([j], range(j), trunc),
+            rhs_fwd[j] -= op.tmatvec(family_plan(op, [j], range(j), trunc),
                                      Y[:j])[0]
         Y[j] = solv[j].solve(rhs_fwd[j])
     V = Y.copy()
     for j in range(op.M - 1, -1, -1):
-        corr = op.tmatvec(op.plan([j], range(j + 1, op.M + 1), trunc),
-                          V[j + 1:])[0]
+        corr = op.tmatvec(
+            family_plan(op, [j], range(j + 1, op.M + 1), trunc),
+            V[j + 1:])[0]
         V[j] = solv[j].solve(rhs_fwd[j] - corr)
     return with_fixed_rows(op, r, V)
 
@@ -130,6 +135,7 @@ def dense_sweep_inverse(op, kind, trunc):
              if by_level else np.arange(m1))
     rank = -group if descending else group  # position in the sweep
     A = op.assemble_global_dense()
+    dense = [K.toarray() for K in op.k_mats]
     D, L, U = (np.zeros_like(A) for _ in range(3))
     for j in range(m1):
         for k in range(m1):
@@ -139,8 +145,8 @@ def dense_sweep_inverse(op, kind, trunc):
                 D[rows, cols] = A[rows, cols]
             elif rank[k] != rank[j]:
                 tgt = L if rank[k] < rank[j] else U
-                tgt[rows, cols] = truncated_dense_block(op, j, k,
-                                                        trunc.indices)
+                tgt[rows, cols] = truncated_dense_block(
+                    op, j, k, trunc.indices, dense)
     return np.linalg.inv((D + L) @ np.linalg.solve(D, D + U))
 
 
@@ -162,11 +168,13 @@ def pull_form_schur(op, trunc, exact, r):
     g = free_blocks(op, r).copy()
     for blk in levels(op)[:0:-1]:
         z = level_solve(op, blk, exact, g[blk])
-        g[:blk[0]] -= op.tmatvec(op.plan(range(blk[0]), blk, trunc), z)
+        g[:blk[0]] -= op.tmatvec(
+            family_plan(op, range(blk[0]), blk, trunc), z)
     v = np.zeros_like(g)
     v[0] = op.assemble_diag_block(range(1)).solve(g[0])
     for blk in levels(op)[1:]:
-        corr = op.tmatvec(op.plan(blk, range(blk[0]), trunc), v[:blk[0]])
+        corr = op.tmatvec(family_plan(op, blk, range(blk[0]), trunc),
+                          v[:blk[0]])
         v[blk] = level_solve(op, blk, exact, g[blk] - corr)
     return with_fixed_rows(op, r, v)
 
@@ -180,15 +188,26 @@ def pull_form_level_gs(op, trunc, r):
     U = np.zeros_like(R)
     for blk in levels(op):
         if blk[0] > 0:
-            rhs_fwd[blk] -= op.tmatvec(op.plan(blk, range(blk[0]), trunc),
-                                       U[:blk[0]])
+            rhs_fwd[blk] -= op.tmatvec(
+                family_plan(op, blk, range(blk[0]), trunc), U[:blk[0]])
         U[blk] = level_solve(op, blk, False, rhs_fwd[blk])
     V = U.copy()
     for blk in levels(op)[-2::-1]:
         above = range(blk[-1] + 1, op.M + 1)
-        corr = op.tmatvec(op.plan(blk, above, trunc), V[blk[-1] + 1:])
+        corr = op.tmatvec(family_plan(op, blk, above, trunc),
+                          V[blk[-1] + 1:])
         V[blk] = level_solve(op, blk, False, rhs_fwd[blk] - corr)
     return with_fixed_rows(op, r, V)
+
+
+def assembled_beforehand(monkeypatch, op) -> None:
+    """Have ``op.family`` return rows of the whole family, assembled
+    now: a sweep made later is then checked against physical memory for
+    its factors alone, not for the K_i whose own check ``TestFamily``
+    pins."""
+    every = op.family(range(len(op.tensor.iset)), "the test")
+    monkeypatch.setattr(op, "family", lambda indices, purpose:
+                        every[np.asarray(indices, dtype=np.int64)])
 
 
 def units(op, kind) -> list:
@@ -299,18 +318,25 @@ class TestKronecker:
     @pytest.mark.parametrize("N,P,n,cov", [
         (1, 2, 3, 100.0), (2, 2, 4, 50.0), (3, 2, 5, 150.0),
         (4, 4, 10, 100.0)])
-    def test_trace_weights_match_the_family(self, N, P, n, cov):
+    def test_trace_weights_match_the_family(self, N, P, n, cov,
+                                            monkeypatch):
         """The trace fit taken at the Gauss points equals the family's
-        data-array dot products, (kdata @ d_0)/(d_0 @ d_0), to 1e-14 of
+        data-array dot products, (family @ d_0)/(d_0 @ d_0), to 1e-14 of
         the largest weight, and kron's G equals the G of those weights
         to 1e-14 of its largest entry; the fit reads no K_i, so the
-        family is built after it, for the oracle."""
+        family is assembled after it, for the oracle."""
         op, _ = build_problem(N, P, n, cov)
+        family = op.family
+
+        def no_work(*args):
+            raise AssertionError("a K_i assembled")
+
+        monkeypatch.setattr(op, "family", no_work)
         G = make_preconditioner(op, "kron").g_matrix
         traces = op.k0_traces()
-        assert op._k_mats is None
-        d0 = op.k_mats[0].data
-        want = (op.kdata @ d0) / (d0 @ d0)
+        data = family(range(len(op.tensor.iset)), "the oracle")
+        d0 = data[0]
+        want = (data @ d0) / (d0 @ d0)
         assert np.abs(traces / traces[0] - want).max() <= \
             1e-14 * np.abs(want).max()
         want_G = op.tensor.g_sum(want)
@@ -352,7 +378,8 @@ class TestKronecker:
         op, _, mesh, field = build_operator(2, 1, 2)
         mean = dataclasses.replace(field, modes=np.zeros_like(field.modes))
         op2 = GalerkinOperator(op.tensor, mean, mesh)
-        assert not op2.kdata[1:].any()
+        assert not op2.family(range(1, len(op.tensor.iset)),
+                              "the test").any()
         kr = make_preconditioner(op2, "kron")
         mb = make_preconditioner(op2, "mb")
         r = np.random.default_rng(1).standard_normal(op2.n_global)
@@ -585,6 +612,39 @@ class TestPushForm:
         assert op.counters["products"] - before == pairs
         assert (N, P) != (4, 4) or pairs == 4455
 
+    def test_products_per_apply_at_the_table_shape(self):
+        """K_i products per apply at N = P = 4, n = 10: 4,455 for gs
+        (its pushes inside the levels), 1,000 for gs at lt = 2, 580 for
+        ahgs, ahs and hs at lt = 2, none for untruncated ahgs."""
+        op, b = build_problem(4, 4, 10, 100.0)
+        want = {("gs", None): 4455, ("gs", 2): 1000, ("ahgs", 2): 580,
+                ("ahs", 2): 580, ("hs", 2): 580, ("ahgs", None): 0}
+        for (kind, lt), count in want.items():
+            pre = make_preconditioner(
+                op, kind, None if lt is None else standard_truncation(4, lt))
+            pre.apply(b)
+            before = op.counters["products"]
+            pre.apply(b)
+            assert op.counters["products"] - before == count, (kind, lt)
+
+    def test_truncated_sweep_keeps_its_rows_and_bands(self):
+        """ahgs at lt = 2, N = P = 4, n = 12, made and applied once on an
+        operator that has run such a sweep before, keeps no more than
+        1.1 times its 15 rows of K_i data and its band factors."""
+        op, b = build_problem(4, 4, 12, 100.0)
+        trunc, held = standard_truncation(4, 2), []
+        make_preconditioner(op, "ahgs", trunc).apply(b)
+
+        def run():
+            held.append(make_preconditioner(op, "ahgs", trunc))
+            held[0].apply(b)
+
+        kept, _ = traced_memory(run)
+        rows = 8 * 15 * dirichlet_nnz(12)
+        bands = sum(F._state[0].nbytes for F in held_factors(held[0]))
+        assert sum(row.nbytes for row in held[0]._family) == rows
+        assert rows + bands <= kept <= 1.1 * (rows + bands)
+
     def test_gauss_point_sweep_adds_no_push_workspace(self):
         """The couplings at the Gauss points of an untruncated ahgs or gs
         share the operator's one workspace, and gs's family pushes its
@@ -593,7 +653,7 @@ class TestPushForm:
         ``_CHUNK_BYTES``."""
         op, b = build_problem(4, 4, 10, 100.0)
         op.matvec(b)
-        op.tmatvec(op.plan([1], [0], full_truncation(op.tensor)),
+        op.tmatvec(family_plan(op, [1], [0], full_truncation(op.tensor)),
                    np.zeros(op.n_free))
         for kind in ("ahgs", "gs"):
             pre = make_preconditioner(op, kind)
@@ -778,7 +838,7 @@ class TestFactory:
         op, _, mesh, field = build_operator(2, 2, 4)
         for value in (0.0, -1.0):
             untreated = GalerkinOperator(op.tensor, field, mesh)
-            untreated.kdata[0, op.k_mats[0].indptr[mesh.boundary]] = value
+            untreated._k0.data[untreated._k0.indptr[mesh.boundary]] = value
             assert len(untreated.fixed) == 16
             for kind in KINDS:
                 with pytest.raises(FactorizationError,
@@ -826,6 +886,7 @@ class TestFactory:
         assert len(sizes) > 1 and max(sizes) <= need - 1
 
         op, b, _, _ = build_operator(2, 3, 4)
+        assembled_beforehand(monkeypatch, op)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"need {need} bytes"):
             make_preconditioner(op, kind)
@@ -862,12 +923,28 @@ class TestFactory:
         op, b, _, _ = build_operator(2, 3, 4)
         hs = make_preconditioner(op, "hs")
         hs.apply(b)
+        assembled_beforehand(monkeypatch, op)
         need = 8 * (op.M + 1) * op.n_free * (op.run_band(1) + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         gs = make_preconditioner(op, "gs")
         gs.apply(b)
         assert sum(F._state[0].nbytes for F in held_factors(gs)) == need
         assert held_factors(hs)
+
+    def test_dropped_gs_leaves_no_stiffness_matrix(self):
+        """gs assembles the whole family when it is made and is its only
+        holder: made, applied and dropped on an operator that has run gs
+        before, at N = P = 4, n = 10, it leaves under 1 % of the
+        family's bytes behind."""
+        op, b = build_problem(4, 4, 10, 100.0)
+        make_preconditioner(op, "gs").apply(b)
+
+        def run():
+            make_preconditioner(op, "gs").apply(b)
+            gc.collect()
+
+        kept, _ = traced_memory(run)
+        assert kept < 0.01 * 8 * 495 * dirichlet_nnz(10)
 
     def test_operator_holds_no_factorization(self):
         op, b, _, _ = build_operator(2, 2, 3)
