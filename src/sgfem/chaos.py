@@ -126,6 +126,16 @@ class CijkTensor:
         return G
 
 
+def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``jk``, multi-indices of degree ≤ P over some
+    of the dimensions, ordered by total degree and then by their digits,
+    and the position of each row among them."""
+    key = np.c_[jk, jk.sum(axis=1)] @ (P + 1) ** np.arange(jk.shape[1] + 1)
+    _, first, position = np.unique(key, return_index=True,
+                                   return_inverse=True)
+    return jk[first], position
+
+
 def triple_product_table(max_i: int, max_jk: int) -> np.ndarray:
     """Dense table of triple_product_1d over a ≤ max_i, b,c ≤ max_jk."""
     T = np.zeros((max_i + 1, max_jk + 1, max_jk + 1))

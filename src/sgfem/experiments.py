@@ -159,21 +159,20 @@ def check_problem(N, P, n) -> None:
     and what it keeps for each of the 4n² points once it has multiplied
     and filled a band: the n₁² + n₂² doubles of the Gauss-point
     product's stored factors A_q and B_q, for the half-grid sizes
-    n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the mean and the N
-    modes, the N·(P + 1)² entries of the 1-D factors m_d that the band
-    fills read, 104 bytes of the gradient matrix (two rows of four
-    entries and an int32 column each, and two int32 row pointers) and
-    32 of the slot map that every assembly on the mesh shares (four
-    int64 slots).  The other K_i, up to C(N + 2P, N), are assembled and
-    checked by what reads them
-    (:meth:`~sgfem.galerkin.GalerkinOperator.family`).  Other arguments
-    that :func:`build_problem` rejects pass; it names them."""
+    n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), from which the band
+    fills read their pair fields too, the mean and the N modes, 104
+    bytes of the gradient matrix (two rows of four entries and an int32
+    column each, and two int32 row pointers) and 32 of the slot map that
+    every assembly on the mesh shares (four int64 slots).  The other
+    K_i, up to C(N + 2P, N), are assembled and checked by what reads
+    them (:meth:`~sgfem.galerkin.GalerkinOperator.family`).  Other
+    arguments that :func:`build_problem` rejects pass; it names them."""
     if P < 0 or n < 1:
         return
     check_kl_modes(N, (n + 1) ** 2)
     points = 4 * n * n
     n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
-    doubles = n1 * n1 + n2 * n2 + N + 1 + N * (P + 1) ** 2
+    doubles = n1 * n1 + n2 * n2 + N + 1
     check_fits(8 * dirichlet_nnz(n) + points * (8 * doubles + 136), lambda: (
         f"the problem at N = {N}, P = {P}, n = {n}, its K_0 and its "
         f"Gauss-point data, needs"))
@@ -242,7 +241,8 @@ def matrix_norm(K, which="frob"):
 
 
 def stiffness_norms(op: GalerkinOperator, which="frob") -> np.ndarray:
-    return np.array([matrix_norm(K, which) for K in op.k_mats])
+    return np.array([matrix_norm(K, which)
+                     for K in op.family_matrices("the stiffness norms")])
 
 
 def count_pattern(tensor, indices):
@@ -403,7 +403,7 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
     "global" entry holds a refusal message when the cap is exceeded).
     Raises :class:`MemoryError` before any file is written when the
     dense global matrix the cap admits, or the stiffness family that
-    ``op.k_mats`` assembles for the export, exceeds physical memory.
+    the export reads, exceeds physical memory.
     """
     op, b = _problem(config, cov_pct=cov)
     n = op.n_global
@@ -411,7 +411,7 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         check_fits(8 * n * n, lambda: (
             f"the dense global matrix of {n} rows needs"),
             f"; a cap below {n} skips it")
-    k_mats = op.k_mats
+    k_mats = op.family_matrices("sg export")
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)

@@ -31,10 +31,10 @@ product through the family costs what its retained K_i do.  So gs's
 pushes inside a level, each from a single block, and the truncated
 sweeps run through the family.  The band fills, ``block`` and kron's
 trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the
-stiffness matrix of its pair field C_q[j,k] = a_0 Π_d m_d[j_d, k_d]
-at the points, assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`)
-from the 1-D factors m_d, and tr(K_iᵀK_0) is the field's moment
-Σ_q k_i(q) u(q) with the point weights u of K_0's data
+stiffness matrix of its pair field C_q[j,k] = A_q[j₁,k₁] · B_q[j₂,k₂],
+read from the product's stored factors and assembled as a K_i is
+(:func:`~sgfem.fem.stiffness_data`), and tr(K_iᵀK_0) is the field's
+moment Σ_q k_i(q) u(q) with the point weights u of K_0's data
 (:func:`~sgfem.fem.point_weights`).
 
 Products and block factors run on the free nodes only.  The fixed nodes
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from sgfem.chaos import CijkTensor, triple_product_table
+from sgfem.chaos import CijkTensor, _half_grid, triple_product_table
 from sgfem.fem import (
     Mesh,
     apply_dirichlet,
@@ -234,16 +234,6 @@ def _dimension_factors(tensor: CijkTensor, modes: np.ndarray) -> np.ndarray:
     return (powers @ table).reshape(len(g), N * (P + 1) ** 2)
 
 
-def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of ``jk``, multi-indices of degree ≤ P over some
-    of the dimensions, ordered by total degree and then by their digits,
-    and the position of each row among them."""
-    key = np.c_[jk, jk.sum(axis=1)] @ (P + 1) ** np.arange(jk.shape[1] + 1)
-    _, first, position = np.unique(key, return_index=True,
-                                   return_inverse=True)
-    return jk[first], position
-
-
 @dataclass(frozen=True)
 class _GaussPlan:
     """One product at the Gauss points over the full tensor, from
@@ -298,8 +288,9 @@ class _GaussPointProduct:
     blocks, whose sub-blocks are the factors.
 
     A_q, with a_0 folded in, and B_q are stored for every point, n₁² +
-    n₂² doubles a point for the half-grid sizes n₁ and n₂.  They are
-    formed from the m_d in chunks of points, and the m_d are dropped.
+    n₂² doubles a point for the half-grid sizes n₁ and n₂, and the band
+    fills read their pair fields there too (:meth:`pair_fields`).  They
+    are formed from the m_d in chunks of points, and the m_d dropped.
     Every product runs in chunks of points in one workspace of about
     ``_CHUNK_BYTES``, sized for the full product, so that any plan's
     grid, half product and gradients fit in it.
@@ -375,6 +366,14 @@ class _GaussPointProduct:
                           entries(r1, r2, t2.stop - t2.start).ravel(),
                           summations)
 
+    def pair_fields(self, j, k) -> np.ndarray:
+        """The pair fields C_q[j[p], k[p]] = A_q[j₁, k₁] · B_q[j₂, k₂] at
+        every point, one C-contiguous row per pair p."""
+        (n1, n2), (p1, p2) = self._shape, (self._pos1, self._pos2)
+        C = self._a.take(p1[j] * n1 + p1[k], axis=1)
+        C *= self._b.take(p2[j] * n2 + p2[k], axis=1)
+        return np.ascontiguousarray(C.T)
+
     def factors(self, plan: _GaussPlan, points: slice):
         """A_q[T₁, S₁] and B_q[S₂, T₂] of ``plan`` at the ``points``,
         strided views of the stored factors."""
@@ -423,11 +422,12 @@ class GalerkinOperator:
     :func:`~sgfem.fem.apply_dirichlet`, which sets K_0's boundary diagonal
     to 1.  The rest it derives from the field at the Gauss points (module
     docstring): the full product, the sweeps' couplings between levels,
-    every band fill and :meth:`block`, from the 1-D factors m_d it
-    computes at the first fill and keeps, and the traces tr(K_iᵀK_0)
+    every band fill and :meth:`block`, all from the Gauss-point product's
+    stored factors, built at the first use, and the traces tr(K_iᵀK_0)
     (:meth:`k0_traces`).  It holds no other K_i: :meth:`family`
     assembles those a caller names, anew at each call, for the caller to
-    own, and ``k_mats`` is the whole family, anew at each read.
+    own, and :meth:`family_matrices` and ``k_mats`` the whole family as
+    CSR matrices.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -488,8 +488,6 @@ class GalerkinOperator:
         self._buffer: np.ndarray | None = None
         self._buffer_rows: list = []
         self._field, self._mesh = field, mesh
-        self._m: np.ndarray | None = None
-        self._jk = tensor.jkset.as_array()
         self._gauss: _GaussPointProduct | None = None
         self._full: _GaussPlan | None = None
         self._by_k: tuple | None = None
@@ -548,13 +546,17 @@ class GalerkinOperator:
         data[indices == 0] = self._k0.data
         return data
 
-    @property
-    def k_mats(self) -> list[sp.csr_matrix]:
-        """The whole family, assembled anew at each read (:meth:`family`),
-        as CSR matrices on K_0's pattern."""
+    def family_matrices(self, purpose: str) -> list[sp.csr_matrix]:
+        """The whole family, read once (:meth:`family`, its memory check
+        naming ``purpose``), as CSR matrices on K_0's pattern."""
         k0 = self._k0
         return [csr_on(row, k0.indices, k0.indptr, k0.shape) for row in
-                self.family(range(len(self.tensor.iset)), "k_mats")]
+                self.family(range(len(self.tensor.iset)), purpose)]
+
+    @property
+    def k_mats(self) -> list[sp.csr_matrix]:
+        """The whole family, assembled anew at each read."""
+        return self.family_matrices("k_mats")
 
     @property
     def n_global(self) -> int:
@@ -568,10 +570,8 @@ class GalerkinOperator:
         return max(_CHUNK_BYTES // (8 * self.n_dof), self.M + 1)
 
     def _blocks(self, blocks) -> np.ndarray:
-        """Distinct block indices in [0, M], given as such, as a range or
-        as a slice with its start and stop given."""
-        if isinstance(blocks, slice):
-            blocks = range(blocks.start, blocks.stop, blocks.step or 1)
+        """Distinct block indices in [0, M], given as such or as a
+        range."""
         if (len(set(blocks)) != len(blocks)
                 or not all(0 <= b <= self.M for b in blocks)):
             raise ValueError(f"block indices must be distinct and in "
@@ -664,15 +664,6 @@ class GalerkinOperator:
                 self.tensor, self._field.mean, self._field.modes, self._mesh,
                 self.free)
         return self._gauss
-
-    def _factors(self) -> np.ndarray:
-        """The 1-D factors m_d at the points (:func:`_dimension_factors`)
-        that the band fills read, computed at the first fill and kept.
-        The Gauss-point product forms its A_q and B_q from its own m_d,
-        which it drops."""
-        if self._m is None:
-            self._m = _dimension_factors(self.tensor, self._field.modes)
-        return self._m
 
     def gauss_plan(self, row_blocks, col_blocks) -> _GaussPlan:
         """The plan of w_(j) = Σ_{k∈col_blocks} Σ_i c_ijk K_i v_(k) over
@@ -874,7 +865,7 @@ class GalerkinOperator:
         mean = int(len(j) > 0 and j[0] == k[0] == 0)
         if mean:
             yield slice(0, 1), self._k0.data[None, self._free_span]
-        if len(j) > mean:  # the 1-D factors only where a pair needs them
+        if len(j) > mean:  # the Gauss points only where a pair needs them
             for part, values in self._pair_values(j[mean:], k[mean:]):
                 yield (slice(part.start + mean, part.stop + mean),
                        values[:, self._free_span])
@@ -883,24 +874,19 @@ class GalerkinOperator:
         """The blocks (j[p], k[p]) on the Dirichlet pattern, as (slice of
         p, data) chunks, the data of the chunk's pairs as rows.  Block
         (j, k) = Σ_i c_ijk K_i is the stiffness matrix of the pair field
-        C_q[j, k] = a_0 Π_d m_d[j_d, k_d] (:class:`_GaussPointProduct`),
-        exactly since P′ ≥ 2P, from the kept 1-D factors
-        (:meth:`_factors`), assembled as a K_i is
-        (:func:`~sgfem.fem.stiffness_data`).  A chunk's fields, data and
-        the caller's gathers of the data take about a quarter of
-        ``_CHUNK_BYTES``, beside the assembly's own chunk."""
-        m, mesh, a0 = self._factors(), self._mesh, self._field.mean.ravel()
-        N, side = self._jk.shape[1], self.tensor.jkset.degree + 1
-        # the column of m_d[j_d, k_d] in m for each pair and dimension
-        columns = np.arange(N) * side ** 2 + self._jk[j] * side + self._jk[k]
-        step = max(_CHUNK_BYTES // (64 * (len(a0) + len(self._k0.data))), 1)
+        C_q[j, k] = A_q[j₁, k₁] · B_q[j₂, k₂] of the Gauss-point product
+        (:meth:`_GaussPointProduct.pair_fields`), exactly since P′ ≥ 2P,
+        assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`).  A
+        chunk's fields, data and the caller's gathers of the data take
+        about a quarter of ``_CHUNK_BYTES``, beside the assembly's own
+        chunk."""
+        gauss, mesh = self._gauss_product(), self._mesh
+        points = self._field.mean.size
+        step = max(_CHUNK_BYTES // (64 * (points + len(self._k0.data))), 1)
         for lo in range(0, len(j), step):
-            part = columns[lo:lo + step]
-            fields = np.repeat(a0[None], len(part), axis=0)
-            for e in range(N):  # the order in which the k_i multiply
-                fields *= m.take(part[:, e], axis=1).T
+            fields = gauss.pair_fields(j[lo:lo + step], k[lo:lo + step])
             yield slice(lo, lo + step), stiffness_data(
-                mesh, fields.reshape(len(part), -1, 4))
+                mesh, fields.reshape(len(fields), -1, 4))
 
     def k0_traces(self) -> np.ndarray:
         """tr(K_iᵀK_0) for every coefficient index i, from the field at
@@ -918,14 +904,15 @@ class GalerkinOperator:
 
     def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
         """Explicit global matrix for brute-force verification and
-        ``sg export``, every block Σ_i c_ijk K_i from ``k_mats``, the
-        c_ijk in ascending i."""
+        ``sg export``, every block Σ_i c_ijk K_i from the family, read
+        once (:meth:`family`), the c_ijk in ascending i."""
         n = self.n_global
         if n > cap:
             raise ValueError(f"global dimension {n} exceeds the dense "
                              f"assembly cap {cap}")
         nd, k0 = self.n_dof, self._k0
-        kdata = np.array([K.data for K in self.k_mats])
+        kdata = self.family(range(len(self.tensor.iset)),
+                            "the dense assembly")
         A = np.zeros((n, n))
         t, m1 = self.tensor, self.M + 1
         for pair in np.unique(t.j * m1 + t.k).tolist():

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sgfem.chaos import MultiIndexSet
+from sgfem.chaos import MultiIndexSet, _half_grid
 from sgfem.fem import Mesh
 
 
@@ -200,14 +200,12 @@ class CoefficientFields:
         for a in range(1, deg + 1):
             np.multiply(powers[a - 1], g, out=powers[a])
             powers[a] /= a
-        halves = []
-        for dims in (range(len(g) // 2), range(len(g) // 2, len(g))):
-            key = idx[:, dims] @ (deg + 1) ** np.arange(len(dims))
-            _, first, position = np.unique(key, return_index=True,
-                                           return_inverse=True)
-            factor = np.ones((len(first), g.shape[1]))
-            for d in dims:
-                factor *= powers[idx[first, d], d]
+        halves, h = [], len(g) // 2
+        for lo, hi in ((0, h), (h, len(g))):
+            grid, position = _half_grid(idx[:, lo:hi], deg)
+            factor = np.ones((len(grid), g.shape[1]))
+            for e, d in enumerate(range(lo, hi)):
+                factor *= powers[grid[:, e], d]
             halves.append((factor, position))
         (x, first), (y, second) = halves
         aw = self.mean.ravel() * np.asarray(weights, dtype=float).ravel()

@@ -3,9 +3,10 @@ maps, find the factorizations and product plans an object holds, trace
 the memory of a call and read a sweep's steps in blocks; oracles of the
 family's product plans by a scan of the whole tensor, of the full
 product through the stiffness family and through the 1-D matrices m_d
-at the Gauss points, of the degree levels, of lower band storage, of the
-band fills through the family's coupling, of the coupling matrices, of
-the Hermite polynomials and of the dense KL eigenproblem."""
+at the Gauss points, of the pair fields from the m_d, of the degree
+levels, of lower band storage, of the band fills through the family's
+coupling, of the coupling matrices, of the Hermite polynomials and of
+the dense KL eigenproblem."""
 
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import settings
 from numpy.polynomial.hermite_e import hermeval
 
-from sgfem.chaos import build_c_tensor, triple_product_table
+from sgfem.chaos import _half_grid, build_c_tensor, triple_product_table
 from sgfem.fem import (
     assemble_load,
     build_mesh,
@@ -23,7 +24,6 @@ from sgfem.fem import (
 from sgfem.galerkin import (
     GalerkinOperator,
     _Chunk,
-    _half_grid,
     _Plan,
     csc_matvecs,
     csr_matvecs,
@@ -164,6 +164,37 @@ def family_matvec(op, V, family=None) -> np.ndarray:
     return W
 
 
+def md_factors(op) -> np.ndarray:
+    """The 1-D matrices m_d[a, b] = Σ_α g_d^α/α! T[α, a, b] of every
+    dimension d at every point, shape (points, N·(P + 1)²), entry
+    d·(P + 1)² + a·(P + 1) + b: the powers g_d^α/α! by repeated
+    products, then the sum over α as one matrix product with the 1-D
+    table."""
+    tensor, modes = op.tensor, op._field.modes
+    N, P = tensor.jkset.N, tensor.jkset.degree
+    g = modes.reshape(N, -1).T
+    powers = np.empty(g.shape + (2 * P + 1,))
+    powers[..., 0] = 1.0
+    for a in range(1, 2 * P + 1):
+        np.multiply(powers[..., a - 1], g, out=powers[..., a])
+        powers[..., a] /= a
+    table = triple_product_table(2 * P, P).reshape(2 * P + 1, (P + 1) ** 2)
+    return (powers @ table).reshape(len(g), N * (P + 1) ** 2)
+
+
+def md_pair_fields(op, j, k) -> np.ndarray:
+    """The pair fields C_q[j[p], k[p]] = a_0 Π_d m_d[j_d, k_d] at every
+    point, one row per pair, each m_d multiplied onto a_0 in turn in the
+    order of the dimensions (oracle of the fills' pair fields, which
+    share its order of operations at N ≤ 2)."""
+    jk, side = op.tensor.jkset.as_array(), op.tensor.jkset.degree + 1
+    m = md_factors(op)
+    fields = np.repeat(op._field.mean.reshape(1, -1), len(j), axis=0)
+    for d in range(jk.shape[1]):
+        fields *= m[:, d * side ** 2 + jk[j, d] * side + jk[k, d]].T
+    return fields
+
+
 def md_matvec(op, V) -> np.ndarray:
     """The full product on the free nodes, shape (M+1, n_free), by the
     Gauss-point kernel that forms A_q and B_q from the 1-D matrices m_d
@@ -171,8 +202,7 @@ def md_matvec(op, V) -> np.ndarray:
     Every point is multiplied on its own and the scatter adds the points
     in order, so one chunk of all points gives the numbers of any
     chunking."""
-    tensor, field, mesh = op.tensor, op._field, op._mesh
-    mean, modes = field.mean, field.modes
+    tensor, mean, mesh = op.tensor, op._field.mean, op._mesh
     N, P = tensor.jkset.N, tensor.jkset.degree
     jk = tensor.jkset.as_array()
     h, s = N // 2, (P + 1) ** 2
@@ -185,15 +215,8 @@ def md_matvec(op, V) -> np.ndarray:
          for e, d in enumerate(dims)])
     pos = ((pos1 * 2 * n2 + pos2)[None, :]
            + (np.arange(2) * n2)[:, None]).ravel()
-    g = modes.reshape(N, -1).T
-    powers = np.empty(g.shape + (2 * P + 1,))
-    powers[..., 0] = 1.0
-    for a in range(1, 2 * P + 1):
-        np.multiply(powers[..., a - 1], g, out=powers[..., a])
-        powers[..., a] /= a
-    table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
-    m = (powers @ table).reshape(len(g), N * s)
-    q, m1 = len(g), len(jk)
+    m = md_factors(op)
+    q, m1 = len(m), len(jk)
     F = np.take(m, take, axis=1)
     A = np.empty((q, n1 * n1))
     A[:] = mean.ravel()[:, None]

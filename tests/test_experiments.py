@@ -249,10 +249,10 @@ class TestBuildProblemArguments:
 
     def test_oversized_problem_refused_before_any_work(self, monkeypatch):
         """K_0's data (65 pattern slots) and the Gauss-point data (64
-        points of 4² + 4² + 3 + 2·4² doubles and 136 bytes) of N = 2,
-        P = 3, n = 4 are checked against physical memory before the mesh
-        is built."""
-        need = 8 * 65 + 64 * (8 * 67 + 136)
+        points of 4² + 4² + 3 doubles and 136 bytes) of N = 2, P = 3,
+        n = 4 are checked against physical memory before the mesh is
+        built."""
+        need = 8 * 65 + 64 * (8 * 35 + 136)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
         def no_mesh(n):
@@ -278,12 +278,11 @@ class TestBuildProblemArguments:
         assembles and at least those that the operator keeps once it has
         multiplied and filled a band: the stored factors A_q and B_q,
         n₁² + n₂² doubles a point for the half-grid sizes
-        n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), the field's mean
-        and modes, the 1-D factors m_d, N·(P + 1)² doubles a point, the
-        gradient matrix, which has no entry in a fixed node's column,
-        and the mesh's slot map.  The family's bytes, with the
-        coefficient values, are checked by the operator when the family
-        is built, not here."""
+        n₁ = C(⌊N/2⌋ + P, P) and n₂ = C(⌈N/2⌉ + P, P), which the band
+        fills read too, the field's mean and modes, the gradient matrix,
+        which has no entry in a fixed node's column, and the mesh's slot
+        map.  The family's bytes, with the coefficient values, are
+        checked by the operator when the family is built, not here."""
         checked, check = [], experiments.check_fits
 
         def recorded(need, *args):
@@ -296,12 +295,12 @@ class TestBuildProblemArguments:
         points = len(mesh.elements) * 4
         k0 = 8 * dirichlet_nnz(n)
         n1, n2 = math.comb(N // 2 + P, P), math.comb(N - N // 2 + P, P)
-        gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1 + N * (P + 1) ** 2)
-                          + 136)
+        gauss = points * (8 * (n1 * n1 + n2 * n2 + N + 1) + 136)
         assert checked == [k0 + gauss]
         op.matvec(np.ones(op.n_global))
+        op.assemble_level_block(range(op.M + 1))
         kept = (op._gauss._a.nbytes + op._gauss._b.nbytes
-                + 8 * points * (N + 1) + op._factors().nbytes
+                + 8 * points * (N + 1)
                 + sum(a.nbytes for a in op._gauss._d)
                 + mesh.dirichlet_pattern[2].nbytes)
         assert kept <= gauss
@@ -310,11 +309,10 @@ class TestBuildProblemArguments:
     def test_gauss_point_data_alone_refused(self, monkeypatch):
         """At N = 1, P = 20, n = 2 the 41 coefficient fields and their
         stiffness data fit in 8200 bytes, but the 16 Gauss points keep
-        1² + 21² = 442 doubles of A_q and B_q and 21² of the m_d each:
-        the problem, which builds no family, is refused for its
-        Gauss-point data."""
+        1² + 21² = 442 doubles of A_q and B_q each: the problem, which
+        builds no family, is refused for its Gauss-point data."""
         fields = 8 * 41 * (16 + 9)
-        need = 8 * 9 + 16 * (8 * (442 + 2 + 441) + 136)
+        need = 8 * 9 + 16 * (8 * (442 + 2) + 136)
         assert fields < need
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         with pytest.raises(MemoryError, match=f"needs {need} bytes"):
@@ -398,7 +396,7 @@ class TestTables:
         first solve: an hs whose level bands do not fit at n = 5 stops
         the table after the n = 4 row's four solves, before any solve of
         its own row.  At N = P = 4, hs's free-node bands at n = 5,
-        1,337,856 bytes, outgrow the 458,560 bytes of K_0 and the
+        1,337,856 bytes, outgrow the 378,560 bytes of K_0 and the
         Gauss-point data, which build_problem checks first, and the
         871,200 bytes of the stiffness family, which gs assembles."""
         solves, solve = [], experiments.flexible_cg
@@ -421,7 +419,7 @@ class TestTables:
         ("logh", dict(N=10, P=1, mesh_list=(3, 2)), None,
          (ValueError, "the mesh has 9 nodes")),
         ("logP", dict(N=2, P=3, n=4),
-         8 * 65 + 64 * (8 * 67 + 136) - 1,
+         8 * 65 + 64 * (8 * 35 + 136) - 1,
          (MemoryError, "the problem at N = 2, P = 3, n = 4"))],
         ids=["logN", "logh", "logP"])
     def test_swept_problem_refused_before_any_solve(

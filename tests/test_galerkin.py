@@ -23,6 +23,7 @@ from conftest import (
     held_factors,
     levels,
     md_matvec,
+    md_pair_fields,
     retained_family,
     scan_plan,
     sweep_steps,
@@ -31,11 +32,18 @@ from conftest import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sgfem.experiments as experiments
 import sgfem.galerkin as galerkin
 import sgfem.linalg as linalg
 from sgfem import build_problem, flexible_cg
-from sgfem.chaos import build_c_tensor, multi_index_set
-from sgfem.fem import assemble_stiffness_family, build_mesh, dirichlet_nnz
+from sgfem.chaos import _half_grid, build_c_tensor, multi_index_set
+from sgfem.experiments import ExperimentConfig, export_case, stiffness_norms
+from sgfem.fem import (
+    assemble_stiffness_family,
+    build_mesh,
+    dirichlet_nnz,
+    stiffness_data,
+)
 from sgfem.galerkin import (
     GalerkinOperator,
     adaptive_truncation,
@@ -188,8 +196,8 @@ class TestTmatvecOracle:
         op, _, _, _ = build_operator(2, 1, 3)
         v = np.random.default_rng(9).standard_normal(op.n_global)
         assert np.array_equal(op.matvec(v), op.matvec(v))
-        # a slice of blocks is the range it selects; an empty one adds
-        # no products and no summations
+        # a plan built anew gives the same bits; an empty range of rows
+        # adds no products and no summations
         full = full_truncation(op.tensor)
         V = v.reshape(op.M + 1, -1)[:, op.free]
         for lo, hi in ((0, op.M + 1), (1, 3), (2, 2)):
@@ -197,7 +205,7 @@ class TestTmatvecOracle:
                 family_plan(op, range(lo, hi), range(1, 3), full), V[1:3])
             counters = dict(op.counters)
             got = op.tmatvec(
-                family_plan(op, slice(lo, hi), slice(1, 3), full), V[1:3])
+                family_plan(op, range(lo, hi), range(1, 3), full), V[1:3])
             assert np.array_equal(got, want)
             assert (op.counters == counters) == (lo == hi)
 
@@ -517,12 +525,14 @@ class TestFamily:
         np.testing.assert_array_equal(
             op.family([3, 0], "the test")[1, op._fixed_slots], 2.0)
 
-    def test_oversized_family_refused_before_assembly(self, monkeypatch):
+    def test_oversized_family_refused_before_assembly(self, monkeypatch,
+                                                      tmp_path):
         """The bytes of the asked K_i and of the coefficient values they
         are assembled from, 8·len(indices)·(nnz + points), are checked
         against physical memory before either is computed, naming what
-        asked for them; the operator, which holds K_0 alone, is built
-        within that memory."""
+        asked for them: ``k_mats``, the stiffness norms, the dense
+        assembly and ``sg export``, which writes no file; the operator,
+        which holds K_0 alone, is built within that memory."""
         tensor, field, mesh = build_inputs(2, 2, 4)
         indices = [0, 4, 9]
         need = 8 * len(indices) * (dirichlet_nnz(4) + 64)
@@ -544,6 +554,18 @@ class TestFamily:
             f"{need} bytes")
         with pytest.raises(MemoryError, match="for k_mats, 15 matrices"):
             op.k_mats
+        with pytest.raises(MemoryError, match="for the stiffness norms, "
+                                              "15 matrices"):
+            stiffness_norms(op)
+        with pytest.raises(MemoryError, match="for the dense assembly, "
+                                              "15 matrices"):
+            op.assemble_global_dense()
+        monkeypatch.setattr(experiments, "_problem",
+                            lambda config, **vary: (op, None))
+        with pytest.raises(MemoryError, match="for sg export, 15 matrices"):
+            export_case(ExperimentConfig(N=2, P=2, n=4), tmp_path / "case",
+                        cap=0)
+        assert not (tmp_path / "case").exists()
         # with the K_i fitting, the patched values are reached: the
         # refusal above came before them
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
@@ -820,7 +842,10 @@ class TestGaussPlan:
         what building it keeps is the factors, the workspace of about
         ``_CHUNK_BYTES``, the gradient matrix, the positions and the
         full product's plan, less than the m_d's 100 doubles a point
-        beyond them."""
+        beyond them.  After a full product and the fills of every sweep
+        kind, the operator holds no per-point array of floats, by point
+        or by element and corner, but A_q, B_q and the field's mean and
+        modes."""
         op, b = build_problem(4, 4, 10, 100.0)
         points = 4 * 10 * 10
         kept, _ = traced_memory(op._gauss_product)
@@ -835,6 +860,16 @@ class TestGaussPlan:
                   if isinstance(a, np.ndarray)]
         assert all(a.shape[0] != points or a is gauss._a or a is gauss._b
                    for a in arrays)
+        op.matvec(b)
+        for kind in KINDS:
+            make_preconditioner(op, kind).apply(b)
+        assert op._gauss is gauss
+        field = op._field
+        per_point = [id(a) for a in held_factors(op, np.ndarray)
+                     if a.dtype == float and a.ndim
+                     and (a.shape[0] == points or a.shape[-2:] == (100, 4))]
+        assert sorted(per_point) == sorted(
+            map(id, (gauss._a, gauss._b, field.mean, field.modes)))
 
 
 def plan_sets(op, rows, cols):
@@ -870,7 +905,7 @@ class TestDegreeOrderedHalfGrids:
         degrees = jk.sum(axis=1)
         h = N // 2
         for half in (jk[:, :h], jk[:, h:]):
-            grid, pos = galerkin._half_grid(half, P)
+            grid, pos = _half_grid(half, P)
             np.testing.assert_array_equal(grid[pos], half)
             assert np.all(np.diff(grid.sum(axis=1)) >= 0)
             for level in range(P + 1):
@@ -998,6 +1033,30 @@ class TestPointFills:
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
         if blocks == range(1):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("N,P,n", [(1, 3, 3), (2, 1, 2), (2, 3, 3),
+                                       (3, 2, 3), (3, 3, 2), (4, 2, 2),
+                                       (4, 4, 2)])
+    def test_pair_values_match_the_md_oracle(self, N, P, n):
+        """The pair fields of every block and the blocks' data that the
+        fills take, from the stored A_q and B_q, against the sequential
+        a_0 Π_d m_d fields (:func:`md_pair_fields`) and their data: bit
+        for bit at N ≤ 2, where both multiply in one order, and within
+        1e-15 of the largest entry at N = 3 and 4, where A_q and B_q
+        group the m_d by halves first."""
+        op = cached_problem(N, P, n)[0]
+        j, k = (a.ravel() for a in np.indices((op.M + 1, op.M + 1)))
+        fields = md_pair_fields(op, j, k)
+        want = stiffness_data(op._mesh, fields.reshape(len(j), -1, 4))
+        got = [op._gauss_product().pair_fields(j, k), np.concatenate(
+            [data for _, data in op._pair_values(j, k)])]
+        for got, want in zip(got, (fields, want)):
+            assert got.shape == want.shape
+            if N <= 2:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= \
+                    1e-15 * np.abs(want).max()
 
     def test_point_paths_assemble_only_k0(self, monkeypatch):
         """build_problem, and mb, kron, hs, ahs and ahgs made and applied,
@@ -1306,8 +1365,11 @@ class TestFactorizationContract:
         are its band storage, within 5 %, so a retained second copy of a
         factor (or of D_ℓ) fails; and the band is filled in place, so
         the peak passes it by no more than the fill's quarter chunk of
-        pair values and its two gathers, one chunk in all."""
+        pair values and its two gathers, one chunk in all.  The
+        Gauss-point product whose factors the fill reads is built first:
+        the guard is about the factor."""
         op, _ = build_problem(N=4, P=4, n=10, cov_pct=100.0)
+        op._gauss_product()
         level = range(35, 70)
         kept, peak = traced_memory(lambda: op.assemble_level_block(level))
         band = op.assemble_level_block(level)._state[0].nbytes

@@ -366,11 +366,11 @@ class TestKronecker:
     @pytest.mark.parametrize("kind", ["mb", "kron"])
     def test_k0_factor_forms_no_pair_fields(self, kind):
         """K_0's factor is filled from K_0's data, which the operator
-        holds: making and applying mb or kron computes none of the 1-D
-        factors m_d that the fills of other pairs read."""
+        holds: making and applying mb or kron builds no Gauss-point
+        product, whose factors the fills of other pairs read."""
         op, b, _, _ = build_operator(2, 2, 3)
         make_preconditioner(op, kind).apply(b)
-        assert op._m is None
+        assert op._gauss is None
 
     def test_reduces_to_mean_based_when_higher_norms_vanish(self):
         """The field of the same mean with the modes set to zero, so that
