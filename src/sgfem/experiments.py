@@ -241,8 +241,9 @@ def matrix_norm(K, which="frob"):
 
 
 def stiffness_norms(op: GalerkinOperator, which="frob") -> np.ndarray:
+    family = op.family(range(len(op.tensor.iset)), "the stiffness norms")
     return np.array([matrix_norm(K, which)
-                     for K in op.family_matrices("the stiffness norms")])
+                     for K in op.family_matrices(family)])
 
 
 def count_pattern(tensor, indices):
@@ -411,7 +412,8 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         check_fits(8 * n * n, lambda: (
             f"the dense global matrix of {n} rows needs"),
             f"; a cap below {n} skips it")
-    k_mats = op.family_matrices("sg export")
+    kdata = op.family(range(len(op.tensor.iset)), "sg export")
+    k_mats = op.family_matrices(kdata)
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)
@@ -426,7 +428,7 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
         write_matrix_market(fname, b.reshape(-1, 1))
         manifest["load"] = fname
         if n <= cap:
-            A = op.assemble_global_dense(cap=cap)
+            A = op.assemble_global_dense(cap=cap, kdata=kdata)
             fname = os.path.join(path, "global.mtx")
             write_matrix_market(fname, A)
             manifest["global"] = fname

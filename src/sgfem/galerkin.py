@@ -27,15 +27,18 @@ truncation keeps every tensor index.  A product at the Gauss points
 multiplies slices of stored factors whose half grids are ordered by
 total degree; it applies the full tensor and scatters through the whole
 grid of its row blocks however few its column blocks are, while a
-product through the family costs what its retained K_i do.  So gs's
-pushes inside a level, each from a single block, and the truncated
-sweeps run through the family.  The band fills, ``block`` and kron's
-trace weights do not: a block K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the
-stiffness matrix of its pair field C_q[j,k] = A_q[j₁,k₁] · B_q[j₂,k₂],
-read from the product's stored factors and assembled as a K_i is
+product through the family costs what its retained K_i do.  So the
+truncated sweeps run through the family.  The band fills, ``block``,
+gs's couplings inside a level and kron's trace weights do not: a block
+K^{(jk)} = Dᵀ diag(C_q[j,k]) D is the stiffness matrix of its pair
+field C_q[j,k] = A_q[j₁,k₁] · B_q[j₂,k₂], read from the product's
+stored factors and assembled as a K_i is
 (:func:`~sgfem.fem.stiffness_data`), and tr(K_iᵀK_0) is the field's
 moment Σ_q k_i(q) u(q) with the point weights u of K_0's data
-(:func:`~sgfem.fem.point_weights`).
+(:func:`~sgfem.fem.point_weights`).  gs's pulls and pushes inside a
+level, between one block and those before it, multiply such blocks,
+filled once for the level, with plans built by ``pair_plans(level)``:
+one sparse product a block pair, where the family runs one a K_i.
 
 Products and block factors run on the free nodes only.  The fixed nodes
 are the mesh's boundary, and K_0 and the family are assembled on their
@@ -235,6 +238,26 @@ def _dimension_factors(tensor: CijkTensor, modes: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _PairPlan:
+    """One coupling inside a run of consecutive blocks from s, through
+    the run's pair blocks (:meth:`GalerkinOperator.pair_plans`): the pull
+    into a block q from the m = q − s blocks before it (one row block),
+    or the push from q to them (one column block).  ``data`` is q's m
+    pairs (q, p), a flat view of the run's: K^{(qp)} = K^{(pq)}, so both
+    directions read it.  ``indptr`` and ``indices`` are the CSR pattern
+    of the m pairs stacked, rows (pair, free node), views of the run's.
+    ``summations`` counts the c_ijk terms with j in the row blocks and k
+    in the column blocks."""
+
+    n_rows: int
+    n_cols: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    summations: int
+
+
+@dataclass(frozen=True)
 class _GaussPlan:
     """One product at the Gauss points over the full tensor, from
     ``n_cols`` column blocks S to ``n_rows`` row blocks T.
@@ -426,8 +449,8 @@ class GalerkinOperator:
     stored factors, built at the first use, and the traces tr(K_iᵀK_0)
     (:meth:`k0_traces`).  It holds no other K_i: :meth:`family`
     assembles those a caller names, anew at each call, for the caller to
-    own, and :meth:`family_matrices` and ``k_mats`` the whole family as
-    CSR matrices.
+    own, :meth:`family_matrices` wraps its rows as CSR matrices, and
+    ``k_mats`` is the whole family so wrapped.
 
     A call of :meth:`tmatvec` runs a plan that :meth:`plan` built for
     (row blocks, column blocks, truncation set): the needed pairs (i, k),
@@ -436,9 +459,11 @@ class GalerkinOperator:
     the buffer rows into the row blocks.  Or it runs a plan that
     :meth:`gauss_plan` built for (row blocks, column blocks) at the
     Gauss points, in chunks of points in a workspace of about the same
-    size.  The caller holds the plan, so a plan lives as long as its
-    user.  All calls share the buffer and the workspace, so an operator
-    must not run two products at once (from two threads).
+    size.  Or it runs a plan of :meth:`pair_plans`, a coupling inside
+    a run of blocks through the run's pair blocks.  The caller holds the
+    plan, so a plan lives as long as its user.  All calls share the
+    buffer and the workspace, so an operator must not run two products
+    at once (from two threads).
 
     The constructor refuses, with ValueError, a tensor with P′ < 2P and
     a field on another basis than the tensor's i-set or at other points
@@ -452,9 +477,9 @@ class GalerkinOperator:
     ``summations`` counts the c_ijk terms a product covers (the cost
     measure of the truncated product), ``products`` the sparse
     matrix-vector products K_i v_(k) actually run, which only the
-    family's plans run: a product at the Gauss points counts its terms
-    and no product.  Within one call each K_i v_(k) is computed once for
-    all row blocks.
+    family's plans run: a product at the Gauss points or through pair
+    blocks counts its terms and no product.  Within one call each K_i
+    v_(k) is computed once for all row blocks.
     """
 
     def __init__(self, tensor: CijkTensor, field: CoefficientFields,
@@ -546,17 +571,17 @@ class GalerkinOperator:
         data[indices == 0] = self._k0.data
         return data
 
-    def family_matrices(self, purpose: str) -> list[sp.csr_matrix]:
-        """The whole family, read once (:meth:`family`, its memory check
-        naming ``purpose``), as CSR matrices on K_0's pattern."""
+    def family_matrices(self, data: np.ndarray) -> list[sp.csr_matrix]:
+        """The rows of ``data``, K_i's data as :meth:`family` gives it, as
+        CSR matrices on K_0's pattern, each viewing its row."""
         k0 = self._k0
-        return [csr_on(row, k0.indices, k0.indptr, k0.shape) for row in
-                self.family(range(len(self.tensor.iset)), purpose)]
+        return [csr_on(row, k0.indices, k0.indptr, k0.shape) for row in data]
 
     @property
     def k_mats(self) -> list[sp.csr_matrix]:
         """The whole family, assembled anew at each read."""
-        return self.family_matrices("k_mats")
+        return self.family_matrices(
+            self.family(range(len(self.tensor.iset)), "k_mats"))
 
     @property
     def n_global(self) -> int:
@@ -674,20 +699,91 @@ class GalerkinOperator:
         summations = np.count_nonzero(np.isin(t.j, rows) & np.isin(t.k, cols))
         return self._gauss_product().plan(rows, cols, int(summations))
 
-    def tmatvec(self, plan: _Plan | _GaussPlan, v: np.ndarray) -> np.ndarray:
-        """The product of a plan of :meth:`plan` or :meth:`gauss_plan`
-        applied to ``v`` on the free nodes: ``v`` holds the plan's column
-        blocks, shape (n_cols, n_free) or flat, and the result its row
-        blocks in the input layout.  Through the family, each needed
-        product K_i v_(k) is computed once and shared; at the Gauss points
-        a call counts its c_ijk terms in ``summations`` and runs no
-        ``products``."""
+    def check_pairs_fit(self, runs, purpose: str) -> None:
+        """Check the bytes of the :meth:`pair_plans` of every run of
+        blocks in ``runs``, held at once, against physical memory: of a
+        run of s > 1 blocks, the s(s − 1)/2 pairs' data and the pattern
+        of s − 1 of them stacked.  A MemoryError names ``purpose``."""
+        f, nnz = self.n_free, self._free_span.stop - self._free_span.start
+        s = np.array([len(run) for run in runs if len(run) > 1], np.int64)
+        pairs = int(np.sum(s * (s - 1) // 2))
+        need = 8 * pairs * nnz + self._row_indices.itemsize * int(
+            np.sum((s - 1) * (nnz + f) + 1))
+        check_fits(need, lambda: (
+            f"the pair blocks of {purpose}, {pairs} blocks of {nnz} stored "
+            f"entries with their pattern, need"))
+
+    def pair_plans(self, blocks: range) -> list:
+        """For each block q of the consecutive ``blocks`` past the first,
+        the plans for :meth:`tmatvec` of the pull into q from the blocks
+        s..q−1 before it, s = blocks.start, and of the push from q to
+        them, as a (pull, push) pair.
+
+        They share the run's pair blocks: the pairs (q, p), p < q, in
+        row-major order, each block K^{(qp)} = K^{(pq)} one row on the
+        free span of K_0's pattern, filled as the band fills are
+        (:meth:`_band_values`), so that q's pairs are one slice; and the
+        pattern of s − 1 pairs stacked, rows (pair, free node), whose
+        first rows every slice reads.  Their bytes are checked by
+        :meth:`check_pairs_fit`, not here."""
+        f, s, t = self.n_free, len(blocks), self.tensor
+        nnz = self._free_span.stop - self._free_span.start
+        j, k = t.j - blocks.start, t.k - blocks.start
+        # the c_ijk terms of each pair of the run's blocks
+        inside = (j >= 0) & (j < s) & (k >= 0) & (k < s)
+        terms = np.bincount(j[inside] * s + k[inside],
+                            minlength=s * s).reshape(s, s)
+        q, p = np.tril_indices(s, -1)
+        data = np.empty((len(q), nnz))
+        for part, values in self._band_values(blocks.start + q,
+                                              blocks.start + p):
+            data[part] = values
+        longest = max(s - 1, 0)
+        starts = self._row_indptr[:-1] - self._free_span.start
+        indptr = np.append(np.arange(longest)[:, None] * nnz + starts,
+                           longest * nnz).astype(self._row_indices.dtype)
+        indices = np.tile(self._free_indices, longest)
+        plans = []
+        for m in range(1, s):
+            pairs = (indptr[:m * f + 1], indices[:m * nnz],
+                     data[m * (m - 1) // 2:m * (m + 1) // 2].reshape(-1))
+            plans.append((_PairPlan(1, m, *pairs, int(terms[m, :m].sum())),
+                          _PairPlan(m, 1, *pairs, int(terms[:m, m].sum()))))
+        return plans
+
+    def tmatvec(self, plan: _Plan | _GaussPlan | _PairPlan,
+                v: np.ndarray) -> np.ndarray:
+        """The product of a plan of :meth:`plan`, :meth:`gauss_plan` or
+        :meth:`pair_plans` applied to ``v`` on the free nodes: ``v``
+        holds the plan's column blocks, shape (n_cols, n_free) or flat,
+        and the result its row blocks in the input layout.  Through the
+        family, each needed product K_i v_(k) is computed once and
+        shared.  At the Gauss points and through the pair blocks a call
+        counts its c_ijk terms in ``summations`` and runs no
+        ``products``: a pair block is the sum over i, multiplied once."""
         f, v = self.n_free, np.asarray(v, dtype=float)
         V = v.reshape(plan.n_cols, f)
         if isinstance(plan, _GaussPlan):
             W = self._gauss_product().apply(plan, np.ascontiguousarray(V.T))
             self.counters["summations"] += plan.summations
             return W.T.ravel() if v.ndim == 1 else W.T
+        if isinstance(plan, _PairPlan):
+            # the m pairs stacked, rows (pair, free node), columns the
+            # free nodes and the zero pad entry past them
+            m = plan.n_rows * plan.n_cols
+            if plan.n_rows == 1:  # a pull: Σ_p K^{(qp)} v_(p), transposed
+                w = np.zeros(f + 1)
+                csc_matvecs(f + 1, m * f, 1, plan.indptr, plan.indices,
+                            plan.data, V.ravel(), w)
+                W = w[None, :f]
+            else:  # a push: K^{(pq)} v_(q) for each p
+                y = np.zeros(f + 1)
+                y[:f] = V[0]
+                W = np.zeros((m, f))
+                csr_matvec(m * f, f + 1, plan.indptr, plan.indices,
+                           plan.data, y, W.ravel())
+            self.counters["summations"] += plan.summations
+            return W.ravel() if v.ndim == 1 else W
         single_column = plan.n_cols == 1
         W = np.zeros((plan.n_rows, f))
         ip, ix = self._row_indptr, self._row_indices
@@ -902,17 +998,20 @@ class GalerkinOperator:
         traces[0] += fixed @ fixed
         return traces
 
-    def assemble_global_dense(self, cap: int = 5000) -> np.ndarray:
+    def assemble_global_dense(self, cap: int = 5000,
+                              kdata: np.ndarray | None = None) -> np.ndarray:
         """Explicit global matrix for brute-force verification and
-        ``sg export``, every block Σ_i c_ijk K_i from the family, read
-        once (:meth:`family`), the c_ijk in ascending i."""
+        ``sg export``, every block Σ_i c_ijk K_i from the family, the
+        c_ijk in ascending i: ``kdata``, the whole family's data as
+        :meth:`family` gives it, or when None read here once."""
         n = self.n_global
         if n > cap:
             raise ValueError(f"global dimension {n} exceeds the dense "
                              f"assembly cap {cap}")
         nd, k0 = self.n_dof, self._k0
-        kdata = self.family(range(len(self.tensor.iset)),
-                            "the dense assembly")
+        if kdata is None:
+            kdata = self.family(range(len(self.tensor.iset)),
+                                "the dense assembly")
         A = np.zeros((n, n))
         t, m1 = self.tensor, self.M + 1
         for pair in np.unique(t.j * m1 + t.k).tolist():

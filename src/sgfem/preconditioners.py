@@ -35,13 +35,18 @@ Gauss points (``op.gauss_plan``), multiplying slices of the operator's
 stored A_q and B_q, ordered by degree, that span only the level and
 those below it, reading no K_i and copying no sub-block.  A truncated
 sweep couples levels through the family (``op.plan``), since it needs
-only the retained K_i.  Inside a level gs pushes each block to the later
-blocks of the level on the way up and to the earlier ones on the way
-down, through the family: at the Gauss points each such push from one
-block costs nearly a product over the level's whole grid.  Each
-preconditioner owns the factorizations, product plans and K_i it builds:
-sweeps on one operator share none, and a dropped preconditioner frees
-them.
+only the retained K_i.  Inside a level gs couples each block to the
+level's blocks before it: on the way up it pulls from them just before
+the block is solved, on the way down it pushes to them just after.
+When the truncation keeps every index these couplings run through the
+level's pair blocks K^{(jk)}, filled once from the pair fields at the
+points (``op.pair_plans``), one sparse product a block pair: at the
+Gauss points each would cost nearly a product over the level's whole
+grid.  Truncated, gs pushes through the family on the way up too, from
+each block to the later blocks of its level, so that each K_i v_(k) is
+computed once.  Each preconditioner owns the factorizations, product
+plans, pair blocks and K_i it builds: sweeps on one operator share none,
+and a dropped preconditioner frees them.
 
 An apply takes r's free-node entries once and runs every solve and
 product on them; each fixed row is one division by its diagonal,
@@ -125,22 +130,24 @@ class BlockGaussSeidel(Preconditioner):
     also the first of the second, and one product runs between two
     solves: a level's pull (module docstring) before its first unit is
     solved ascending and its push after that unit is solved descending,
-    and gs's pushes inside a level around its other units.
+    and gs's couplings inside a level around its other units.
 
-    Every unit's factor and every plan are built at the first apply and
-    kept in ``_sweep``, their only owner, so the band bytes of every
-    factor the sweep will hold are summed here and checked against
-    physical memory together, before any work.  A sweep that multiplies
-    through the family assembles the K_i it retains here, at setup.
+    Every unit's factor and every plan, gs's pair blocks with them, are
+    built at the first apply and kept in ``_sweep``, their only owner, so
+    the band bytes of every factor the sweep will hold are summed here
+    and checked against physical memory together, before any work; the
+    bytes of gs's pair blocks are checked here too, on their own.  A
+    sweep that multiplies through the family assembles the K_i it
+    retains here, at setup.
     """
 
     def __init__(self, op, trunc, descending: bool, solve: str):
         super().__init__(op, trunc)
         keys = op.tensor.jkset.total_degrees()
         bounds = np.searchsorted(keys, range(keys[-1] + 2)).tolist()
+        levels = list(map(range, bounds[:-1], bounds[1:]))
         # (its level, its blocks) of every unit, in ascending order
-        self._units = [(level, unit)
-                       for level in map(range, bounds[:-1], bounds[1:])
+        self._units = [(level, unit) for level in levels
                        for unit in ([range(j, j + 1) for j in level]
                                     if solve == "blocks" else [level])]
         exact = solve == "exact"
@@ -155,11 +162,13 @@ class BlockGaussSeidel(Preconditioner):
         terms = len(op.tensor.iset)
         retained = trunc.indices[trunc.indices < terms]
         self._at_points = len(retained) == terms
-        if solve == "blocks" or not self._at_points:
+        self._pairs = solve == "blocks" and self._at_points
+        if self._pairs:
+            op.check_pairs_fit(levels, "gs's couplings inside its levels")
+        elif not self._at_points:
             # its rows, which its plans share
             self._family = list(op.family(
-                retained, "gs's pushes" if solve == "blocks" else
-                "the couplings of a truncated sweep"))
+                retained, "the couplings of a truncated sweep"))
 
     def _build(self) -> tuple:
         """The first solve, then the steps that follow it in sweep order:
@@ -179,12 +188,15 @@ class BlockGaussSeidel(Preconditioner):
             return slice(blocks.start * f, blocks.stop * f)
 
         def coupling(rows, cols, plan):
-            return entries(rows), entries(cols), plan(rows, cols)
+            return entries(rows), entries(cols), plan
 
-        # a factor per level, built in first-pass order; gs's blocks slice it
+        # a factor per level, built in first-pass order; gs's blocks slice
+        # it, and its couplings inside the level read the level's pairs
         levels = list(dict.fromkeys(level for level, _ in units))
         factors = {level: factor(level) for level in
                    (levels[::-1] if self._descending else levels)}
+        inside = {level: op.pair_plans(level) for level in levels
+                  if self._pairs}
         solves = [(entries(unit), factors[level] if unit == level else
                    factors[level].diagonal_block(slice(
                        (unit.start - level.start) * f,
@@ -194,15 +206,18 @@ class BlockGaussSeidel(Preconditioner):
         # ascending, and after it is solved descending
         before, after = [], []
         for (_, prev), (level, unit) in zip(units[:-1], units[1:]):
-            below = range(level.start)
-            if unit.start == level.start:
-                before.append(coupling(level, below, between))
-                after.append(coupling(below, level, between))
+            below, lower = range(level.start), range(level.start, unit.start)
+            if not lower:
+                before.append(coupling(level, below, between(level, below)))
+                after.append(coupling(below, level, between(below, level)))
+            elif self._pairs:
+                pull, push = inside[level][len(lower) - 1]
+                before.append(coupling(unit, lower, pull))
+                after.append(coupling(lower, unit, push))
             else:
-                before.append(coupling(range(unit.start, level.stop), prev,
-                                       family))
-                after.append(coupling(range(level.start, unit.start), unit,
-                                      family))
+                later = range(unit.start, level.stop)
+                before.append(coupling(later, prev, family(later, prev)))
+                after.append(coupling(lower, unit, family(lower, unit)))
         ascend = [c + s for c, s in zip(before, solves[1:])]
         descend = [c + s for c, s in zip(after[::-1], solves[-2::-1])]
         if self._descending:
@@ -250,9 +265,10 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
     (default: no truncation).  The kind is checked before any work, and
     so, for a sweep, is the sum of the band bytes of every factorization
     it will build at its first apply and keep: a sum past physical
-    memory raises :class:`MemoryError`, as do, for gs or a truncated
-    sweep, the K_i it retains, which it assembles here and owns.  A
-    fixed row whose diagonal is not positive raises
+    memory raises :class:`MemoryError`, as do the pair blocks that an
+    untruncated gs will fill at its first apply and the K_i that a
+    truncated sweep retains, which it assembles here and owns.  A fixed
+    row whose diagonal is not positive raises
     :class:`~sgfem.linalg.FactorizationError`.
     """
     if kind not in KINDS:

@@ -30,7 +30,11 @@ from sgfem.experiments import (
     run_table,
 )
 from sgfem.fem import build_mesh, dirichlet_nnz
-from sgfem.galerkin import full_truncation, standard_truncation
+from sgfem.galerkin import (
+    GalerkinOperator,
+    full_truncation,
+    standard_truncation,
+)
 from sgfem.krylov import flexible_cg
 from sgfem.preconditioners import make_preconditioner
 
@@ -527,6 +531,25 @@ class TestExport:
         assert str(op.n_global) in msg
         assert f"cap >= {op.n_global}" in msg
         assert not os.path.exists(tmp_path / "case" / "global.mtx")
+
+    def test_export_assembles_the_family_once(self, tmp_path, monkeypatch,
+                                              capsys):
+        """``sg export --N 2 --P 1 --n 3``, whose 48-row dense matrix is
+        under the default cap, assembles the family once, for its K_i
+        files and the dense matrix both, and writes that matrix."""
+        purposes, family = [], GalerkinOperator.family
+
+        def recorded(op, indices, purpose):
+            purposes.append(purpose)
+            return family(op, indices, purpose)
+
+        monkeypatch.setattr(GalerkinOperator, "family", recorded)
+        dest = tmp_path / "case"
+        assert main(["export", "--N", "2", "--P", "1", "--n", "3",
+                     "--dest", str(dest)]) == 0
+        assert purposes == ["sg export"]
+        assert (dest / "global.mtx").exists()
+        assert "global: " in capsys.readouterr().out
 
     def test_io_error_carries_path(self, tmp_path):
         blocker = tmp_path / "occupied"

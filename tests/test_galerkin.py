@@ -1058,16 +1058,71 @@ class TestPointFills:
                 assert np.abs(got - want).max() <= \
                     1e-15 * np.abs(want).max()
 
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(1, 3), P=st.integers(0, 3), n=st.integers(1, 4),
+           which=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+    @example(N=3, P=3, n=4, which=2**16 - 1, seed=0)
+    def test_pair_plans_match_the_family_and_the_blocks(self, N, P, n,
+                                                        which, seed):
+        """The pull into a block q of a level from the level's blocks
+        before it, and the push from q to them, through the level's pair
+        blocks (``op.pair_plans``), against single-column family plans
+        and against Σ_k ``op.block(j, k)`` v_(k) on the free nodes, to
+        1e-15 of the largest entry of the level's Σ_k |K^{(jk)}| |v_(k)|
+        (one off-diagonal block may cancel down to rounding).  Each plan
+        counts its c_ijk terms and runs no K_i product.  A level of one
+        block has no pair plan; ``which`` picks the level and q."""
+        op = cached_problem(N, P, n)[0]
+        runs = [level for level in levels(op) if len(level) > 1]
+        assert all(op.pair_plans(level) == [] for level in levels(op)
+                   if len(level) == 1)
+        if not runs:
+            return
+        level = runs[which % len(runs)]
+        q = level.start + 1 + which // len(runs) % (len(level) - 1)
+        lower, unit = range(level.start, q), range(q, q + 1)
+        pull, push = op.pair_plans(level)[q - level.start - 1]
+        trunc, free, t = full_truncation(op.tensor), free_nodes(op), op.tensor
+        family = retained_family(op, trunc)
+        v = np.zeros((op.M + 1, op.n_dof))
+        v[:, free] = np.random.default_rng(seed).standard_normal(
+            (op.M + 1, len(free)))
+
+        def single(rows, k):
+            plan = op.plan(rows, [k], trunc, family)
+            return op.tmatvec(plan, v[[k]][:, free])
+
+        def blocks(rows, cols, part=lambda x: x):
+            w = np.zeros((len(rows), op.n_dof))
+            for r, j in enumerate(rows):
+                for k in cols:
+                    if (K := op.block(j, k)) is not None:
+                        w[r] += part(K) @ part(v[k])
+            return w[:, free]
+
+        scale = blocks(level, level, abs).max(initial=0.0)
+        for plan, rows, cols, want in (
+                (pull, unit, lower, sum(single(unit, k) for k in lower)),
+                (push, lower, unit, single(lower, q))):
+            before = dict(op.counters)
+            got = op.tmatvec(plan, v[cols][:, free])
+            assert op.counters["products"] == before["products"]
+            assert op.counters["summations"] - before["summations"] == \
+                np.count_nonzero(np.isin(t.j, rows) & np.isin(t.k, cols))
+            for oracle in (want, blocks(rows, cols)):
+                assert got.shape == oracle.shape
+                assert np.abs(got - oracle).max(initial=0.0) <= 1e-15 * scale
+
     def test_point_paths_assemble_only_k0(self, monkeypatch):
-        """build_problem, and mb, kron, hs, ahs and ahgs made and applied,
-        at N = P = 4, n = 12 assemble K_0 alone, one field, and what they
-        keep is less than the family's bytes.  gs then assembles the
-        whole family, and a truncated ahgs at lt = 2 its own 15 K_i."""
+        """build_problem, and mb, kron, gs, hs, ahs and ahgs made and
+        applied, at N = P = 4, n = 12 assemble K_0 alone, one field, and
+        what they keep is less than the family's bytes.  A truncated
+        ahgs at lt = 2 then assembles its own 15 K_i."""
         counts, held = recorded_assemblies(monkeypatch), []
 
         def run():
             op, b = build_problem(4, 4, 12, 100.0)
-            for kind in ("mb", "kron", "hs", "ahs", "ahgs"):
+            for kind in ("mb", "kron", "gs", "hs", "ahs", "ahgs"):
                 make_preconditioner(op, kind).apply(b)
             op.matvec(b)
             held.append((op, b))
@@ -1077,33 +1132,48 @@ class TestPointFills:
         assert counts == [1]
         assert kept < 8 * 495 * dirichlet_nnz(12)
         op, b = held.pop()
-        make_preconditioner(op, "gs").apply(b)
-        assert counts == [1, 495]
         make_preconditioner(op, "ahgs", standard_truncation(4, 2)).apply(b)
-        assert counts == [1, 495, 15]
+        assert counts == [1, 15]
 
     def test_solves_without_memory_for_the_family(self, monkeypatch):
         """With physical memory one byte short of the family and its
-        coefficient values at N = P = 4, n = 4, kron and ahgs build and
-        solve, and so does ahgs at lt = 2 on its 15 K_i; gs is refused
-        when it is made, before any assembly, and the refusal names its
-        pushes."""
+        coefficient values at N = P = 4, n = 4, kron, ahgs and gs build
+        and solve, and so does ahgs at lt = 2 on its 15 K_i.  With memory
+        one byte short of gs's pair blocks, gs is refused when it is
+        made, before any fill, and the refusal names its couplings
+        inside its levels."""
         need = 8 * 495 * (dirichlet_nnz(4) + 64)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         counts = recorded_assemblies(monkeypatch)
         op, b = build_problem(4, 4, 4, 100.0)
         for kind, trunc in (("kron", None), ("ahgs", None),
-                            ("ahgs", standard_truncation(4, 2))):
+                            ("ahgs", standard_truncation(4, 2)),
+                            ("gs", None)):
             _, rep = flexible_cg(op.matvec, make_preconditioner(
                 op, kind, trunc).apply, b)
             assert rep.converged
+        assert counts == [1, 15]
+        # the 836 pairs of the levels of 4, 10, 20 and 35 blocks on the 9
+        # free rows' span of slots, with the pattern of the 3 + 9 + 19 +
+        # 34 pairs that the longest pull of each level reads
+        nnz = len(op._free_indices)
+        pattern = 4 * (65 * (nnz + op.n_free) + 4)
+        pairs = 8 * 836 * nnz + pattern
+        assert pairs < need
+        monkeypatch.setattr(linalg, "physical_memory", lambda: pairs - 1)
+
+        def no_work(*args):
+            raise AssertionError("pair blocks filled before the refusal")
+
+        monkeypatch.setattr(op, "_pair_values", no_work)
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "gs")
         assert str(exc.value).startswith(
-            f"the stiffness family for gs's pushes, 495 matrices of 65 "
-            f"stored entries, with the coefficient values at its 64 "
-            f"points, needs {need} bytes")
-        assert counts == [1, 15]
+            f"the pair blocks of gs's couplings inside its levels, 836 "
+            f"blocks of {nnz} stored entries with their pattern, need "
+            f"{pairs} bytes")
+        monkeypatch.setattr(linalg, "physical_memory", lambda: pairs)
+        make_preconditioner(op, "gs")
 
 
 class TestAssembledBlocks:

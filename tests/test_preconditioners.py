@@ -30,6 +30,7 @@ from sgfem import build_problem
 from sgfem.galerkin import (
     GalerkinOperator,
     _GaussPlan,
+    _PairPlan,
     _Plan,
     full_truncation,
     standard_truncation,
@@ -202,12 +203,14 @@ def pull_form_level_gs(op, trunc, r):
 
 def assembled_beforehand(monkeypatch, op) -> None:
     """Have ``op.family`` return rows of the whole family, assembled
-    now: a sweep made later is then checked against physical memory for
-    its factors alone, not for the K_i whose own check ``TestFamily``
-    pins."""
+    now, and pass gs's pair blocks unchecked: a sweep made later is then
+    checked against physical memory for its factors alone, not for the
+    K_i or the pair blocks, whose own checks ``TestFamily`` and
+    ``TestPointFills`` pin."""
     every = op.family(range(len(op.tensor.iset)), "the test")
     monkeypatch.setattr(op, "family", lambda indices, purpose:
                         every[np.asarray(indices, dtype=np.int64)])
+    monkeypatch.setattr(op, "check_pairs_fit", lambda runs, purpose: None)
 
 
 def units(op, kind) -> list:
@@ -250,9 +253,9 @@ class TestGroups:
         level 0, one pull from all lower levels, run just before the
         level's first unit is solved ascending, and one push to all lower
         levels, run just after that unit is solved descending.  Inside a
-        level only gs couples: before it solves a block ascending the
-        block before it pushes to the rest of the level, and after it
-        solves a block descending that block pushes to those before it."""
+        level only gs couples: before it solves a block ascending it
+        pulls from the level's blocks before it, and after it solves a
+        block descending that block pushes to them."""
         op, b, _, _ = build_operator(N, P, 3)
         pre = make_preconditioner(op, kind)
         pre.apply(b)
@@ -270,8 +273,8 @@ class TestGroups:
                 want |= {(level, below, prev, unit),
                          (below, level, unit, prev)}
             else:
-                want |= {(range(unit.start, level.stop), prev, prev, unit),
-                         (range(level.start, unit.start), unit, unit, prev)}
+                lower = range(level.start, unit.start)
+                want |= {(unit, lower, prev, unit), (lower, unit, unit, prev)}
         got = {(rows, cols, before, after)
                for (rows, cols, _, after), before in zip(steps, solves)}
         assert len(got) == len(steps) and got == want
@@ -564,22 +567,21 @@ class TestSweeps:
 
 
 class TestPushForm:
-    """Which product each coupling runs: between levels at the Gauss
-    points when the truncation keeps every tensor index and through the
-    family otherwise, and gs's pushes inside a level through the family
-    always."""
+    """Which product each coupling runs: when the truncation keeps every
+    tensor index, between levels at the Gauss points and inside gs's
+    levels through its pair blocks; through the family otherwise."""
 
     @pytest.mark.parametrize("kind,lt,gauss", [
         ("ahgs", None, True), ("ahs", None, True), ("hs", None, True),
-        ("ahgs", 4, True), ("hs", 5, True),  # every index kept
-        ("gs", None, False), ("gs", 4, False),
+        ("ahgs", 4, True), ("hs", 5, True), ("gs", 4, True),  # every index
+        ("gs", None, True), ("gs", 2, False),
         ("ahgs", 2, False), ("ahs", 1, False), ("hs", 3, False)])
     def test_products_run_only_through_the_family(self, kind, lt, gauss):
         """An apply counts the c_ijk terms of its couplings either way,
         and K_i products only through the family, so none when every
-        coupling is at the Gauss points: at N = 3, P = 2 the tensor has
-        the 35 indices of degree ≤ 4.  Untruncated gs holds only
-        Gauss-point plans between levels and family plans inside them."""
+        index is kept: at N = 3, P = 2 the tensor has the 35 indices of
+        degree ≤ 4.  gs then holds Gauss-point plans between levels and
+        pair-block plans inside them; truncated, family plans in both."""
         op, b, _, _ = build_operator(3, 2, 3)
         trunc = None if lt is None else standard_truncation(3, lt)
         pre = make_preconditioner(op, kind, trunc)
@@ -591,33 +593,35 @@ class TestPushForm:
         for rows, cols, plan, _ in sweep_steps(pre)[1]:
             plans[level_of(op, rows) == level_of(op, cols)].add(type(plan))
         assert plans[False] == {_GaussPlan if every else _Plan}
-        assert plans[True] == ({_Plan} if kind == "gs" else set())
+        assert plans[True] == (set() if kind != "gs" else
+                               {_PairPlan if every else _Plan})
 
     @pytest.mark.parametrize("N,P", [(1, 3), (2, 2), (3, 3), (4, 4)])
     def test_gs_products_are_the_pairs_inside_the_levels(self, N, P):
-        """Untruncated gs runs one K_i product per apply for every pair
-        (i, k) of a block k and an i with c_ijk ≠ 0 for a later block j
-        of k's level, and one for every such pair with an earlier j,
-        counted straight from the tensor: 4,455 at N = P = 4, where the
-        family pushes of every block reached 9,966."""
+        """Untruncated gs runs no K_i product per apply, where its family
+        pushes inside the levels ran 4,455 at N = P = 4.  An apply counts
+        every c_ijk term with j ≠ k once, counted straight from the
+        tensor, and its pair-block plans those with j and k in one
+        level."""
         op, b, _, _ = build_operator(N, P, 2)
         pre = make_preconditioner(op, "gs")
         pre.apply(b)
-        before = op.counters["products"]
+        before = dict(op.counters)
         pre.apply(b)
         t, degree = op.tensor, op.tensor.jkset.total_degrees()
-        same = degree[t.j] == degree[t.k]
-        pairs = sum(len(np.unique(t.i[side] * (op.M + 1) + t.k[side]))
-                    for side in (same & (t.j > t.k), same & (t.j < t.k)))
-        assert op.counters["products"] - before == pairs
-        assert (N, P) != (4, 4) or pairs == 4455
+        inside = (degree[t.j] == degree[t.k]) & (t.j != t.k)
+        assert op.counters["products"] == before["products"]
+        assert op.counters["summations"] - before["summations"] == \
+            np.count_nonzero(t.j != t.k)
+        assert sum(plan.summations for _, _, plan, _ in sweep_steps(pre)[1]
+                   if isinstance(plan, _PairPlan)) == np.count_nonzero(inside)
 
     def test_products_per_apply_at_the_table_shape(self):
-        """K_i products per apply at N = P = 4, n = 10: 4,455 for gs
-        (its pushes inside the levels), 1,000 for gs at lt = 2, 580 for
-        ahgs, ahs and hs at lt = 2, none for untruncated ahgs."""
+        """K_i products per apply at N = P = 4, n = 10: 1,000 for gs at
+        lt = 2, 580 for ahgs, ahs and hs at lt = 2, none for untruncated
+        gs and ahgs."""
         op, b = build_problem(4, 4, 10, 100.0)
-        want = {("gs", None): 4455, ("gs", 2): 1000, ("ahgs", 2): 580,
+        want = {("gs", None): 0, ("gs", 2): 1000, ("ahgs", 2): 580,
                 ("ahs", 2): 580, ("hs", 2): 580, ("ahgs", None): 0}
         for (kind, lt), count in want.items():
             pre = make_preconditioner(
@@ -647,19 +651,21 @@ class TestPushForm:
 
     def test_gauss_point_sweep_adds_no_push_workspace(self):
         """The couplings at the Gauss points of an untruncated ahgs or gs
-        share the operator's one workspace, and gs's family pushes its
-        product buffer: a first apply at n = 10, which builds the sweep's
-        factors and plans, keeps no more than the factors' bands and one
-        ``_CHUNK_BYTES``."""
+        share the operator's one workspace: a first apply at n = 10, which
+        builds the sweep's factors and plans, keeps no more than the
+        factors' bands, gs's pair blocks and one ``_CHUNK_BYTES``."""
         op, b = build_problem(4, 4, 10, 100.0)
         op.matvec(b)
-        op.tmatvec(family_plan(op, [1], [0], full_truncation(op.tensor)),
-                   np.zeros(op.n_free))
         for kind in ("ahgs", "gs"):
             pre = make_preconditioner(op, kind)
             kept, _ = traced_memory(lambda: pre.apply(b))
-            bands = sum(F._state[0].nbytes for F in held_factors(pre))
-            assert bands < kept <= bands + galerkin._CHUNK_BYTES, kind
+            held = bands = sum(F._state[0].nbytes for F in held_factors(pre))
+            held += sum({id(a.base): a.base.nbytes
+                         for plan in held_factors(pre, _PairPlan)
+                         for a in (plan.data, plan.indptr, plan.indices)
+                         }.values())
+            assert (held > bands) == (kind == "gs")
+            assert held < kept <= held + galerkin._CHUNK_BYTES, kind
 
 
 class TestCoincidences:
@@ -932,19 +938,32 @@ class TestFactory:
         assert held_factors(hs)
 
     def test_dropped_gs_leaves_no_stiffness_matrix(self):
-        """gs assembles the whole family when it is made and is its only
-        holder: made, applied and dropped on an operator that has run gs
-        before, at N = P = 4, n = 10, it leaves under 1 % of the
-        family's bytes behind."""
+        """gs fills its levels' pair blocks at its first apply, assembles
+        no K_i and is the pairs' only holder: made, applied and dropped
+        on an operator that has run gs before, at N = P = 4, n = 10, it
+        leaves under 1 % of the 836 pairs' bytes behind, which exceed
+        the family's."""
         op, b = build_problem(4, 4, 10, 100.0)
         make_preconditioner(op, "gs").apply(b)
 
+        def pair_bytes():
+            pre = make_preconditioner(op, "gs")
+            pre.apply(b)
+            plans = held_factors(pre, _PairPlan)
+            assert len(plans) == 2 * (op.M + 1 - len(levels(op)))
+            return sum({id(p.data.base): p.data.base.nbytes
+                        for p in plans}.values())
+
         def run():
-            make_preconditioner(op, "gs").apply(b)
+            sizes.append(pair_bytes())
             gc.collect()
 
+        sizes = []
         kept, _ = traced_memory(run)
-        assert kept < 0.01 * 8 * 495 * dirichlet_nnz(10)
+        pairs = sizes.pop()
+        assert pairs == 8 * 836 * len(op._free_indices)
+        assert pairs > 8 * 495 * dirichlet_nnz(10)
+        assert kept < 0.01 * pairs
 
     def test_operator_holds_no_factorization(self):
         op, b, _, _ = build_operator(2, 2, 3)
@@ -995,11 +1014,12 @@ class TestFactory:
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_dropped_sweep_frees_its_plans(self, kind):
         """A sweep builds the plans of its two couplings per unit past the
-        first at its first apply, family or Gauss-point plans, and is
+        first at its first apply, family, Gauss-point or pair-block
+        plans, and is
         their only holder: the operator keeps none, and they die with the
         sweep."""
         op, b, _, _ = build_operator(2, 2, 3)
-        plans = (_Plan, _GaussPlan)
+        plans = (_Plan, _GaussPlan, _PairPlan)
         pre = make_preconditioner(op, kind)
         assert held_factors(pre, plans) == []
         pre.apply(b)
