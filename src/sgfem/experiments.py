@@ -413,11 +413,11 @@ def export_case(config: ExperimentConfig, path, cov=DEFAULT_COV,
             f"the dense global matrix of {n} rows needs"),
             f"; a cap below {n} skips it")
     kdata = op.family(range(len(op.tensor.iset)), "sg export")
-    k_mats = op.family_matrices(kdata)
+    family = op.family_matrices(kdata)
     manifest = {}
     try:
         os.makedirs(path, exist_ok=True)
-        for i, K in enumerate(k_mats):
+        for i, K in enumerate(family):
             fname = os.path.join(path, f"k_{i:04d}.mtx")
             write_matrix_market(fname, K)
             manifest[f"k_{i:04d}"] = fname

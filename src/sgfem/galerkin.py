@@ -53,15 +53,17 @@ preconditioner divides a fixed row by its :meth:`fixed_divisor`.  Results
 are bit for bit those of products over every node, whose other terms on
 b are all ±0.0.
 
-A block factor is one band factor of a run of consecutive blocks: of
-all their pairs (a level matrix D_ℓ, say) or of their block diagonal.
-The operator knows blocks only; which runs a preconditioner factorizes,
-and why, is the preconditioner's.  A factor is filled straight into band
-storage with the FULL coefficient sum (truncation only ever applies to
-off-diagonal products inside preconditioners) and factorized anew on
-each request; the caller owns it.  ``block(j, k)``, one block as the
-fills take it, and a dense assembly of the whole matrix through the
-family are brute-force oracles for small instances.
+A block factor is one band factor of consecutive blocks taken as runs
+of s blocks side by side: one run of all of them holds all their pairs
+(a level matrix D_ℓ, say), and runs of one block their block diagonal.
+One filler places every run's pairs and one builder factorizes the
+band.  The operator knows blocks only; which blocks a preconditioner
+factorizes, and why, is the preconditioner's.  A factor is filled
+straight into band storage with the FULL coefficient sum (truncation
+only ever applies to off-diagonal products inside preconditioners) and
+factorized anew on each request; the caller owns it.  ``block(j, k)``,
+one block as the fills take it, and a dense assembly of the whole matrix
+through the family are brute-force oracles for small instances.
 """
 
 from __future__ import annotations
@@ -220,23 +222,6 @@ class _Plan:
     summations: int
 
 
-def _dimension_factors(tensor: CijkTensor, modes: np.ndarray) -> np.ndarray:
-    """The 1-D matrices m_d[a, b] = Σ_α g_d^α/α! T[α, a, b] of every
-    dimension d at every point (:class:`_GaussPointProduct`), shape
-    (points, N·(P + 1)²), entry d·(P + 1)² + a·(P + 1) + b: the powers
-    g_d^α/α! by repeated products, then the sum over α with the 1-D
-    table as one matrix product."""
-    N, P = tensor.jkset.N, tensor.jkset.degree
-    g = modes.reshape(N, -1).T
-    powers = np.empty(g.shape + (2 * P + 1,))
-    powers[..., 0] = 1.0
-    for a in range(1, 2 * P + 1):
-        np.multiply(powers[..., a - 1], g, out=powers[..., a])
-        powers[..., a] /= a
-    table = triple_product_table(2 * P, P).reshape(2 * P + 1, (P + 1) ** 2)
-    return (powers @ table).reshape(len(g), N * (P + 1) ** 2)
-
-
 @dataclass(frozen=True)
 class _PairPlan:
     """One coupling inside a run of consecutive blocks from s, through
@@ -313,14 +298,16 @@ class _GaussPointProduct:
     A_q, with a_0 folded in, and B_q are stored for every point, n₁² +
     n₂² doubles a point for the half-grid sizes n₁ and n₂, and the band
     fills read their pair fields there too (:meth:`pair_fields`).  They
-    are formed from the m_d in chunks of points, and the m_d dropped.
+    are formed in chunks of points from the m_d, the field's powers
+    g_d^α/α! (:meth:`~sgfem.random_field.CoefficientFields.powers`)
+    times the 1-D table, and the m_d dropped.
     Every product runs in chunks of points in one workspace of about
     ``_CHUNK_BYTES``, sized for the full product, so that any plan's
     grid, half product and gradients fit in it.
     """
 
-    def __init__(self, tensor: CijkTensor, mean: np.ndarray,
-                 modes: np.ndarray, mesh: Mesh, free: np.ndarray):
+    def __init__(self, tensor: CijkTensor, field: CoefficientFields,
+                 mesh: Mesh, free: np.ndarray):
         N, P = tensor.jkset.N, tensor.jkset.degree
         jk = tensor.jkset.as_array()
         h, s = N // 2, (P + 1) ** 2
@@ -333,8 +320,11 @@ class _GaussPointProduct:
             [(d * s + part[:, None, e] * (P + 1) + part[None, :, e]).ravel()
              for part, dims in ((first, range(h)), (second, range(h, N)))
              for e, d in enumerate(dims)])
-        m = _dimension_factors(tensor, modes)
-        a0, points = mean.ravel(), len(m)
+        # the m_d at every point, entry d·(P + 1)² + a·(P + 1) + b, the
+        # sum over α ≤ 2P as one matrix product
+        table = triple_product_table(2 * P, P).reshape(2 * P + 1, s)
+        m = (field.powers(2 * P) @ table).reshape(-1, N * s)
+        a0, points = field.mean.ravel(), len(m)
         # A_q with a_0 and B_q, from chunks of the m_d's entries
         self._a = np.empty((points, n1 * n1))
         self._b = np.empty((points, n2 * n2))
@@ -471,7 +461,8 @@ class GalerkinOperator:
 
     The fixed nodes ``fixed`` are the mesh's boundary, ascending; the
     other nodes are ``free``, of which there are ``n_free``; products,
-    mixing and band fills run on a free-node CSR.
+    mixing and band fills run on a free-node CSR.  ``nnz`` counts the
+    stored entries of K_0's pattern, the length of a K_i's data.
 
     Product and summation counters accumulate across applications:
     ``summations`` counts the c_ijk terms a product covers (the cost
@@ -502,6 +493,7 @@ class GalerkinOperator:
             assemble_stiffness_family(mesh, field.mean[None])[0],
             np.zeros(mesh.n_nodes), mesh)[0]
         self.n_dof = mesh.n_nodes
+        self.nnz = len(self._k0.data)
         self.M = len(tensor.jkset) - 1
         self.Mprime = len(iset) - 1
         self.counters = {"summations": 0, "products": 0}
@@ -562,7 +554,7 @@ class GalerkinOperator:
         8·len(indices)·(nnz + points) bytes, are checked against physical
         memory first: a MemoryError names ``purpose``."""
         indices = np.asarray(indices, dtype=np.int64).reshape(-1)
-        nnz, size = len(self._k0.data), self._field.mean.size
+        nnz, size = self.nnz, self._field.mean.size
         check_fits(8 * len(indices) * (nnz + size), lambda: (
             f"the stiffness family for {purpose}, {len(indices)} "
             f"matrices of {nnz} stored entries, with the coefficient "
@@ -685,9 +677,8 @@ class GalerkinOperator:
     def _gauss_product(self) -> _GaussPointProduct:
         """The Gauss-point product, built at its first use."""
         if self._gauss is None:
-            self._gauss = _GaussPointProduct(
-                self.tensor, self._field.mean, self._field.modes, self._mesh,
-                self.free)
+            self._gauss = _GaussPointProduct(self.tensor, self._field,
+                                             self._mesh, self.free)
         return self._gauss
 
     def gauss_plan(self, row_blocks, col_blocks) -> _GaussPlan:
@@ -699,19 +690,15 @@ class GalerkinOperator:
         summations = np.count_nonzero(np.isin(t.j, rows) & np.isin(t.k, cols))
         return self._gauss_product().plan(rows, cols, int(summations))
 
-    def check_pairs_fit(self, runs, purpose: str) -> None:
-        """Check the bytes of the :meth:`pair_plans` of every run of
-        blocks in ``runs``, held at once, against physical memory: of a
-        run of s > 1 blocks, the s(s − 1)/2 pairs' data and the pattern
-        of s − 1 of them stacked.  A MemoryError names ``purpose``."""
+    def pair_bytes(self, runs) -> int:
+        """The bytes of the :meth:`pair_plans` of every run of blocks in
+        ``runs``, held at once: of a run of s > 1 blocks, the
+        s(s − 1)/2 pairs' data and the pattern of s − 1 of them
+        stacked."""
         f, nnz = self.n_free, self._free_span.stop - self._free_span.start
         s = np.array([len(run) for run in runs if len(run) > 1], np.int64)
-        pairs = int(np.sum(s * (s - 1) // 2))
-        need = 8 * pairs * nnz + self._row_indices.itemsize * int(
-            np.sum((s - 1) * (nnz + f) + 1))
-        check_fits(need, lambda: (
-            f"the pair blocks of {purpose}, {pairs} blocks of {nnz} stored "
-            f"entries with their pattern, need"))
+        return 8 * int(np.sum(s * (s - 1) // 2)) * nnz + \
+            self._row_indices.itemsize * int(np.sum((s - 1) * (nnz + f) + 1))
 
     def pair_plans(self, blocks: range) -> list:
         """For each block q of the consecutive ``blocks`` past the first,
@@ -722,10 +709,10 @@ class GalerkinOperator:
         They share the run's pair blocks: the pairs (q, p), p < q, in
         row-major order, each block K^{(qp)} = K^{(pq)} one row on the
         free span of K_0's pattern, filled as the band fills are
-        (:meth:`_band_values`), so that q's pairs are one slice; and the
+        (:meth:`_pair_values`), so that q's pairs are one slice; and the
         pattern of s − 1 pairs stacked, rows (pair, free node), whose
-        first rows every slice reads.  Their bytes are checked by
-        :meth:`check_pairs_fit`, not here."""
+        first rows every slice reads, of :meth:`pair_bytes`, which are
+        not checked here."""
         f, s, t = self.n_free, len(blocks), self.tensor
         nnz = self._free_span.stop - self._free_span.start
         j, k = t.j - blocks.start, t.k - blocks.start
@@ -735,9 +722,9 @@ class GalerkinOperator:
                             minlength=s * s).reshape(s, s)
         q, p = np.tril_indices(s, -1)
         data = np.empty((len(q), nnz))
-        for part, values in self._band_values(blocks.start + q,
+        for part, values in self._pair_values(blocks.start + q,
                                               blocks.start + p):
-            data[part] = values
+            data[part] = values[:, self._free_span]
         longest = max(s - 1, 0)
         starts = self._row_indptr[:-1] - self._free_span.start
         indptr = np.append(np.arange(longest)[:, None] * nnz + starts,
@@ -820,17 +807,17 @@ class GalerkinOperator:
         the input layout.  A fixed node b of block j gets the closed form
         (G_0)_jj · (K_0[b,b] · v_(j)[b]).
 
-        The free nodes are multiplied at the Gauss points, the plan of
-        all blocks to all blocks (:meth:`gauss_plan`, built at the first
-        call), reading no K_i; a call counts the tensor's terms in
-        ``summations`` and runs no ``products``."""
+        The free nodes are multiplied at the Gauss points by
+        :meth:`tmatvec` on the plan of all blocks to all blocks
+        (:meth:`gauss_plan`, built at the first call), reading no K_i; a
+        call counts the tensor's terms in ``summations`` and runs no
+        ``products``."""
         v = np.asarray(v, dtype=float)
         V = v.reshape(self.M + 1, self.n_dof)
         W = np.empty_like(V)
         if self._full is None:
             self._full = self.gauss_plan(range(self.M + 1), range(self.M + 1))
-        W[:, self.free] = self._gauss.apply(self._full, V.T[self.free]).T
-        self.counters["summations"] += self._full.summations
+        W[:, self.free] = self.tmatvec(self._full, V.T[self.free].T)
         W[:, self.fixed] = self._g0[:, None] * (
             self._k0.data[self._fixed_slots] * V[:, self.fixed])
         return W.ravel() if v.ndim == 1 else W
@@ -859,7 +846,7 @@ class GalerkinOperator:
         if not np.any((t.j == j) & (t.k == k)):
             return None
         (_, data), = self._pair_values(np.array([j]), np.array([k]))
-        data = data[0]
+        data = data[0].copy()
         if j == k:
             data[self._fixed_slots] = (self._g0[j]
                                        * self._k0.data[self._fixed_slots])
@@ -869,45 +856,32 @@ class GalerkinOperator:
     def assemble_diag_block(self, blocks: range) -> Factorization:
         """A new factorization of the block diagonal of the consecutive
         ``blocks``, K^{(j,j)} = Σ_i c_ijj K_i (never truncated) for each
-        j in block-major order: one band factor that solves them all.
-
-        Each block's free-node band, of the free pattern's band b, fills
-        its own columns of one (b + 1, s·n_free) band, all of them from
-        one pass of the blocks' values (:meth:`_band_values`); the
+        j in block-major order: the band of their runs of one block side
+        by side (:meth:`_factor`), one factor that solves them all.  The
         entries that would couple a block to the next stay 0, so the
-        factor is block diagonal too.  The band's bytes are checked
-        against physical memory before it is filled.
-        """
-        f, band = self.n_free, self._band
-        check_band_fits(len(blocks) * f, band)
-        ab = np.zeros((band + 1, len(blocks) * f), order="F")
-        # its transpose, C-ordered: entry (a, b) of block p goes to row
-        # p·n_free + b, column a − b
-        flat = ab.T.reshape(-1)
-        node, cols = self._free_rows, self._free_indices.astype(np.int64)
-        low, diag = node > cols, node == cols
-        base = cols * (band + 1) + node - cols
-        base_low, base_diag = base[None, low], base[None, diag]
-        j = np.arange(blocks.start, blocks.stop)
-        for part, values in self._band_values(j, j):
-            shift = (np.arange(len(j))[part] * (f * (band + 1)))[:, None]
-            flat[base_low + shift] = values[:, low]
-            flat[base_diag + shift] = values[:, diag]
-        return factorize_band(ab)
+        factor is block diagonal too."""
+        return self._factor(blocks, 1)
 
     def assemble_level_block(self, blocks: range) -> Factorization:
         """A new factorization of the matrix of the consecutive
         ``blocks``, every pair K^{(j,k)} = Σ_i c_ijk K_i (never
-        truncated), such as a level matrix D_ℓ, never assembled: a banded
-        Cholesky of its free rows in node-interleaved order, row
-        (free node)·s + block for the s blocks, so the band is
-        run_band(s) instead of about n_free·s; ``rows`` maps it back to
-        block-major order.  The band's bytes are checked before it is
-        filled in place."""
-        s, f = len(blocks), self.n_free
-        check_band_fits(s * f, self.run_band(s))
-        rows = (np.arange(f)[:, None] + np.arange(s) * f).ravel()
-        return factorize_band(self._fill_band(blocks), rows)
+        truncated), such as a level matrix D_ℓ, never assembled: the
+        band of one run of all the blocks (:meth:`_factor`), so the band
+        is run_band(s) instead of about n_free·s for the s blocks."""
+        return self._factor(blocks, len(blocks))
+
+    def _factor(self, blocks: range, s: int) -> Factorization:
+        """A banded Cholesky of the consecutive ``blocks`` in runs of s
+        blocks (:meth:`_fill_band`), the band's bytes checked against
+        physical memory before it is filled in place.  A run of s > 1
+        blocks holds its rows in node-interleaved order, which ``rows``
+        maps back to block-major order."""
+        f = self.n_free
+        check_band_fits(len(blocks) * f, self.run_band(s))
+        rows = None
+        if s > 1:
+            rows = (np.arange(f)[:, None] + np.arange(s) * f).ravel()
+        return factorize_band(self._fill_band(blocks, s), rows)
 
     def run_band(self, s: int) -> int:
         """Sub-diagonals of the node-interleaved band of a run of s
@@ -915,14 +889,16 @@ class GalerkinOperator:
         block."""
         return s * self._band + s - 1
 
-    def _fill_band(self, blocks: range) -> np.ndarray:
-        """The free rows of the matrix of a run of s consecutive blocks in
-        node-interleaved lower band storage, row (free node)·s + block,
-        with run_band(s) sub-diagonals, filled straight from the block
-        pairs' values (:meth:`_pair_values`).
+    def _fill_band(self, blocks: range, s: int) -> np.ndarray:
+        """The free rows of the consecutive ``blocks`` in lower band
+        storage with run_band(s) sub-diagonals, as runs of s blocks side
+        by side, s one or len(blocks): a run's rows are node-interleaved,
+        row (free node)·s + block, and its band holds the matrix of all
+        its pairs, filled straight from their values
+        (:meth:`_pair_values`) in one pass over every run.
 
         Entry (a, b) of the free pattern in pair (r, c) is entry
-        (a·s + r, b·s + c) of the run's matrix; it lies in the lower
+        (a·s + r, b·s + c) of its run's matrix; it lies in the lower
         triangle when a > b, or when a = b and r ≥ c, so only pairs with
         r ≥ c write the diagonal node entries.  Pad slots, whose column
         is past every free node, write nothing.  Only the pairs with
@@ -931,40 +907,31 @@ class GalerkinOperator:
         symmetric, so pair (c, r) writes the entries (b, a) of pair
         (r, c).
         """
-        f, s = self.n_free, len(blocks)
-        band = self.run_band(s)
+        f, band, span = self.n_free, self.run_band(s), self._free_span
         node, cols = self._free_rows, self._free_indices.astype(np.int64)
-        low, diag = node > cols, node == cols
-        # the band's transpose, C-ordered: entry (a, b) of pair (r, c)
-        # goes to row b·s + c, column (a − b)·s + r − c, which is
-        # position base + c·band + r of its flat array
-        abT = np.zeros((s * f, band + 1))
+        lower = node >= cols
+        # the band's transpose, C-ordered: entry (a, b) of pair (r, c) of
+        # run t goes to row (t·n_free + b)·s + c, column (a − b)·s + r − c,
+        # which is position base + t·s·n_free·(band + 1) + c·band + r of
+        # its flat array
+        abT = np.zeros((len(blocks) * f, band + 1))
         flat = abT.reshape(-1)
-        base = cols * (s * (band + 1)) + (node - cols) * s
-        base_low, base_diag = base[None, low], base[None, diag]
-        r, c = np.tril_indices(s)
-        for part, values in self._band_values(blocks.start + r,
-                                              blocks.start + c):
-            rp, cp = r[part], c[part]
-            shift = (cp * band + rp)[:, None]
-            flat[base_low + shift] = values[:, low]
-            flat[base_diag + shift] = values[:, diag]
-            off = rp > cp
-            flat[base_low + (rp[off] * band + cp[off])[:, None]] = \
-                values[off][:, self._mirror]
+        base = (cols * (band + 1) + node - cols) * s
+        at_lower = base[None, lower]
+        r, c = np.tri(s, dtype=bool).nonzero()
+        run = np.arange(0, len(blocks), s)[:, None]
+        shift = (run * (f * (band + 1)) + c * band + r).ravel()
+        j, k = blocks.start + run + r, blocks.start + run + c
+        if s > 1:  # one run, whose pairs r > c write their mirrors too
+            flip, at_low = r * band + c, base[None, node > cols]
+        for part, values in self._pair_values(j.ravel(), k.ravel()):
+            values = values[:, span]
+            flat[at_lower + shift[part, None]] = values[:, lower]
+            if s > 1:
+                off = r[part] > c[part]
+                flat[at_low + flip[part][off, None]] = \
+                    values[off][:, self._mirror]
         return abT.T
-
-    def _band_values(self, j, k):
-        """The free span of the blocks (j[p], k[p]) as :meth:`_pair_values`
-        chunks, a first pair (0, 0) being K_0, which the operator holds:
-        c_i00 = δ_i0 and c_000 = 1, so K^{(00)} = K_0."""
-        mean = int(len(j) > 0 and j[0] == k[0] == 0)
-        if mean:
-            yield slice(0, 1), self._k0.data[None, self._free_span]
-        if len(j) > mean:  # the Gauss points only where a pair needs them
-            for part, values in self._pair_values(j[mean:], k[mean:]):
-                yield (slice(part.start + mean, part.stop + mean),
-                       values[:, self._free_span])
 
     def _pair_values(self, j, k):
         """The blocks (j[p], k[p]) on the Dirichlet pattern, as (slice of
@@ -973,16 +940,23 @@ class GalerkinOperator:
         C_q[j, k] = A_q[j₁, k₁] · B_q[j₂, k₂] of the Gauss-point product
         (:meth:`_GaussPointProduct.pair_fields`), exactly since P′ ≥ 2P,
         assembled as a K_i is (:func:`~sgfem.fem.stiffness_data`).  A
-        chunk's fields, data and the caller's gathers of the data take
-        about a quarter of ``_CHUNK_BYTES``, beside the assembly's own
-        chunk."""
-        gauss, mesh = self._gauss_product(), self._mesh
-        points = self._field.mean.size
-        step = max(_CHUNK_BYTES // (64 * (points + len(self._k0.data))), 1)
-        for lo in range(0, len(j), step):
-            fields = gauss.pair_fields(j[lo:lo + step], k[lo:lo + step])
-            yield slice(lo, lo + step), stiffness_data(
-                mesh, fields.reshape(len(fields), -1, 4))
+        first pair (0, 0) is K_0, whose data the operator holds and
+        yields, for the caller to read only: c_i00 = δ_i0 and c_000 = 1,
+        so K^{(00)} = K_0, and the Gauss-point product is built only
+        where another pair needs it.  A chunk's fields, data and the
+        caller's gathers of the data take about a quarter of
+        ``_CHUNK_BYTES``, beside the assembly's own chunk."""
+        mean = int(len(j) > 0 and j[0] == k[0] == 0)
+        if mean:
+            yield slice(0, 1), self._k0.data[None]
+        if len(j) > mean:
+            gauss, mesh = self._gauss_product(), self._mesh
+            points = self._field.mean.size
+            step = max(_CHUNK_BYTES // (64 * (points + self.nnz)), 1)
+            for lo in range(mean, len(j), step):
+                fields = gauss.pair_fields(j[lo:lo + step], k[lo:lo + step])
+                yield slice(lo, lo + step), stiffness_data(
+                    mesh, fields.reshape(len(fields), -1, 4))
 
     def k0_traces(self) -> np.ndarray:
         """tr(K_iᵀK_0) for every coefficient index i, from the field at

@@ -59,25 +59,12 @@ def check_fits(need: int, what, hint: str = "") -> None:
             f"memory{hint}")
 
 
-def check_band_fits(n, band, hint: str = "") -> None:
-    """Raise :class:`MemoryError`, with ``hint`` appended to the message,
-    when the lower band storage of an ``n``-row matrix with ``band``
-    sub-diagonals, n × (band + 1) doubles, exceeds physical memory.
-
-    ``n`` and ``band`` may also be equal-length sequences, one entry per
-    factor kept at once; their bytes are then checked as one sum, and
-    the message names the largest factor."""
-    rows, bands = np.atleast_1d(n), np.atleast_1d(band)
-    sizes = 8 * rows.astype(np.int64) * (bands + 1)
-
-    def what():
-        big = int(np.argmax(sizes))
-        others = (f" and the {len(sizes) - 1} other band factors kept with "
-                  f"it need" if len(sizes) > 1 else " needs")
-        return (f"band factor of {rows[big]} rows and {bands[big]} "
-                f"sub-diagonals{others}")
-
-    check_fits(int(sizes.sum()), what, hint)
+def check_band_fits(n: int, band: int) -> None:
+    """Raise :class:`MemoryError` when the lower band storage of an
+    ``n``-row matrix with ``band`` sub-diagonals, n × (band + 1)
+    doubles, exceeds physical memory."""
+    check_fits(8 * n * (band + 1), lambda: (
+        f"band factor of {n} rows and {band} sub-diagonals needs"))
 
 
 @dataclass

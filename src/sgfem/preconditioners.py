@@ -58,7 +58,7 @@ from __future__ import annotations
 import numpy as np
 
 from sgfem.galerkin import GalerkinOperator, TruncationSet, full_truncation
-from sgfem.linalg import check_band_fits, factorize
+from sgfem.linalg import check_fits, factorize
 
 
 class Preconditioner:
@@ -133,12 +133,11 @@ class BlockGaussSeidel(Preconditioner):
     and gs's couplings inside a level around its other units.
 
     Every unit's factor and every plan, gs's pair blocks with them, are
-    built at the first apply and kept in ``_sweep``, their only owner, so
-    the band bytes of every factor the sweep will hold are summed here
-    and checked against physical memory together, before any work; the
-    bytes of gs's pair blocks are checked here too, on their own.  A
-    sweep that multiplies through the family assembles the K_i it
-    retains here, at setup.
+    built at the first apply and kept in ``_sweep``, their only owner.
+    A sweep that multiplies through the family assembles the K_i it
+    retains here, at setup.  The bytes of all it will keep, the band of
+    every factor, gs's pair blocks and the retained K_i, are summed here
+    and checked against physical memory together, before any work.
     """
 
     def __init__(self, op, trunc, descending: bool, solve: str):
@@ -151,21 +150,37 @@ class BlockGaussSeidel(Preconditioner):
                        for unit in ([range(j, j + 1) for j in level]
                                     if solve == "blocks" else [level])]
         exact = solve == "exact"
-        sizes = [len(unit) for _, unit in self._units]
-        check_band_fits([s * op.n_free for s in sizes],
-                        [op.run_band(s if exact else 1) for s in sizes], (
+        terms = len(op.tensor.iset)
+        retained = trunc.indices[trunc.indices < terms]
+        self._at_points = len(retained) == terms
+        self._pairs = solve == "blocks" and self._at_points
+        # the bytes the sweep keeps: a band factor per unit, gs's pair
+        # blocks inside its levels and a truncated sweep's K_i
+        rows = np.array([len(unit) for _, unit in self._units]) * op.n_free
+        bands = np.array([op.run_band(len(unit) if exact else 1)
+                          for _, unit in self._units])
+        sizes = 8 * rows * (bands + 1)
+        pairs = op.pair_bytes(levels) if self._pairs else 0
+        kept = 0 if self._at_points else 8 * len(retained) * op.nnz
+
+        def what():
+            big = int(np.argmax(sizes))
+            held = [f"band factor of {rows[big]} rows and {bands[big]} "
+                    f"sub-diagonals and the {len(sizes) - 1} other band "
+                    f"factors kept with it"]
+            held += [f"{name}, {size} bytes" for name, size in (
+                ("gs's pair blocks inside its levels", pairs),
+                (f"the {len(retained)} K_i of its truncated couplings",
+                 kept)) if size]
+            return " and ".join(held) + " need"
+
+        check_fits(int(sizes.sum()) + pairs + kept, what, (
             "; hs's exact level solves need them, while ahs and ahgs "
             "factorize only the levels' diagonal blocks") if exact else "")
         self._exact, self._descending = exact, descending
         self._sweep: tuple | None = None  # built at the first apply
         self._divisor = op.fixed_divisor(range(op.M + 1))
-        terms = len(op.tensor.iset)
-        retained = trunc.indices[trunc.indices < terms]
-        self._at_points = len(retained) == terms
-        self._pairs = solve == "blocks" and self._at_points
-        if self._pairs:
-            op.check_pairs_fit(levels, "gs's couplings inside its levels")
-        elif not self._at_points:
+        if not self._at_points:
             # its rows, which its plans share
             self._family = list(op.family(
                 retained, "the couplings of a truncated sweep"))
@@ -263,12 +278,12 @@ def make_preconditioner(op: GalerkinOperator, kind: str,
 
     ``trunc`` restricts the off-diagonal products of gs/hs/ahs/ahgs
     (default: no truncation).  The kind is checked before any work, and
-    so, for a sweep, is the sum of the band bytes of every factorization
-    it will build at its first apply and keep: a sum past physical
-    memory raises :class:`MemoryError`, as do the pair blocks that an
-    untruncated gs will fill at its first apply and the K_i that a
-    truncated sweep retains, which it assembles here and owns.  A fixed
-    row whose diagonal is not positive raises
+    so, for a sweep, is the sum of the bytes of all it will keep: the
+    bands of every factorization it builds at its first apply, the pair
+    blocks that an untruncated gs fills then, and the K_i that a
+    truncated sweep retains, which it assembles here and owns.  A sum
+    past physical memory raises :class:`MemoryError`.  A fixed row
+    whose diagonal is not positive raises
     :class:`~sgfem.linalg.FactorizationError`.
     """
     if kind not in KINDS:

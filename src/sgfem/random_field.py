@@ -156,9 +156,9 @@ class CoefficientFields:
     k_i = a_0 Π_d g_d^{i_d} / i_d!.  The mean is strictly positive.  A
     :class:`~sgfem.galerkin.GalerkinOperator` takes the field whole, on
     its tensor's i-set: it multiplies and fills its block factors at the
-    points from ``mean`` and ``modes``, assembles K_0 from ``mean`` and
-    the K_i that a caller asks for from their :meth:`values`; kron's
-    trace weights are :meth:`moments`.  Both
+    points from ``mean`` and the :meth:`powers` of ``modes``, assembles
+    K_0 from ``mean`` and the K_i that a caller asks for from their
+    :meth:`values`; kron's trace weights are :meth:`moments`.  Both
     evaluate the closed form of the k_i from ``mean`` and ``modes``, so
     an edited field moves them all; :meth:`moments` groups its factors
     by halves of the dimensions and forms no k_i.
@@ -182,6 +182,18 @@ class CoefficientFields:
                     row *= powers[p, d] / math.factorial(p)
         return values
 
+    def powers(self, degree: int) -> np.ndarray:
+        """g_d^a/a! for a = 0 to ``degree`` of every mode d at every
+        point, by repeated products, shape (points, N, degree + 1), the
+        points in the order of ``mean``'s entries."""
+        g = self.modes.reshape(len(self.modes), -1).T
+        powers = np.empty(g.shape + (degree + 1,))
+        powers[..., 0] = 1.0
+        for a in range(1, degree + 1):
+            np.multiply(powers[..., a - 1], g, out=powers[..., a])
+            powers[..., a] /= a
+        return powers
+
     def moments(self, weights: np.ndarray) -> np.ndarray:
         """Σ_q k_i(q) w(q) over the points for every k_i, with the point
         weights ``weights`` of the mean's shape, equal to the products of
@@ -194,18 +206,14 @@ class CoefficientFields:
         for the n₁′ and n₂′ distinct multi-indices of the halves (126 at
         N = 4, P′ = 8)."""
         idx, deg = self.basis.as_array(), self.basis.degree
-        g = self.modes.reshape(len(self.modes), -1)
-        powers = np.empty((deg + 1,) + g.shape)
-        powers[0] = 1.0
-        for a in range(1, deg + 1):
-            np.multiply(powers[a - 1], g, out=powers[a])
-            powers[a] /= a
-        halves, h = [], len(g) // 2
-        for lo, hi in ((0, h), (h, len(g))):
+        powers = self.powers(deg)
+        points, N = powers.shape[:2]
+        halves, h = [], N // 2
+        for lo, hi in ((0, h), (h, N)):
             grid, position = _half_grid(idx[:, lo:hi], deg)
-            factor = np.ones((len(grid), g.shape[1]))
+            factor = np.ones((len(grid), points))
             for e, d in enumerate(range(lo, hi)):
-                factor *= powers[grid[:, e], d]
+                factor *= powers[:, d, grid[:, e]].T
             halves.append((factor, position))
         (x, first), (y, second) = halves
         aw = self.mean.ravel() * np.asarray(weights, dtype=float).ravel()

@@ -270,12 +270,12 @@ def band_fill(A) -> np.ndarray:
 
 
 def family_band(op, blocks) -> np.ndarray:
-    """The band of ``op._fill_band(blocks)``, filled from the stiffness
-    family's coupling (oracle of the fill from the Gauss points): every
-    pair (r, c) of the run with a c_ijk gets Σ_i c_ijk K_i over the free
-    rows as one row of the (pairs × i) coupling times the stacked K_i
-    data, and writes its entries of the lower triangle, entry (a, b) of
-    the free pattern at (a·s + r, b·s + c)."""
+    """The band of ``op._fill_band(blocks, len(blocks))``, filled from
+    the stiffness family's coupling (oracle of the fill from the Gauss
+    points): every pair (r, c) of the run with a c_ijk gets Σ_i c_ijk K_i
+    over the free rows as one row of the (pairs × i) coupling times the
+    stacked K_i data, and writes its entries of the lower triangle, entry
+    (a, b) of the free pattern at (a·s + r, b·s + c)."""
     f, s, lo = op.n_free, len(blocks), blocks.start
     band = op.run_band(s)
     t = op.tensor

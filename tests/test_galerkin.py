@@ -1027,7 +1027,8 @@ class TestPointFills:
         alone, K_0's, bit for bit."""
         shape, blocks = case
         op = cached_problem(*shape)[0]
-        got, want = op._fill_band(blocks), family_band(op, blocks)
+        got, want = (op._fill_band(blocks, len(blocks)),
+                     family_band(op, blocks))
         assert got.shape == want.shape
         scale = np.abs(want).max(initial=0.0)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
@@ -1039,17 +1040,21 @@ class TestPointFills:
                                        (4, 4, 2)])
     def test_pair_values_match_the_md_oracle(self, N, P, n):
         """The pair fields of every block and the blocks' data that the
-        fills take, from the stored A_q and B_q, against the sequential
-        a_0 Π_d m_d fields (:func:`md_pair_fields`) and their data: bit
-        for bit at N ≤ 2, where both multiply in one order, and within
-        1e-15 of the largest entry at N = 3 and 4, where A_q and B_q
-        group the m_d by halves first."""
+        fills take, the first pair's K_0's own, from the stored A_q and
+        B_q, against the sequential a_0 Π_d m_d fields
+        (:func:`md_pair_fields`) and their data: bit for bit at N ≤ 2,
+        where both multiply in one order, and within 1e-15 of the largest
+        entry at N = 3 and 4, where A_q and B_q group the m_d by halves
+        first."""
         op = cached_problem(N, P, n)[0]
         j, k = (a.ravel() for a in np.indices((op.M + 1, op.M + 1)))
         fields = md_pair_fields(op, j, k)
         want = stiffness_data(op._mesh, fields.reshape(len(j), -1, 4))
         got = [op._gauss_product().pair_fields(j, k), np.concatenate(
             [data for _, data in op._pair_values(j, k)])]
+        # the first pair, (0, 0), is K_0's data as the operator holds it
+        np.testing.assert_array_equal(got[1][0], op.k_mats[0].data)
+        got[1], want = got[1][1:], want[1:]
         for got, want in zip(got, (fields, want)):
             assert got.shape == want.shape
             if N <= 2:
@@ -1139,9 +1144,9 @@ class TestPointFills:
         """With physical memory one byte short of the family and its
         coefficient values at N = P = 4, n = 4, kron, ahgs and gs build
         and solve, and so does ahgs at lt = 2 on its 15 K_i.  With memory
-        one byte short of gs's pair blocks, gs is refused when it is
-        made, before any fill, and the refusal names its couplings
-        inside its levels."""
+        one byte short of gs's pair blocks with its band factors, gs is
+        refused when it is made, before any fill, and the refusal names
+        its pair blocks inside its levels."""
         need = 8 * 495 * (dirichlet_nnz(4) + 64)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
         counts = recorded_assemblies(monkeypatch)
@@ -1155,12 +1160,14 @@ class TestPointFills:
         assert counts == [1, 15]
         # the 836 pairs of the levels of 4, 10, 20 and 35 blocks on the 9
         # free rows' span of slots, with the pattern of the 3 + 9 + 19 +
-        # 34 pairs that the longest pull of each level reads
+        # 34 pairs that the longest pull of each level reads; the bands
+        # of the 70 blocks, 9 free rows of 4 sub-diagonals each
         nnz = len(op._free_indices)
         pattern = 4 * (65 * (nnz + op.n_free) + 4)
         pairs = 8 * 836 * nnz + pattern
-        assert pairs < need
-        monkeypatch.setattr(linalg, "physical_memory", lambda: pairs - 1)
+        held = pairs + 8 * 70 * 9 * 5
+        assert held < need
+        monkeypatch.setattr(linalg, "physical_memory", lambda: held - 1)
 
         def no_work(*args):
             raise AssertionError("pair blocks filled before the refusal")
@@ -1169,10 +1176,10 @@ class TestPointFills:
         with pytest.raises(MemoryError) as exc:
             make_preconditioner(op, "gs")
         assert str(exc.value).startswith(
-            f"the pair blocks of gs's couplings inside its levels, 836 "
-            f"blocks of {nnz} stored entries with their pattern, need "
-            f"{pairs} bytes")
-        monkeypatch.setattr(linalg, "physical_memory", lambda: pairs)
+            f"band factor of 9 rows and 4 sub-diagonals and the 69 other "
+            f"band factors kept with it and gs's pair blocks inside its "
+            f"levels, {pairs} bytes need {held} bytes")
+        monkeypatch.setattr(linalg, "physical_memory", lambda: held)
         make_preconditioner(op, "gs")
 
 
@@ -1206,7 +1213,7 @@ class TestAssembledBlocks:
             lo, hi = blk[0] * nd, (blk[-1] + 1) * nd
             want = A[lo:hi, lo:hi]
             order = compact_rows(op, len(blk))
-            ab = op._fill_band(blk)
+            ab = op._fill_band(blk, len(blk))
             np.testing.assert_allclose(band_lower(ab),
                                        np.tril(want[np.ix_(order, order)]),
                                        atol=1e-13)
@@ -1224,7 +1231,7 @@ class TestAssembledBlocks:
         op, _, _, _ = build_operator(N, P, n)
         free = free_nodes(op)
         for j in range(op.M + 1):
-            assert_same_band_values(op._fill_band(range(j, j + 1)),
+            assert_same_band_values(op._fill_band(range(j, j + 1), 1),
                                     band_fill(op.block(j, j)[free][:, free]))
 
     def test_blocks_symmetric(self):
@@ -1295,7 +1302,8 @@ def assert_same_band_values(got, want):
 
 def assert_band_matches_oracle(op, blocks):
     """The unfactorized band of the blocks against the oracle's."""
-    assert_same_band_values(op._fill_band(blocks), oracle_band(op, blocks))
+    assert_same_band_values(op._fill_band(blocks, len(blocks)),
+                            oracle_band(op, blocks))
 
 
 def bitwise_symmetric(A):
@@ -1407,7 +1415,7 @@ class TestFactorizationContract:
         need = 8 * s * f * (band + 1)
         monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
 
-        def no_fill(blocks):
+        def no_fill(blocks, s):
             raise AssertionError("level band allocated")
 
         monkeypatch.setattr(op, "_fill_band", no_fill)
@@ -1499,7 +1507,8 @@ class TestFactorizationContract:
             F = op.assemble_diag_block(blocks)
             alone = [op.assemble_diag_block(range(j, j + 1)) for j in blocks]
             for j, G in zip(blocks, alone):
-                fill = linalg.factorize_band(op._fill_band(range(j, j + 1)))
+                fill = linalg.factorize_band(op._fill_band(range(j, j + 1),
+                                                            1))
                 np.testing.assert_array_equal(G._state[0], fill._state[0])
             assert F.n == len(blocks) * f and F.rows is None
             ab = F._state[0]
@@ -1644,7 +1653,8 @@ class TestScipyFallback:
         v = np.random.default_rng(40).standard_normal(op.n_global)
         assert_close(family_matvec(op_fb, v), family_matvec(op, v))
         for blocks in levels(op) + [range(op.M + 1)]:
-            assert_close(op_fb._fill_band(blocks), op._fill_band(blocks))
+            s = len(blocks)
+            assert_close(op_fb._fill_band(blocks, s), op._fill_band(blocks, s))
         for kind in KINDS:
             for trunc in (None, standard_truncation(3, 2)):
                 pre_fb = make_preconditioner(op_fb, kind, trunc)

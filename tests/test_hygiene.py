@@ -204,6 +204,10 @@ TEST_ONLY_PUBLIC = {
                                        "the band fills take it: the "
                                        "reference their band layouts are "
                                        "compared with",
+    "galerkin.GalerkinOperator.k_mats": "the whole family as CSR matrices, "
+                                        "for the oracles and for the "
+                                        "benchmark's matvec cost "
+                                        "(perfbench/worker.matvec_cost)",
 }
 
 

@@ -229,20 +229,6 @@ class TestBandCholesky:
         with pytest.raises(AssertionError, match="band allocated"):
             op.assemble_diag_block(blocks)
 
-    def test_bands_kept_together_checked_as_one_sum(self, monkeypatch):
-        rows, bands = [10, 30, 20], [4, 2, 9]
-        need = 8 * (10 * 5 + 30 * 3 + 20 * 10)
-        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
-        check_band_fits(rows, bands)  # fits exactly
-        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
-        with pytest.raises(MemoryError) as exc:
-            check_band_fits(rows, bands, "; hint")
-        # the message names the largest factor
-        assert str(exc.value).startswith(
-            f"band factor of 20 rows and 9 sub-diagonals and the 2 other "
-            f"band factors kept with it need {need} bytes")
-        assert str(exc.value).endswith("; hint")
-
 
 class TestMatrixMarket:
     def test_round_trip_general_bit_exact(self, tmp_path):

@@ -4,6 +4,7 @@ symmetry probes."""
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
@@ -203,14 +204,25 @@ def pull_form_level_gs(op, trunc, r):
 
 def assembled_beforehand(monkeypatch, op) -> None:
     """Have ``op.family`` return rows of the whole family, assembled
-    now, and pass gs's pair blocks unchecked: a sweep made later is then
-    checked against physical memory for its factors alone, not for the
-    K_i or the pair blocks, whose own checks ``TestFamily`` and
-    ``TestPointFills`` pin."""
+    now: a sweep made later is then checked against physical memory for
+    what it keeps alone, its factors, pair blocks and K_i, not for the
+    coefficient values that an assembly of K_i passes through, whose own
+    check ``TestFamily`` pins."""
     every = op.family(range(len(op.tensor.iset)), "the test")
     monkeypatch.setattr(op, "family", lambda indices, purpose:
                         every[np.asarray(indices, dtype=np.int64)])
-    monkeypatch.setattr(op, "check_pairs_fit", lambda runs, purpose: None)
+
+
+def kept_bytes(pre) -> tuple:
+    """(bands, pairs, K_i): the bytes of the band factors, of the pair
+    blocks with their pattern and of the retained K_i's data that the
+    sweep ``pre`` keeps after an apply."""
+    bands = sum(F._state[0].nbytes for F in held_factors(pre))
+    pairs = sum({id(a.base): a.base.nbytes
+                 for plan in held_factors(pre, _PairPlan)
+                 for a in (plan.data, plan.indptr, plan.indices)}.values())
+    return bands, pairs, sum(row.nbytes for row in getattr(pre, "_family",
+                                                           []))
 
 
 def units(op, kind) -> list:
@@ -659,11 +671,8 @@ class TestPushForm:
         for kind in ("ahgs", "gs"):
             pre = make_preconditioner(op, kind)
             kept, _ = traced_memory(lambda: pre.apply(b))
-            held = bands = sum(F._state[0].nbytes for F in held_factors(pre))
-            held += sum({id(a.base): a.base.nbytes
-                         for plan in held_factors(pre, _PairPlan)
-                         for a in (plan.data, plan.indptr, plan.indices)
-                         }.values())
+            bands, pairs, _ = kept_bytes(pre)
+            held = bands + pairs
             assert (held > bands) == (kind == "gs")
             assert held < kept <= held + galerkin._CHUNK_BYTES, kind
 
@@ -883,12 +892,13 @@ class TestFactory:
     def test_sum_of_kept_bands_refused_at_setup(self, kind, monkeypatch):
         """Every factor a sweep keeps fits in memory alone, but not all
         of them at once: the sweep is refused at setup, before any work.
-        The sum checked is the bytes its factors hold after an apply."""
+        The sum checked is the bytes its factors and gs's pair blocks
+        hold after an apply."""
         op, b, _, _ = build_operator(2, 3, 4)
         pre = make_preconditioner(op, kind)
         pre.apply(b)
         sizes = [F._state[0].nbytes for F in held_factors(pre)]
-        need = sum(sizes)
+        need = sum(kept_bytes(pre))
         assert len(sizes) > 1 and max(sizes) <= need - 1
 
         op, b, _, _ = build_operator(2, 3, 4)
@@ -900,42 +910,103 @@ class TestFactory:
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         pre = make_preconditioner(op, kind)
         pre.apply(b)
-        assert sum(F._state[0].nbytes for F in held_factors(pre)) == need
+        assert sum(kept_bytes(pre)) == need
 
     @pytest.mark.parametrize("kind", SWEEPS)
     def test_checked_bytes_are_the_held_bands(self, kind, monkeypatch):
-        """The bytes a sweep checks at setup are the bytes of the bands
-        its factors hold after an apply."""
+        """The bytes a sweep checks at setup, untruncated and at lt = 2,
+        are the bytes of the bands its factors hold after an apply, of
+        gs's pair blocks and of the K_i it retains."""
         op, b, _, _ = build_operator(2, 3, 4)
-        checked, check = [], preconditioners.check_band_fits
+        checked, check = [], preconditioners.check_fits
 
-        def recorded(n, band, hint=""):
-            checked.append(int(np.sum(8 * np.asarray(n)
-                                      * (np.asarray(band) + 1))))
-            return check(n, band, hint)
+        def recorded(need, what, hint=""):
+            checked.append(need)
+            return check(need, what, hint)
 
-        monkeypatch.setattr(preconditioners, "check_band_fits", recorded)
-        pre = make_preconditioner(op, kind)
-        pre.apply(b)
-        held = held_factors(pre)
-        assert len(held) > 1
-        assert checked == [sum(F._state[0].nbytes for F in held)]
+        monkeypatch.setattr(preconditioners, "check_fits", recorded)
+        for trunc in (None, standard_truncation(2, 2)):
+            checked.clear()
+            pre = make_preconditioner(op, kind, trunc)
+            pre.apply(b)
+            assert len(held_factors(pre)) > 1
+            assert checked == [sum(kept_bytes(pre))]
 
     def test_sweep_checked_for_its_own_factors_only(self, monkeypatch):
         """A sweep built after another on one operator is checked for,
-        and holds, its own factors: gs after hs, with memory for gs's
-        diagonal factors alone, is accepted, and what it reaches, its
-        operator included, holds exactly those."""
+        and holds, its own factors and pair blocks: gs after hs, with
+        memory for gs's diagonal factors and pair blocks alone, is
+        accepted, and what it reaches, its operator included, holds
+        exactly those."""
         op, b, _, _ = build_operator(2, 3, 4)
         hs = make_preconditioner(op, "hs")
         hs.apply(b)
         assembled_beforehand(monkeypatch, op)
-        need = 8 * (op.M + 1) * op.n_free * (op.run_band(1) + 1)
+        need = (8 * (op.M + 1) * op.n_free * (op.run_band(1) + 1)
+                + op.pair_bytes(levels(op)))
         monkeypatch.setattr(linalg, "physical_memory", lambda: need)
         gs = make_preconditioner(op, "gs")
         gs.apply(b)
-        assert sum(F._state[0].nbytes for F in held_factors(gs)) == need
+        assert sum(kept_bytes(gs)) == need
         assert held_factors(hs)
+
+    def test_bands_kept_together_checked_as_one_sum(self, monkeypatch):
+        """hs at lt = 2, N = P = 3, n = 4: its level bands (52,560 B) and
+        its 10 K_i (5,200 B) each fit in memory alone, but not both, so
+        it is refused when made, before any work, by one message that
+        names the largest band, the other bands and the K_i.  With
+        memory for their sum it is made and keeps just that."""
+        trunc = standard_truncation(3, 2)
+        op, b, _, _ = build_operator(3, 3, 4)
+        pre = make_preconditioner(op, "hs", trunc)
+        pre.apply(b)
+        assert kept_bytes(pre) == (52560, 0, 5200)
+        need = 52560 + 5200
+
+        op, b, _, _ = build_operator(3, 3, 4)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+        with pytest.raises(MemoryError) as exc:
+            make_preconditioner(op, "hs", trunc)
+        assert str(exc.value).startswith(
+            f"band factor of {10 * op.n_free} rows and 49 sub-diagonals and "
+            f"the 3 other band factors kept with it and the 10 K_i of its "
+            f"truncated couplings, 5200 bytes need {need} bytes")
+        assert "ahs and ahgs" in str(exc.value)
+        assert op.counters == {"summations": 0, "products": 0}
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        pre = make_preconditioner(op, "hs", trunc)
+        pre.apply(b)
+        assert sum(kept_bytes(pre)) == need
+
+    def test_pair_blocks_checked_with_the_bands(self, monkeypatch):
+        """gs at N = P = 3, n = 4: its block bands (7,200 B) and its pair
+        blocks (30,692 B) each fit in memory alone, but not both, so it
+        is refused when made, before any fill.  With memory for their
+        sum it is made and keeps just that."""
+        op, b, _, _ = build_operator(3, 3, 4)
+        pre = make_preconditioner(op, "gs")
+        pre.apply(b)
+        assert kept_bytes(pre) == (7200, 30692, 0)
+        need = 7200 + 30692
+
+        op, b, _, _ = build_operator(3, 3, 4)
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need - 1)
+
+        def no_work(*args):
+            raise AssertionError("pair blocks filled before the refusal")
+
+        monkeypatch.setattr(op, "_pair_values", no_work)
+        with pytest.raises(MemoryError) as exc:
+            make_preconditioner(op, "gs")
+        assert str(exc.value).startswith(
+            f"band factor of {op.n_free} rows and 4 sub-diagonals and the "
+            f"19 other band factors kept with it and gs's pair blocks inside "
+            f"its levels, 30692 bytes need {need} bytes")
+        monkeypatch.undo()
+        monkeypatch.setattr(linalg, "physical_memory", lambda: need)
+        pre = make_preconditioner(op, "gs")
+        pre.apply(b)
+        assert sum(kept_bytes(pre)) == need
 
     def test_dropped_gs_leaves_no_stiffness_matrix(self):
         """gs fills its levels' pair blocks at its first apply, assembles
@@ -1050,3 +1121,40 @@ class TestFactory:
     def test_probe_matrix_reproduces_linear_map(self):
         A = np.arange(9.0).reshape(3, 3)
         np.testing.assert_array_equal(probe_matrix(lambda v: A @ v, 3), A)
+
+
+# SHA-256 of the factors' bands and the applies that
+# test_factors_and_applies_keep_their_bits hashes, recorded before the
+# block factors shared one band filler and one factor builder
+FACTOR_DIGESTS = {
+    (4, 4, 10):
+        "ceb4ac462c145a9ff8b3e5dacadb70872ff5a7ac4a05b4db2e7c8d412ae24c2e",
+    (3, 3, 5):
+        "ea28ca4425c74011c604adcddd8600eca181ea2af26401ebd63a82382d51eaab",
+    (2, 1, 3):
+        "845399fe37cc93d4711b86915b3467c3ea58e061de5994a77334b30bb25753e1",
+    (1, 4, 6):
+        "f91930de16f8d71a4096379096d99af16944fda1c52d2516ba88d3e8a4a60146",
+}
+
+
+@pytest.mark.parametrize("shape", list(FACTOR_DIGESTS))
+def test_factors_and_applies_keep_their_bits(shape):
+    """The factored bands of every level's diagonal and level factor
+    and of the whole block diagonal, and two applies of every kind,
+    untruncated and at lt = 2, hash to the recorded digest: a change of
+    the fills or the builders that moves one bit shows."""
+    N, P, n = shape
+    op, _ = build_problem(N, P, n, 100.0)
+    h = hashlib.sha256()
+    for level in levels(op):
+        h.update(op.assemble_diag_block(level)._state[0].tobytes())
+        h.update(op.assemble_level_block(level)._state[0].tobytes())
+    h.update(op.assemble_diag_block(range(op.M + 1))._state[0].tobytes())
+    v = np.random.default_rng(7).standard_normal(op.n_global)
+    for kind in KINDS:
+        for trunc in (None, standard_truncation(N, 2)):
+            pre = make_preconditioner(op, kind, trunc)
+            for _ in range(2):
+                h.update(pre.apply(v).tobytes())
+    assert h.hexdigest() == FACTOR_DIGESTS[shape]
