@@ -6,8 +6,11 @@ E[ψ_i²] = Π_d i_d!.  The module builds graded multi-index sets, the
 triple-product expectations c_ijk = E[ψ_i ψ_j ψ_k] that couple the
 stochastic blocks of the Galerkin system, from their 1-D closed form,
 and the dense weighted sums Σ_α w_α G_α of the coupling matrices
-(G_α)_jk = c_αjk.  It never evaluates a polynomial; the tests check it
-against Gauss-Hermite quadrature of ``numpy.polynomial.hermite_e``.
+(G_α)_jk = c_αjk.  A 1-D factor E[He_a He_b He_c] is nonzero exactly
+when |b − c| ≤ a ≤ b + c and a ≡ b + c (mod 2), and the tensor is built
+from those nonzeros alone, at a cost that scales with its nonzero count.
+It never evaluates a polynomial; the tests check it against
+Gauss-Hermite quadrature of ``numpy.polynomial.hermite_e``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_CHUNK_BYTES = 1 << 20  # coupling matrices G_α built at once
+_CHUNK_BYTES = 1 << 20  # tensor entries expanded at once, 64 B each
 
 
 def _compositions(total: int, parts: int):
@@ -98,9 +101,10 @@ class CijkTensor:
     """Nonzero triple products c_ijk = E[ψ_i ψ_j ψ_k] in coordinate form.
 
     The i axis runs over `iset` (degree bound P′), j and k over `jkset`
-    (degree bound P).  Coordinates are sorted by (i, j, k).  Entries are
-    symmetric in (j, k) and strictly nonzero.  :meth:`g_sum` builds the
-    weighted sums G = Σ_i w_i G_i of the coupling matrices.  The levels
+    (degree bound P).  Coordinates are sorted by (i, j, k) and
+    read-only.  Entries are symmetric in (j, k) and strictly nonzero.
+    :meth:`g_sum` builds the weighted sums G = Σ_i w_i G_i of the
+    coupling matrices.  The levels
     of the block hierarchy are the runs of equal total degree in
     `jkset`'s graded order (:meth:`MultiIndexSet.total_degrees`).
     """
@@ -112,18 +116,24 @@ class CijkTensor:
     k: np.ndarray
     val: np.ndarray
 
+    def __post_init__(self):
+        # one tensor may serve every problem of a process (a cache), so a
+        # stray write raises instead of changing them all
+        for name in ("i", "j", "k", "val"):
+            getattr(self, name).flags.writeable = False
+
     @property
     def nnz(self) -> int:
         return len(self.val)
 
     def g_sum(self, weights: np.ndarray) -> np.ndarray:
         """The dense (M+1)×(M+1) matrix G = Σ_i w_i G_i, entries
-        Σ_i w_i c_ijk, for one weight per index of `iset`; the terms are
-        added in the tensor's (i, j, k) order."""
+        Σ_i w_i c_ijk, for one weight per index of `iset`; each entry adds
+        its terms in the tensor's (i, j, k) order."""
         m1 = len(self.jkset)
-        G = np.zeros((m1, m1))
-        np.add.at(G, (self.j, self.k), weights[self.i] * self.val)
-        return G
+        return np.bincount(self.j * m1 + self.k,
+                           weights=weights[self.i] * self.val,
+                           minlength=m1 * m1).reshape(m1, m1)
 
 
 def _half_grid(jk: np.ndarray, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +156,33 @@ def triple_product_table(max_i: int, max_jk: int) -> np.ndarray:
     return T
 
 
+def _digit_steps(N: int, P: int) -> list:
+    """For each dimension d, the table whose row p, column b is the
+    position in ``multi_index_set(d + 1, P)`` of the prefix at position p
+    of ``multi_index_set(d, P)`` (the empty prefix when d = 0) extended
+    by the digit b, −1 past degree P; and per row the degree that prefix
+    has left, P minus its total.  After the last step a position is one
+    in ``multi_index_set(N, P)`` itself."""
+    steps, prev = [], [()]
+    for d in range(N):
+        at = {t: n for n, t in enumerate(multi_index_set(d + 1, P).indices)}
+        steps.append((np.array([[at.get(p + (b,), -1) for b in range(P + 1)]
+                                for p in prev]),
+                      np.array([P - sum(p) for p in prev])))
+        prev = list(at)
+    return steps
+
+
 def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
     """All nonzero c_ijk with i over the P′ index set, j,k over the P set.
 
-    Each multivariate entry factorizes over dimensions:
-    c_ijk = Π_d E[He_{i_d} He_{j_d} He_{k_d}].
+    Each multivariate entry factorizes over dimensions,
+    c_ijk = Π_d E[He_{i_d} He_{j_d} He_{k_d}], and a 1-D factor is
+    nonzero exactly when |j_d − k_d| ≤ i_d ≤ j_d + k_d and
+    i_d ≡ j_d + k_d (mod 2).  The build expands each i digit by digit
+    over those 1-D nonzeros alone, so its cost scales with the nonzero
+    count, not with |iset|·(M+1)²; the factors multiply as 1.0·t_0·t_1·…
+    in dimension order.
     """
     if N < 1:
         raise ValueError(f"stochastic dimension N must be at least 1, got {N}")
@@ -162,28 +194,59 @@ def build_c_tensor(N: int, P: int, Pprime: int) -> CijkTensor:
     iset = multi_index_set(N, Pprime)
     jkset = multi_index_set(N, P)
     T = triple_product_table(Pprime, P)
-    ia, jk = iset.as_array(), jkset.as_array()  # (M'+1, N), (M+1, N)
-    m1 = len(jkset)
-    T2 = T.reshape(Pprime + 1, (P + 1) ** 2)  # rows a, columns (b, c)
 
-    # G_α for a bounded run of α at a time, each factor gathered from the
-    # rows of T2 by the (j, k) table's (b, c) positions; np.nonzero gives
-    # (α, j, k) order and the factors multiply as 1.0·t_0·t_1·… in each
-    # entry
-    step = max(_CHUNK_BYTES // (8 * m1 * m1), 1)
-    iis, jjs, kks, vals = [], [], [], []
-    for lo in range(0, len(iset), step):
-        G = np.ones((min(step, len(iset) - lo), m1, m1))
-        for d in range(N):
-            bc = jk[:, d, None] * (P + 1) + jk[None, :, d]
-            G *= np.take(T2[ia[lo:lo + step, d]], bc, axis=1)
-        aa, jj, kk = np.nonzero(G)
-        iis.append(aa + lo)
-        jjs.append(jj)
-        kks.append(kk)
-        vals.append(G[aa, jj, kk])
-    return CijkTensor(iset, jkset, np.concatenate(iis), np.concatenate(jjs),
-                      np.concatenate(kks), np.concatenate(vals))
+    # The digits (b, c) that a prefix pair of j and k may take next at an
+    # i digit a: T[a, b, c] ≠ 0 within the degrees rj, rk they have left,
+    # leaving at least the sum R of i's later digits (a later digit needs
+    # b + c of at least itself, and that is always enough).  So every
+    # prefix pair completes to at least one entry.  Grouped by
+    # (a, R, rj, rk), each group in (b, c) order.
+    a, R, rj, rk, b, c = np.ogrid[:Pprime + 1, :Pprime + 1, :P + 1, :P + 1,
+                                  :P + 1, :P + 1]
+    fits = ((T[a, b, c] != 0) & (b <= rj) & (c <= rk)
+            & (rj - b + rk - c >= R))
+    count = fits.sum(axis=(4, 5))
+    first = np.cumsum(count).reshape(count.shape) - count
+    a, _, _, _, b, c = np.nonzero(fits)
+    t = T[a, b, c]
+    ia = iset.as_array()
+    later = ia.sum(axis=1, keepdims=True) - np.cumsum(ia, axis=1)
+    steps = _digit_steps(N, P)
+    cap = max(_CHUNK_BYTES // 64, 1)
+
+    def entries(lo, hi):
+        """(i, j, k, value) for i in lo..hi−1, sorted by (i, j, k); None
+        once more than one i would expand past ``cap`` entries."""
+        i = np.arange(lo, hi)
+        j = k = np.zeros(hi - lo, dtype=np.int64)
+        val = np.ones(hi - lo)
+        for d, (extend, left) in enumerate(steps):
+            group = (ia[i, d], later[i, d], left[j], left[k])
+            n = count[group]
+            total = int(n.sum())
+            if total > cap and hi - lo > 1:
+                return None
+            src = np.repeat(np.arange(len(i)), n)
+            at = np.arange(total) + np.repeat(first[group] - np.cumsum(n) + n,
+                                              n)
+            i, j, k = i[src], extend[j[src], b[at]], extend[k[src], c[at]]
+            val = val[src] * t[at]
+        order = np.lexsort((k, j, i))
+        return i[order], j[order], k[order], val[order]
+
+    # runs of i sized from the last run's entries per i (a run's entry
+    # count only grows from digit to digit), halved while they overflow
+    pieces, lo, size = [], 0, 1
+    while lo < len(iset):
+        hi = min(lo + size, len(iset))
+        piece = entries(lo, hi)
+        if piece is None:
+            size = (hi - lo) // 2
+            continue
+        pieces.append(piece)
+        lo, size = hi, max((hi - lo) * cap // max(len(piece[0]), 1), 1)
+    i, j, k, val = (np.concatenate(x) for x in zip(*pieces))
+    return CijkTensor(iset, jkset, i, j, k, val)
 
 
 def write_c_tensor(path, tensor: CijkTensor) -> None:

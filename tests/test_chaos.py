@@ -140,6 +140,12 @@ def looped_c_tensor(N, P, Pprime) -> CijkTensor:
                       np.concatenate(kks), np.concatenate(vals))
 
 
+def assert_same_bits(got: CijkTensor, want: CijkTensor) -> None:
+    for name in ("i", "j", "k", "val"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestCijkTensor:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -149,16 +155,42 @@ class TestCijkTensor:
         chunk = data.draw(st.sampled_from([8, 1000, chaos._CHUNK_BYTES]))
         with mock.patch.object(chaos, "_CHUNK_BYTES", chunk):
             got = build_c_tensor(N, P, Pprime)
-        want = looped_c_tensor(N, P, Pprime)
-        for name in ("i", "j", "k", "val"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert_same_bits(got, looped_c_tensor(N, P, Pprime))
+
+    @pytest.mark.parametrize("N,P,Pprime", [(4, 4, 8), (5, 5, 5)])
+    def test_matches_looped_build_at_bench_shapes(self, N, P, Pprime):
+        assert_same_bits(build_c_tensor(N, P, Pprime),
+                         looped_c_tensor(N, P, Pprime))
+
+    def test_matches_quadrature_past_the_dense_oracle(self):
+        """At (6, 4, 8), where the dense build would take seconds, 200
+        stored entries and 200 absent triples against 10-node
+        Gauss-Hermite quadrature, exact up to degree 19 ≥ 8 + 4 + 4."""
+        t = build_c_tensor(6, 4, 8)
+        assert t.nnz == 105770
+        rng = np.random.default_rng(7)
+        m1 = len(t.jkset)
+        stored = set(((t.i * m1 + t.j) * m1 + t.k).tolist())
+        absent = []
+        while len(absent) < 200:
+            a, b, c = (int(rng.integers(len(s)))
+                       for s in (t.iset, t.jkset, t.jkset))
+            if (a * m1 + b) * m1 + c not in stored:
+                absent.append((a, b, c, 0.0))
+        present = [(t.i[e], t.j[e], t.k[e], t.val[e])
+                   for e in rng.choice(t.nnz, 200, replace=False)]
+        for a, b, c, value in present + absent:
+            oracle = multivariate_quadrature_cijk(
+                t.iset.indices[a], t.jkset.indices[b], t.jkset.indices[c])
+            assert abs(value - oracle) <= 1e-10 * max(abs(oracle), 1.0), \
+                (a, b, c)
 
     @pytest.mark.parametrize("N,P,Pprime", [(4, 4, 8), (5, 5, 5)])
     def test_build_holds_coupling_matrices_in_chunks(self, N, P, Pprime):
         """All coupling matrices G_α at once would take 19 MB at
-        (4, 4, 8) and 128 MB at (5, 5, 5); per-dimension (j, k) tables
-        for every 1-D degree would take 15 MB at (5, 5, 5)."""
+        (4, 4, 8) and 128 MB at (5, 5, 5).  The build holds the finished
+        runs of i (2 MB at (5, 5, 5)), their concatenation and one run's
+        expansion, about 64 B an entry within ``_CHUNK_BYTES``."""
         _, peak = traced_memory(lambda: build_c_tensor(N, P, Pprime))
         assert peak < 8e6
 
@@ -253,16 +285,21 @@ class TestCijkTensor:
 class TestGMatrix:
     @settings(max_examples=25, deadline=None)
     @given(N=st.integers(1, 3), P=st.integers(0, 3),
-           seed=st.integers(0, 2**16))
+           extra=st.integers(0, 2), seed=st.integers(0, 2**16))
     def test_g_sum_is_the_weighted_sum_of_coupling_matrices(self, N, P,
-                                                            seed):
-        t = build_c_tensor(N, P, 2 * P)
+                                                            extra, seed):
+        """G is Σ_a w_a G_a, and each entry adds its terms in the
+        tensor's order, bit for bit as one unbuffered scatter-add."""
+        t = build_c_tensor(N, P, 2 * P + extra)
         w = np.random.default_rng(seed).standard_normal(len(t.iset))
         want = sum(w_a * g_matrix(a, t) for a, w_a in enumerate(w))
         got = t.g_sum(w)
         assert got.shape == (len(t.jkset),) * 2
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
+        scattered = np.zeros_like(got)
+        np.add.at(scattered, (t.j, t.k), w[t.i] * t.val)
+        assert got.tobytes() == scattered.tobytes()
 
     def test_mean_block_low_degree(self):
         t = build_c_tensor(2, 1, 2)

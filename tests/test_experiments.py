@@ -339,6 +339,14 @@ class TestBuildProblemArguments:
             build_problem(26, 4, 4, 50.0)
 
 
+def test_cached_tensor_refuses_writes():
+    """Every problem of a process shares the cached tensor, so a write to
+    one problem's tensor raises instead of changing the next problem."""
+    op, _ = build_problem(2, 2, 3, 50.0)
+    with pytest.raises(ValueError, match="read-only"):
+        op.tensor.val[0] = 0.0
+    assert build_problem(2, 2, 3, 50.0)[0].tensor is op.tensor
+
 class TestTables:
 
     def test_logn_shape_and_ndof(self):
